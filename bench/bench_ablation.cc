@@ -2,8 +2,7 @@
 // measures, on one workload, what each lossless filter (Sec. III-E), the
 // dedup strategy, the verification engine tiers (budgeted verify,
 // token-id path, shared token-pair cache, per-worker L1 tier) and the
-// shuffle engine (streaming fusion, combiner, skew-adaptive partitioning)
-// contribute in candidate/verification counts, per-tier cache hit rates,
+// shuffle (combiner, skew-adaptive partitioning) contribute in candidate/verification counts, per-tier cache hit rates,
 // combiner record reduction, peak shuffle-resident records and measured
 // wall time. Complements Figs. 1-5, which report the paper's own
 // parameter sweeps.
@@ -13,10 +12,9 @@
 // hit split and flush-batch counts that explain where the multi-thread
 // win comes from.
 //
-// With --shuffle_json <path>, additionally writes the legacy-vs-streaming
-// shuffle counters (map output records, pipeline peak shuffle-resident
-// records, reduction factor) plus the cache-tier and combiner counters of
-// the workers=hw run as JSON, which CI merges into BENCH_verify.json so
+// With --shuffle_json <path>, additionally writes the shuffle counters
+// (map output records, pipeline peak shuffle-resident records) plus the
+// cache-tier and combiner counters of the workers=hw run as JSON, which CI merges into BENCH_verify.json so
 // the memory and contention wins are tracked in the perf trajectory.
 //
 // The out-of-core spill row runs the full configuration under a memory
@@ -221,22 +219,13 @@ bool Run(const std::string& shuffle_json_path,
     o.adaptive_partitions = false;
     rows.push_back({"PR3 baseline (no L1/combiner/adaptive)", o});
   }
-  {
-    // Shuffle-engine ablation: the legacy two-job hash-shuffle pipeline
-    // that materializes the pre-dedup candidate universe between jobs.
-    // Identical pairs, NSLD values and candidate counters; only the
-    // shuffle-residency and wall columns move.
-    TsjOptions o = base;
-    o.enable_streaming_shuffle = false;
-    rows.push_back({"- streaming shuffle (legacy engine)", o});
-  }
 
   TablePrinter table({"configuration", "pairs", "distinct cands", "verified",
                       "verify work", "L1 hit%", "shared hit%", "flushes",
                       "comb in>out", "lanes%", "peq reuse", "peak shuffle",
                       "wall (ms)"});
   uint64_t budgeted_work = 0, unbounded_work = 0;
-  ShuffleNumbers streaming_numbers, legacy_numbers;
+  ShuffleNumbers streaming_numbers;
   TsjRunInfo full_info;
   TsjRunInfo scalar_verify_info;
   double full_wall_ms = 0, pr3_wall_ms = 0;
@@ -263,10 +252,6 @@ bool Run(const std::string& shuffle_json_path,
       scalar_verify_info = info;
       scalar_verify_wall_ms = ms;
     }
-    if (!row.options.enable_streaming_shuffle) {
-      legacy_numbers = {info.pipeline.total_map_output_records(),
-                        info.peak_shuffle_records, ms};
-    }
     const uint64_t l1_probes =
         info.token_pair_cache_l1_hits + info.token_pair_cache_l1_misses;
     const uint64_t shared_probes =
@@ -291,12 +276,9 @@ bool Run(const std::string& shuffle_json_path,
   // pairs/NSLD by construction; the row shows what bounding residency
   // costs in wall time, and the gauge proves the budget held.
   TsjRunInfo spill_info;
-  TsjRunInfo spill_v1_info;  // legacy run format, for the direct ratio
   double spill_wall_ms = 0;
-  double spill_v1_wall_ms = 0;
   uint64_t spill_budget = 0;
   bool spill_run_ok = false;
-  bool spill_v1_run_ok = false;
   if (streaming_numbers.peak_shuffle_records > 0) {
     spill_budget =
         std::max<uint64_t>(1024, streaming_numbers.peak_shuffle_records / 4);
@@ -312,17 +294,6 @@ bool Run(const std::string& shuffle_json_path,
       std::cout << "spill run FAILED: " << result.status().ToString()
                 << "\n";
     }
-    // Same budget under the legacy v1 run format (no checksums, no
-    // compression, no segmentation, no prefetch): the direct evidence of
-    // what the v2 format buys on disk bytes and file count.
-    TsjOptions v1 = o;
-    v1.mapreduce.spill_format.v2 = false;
-    v1.mapreduce.spill_format.prefetch = false;
-    Stopwatch v1_watch;
-    const auto v1_result =
-        TokenizedStringJoiner(v1).SelfJoin(workload.corpus, &spill_v1_info);
-    spill_v1_wall_ms = v1_watch.ElapsedMillis();
-    spill_v1_run_ok = v1_result.ok();
     if (result.ok()) {
       const uint64_t l1_probes = spill_info.token_pair_cache_l1_hits +
                                  spill_info.token_pair_cache_l1_misses;
@@ -543,40 +514,12 @@ bool Run(const std::string& shuffle_json_path,
                 << " prefetch hits, " << spill_info.checksum_failures
                 << " checksum failures\n";
     }
-    if (spill_v1_run_ok && spill_info.spill_bytes > 0 &&
-        spill_v1_info.spill_bytes > 0) {
-      std::cout << "spill v2 vs v1: "
-                << spill_v1_info.spill_bytes / (1024 * 1024) << " MiB in "
-                << spill_v1_info.spill_files << " files ("
-                << spill_v1_wall_ms << " ms) -> "
-                << spill_info.spill_bytes / (1024 * 1024) << " MiB in "
-                << spill_info.spill_files << " files (" << spill_wall_ms
-                << " ms): "
-                << static_cast<double>(spill_v1_info.spill_bytes) /
-                       static_cast<double>(spill_info.spill_bytes)
-                << "x fewer spilled bytes, "
-                << static_cast<double>(spill_v1_info.spill_files) /
-                       static_cast<double>(
-                           std::max<uint64_t>(1, spill_info.spill_files))
-                << "x fewer run files\n";
-    }
   }
   if (budgeted_work > 0 && unbounded_work > 0) {
     std::cout << "\nbudgeted verify saving: "
               << static_cast<double>(unbounded_work) /
                      static_cast<double>(budgeted_work)
               << "x fewer verify work units than unbounded SLD\n";
-  }
-  if (streaming_numbers.peak_shuffle_records > 0 &&
-      legacy_numbers.peak_shuffle_records > 0) {
-    std::cout << "streaming shuffle saving: "
-              << static_cast<double>(legacy_numbers.peak_shuffle_records) /
-                     static_cast<double>(
-                         streaming_numbers.peak_shuffle_records)
-              << "x fewer peak shuffle-resident records than the legacy "
-                 "engine ("
-              << legacy_numbers.peak_shuffle_records << " -> "
-              << streaming_numbers.peak_shuffle_records << ")\n";
   }
   if (full_info.batched_verify_calls > 0) {
     std::cout << "batched verify: " << full_info.batched_verify_calls
@@ -606,10 +549,9 @@ bool Run(const std::string& shuffle_json_path,
   std::cout << "\nexpectations: removing filters raises 'verified' with the "
                "same result pairs; the approximations only shrink the "
                "result; disabling budgeted verify, batched verify, token-id "
-               "verify, either cache tier, the combiner, adaptive "
-               "partitioning, or the streaming shuffle changes nothing but "
-               "the work/traffic/wall columns (byte-identical pairs and "
-               "NSLD values).\n";
+               "verify, either cache tier, the combiner, or adaptive "
+               "partitioning changes nothing but the work/traffic/wall "
+               "columns (byte-identical pairs and NSLD values).\n";
 
   // ---- Workers sweep: the contention picture in one table. ---------------
   std::cout << "\n";
@@ -663,18 +605,6 @@ bool Run(const std::string& shuffle_json_path,
          << ", \"peak_shuffle_records\": "
          << streaming_numbers.peak_shuffle_records
          << ", \"wall_ms\": " << streaming_numbers.wall_ms << "},\n"
-         << "  \"legacy\": {\"map_output_records\": "
-         << legacy_numbers.map_output_records
-         << ", \"peak_shuffle_records\": "
-         << legacy_numbers.peak_shuffle_records
-         << ", \"wall_ms\": " << legacy_numbers.wall_ms << "},\n"
-         << "  \"peak_reduction\": "
-         << (streaming_numbers.peak_shuffle_records > 0
-                 ? static_cast<double>(legacy_numbers.peak_shuffle_records) /
-                       static_cast<double>(
-                           streaming_numbers.peak_shuffle_records)
-                 : 0.0)
-         << ",\n"
          << "  \"cache_tiers\": {\"l1_hits\": "
          << full_info.token_pair_cache_l1_hits
          << ", \"l1_misses\": " << full_info.token_pair_cache_l1_misses
@@ -729,12 +659,6 @@ bool Run(const std::string& shuffle_json_path,
          << "  \"checksum_failures\": " << spill_info.checksum_failures
          << ",\n"
          << "  \"prefetch_hits\": " << spill_info.prefetch_hits << ",\n"
-         << "  \"v1_spill_bytes\": "
-         << (spill_v1_run_ok ? spill_v1_info.spill_bytes : 0) << ",\n"
-         << "  \"v1_spill_files\": "
-         << (spill_v1_run_ok ? spill_v1_info.spill_files : 0) << ",\n"
-         << "  \"v1_wall_ms\": " << (spill_v1_run_ok ? spill_v1_wall_ms : 0)
-         << ",\n"
          << "  \"merge_passes\": " << spill_info.merge_passes << ",\n"
          << "  \"peak_resident_records\": "
          << spill_info.peak_resident_records << ",\n"

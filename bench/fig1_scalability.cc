@@ -56,8 +56,7 @@ void Run() {
   std::cout << "shuffle records: "
             << info_one.pipeline.total_shuffle_records()
             << "  peak resident: " << info_one.peak_shuffle_records
-            << " (group-on-one, streaming engine; see bench_ablation for "
-               "the legacy comparison)\n\n";
+            << " (group-on-one)\n\n";
 
   const auto params = bench::DefaultClusterParams();
   TablePrinter table({"machines", "group-on-one (s)", "group-on-both (s)",

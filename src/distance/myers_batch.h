@@ -50,7 +50,7 @@
 // backends in-process) or from the CC_VERIFY_SIMD environment toggle
 // ("off"/"portable", "sse2", "avx2", "auto"/unset = best available),
 // which is how CI pins the portable fallback for a whole test run the
-// way CC_SHUFFLE_SPILL_FORMAT pins the v1 spill format. Lane-packing
+// way CC_SHUFFLE_SPILL_BUDGET forces the spill path. Lane-packing
 // geometry (and therefore the lane counters below) is identical across
 // backends; only how a packed group is computed changes.
 //

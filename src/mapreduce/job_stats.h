@@ -91,8 +91,8 @@ struct JobStats {
   /// crossed the stage boundary); the pre-combine volume is
   /// combiner_input_records.
   uint64_t shuffle_records = 0;
-  /// Records scanned by the sorted-mode combiner (run-scan
-  /// pre-aggregation in the emitter buckets; see mapreduce.h). Zero when
+  /// Records scanned by the combiner (run-scan pre-aggregation in the
+  /// emitter buckets; see mapreduce.h). Zero when
   /// no combiner ran. combiner_input_records - combiner_output_records
   /// is the shuffle volume the combiner removed before the records
   /// crossed the stage boundary.
@@ -104,9 +104,9 @@ struct JobStats {
   /// fused job share one gauge and report the same peak.
   uint64_t peak_shuffle_records = 0;
 
-  // External-memory spill (mapreduce/spill.h; sorted modes only, active
-  // when the job ran under a MapReduceOptions::memory_budget_records
-  // policy or the CC_SHUFFLE_SPILL_BUDGET test override).
+  // External-memory spill (mapreduce/spill.h; active when the job ran
+  // under a MapReduceOptions::memory_budget_records policy or the
+  // CC_SHUFFLE_SPILL_BUDGET test override).
   /// Records written to disk as sorted runs (counted post-flush-combine:
   /// what actually hit disk).
   uint64_t spilled_records = 0;
@@ -115,10 +115,9 @@ struct JobStats {
   /// Bytes written to spill files (post block compression, framing and
   /// footers included — the bytes that actually hit disk).
   uint64_t spill_bytes = 0;
-  /// Serialized record bytes before the v2 block compression — the
-  /// compression baseline: spill_raw_bytes / spill_bytes is the spill
-  /// compression ratio (with compression off the two differ only by
-  /// framing overhead).
+  /// Serialized record bytes before block compression — the compression
+  /// baseline: spill_raw_bytes / spill_bytes is the spill compression
+  /// ratio.
   uint64_t spill_raw_bytes = 0;
   /// Sort-merge passes: one per spilled partition's final streamed merge,
   /// plus one per hierarchical pre-merge pass a partition needed because

@@ -4,67 +4,51 @@
 //   map:    <key1, value1>        -> [<key2, value2>]
 //   reduce: <key2, [value2]>      -> [value3]
 // and executes them on a thread pool with a shuffle in between, i.e. a
-// faithful shared-nothing simulation running in one address space. Two
-// execution modes share that contract:
+// faithful shared-nothing simulation running in one address space. The
+// shuffle streams and sorts: map tasks emit through a PartitionedEmitter
+// that scatters records into per-partition buckets at emit time, each
+// partition is grouped by stable-sorting its records by key, and the
+// reducer runs over contiguous key runs exposed as std::spans of a single
+// reused buffer — no per-key vector<Value>, no grouping hash map. Key must be equality- and
+// less-than-comparable and hashable by StableHash; within one run, values
+// keep (map task, emission) order.
 //
-//  * RunMapReduce — the legacy hash shuffle, kept as the differential
-//    reference: map tasks buffer every emission in a flat Emitter vector,
-//    a separate scatter pass partitions the records by stable key hash,
-//    and each reduce partition groups its records into an
-//    unordered_map<Key, vector<Value>> before reducing group by group.
-//    Simple and obviously correct, but every record is resident in three
-//    successive buffers and every distinct key costs a heap node.
+// RunMapReduceSorted runs one such job. The optional combiner
+// (CombinerFn) runs as *combine-at-sort*: after a producer stops
+// emitting, each of its emitter buckets is stable-sorted by key and the
+// combiner shrinks every contiguous key run in place
+// (PartitionedEmitter::Combine) — per-producer pre-aggregation with no
+// grouping hash map, executed before the records are concatenated into
+// shuffle partitions (and, in the fused runner, before they cross the
+// stage boundary). The reduce function must be insensitive to the
+// pre-aggregation; JobStats reports the pre/post volumes as
+// combiner_{input,output}_records.
 //
-//  * RunMapReduceSorted — the streaming shuffle: map tasks emit through a
-//    PartitionedEmitter that scatters records into per-partition buckets
-//    *at emit time* (the scatter pass disappears), each partition is
-//    grouped by stable-sorting its records by key, and the reducer runs
-//    over contiguous key runs exposed as std::spans of a single reused
-//    buffer — no per-key vector<Value>, no grouping hash map. Requires
-//    Key to be less-than-comparable (on top of the equality/StableHash
-//    requirements of the legacy mode); within one run, values keep
-//    map-task emission order, exactly like the legacy grouping. Prefer
-//    this mode; use the legacy mode to cross-check it or when a key
-//    cannot be ordered.
-//
-// Both modes take an optional combiner (CombinerFn). In the sorted modes
-// it runs as *combine-at-sort*: after a producer stops emitting, each of
-// its emitter buckets is stable-sorted by key and the combiner shrinks
-// every contiguous key run in place (PartitionedEmitter::Combine) —
-// per-producer pre-aggregation with no grouping hash map, executed before
-// the records are concatenated into shuffle partitions (and, in the fused
-// runner, before they cross the stage boundary). The reduce function must
-// be insensitive to the pre-aggregation; JobStats reports the pre/post
-// volumes as combiner_{input,output}_records.
-//
-// RunFusedMapReduceSorted chains two sorted-shuffle stages without
-// materializing the intermediate record vector between them: stage 1's
-// reduce emits (key2, value2) records straight into stage 2's
-// partition-at-emit shuffle (plus an optional stage-2 side input mapped
-// into the same shuffle), so the peak number of shuffle-resident records
-// is bounded by one stage's records instead of the sum of both. TSJ's
-// candidate-generation → dedup/verify pipeline runs on it (tsj/tsj.cc),
-// with a stage-2 combiner that collapses duplicate candidates inside the
+// RunFusedMapReduceSorted chains two stages without materializing the
+// intermediate record vector between them: stage 1's reduce emits
+// (key2, value2) records straight into stage 2's partition-at-emit
+// shuffle (plus an optional stage-2 side input mapped into the same
+// shuffle), so the peak number of shuffle-resident records is bounded by
+// one stage's records instead of the sum of both. TSJ's candidate-
+// generation → dedup/verify pipeline runs on it (tsj/tsj.cc), with a
+// stage-2 combiner that collapses duplicate candidates inside the
 // producing task, so a hot token's quadratic candidate fan-out shrinks
 // before the dedup/verify shuffle ever sees it.
 //
-// Spill / merge contract (external memory; mapreduce/spill.h). The sorted
-// modes optionally run under MapReduceOptions::memory_budget_records — a
-// bound on shuffle records resident in memory (or the test-tier
+// Spill / merge contract (external memory; mapreduce/spill.h). A job
+// optionally runs under MapReduceOptions::memory_budget_records — a bound
+// on shuffle records resident in memory (or the test-tier
 // CC_SHUFFLE_SPILL_BUDGET environment override). Mechanics:
 //
 //  * When buckets flush: each producer holds an even share of the budget
 //    (budget / producers; the fused runner first halves the budget
 //    between its two stages, whose producers are live simultaneously).
 //    Whenever a producer's resident records exceed its share, it flushes
-//    to disk. Under the default segmented v2 format
-//    (MapReduceOptions::spill_format) one flush stable-sorts EVERY
-//    non-empty bucket, pre-aggregates each with the job's combiner (the
-//    runs are combined *before* they hit disk), and writes them all as
-//    one segment file — one sorted run per bucket plus a footer index —
-//    so the file count is bounded by the flush count, not bucket x
-//    flush. With segmentation off, a flush takes only the fullest bucket
-//    and writes one single-run file (the legacy policy).
+//    to disk: one flush stable-sorts EVERY non-empty bucket,
+//    pre-aggregates each with the job's combiner (the runs are combined
+//    *before* they hit disk), and writes them all as one segment file —
+//    one sorted run per bucket plus a footer index — so the file count is
+//    bounded by the flush count, not bucket x flush.
 //  * Combiner re-arm semantics: the self-tuning combine sample
 //    (PartitionedEmitter::Combine) persists across a producer's flushes,
 //    but every spill flush re-arms it — a bucket's lifetime ends at the
@@ -75,20 +59,20 @@
 //    residue (one hierarchical pre-merge pass collapses a producer's
 //    excess runs first; passes are counted in JobStats::merge_passes).
 //    Ties break toward the earlier source, so values keep exactly the
-//    (producer, emission) order of the in-memory engine. Each merged key
+//    (producer, emission) order of the in-memory shuffle. Each merged key
 //    run is re-combined once more before the reducer sees it.
 //  * Span stability: the reducer still receives each key's values as ONE
 //    contiguous mutable std::span — even when the run was split across
 //    several spill files — backed by a buffer that is reused across runs
 //    but stable (and reorderable in place) for the duration of that
-//    reduce call, the same guarantee as the in-memory modes.
+//    reduce call, the same guarantee as the in-memory shuffle.
 //  * Residency: only producer buckets within their shares plus the active
 //    merge windows are ever in memory; JobStats::peak_resident_records
 //    (a gauge producers and merges publish in small batches — see
 //    kSpillResidentPublishBatch in spill.h) proves the budget held.
-//    I/O faults surface as
-//    JobStats::spill_status (see spill.h) — a failed write keeps records
-//    in memory, a failed read marks the job; nothing is lost silently.
+//    I/O faults surface as JobStats::spill_status (see spill.h) — a
+//    failed write keeps records in memory, a failed read marks the job;
+//    nothing is lost silently.
 //
 // Fault-tolerance contract (task retry, cancellation, fault injection).
 // Every engine phase runs its logical tasks through a retry/cancellation
@@ -127,7 +111,7 @@
 //    below) a newly flagged map task additionally gets a second attempt
 //    launched against the same immutable input.
 //  * Checkpoint validity. When MapReduceOptions::checkpoint_dir is set,
-//    every completed map task of the sorted modes seals its output
+//    every completed map task seals its output
 //    (sorted residue + spill runs, merged in reduce source order) into a
 //    checksummed v2 segment plus a manifest under that directory, and a
 //    restarted job with the same dir, job name, fingerprint and task
@@ -145,8 +129,7 @@
 //    cannot prove two runs share a corpus — restore requires the
 //    explicit option). Reduce tasks are not checkpointed: their outputs
 //    live in job-local memory and are cheap to recompute relative to
-//    re-verifying, and the legacy hash-shuffle mode is excluded
-//    entirely.
+//    re-verifying.
 //  * Hedge-cancellation semantics. With enable_hedged_execution (default
 //    on, inert unless the CC_TASK_TIMEOUT_MS watchdog is armed), a map
 //    task the watchdog flags as stuck gets ONE hedged attempt launched
@@ -181,8 +164,8 @@
 //    meters, not result accounting.
 //
 // JobStats records per-phase record counts, wall times, per-group loads,
-// and — new with the streaming engine — shuffle-record and peak-resident
-// counters (ShuffleGauge); cluster_model.h turns the group loads into
+// and shuffle-record and peak-resident counters (ShuffleGauge);
+// cluster_model.h turns the group loads into
 // simulated wall times for a cluster of W machines, which is how the
 // repository reproduces the paper's 100-to-1,000-machine sweeps (Figs. 1,
 // 7) on a single host.
@@ -199,7 +182,6 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -228,8 +210,8 @@ struct MapReduceOptions {
   /// intermediate vectors it adds manually (tsj/tsj.cc does).
   ShuffleGauge* shuffle_gauge = nullptr;
   /// Optional hook invoked on the worker thread right after it finishes
-  /// reducing one partition (every engine mode; in the fused runner,
-  /// after each stage-1 and each stage-2 partition). Lets reduce
+  /// reducing one partition (in the fused runner, after each stage-1 and
+  /// each stage-2 partition). Lets reduce
   /// functions that batch per-thread side state across groups drain it at
   /// a guaranteed coarser boundary — tsj uses it to flush each verify
   /// worker's deferred token-pair-cache upserts (tokenized/sld.h), so
@@ -238,12 +220,12 @@ struct MapReduceOptions {
   /// concurrent partitions.
   std::function<void()> reduce_partition_epilogue;
 
-  /// External-memory spill budget (sorted modes only; see the "Spill /
-  /// merge contract" section of the file comment): the maximum number of
-  /// shuffle records the job keeps resident in memory. 0 = unlimited (no
-  /// spill) — unless the CC_SHUFFLE_SPILL_BUDGET environment variable is
-  /// set, the test-tier override that lets CI force the spill path
-  /// through every sorted-mode job in the process. When active, each
+  /// External-memory spill budget (see the "Spill / merge contract"
+  /// section of the file comment): the maximum number of shuffle records
+  /// the job keeps resident in memory. 0 = unlimited (no spill) — unless
+  /// the CC_SHUFFLE_SPILL_BUDGET environment variable is set, the
+  /// test-tier override that lets CI force the spill path through every
+  /// job in the process. When active, each
   /// producer flushes its over-budget partition buckets to `spill_dir` as
   /// sorted (and combined, when a combiner is configured) runs, and
   /// reducers are driven from a k-way sort-merge of runs instead of a
@@ -256,16 +238,11 @@ struct MapReduceOptions {
   /// I/O seam for spill files; null = buffered FILE* (the default). Tests
   /// install fault-injecting wrappers here (tests/spill_test.cc).
   SpillIoFactory spill_io_factory;
-  /// Spill file format toggles (defaults: the full v2 feature set —
-  /// checksummed + delta-compressed frames, segmented flush files, async
-  /// merge-input prefetch). The CC_SHUFFLE_SPILL_FORMAT environment
-  /// override (v1|v2) wins over this field, like the budget override.
-  SpillFormatOptions spill_format;
   /// Maximum deterministic re-executions of one task after a retryable
   /// failure (see the fault-tolerance contract in the file comment).
   /// 0 disables retry: the first failure of any kind is fatal.
   size_t max_task_retries = 2;
-  /// Checkpoint/restart directory (sorted modes' map phases; see the
+  /// Checkpoint/restart directory (map phases; see the
   /// "Checkpoint validity" section of the file comment). Empty = no
   /// checkpointing — unless CC_CHECKPOINT_DIR is set, which arms the
   /// WRITE side only. With a non-empty dir, completed map tasks seal
@@ -304,32 +281,16 @@ inline uint64_t MixCheckpointFingerprint(uint64_t h, uint64_t v) {
   return h;
 }
 
-/// Collects the (key, value) pairs emitted by one map task (legacy mode:
-/// one flat buffer, partitioned later by the scatter pass).
-template <typename Key, typename Value>
-class Emitter {
- public:
-  void Emit(Key key, Value value) {
-    pairs_.emplace_back(std::move(key), std::move(value));
-  }
-  std::vector<std::pair<Key, Value>>& pairs() { return pairs_; }
-  const std::vector<std::pair<Key, Value>>& pairs() const { return pairs_; }
-
- private:
-  std::vector<std::pair<Key, Value>> pairs_;
-};
-
 /// Optional combiner: merges the values of one key *within one producer*
 /// before the shuffle, cutting shuffle volume for associative reductions
 /// (the standard MapReduce optimization). Receives the values collected
 /// so far and replaces them with a combined list that must not be longer
-/// (shrinking is the point; in-place compaction relies on it). In the
-/// legacy mode the combiner runs over a per-map-task grouping hash map;
-/// in the sorted modes it runs as a run-scan over each emitter bucket
-/// (PartitionedEmitter::Combine) — same per-key semantics, no hash map.
-/// In both engines the reduce function must be insensitive to the
-/// pre-aggregation (it still sees every key, with combined value lists
-/// concatenated across producers).
+/// (shrinking is the point; in-place compaction relies on it). It runs as
+/// a run-scan over each sorted emitter bucket (PartitionedEmitter::
+/// Combine), over every spill flush, and over every merged key run. The
+/// reduce function must be insensitive to the pre-aggregation (it still
+/// sees every key, with combined value lists concatenated across
+/// producers).
 template <typename Key, typename Value>
 using CombinerFn =
     std::function<void(const Key&, std::vector<Value>*)>;
@@ -372,8 +333,8 @@ class PartitionedEmitter {
 
   /// Arms the spill policy (engine-internal; see the file comment's spill
   /// contract). `share` is this producer's slice of the job budget: Emit
-  /// flushes the largest buckets to disk while more than `share` records
-  /// are resident. `combiner`, when non-null, pre-aggregates every flushed
+  /// flushes every bucket to disk once more than `share` records are
+  /// resident. `combiner`, when non-null, pre-aggregates every flushed
   /// run before it hits disk (spill-aware combine; counted separately so
   /// the engine can fold it into the job's combiner statistics).
   void EnableSpill(SpillContext* context, size_t share,
@@ -397,18 +358,13 @@ class PartitionedEmitter {
         PublishResident();
       }
       while (size_ > spill_share_ && !spill_failed_) {
-        // Segmented v2 flushes every non-empty bucket into one segment
-        // file (file count tracks flush count); the legacy policy takes
-        // only the fullest bucket per flush.
-        const bool segmented =
-            spill_->format().v2 && spill_->format().segment;
-        if (!(segmented ? SpillAllBuckets() : SpillLargestBucket())) break;
+        if (!SpillAllBuckets()) break;
       }
     }
   }
 
-  /// Run-scan pre-aggregation (the sorted modes' combiner, applied by the
-  /// engine after this producer stops emitting): stable-sorts each bucket
+  /// Run-scan pre-aggregation (the combiner, applied by the engine after
+  /// this producer stops emitting): stable-sorts each bucket
   /// by key — the sort the shuffle would do anyway happens early, on this
   /// producer's slice — hands each contiguous key run's values to
   /// `combiner`, and compacts the bucket in place to the combined
@@ -516,8 +472,8 @@ class PartitionedEmitter {
   /// Runs this producer wrote for partition p, in flush order — which is
   /// emission order: a flush takes a whole bucket, so every record in an
   /// earlier run was emitted before every record of a later run or of the
-  /// in-memory residue. Under segmentation a ref names a byte extent of a
-  /// shared segment file; otherwise it names a whole single-run file.
+  /// in-memory residue. A ref names a byte extent of a segment file that
+  /// may hold other partitions' runs too.
   const std::vector<SpillRunRef>& spill_runs(size_t p) const {
     static const std::vector<SpillRunRef> kNone;
     return spill_runs_.empty() ? kNone : spill_runs_[p];
@@ -596,114 +552,39 @@ class PartitionedEmitter {
                (combine_scanned_ >> kCombineMinReductionShift);
   }
 
-  // One-bucket flush preparation shared by both spill policies: sort
-  // bucket p and apply the spill-time (flush) combine when armed (spill-
-  // aware combine: the run is pre-aggregated *before* it hits disk).
-  // Returns the {scanned, kept} flush-combine deltas so a failed flush
-  // can roll them back out of the reported counters.
-  std::pair<uint64_t, uint64_t> PrepareBucketForFlush(size_t p) {
-    auto& bucket = buckets_[p];
-    SortBucket(p);
-    uint64_t in = 0, out = 0;
-    if (spill_combiner_ != nullptr && !CombineSampleAborted()) {
-      in = bucket.size();
-      combine_scanned_ += bucket.size();
-      if (bucket.size() >= 2) CombineSortedRuns(p, spill_combiner_);
-      combine_kept_ += bucket.size();
-      out = bucket.size();
-      spill_combiner_in_ += in;
-      spill_combiner_out_ += out;
-    }
-    return {in, out};
-  }
-
-  // A flush that failed keeps every surviving record in memory (degraded,
-  // not lossy): record the error, stop flushing, drop the half-written
-  // file, and roll the flush-combine scan back out of the reported
-  // counters — the engine's later Combine() will count the surviving
-  // records, so leaving the deltas in would double-count (the counters'
-  // meaning is "every record scanned once"). The flush combine may still
+  // Spill flush: sort + flush-combine EVERY non-empty bucket (spill-aware
+  // combine: runs are pre-aggregated *before* they hit disk) and write
+  // them all, one sorted run each, into ONE segment file with a footer
+  // index — so the file count tracks the flush count, not bucket × flush.
+  // Returns false when there was nothing to flush or the flush failed. A
+  // failed flush is degraded, not lossy: every surviving record stays in
+  // memory, the error is recorded on the context, flushing stops, and the
+  // flush-combine scan is rolled back out of the reported counters — the
+  // engine's later Combine() counts the surviving records, and the
+  // counters mean "every record scanned once". The flush combine may still
   // have shrunk the buckets, hence the residency reconciliation.
-  void RollBackFailedFlush(const Status& s, const std::string& path,
-                           uint64_t combine_in, uint64_t combine_out,
-                           size_t pre_records, size_t post_records) {
-    spill_->RecordError(s);
-    spill_failed_ = true;  // stop flushing; keep everything in memory
-    RemoveSpillFile(path);
-    spill_combiner_in_ -= combine_in;
-    spill_combiner_out_ -= combine_out;
-    spill_->resident().Sub(pre_records - post_records);
-    size_ -= pre_records - post_records;
-  }
-
-  // Legacy spill flush: sort + flush-combine the fullest bucket, write it
-  // as one single-run file, release the memory, and re-arm the combine
-  // sample. Returns false when there was nothing to flush or the flush
-  // failed (the records then stay safely in memory and the error is
-  // recorded on the context — no silent record loss).
-  bool SpillLargestBucket() {
-    size_t best = 0;
-    for (size_t p = 1; p < buckets_.size(); ++p) {
-      if (buckets_[p].size() > buckets_[best].size()) best = p;
-    }
-    auto& bucket = buckets_[best];
-    if (bucket.empty()) return false;
-    PublishResident();
-    const size_t pre_records = bucket.size();
-    const auto [combine_in, combine_out] = PrepareBucketForFlush(best);
-    const std::string path = spill_->NewRunPath();
-    SpillRunWriter<Key, Value> writer(spill_->NewIo(), spill_->format());
-    Status s = writer.Open(path);
-    if (s.ok()) writer.BeginRun(static_cast<uint32_t>(best));
-    for (size_t i = 0; s.ok() && i < bucket.size(); ++i) {
-      s = writer.Append(bucket[i]);
-    }
-    SpillRunRef ref;
-    if (s.ok()) s = writer.EndRun(&ref);
-    if (s.ok()) s = writer.Finish();
-    if (!s.ok()) {
-      RollBackFailedFlush(s, path, combine_in, combine_out, pre_records,
-                          bucket.size());
-      return false;
-    }
-    spill_runs_[best].push_back(std::move(ref));
-    spill_->RegisterRuns(path, 1);
-    spill_->AddRunFile(bucket.size(), writer.bytes_written(),
-                       writer.raw_bytes());
-    spilled_records_ += bucket.size();
-    spill_->resident().Sub(pre_records);
-    size_ -= pre_records;
-    bucket.clear();
-    bucket.shrink_to_fit();
-    // Re-arm the self-tuning combine sample: the flushed bucket's
-    // lifetime ended, post-spill records get a fresh verdict.
-    combine_scanned_ = 0;
-    combine_kept_ = 0;
-    return true;
-  }
-
-  // Segmented spill flush (v2): sort + flush-combine EVERY non-empty
-  // bucket and write them all, one sorted run each, into ONE segment file
-  // with a footer index — so the file count tracks the flush count, not
-  // bucket × flush. Same failure contract as SpillLargestBucket: nothing
-  // reached disk as far as the engine is concerned, every record stays in
-  // memory, the error is recorded on the context.
   bool SpillAllBuckets() {
     size_t pre_total = 0;
     for (const auto& bucket : buckets_) pre_total += bucket.size();
     if (pre_total == 0) return false;
     PublishResident();
     uint64_t combine_in = 0, combine_out = 0;
-    for (size_t p = 0; p < buckets_.size(); ++p) {
-      if (buckets_[p].empty()) continue;
-      const auto [in, out] = PrepareBucketForFlush(p);
-      combine_in += in;
-      combine_out += out;
-    }
     size_t post_total = 0;
-    for (const auto& bucket : buckets_) post_total += bucket.size();
+    for (size_t p = 0; p < buckets_.size(); ++p) {
+      auto& bucket = buckets_[p];
+      if (bucket.empty()) continue;
+      SortBucket(p);
+      if (spill_combiner_ != nullptr && !CombineSampleAborted()) {
+        combine_in += bucket.size();
+        combine_scanned_ += bucket.size();
+        if (bucket.size() >= 2) CombineSortedRuns(p, spill_combiner_);
+        combine_kept_ += bucket.size();
+        combine_out += bucket.size();
+      }
+      post_total += bucket.size();
+    }
     const std::string path = spill_->NewRunPath();
-    SpillRunWriter<Key, Value> writer(spill_->NewIo(), spill_->format());
+    SpillRunWriter<Key, Value> writer(spill_->NewIo());
     Status s = writer.Open(path);
     std::vector<std::pair<size_t, SpillRunRef>> refs;
     for (size_t p = 0; s.ok() && p < buckets_.size(); ++p) {
@@ -720,10 +601,15 @@ class PartitionedEmitter {
     }
     if (s.ok()) s = writer.Finish();
     if (!s.ok()) {
-      RollBackFailedFlush(s, path, combine_in, combine_out, pre_total,
-                          post_total);
+      spill_->RecordError(s);
+      spill_failed_ = true;
+      RemoveSpillFile(path);
+      spill_->resident().Sub(pre_total - post_total);
+      size_ -= pre_total - post_total;
       return false;
     }
+    spill_combiner_in_ += combine_in;
+    spill_combiner_out_ += combine_out;
     for (auto& [p, ref] : refs) spill_runs_[p].push_back(std::move(ref));
     spill_->RegisterRuns(path, refs.size());
     spill_->AddRunFile(post_total, writer.bytes_written(),
@@ -735,7 +621,8 @@ class PartitionedEmitter {
       bucket.clear();
       bucket.shrink_to_fit();
     }
-    // Re-arm the self-tuning combine sample (see SpillLargestBucket).
+    // Re-arm the self-tuning combine sample: the flushed buckets'
+    // lifetime ended, post-spill records get a fresh verdict.
     combine_scanned_ = 0;
     combine_kept_ = 0;
     return true;
@@ -1058,11 +945,10 @@ inline void FinishTaskStats(ThreadPool* pool, const CancellationToken& token,
   }
 }
 
-// Builds partition `p` of the sorted shuffle: concatenates every
+// Builds partition `p` of the in-memory shuffle: concatenates every
 // producer's bucket `p` in producer order (freeing the buckets), then
 // stable-sorts by key, so equal keys form contiguous runs whose values
-// keep producer emission order — the same per-group value order the
-// legacy grouping produces.
+// keep (producer, emission) order.
 template <typename Key, typename Value, typename Producers>
 std::vector<std::pair<Key, Value>> MergeSortPartition(
     Producers* producers, size_t p, const GaugePair& gauge) {
@@ -1086,15 +972,33 @@ std::vector<std::pair<Key, Value>> MergeSortPartition(
   return partition;
 }
 
+// Reduces one key run, counting the group and — when `loads` is non-null
+// — recording its GroupLoad. Deterministic work units (work_units.h) are
+// the preferred cost source for the simulated-cluster makespan; per-group
+// wall time is kept as a fallback for reduce functions that report none.
+template <typename Key, typename Value, typename ReduceRun>
+void ReduceGroup(const Key& key, std::vector<Value>* values,
+                 std::vector<GroupLoad>* loads, uint64_t* num_groups,
+                 const ReduceRun& reduce_run) {
+  ++*num_groups;
+  if (loads == nullptr) {
+    reduce_run(key, std::span<Value>(*values));
+    return;
+  }
+  Stopwatch group_watch;
+  const uint64_t records = values->size();
+  TakeWorkUnits();
+  reduce_run(key, std::span<Value>(*values));
+  loads->push_back(GroupLoad{StableHash()(key), records, TakeWorkUnits(),
+                             group_watch.ElapsedSeconds()});
+}
+
 // Scans one sorted partition run by run, moving each run's values into
-// the reused `run_values` buffer and invoking `reduce_run(key, span)`
-// per run, with optional per-group load collection.
+// the reused `run_values` buffer and reducing each run (ReduceGroup).
 template <typename Key, typename Value, typename ReduceRun>
 void ReduceSortedRuns(std::vector<std::pair<Key, Value>>* partition,
-                      bool collect_loads, std::vector<GroupLoad>* loads,
-                      uint64_t* num_groups,
+                      std::vector<GroupLoad>* loads, uint64_t* num_groups,
                       const ReduceRun& reduce_run) {
-  StableHash hasher;
   std::vector<Value> run_values;  // reused across runs: no per-key node
   size_t i = 0;
   while (i < partition->size()) {
@@ -1105,19 +1009,7 @@ void ReduceSortedRuns(std::vector<std::pair<Key, Value>>* partition,
     for (size_t r = i; r < j; ++r) {
       run_values.push_back(std::move((*partition)[r].second));
     }
-    ++*num_groups;
-    if (collect_loads) {
-      // Deterministic work units (work_units.h) are the preferred cost
-      // source for the simulated-cluster makespan; per-group wall time
-      // is kept as a fallback for reduce functions that report none.
-      Stopwatch group_watch;
-      TakeWorkUnits();
-      reduce_run(key, std::span<Value>(run_values));
-      loads->push_back(GroupLoad{hasher(key), j - i, TakeWorkUnits(),
-                                 group_watch.ElapsedSeconds()});
-    } else {
-      reduce_run(key, std::span<Value>(run_values));
-    }
+    ReduceGroup(key, &run_values, loads, num_groups, reduce_run);
     i = j;
   }
 }
@@ -1139,10 +1031,8 @@ inline std::unique_ptr<SpillContext> MakeSpillContext(
     const MapReduceOptions& options, JobStats* stats) {
   const size_t budget = EffectiveSpillBudget(options);
   if (budget == 0) return nullptr;
-  SpillFormatOptions format = options.spill_format;
-  ApplySpillFormatEnv(&format);
-  auto context = std::make_unique<SpillContext>(
-      budget, options.spill_dir, options.spill_io_factory, format);
+  auto context = std::make_unique<SpillContext>(budget, options.spill_dir,
+                                                options.spill_io_factory);
   if (Status s = context->Init(); !s.ok()) {
     stats->spill_status = s;
     return nullptr;
@@ -1162,6 +1052,17 @@ struct RunCursor {
 
   std::pair<Key, Value> head;
   bool has_head = false;
+
+  // Opens spill run `run` as a merge input: read through the job's io
+  // (so injected "merge.read" faults apply), prefetched, counting
+  // checksum failures into the job's counter.
+  Status OpenMergeInput(SpillContext* context, const SpillRunRef& run) {
+    from_disk = true;
+    reader = std::make_unique<SpillRunReader<Key, Value>>(context->NewIo());
+    reader->set_prefetcher(context->prefetcher());
+    reader->set_checksum_failure_counter(context->checksum_failure_counter());
+    return reader->Open(run);
+  }
 
   Status Advance() {
     if (memory != nullptr) {
@@ -1189,7 +1090,7 @@ struct RunCursor {
 // heap discipline shared by the pre-merge and the reduce-time merge.
 // Pop() yields the cursor holding the smallest head key, ties going to
 // the lowest source index so earlier producers/runs drain first (what
-// preserves the in-memory engine's (producer, emission) value order);
+// preserves the in-memory shuffle's (producer, emission) value order);
 // the caller consumes the head, Advances the cursor, and Reinserts it
 // while it still has one.
 template <typename Key, typename Value>
@@ -1254,17 +1155,13 @@ Status MergeRunBatchToFile(SpillContext* context, uint32_t partition,
                            SpillRunRef* out_run) {
   std::vector<RunCursor<Key, Value>> cursors(runs.size());
   for (size_t i = 0; i < runs.size(); ++i) {
-    cursors[i].from_disk = true;
-    cursors[i].reader = std::make_unique<SpillRunReader<Key, Value>>(
-        context->NewIo());
-    cursors[i].reader->set_prefetcher(context->prefetcher());
-    cursors[i].reader->set_checksum_failure_counter(
-        context->checksum_failure_counter());
-    if (Status s = cursors[i].reader->Open(runs[i]); !s.ok()) return s;
+    if (Status s = cursors[i].OpenMergeInput(context, runs[i]); !s.ok()) {
+      return s;
+    }
     if (Status s = cursors[i].Advance(); !s.ok()) return s;
   }
   const std::string out_path = context->NewRunPath();
-  SpillRunWriter<Key, Value> writer(context->NewIo(), context->format());
+  SpillRunWriter<Key, Value> writer(context->NewIo());
   if (Status s = writer.Open(out_path); !s.ok()) return s;
   writer.BeginRun(partition);
 
@@ -1379,10 +1276,10 @@ size_t ReleasePartitionResidue(Producers* producers, size_t p) {
 // major with each producer's disk runs (flush order) before its residue,
 // and ties in the merge break toward the lower source index, so a key
 // run's values arrive in exactly the (producer, emission) order the
-// in-memory engine produces — as ONE contiguous span, even when the run
+// in-memory shuffle produces — as ONE contiguous span, even when the run
 // was split across several spill files. The span points into a buffer
 // reused across runs, stable for the duration of one reduce_run call
-// (the same contract as the in-memory mode). A configured combiner
+// (the same contract as the in-memory shuffle). A configured combiner
 // re-combines each merged run before the reducer sees it.
 //
 // Only the active run's values are memory-resident (context->resident()
@@ -1395,8 +1292,8 @@ template <typename Key, typename Value, typename Producers,
 Status ReduceMergedRuns(Producers* producers, size_t p,
                         SpillContext* context,
                         const CombinerFn<Key, Value>& combiner,
-                        bool collect_loads, std::vector<GroupLoad>* loads,
-                        uint64_t* num_groups, const ReduceRun& reduce_run) {
+                        std::vector<GroupLoad>* loads, uint64_t* num_groups,
+                        const ReduceRun& reduce_run) {
   // Hierarchical pre-merge per producer, then one cursor per remaining
   // run plus one per in-memory residue.
   std::vector<std::vector<SpillRunRef>> producer_runs;
@@ -1418,13 +1315,7 @@ Status ReduceMergedRuns(Producers* producers, size_t p,
   for (auto& producer : *producers) {
     for (const SpillRunRef& run : producer_runs[producer_index]) {
       RunCursor<Key, Value> cursor;
-      cursor.from_disk = true;
-      cursor.reader = std::make_unique<SpillRunReader<Key, Value>>(
-          context->NewIo());
-      cursor.reader->set_prefetcher(context->prefetcher());
-      cursor.reader->set_checksum_failure_counter(
-          context->checksum_failure_counter());
-      if (Status s = cursor.reader->Open(run); !s.ok()) return s;
+      if (Status s = cursor.OpenMergeInput(context, run); !s.ok()) return s;
       cursors.push_back(std::move(cursor));
     }
     if (!producer.bucket(p).empty()) {
@@ -1439,9 +1330,8 @@ Status ReduceMergedRuns(Producers* producers, size_t p,
   }
 
   RunCursorHeap<Key, Value> heap(&cursors);
-  StableHash hasher;
   std::vector<Value> run_values;  // reused across runs, like the in-memory
-                                  // mode: no per-key heap node
+                                  // shuffle: no per-key heap node
   Key current_key{};
   bool have_run = false;
   // Disk-record window residency, published in batches and drained
@@ -1458,18 +1348,7 @@ Status ReduceMergedRuns(Producers* producers, size_t p,
     if (combiner != nullptr && run_values.size() > 1) {
       combiner(current_key, &run_values);  // merge-time re-combine
     }
-    ++*num_groups;
-    if (collect_loads) {
-      Stopwatch group_watch;
-      const uint64_t records = run_values.size();
-      TakeWorkUnits();
-      reduce_run(current_key, std::span<Value>(run_values));
-      loads->push_back(GroupLoad{hasher(current_key), records,
-                                 TakeWorkUnits(),
-                                 group_watch.ElapsedSeconds()});
-    } else {
-      reduce_run(current_key, std::span<Value>(run_values));
-    }
+    ReduceGroup(current_key, &run_values, loads, num_groups, reduce_run);
     publish_window();
     context->resident().Sub(window);
     run_values.clear();
@@ -1570,8 +1449,7 @@ void WriteTaskCheckpoint(CheckpointContext* ckpt, size_t task,
     return;
   }
   const std::string path = ckpt->DataPath(task);
-  SpillRunWriter<Key, Value> writer(ckpt->NewIo(),
-                                    CheckpointContext::Format());
+  SpillRunWriter<Key, Value> writer(ckpt->NewIo());
   Status s = writer.Open(path);
   std::vector<SpillSegmentEntry> entries;
   for (size_t p = 0; s.ok() && p < emitter->num_partitions(); ++p) {
@@ -1713,47 +1591,145 @@ bool TryRestoreTaskCheckpoint(CheckpointContext* ckpt, size_t task,
   return true;
 }
 
-// Drives one map phase: retry wrapper + optional checkpoint-aware,
-// optionally hedged attempts. `attempt(task, emitter, token, claim)` runs
-// one attempt of one task against the given emitter, polling `token`
-// between records and calling `claim()` exactly once when its results are
-// complete — a false return means a concurrent attempt won and ALL of
-// this attempt's bookkeeping must be skipped. `emitter_at(task)` yields
-// the phase's installed emitter slot; `make_emitter()` builds the fresh
-// spill-armed emitter a hedged attempt works against. After the phase,
-// each hedge-won task's emitter slot is replaced by its hedge's emitter
-// (the loser Abandon'ed), so downstream phases see exactly one winner.
+// ---- One job's phases --------------------------------------------------
+
+// Job-wide state shared by every phase of one job (a fused two-stage job
+// is one job: one pool, one gauge, one spill context, one failure
+// domain). The spill context's Init error, if any, lands in *spill_stats
+// and the job runs in memory.
+struct SortedJob {
+  SortedJob(const MapReduceOptions& job_options, JobStats* spill_stats)
+      : options(job_options),
+        num_workers(job_options.effective_workers()),
+        num_partitions(std::max<size_t>(1, job_options.num_partitions)),
+        pool(num_workers),
+        gauge{&local_gauge, job_options.shuffle_gauge},
+        spill(MakeSpillContext(job_options, spill_stats)),
+        hedging(job_options.enable_hedged_execution &&
+                pool.watchdog_enabled()) {}
+  SortedJob(const SortedJob&) = delete;
+  SortedJob& operator=(const SortedJob&) = delete;
+
+  const MapReduceOptions& options;
+  const size_t num_workers;
+  const size_t num_partitions;
+  ThreadPool pool;
+  ShuffleGauge local_gauge;
+  const GaugePair gauge;
+  const std::unique_ptr<SpillContext> spill;  // null = in-memory shuffle
+  const bool hedging;
+  CancellationToken cancel;
+};
+
+// One producer's even share of the job's spill budget when `stages`
+// stages with `producers` producers each are live at once: per-producer
+// triggers are contention-free and deterministic for a fixed task count,
+// and the shares sum to (at most) the budget. 0 when the job does not
+// spill.
+inline size_t ProducerShare(const SortedJob& job, size_t stages,
+                            size_t producers) {
+  if (job.spill == nullptr) return 0;
+  return std::max<size_t>(1, job.spill->budget() / stages / producers);
+}
+
+// A fresh producer, spill-armed with `share` when the job spills.
 template <typename Key, typename Value>
-void RunMapPhase(
-    ThreadPool* pool, size_t n, size_t max_retries, CancellationToken token,
-    const char* fault_site, TaskCounters* counters,
-    const std::function<void(size_t)>& reset, bool hedging,
-    const std::function<PartitionedEmitter<Key, Value>&(size_t)>& emitter_at,
-    const std::function<std::unique_ptr<PartitionedEmitter<Key, Value>>()>&
-        make_emitter,
-    const std::function<void(size_t, PartitionedEmitter<Key, Value>&,
-                             const CancellationToken&,
-                             const std::function<bool()>&)>& attempt,
-    uint64_t* hedges_launched, uint64_t* hedges_won) {
+PartitionedEmitter<Key, Value> NewProducer(
+    const SortedJob& job, size_t share,
+    const CombinerFn<Key, Value>& combiner) {
+  PartitionedEmitter<Key, Value> producer(job.num_partitions);
+  if (job.spill != nullptr) {
+    producer.EnableSpill(job.spill.get(), share, combiner);
+  }
+  return producer;
+}
+
+template <typename Key, typename Value>
+std::vector<PartitionedEmitter<Key, Value>> NewProducers(
+    const SortedJob& job, size_t count, size_t share,
+    const CombinerFn<Key, Value>& combiner) {
+  std::vector<PartitionedEmitter<Key, Value>> producers;
+  producers.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    producers.push_back(NewProducer(job, share, combiner));
+  }
+  return producers;
+}
+
+// Runs one map phase: task t of `n` = producers->size() - first maps an
+// even slice of `inputs` into (*producers)[first + t], under the retry,
+// hedge and checkpoint contracts of the file comment. One attempt either
+// restores the task's checkpoint or maps its slice (polling its token
+// between records), combines and sorts its buckets, then claims the task
+// — a false claim means a concurrent attempt won and this attempt's
+// results are dropped — seals a checkpoint and publishes its residency.
+// A hedge-won task's producer is swapped for its hedge's afterwards (the
+// loser Abandon'ed), so later phases see exactly one winner. Folds the
+// phase's map-side counters into *stats.
+template <typename Input, typename Key, typename Value, typename MapFn>
+void RunMapStage(SortedJob& job, const std::string& job_name,
+                 const char* phase_tag, const std::vector<Input>& inputs,
+                 const MapFn& map_fn, const CombinerFn<Key, Value>& combiner,
+                 size_t share,
+                 std::vector<PartitionedEmitter<Key, Value>>* producers,
+                 size_t first, TaskCounters* counters, JobStats* stats) {
+  Stopwatch watch;
+  const size_t n = producers->size() - first;
+  bool restore = false;
+  const std::unique_ptr<CheckpointContext> ckpt = MakeCheckpointContext(
+      job.options, job_name, phase_tag, n, job.num_partitions, &restore);
+  std::vector<uint64_t> units(n, 0), combine_in(n, 0), combine_out(n, 0);
+  auto attempt = [&](size_t task, PartitionedEmitter<Key, Value>& em,
+                     const CancellationToken& token, const auto& claim) {
+    if (ckpt != nullptr && restore &&
+        TryRestoreTaskCheckpoint<Key, Value>(ckpt.get(), task, &em,
+                                             job.spill.get())) {
+      if (claim()) job.gauge.Add(em.size());
+      return;
+    }
+    const size_t begin = inputs.size() * task / n;
+    const size_t end = inputs.size() * (task + 1) / n;
+    TakeWorkUnits();  // clear leftovers from other tasks on this thread
+    for (size_t i = begin; i < end; ++i) {
+      if (token.cancelled()) return;  // job abort or lost hedge
+      map_fn(inputs[i], &em);
+    }
+    if (token.cancelled()) return;
+    uint64_t cin = 0, cout = 0;
+    if (combiner != nullptr) em.Combine(combiner, &cin, &cout);
+    em.FinishSpill();  // sort the residue for the merge
+    const uint64_t task_units = TakeWorkUnits();
+    if (!claim()) return;  // a concurrent attempt finished first
+    units[task] = task_units;
+    combine_in[task] = cin;
+    combine_out[task] = cout;
+    if (ckpt != nullptr) {
+      WriteTaskCheckpoint<Key, Value>(ckpt.get(), task, &em,
+                                      job.spill.get());
+    }
+    job.gauge.Add(em.size());
+  };
+
   const uint64_t fault_base =
-      ReservePhaseFaultBlock(fault_site, TaskFaultBlockSize(n));
+      ReservePhaseFaultBlock("task.map", TaskFaultBlockSize(n));
+  const bool hedging = job.hedging && n > 0;
   HedgeController hedge(n);
-  std::vector<std::unique_ptr<PartitionedEmitter<Key, Value>>> hedge_emitters(
-      n);
+  std::vector<std::unique_ptr<PartitionedEmitter<Key, Value>>> hedges(n);
   if (hedging) {
     hedge.set_fault_base(ReservePhaseFaultBlock(
         "hedge.launch", static_cast<uint64_t>(n) + 1));
-    hedge.set_launcher([&, pool, n, fault_base](size_t task) {
-      pool->Submit([&, n, fault_base, task] {
+    hedge.set_launcher([&, n, fault_base](size_t task) {
+      job.pool.Submit([&, n, fault_base, task] {
         if (Status s = FAULT_POINT_AT(
-                fault_site,
+                "task.map",
                 fault_base + TaskAttemptFaultKey(n, task, kFaultHedgeAttempt));
             !s.ok()) {
           return;  // injected: the hedge aborts, the primary continues
         }
         try {
-          hedge_emitters[task] = make_emitter();
-          attempt(task, *hedge_emitters[task], hedge.hedge_token(task),
+          hedges[task] = std::make_unique<PartitionedEmitter<Key, Value>>(
+              NewProducer(job, share, combiner));
+          attempt(task, *hedges[task], hedge.hedge_token(task),
                   [&hedge, task] { return hedge.ClaimWin(task, 1); });
         } catch (...) {
           // A failed hedge is a no-op: it never claimed, the primary
@@ -1761,255 +1737,202 @@ void RunMapPhase(
         }
       });
     });
-    pool->SetStuckTaskCallback([&hedge] { hedge.OnStuck(); });
+    job.pool.SetStuckTaskCallback([&hedge] { hedge.OnStuck(); });
   }
   RunTasksWithRetryHedged(
-      pool, n, max_retries, std::move(token), fault_site, fault_base,
-      counters, reset,
-      [&](size_t task, const CancellationToken& attempt_token) {
-        attempt(task, emitter_at(task), attempt_token,
-                hedging ? std::function<bool()>([&hedge, task] {
-                  return hedge.ClaimWin(task, 0);
-                })
-                        : std::function<bool()>([] { return true; }));
+      &job.pool, n, job.options.max_task_retries, job.cancel, "task.map",
+      fault_base, counters,
+      [&](size_t task) {  // reset: rebuild the producer from scratch
+        (*producers)[first + task].Abandon();
+        units[task] = 0;
+        combine_in[task] = 0;
+        combine_out[task] = 0;
+      },
+      [&](size_t task, const CancellationToken& token) {
+        auto& em = (*producers)[first + task];
+        if (hedging) {
+          attempt(task, em, token,
+                  [&hedge, task] { return hedge.ClaimWin(task, 0); });
+        } else {
+          attempt(task, em, token, [] { return true; });
+        }
       },
       hedging ? &hedge : nullptr);
-  if (!hedging) return;
-  // Blocks until any in-flight callback returns; afterwards the
-  // controller (a stack local) can no longer be reached.
-  pool->SetStuckTaskCallback(nullptr);
-  for (size_t t = 0; t < n; ++t) {
-    if (hedge_emitters[t] == nullptr) continue;
-    if (hedge.winner(t) == 1) {
-      emitter_at(t).Abandon();
-      emitter_at(t) = std::move(*hedge_emitters[t]);
-    } else {
-      hedge_emitters[t]->Abandon();
+  if (hedging) {
+    // Blocks until any in-flight callback returns; afterwards the
+    // controller (a stack local) can no longer be reached.
+    job.pool.SetStuckTaskCallback(nullptr);
+    for (size_t t = 0; t < n; ++t) {
+      if (hedges[t] == nullptr) continue;
+      auto& slot = (*producers)[first + t];
+      if (hedge.winner(t) == 1) {
+        slot.Abandon();
+        slot = std::move(*hedges[t]);
+      } else {
+        hedges[t]->Abandon();
+      }
     }
+    stats->hedges_launched += hedge.launched();
+    stats->hedges_won += hedge.won();
   }
-  if (hedges_launched != nullptr) *hedges_launched += hedge.launched();
-  if (hedges_won != nullptr) *hedges_won += hedge.won();
+  if (ckpt != nullptr) {
+    stats->tasks_checkpointed += ckpt->tasks_checkpointed();
+    stats->tasks_skipped_by_checkpoint += ckpt->tasks_skipped();
+  }
+  for (size_t t = 0; t < n; ++t) {
+    const auto& producer = (*producers)[first + t];
+    stats->map_output_records += producer.size() + producer.spilled_records();
+    stats->map_work_units += units[t];
+    stats->combiner_input_records +=
+        combine_in[t] + producer.spill_combiner_input();
+    stats->combiner_output_records +=
+        combine_out[t] + producer.spill_combiner_output();
+  }
+  stats->map_wall_seconds = watch.ElapsedSeconds();
+}
+
+// The shuffle phase: builds every partition from the producers' buckets
+// (MergeSortPartition). A spilling job has none — its runs are already
+// sorted, on disk and in the residue buckets, and merge streaming inside
+// the reduce phase — so it gets no partitions.
+template <typename Key, typename Value>
+std::vector<std::vector<std::pair<Key, Value>>> RunShuffleStage(
+    SortedJob& job, std::vector<PartitionedEmitter<Key, Value>>* producers,
+    TaskCounters* counters, JobStats* stats) {
+  Stopwatch watch;
+  std::vector<std::vector<std::pair<Key, Value>>> partitions;
+  if (job.spill == nullptr) {
+    partitions.resize(job.num_partitions);
+    RunTasksWithRetry(
+        &job.pool, job.num_partitions, job.options.max_task_retries,
+        job.cancel, "alloc.shuffle", counters, nullptr, [&](size_t p) {
+          partitions[p] =
+              MergeSortPartition<Key, Value>(producers, p, job.gauge);
+        });
+  }
+  stats->shuffle_wall_seconds = watch.ElapsedSeconds();
+  return partitions;
+}
+
+// The reduce phase: partition p is reduced from the k-way merge of the
+// producers' runs and residue when the job spills (ReduceMergedRuns),
+// else from partitions[p] (ReduceSortedRuns); `reduce_run(p, key,
+// values)` sees each key run. Then the partition's input records are
+// freed, `done(p)` runs — where the fused runner moves the records stage
+// 1 emitted into stage 2's shuffle — and the freed records leave the
+// gauge. Folds group counts and loads into *stats.
+template <typename Key, typename Value, typename ReduceRun, typename Done>
+void RunReduceStage(SortedJob& job,
+                    std::vector<PartitionedEmitter<Key, Value>>* producers,
+                    std::vector<std::vector<std::pair<Key, Value>>>* partitions,
+                    const CombinerFn<Key, Value>& combiner,
+                    TaskCounters* counters, JobStats* stats,
+                    const ReduceRun& reduce_run, const Done& done) {
+  Stopwatch watch;
+  struct GroupResult {
+    std::vector<GroupLoad> loads;
+    uint64_t num_groups = 0;
+  };
+  std::vector<GroupResult> results(job.num_partitions);
+  const bool collect = job.options.collect_group_loads;
+  RunTasksWithRetry(
+      &job.pool, job.num_partitions, job.options.max_task_retries,
+      job.cancel, "task.reduce", counters, nullptr, [&](size_t p) {
+        GroupResult& result = results[p];
+        std::vector<GroupLoad>* loads = collect ? &result.loads : nullptr;
+        auto reduce_key = [&](const Key& key, std::span<Value> values) {
+          reduce_run(p, key, values);
+        };
+        size_t released = 0;
+        if (job.spill != nullptr) {
+          Status s = ReduceMergedRuns<Key, Value>(
+              producers, p, job.spill.get(), combiner, loads,
+              &result.num_groups, reduce_key);
+          if (!s.ok()) job.spill->RecordDataLoss(s);
+          released = ReleasePartitionResidue(producers, p);
+        } else {
+          auto& partition = (*partitions)[p];
+          ReduceSortedRuns<Key, Value>(&partition, loads, &result.num_groups,
+                                       reduce_key);
+          released = partition.size();
+          partition.clear();
+          partition.shrink_to_fit();
+        }
+        done(p);
+        job.gauge.Sub(released);
+        if (job.options.reduce_partition_epilogue) {
+          job.options.reduce_partition_epilogue();
+        }
+      });
+  for (GroupResult& result : results) {
+    stats->num_groups += result.num_groups;
+    stats->group_loads.insert(stats->group_loads.end(), result.loads.begin(),
+                              result.loads.end());
+  }
+  stats->reduce_wall_seconds = watch.ElapsedSeconds();
+}
+
+// Concatenates per-partition outputs in partition order.
+template <typename Output>
+std::vector<Output> ConcatOutputs(std::vector<std::vector<Output>>* parts) {
+  size_t total = 0;
+  for (const auto& part : *parts) total += part.size();
+  std::vector<Output> outputs;
+  outputs.reserve(total);
+  for (auto& part : *parts) {
+    std::move(part.begin(), part.end(), std::back_inserter(outputs));
+  }
+  return outputs;
+}
+
+// End-of-job bookkeeping: the shuffle peak, the spill counters (an
+// in-memory job reports its shuffle peak as the resident peak), the task
+// accounting, and the job status.
+inline void FinishJobStats(SortedJob& job, const TaskCounters& counters,
+                           JobStats* stats) {
+  stats->peak_shuffle_records = job.local_gauge.peak();
+  SpillContext* spill = job.spill.get();
+  if (spill != nullptr) {
+    stats->spilled_records = spill->spilled_records();
+    stats->spill_files = spill->spill_files();
+    stats->spill_bytes = spill->spill_bytes();
+    stats->spill_raw_bytes = spill->spill_raw_bytes();
+    stats->merge_passes = spill->merge_passes();
+    stats->checksum_failures = spill->checksum_failures();
+    stats->prefetch_hits = spill->prefetch_hits();
+    stats->peak_resident_records = spill->resident().peak();
+    stats->spill_status = spill->status();
+    stats->spill_data_loss = spill->data_loss();
+  } else {
+    stats->peak_resident_records = job.local_gauge.peak();
+  }
+  counters.AddTo(stats);
+  FinishTaskStats(&job.pool, job.cancel, stats);
 }
 
 }  // namespace mapreduce_internal
 
-/// Runs one MapReduce job (legacy hash-shuffle mode).
+/// Runs one MapReduce job (see the file comment).
 ///
-/// `map_fn(input, emitter)` is called once per input record; it may emit any
-/// number of (Key, Value) pairs. `reduce_fn(key, values, output)` is called
-/// once per distinct key with every value emitted under that key; it appends
-/// results to `output`. Key must be equality-comparable and hashable by
-/// StableHash. Both functions must be thread-safe with respect to their own
-/// captured state (they run concurrently on different records/groups).
+/// `map_fn(input, emitter)` is called once per input record; it may emit
+/// any number of (Key, Value) pairs. `reduce_fn(key, values, output)` is
+/// called once per distinct key with every value emitted under that key,
+/// as a mutable std::span (reducers may reorder in place; the values
+/// arrive in map-task emission order); it appends results to `output`.
+/// Both functions must be thread-safe with respect to their own captured
+/// state (they run concurrently on different records/groups).
+///
+/// The optional combiner runs as a run-scan over each map task's emitter
+/// buckets after the task finishes emitting (PartitionedEmitter::Combine —
+/// combine-at-sort, before the records cross into the shuffle);
+/// pre/post-combine volumes are reported through
+/// JobStats::combiner_{input,output}_records, and
+/// map_output_records/shuffle_records count the post-combine records.
 ///
 /// Returns all reduce outputs (unspecified but deterministic order for a
-/// fixed number of partitions). `stats`, if non-null, receives execution
-/// statistics.
-template <typename Input, typename Key, typename Value, typename Output>
-std::vector<Output> RunMapReduce(
-    const std::string& job_name, const std::vector<Input>& inputs,
-    const std::function<void(const Input&, Emitter<Key, Value>*)>& map_fn,
-    const std::function<void(const Key&, std::vector<Value>*,
-                             std::vector<Output>*)>& reduce_fn,
-    const MapReduceOptions& options = {}, JobStats* stats = nullptr,
-    const CombinerFn<Key, Value>& combiner = nullptr) {
-  const size_t num_workers = options.effective_workers();
-  const size_t num_partitions = std::max<size_t>(1, options.num_partitions);
-  ThreadPool pool(num_workers);
-  JobStats local_stats;
-  local_stats.name = job_name;
-  local_stats.input_records = inputs.size();
-  local_stats.executed_workers = num_workers;
-  ShuffleGauge local_gauge;
-  const mapreduce_internal::GaugePair gauge{&local_gauge,
-                                            options.shuffle_gauge};
-  CancellationToken cancel;
-  mapreduce_internal::TaskCounters task_counters;
-
-  // ---- Map phase -----------------------------------------------------
-  Stopwatch map_watch;
-  const size_t num_map_tasks =
-      mapreduce_internal::NumMapTasks(inputs.size(), num_workers);
-  std::vector<Emitter<Key, Value>> emitters(num_map_tasks);
-  std::vector<uint64_t> map_task_units(num_map_tasks, 0);
-  mapreduce_internal::RunTasksWithRetry(
-      &pool, num_map_tasks, options.max_task_retries, cancel, "task.map",
-      &task_counters,
-      [&](size_t task) {  // reset: drop the attempt's buffered emissions
-        emitters[task].pairs().clear();
-        emitters[task].pairs().shrink_to_fit();
-        map_task_units[task] = 0;
-      },
-      [&](size_t task) {
-    const size_t begin = inputs.size() * task / num_map_tasks;
-    const size_t end = inputs.size() * (task + 1) / num_map_tasks;
-    TakeWorkUnits();  // clear leftovers from other tasks on this thread
-    for (size_t i = begin; i < end; ++i) {
-      map_fn(inputs[i], &emitters[task]);
-    }
-    if (combiner != nullptr) {
-      // Local pre-aggregation: group this task's emissions by key and let
-      // the combiner shrink each value list before the shuffle.
-      struct HashAdapter {
-        size_t operator()(const Key& k) const { return StableHash()(k); }
-      };
-      std::unordered_map<Key, std::vector<Value>, HashAdapter> local;
-      for (auto& kv : emitters[task].pairs()) {
-        local[std::move(kv.first)].push_back(std::move(kv.second));
-      }
-      auto& pairs = emitters[task].pairs();
-      pairs.clear();
-      for (auto& [key, values] : local) {
-        combiner(key, &values);
-        for (auto& value : values) {
-          pairs.emplace_back(key, std::move(value));
-        }
-      }
-    }
-    map_task_units[task] = TakeWorkUnits();
-    gauge.Add(emitters[task].pairs().size());
-  });
-  uint64_t map_output_records = 0;
-  for (const auto& e : emitters) map_output_records += e.pairs().size();
-  for (uint64_t units : map_task_units) {
-    local_stats.map_work_units += units;
-  }
-  local_stats.map_output_records = map_output_records;
-  local_stats.shuffle_records = map_output_records;
-  local_stats.map_wall_seconds = map_watch.ElapsedSeconds();
-
-  // ---- Shuffle phase ---------------------------------------------------
-  Stopwatch shuffle_watch;
-  StableHash hasher;
-  // Each map task scatters its pairs into per-partition buckets, then the
-  // buckets are concatenated per partition.
-  std::vector<std::vector<std::vector<std::pair<Key, Value>>>> scattered(
-      num_map_tasks);
-  // Shuffle tasks consume the emitters destructively, so only start
-  // faults retry here (reset == nullptr; see the fault contract).
-  mapreduce_internal::RunTasksWithRetry(
-      &pool, num_map_tasks, options.max_task_retries, cancel,
-      "alloc.shuffle", &task_counters, nullptr, [&](size_t task) {
-    auto& buckets = scattered[task];
-    buckets.resize(num_partitions);
-    const size_t task_records = emitters[task].pairs().size();
-    gauge.Add(task_records);  // buckets fill while the emitter still lives
-    for (auto& kv : emitters[task].pairs()) {
-      const size_t p = hasher(kv.first) % num_partitions;
-      buckets[p].push_back(std::move(kv));
-    }
-    emitters[task].pairs().clear();
-    emitters[task].pairs().shrink_to_fit();
-    gauge.Sub(task_records);
-  });
-  std::vector<std::vector<std::pair<Key, Value>>> partitions(num_partitions);
-  mapreduce_internal::RunTasksWithRetry(
-      &pool, num_partitions, options.max_task_retries, cancel,
-      "alloc.shuffle", &task_counters, nullptr, [&](size_t p) {
-    size_t total = 0;
-    for (size_t task = 0; task < num_map_tasks; ++task) {
-      total += scattered[task][p].size();
-    }
-    partitions[p].reserve(total);
-    gauge.Add(total);
-    for (size_t task = 0; task < num_map_tasks; ++task) {
-      auto& bucket = scattered[task][p];
-      std::move(bucket.begin(), bucket.end(),
-                std::back_inserter(partitions[p]));
-      bucket.clear();
-      bucket.shrink_to_fit();
-    }
-    gauge.Sub(total);
-  });
-  scattered.clear();
-  local_stats.shuffle_wall_seconds = shuffle_watch.ElapsedSeconds();
-
-  // ---- Reduce phase ----------------------------------------------------
-  Stopwatch reduce_watch;
-  struct PartitionResult {
-    std::vector<Output> outputs;
-    std::vector<GroupLoad> loads;
-    uint64_t num_groups = 0;
-  };
-  std::vector<PartitionResult> results(num_partitions);
-  mapreduce_internal::RunTasksWithRetry(
-      &pool, num_partitions, options.max_task_retries, cancel,
-      "task.reduce", &task_counters, nullptr, [&](size_t p) {
-    // Group the partition's pairs by key.
-    struct HashAdapter {
-      size_t operator()(const Key& k) const { return StableHash()(k); }
-    };
-    const size_t partition_records = partitions[p].size();
-    gauge.Add(partition_records);  // the grouping map duplicates the records
-    std::unordered_map<Key, std::vector<Value>, HashAdapter> groups;
-    for (auto& kv : partitions[p]) {
-      groups[kv.first].push_back(std::move(kv.second));
-    }
-    partitions[p].clear();
-    partitions[p].shrink_to_fit();
-    gauge.Sub(partition_records);
-    auto& result = results[p];
-    result.num_groups = groups.size();
-    if (options.collect_group_loads) result.loads.reserve(groups.size());
-    for (auto& [key, values] : groups) {
-      if (options.collect_group_loads) {
-        // Deterministic work units (work_units.h) are the preferred cost
-        // source for the simulated-cluster makespan; per-group wall time
-        // is kept as a fallback for reduce functions that report none.
-        Stopwatch group_watch;
-        const uint64_t records = values.size();
-        TakeWorkUnits();
-        reduce_fn(key, &values, &result.outputs);
-        result.loads.push_back(GroupLoad{hasher(key), records,
-                                         TakeWorkUnits(),
-                                         group_watch.ElapsedSeconds()});
-      } else {
-        reduce_fn(key, &values, &result.outputs);
-      }
-    }
-    gauge.Sub(partition_records);  // groups die with this task
-    if (options.reduce_partition_epilogue) options.reduce_partition_epilogue();
-  });
-  std::vector<Output> outputs;
-  {
-    size_t total = 0;
-    for (const auto& r : results) total += r.outputs.size();
-    outputs.reserve(total);
-  }
-  for (auto& r : results) {
-    local_stats.num_groups += r.num_groups;
-    std::move(r.outputs.begin(), r.outputs.end(),
-              std::back_inserter(outputs));
-    if (options.collect_group_loads) {
-      local_stats.group_loads.insert(local_stats.group_loads.end(),
-                                     r.loads.begin(), r.loads.end());
-    }
-  }
-  local_stats.reduce_output_records = outputs.size();
-  local_stats.reduce_wall_seconds = reduce_watch.ElapsedSeconds();
-  local_stats.peak_shuffle_records = local_gauge.peak();
-  task_counters.AddTo(&local_stats);
-  mapreduce_internal::FinishTaskStats(&pool, cancel, &local_stats);
-  if (!local_stats.status.ok()) outputs.clear();  // aborted: outputs void
-
-  if (stats != nullptr) *stats = std::move(local_stats);
-  return outputs;
-}
-
-/// Runs one MapReduce job in streaming sorted-shuffle mode (see the file
-/// comment): records are partitioned at emit time and each partition is
-/// grouped by stable-sorting by key, so the reducer sees each run's
-/// values as a mutable std::span (reducers may reorder in place; the
-/// values arrive in map-task emission order, like the legacy grouping).
-///
-/// Same contract and statistics as RunMapReduce, with one difference:
-/// Key must additionally be less-than-comparable. The optional combiner
-/// runs as a run-scan over each map task's emitter buckets after the
-/// task finishes emitting (PartitionedEmitter::Combine — combine-at-sort,
-/// before the records cross into the shuffle); pre/post-combine volumes
-/// are reported through JobStats::combiner_{input,output}_records, and
-/// map_output_records/shuffle_records count the post-combine records,
-/// like the legacy mode.
+/// fixed number of partitions); an aborted job returns none and reports
+/// the root cause in JobStats::status. `stats`, if non-null, receives
+/// execution statistics.
 template <typename Input, typename Key, typename Value, typename Output>
 std::vector<Output> RunMapReduceSorted(
     const std::string& job_name, const std::vector<Input>& inputs,
@@ -2019,236 +1942,56 @@ std::vector<Output> RunMapReduceSorted(
                              std::vector<Output>*)>& reduce_fn,
     const MapReduceOptions& options = {}, JobStats* stats = nullptr,
     const CombinerFn<Key, Value>& combiner = nullptr) {
-  const size_t num_workers = options.effective_workers();
-  const size_t num_partitions = std::max<size_t>(1, options.num_partitions);
-  ThreadPool pool(num_workers);
+  namespace mri = mapreduce_internal;
   JobStats local_stats;
   local_stats.name = job_name;
   local_stats.input_records = inputs.size();
-  local_stats.executed_workers = num_workers;
-  ShuffleGauge local_gauge;
-  const mapreduce_internal::GaugePair gauge{&local_gauge,
-                                            options.shuffle_gauge};
-  std::unique_ptr<SpillContext> spill_context =
-      mapreduce_internal::MakeSpillContext(options, &local_stats);
-  const bool spilling = spill_context != nullptr;
-  CancellationToken cancel;
-  mapreduce_internal::TaskCounters task_counters;
+  mri::SortedJob job(options, &local_stats);
+  local_stats.executed_workers = job.num_workers;
+  mri::TaskCounters counters;
 
-  // ---- Map phase: partition at emit. -----------------------------------
-  Stopwatch map_watch;
-  const size_t num_map_tasks =
-      mapreduce_internal::NumMapTasks(inputs.size(), num_workers);
-  std::vector<PartitionedEmitter<Key, Value>> emitters;
-  emitters.reserve(num_map_tasks);
-  for (size_t t = 0; t < num_map_tasks; ++t) {
-    emitters.emplace_back(num_partitions);
-  }
-  if (spilling) {
-    // Each producer gets an even share of the job budget: per-producer
-    // triggers are contention-free and deterministic for a fixed task
-    // count, and the shares sum to (at most) the budget.
-    const size_t share =
-        std::max<size_t>(1, spill_context->budget() / num_map_tasks);
-    for (auto& e : emitters) {
-      e.EnableSpill(spill_context.get(), share, combiner);
-    }
-  }
-  std::vector<uint64_t> map_task_units(num_map_tasks, 0);
-  std::vector<uint64_t> combiner_in(num_map_tasks, 0);
-  std::vector<uint64_t> combiner_out(num_map_tasks, 0);
-  bool restore_enabled = false;
-  std::unique_ptr<CheckpointContext> ckpt =
-      mapreduce_internal::MakeCheckpointContext(options, job_name, "map",
-                                                num_map_tasks, num_partitions,
-                                                &restore_enabled);
-  const bool hedging =
-      options.enable_hedged_execution && pool.watchdog_enabled();
-  mapreduce_internal::RunMapPhase<Key, Value>(
-      &pool, num_map_tasks, options.max_task_retries, cancel, "task.map",
-      &task_counters,
-      [&](size_t task) {  // reset: rebuild the emitter from scratch
-        emitters[task].Abandon();
-        map_task_units[task] = 0;
-        combiner_in[task] = 0;
-        combiner_out[task] = 0;
-      },
-      hedging,
-      [&](size_t task) -> PartitionedEmitter<Key, Value>& {
-        return emitters[task];
-      },
-      [&]() {  // fresh emitter for a hedged attempt
-        auto em =
-            std::make_unique<PartitionedEmitter<Key, Value>>(num_partitions);
-        if (spilling) {
-          const size_t share =
-              std::max<size_t>(1, spill_context->budget() / num_map_tasks);
-          em->EnableSpill(spill_context.get(), share, combiner);
-        }
-        return em;
-      },
-      [&](size_t task, PartitionedEmitter<Key, Value>& em,
-          const CancellationToken& attempt_token,
-          const std::function<bool()>& claim) {
-        if (ckpt != nullptr && restore_enabled &&
-            mapreduce_internal::TryRestoreTaskCheckpoint<Key, Value>(
-                ckpt.get(), task, &em, spill_context.get())) {
-          if (!claim()) return;
-          gauge.Add(em.size());
-          return;
-        }
-        const size_t begin = inputs.size() * task / num_map_tasks;
-        const size_t end = inputs.size() * (task + 1) / num_map_tasks;
-        TakeWorkUnits();  // clear leftovers from other tasks on this thread
-        for (size_t i = begin; i < end; ++i) {
-          if (attempt_token.cancelled()) return;  // job abort or lost hedge
-          map_fn(inputs[i], &em);
-        }
-        if (attempt_token.cancelled()) return;
-        uint64_t cin = 0;
-        uint64_t cout = 0;
-        if (combiner != nullptr) em.Combine(combiner, &cin, &cout);
-        em.FinishSpill();  // sort the residue for the merge
-        const uint64_t units = TakeWorkUnits();
-        if (!claim()) return;  // a concurrent attempt finished first
-        map_task_units[task] = units;
-        combiner_in[task] = cin;
-        combiner_out[task] = cout;
-        if (ckpt != nullptr) {
-          mapreduce_internal::WriteTaskCheckpoint<Key, Value>(
-              ckpt.get(), task, &em, spill_context.get());
-        }
-        gauge.Add(em.size());
-      },
-      &local_stats.hedges_launched, &local_stats.hedges_won);
-  if (ckpt != nullptr) {
-    local_stats.tasks_checkpointed += ckpt->tasks_checkpointed();
-    local_stats.tasks_skipped_by_checkpoint += ckpt->tasks_skipped();
-  }
-  for (const auto& e : emitters) {
-    local_stats.map_output_records += e.size() + e.spilled_records();
-  }
-  for (uint64_t units : map_task_units) {
-    local_stats.map_work_units += units;
-  }
-  for (size_t t = 0; t < num_map_tasks; ++t) {
-    local_stats.combiner_input_records +=
-        combiner_in[t] + emitters[t].spill_combiner_input();
-    local_stats.combiner_output_records +=
-        combiner_out[t] + emitters[t].spill_combiner_output();
-  }
+  const size_t num_map_tasks = mri::NumMapTasks(inputs.size(), job.num_workers);
+  const size_t share = mri::ProducerShare(job, 1, num_map_tasks);
+  auto producers =
+      mri::NewProducers<Key, Value>(job, num_map_tasks, share, combiner);
+  mri::RunMapStage<Input, Key, Value>(job, job_name, "map", inputs, map_fn,
+                                      combiner, share, &producers, 0,
+                                      &counters, &local_stats);
   local_stats.shuffle_records = local_stats.map_output_records;
-  local_stats.map_wall_seconds = map_watch.ElapsedSeconds();
-
-  // ---- Shuffle phase: concatenate buckets, sort by key. -----------------
-  // Under a spill budget there is nothing to do here: runs are already
-  // sorted (on disk and in the residue buckets) and the merge happens
-  // inside the reduce phase, streaming.
-  Stopwatch shuffle_watch;
-  std::vector<std::vector<std::pair<Key, Value>>> partitions(
-      spilling ? 0 : num_partitions);
-  if (!spilling) {
-    mapreduce_internal::RunTasksWithRetry(
-        &pool, num_partitions, options.max_task_retries, cancel,
-        "alloc.shuffle", &task_counters, nullptr, [&](size_t p) {
-      partitions[p] = mapreduce_internal::MergeSortPartition<Key, Value>(
-          &emitters, p, gauge);
-    });
-  }
-  local_stats.shuffle_wall_seconds = shuffle_watch.ElapsedSeconds();
-
-  // ---- Reduce phase: contiguous key runs. -------------------------------
-  Stopwatch reduce_watch;
-  struct PartitionResult {
-    std::vector<Output> outputs;
-    std::vector<GroupLoad> loads;
-    uint64_t num_groups = 0;
-  };
-  std::vector<PartitionResult> results(num_partitions);
-  mapreduce_internal::RunTasksWithRetry(
-      &pool, num_partitions, options.max_task_retries, cancel,
-      "task.reduce", &task_counters, nullptr, [&](size_t p) {
-    auto& result = results[p];
-    if (spilling) {
-      Status s = mapreduce_internal::ReduceMergedRuns<Key, Value>(
-          &emitters, p, spill_context.get(), combiner,
-          options.collect_group_loads, &result.loads, &result.num_groups,
-          [&](const Key& key, std::span<Value> values) {
-            reduce_fn(key, values, &result.outputs);
-          });
-      if (!s.ok()) spill_context->RecordDataLoss(s);
-      // This partition's in-memory residue is gone.
-      gauge.Sub(mapreduce_internal::ReleasePartitionResidue(&emitters, p));
-    } else {
-      auto& partition = partitions[p];
-      mapreduce_internal::ReduceSortedRuns<Key, Value>(
-          &partition, options.collect_group_loads, &result.loads,
-          &result.num_groups, [&](const Key& key, std::span<Value> values) {
-            reduce_fn(key, values, &result.outputs);
-          });
-      gauge.Sub(partition.size());
-      partition.clear();
-      partition.shrink_to_fit();
-    }
-    if (options.reduce_partition_epilogue) options.reduce_partition_epilogue();
-  });
-  std::vector<Output> outputs;
-  {
-    size_t total = 0;
-    for (const auto& r : results) total += r.outputs.size();
-    outputs.reserve(total);
-  }
-  for (auto& r : results) {
-    local_stats.num_groups += r.num_groups;
-    std::move(r.outputs.begin(), r.outputs.end(),
-              std::back_inserter(outputs));
-    if (options.collect_group_loads) {
-      local_stats.group_loads.insert(local_stats.group_loads.end(),
-                                     r.loads.begin(), r.loads.end());
-    }
-  }
-  local_stats.reduce_output_records = outputs.size();
-  local_stats.reduce_wall_seconds = reduce_watch.ElapsedSeconds();
-  local_stats.peak_shuffle_records = local_gauge.peak();
-  if (spilling) {
-    local_stats.spilled_records = spill_context->spilled_records();
-    local_stats.spill_files = spill_context->spill_files();
-    local_stats.spill_bytes = spill_context->spill_bytes();
-    local_stats.spill_raw_bytes = spill_context->spill_raw_bytes();
-    local_stats.merge_passes = spill_context->merge_passes();
-    local_stats.checksum_failures = spill_context->checksum_failures();
-    local_stats.prefetch_hits = spill_context->prefetch_hits();
-    local_stats.peak_resident_records = spill_context->resident().peak();
-    local_stats.spill_status = spill_context->status();
-    local_stats.spill_data_loss = spill_context->data_loss();
-  } else {
-    local_stats.peak_resident_records = local_gauge.peak();
-  }
-  task_counters.AddTo(&local_stats);
-  mapreduce_internal::FinishTaskStats(&pool, cancel, &local_stats);
-  if (!local_stats.status.ok()) outputs.clear();  // aborted: outputs void
+  auto partitions = mri::RunShuffleStage<Key, Value>(job, &producers,
+                                                     &counters, &local_stats);
+  std::vector<std::vector<Output>> outputs(job.num_partitions);
+  mri::RunReduceStage<Key, Value>(
+      job, &producers, &partitions, combiner, &counters, &local_stats,
+      [&](size_t p, const Key& key, std::span<Value> values) {
+        reduce_fn(key, values, &outputs[p]);
+      },
+      [](size_t) {});
+  std::vector<Output> result = mri::ConcatOutputs(&outputs);
+  local_stats.reduce_output_records = result.size();
+  mri::FinishJobStats(job, counters, &local_stats);
+  if (!local_stats.status.ok()) result.clear();  // aborted: outputs void
 
   if (stats != nullptr) *stats = std::move(local_stats);
-  return outputs;
+  return result;
 }
 
-/// Runs two sorted-shuffle stages fused into one job: stage 1's reduce
-/// emits (Key2, Value2) records directly into stage 2's partition-at-emit
-/// shuffle — the intermediate record vector a two-job pipeline would
-/// materialize between them never exists — and `stage2_side_inputs` are
-/// mapped by `map2_fn` into the same shuffle (pass an empty vector and
-/// any map2_fn when there is no side input). Stage-1 partitions are freed
-/// as they are reduced, so the peak of shuffle-resident records is
-/// bounded by one stage's records plus transients instead of the sum of
-/// both stages.
+/// Runs two stages fused into one job: stage 1's reduce emits (Key2,
+/// Value2) records directly into stage 2's partition-at-emit shuffle —
+/// the intermediate record vector a two-job pipeline would materialize
+/// between them never exists — and `stage2_side_inputs` are mapped by
+/// `map2_fn` into the same shuffle (pass an empty vector and any map2_fn
+/// when there is no side input). Stage-1 partitions are freed as they are
+/// reduced, so the peak of shuffle-resident records is bounded by one
+/// stage's records plus transients instead of the sum of both stages.
 ///
 /// Both stages record their own JobStats (names `stage1_name` /
 /// `stage2_name`, group loads included); they share one ShuffleGauge and
-/// report the same fused-job peak. Determinism: like the other modes,
-/// outputs are deterministic for fixed worker/partition counts; the order
-/// of values within a stage-2 run follows producer order (stage-1
-/// partitions first, then side-input map tasks), so reducers that must be
-/// invariant across partition counts should be value-order-insensitive.
+/// report the same fused-job peak. Determinism: outputs are deterministic
+/// for fixed worker/partition counts; the order of values within a
+/// stage-2 run follows producer order (stage-1 partitions first, then
+/// side-input map tasks), so reducers that must be invariant across
+/// partition counts should be value-order-insensitive.
 ///
 /// Combiners: `combiner1` pre-aggregates each stage-1 map task's emitter
 /// buckets; `combiner2` pre-aggregates every stage-2 producer — both the
@@ -2278,423 +2021,111 @@ std::vector<Output> RunFusedMapReduceSorted(
     JobStats* stage2_stats = nullptr,
     const CombinerFn<Key1, Value1>& combiner1 = nullptr,
     const CombinerFn<Key2, Value2>& combiner2 = nullptr) {
-  const size_t num_workers = options.effective_workers();
-  const size_t num_partitions = std::max<size_t>(1, options.num_partitions);
-  ThreadPool pool(num_workers);
+  namespace mri = mapreduce_internal;
   JobStats s1, s2;
   s1.name = stage1_name;
   s1.input_records = stage1_inputs.size();
-  s1.executed_workers = num_workers;
   s2.name = stage2_name;
   s2.input_records = stage2_side_inputs.size();
-  s2.executed_workers = num_workers;
-  ShuffleGauge local_gauge;
-  const mapreduce_internal::GaugePair gauge{&local_gauge,
-                                            options.shuffle_gauge};
-  std::unique_ptr<SpillContext> spill_context =
-      mapreduce_internal::MakeSpillContext(options, &s1);
-  const bool spilling = spill_context != nullptr;
-  // One failure domain for the fused job: both stages share the token
-  // (stage 2 cannot produce anything meaningful from an aborted stage 1)
-  // but account their tasks separately.
-  CancellationToken cancel;
-  mapreduce_internal::TaskCounters counters1, counters2;
+  mri::SortedJob job(options, &s1);
+  s1.executed_workers = job.num_workers;
+  s2.executed_workers = job.num_workers;
+  // One failure domain for the fused job: both stages share the job's
+  // token (stage 2 cannot produce anything meaningful from an aborted
+  // stage 1) but account their tasks separately.
+  mri::TaskCounters counters1, counters2;
 
-  // ---- Stage 1 map. -----------------------------------------------------
-  Stopwatch map1_watch;
+  // ---- Stage 1 map and shuffle. Both stages' producers are live at once
+  // while stage 1's reduce feeds stage 2's shuffle, so each stage gets
+  // half the job budget, split evenly over its producers.
   const size_t num_map1_tasks =
-      mapreduce_internal::NumMapTasks(stage1_inputs.size(), num_workers);
-  std::vector<PartitionedEmitter<Key1, Value1>> emitters1;
-  emitters1.reserve(num_map1_tasks);
-  for (size_t t = 0; t < num_map1_tasks; ++t) {
-    emitters1.emplace_back(num_partitions);
-  }
-  if (spilling) {
-    // Both stages' producers are live at once while stage 1's reduce
-    // feeds stage 2's shuffle, so each stage gets half the job budget,
-    // split evenly over its producers.
-    const size_t share = std::max<size_t>(
-        1, spill_context->budget() / 2 / num_map1_tasks);
-    for (auto& e : emitters1) {
-      e.EnableSpill(spill_context.get(), share, combiner1);
-    }
-  }
-  std::vector<uint64_t> map1_task_units(num_map1_tasks, 0);
-  std::vector<uint64_t> combiner1_in(num_map1_tasks, 0);
-  std::vector<uint64_t> combiner1_out(num_map1_tasks, 0);
-  bool restore1 = false;
-  std::unique_ptr<CheckpointContext> ckpt1 =
-      mapreduce_internal::MakeCheckpointContext(options, stage1_name, "map1",
-                                                num_map1_tasks,
-                                                num_partitions, &restore1);
-  const bool hedging =
-      options.enable_hedged_execution && pool.watchdog_enabled();
-  mapreduce_internal::RunMapPhase<Key1, Value1>(
-      &pool, num_map1_tasks, options.max_task_retries, cancel, "task.map",
-      &counters1,
-      [&](size_t task) {  // reset: rebuild the emitter from scratch
-        emitters1[task].Abandon();
-        map1_task_units[task] = 0;
-        combiner1_in[task] = 0;
-        combiner1_out[task] = 0;
-      },
-      hedging,
-      [&](size_t task) -> PartitionedEmitter<Key1, Value1>& {
-        return emitters1[task];
-      },
-      [&]() {
-        auto em =
-            std::make_unique<PartitionedEmitter<Key1, Value1>>(num_partitions);
-        if (spilling) {
-          const size_t share = std::max<size_t>(
-              1, spill_context->budget() / 2 / num_map1_tasks);
-          em->EnableSpill(spill_context.get(), share, combiner1);
-        }
-        return em;
-      },
-      [&](size_t task, PartitionedEmitter<Key1, Value1>& em,
-          const CancellationToken& attempt_token,
-          const std::function<bool()>& claim) {
-        if (ckpt1 != nullptr && restore1 &&
-            mapreduce_internal::TryRestoreTaskCheckpoint<Key1, Value1>(
-                ckpt1.get(), task, &em, spill_context.get())) {
-          if (!claim()) return;
-          gauge.Add(em.size());
-          return;
-        }
-        const size_t begin = stage1_inputs.size() * task / num_map1_tasks;
-        const size_t end = stage1_inputs.size() * (task + 1) / num_map1_tasks;
-        TakeWorkUnits();
-        for (size_t i = begin; i < end; ++i) {
-          if (attempt_token.cancelled()) return;
-          map1_fn(stage1_inputs[i], &em);
-        }
-        if (attempt_token.cancelled()) return;
-        uint64_t cin = 0;
-        uint64_t cout = 0;
-        if (combiner1 != nullptr) em.Combine(combiner1, &cin, &cout);
-        em.FinishSpill();
-        const uint64_t units = TakeWorkUnits();
-        if (!claim()) return;
-        map1_task_units[task] = units;
-        combiner1_in[task] = cin;
-        combiner1_out[task] = cout;
-        if (ckpt1 != nullptr) {
-          mapreduce_internal::WriteTaskCheckpoint<Key1, Value1>(
-              ckpt1.get(), task, &em, spill_context.get());
-        }
-        gauge.Add(em.size());
-      },
-      &s1.hedges_launched, &s1.hedges_won);
-  if (ckpt1 != nullptr) {
-    s1.tasks_checkpointed += ckpt1->tasks_checkpointed();
-    s1.tasks_skipped_by_checkpoint += ckpt1->tasks_skipped();
-  }
-  for (const auto& e : emitters1) {
-    s1.map_output_records += e.size() + e.spilled_records();
-  }
-  for (uint64_t units : map1_task_units) s1.map_work_units += units;
-  for (size_t t = 0; t < num_map1_tasks; ++t) {
-    s1.combiner_input_records +=
-        combiner1_in[t] + emitters1[t].spill_combiner_input();
-    s1.combiner_output_records +=
-        combiner1_out[t] + emitters1[t].spill_combiner_output();
-  }
+      mri::NumMapTasks(stage1_inputs.size(), job.num_workers);
+  const size_t share1 = mri::ProducerShare(job, 2, num_map1_tasks);
+  auto producers1 =
+      mri::NewProducers<Key1, Value1>(job, num_map1_tasks, share1, combiner1);
+  mri::RunMapStage<Input1, Key1, Value1>(job, stage1_name, "map1",
+                                         stage1_inputs, map1_fn, combiner1,
+                                         share1, &producers1, 0, &counters1,
+                                         &s1);
   s1.shuffle_records = s1.map_output_records;
-  s1.map_wall_seconds = map1_watch.ElapsedSeconds();
-
-  // ---- Stage 1 shuffle (in-memory mode only; under a spill budget the
-  // merge happens streaming, inside the stage-1 reduce). ------------------
-  Stopwatch shuffle1_watch;
-  std::vector<std::vector<std::pair<Key1, Value1>>> partitions1(
-      spilling ? 0 : num_partitions);
-  if (!spilling) {
-    mapreduce_internal::RunTasksWithRetry(
-        &pool, num_partitions, options.max_task_retries, cancel,
-        "alloc.shuffle", &counters1, nullptr, [&](size_t p) {
-      partitions1[p] = mapreduce_internal::MergeSortPartition<Key1, Value1>(
-          &emitters1, p, gauge);
-    });
-  }
-  s1.shuffle_wall_seconds = shuffle1_watch.ElapsedSeconds();
+  auto partitions1 =
+      mri::RunShuffleStage<Key1, Value1>(job, &producers1, &counters1, &s1);
 
   // ---- Stage 2 producers: one per stage-1 reduce partition, then one per
   // side-input map task (fixed order keeps the run concatenation
-  // deterministic).
+  // deterministic). The side map runs first.
   const size_t num_map2_tasks =
       stage2_side_inputs.empty()
           ? 0
-          : mapreduce_internal::NumMapTasks(stage2_side_inputs.size(),
-                                            num_workers);
-  std::vector<PartitionedEmitter<Key2, Value2>> producers2;
-  producers2.reserve(num_partitions + num_map2_tasks);
-  for (size_t t = 0; t < num_partitions + num_map2_tasks; ++t) {
-    producers2.emplace_back(num_partitions);
-  }
-  if (spilling) {
-    const size_t share = std::max<size_t>(
-        1, spill_context->budget() / 2 / producers2.size());
-    for (auto& producer : producers2) {
-      producer.EnableSpill(spill_context.get(), share, combiner2);
-    }
-  }
+          : mri::NumMapTasks(stage2_side_inputs.size(), job.num_workers);
+  const size_t num_producers2 = job.num_partitions + num_map2_tasks;
+  const size_t share2 = mri::ProducerShare(job, 2, num_producers2);
+  auto producers2 =
+      mri::NewProducers<Key2, Value2>(job, num_producers2, share2, combiner2);
+  mri::RunMapStage<Input2, Key2, Value2>(
+      job, stage2_name, "map2", stage2_side_inputs, map2_fn, combiner2,
+      share2, &producers2, job.num_partitions, &counters2, &s2);
 
-  // ---- Stage 2 side map. -------------------------------------------------
-  Stopwatch map2_watch;
-  std::vector<uint64_t> map2_task_units(num_map2_tasks, 0);
-  // One slot per stage-2 producer: stage-1 reduce partitions first, then
-  // side-input map tasks (same layout as producers2).
-  std::vector<uint64_t> combiner2_in(num_partitions + num_map2_tasks, 0);
-  std::vector<uint64_t> combiner2_out(num_partitions + num_map2_tasks, 0);
-  bool restore2 = false;
-  std::unique_ptr<CheckpointContext> ckpt2 =
-      num_map2_tasks == 0
-          ? nullptr
-          : mapreduce_internal::MakeCheckpointContext(
-                options, stage2_name, "map2", num_map2_tasks, num_partitions,
-                &restore2);
-  mapreduce_internal::RunMapPhase<Key2, Value2>(
-      &pool, num_map2_tasks, options.max_task_retries, cancel, "task.map",
-      &counters2,
-      [&](size_t task) {  // reset: rebuild the side-input producer
-        producers2[num_partitions + task].Abandon();
-        map2_task_units[task] = 0;
-        combiner2_in[num_partitions + task] = 0;
-        combiner2_out[num_partitions + task] = 0;
+  // ---- Stage 1 reduce, emitting into stage 2's shuffle.
+  std::vector<uint64_t> combine2_in(job.num_partitions, 0);
+  std::vector<uint64_t> combine2_out(job.num_partitions, 0);
+  mri::RunReduceStage<Key1, Value1>(
+      job, &producers1, &partitions1, combiner1, &counters1, &s1,
+      [&](size_t p, const Key1& key, std::span<Value1> values) {
+        reduce1_fn(key, values, &producers2[p]);
       },
-      hedging && num_map2_tasks > 0,
-      [&](size_t task) -> PartitionedEmitter<Key2, Value2>& {
-        return producers2[num_partitions + task];
-      },
-      [&]() {
-        auto em =
-            std::make_unique<PartitionedEmitter<Key2, Value2>>(num_partitions);
-        if (spilling) {
-          const size_t share = std::max<size_t>(
-              1, spill_context->budget() / 2 / producers2.size());
-          em->EnableSpill(spill_context.get(), share, combiner2);
-        }
-        return em;
-      },
-      [&](size_t task, PartitionedEmitter<Key2, Value2>& em,
-          const CancellationToken& attempt_token,
-          const std::function<bool()>& claim) {
-        if (ckpt2 != nullptr && restore2 &&
-            mapreduce_internal::TryRestoreTaskCheckpoint<Key2, Value2>(
-                ckpt2.get(), task, &em, spill_context.get())) {
-          if (!claim()) return;
-          gauge.Add(em.size());
-          return;
-        }
-        const size_t begin =
-            stage2_side_inputs.size() * task / num_map2_tasks;
-        const size_t end =
-            stage2_side_inputs.size() * (task + 1) / num_map2_tasks;
-        TakeWorkUnits();
-        for (size_t i = begin; i < end; ++i) {
-          if (attempt_token.cancelled()) return;
-          map2_fn(stage2_side_inputs[i], &em);
-        }
-        if (attempt_token.cancelled()) return;
-        uint64_t cin = 0;
-        uint64_t cout = 0;
-        if (combiner2 != nullptr) em.Combine(combiner2, &cin, &cout);
-        em.FinishSpill();
-        const uint64_t units = TakeWorkUnits();
-        if (!claim()) return;
-        map2_task_units[task] = units;
-        combiner2_in[num_partitions + task] = cin;
-        combiner2_out[num_partitions + task] = cout;
-        if (ckpt2 != nullptr) {
-          mapreduce_internal::WriteTaskCheckpoint<Key2, Value2>(
-              ckpt2.get(), task, &em, spill_context.get());
-        }
-        gauge.Add(em.size());
-      },
-      &s2.hedges_launched, &s2.hedges_won);
-  if (ckpt2 != nullptr) {
-    s2.tasks_checkpointed += ckpt2->tasks_checkpointed();
-    s2.tasks_skipped_by_checkpoint += ckpt2->tasks_skipped();
-  }
-  for (uint64_t units : map2_task_units) s2.map_work_units += units;
-  s2.map_wall_seconds = map2_watch.ElapsedSeconds();
-
-  // ---- Stage 1 reduce, emitting into stage 2's shuffle. ------------------
-  Stopwatch reduce1_watch;
-  struct Stage1Result {
-    std::vector<GroupLoad> loads;
-    uint64_t num_groups = 0;
-  };
-  std::vector<Stage1Result> results1(num_partitions);
-  mapreduce_internal::RunTasksWithRetry(
-      &pool, num_partitions, options.max_task_retries, cancel,
-      "task.reduce", &counters1, nullptr, [&](size_t p) {
-    auto& result = results1[p];
-    auto* out = &producers2[p];
-    if (spilling) {
-      Status s = mapreduce_internal::ReduceMergedRuns<Key1, Value1>(
-          &emitters1, p, spill_context.get(), combiner1,
-          options.collect_group_loads, &result.loads, &result.num_groups,
-          [&](const Key1& key, std::span<Value1> values) {
-            reduce1_fn(key, values, out);
-          });
-      if (!s.ok()) spill_context->RecordDataLoss(s);
-      const size_t residue =
-          mapreduce_internal::ReleasePartitionResidue(&emitters1, p);
-      if (combiner2 != nullptr) {
-        out->Combine(combiner2, &combiner2_in[p], &combiner2_out[p]);
-      }
-      out->FinishSpill();
-      gauge.Add(out->size());  // records now live in stage 2's buckets
-      gauge.Sub(residue);      // this stage-1 partition's residue is gone
-    } else {
-      auto& partition = partitions1[p];
-      mapreduce_internal::ReduceSortedRuns<Key1, Value1>(
-          &partition, options.collect_group_loads, &result.loads,
-          &result.num_groups,
-          [&](const Key1& key, std::span<Value1> values) {
-            reduce1_fn(key, values, out);
-          });
-      if (combiner2 != nullptr) {
+      [&](size_t p) {
         // Combine-at-sort on the stage boundary: this partition's
         // emissions shrink before they are ever counted as stage-2
         // shuffle residents.
-        out->Combine(combiner2, &combiner2_in[p], &combiner2_out[p]);
-      }
-      gauge.Add(out->size());       // records now live in stage 2's buckets
-      gauge.Sub(partition.size());  // this stage-1 partition is done
-      partition.clear();
-      partition.shrink_to_fit();
-    }
-    if (options.reduce_partition_epilogue) options.reduce_partition_epilogue();
-  });
-  for (auto& r : results1) {
-    s1.num_groups += r.num_groups;
-    if (options.collect_group_loads) {
-      s1.group_loads.insert(s1.group_loads.end(), r.loads.begin(),
-                            r.loads.end());
-    }
-  }
-  for (size_t p = 0; p < combiner2_in.size(); ++p) {
-    s2.combiner_input_records +=
-        combiner2_in[p] + producers2[p].spill_combiner_input();
+        auto& out = producers2[p];
+        if (combiner2 != nullptr) {
+          out.Combine(combiner2, &combine2_in[p], &combine2_out[p]);
+        }
+        out.FinishSpill();
+        job.gauge.Add(out.size());  // records now live in stage 2's buckets
+      });
+  for (size_t p = 0; p < job.num_partitions; ++p) {
+    const auto& out = producers2[p];
+    s1.reduce_output_records += out.size() + out.spilled_records();
+    s2.map_output_records += out.size() + out.spilled_records();
+    s2.combiner_input_records += combine2_in[p] + out.spill_combiner_input();
     s2.combiner_output_records +=
-        combiner2_out[p] + producers2[p].spill_combiner_output();
-  }
-  for (size_t p = 0; p < num_partitions; ++p) {
-    s1.reduce_output_records +=
-        producers2[p].size() + producers2[p].spilled_records();
-  }
-  s1.reduce_wall_seconds = reduce1_watch.ElapsedSeconds();
-  for (const auto& producer : producers2) {
-    s2.map_output_records += producer.size() + producer.spilled_records();
+        combine2_out[p] + out.spill_combiner_output();
   }
   s2.shuffle_records = s2.map_output_records;
 
-  // ---- Stage 2 shuffle (in-memory mode only, like stage 1's). ------------
-  Stopwatch shuffle2_watch;
-  std::vector<std::vector<std::pair<Key2, Value2>>> partitions2(
-      spilling ? 0 : num_partitions);
-  if (!spilling) {
-    mapreduce_internal::RunTasksWithRetry(
-        &pool, num_partitions, options.max_task_retries, cancel,
-        "alloc.shuffle", &counters2, nullptr, [&](size_t p) {
-      partitions2[p] = mapreduce_internal::MergeSortPartition<Key2, Value2>(
-          &producers2, p, gauge);
-    });
-  }
-  s2.shuffle_wall_seconds = shuffle2_watch.ElapsedSeconds();
+  // ---- Stage 2 shuffle and reduce.
+  auto partitions2 =
+      mri::RunShuffleStage<Key2, Value2>(job, &producers2, &counters2, &s2);
+  std::vector<std::vector<Output>> outputs(job.num_partitions);
+  mri::RunReduceStage<Key2, Value2>(
+      job, &producers2, &partitions2, combiner2, &counters2, &s2,
+      [&](size_t p, const Key2& key, std::span<Value2> values) {
+        reduce2_fn(key, values, &outputs[p]);
+      },
+      [](size_t) {});
+  std::vector<Output> result = mri::ConcatOutputs(&outputs);
+  s2.reduce_output_records = result.size();
 
-  // ---- Stage 2 reduce. ---------------------------------------------------
-  Stopwatch reduce2_watch;
-  struct Stage2Result {
-    std::vector<Output> outputs;
-    std::vector<GroupLoad> loads;
-    uint64_t num_groups = 0;
-  };
-  std::vector<Stage2Result> results2(num_partitions);
-  mapreduce_internal::RunTasksWithRetry(
-      &pool, num_partitions, options.max_task_retries, cancel,
-      "task.reduce", &counters2, nullptr, [&](size_t p) {
-    auto& result = results2[p];
-    if (spilling) {
-      Status s = mapreduce_internal::ReduceMergedRuns<Key2, Value2>(
-          &producers2, p, spill_context.get(), combiner2,
-          options.collect_group_loads, &result.loads, &result.num_groups,
-          [&](const Key2& key, std::span<Value2> values) {
-            reduce2_fn(key, values, &result.outputs);
-          });
-      if (!s.ok()) spill_context->RecordDataLoss(s);
-      gauge.Sub(
-          mapreduce_internal::ReleasePartitionResidue(&producers2, p));
-    } else {
-      auto& partition = partitions2[p];
-      mapreduce_internal::ReduceSortedRuns<Key2, Value2>(
-          &partition, options.collect_group_loads, &result.loads,
-          &result.num_groups,
-          [&](const Key2& key, std::span<Value2> values) {
-            reduce2_fn(key, values, &result.outputs);
-          });
-      gauge.Sub(partition.size());
-      partition.clear();
-      partition.shrink_to_fit();
-    }
-    if (options.reduce_partition_epilogue) options.reduce_partition_epilogue();
-  });
-  std::vector<Output> outputs;
-  {
-    size_t total = 0;
-    for (const auto& r : results2) total += r.outputs.size();
-    outputs.reserve(total);
-  }
-  for (auto& r : results2) {
-    s2.num_groups += r.num_groups;
-    std::move(r.outputs.begin(), r.outputs.end(),
-              std::back_inserter(outputs));
-    if (options.collect_group_loads) {
-      s2.group_loads.insert(s2.group_loads.end(), r.loads.begin(),
-                            r.loads.end());
-    }
-  }
-  s2.reduce_output_records = outputs.size();
-  s2.reduce_wall_seconds = reduce2_watch.ElapsedSeconds();
-  s1.peak_shuffle_records = local_gauge.peak();
-  s2.peak_shuffle_records = local_gauge.peak();
-  if (spilling) {
-    // The stages share one spill context (budget, directory, gauge); the
-    // fused-job totals are reported on stage 2 — the stage whose stats
-    // callers inspect for the job's end state — with the shared peak and
-    // status mirrored on both, like the shuffle gauge.
-    s2.spilled_records = spill_context->spilled_records();
-    s2.spill_files = spill_context->spill_files();
-    s2.spill_bytes = spill_context->spill_bytes();
-    s2.spill_raw_bytes = spill_context->spill_raw_bytes();
-    s2.merge_passes = spill_context->merge_passes();
-    s2.checksum_failures = spill_context->checksum_failures();
-    s2.prefetch_hits = spill_context->prefetch_hits();
-    s1.peak_resident_records = spill_context->resident().peak();
-    s2.peak_resident_records = spill_context->resident().peak();
-    s1.spill_status = spill_context->status();
-    s2.spill_status = spill_context->status();
-    s1.spill_data_loss = spill_context->data_loss();
-    s2.spill_data_loss = spill_context->data_loss();
-  } else {
-    s1.peak_resident_records = local_gauge.peak();
-    s2.peak_resident_records = local_gauge.peak();
-  }
+  // The fused job's totals — spill counters, the watchdog count, the pool
+  // safety-net status — land on stage 2, the stage whose stats carry the
+  // job's end state; the shared peaks and statuses are mirrored on stage
+  // 1, like the shuffle gauge.
+  mri::FinishJobStats(job, counters2, &s2);
   counters1.AddTo(&s1);
-  counters2.AddTo(&s2);
-  // The fused job is one failure domain: the watchdog count and the pool
-  // safety-net status land on stage 2 (the stage whose stats carry the
-  // job's end state), with the fatal status mirrored on both stages like
-  // the spill status.
-  mapreduce_internal::FinishTaskStats(&pool, cancel, &s2);
+  s1.peak_shuffle_records = s2.peak_shuffle_records;
+  s1.peak_resident_records = s2.peak_resident_records;
+  if (job.spill != nullptr) {
+    s1.spill_status = s2.spill_status;
+    s1.spill_data_loss = s2.spill_data_loss;
+  }
   s1.status = s2.status;
-  if (!s2.status.ok()) outputs.clear();  // aborted: outputs void
+  if (!s2.status.ok()) result.clear();  // aborted: outputs void
 
   if (stage1_stats != nullptr) *stage1_stats = std::move(s1);
   if (stage2_stats != nullptr) *stage2_stats = std::move(s2);
-  return outputs;
+  return result;
 }
 
 }  // namespace tsj

@@ -254,30 +254,6 @@ size_t SpillBudgetFromEnv() {
   return budget;
 }
 
-void ApplySpillFormatEnv(SpillFormatOptions* format) {
-  enum class Force { kNone, kV1, kV2 };
-  static const Force force = [] {
-    const char* value = std::getenv("CC_SHUFFLE_SPILL_FORMAT");
-    if (value == nullptr) return Force::kNone;
-    const std::string v(value);
-    if (v == "v1" || v == "1") return Force::kV1;
-    if (v == "v2" || v == "2") return Force::kV2;
-    return Force::kNone;
-  }();
-  switch (force) {
-    case Force::kNone:
-      break;
-    case Force::kV1:
-      *format = SpillFormatOptions{/*v2=*/false, /*compress=*/false,
-                                   /*segment=*/false, /*prefetch=*/false};
-      break;
-    case Force::kV2:
-      *format = SpillFormatOptions{/*v2=*/true, /*compress=*/true,
-                                   /*segment=*/true, /*prefetch=*/true};
-      break;
-  }
-}
-
 void RemoveSpillFile(const std::string& path) {
   std::error_code ec;
   std::filesystem::remove(path, ec);  // best effort
@@ -315,9 +291,8 @@ namespace {
 constexpr size_t kSpillWriteBufferBytes = 256 * 1024;
 }  // namespace
 
-SpillFrameWriter::SpillFrameWriter(std::unique_ptr<SpillIo> io,
-                                   SpillFormatOptions format)
-    : io_(std::move(io)), format_(format.Normalized()) {}
+SpillFrameWriter::SpillFrameWriter(std::unique_ptr<SpillIo> io)
+    : io_(std::move(io)) {}
 
 SpillFrameWriter::~SpillFrameWriter() {
   if (open_) io_->Close();  // error already reported via Finish, or Finish
@@ -328,15 +303,11 @@ Status SpillFrameWriter::Open(const std::string& path) {
   Status s = io_->Open(path, /*for_write=*/true);
   open_ = s.ok();
   if (!open_) return s;
-  if (format_.v2) {
-    AppendU32(kSpillMagic, &buffer_);
-    uint8_t flags = kSpillFlagChecksummed;
-    if (format_.compress) flags |= kSpillFlagCompressed;
-    const char tail[4] = {static_cast<char>(kSpillFormatVersion),
-                          static_cast<char>(flags), 0, 0};
-    buffer_.append(tail, sizeof(tail));
-    appended_ = kSpillHeaderBytes;
-  }
+  AppendU32(kSpillMagic, &buffer_);
+  const char tail[4] = {static_cast<char>(kSpillFormatVersion),
+                        static_cast<char>(kSpillFlags), 0, 0};
+  buffer_.append(tail, sizeof(tail));
+  appended_ = kSpillHeaderBytes;
   return Status::OK();
 }
 
@@ -352,15 +323,9 @@ Status SpillFrameWriter::WriteFrame(const char* payload, size_t size) {
     return Status::InvalidArgument("spill frame larger than the format cap");
   }
   const size_t before = buffer_.size();
-  if (format_.v2) {
-    spill_internal::AppendVarint(size, &buffer_);
-    AppendU32(FrameChecksum(payload, size), &buffer_);
-    buffer_.append(payload, size);
-  } else {
-    const uint32_t prefix = static_cast<uint32_t>(size);
-    buffer_.append(reinterpret_cast<const char*>(&prefix), sizeof(prefix));
-    buffer_.append(payload, size);
-  }
+  spill_internal::AppendVarint(size, &buffer_);
+  AppendU32(FrameChecksum(payload, size), &buffer_);
+  buffer_.append(payload, size);
   appended_ += buffer_.size() - before;
   if (buffer_.size() >= kSpillWriteBufferBytes) return FlushBuffer();
   return Status::OK();
@@ -400,22 +365,20 @@ Status SpillFrameWriter::FlushBuffer() {
 Status SpillFrameWriter::Finish() {
   if (!open_) return Status::FailedPrecondition("spill writer not open");
   if (in_run_) EndRun(0);
-  if (format_.v2) {
-    const uint64_t footer_offset = appended_;
-    const size_t before = buffer_.size();
-    AppendU32(kSpillFooterMagic, &buffer_);
-    AppendU32(static_cast<uint32_t>(entries_.size()), &buffer_);
-    for (const SpillSegmentEntry& entry : entries_) {
-      AppendU32(entry.partition, &buffer_);
-      AppendU32(0, &buffer_);
-      AppendU64(entry.offset, &buffer_);
-      AppendU64(entry.length, &buffer_);
-      AppendU64(entry.records, &buffer_);
-    }
-    AppendU64(footer_offset, &buffer_);
-    AppendU32(kSpillEndMagic, &buffer_);
-    appended_ += buffer_.size() - before;
+  const uint64_t footer_offset = appended_;
+  const size_t before = buffer_.size();
+  AppendU32(kSpillFooterMagic, &buffer_);
+  AppendU32(static_cast<uint32_t>(entries_.size()), &buffer_);
+  for (const SpillSegmentEntry& entry : entries_) {
+    AppendU32(entry.partition, &buffer_);
+    AppendU32(0, &buffer_);
+    AppendU64(entry.offset, &buffer_);
+    AppendU64(entry.length, &buffer_);
+    AppendU64(entry.records, &buffer_);
   }
+  AppendU64(footer_offset, &buffer_);
+  AppendU32(kSpillEndMagic, &buffer_);
+  appended_ += buffer_.size() - before;
   Status s = FlushBuffer();
   open_ = false;
   Status close_status = io_->Close();
@@ -444,21 +407,7 @@ Status SpillFrameReader::Open(const std::string& path) {
 }
 
 Status SpillFrameReader::Open(const SpillRunRef& ref) {
-  if (ref.offset == 0 && ref.length == 0) {
-    return OpenInternal(ref.path, nullptr);  // legacy whole-file run
-  }
   return OpenInternal(ref.path, &ref);
-}
-
-// Reads the first kSpillHeaderBytes (or less, at EOF) synchronously; the
-// caller decides v1 vs v2 from them.
-Status SpillFrameReader::ReadHeaderProbe(std::string* probe) {
-  probe->resize(kSpillHeaderBytes);
-  StatusOr<size_t> got =
-      IoReadFully(io_.get(), probe->data(), probe->size());
-  if (!got.ok()) return got.status();
-  probe->resize(*got);
-  return Status::OK();
 }
 
 Status SpillFrameReader::OpenInternal(const std::string& path,
@@ -466,50 +415,41 @@ Status SpillFrameReader::OpenInternal(const std::string& path,
   Status s = io_->Open(path, /*for_write=*/false);
   open_ = s.ok();
   if (!open_) return s;
-  std::string probe;
-  if (Status ps = ReadHeaderProbe(&probe); !ps.ok()) return ps;
-  if (probe.size() >= sizeof(uint32_t) &&
-      LoadU32(probe.data()) == kSpillMagic) {
-    if (probe.size() < kSpillHeaderBytes) {
-      return Status::Internal("torn spill segment header");
-    }
-    if (static_cast<uint8_t>(probe[4]) != kSpillFormatVersion) {
-      return Status::Internal("unsupported spill format version");
-    }
-    const uint8_t flags = static_cast<uint8_t>(probe[5]);
-    if ((flags & ~(kSpillFlagChecksummed | kSpillFlagCompressed)) != 0 ||
-        probe[6] != 0 || probe[7] != 0) {
-      return Status::Internal("corrupt spill segment header");
-    }
-    v2_ = true;
-    checksummed_ = (flags & kSpillFlagChecksummed) != 0;
-    compressed_ = (flags & kSpillFlagCompressed) != 0;
-    uint64_t start = kSpillHeaderBytes;
-    uint64_t end = 0;
-    if (ref != nullptr) {
-      start = ref->offset;
-      end = ref->offset + ref->length;
-    } else {
-      // Whole-segment read: the footer bounds the frame data (runs are
-      // written back to back, so one contiguous extent covers them all).
-      std::vector<SpillSegmentEntry> entries;
-      if (Status fs = ParseSegmentFooter(io_.get(), &entries, &end);
-          !fs.ok()) {
-        return fs;
-      }
-    }
-    if (Status ss = io_->Seek(start); !ss.ok()) return ss;
-    if (end < start) return Status::Internal("corrupt spill run extent");
-    limit_ = end - start;
-  } else {
-    // Legacy v1 stream: the probed bytes are frame data, not a header.
-    v2_ = false;
-    checksummed_ = false;
-    compressed_ = false;
-    chunk_ = std::move(probe);
-    chunk_pos_ = 0;
-    limit_ = kNoLimit;
+  char header[kSpillHeaderBytes];
+  StatusOr<size_t> got = IoReadFully(io_.get(), header, sizeof(header));
+  if (!got.ok()) return got.status();
+  if (*got < sizeof(header) || LoadU32(header) != kSpillMagic) {
+    return Status::Internal("not a spill segment (torn or corrupt header)");
   }
+  if (static_cast<uint8_t>(header[4]) != kSpillFormatVersion) {
+    return Status::Internal("unsupported spill format version");
+  }
+  if (static_cast<uint8_t>(header[5]) != kSpillFlags || header[6] != 0 ||
+      header[7] != 0) {
+    return Status::Internal("corrupt spill segment header");
+  }
+  uint64_t start = kSpillHeaderBytes;
+  uint64_t end = 0;
+  if (ref != nullptr) {
+    // A run's frames sit past the header; an extent that starts inside
+    // it or wraps around is corrupt, not a request to read the file.
+    if (ref->offset < kSpillHeaderBytes ||
+        ref->length > ~uint64_t{0} - ref->offset) {
+      return Status::Internal("corrupt spill run extent");
+    }
+    start = ref->offset;
+    end = ref->offset + ref->length;
+  } else {
+    // Whole-segment read: the footer bounds the frame data (runs are
+    // written back to back, so one contiguous extent covers them all).
+    std::vector<SpillSegmentEntry> entries;
+    if (Status fs = ParseSegmentFooter(io_.get(), &entries, &end);
+        !fs.ok()) {
+      return fs;
+    }
+  }
+  if (Status ss = io_->Seek(start); !ss.ok()) return ss;
+  limit_ = end - start;
   if (prefetcher_ != nullptr) ScheduleFill();
   return Status::OK();
 }
@@ -517,10 +457,8 @@ Status SpillFrameReader::OpenInternal(const std::string& path,
 // Synchronously reads the next chunk (bounded by limit_) into *chunk.
 // Decrements limit_ by what it read.
 Status SpillFrameReader::FillChunkSync(std::string* chunk) {
-  const size_t want = limit_ == kNoLimit
-                          ? kSpillReadChunkBytes
-                          : static_cast<size_t>(std::min<uint64_t>(
-                                kSpillReadChunkBytes, limit_));
+  const size_t want = static_cast<size_t>(
+      std::min<uint64_t>(kSpillReadChunkBytes, limit_));
   chunk->resize(want);
   if (want == 0) return Status::OK();
   StatusOr<size_t> got = IoReadFully(io_.get(), chunk->data(), want);
@@ -529,7 +467,7 @@ Status SpillFrameReader::FillChunkSync(std::string* chunk) {
     return got.status();
   }
   chunk->resize(*got);
-  if (limit_ != kNoLimit) limit_ -= *got;
+  limit_ -= *got;
   return Status::OK();
 }
 
@@ -619,37 +557,7 @@ Status SpillFrameReader::ReadBytes(char* data, size_t size, size_t* read) {
 Status SpillFrameReader::ReadFrame(std::string* payload, bool* eof) {
   if (!open_) return Status::FailedPrecondition("spill reader not open");
   *eof = false;
-  if (!v2_) {
-    uint32_t prefix = 0;
-    size_t got = 0;
-    if (Status s =
-            ReadBytes(reinterpret_cast<char*>(&prefix), sizeof(prefix),
-                      &got);
-        !s.ok()) {
-      return s;
-    }
-    if (got == 0) {
-      *eof = true;  // clean end between frames
-      return Status::OK();
-    }
-    if (got < sizeof(prefix)) {
-      return Status::Internal("truncated spill frame header");
-    }
-    if (prefix > kMaxSpillFrameBytes) {
-      return Status::Internal("corrupt spill frame length prefix");
-    }
-    payload->resize(prefix);
-    got = 0;
-    if (Status s = ReadBytes(payload->data(), prefix, &got); !s.ok()) {
-      return s;
-    }
-    if (got < prefix) {
-      return Status::Internal(
-          "torn spill frame: payload shorter than its length prefix");
-    }
-    return Status::OK();
-  }
-  // v2 frame: [varint body_size][u32 checksum][body].
+  // Frame: [varint body_size][u32 checksum][body].
   uint64_t body_size = 0;
   {
     uint64_t result = 0;
@@ -699,8 +607,7 @@ Status SpillFrameReader::ReadFrame(std::string* payload, bool* eof) {
     return Status::Internal(
         "torn spill frame: payload shorter than its length prefix");
   }
-  if (checksummed_ &&
-      FrameChecksum(payload->data(), payload->size()) != stored_checksum) {
+  if (FrameChecksum(payload->data(), payload->size()) != stored_checksum) {
     if (checksum_failures_ != nullptr) {
       checksum_failures_->fetch_add(1, std::memory_order_relaxed);
     }
@@ -727,12 +634,10 @@ constexpr size_t kSpillPrefetchThreads = 2;
 }  // namespace
 
 SpillContext::SpillContext(size_t budget, std::string dir,
-                           SpillIoFactory factory,
-                           SpillFormatOptions format)
+                           SpillIoFactory factory)
     : budget_(budget),
       dir_(std::move(dir)),
       factory_(std::move(factory)),
-      format_(format.Normalized()),
       tag_(Mix64(static_cast<uint64_t>(reinterpret_cast<uintptr_t>(this)) ^
                  (static_cast<uint64_t>(::getpid()) << 32))) {}
 
@@ -757,7 +662,7 @@ SpillContext::~SpillContext() {
 }
 
 Status SpillContext::Init() {
-  if (format_.prefetch && prefetcher_ == nullptr) {
+  if (prefetcher_ == nullptr) {
     prefetcher_ = std::make_unique<SpillPrefetcher>(kSpillPrefetchThreads);
   }
   std::error_code ec;
@@ -959,11 +864,6 @@ std::unique_ptr<SpillIo> CheckpointContext::NewIo() const {
   return factory_ ? factory_() : MakeDefaultSpillIo();
 }
 
-SpillFormatOptions CheckpointContext::Format() {
-  return SpillFormatOptions{/*v2=*/true, /*compress=*/true,
-                            /*segment=*/true, /*prefetch=*/false};
-}
-
 Status CheckpointContext::WriteManifest(
     size_t task, const std::vector<SpillSegmentEntry>& entries,
     uint64_t data_bytes) {
@@ -1072,7 +972,8 @@ Status CheckpointContext::ReadManifest(size_t task,
       task_index != static_cast<uint64_t>(task)) {
     return Status::Internal("checkpoint manifest identity mismatch");
   }
-  if (frame.size() != 40 + entry_count * 32) {
+  if (entry_count > (frame.size() - 40) / 32 ||
+      frame.size() != 40 + entry_count * 32) {
     return Status::Internal("checkpoint manifest truncated");
   }
   std::error_code ec;
@@ -1080,20 +981,37 @@ Status CheckpointContext::ReadManifest(size_t task,
   if (ec || actual_bytes != data_bytes) {
     return Status::Internal("checkpoint segment size mismatch");
   }
-  entries->reserve(entry_count);
+  // Only extents the writer can produce are trusted: one non-empty run
+  // per partition, in increasing partition order, back to back after the
+  // segment header. Each record takes at least one byte of its run.
+  std::vector<SpillSegmentEntry> loaded;
+  loaded.reserve(entry_count);
+  uint64_t next_partition = 0;
+  uint64_t prev_end = kSpillHeaderBytes;
   for (uint64_t i = 0; i < entry_count; ++i) {
     const char* row = p + 40 + i * 32;
+    const uint64_t partition = LoadU64(row);
     SpillSegmentEntry entry;
-    entry.partition = static_cast<uint32_t>(LoadU64(row));
     entry.offset = LoadU64(row + 8);
     entry.length = LoadU64(row + 16);
     entry.records = LoadU64(row + 24);
-    if (entry.offset + entry.length > data_bytes) {
-      entries->clear();
+    if (partition < next_partition ||
+        partition > std::numeric_limits<uint32_t>::max()) {
+      return Status::Internal("checkpoint manifest partitions out of order");
+    }
+    if (entry.offset < prev_end || entry.length > data_bytes ||
+        entry.offset > data_bytes - entry.length) {
       return Status::Internal("checkpoint manifest extent out of range");
     }
-    entries->push_back(entry);
+    if (entry.records == 0 || entry.records > entry.length) {
+      return Status::Internal("checkpoint manifest record count invalid");
+    }
+    entry.partition = static_cast<uint32_t>(partition);
+    next_partition = partition + 1;
+    prev_end = entry.offset + entry.length;
+    loaded.push_back(entry);
   }
+  *entries = std::move(loaded);
   return Status::OK();
 }
 

@@ -19,13 +19,13 @@
 //    (the same shapes StableHash supports). Callers with exotic types can
 //    pass their own serializer to the run writer/reader.
 //  * SpillRunWriter / SpillRunReader — sorted runs inside a spill file.
-//  * SpillContext — per-job shared state: the budget, the format toggles,
-//    the spill directory (owned temp dir unless the caller provided one),
-//    run-file naming and refcounted removal, the prefetch pool, the spill
-//    counters JobStats reports, the peak-resident-records gauge that
-//    proves the budget is honored, and the first I/O error (sticky).
+//  * SpillContext — per-job shared state: the budget, the spill directory
+//    (owned temp dir unless the caller provided one), run-file naming and
+//    refcounted removal, the prefetch pool, the spill counters JobStats
+//    reports, the peak-resident-records gauge that proves the budget is
+//    honored, and the first I/O error (sticky).
 //
-// ---- On-disk format (v2, the default) --------------------------------------
+// ---- On-disk format (v2) ----------------------------------------------------
 //
 // A spill file is a *segment*: one or more sorted runs back to back,
 // framed, followed by a footer index. All integers little-endian; varints
@@ -40,11 +40,8 @@
 //   entry   := [u32 partition][u32 zero][u64 offset][u64 length]
 //              [u64 records]
 //
-// The magic, read as a little-endian u32, is greater than
-// kMaxSpillFrameBytes, so the first four bytes of a file distinguish v2
-// (magic) from legacy v1 (a frame length prefix) unambiguously — v1 runs
-// ([u32 size][payload] per record, no header, no checksums, no footer)
-// still read through the same reader.
+// The header's flags are always checksummed | compressed; a reader
+// refuses any other magic, version or flags byte as a clean Status.
 //
 // The checksum (common/hash.h Fingerprint64, folded to 32 bits) covers the
 // frame body as stored, so a payload bit-flip surfaces as the same clean
@@ -67,8 +64,7 @@
 //
 // The delta chain resets at each block (the first record of a block deltas
 // against the empty string, i.e. is stored whole via the escape form), so
-// every frame is independently decodable. Uncompressed v2 blocks (flags
-// bit off) store [varint size][bytes] per record.
+// every frame is independently decodable.
 //
 // The footer index maps each partition's run to its (offset, length)
 // extent, so one flush writes every bucket's run into ONE file (budget-1
@@ -79,7 +75,7 @@
 // cross-shard wire format.
 //
 // The merge itself (run cursors, hierarchical pre-merge passes, the
-// streamed reduce) lives in mapreduce.h next to the engines, because it is
+// streamed reduce) lives in mapreduce.h next to the engine, because it is
 // templated over the job's Key/Value types.
 
 #ifndef TSJ_MAPREDUCE_SPILL_H_
@@ -145,49 +141,16 @@ std::unique_ptr<SpillIo> MakeDefaultSpillIo();
 size_t ParseSpillBudget(const char* value);
 
 /// Test-tier budget override: the CC_SHUFFLE_SPILL_BUDGET environment
-/// variable (a record count), read once per process. When set, sorted-mode
-/// jobs whose options carry no explicit memory_budget_records run under
-/// this budget — which lets CI exercise the spill path through every
-/// existing streaming test without touching call sites. 0 when unset or
+/// variable (a record count), read once per process. When set, jobs whose
+/// options carry no explicit memory_budget_records run under this budget
+/// — which lets CI exercise the spill path through every existing test
+/// without touching call sites. 0 when unset or
 /// unparsable.
 size_t SpillBudgetFromEnv();
 
 /// Best-effort removal of one spill file (used after write failures and by
 /// SpillContext teardown). Missing files are fine.
 void RemoveSpillFile(const std::string& path);
-
-// ---- Format toggles --------------------------------------------------------
-
-/// Per-job spill format configuration (MapReduceOptions::spill_format).
-/// The defaults are the full v2 feature set; `v2 = false` writes the
-/// legacy v1 frame stream (readable by any prior build) and implies the
-/// other toggles off. CC_SHUFFLE_SPILL_FORMAT=v1|v2 overrides the lot
-/// (test tier, like CC_SHUFFLE_SPILL_BUDGET).
-struct SpillFormatOptions {
-  /// Versioned header + per-frame checksums + footer index.
-  bool v2 = true;
-  /// Delta-of-record + varint block encoding (v2 only).
-  bool compress = true;
-  /// One file per flush holding every bucket's run (v2 only).
-  bool segment = true;
-  /// Async read-ahead of merge inputs (any format).
-  bool prefetch = true;
-
-  /// v1 cannot carry v2-only features; returns a consistent copy.
-  SpillFormatOptions Normalized() const {
-    SpillFormatOptions f = *this;
-    if (!f.v2) {
-      f.compress = false;
-      f.segment = false;
-    }
-    return f;
-  }
-};
-
-/// Applies the CC_SHUFFLE_SPILL_FORMAT override (read once per process)
-/// to `format`: "v1"/"1" forces the legacy format, "v2"/"2" forces the
-/// full v2 feature set; unset/unknown leaves `format` untouched.
-void ApplySpillFormatEnv(SpillFormatOptions* format);
 
 // ---- Record serialization --------------------------------------------------
 
@@ -366,9 +329,7 @@ struct DefaultSpillSerializer {
 // ---- Framed run files ------------------------------------------------------
 
 /// Upper bound on one frame's payload; a length prefix beyond it is a
-/// corrupt frame, not an allocation request. Also what makes the v2 magic
-/// unambiguous: the magic, as a little-endian u32, exceeds this cap, so
-/// it can never be a valid v1 length prefix.
+/// corrupt frame, not an allocation request.
 inline constexpr uint32_t kMaxSpillFrameBytes = 1u << 30;
 
 /// v2 file header: [magic u32]["2" version u8][flags u8][u16 zero].
@@ -376,6 +337,10 @@ inline constexpr uint32_t kSpillMagic = 0x53504C32;  // bytes "2LPS"
 inline constexpr uint8_t kSpillFormatVersion = 2;
 inline constexpr uint8_t kSpillFlagChecksummed = 0x01;
 inline constexpr uint8_t kSpillFlagCompressed = 0x02;
+/// The one flags byte the format has: every frame is checksummed and every
+/// block delta-compressed.
+inline constexpr uint8_t kSpillFlags =
+    kSpillFlagChecksummed | kSpillFlagCompressed;
 inline constexpr size_t kSpillHeaderBytes = 8;
 
 /// v2 footer markers (see the format comment atop this file).
@@ -384,7 +349,7 @@ inline constexpr uint32_t kSpillEndMagic = 0x32444E45;     // "END2"
 inline constexpr size_t kSpillFooterEntryBytes = 32;
 inline constexpr size_t kSpillFooterTrailerBytes = 12;
 
-/// Target encoded size of one v2 record block (= one checksummed frame).
+/// Target encoded size of one record block (= one checksummed frame).
 /// Large enough to amortize the frame overhead (varint length + u32
 /// checksum) over hundreds of records, small enough that a corrupt frame
 /// only voids one block.
@@ -406,9 +371,8 @@ struct SpillSegmentEntry {
   uint64_t records = 0;
 };
 
-/// Engine-side handle to one sorted run: a byte extent of a spill file.
-/// offset == 0 && length == 0 means "the whole file" (legacy v1 runs and
-/// files from builds without a footer).
+/// Engine-side handle to one sorted run: a byte extent of a segment file
+/// (its frames, past the header and before the footer).
 struct SpillRunRef {
   std::string path;
   uint64_t offset = 0;
@@ -449,16 +413,13 @@ class SpillPrefetcher {
   std::atomic<uint64_t> stalls_{0};
 };
 
-/// Byte/frame-level writer of one spill file, buffered, every short write
-/// reported as an error. v2 files carry the versioned header, per-frame
-/// checksums and the footer index; BeginRun/EndRun bracket the runs of a
-/// segment (EndRun records the footer entry). v1 writes the legacy
-/// headerless frame stream (BeginRun/EndRun still track extents so the
-/// engine gets SpillRunRefs either way).
+/// Byte/frame-level writer of one segment file, buffered, every short
+/// write reported as an error: the versioned header, checksummed frames
+/// and the footer index. BeginRun/EndRun bracket the runs of a segment
+/// (EndRun records the footer entry).
 class SpillFrameWriter {
  public:
-  explicit SpillFrameWriter(std::unique_ptr<SpillIo> io,
-                            SpillFormatOptions format = {});
+  explicit SpillFrameWriter(std::unique_ptr<SpillIo> io);
   ~SpillFrameWriter();
 
   Status Open(const std::string& path);
@@ -466,20 +427,18 @@ class SpillFrameWriter {
   Status WriteFrame(const char* payload, size_t size);
   /// Closes the current run; `records` lands in its footer entry.
   SpillSegmentEntry EndRun(uint64_t records);
-  /// Writes the footer (v2), flushes and closes; the file is only
-  /// complete when Finish returned OK.
+  /// Writes the footer, flushes and closes; the file is only complete
+  /// when Finish returned OK.
   Status Finish();
 
   /// Bytes appended so far (== file size once Finish succeeded).
   uint64_t bytes_written() const { return appended_; }
-  const SpillFormatOptions& format() const { return format_; }
   const std::vector<SpillSegmentEntry>& entries() const { return entries_; }
 
  private:
   Status FlushBuffer();
 
   std::unique_ptr<SpillIo> io_;
-  const SpillFormatOptions format_;
   std::string buffer_;
   uint64_t appended_ = 0;
   std::vector<SpillSegmentEntry> entries_;
@@ -489,13 +448,13 @@ class SpillFrameWriter {
   bool open_ = false;
 };
 
-/// Byte/frame-level reader. Opens either a whole file (v1 streams and
-/// full v2 segments — the footer index supplies the extents) or one
-/// bounded run of a v2 segment (SpillRunRef). A clean end between frames
-/// sets *eof; anything else mid-frame (torn header, short payload, absurd
-/// length, checksum mismatch, bad version) is a Status error. Reads are
-/// chunked; with set_prefetcher the next chunk is fetched on the pool
-/// while the caller consumes the current one.
+/// Byte/frame-level reader. Opens either a whole segment (the footer
+/// index bounds its frames) or one bounded run of it (SpillRunRef). A
+/// clean end between frames sets *eof; anything else (bad header, torn
+/// frame, short payload, absurd length, checksum mismatch, an extent
+/// outside the frames) is a Status error. Reads are chunked; with
+/// set_prefetcher the next chunk is fetched on the pool while the caller
+/// consumes the current one.
 class SpillFrameReader {
  public:
   explicit SpillFrameReader(std::unique_ptr<SpillIo> io);
@@ -514,13 +473,8 @@ class SpillFrameReader {
   Status ReadFrame(std::string* payload, bool* eof);
   Status Close();
 
-  /// Valid after Open: the detected format of the open file.
-  bool v2() const { return v2_; }
-  bool compressed() const { return compressed_; }
-
  private:
   Status OpenInternal(const std::string& path, const SpillRunRef* ref);
-  Status ReadHeaderProbe(std::string* probe);
   Status ReadBytes(char* data, size_t size, size_t* read);
   Status FillChunkSync(std::string* chunk);
   void ScheduleFill();
@@ -529,16 +483,12 @@ class SpillFrameReader {
 
   std::unique_ptr<SpillIo> io_;
   bool open_ = false;
-  bool v2_ = false;
-  bool checksummed_ = false;
-  bool compressed_ = false;
 
-  // Buffered chunk the caller consumes from, plus the byte budget still
-  // unread from the io (limit_: bounded v2 extents; ~0 = until EOF).
+  // Buffered chunk the caller consumes from, plus the bytes of the open
+  // extent still unread from the io.
   std::string chunk_;
   size_t chunk_pos_ = 0;
-  uint64_t limit_ = kNoLimit;
-  static constexpr uint64_t kNoLimit = ~uint64_t{0};
+  uint64_t limit_ = 0;
 
   // Single-slot async read-ahead (null prefetcher_ = synchronous fills).
   SpillPrefetcher* prefetcher_ = nullptr;
@@ -554,19 +504,16 @@ class SpillFrameReader {
 
 /// Writes sorted spill runs of (Key, Value) records through a serializer
 /// (DefaultSpillSerializer unless the caller brings its own). One writer
-/// produces one file: either a single run (Open / Append... / Finish, the
-/// legacy shape) or a multi-run segment (BeginRun / Append... / EndRun
-/// per bucket, then Finish). In v2, records are packed into delta-encoded
-/// checksummed blocks; v1 writes one frame per record.
+/// produces one segment file: either a single run (Open / Append... /
+/// Finish) or several (BeginRun / Append... / EndRun per bucket, then
+/// Finish). Records are packed into delta-encoded checksummed blocks.
 template <typename Key, typename Value,
           typename Serializer = DefaultSpillSerializer<Key, Value>>
 class SpillRunWriter {
  public:
   explicit SpillRunWriter(std::unique_ptr<SpillIo> io,
-                          SpillFormatOptions format = {},
                           Serializer serializer = Serializer())
-      : frames_(std::move(io), format),
-        serializer_(std::move(serializer)) {}
+      : frames_(std::move(io)), serializer_(std::move(serializer)) {}
 
   Status Open(const std::string& path) {
     path_ = path;
@@ -594,12 +541,7 @@ class SpillRunWriter {
           "spill record larger than the frame cap");
     }
     raw_bytes_ += scratch_.size();
-    Status s = Status::OK();
-    if (frames_.format().v2) {
-      s = AppendToBlock();
-    } else {
-      s = frames_.WriteFrame(scratch_.data(), scratch_.size());
-    }
+    Status s = AppendToBlock();
     if (s.ok()) {
       ++records_written_;
       ++run_records_;
@@ -649,40 +591,35 @@ class SpillRunWriter {
             kMaxSpillFrameBytes) {
       if (Status s = FlushBlock(); !s.ok()) return s;
     }
-    if (frames_.format().compress) {
-      const std::string& prev = prev_record_;
-      const size_t max_shared = std::min(prev.size(), scratch_.size());
-      size_t prefix = 0;
-      while (prefix < max_shared && prev[prefix] == scratch_[prefix]) {
-        ++prefix;
-      }
-      size_t suffix = 0;
-      const size_t max_suffix = max_shared - prefix;
-      while (suffix < max_suffix &&
-             prev[prev.size() - 1 - suffix] ==
-                 scratch_[scratch_.size() - 1 - suffix]) {
-        ++suffix;
-      }
-      const size_t middle = scratch_.size() - prefix - suffix;
-      if (scratch_.size() == prev.size() && prefix <= 0xF && suffix <= 0xF &&
-          !(prefix == 0xF && suffix == 0xF)) {
-        // Compact form: same raw size as the previous record and both
-        // shares fit a nibble, so one token byte replaces three varints
-        // (middle size is implied). 0xFF cannot occur here and marks the
-        // escape form.
-        block_.push_back(static_cast<char>((prefix << 4) | suffix));
-      } else {
-        block_.push_back(static_cast<char>(0xFF));
-        spill_internal::AppendVarint(prefix, &block_);
-        spill_internal::AppendVarint(suffix, &block_);
-        spill_internal::AppendVarint(middle, &block_);
-      }
-      block_.append(scratch_.data() + prefix, middle);
-      std::swap(prev_record_, scratch_);
-    } else {
-      spill_internal::AppendVarint(scratch_.size(), &block_);
-      block_.append(scratch_);
+    const std::string& prev = prev_record_;
+    const size_t max_shared = std::min(prev.size(), scratch_.size());
+    size_t prefix = 0;
+    while (prefix < max_shared && prev[prefix] == scratch_[prefix]) {
+      ++prefix;
     }
+    size_t suffix = 0;
+    const size_t max_suffix = max_shared - prefix;
+    while (suffix < max_suffix &&
+           prev[prev.size() - 1 - suffix] ==
+               scratch_[scratch_.size() - 1 - suffix]) {
+      ++suffix;
+    }
+    const size_t middle = scratch_.size() - prefix - suffix;
+    if (scratch_.size() == prev.size() && prefix <= 0xF && suffix <= 0xF &&
+        !(prefix == 0xF && suffix == 0xF)) {
+      // Compact form: same raw size as the previous record and both
+      // shares fit a nibble, so one token byte replaces three varints
+      // (middle size is implied). 0xFF cannot occur here and marks the
+      // escape form.
+      block_.push_back(static_cast<char>((prefix << 4) | suffix));
+    } else {
+      block_.push_back(static_cast<char>(0xFF));
+      spill_internal::AppendVarint(prefix, &block_);
+      spill_internal::AppendVarint(suffix, &block_);
+      spill_internal::AppendVarint(middle, &block_);
+    }
+    block_.append(scratch_.data() + prefix, middle);
+    std::swap(prev_record_, scratch_);
     if (block_.size() >= kSpillBlockTargetBytes) return FlushBlock();
     return Status::OK();
   }
@@ -707,8 +644,8 @@ class SpillRunWriter {
   bool in_run_ = false;
 };
 
-/// Reads spill runs back: a whole file (v1 stream or full v2 segment) or
-/// one bounded run (SpillRunRef). Next sets *done on clean end; torn or
+/// Reads spill runs back: a whole segment or one bounded run
+/// (SpillRunRef). Next sets *done on clean end; torn or
 /// corrupt frames, checksum mismatches and malformed block encodings come
 /// back as error Status (never a partial or silently wrong record).
 template <typename Key, typename Value,
@@ -730,21 +667,6 @@ class SpillRunReader {
   Status Open(const SpillRunRef& ref) { return frames_.Open(ref); }
 
   Status Next(std::pair<Key, Value>* record, bool* done) {
-    if (!frames_.v2()) {
-      // Legacy stream: one frame per record.
-      bool eof = false;
-      Status s = frames_.ReadFrame(&payload_, &eof);
-      if (!s.ok()) return s;
-      if (eof) {
-        *done = true;
-        return Status::OK();
-      }
-      if (!serializer_.Parse(payload_.data(), payload_.size(), record)) {
-        return Status::Internal("corrupt spill frame payload");
-      }
-      *done = false;
-      return Status::OK();
-    }
     while (block_pos_ >= block_.size()) {
       bool eof = false;
       Status s = frames_.ReadFrame(&block_, &eof);
@@ -774,50 +696,41 @@ class SpillRunReader {
     const char* p = block_.data() + block_pos_;
     const char* end = block_.data() + block_.size();
     uint64_t prefix = 0, suffix = 0, middle = 0;
-    if (frames_.compressed()) {
-      if (p >= end) return Status::Internal("corrupt spill block encoding");
-      const uint8_t token = static_cast<uint8_t>(*p++);
-      if (token == 0xFF) {
-        if (!spill_internal::DecodeVarint(&p, end, &prefix) ||
-            !spill_internal::DecodeVarint(&p, end, &suffix) ||
-            !spill_internal::DecodeVarint(&p, end, &middle)) {
-          return Status::Internal("corrupt spill block encoding");
-        }
-      } else {
-        // Compact token: the record is prev-sized, so the middle length
-        // is whatever the nibble-coded shares leave uncovered.
-        prefix = token >> 4;
-        suffix = token & 0xF;
-        if (prefix + suffix > prev_record_.size()) {
-          return Status::Internal("corrupt spill block encoding");
-        }
-        middle = prev_record_.size() - prefix - suffix;
-      }
-      if (prefix + suffix > prev_record_.size() ||
-          middle > static_cast<uint64_t>(end - p)) {
+    if (p >= end) return Status::Internal("corrupt spill block encoding");
+    const uint8_t token = static_cast<uint8_t>(*p++);
+    if (token == 0xFF) {
+      if (!spill_internal::DecodeVarint(&p, end, &prefix) ||
+          !spill_internal::DecodeVarint(&p, end, &suffix) ||
+          !spill_internal::DecodeVarint(&p, end, &middle)) {
         return Status::Internal("corrupt spill block encoding");
       }
-      scratch_.clear();
-      scratch_.append(prev_record_.data(), prefix);
-      scratch_.append(p, middle);
-      scratch_.append(
-          prev_record_.data() + (prev_record_.size() - suffix), suffix);
-      std::swap(prev_record_, scratch_);
     } else {
-      if (!spill_internal::DecodeVarint(&p, end, &middle) ||
-          middle > static_cast<uint64_t>(end - p)) {
+      // Compact token: the record is prev-sized, so the middle length is
+      // whatever the nibble-coded shares leave uncovered.
+      prefix = token >> 4;
+      suffix = token & 0xF;
+      if (prefix + suffix > prev_record_.size()) {
         return Status::Internal("corrupt spill block encoding");
       }
-      prev_record_.assign(p, middle);
+      middle = prev_record_.size() - prefix - suffix;
     }
+    if (prefix + suffix > prev_record_.size() ||
+        middle > static_cast<uint64_t>(end - p)) {
+      return Status::Internal("corrupt spill block encoding");
+    }
+    scratch_.clear();
+    scratch_.append(prev_record_.data(), prefix);
+    scratch_.append(p, middle);
+    scratch_.append(prev_record_.data() + (prev_record_.size() - suffix),
+                    suffix);
+    std::swap(prev_record_, scratch_);
     block_pos_ = static_cast<size_t>(p - block_.data()) + middle;
     return Status::OK();
   }
 
   SpillFrameReader frames_;
   Serializer serializer_;
-  std::string payload_;       // v1: one frame = one record
-  std::string block_;         // v2: the current decoded-from block
+  std::string block_;         // the current decoded-from block
   size_t block_pos_ = 0;
   std::string prev_record_;   // raw bytes of the last decoded record
   std::string scratch_;
@@ -827,7 +740,7 @@ class SpillRunReader {
 
 /// Shared by every producer and merge of one job (thread-safe). Owns the
 /// spill directory when it created one (removed, with every file it ever
-/// named, at destruction), the format toggles, the prefetch pool, and the
+/// named, at destruction), the prefetch pool, and the
 /// spill counters JobStats reports; tracks per-file live-run counts so
 /// pre-merges can drop a consumed run without deleting a segment file
 /// that still backs other partitions' runs; and carries the job's
@@ -840,8 +753,7 @@ class SpillContext {
  public:
   /// budget > 0 (records). `dir` empty = create an owned temp directory.
   /// `factory` null = default FILE* io. Call Init() before use.
-  SpillContext(size_t budget, std::string dir, SpillIoFactory factory,
-               SpillFormatOptions format = {});
+  SpillContext(size_t budget, std::string dir, SpillIoFactory factory);
   ~SpillContext();
 
   SpillContext(const SpillContext&) = delete;
@@ -851,8 +763,7 @@ class SpillContext {
   Status Init();
 
   size_t budget() const { return budget_; }
-  const SpillFormatOptions& format() const { return format_; }
-  /// Null when format().prefetch is off or Init has not run.
+  /// The merge inputs' read-ahead pool (null until Init).
   SpillPrefetcher* prefetcher() const { return prefetcher_.get(); }
 
   /// A fresh unique run-file path (registered for teardown removal).
@@ -942,7 +853,6 @@ class SpillContext {
   std::string dir_;
   bool owns_dir_ = false;
   SpillIoFactory factory_;
-  const SpillFormatOptions format_;
   /// Per-context tag baked into every run-file name, so concurrent jobs
   /// pointed at the same explicit spill_dir never collide (the owned
   /// temp dir is unique anyway; an explicit dir is not).
@@ -968,8 +878,8 @@ class SpillContext {
 
 // ---- Checkpoint/restart ----------------------------------------------------
 
-/// CC_CHECKPOINT_DIR (read once per process): when set, sorted-mode jobs
-/// whose options carry no explicit checkpoint_dir *write* checkpoints
+/// CC_CHECKPOINT_DIR (read once per process): when set, jobs whose
+/// options carry no explicit checkpoint_dir *write* checkpoints
 /// there but never restore from them — a blanket env override cannot
 /// prove two runs share a corpus, so env-driven checkpointing exercises
 /// the write path (CI) without risking a stale-checkpoint reuse. Restore
@@ -993,9 +903,10 @@ const std::string& CheckpointDirFromEnv();
 /// crash mid-write leaves either no manifest or a torn temp file — never
 /// a valid-looking half manifest. Validation (ReadManifest) re-checks the
 /// magic, the body checksum, every identity field, and the segment file's
-/// exact size; any mismatch means the checkpoint is *invalid* and the
-/// caller must Discard() and re-run the task — a corrupt checkpoint is
-/// never trusted and never fatal.
+/// exact size, and that every extent is one the writer could have
+/// produced; any mismatch means the checkpoint is *invalid* and the caller
+/// must Discard() and re-run the task — a corrupt checkpoint is never
+/// trusted and never fatal.
 class CheckpointContext {
  public:
   /// `factory` null = default FILE* io. Call Init() before use.
@@ -1015,11 +926,6 @@ class CheckpointContext {
   /// A fresh SpillIo from the configured factory (or the default).
   std::unique_ptr<SpillIo> NewIo() const;
 
-  /// The format checkpoint segments are written in: full v2 (checksummed,
-  /// segmented, compressed) regardless of the job's scratch-spill format —
-  /// checkpoints are durable cross-run artifacts, not scratch.
-  static SpillFormatOptions Format();
-
   /// Seals task `task`'s manifest: `entries` are the segment's per-
   /// partition run extents, `data_bytes` the exact segment file size.
   Status WriteManifest(size_t task, const std::vector<SpillSegmentEntry>& entries,
@@ -1027,7 +933,10 @@ class CheckpointContext {
 
   /// Validates and loads task `task`'s manifest. Non-OK = the checkpoint
   /// is missing or invalid (torn, corrupt, wrong job/fingerprint, segment
-  /// size mismatch); the caller must Discard() and re-run.
+  /// size mismatch, or an extent list the writer cannot produce: an
+  /// extent outside the segment's frames, a record count of 0 or beyond
+  /// the extent's bytes, partitions not strictly increasing, overlapping
+  /// extents); the caller must Discard() and re-run.
   Status ReadManifest(size_t task, std::vector<SpillSegmentEntry>* entries);
 
   /// Best-effort removal of task `task`'s checkpoint files.

@@ -85,20 +85,9 @@ struct TsjOptions {
   /// baseline (bench_ablation does).
   bool enable_token_pair_cache = true;
 
-  /// Streaming shuffle engine: candidate generation, dedup and verify run
-  /// as one fused sorted-shuffle job (RunFusedMapReduceSorted) — the
-  /// shared-token reduce and the similar-token expansion emit candidates
-  /// directly into the dedup/verify shuffle, nothing materializes the
-  /// pre-dedup candidate universe, and dedup is a scan over sorted key
-  /// runs. Lossless: byte-identical pairs, NSLD values and
-  /// candidate/filter counters. Disable to run the legacy two-job
-  /// hash-shuffle pipeline (the differential reference, and what
-  /// bench_ablation compares against).
-  bool enable_streaming_shuffle = true;
-
-  /// Shuffle combiner (streaming mode only): duplicate candidate records
-  /// collapse inside the producing task — combine-at-sort in the emitter
-  /// buckets (PartitionedEmitter::Combine) — before they cross into the
+  /// Shuffle combiner: duplicate candidate records collapse inside the
+  /// producing task — combine-at-sort in the emitter buckets
+  /// (PartitionedEmitter::Combine) — before they cross into the
   /// dedup/verify shuffle, so a hot token's quadratic candidate fan-out
   /// shrinks at its source instead of shipping every copy. Lossless: the
   /// dedup reducers already treat duplicates as one candidate; only
@@ -132,15 +121,14 @@ struct TsjOptions {
   /// peq_table_reuses.
   bool enable_batched_verify = true;
 
-  /// External-memory shuffle spill (mapreduce/spill.h; streaming mode
-  /// only): when enabled AND mapreduce.memory_budget_records is set, the
-  /// fused pipeline's jobs keep at most that many shuffle records
-  /// resident, flushing over-budget partition buckets to disk as sorted
-  /// (and combined) runs and driving the dedup/verify reducers from a
-  /// k-way sort-merge of the runs — so corpora whose candidate shuffle
-  /// outgrows RAM still join. Lossless: byte-identical pairs, NSLD values
-  /// and candidate/filter counters (the spill-forced differential sweep
-  /// pins it). Off by default: the budget in mapreduce options is ignored
+  /// External-memory shuffle spill (mapreduce/spill.h): when enabled AND
+  /// mapreduce.memory_budget_records is set, the fused pipeline's jobs
+  /// keep at most that many shuffle records resident, flushing
+  /// over-budget partition buckets to disk as sorted (and combined) runs
+  /// and driving the dedup/verify reducers from a k-way sort-merge of the
+  /// runs — so corpora whose candidate shuffle outgrows RAM still join.
+  /// Lossless: byte-identical pairs, NSLD values and candidate/filter
+  /// counters (the spill-forced differential sweep pins it). Off by default: the budget in mapreduce options is ignored
   /// unless this is set (the CC_SHUFFLE_SPILL_BUDGET test-tier override
   /// bypasses this gate by design — see mapreduce.h). Lossy spill faults
   /// (a failed run read aborted a merge; output may be incomplete)

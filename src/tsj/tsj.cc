@@ -18,15 +18,13 @@ namespace tsj {
 
 namespace {
 
-// A pre-dedup candidate record flowing into the dedup/verify job: either a
-// string-id pair from the shared-token pass, or a similar-token pair still
-// to be expanded against the token postings. The streaming pipeline only
-// ever materializes the similar-token form (shared-token pairs stream
-// straight from the generating reduce into the dedup shuffle).
-struct RawCandidate {
+// A similar-token pair from the MassJoin pass, still to be expanded
+// against the token postings: the dedup/verify stage's side input.
+// (Shared-token candidate pairs are never materialized; they stream
+// straight from the generating reduce into the dedup shuffle.)
+struct SimilarTokenPair {
   uint32_t a = 0;
   uint32_t b = 0;
-  bool is_token_pair = false;
 };
 
 // Key choice of the grouping-on-one-string strategy (Sec. III-G.3): for a
@@ -296,7 +294,7 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
   // Token postings (token -> strings containing it) expand similar token
   // pairs back into string pairs.
   std::vector<std::vector<uint32_t>> postings;
-  std::vector<RawCandidate> token_pair_candidates;
+  std::vector<SimilarTokenPair> token_pair_candidates;
   PipelineStats mass_stats;
   if (options_.matching == TokenMatching::kFuzzy) {
     // MassJoin NLD-join over the surviving token space. Distinct tokens
@@ -330,9 +328,8 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
     }
     token_pair_candidates.reserve(token_pairs.size());
     for (const NldPair& pair : token_pairs) {
-      token_pair_candidates.push_back(RawCandidate{token_of_index[pair.a],
-                                                   token_of_index[pair.b],
-                                                   /*is_token_pair=*/true});
+      token_pair_candidates.push_back(
+          SimilarTokenPair{token_of_index[pair.a], token_of_index[pair.b]});
     }
   }
 
@@ -356,8 +353,8 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
 
   // Expands one similar-token pair into string-pair candidates through the
   // postings (the dedup/verify stage's map side).
-  auto expand_token_pair = [&postings, &counters](
-                               const RawCandidate& cand, const auto& emit) {
+  auto expand_token_pair = [&postings, &counters](const SimilarTokenPair& cand,
+                                                  const auto& emit) {
     AddWorkUnits(1 + postings[cand.a].size() * postings[cand.b].size());
     for (uint32_t s1 : postings[cand.a]) {
       for (uint32_t s2 : postings[cand.b]) {
@@ -383,234 +380,131 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
     };
   }
 
-  // One grouping-on-one-string dedup+verify body for both engine modes
-  // (the legacy reducer adapts its vector to a span): keeping a single
-  // copy is what makes the legacy path a trustworthy differential
-  // reference for the streaming one.
-  auto verify_one_string_group = [&corpus_ref, &options_ref, &counters,
-                                  pair_cache](const uint32_t& key,
-                                              std::span<uint32_t> others,
-                                              std::vector<TsjPair>* out) {
-    AddWorkUnits(others.size());
-    const std::span<uint32_t> distinct = DedupRun(others);
-    counters.distinct_candidates.fetch_add(distinct.size(),
-                                           std::memory_order_relaxed);
-    SortByAggregateLength(distinct, [&](uint32_t s) {
-      return corpus_ref.aggregate_length(s);
-    });
-    for (uint32_t other : distinct) {
-      FilterAndVerify(corpus_ref, corpus_ref, options_ref, &counters,
-                      pair_cache, std::min(key, other), std::max(key, other),
-                      out);
-    }
-    FlushVerifyCache(pair_cache);  // reduce-group boundary
+  // ---- Fused pipeline: candidate generation streams into the dedup/
+  // verify shuffle; the pre-dedup candidate universe is never
+  // materialized. The similar-token pairs ride along as side inputs.
+  auto map_tokens = [&](const uint32_t& s,
+                        PartitionedEmitter<uint32_t, uint32_t>* out) {
+    for_each_distinct_token(s, [&](TokenId token) { out->Emit(token, s); });
   };
-  // Likewise for grouping-on-both-strings: one distinct pair per group.
-  auto verify_pair_group = [&corpus_ref, &options_ref, &counters, pair_cache](
-                               const std::pair<uint32_t, uint32_t>& key,
-                               size_t duplicates, std::vector<TsjPair>* out) {
-    counters.distinct_candidates.fetch_add(1, std::memory_order_relaxed);
-    AddWorkUnits(duplicates);  // duplicate copies read and discarded
-    FilterAndVerify(corpus_ref, corpus_ref, options_ref, &counters,
-                    pair_cache, key.first, key.second, out);
-    FlushVerifyCache(pair_cache);  // reduce-group boundary
+  // Counts the unordered pairs of one token's strings, which reduce_shared
+  // emits straight into the dedup shuffle (Sec. III-C's reduce, fused with
+  // Job 2's map).
+  auto pair_count = [&counters](size_t group) {
+    const uint64_t pairs = static_cast<uint64_t>(group) * (group - 1) / 2;
+    AddWorkUnits(pairs);
+    counters.shared_token_candidates.fetch_add(pairs,
+                                               std::memory_order_relaxed);
   };
 
-  if (options_.enable_streaming_shuffle) {
-    // ---- Fused streaming pipeline: candidate generation streams into the
-    // dedup/verify shuffle; the pre-dedup candidate universe is never
-    // materialized. The similar-token pairs ride along as side inputs.
-    auto map_tokens = [&](const uint32_t& s,
-                          PartitionedEmitter<uint32_t, uint32_t>* out) {
-      for_each_distinct_token(s, [&](TokenId token) { out->Emit(token, s); });
-    };
-    // Emits every unordered pair of one token's strings straight into the
-    // dedup shuffle (Sec. III-C's reduce, fused with Job 2's map).
-    auto pair_count = [&counters](size_t group) {
-      const uint64_t pairs =
-          static_cast<uint64_t>(group) * (group - 1) / 2;
-      AddWorkUnits(pairs);
-      counters.shared_token_candidates.fetch_add(pairs,
-                                                 std::memory_order_relaxed);
-    };
-
-    JobStats stage1_stats, stage2_stats;
-    gauge.Add(token_pair_candidates.size());  // side-input vector
-    std::vector<TsjPair> streamed;
-    if (options_.dedup == DedupStrategy::kGroupOnBothStrings) {
-      using PairKey = std::pair<uint32_t, uint32_t>;
-      auto reduce_shared = [&](const uint32_t& /*token*/,
-                               std::span<uint32_t> strings,
-                               PartitionedEmitter<PairKey, char>* out) {
-        pair_count(strings.size());
-        for (size_t i = 0; i < strings.size(); ++i) {
-          for (size_t j = i + 1; j < strings.size(); ++j) {
-            const uint32_t a = std::min(strings[i], strings[j]);
-            const uint32_t b = std::max(strings[i], strings[j]);
-            out->Emit(PairKey{a, b}, 0);
-          }
-        }
-      };
-      auto map_expand = [&](const RawCandidate& cand,
-                            PartitionedEmitter<PairKey, char>* out) {
-        expand_token_pair(cand, [&](uint32_t a, uint32_t b) {
+  JobStats stage1_stats, stage2_stats;
+  gauge.Add(token_pair_candidates.size());  // side-input vector
+  std::vector<TsjPair> streamed;
+  if (options_.dedup == DedupStrategy::kGroupOnBothStrings) {
+    using PairKey = std::pair<uint32_t, uint32_t>;
+    auto reduce_shared = [&](const uint32_t& /*token*/,
+                             std::span<uint32_t> strings,
+                             PartitionedEmitter<PairKey, char>* out) {
+      pair_count(strings.size());
+      for (size_t i = 0; i < strings.size(); ++i) {
+        for (size_t j = i + 1; j < strings.size(); ++j) {
+          const uint32_t a = std::min(strings[i], strings[j]);
+          const uint32_t b = std::max(strings[i], strings[j]);
           out->Emit(PairKey{a, b}, 0);
-        });
-      };
-      auto reduce_verify = [&verify_pair_group](const PairKey& key,
-                                                std::span<char> values,
-                                                std::vector<TsjPair>* out) {
-        verify_pair_group(key, values.size(), out);
-      };
-      // Shuffle combiner: duplicate copies of one pair collapse inside
-      // the producing task (the reducer treats the run length only as a
-      // duplicate tally).
-      const CombinerFn<PairKey, char> combine_duplicates =
-          options_.enable_shuffle_combiner ? KeepFirstCombiner<PairKey, char>()
-                                           : nullptr;
-      streamed = RunFusedMapReduceSorted<uint32_t, uint32_t, uint32_t,
-                                         RawCandidate, PairKey, char,
-                                         TsjPair>(
-          "tsj-shared-token", "tsj-dedup-verify-both", string_ids, map_tokens,
-          reduce_shared, token_pair_candidates, map_expand, reduce_verify,
-          mr_options, &stage1_stats, &stage2_stats,
-          /*combiner1=*/nullptr, combine_duplicates);
-    } else {
-      auto emit_keyed = [](uint32_t a, uint32_t b,
-                           PartitionedEmitter<uint32_t, uint32_t>* out) {
-        const uint32_t key = PickGroupKey(a, b);
-        out->Emit(key, key == a ? b : a);
-      };
-      auto reduce_shared = [&](const uint32_t& /*token*/,
-                               std::span<uint32_t> strings,
-                               PartitionedEmitter<uint32_t, uint32_t>* out) {
-        pair_count(strings.size());
-        for (size_t i = 0; i < strings.size(); ++i) {
-          for (size_t j = i + 1; j < strings.size(); ++j) {
-            emit_keyed(std::min(strings[i], strings[j]),
-                       std::max(strings[i], strings[j]), out);
-          }
         }
-      };
-      auto map_expand = [&](const RawCandidate& cand,
-                            PartitionedEmitter<uint32_t, uint32_t>* out) {
-        expand_token_pair(
-            cand, [&](uint32_t a, uint32_t b) { emit_keyed(a, b, out); });
-      };
-      auto reduce_verify = [&verify_one_string_group](
-                               const uint32_t& key, std::span<uint32_t> others,
-                               std::vector<TsjPair>* out) {
-        verify_one_string_group(key, others, out);
-      };
-      // Shuffle combiner: one string's candidate list dedups inside the
-      // producing task (sort + unique, the same scan DedupRun finishes
-      // across producers at the reducer).
-      const CombinerFn<uint32_t, uint32_t> combine_duplicates =
-          options_.enable_shuffle_combiner
-              ? SortUniqueCombiner<uint32_t, uint32_t>()
-              : nullptr;
-      streamed = RunFusedMapReduceSorted<uint32_t, uint32_t, uint32_t,
-                                         RawCandidate, uint32_t, uint32_t,
-                                         TsjPair>(
-          "tsj-shared-token", "tsj-dedup-verify-one", string_ids, map_tokens,
-          reduce_shared, token_pair_candidates, map_expand, reduce_verify,
-          mr_options, &stage1_stats, &stage2_stats,
-          /*combiner1=*/nullptr, combine_duplicates);
-    }
-    gauge.Sub(token_pair_candidates.size());
-    results.insert(results.end(), streamed.begin(), streamed.end());
-    local_info.shared_token_candidates = counters.shared_token_candidates;
-    local_info.pipeline.Add(std::move(stage1_stats));
-    local_info.pipeline.Append(mass_stats);
-    local_info.pipeline.Add(std::move(stage2_stats));
+      }
+    };
+    auto map_expand = [&](const SimilarTokenPair& cand,
+                          PartitionedEmitter<PairKey, char>* out) {
+      expand_token_pair(cand, [&](uint32_t a, uint32_t b) {
+        out->Emit(PairKey{a, b}, 0);
+      });
+    };
+    // Grouping-on-both-strings: one distinct pair per group.
+    auto reduce_verify = [&corpus_ref, &options_ref, &counters, pair_cache](
+                             const PairKey& key, std::span<char> duplicates,
+                             std::vector<TsjPair>* out) {
+      counters.distinct_candidates.fetch_add(1, std::memory_order_relaxed);
+      AddWorkUnits(duplicates.size());  // duplicate copies read, discarded
+      FilterAndVerify(corpus_ref, corpus_ref, options_ref, &counters,
+                      pair_cache, key.first, key.second, out);
+      FlushVerifyCache(pair_cache);  // reduce-group boundary
+    };
+    // Shuffle combiner: duplicate copies of one pair collapse inside the
+    // producing task (the reducer treats the run length only as a
+    // duplicate tally).
+    const CombinerFn<PairKey, char> combine_duplicates =
+        options_.enable_shuffle_combiner ? KeepFirstCombiner<PairKey, char>()
+                                         : nullptr;
+    streamed = RunFusedMapReduceSorted<uint32_t, uint32_t, uint32_t,
+                                       SimilarTokenPair, PairKey, char,
+                                       TsjPair>(
+        "tsj-shared-token", "tsj-dedup-verify-both", string_ids, map_tokens,
+        reduce_shared, token_pair_candidates, map_expand, reduce_verify,
+        mr_options, &stage1_stats, &stage2_stats,
+        /*combiner1=*/nullptr, combine_duplicates);
   } else {
-    // ---- Legacy two-job pipeline (the differential reference). ----------
-    // Job 1 materializes the pre-dedup candidate universe; Job 2 expands,
-    // scatters, groups per key, and verifies.
-    auto map_tokens = [&](const uint32_t& s,
-                          Emitter<uint32_t, uint32_t>* out) {
-      for_each_distinct_token(s, [&](TokenId token) { out->Emit(token, s); });
+    auto emit_keyed = [](uint32_t a, uint32_t b,
+                         PartitionedEmitter<uint32_t, uint32_t>* out) {
+      const uint32_t key = PickGroupKey(a, b);
+      out->Emit(key, key == a ? b : a);
     };
-    auto reduce_shared = [](const uint32_t& /*token*/,
-                            std::vector<uint32_t>* strings,
-                            std::vector<RawCandidate>* out) {
-      const uint64_t pairs = strings->size() * (strings->size() - 1) / 2;
-      AddWorkUnits(pairs);
-      out->reserve(out->size() + pairs);
-      for (size_t i = 0; i < strings->size(); ++i) {
-        for (size_t j = i + 1; j < strings->size(); ++j) {
-          const uint32_t a = std::min((*strings)[i], (*strings)[j]);
-          const uint32_t b = std::max((*strings)[i], (*strings)[j]);
-          out->push_back(RawCandidate{a, b, /*is_token_pair=*/false});
+    auto reduce_shared = [&](const uint32_t& /*token*/,
+                             std::span<uint32_t> strings,
+                             PartitionedEmitter<uint32_t, uint32_t>* out) {
+      pair_count(strings.size());
+      for (size_t i = 0; i < strings.size(); ++i) {
+        for (size_t j = i + 1; j < strings.size(); ++j) {
+          emit_keyed(std::min(strings[i], strings[j]),
+                     std::max(strings[i], strings[j]), out);
         }
       }
     };
-    JobStats shared_stats;
-    std::vector<RawCandidate> candidates =
-        RunMapReduce<uint32_t, uint32_t, uint32_t, RawCandidate>(
-            "tsj-shared-token", string_ids, map_tokens, reduce_shared,
-            mr_options, &shared_stats);
-    local_info.shared_token_candidates = candidates.size();
-    counters.shared_token_candidates.store(candidates.size(),
-                                           std::memory_order_relaxed);
-    local_info.pipeline.Add(std::move(shared_stats));
-    local_info.pipeline.Append(mass_stats);
-    candidates.insert(candidates.end(), token_pair_candidates.begin(),
-                      token_pair_candidates.end());
-
-    // ---- Job 2: expand + dedup + filter + verify. -----------------------
-    auto expand = [&expand_token_pair](
-                      const RawCandidate& cand,
-                      const std::function<void(uint32_t, uint32_t)>& emit) {
-      if (!cand.is_token_pair) {
-        AddWorkUnits(1);
-        emit(cand.a, cand.b);
-        return;
-      }
-      expand_token_pair(cand, emit);
+    auto map_expand = [&](const SimilarTokenPair& cand,
+                          PartitionedEmitter<uint32_t, uint32_t>* out) {
+      expand_token_pair(
+          cand, [&](uint32_t a, uint32_t b) { emit_keyed(a, b, out); });
     };
-
-    std::vector<TsjPair> verified;
-    JobStats verify_stats;
-    // The intermediate candidate vector is pipeline-resident while Job 2's
-    // map re-emits every record: the co-residency the fused mode removes.
-    gauge.Add(candidates.size());
-    if (options_.dedup == DedupStrategy::kGroupOnBothStrings) {
-      using PairKey = std::pair<uint32_t, uint32_t>;
-      auto map_fn = [&expand](const RawCandidate& cand,
-                              Emitter<PairKey, char>* out) {
-        expand(cand,
-               [&](uint32_t a, uint32_t b) { out->Emit(PairKey{a, b}, 0); });
-      };
-      auto reduce_fn = [&verify_pair_group](const PairKey& key,
-                                            std::vector<char>* values,
-                                            std::vector<TsjPair>* out) {
-        verify_pair_group(key, values->size(), out);
-      };
-      verified = RunMapReduce<RawCandidate, PairKey, char, TsjPair>(
-          "tsj-dedup-verify-both", candidates, map_fn, reduce_fn, mr_options,
-          &verify_stats);
-    } else {
-      auto map_fn = [&expand](const RawCandidate& cand,
-                              Emitter<uint32_t, uint32_t>* out) {
-        expand(cand, [&](uint32_t a, uint32_t b) {
-          const uint32_t key = PickGroupKey(a, b);
-          out->Emit(key, key == a ? b : a);
-        });
-      };
-      auto reduce_fn = [&verify_one_string_group](
-                           const uint32_t& key, std::vector<uint32_t>* others,
-                           std::vector<TsjPair>* out) {
-        verify_one_string_group(key, std::span<uint32_t>(*others), out);
-      };
-      verified = RunMapReduce<RawCandidate, uint32_t, uint32_t, TsjPair>(
-          "tsj-dedup-verify-one", candidates, map_fn, reduce_fn, mr_options,
-          &verify_stats);
-    }
-    gauge.Sub(candidates.size());
-    results.insert(results.end(), verified.begin(), verified.end());
-    local_info.pipeline.Add(std::move(verify_stats));
+    // Grouping-on-one-string: the reducer dedups and verifies all of the
+    // key string's candidates.
+    auto reduce_verify = [&corpus_ref, &options_ref, &counters, pair_cache](
+                             const uint32_t& key, std::span<uint32_t> others,
+                             std::vector<TsjPair>* out) {
+      AddWorkUnits(others.size());
+      const std::span<uint32_t> distinct = DedupRun(others);
+      counters.distinct_candidates.fetch_add(distinct.size(),
+                                             std::memory_order_relaxed);
+      SortByAggregateLength(distinct, [&](uint32_t s) {
+        return corpus_ref.aggregate_length(s);
+      });
+      for (uint32_t other : distinct) {
+        FilterAndVerify(corpus_ref, corpus_ref, options_ref, &counters,
+                        pair_cache, std::min(key, other),
+                        std::max(key, other), out);
+      }
+      FlushVerifyCache(pair_cache);  // reduce-group boundary
+    };
+    // Shuffle combiner: one string's candidate list dedups inside the
+    // producing task (sort + unique, the same scan DedupRun finishes
+    // across producers at the reducer).
+    const CombinerFn<uint32_t, uint32_t> combine_duplicates =
+        options_.enable_shuffle_combiner
+            ? SortUniqueCombiner<uint32_t, uint32_t>()
+            : nullptr;
+    streamed = RunFusedMapReduceSorted<uint32_t, uint32_t, uint32_t,
+                                       SimilarTokenPair, uint32_t, uint32_t,
+                                       TsjPair>(
+        "tsj-shared-token", "tsj-dedup-verify-one", string_ids, map_tokens,
+        reduce_shared, token_pair_candidates, map_expand, reduce_verify,
+        mr_options, &stage1_stats, &stage2_stats,
+        /*combiner1=*/nullptr, combine_duplicates);
   }
+  gauge.Sub(token_pair_candidates.size());
+  results.insert(results.end(), streamed.begin(), streamed.end());
+  local_info.shared_token_candidates = counters.shared_token_candidates;
+  local_info.pipeline.Add(std::move(stage1_stats));
+  local_info.pipeline.Append(mass_stats);
+  local_info.pipeline.Add(std::move(stage2_stats));
 
   local_info.similar_token_candidates = counters.similar_token_candidates;
   local_info.distinct_candidates = counters.distinct_candidates;
@@ -839,7 +733,7 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
   // ---- Similar-token candidates (Sec. III-D, two-collection form). ------
   std::vector<std::vector<uint32_t>> r_postings;
   std::vector<std::vector<uint32_t>> p_postings;
-  std::vector<RawCandidate> token_pair_candidates;
+  std::vector<SimilarTokenPair> token_pair_candidates;
   PipelineStats mass_stats;
   if (options_.matching == TokenMatching::kFuzzy) {
     std::vector<std::string> survivor_texts;
@@ -872,9 +766,8 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
     }
     token_pair_candidates.reserve(token_pairs.size());
     for (const NldPair& pair : token_pairs) {
-      token_pair_candidates.push_back(RawCandidate{survivor_joint[pair.a],
-                                                   survivor_joint[pair.b],
-                                                   /*is_token_pair=*/true});
+      token_pair_candidates.push_back(
+          SimilarTokenPair{survivor_joint[pair.a], survivor_joint[pair.b]});
     }
   }
 
@@ -909,7 +802,7 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
 
   // A similar token pair (j1, j2) joins R strings containing either token
   // with P strings containing the other.
-  auto expand_token_pair = [&](const RawCandidate& cand, const auto& emit) {
+  auto expand_token_pair = [&](const SimilarTokenPair& cand, const auto& emit) {
     AddWorkUnits(1);
     auto cross = [&](uint32_t jr, uint32_t jp) {
       AddWorkUnits(r_postings[jr].size() * p_postings[jp].size());
@@ -936,239 +829,133 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
     };
   }
 
-  // Shared dedup+verify bodies for both engine modes (see SelfJoin): the
-  // legacy reducers adapt their vectors to spans, so the differential
-  // reference and the streaming path execute the same verification code.
-  auto verify_one_string_group = [&](const uint64_t& key,
-                                     std::span<uint32_t> others,
-                                     std::vector<TsjPair>* out) {
-    AddWorkUnits(others.size());
-    const std::span<uint32_t> distinct = DedupRun(others);
-    counters.distinct_candidates.fetch_add(distinct.size(),
-                                           std::memory_order_relaxed);
-    const bool key_is_p = TagIsP(key);
-    const uint32_t key_id = TagStringId(key);
-    // Length-sorted batching: `others` all come from the collection
-    // opposite the key.
-    const Corpus& other_corpus = key_is_p ? r_ref : p_ref;
-    SortByAggregateLength(distinct, [&](uint32_t s) {
-      return other_corpus.aggregate_length(s);
-    });
-    for (uint32_t other : distinct) {
-      const uint32_t r = key_is_p ? other : key_id;
-      const uint32_t p = key_is_p ? key_id : other;
-      FilterAndVerify(r_ref, p_ref, options_, &counters, pair_cache, r, p,
-                      out);
-    }
-    FlushVerifyCache(pair_cache);  // reduce-group boundary
+  // ---- Fused pipeline (two-collection form). ---------------------------
+  auto map_tokens = [&](const uint64_t& tagged,
+                        PartitionedEmitter<uint32_t, uint64_t>* out) {
+    const bool is_p = TagIsP(tagged);
+    const uint32_t s = TagStringId(tagged);
+    const auto joint = is_p ? distinct_joint(p_corpus, p_joint, s)
+                            : distinct_joint(r_corpus, r_joint, s);
+    AddWorkUnits(1 + joint.size());
+    for (uint32_t j : joint) out->Emit(j, tagged);
   };
-  auto verify_pair_group = [&](const std::pair<uint32_t, uint32_t>& key,
-                               size_t duplicates, std::vector<TsjPair>* out) {
-    counters.distinct_candidates.fetch_add(1, std::memory_order_relaxed);
-    AddWorkUnits(duplicates);
-    FilterAndVerify(r_ref, p_ref, options_, &counters, pair_cache, key.first,
-                    key.second, out);
-    FlushVerifyCache(pair_cache);  // reduce-group boundary
-  };
-
-  if (options_.enable_streaming_shuffle) {
-    // ---- Fused streaming pipeline (two-collection form). ----------------
-    auto map_tokens = [&](const uint64_t& tagged,
-                          PartitionedEmitter<uint32_t, uint64_t>* out) {
-      const bool is_p = TagIsP(tagged);
-      const uint32_t s = TagStringId(tagged);
-      const auto joint = is_p ? distinct_joint(p_corpus, p_joint, s)
-                              : distinct_joint(r_corpus, r_joint, s);
-      AddWorkUnits(1 + joint.size());
-      for (uint32_t j : joint) out->Emit(j, tagged);
-    };
-    // Cross product of the R-side and P-side strings sharing this token
-    // (the reduce of Sec. III-C in its two-collection form), streamed
-    // straight into the dedup shuffle.
-    auto for_each_cross = [&counters](std::span<uint64_t> values,
-                                      const auto& emit) {
-      uint64_t pairs = 0;
-      for (uint64_t tagged_r : values) {
-        if (TagIsP(tagged_r)) continue;
-        for (uint64_t tagged_p : values) {
-          if (!TagIsP(tagged_p)) continue;
-          emit(TagStringId(tagged_r), TagStringId(tagged_p));
-          ++pairs;
-        }
+  // Cross product of the R-side and P-side strings sharing this token
+  // (the reduce of Sec. III-C in its two-collection form), streamed
+  // straight into the dedup shuffle.
+  auto for_each_cross = [&counters](std::span<uint64_t> values,
+                                    const auto& emit) {
+    uint64_t pairs = 0;
+    for (uint64_t tagged_r : values) {
+      if (TagIsP(tagged_r)) continue;
+      for (uint64_t tagged_p : values) {
+        if (!TagIsP(tagged_p)) continue;
+        emit(TagStringId(tagged_r), TagStringId(tagged_p));
+        ++pairs;
       }
-      AddWorkUnits(values.size() + pairs);
-      counters.shared_token_candidates.fetch_add(pairs,
-                                                 std::memory_order_relaxed);
-    };
-
-    JobStats stage1_stats, stage2_stats;
-    gauge.Add(token_pair_candidates.size());  // side-input vector
-    std::vector<TsjPair> streamed;
-    if (options_.dedup == DedupStrategy::kGroupOnBothStrings) {
-      using PairKey = std::pair<uint32_t, uint32_t>;
-      auto reduce_shared = [&](const uint32_t& /*token*/,
-                               std::span<uint64_t> values,
-                               PartitionedEmitter<PairKey, char>* out) {
-        for_each_cross(values, [&](uint32_t r, uint32_t p) {
-          out->Emit(PairKey{r, p}, 0);
-        });
-      };
-      auto map_expand = [&](const RawCandidate& cand,
-                            PartitionedEmitter<PairKey, char>* out) {
-        expand_token_pair(cand, [&](uint32_t r, uint32_t p) {
-          out->Emit(PairKey{r, p}, 0);
-        });
-      };
-      auto reduce_verify = [&](const PairKey& key, std::span<char> values,
-                               std::vector<TsjPair>* out) {
-        verify_pair_group(key, values.size(), out);
-      };
-      const CombinerFn<PairKey, char> combine_duplicates =
-          options_.enable_shuffle_combiner ? KeepFirstCombiner<PairKey, char>()
-                                           : nullptr;
-      streamed = RunFusedMapReduceSorted<uint64_t, uint32_t, uint64_t,
-                                         RawCandidate, PairKey, char,
-                                         TsjPair>(
-          "tsj-rp-shared-token", "tsj-rp-dedup-verify-both", tagged_ids,
-          map_tokens, reduce_shared, token_pair_candidates, map_expand,
-          reduce_verify, mr_options, &stage1_stats, &stage2_stats,
-          /*combiner1=*/nullptr, combine_duplicates);
-    } else {
-      auto emit_keyed = [](uint32_t r, uint32_t p,
-                           PartitionedEmitter<uint64_t, uint32_t>* out) {
-        const uint64_t tag_r = TagId(false, r);
-        const uint64_t tag_p = TagId(true, p);
-        const bool key_is_r = KeyIsR(tag_r, tag_p);
-        out->Emit(key_is_r ? tag_r : tag_p, key_is_r ? p : r);
-      };
-      auto reduce_shared = [&](const uint32_t& /*token*/,
-                               std::span<uint64_t> values,
-                               PartitionedEmitter<uint64_t, uint32_t>* out) {
-        for_each_cross(values, [&](uint32_t r, uint32_t p) {
-          emit_keyed(r, p, out);
-        });
-      };
-      auto map_expand = [&](const RawCandidate& cand,
-                            PartitionedEmitter<uint64_t, uint32_t>* out) {
-        expand_token_pair(
-            cand, [&](uint32_t r, uint32_t p) { emit_keyed(r, p, out); });
-      };
-      auto reduce_verify = [&](const uint64_t& key, std::span<uint32_t> others,
-                               std::vector<TsjPair>* out) {
-        verify_one_string_group(key, others, out);
-      };
-      const CombinerFn<uint64_t, uint32_t> combine_duplicates =
-          options_.enable_shuffle_combiner
-              ? SortUniqueCombiner<uint64_t, uint32_t>()
-              : nullptr;
-      streamed = RunFusedMapReduceSorted<uint64_t, uint32_t, uint64_t,
-                                         RawCandidate, uint64_t, uint32_t,
-                                         TsjPair>(
-          "tsj-rp-shared-token", "tsj-rp-dedup-verify-one", tagged_ids,
-          map_tokens, reduce_shared, token_pair_candidates, map_expand,
-          reduce_verify, mr_options, &stage1_stats, &stage2_stats,
-          /*combiner1=*/nullptr, combine_duplicates);
     }
-    gauge.Sub(token_pair_candidates.size());
-    results.insert(results.end(), streamed.begin(), streamed.end());
-    local_info.shared_token_candidates = counters.shared_token_candidates;
-    local_info.pipeline.Add(std::move(stage1_stats));
-    local_info.pipeline.Append(mass_stats);
-    local_info.pipeline.Add(std::move(stage2_stats));
+    AddWorkUnits(values.size() + pairs);
+    counters.shared_token_candidates.fetch_add(pairs,
+                                               std::memory_order_relaxed);
+  };
+
+  JobStats stage1_stats, stage2_stats;
+  gauge.Add(token_pair_candidates.size());  // side-input vector
+  std::vector<TsjPair> streamed;
+  if (options_.dedup == DedupStrategy::kGroupOnBothStrings) {
+    using PairKey = std::pair<uint32_t, uint32_t>;
+    auto reduce_shared = [&](const uint32_t& /*token*/,
+                             std::span<uint64_t> values,
+                             PartitionedEmitter<PairKey, char>* out) {
+      for_each_cross(values, [&](uint32_t r, uint32_t p) {
+        out->Emit(PairKey{r, p}, 0);
+      });
+    };
+    auto map_expand = [&](const SimilarTokenPair& cand,
+                          PartitionedEmitter<PairKey, char>* out) {
+      expand_token_pair(cand, [&](uint32_t r, uint32_t p) {
+        out->Emit(PairKey{r, p}, 0);
+      });
+    };
+    // Grouping-on-both-strings: one distinct (r, p) pair per group.
+    auto reduce_verify = [&](const PairKey& key, std::span<char> duplicates,
+                             std::vector<TsjPair>* out) {
+      counters.distinct_candidates.fetch_add(1, std::memory_order_relaxed);
+      AddWorkUnits(duplicates.size());
+      FilterAndVerify(r_ref, p_ref, options_, &counters, pair_cache,
+                      key.first, key.second, out);
+      FlushVerifyCache(pair_cache);  // reduce-group boundary
+    };
+    const CombinerFn<PairKey, char> combine_duplicates =
+        options_.enable_shuffle_combiner ? KeepFirstCombiner<PairKey, char>()
+                                         : nullptr;
+    streamed = RunFusedMapReduceSorted<uint64_t, uint32_t, uint64_t,
+                                       SimilarTokenPair, PairKey, char,
+                                       TsjPair>(
+        "tsj-rp-shared-token", "tsj-rp-dedup-verify-both", tagged_ids,
+        map_tokens, reduce_shared, token_pair_candidates, map_expand,
+        reduce_verify, mr_options, &stage1_stats, &stage2_stats,
+        /*combiner1=*/nullptr, combine_duplicates);
   } else {
-    // ---- Legacy two-job pipeline (the differential reference). ----------
-    auto map_tokens = [&](const uint64_t& tagged,
-                          Emitter<uint32_t, uint64_t>* out) {
-      const bool is_p = TagIsP(tagged);
-      const uint32_t s = TagStringId(tagged);
-      const auto joint = is_p ? distinct_joint(p_corpus, p_joint, s)
-                              : distinct_joint(r_corpus, r_joint, s);
-      AddWorkUnits(1 + joint.size());
-      for (uint32_t j : joint) out->Emit(j, tagged);
+    // Grouping-on-one-string over the tagged id space: the hash-balanced
+    // rule picks either the R or the P string as the reduce key.
+    auto emit_keyed = [](uint32_t r, uint32_t p,
+                         PartitionedEmitter<uint64_t, uint32_t>* out) {
+      const uint64_t tag_r = TagId(false, r);
+      const uint64_t tag_p = TagId(true, p);
+      const bool key_is_r = KeyIsR(tag_r, tag_p);
+      out->Emit(key_is_r ? tag_r : tag_p, key_is_r ? p : r);
     };
-    auto reduce_shared = [](const uint32_t& /*token*/,
-                            std::vector<uint64_t>* values,
-                            std::vector<RawCandidate>* out) {
-      // Cross product of the R-side and P-side strings sharing this token
-      // (the reduce of Sec. III-C, in its general two-collection form).
-      uint64_t pairs = 0;
-      for (uint64_t tagged_r : *values) {
-        if (TagIsP(tagged_r)) continue;
-        for (uint64_t tagged_p : *values) {
-          if (!TagIsP(tagged_p)) continue;
-          out->push_back(RawCandidate{TagStringId(tagged_r),
-                                      TagStringId(tagged_p),
-                                      /*is_token_pair=*/false});
-          ++pairs;
-        }
+    auto reduce_shared = [&](const uint32_t& /*token*/,
+                             std::span<uint64_t> values,
+                             PartitionedEmitter<uint64_t, uint32_t>* out) {
+      for_each_cross(values,
+                     [&](uint32_t r, uint32_t p) { emit_keyed(r, p, out); });
+    };
+    auto map_expand = [&](const SimilarTokenPair& cand,
+                          PartitionedEmitter<uint64_t, uint32_t>* out) {
+      expand_token_pair(
+          cand, [&](uint32_t r, uint32_t p) { emit_keyed(r, p, out); });
+    };
+    auto reduce_verify = [&](const uint64_t& key, std::span<uint32_t> others,
+                             std::vector<TsjPair>* out) {
+      AddWorkUnits(others.size());
+      const std::span<uint32_t> distinct = DedupRun(others);
+      counters.distinct_candidates.fetch_add(distinct.size(),
+                                             std::memory_order_relaxed);
+      const bool key_is_p = TagIsP(key);
+      const uint32_t key_id = TagStringId(key);
+      // Length-sorted batching: `others` all come from the collection
+      // opposite the key.
+      const Corpus& other_corpus = key_is_p ? r_ref : p_ref;
+      SortByAggregateLength(distinct, [&](uint32_t s) {
+        return other_corpus.aggregate_length(s);
+      });
+      for (uint32_t other : distinct) {
+        const uint32_t r = key_is_p ? other : key_id;
+        const uint32_t p = key_is_p ? key_id : other;
+        FilterAndVerify(r_ref, p_ref, options_, &counters, pair_cache, r, p,
+                        out);
       }
-      AddWorkUnits(values->size() + pairs);
+      FlushVerifyCache(pair_cache);  // reduce-group boundary
     };
-    JobStats shared_stats;
-    std::vector<RawCandidate> candidates =
-        RunMapReduce<uint64_t, uint32_t, uint64_t, RawCandidate>(
-            "tsj-rp-shared-token", tagged_ids, map_tokens, reduce_shared,
-            mr_options, &shared_stats);
-    local_info.shared_token_candidates = candidates.size();
-    counters.shared_token_candidates.store(candidates.size(),
-                                           std::memory_order_relaxed);
-    local_info.pipeline.Add(std::move(shared_stats));
-    local_info.pipeline.Append(mass_stats);
-    candidates.insert(candidates.end(), token_pair_candidates.begin(),
-                      token_pair_candidates.end());
-
-    // ---- Job 2: expand + dedup + filter + verify. -----------------------
-    auto expand = [&](const RawCandidate& cand,
-                      const std::function<void(uint32_t, uint32_t)>& emit) {
-      if (!cand.is_token_pair) {
-        AddWorkUnits(1);
-        emit(cand.a, cand.b);
-        return;
-      }
-      expand_token_pair(cand, emit);
-    };
-
-    std::vector<TsjPair> verified;
-    JobStats verify_stats;
-    gauge.Add(candidates.size());
-    if (options_.dedup == DedupStrategy::kGroupOnBothStrings) {
-      using PairKey = std::pair<uint32_t, uint32_t>;
-      auto map_fn = [&expand](const RawCandidate& cand,
-                              Emitter<PairKey, char>* out) {
-        expand(cand,
-               [&](uint32_t r, uint32_t p) { out->Emit(PairKey{r, p}, 0); });
-      };
-      auto reduce_fn = [&](const PairKey& key, std::vector<char>* values,
-                           std::vector<TsjPair>* out) {
-        verify_pair_group(key, values->size(), out);
-      };
-      verified = RunMapReduce<RawCandidate, PairKey, char, TsjPair>(
-          "tsj-rp-dedup-verify-both", candidates, map_fn, reduce_fn,
-          mr_options, &verify_stats);
-    } else {
-      // grouping-on-one-string over the tagged id space: the hash-balanced
-      // rule picks either the R or the P string as the reduce key.
-      auto map_fn = [&](const RawCandidate& cand,
-                        Emitter<uint64_t, uint32_t>* out) {
-        expand(cand, [&](uint32_t r, uint32_t p) {
-          const uint64_t tag_r = TagId(false, r);
-          const uint64_t tag_p = TagId(true, p);
-          const bool key_is_r = KeyIsR(tag_r, tag_p);
-          out->Emit(key_is_r ? tag_r : tag_p, key_is_r ? p : r);
-        });
-      };
-      auto reduce_fn = [&](const uint64_t& key, std::vector<uint32_t>* others,
-                           std::vector<TsjPair>* out) {
-        verify_one_string_group(key, std::span<uint32_t>(*others), out);
-      };
-      verified = RunMapReduce<RawCandidate, uint64_t, uint32_t, TsjPair>(
-          "tsj-rp-dedup-verify-one", candidates, map_fn, reduce_fn,
-          mr_options, &verify_stats);
-    }
-    gauge.Sub(candidates.size());
-    results.insert(results.end(), verified.begin(), verified.end());
-    local_info.pipeline.Add(std::move(verify_stats));
+    const CombinerFn<uint64_t, uint32_t> combine_duplicates =
+        options_.enable_shuffle_combiner
+            ? SortUniqueCombiner<uint64_t, uint32_t>()
+            : nullptr;
+    streamed = RunFusedMapReduceSorted<uint64_t, uint32_t, uint64_t,
+                                       SimilarTokenPair, uint64_t, uint32_t,
+                                       TsjPair>(
+        "tsj-rp-shared-token", "tsj-rp-dedup-verify-one", tagged_ids,
+        map_tokens, reduce_shared, token_pair_candidates, map_expand,
+        reduce_verify, mr_options, &stage1_stats, &stage2_stats,
+        /*combiner1=*/nullptr, combine_duplicates);
   }
+  gauge.Sub(token_pair_candidates.size());
+  results.insert(results.end(), streamed.begin(), streamed.end());
+  local_info.shared_token_candidates = counters.shared_token_candidates;
+  local_info.pipeline.Add(std::move(stage1_stats));
+  local_info.pipeline.Append(mass_stats);
+  local_info.pipeline.Add(std::move(stage2_stats));
 
   local_info.similar_token_candidates = counters.similar_token_candidates;
   local_info.distinct_candidates = counters.distinct_candidates;

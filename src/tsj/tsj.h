@@ -108,8 +108,8 @@ struct TsjRunInfo {
   uint64_t batched_verify_lanes_filled = 0;
   uint64_t batched_verify_lane_slots = 0;
   uint64_t peq_table_reuses = 0;
-  /// Records scanned by the shuffle combiner (streaming mode; pre-combine
-  /// candidate volume) and records it kept. input - output is the shuffle
+  /// Records scanned by the shuffle combiner (pre-combine candidate
+  /// volume) and records it kept. input - output is the shuffle
   /// traffic the combiner removed before the dedup/verify stage boundary.
   uint64_t combiner_input_records = 0;
   uint64_t combiner_output_records = 0;
@@ -167,10 +167,8 @@ struct TsjRunInfo {
   uint64_t result_pairs = 0;
   /// Pipeline-wide high-water mark of shuffle-resident records: one
   /// ShuffleGauge threads through every MapReduce job of the run
-  /// (including the MassJoin sub-pipeline) plus the candidate vectors
-  /// living between jobs, so legacy-vs-streaming runs compare peak
-  /// candidate-universe residency directly (bench_ablation reports the
-  /// reduction).
+  /// (including the MassJoin sub-pipeline) plus the similar-token side
+  /// input held between jobs.
   uint64_t peak_shuffle_records = 0;
 };
 

@@ -13,21 +13,23 @@
 //   * BoundedSld on interned token-id spans (with and without the
 //     TokenPairCache, exact and greedy aligning) == BoundedSld on the
 //     materialized byte multisets, on random corpora and budgets;
-//   * the streaming fused TSJ pipeline (sorted-shuffle engine with the
-//     shuffle combiner and the per-worker L1 verify-cache tier on, i.e.
-//     the defaults) == the legacy two-job hash-shuffle pipeline:
-//     identical sorted (pair, NSLD) sets and identical candidate/filter
-//     counters, across dedup strategies, matchings, worker and partition
-//     counts, for both SelfJoin and the two-collection Join;
+//   * the fused TSJ pipeline (with the shuffle combiner and the
+//     per-worker L1 verify-cache tier on, i.e. the defaults) == the
+//     brute-force NSLD oracle (exact Hungarian, no filters, no cache:
+//     BruteForceNsldSelfJoin, testutil::BruteForceRP) on the sorted
+//     (pair, NSLD) set — a subset of it for exact-token matching — and ==
+//     one serial in-memory run (1 worker, 1 partition) on the
+//     candidate/filter counters, across dedup strategies, matchings,
+//     worker and partition counts, for both SelfJoin and the
+//     two-collection Join;
 //   * each contention-relief toggle alone — L1 tier, combiner,
-//     skew-adaptive partitioning — off vs the all-on default: identical
-//     results and counters (they may only move traffic and timing);
+//     skew-adaptive partitioning — off vs the all-on default: the same
+//     oracle result and counters (they may only move traffic and timing);
 //   * the spill-forced pipeline (enable_shuffle_spill with
 //     memory_budget_records tiny enough to force multi-file disk spills,
 //     budgets {1, 7, 64} x workers x partitions x combiner on/off) == the
-//     in-memory streaming engine == the legacy engine: identical sorted
-//     (pair, NSLD) sets and candidate/filter counters — spill correctness
-//     is dominated by rare boundary conditions (runs split across files,
+//     oracle and the serial in-memory counters — spill correctness is
+//     dominated by rare boundary conditions (runs split across files,
 //     re-combine at flush and merge), exactly what this sweep hammers.
 
 #include <algorithm>
@@ -45,6 +47,7 @@
 #include "distance/levenshtein.h"
 #include "distance/myers.h"
 #include "distance/myers_batch.h"
+#include "eval/join_metrics.h"
 #include "gtest/gtest.h"
 #include "hmj/hmj.h"
 #include "test_util.h"
@@ -242,10 +245,10 @@ TEST(DifferentialTest, BoundedSldOnTokenIdsMatchesBytes) {
   }
 }
 
-// ---- Streaming-vs-legacy shuffle engine ----------------------------------
+// ---- Streaming engine vs the brute-force NSLD oracle ---------------------
 
-// (pair, NSLD) as an order-free set: the engines may emit results in any
-// order but must produce identical pairs with bit-identical NSLD values.
+// (pair, NSLD) as an order-free set: the engine may emit results in any
+// order but must produce the oracle's pairs with bit-identical NSLD.
 using PairNsldSet = std::set<std::pair<std::pair<uint32_t, uint32_t>, double>>;
 
 PairNsldSet ToPairNsldSet(const std::vector<TsjPair>& pairs) {
@@ -279,32 +282,83 @@ Corpus RandomJoinCorpus(Rng* rng, size_t n) {
   return corpus;
 }
 
-// Asserts that the streaming fused pipeline and the legacy two-job
-// pipeline agree on results AND on the dedup/filter counters — the
-// streaming dedup is a sorted-run scan, so any grouping bug shows up as a
-// counter drift even when the result set happens to survive.
-void ExpectStreamingMatchesLegacy(const TsjRunInfo& streaming,
-                                  const TsjRunInfo& legacy,
-                                  const std::string& context) {
-  EXPECT_EQ(streaming.shared_token_candidates,
-            legacy.shared_token_candidates)
+// The lossless fuzzy matching must return exactly the oracle's (pair,
+// NSLD) set; the exact-token-matching approximation may only miss pairs,
+// so its result must be a subset of the oracle's with equal NSLD.
+void ExpectMatchesOracle(const PairNsldSet& actual, const PairNsldSet& oracle,
+                         TokenMatching matching, const std::string& context) {
+  if (matching == TokenMatching::kFuzzy) {
+    EXPECT_EQ(actual, oracle) << context;
+  } else {
+    EXPECT_TRUE(std::includes(oracle.begin(), oracle.end(), actual.begin(),
+                              actual.end()))
+        << context;
+  }
+}
+
+// Asserts that a run agrees with a reference run on the dedup/filter
+// counters — the dedup is a sorted-run scan, so a grouping bug shows up
+// as a counter drift even when the result set happens to survive.
+void ExpectSameCounters(const TsjRunInfo& run, const TsjRunInfo& reference,
+                        const std::string& context) {
+  EXPECT_EQ(run.shared_token_candidates, reference.shared_token_candidates)
       << context;
-  EXPECT_EQ(streaming.similar_token_pairs, legacy.similar_token_pairs)
+  EXPECT_EQ(run.similar_token_pairs, reference.similar_token_pairs)
       << context;
-  EXPECT_EQ(streaming.similar_token_candidates,
-            legacy.similar_token_candidates)
+  EXPECT_EQ(run.similar_token_candidates, reference.similar_token_candidates)
       << context;
-  EXPECT_EQ(streaming.distinct_candidates, legacy.distinct_candidates)
+  EXPECT_EQ(run.distinct_candidates, reference.distinct_candidates)
       << context;
-  EXPECT_EQ(streaming.length_filtered, legacy.length_filtered) << context;
-  EXPECT_EQ(streaming.histogram_filtered, legacy.histogram_filtered)
+  EXPECT_EQ(run.length_filtered, reference.length_filtered) << context;
+  EXPECT_EQ(run.histogram_filtered, reference.histogram_filtered)
       << context;
-  EXPECT_EQ(streaming.verified_candidates, legacy.verified_candidates)
+  EXPECT_EQ(run.verified_candidates, reference.verified_candidates)
       << context;
-  EXPECT_EQ(streaming.result_pairs, legacy.result_pairs) << context;
+  EXPECT_EQ(run.result_pairs, reference.result_pairs) << context;
+}
+
+// The counter reference of a configuration: one in-memory run at 1
+// worker and 1 partition. Every worker, partition, spill and toggle
+// setting must reproduce its counters.
+TsjOptions SerialInMemory(TsjOptions options) {
+  options.mapreduce.num_workers = 1;
+  options.mapreduce.num_partitions = 1;
+  options.adaptive_partitions = false;
+  options.enable_shuffle_spill = false;
+  return options;
+}
+
+TsjRunInfo SerialSelfJoinInfo(const Corpus& corpus,
+                              const TsjOptions& options) {
+  TsjRunInfo info;
+  EXPECT_TRUE(TokenizedStringJoiner(SerialInMemory(options))
+                  .SelfJoin(corpus, &info)
+                  .ok());
+  // The shared-token pass emits every unordered pair of the strings of
+  // each surviving token: sum f(f-1)/2 over token string frequencies f.
+  uint64_t shared_pairs = 0;
+  for (const uint32_t f : corpus.ComputeTokenStringFrequencies()) {
+    if (f <= options.max_token_frequency) {
+      shared_pairs += uint64_t{f} * (f - 1) / 2;
+    }
+  }
+  EXPECT_EQ(info.shared_token_candidates, shared_pairs);
+  return info;
+}
+
+TsjRunInfo SerialRpJoinInfo(const Corpus& r_corpus, const Corpus& p_corpus,
+                            const TsjOptions& options) {
+  TsjRunInfo info;
+  EXPECT_TRUE(TokenizedStringJoiner(SerialInMemory(options))
+                  .Join(r_corpus, p_corpus, &info)
+                  .ok());
+  return info;
 }
 
 TEST(DifferentialTest, StreamingSelfJoinMatchesLegacyEngine) {
+  // The engine against the brute-force oracle for every worker/partition
+  // combination, and against the serial run's counters (determinism
+  // across the sweep).
   Rng rng(20260726);
   constexpr int kRounds = 6;
   const std::vector<size_t> worker_counts = {1, 4, 0};  // 0 = hardware
@@ -312,6 +366,8 @@ TEST(DifferentialTest, StreamingSelfJoinMatchesLegacyEngine) {
   for (int round = 0; round < kRounds; ++round) {
     const Corpus corpus = RandomJoinCorpus(&rng, 60);
     const double t = 0.08 + 0.3 * rng.NextDouble();
+    const PairNsldSet oracle =
+        ToPairNsldSet(BruteForceNsldSelfJoin(corpus, t));
     for (DedupStrategy dedup : {DedupStrategy::kGroupOnOneString,
                                 DedupStrategy::kGroupOnBothStrings}) {
       for (TokenMatching matching :
@@ -324,38 +380,26 @@ TEST(DifferentialTest, StreamingSelfJoinMatchesLegacyEngine) {
         // The sweep below must control the partition count exactly, so
         // the adaptive planner is off; its losslessness has its own test.
         options.adaptive_partitions = false;
+        const TsjRunInfo reference = SerialSelfJoinInfo(corpus, options);
 
-        TsjOptions legacy_options = options;
-        legacy_options.enable_streaming_shuffle = false;
-        TsjRunInfo legacy_info;
-        const auto legacy = TokenizedStringJoiner(legacy_options)
-                                .SelfJoin(corpus, &legacy_info);
-        ASSERT_TRUE(legacy.ok());
-        const PairNsldSet expected = ToPairNsldSet(*legacy);
-
-        // The streaming engine must agree with the legacy reference for
-        // every worker/partition combination (and, transitively, with
-        // itself across them: determinism).
         for (size_t workers : worker_counts) {
           for (size_t partitions : partition_counts) {
-            TsjOptions streaming_options = options;
-            streaming_options.enable_streaming_shuffle = true;
-            streaming_options.mapreduce.num_workers = workers;
-            streaming_options.mapreduce.num_partitions = partitions;
-            TsjRunInfo streaming_info;
-            const auto streaming =
-                TokenizedStringJoiner(streaming_options)
-                    .SelfJoin(corpus, &streaming_info);
-            ASSERT_TRUE(streaming.ok());
+            TsjOptions sweep_options = options;
+            sweep_options.mapreduce.num_workers = workers;
+            sweep_options.mapreduce.num_partitions = partitions;
+            TsjRunInfo info;
+            const auto result =
+                TokenizedStringJoiner(sweep_options).SelfJoin(corpus, &info);
+            ASSERT_TRUE(result.ok());
             const std::string context =
                 "round=" + std::to_string(round) + " t=" + std::to_string(t) +
                 " dedup=" + std::to_string(static_cast<int>(dedup)) +
                 " matching=" + std::to_string(static_cast<int>(matching)) +
                 " workers=" + std::to_string(workers) +
                 " partitions=" + std::to_string(partitions);
-            EXPECT_EQ(ToPairNsldSet(*streaming), expected) << context;
-            ExpectStreamingMatchesLegacy(streaming_info, legacy_info,
-                                         context);
+            ExpectMatchesOracle(ToPairNsldSet(*result), oracle, matching,
+                                context);
+            ExpectSameCounters(info, reference, context);
           }
         }
       }
@@ -370,6 +414,8 @@ TEST(DifferentialTest, StreamingRpJoinMatchesLegacyEngine) {
     const Corpus r_corpus = RandomJoinCorpus(&rng, 45);
     const Corpus p_corpus = RandomJoinCorpus(&rng, 35);
     const double t = 0.08 + 0.3 * rng.NextDouble();
+    const PairNsldSet oracle =
+        ToPairNsldSet(testutil::BruteForceRP(r_corpus, p_corpus, t));
     for (DedupStrategy dedup : {DedupStrategy::kGroupOnOneString,
                                 DedupStrategy::kGroupOnBothStrings}) {
       TsjOptions options;
@@ -377,33 +423,25 @@ TEST(DifferentialTest, StreamingRpJoinMatchesLegacyEngine) {
       options.max_token_frequency = 1u << 30;
       options.dedup = dedup;
       options.adaptive_partitions = false;  // the sweep sets the count
-
-      TsjOptions legacy_options = options;
-      legacy_options.enable_streaming_shuffle = false;
-      TsjRunInfo legacy_info;
-      const auto legacy = TokenizedStringJoiner(legacy_options)
-                              .Join(r_corpus, p_corpus, &legacy_info);
-      ASSERT_TRUE(legacy.ok());
-      const PairNsldSet expected = ToPairNsldSet(*legacy);
+      const TsjRunInfo reference =
+          SerialRpJoinInfo(r_corpus, p_corpus, options);
 
       for (size_t workers : {size_t{1}, size_t{4}}) {
         for (size_t partitions : {size_t{1}, size_t{7}, size_t{64}}) {
-          TsjOptions streaming_options = options;
-          streaming_options.enable_streaming_shuffle = true;
-          streaming_options.mapreduce.num_workers = workers;
-          streaming_options.mapreduce.num_partitions = partitions;
-          TsjRunInfo streaming_info;
-          const auto streaming =
-              TokenizedStringJoiner(streaming_options)
-                  .Join(r_corpus, p_corpus, &streaming_info);
-          ASSERT_TRUE(streaming.ok());
+          TsjOptions sweep_options = options;
+          sweep_options.mapreduce.num_workers = workers;
+          sweep_options.mapreduce.num_partitions = partitions;
+          TsjRunInfo info;
+          const auto result = TokenizedStringJoiner(sweep_options)
+                                  .Join(r_corpus, p_corpus, &info);
+          ASSERT_TRUE(result.ok());
           const std::string context =
               "round=" + std::to_string(round) + " t=" + std::to_string(t) +
               " dedup=" + std::to_string(static_cast<int>(dedup)) +
               " workers=" + std::to_string(workers) +
               " partitions=" + std::to_string(partitions);
-          EXPECT_EQ(ToPairNsldSet(*streaming), expected) << context;
-          ExpectStreamingMatchesLegacy(streaming_info, legacy_info, context);
+          EXPECT_EQ(ToPairNsldSet(*result), oracle) << context;
+          ExpectSameCounters(info, reference, context);
         }
       }
     }
@@ -415,38 +453,31 @@ TEST(DifferentialTest, L1TierCombinerAndAdaptivePartitionsAreLossless) {
   // batched shared upserts included), the sorted-shuffle combiner, and
   // the skew-adaptive partition planner must each change *nothing* about
   // the join's output or its candidate/filter counters — only traffic
-  // and timing. Each toggle runs against the all-on default and against
-  // the legacy engine on the same corpora.
+  // and timing. The all-on default and each toggle run against the
+  // oracle and the serial run's counters on the same corpora.
   Rng rng(17092026);
   constexpr int kRounds = 4;
   for (int round = 0; round < kRounds; ++round) {
     const Corpus corpus = RandomJoinCorpus(&rng, 80);
     const double t = 0.08 + 0.3 * rng.NextDouble();
+    const PairNsldSet oracle =
+        ToPairNsldSet(BruteForceNsldSelfJoin(corpus, t));
     for (DedupStrategy dedup : {DedupStrategy::kGroupOnOneString,
                                 DedupStrategy::kGroupOnBothStrings}) {
-      TsjOptions all_on;  // streaming + combiner + L1 + adaptive: defaults
+      TsjOptions all_on;  // combiner + L1 + adaptive: the defaults
       all_on.threshold = t;
       all_on.max_token_frequency = 1u << 30;
       all_on.dedup = dedup;
       all_on.mapreduce.num_workers = 4;
-
-      TsjOptions legacy_options = all_on;
-      legacy_options.enable_streaming_shuffle = false;
+      const TsjRunInfo serial_info = SerialSelfJoinInfo(corpus, all_on);
 
       TsjRunInfo reference_info;
       const auto reference = TokenizedStringJoiner(all_on).SelfJoin(
           corpus, &reference_info);
       ASSERT_TRUE(reference.ok());
-      const PairNsldSet expected = ToPairNsldSet(*reference);
-
-      TsjRunInfo legacy_info;
-      const auto legacy = TokenizedStringJoiner(legacy_options)
-                              .SelfJoin(corpus, &legacy_info);
-      ASSERT_TRUE(legacy.ok());
-      EXPECT_EQ(ToPairNsldSet(*legacy), expected);
-      ExpectStreamingMatchesLegacy(reference_info, legacy_info,
-                                   "all-on vs legacy round=" +
-                                       std::to_string(round));
+      EXPECT_EQ(ToPairNsldSet(*reference), oracle);
+      ExpectSameCounters(reference_info, serial_info,
+                         "all-on round=" + std::to_string(round));
 
       struct Toggle {
         const char* name;
@@ -477,8 +508,8 @@ TEST(DifferentialTest, L1TierCombinerAndAdaptivePartitionsAreLossless) {
                                     " round=" + std::to_string(round) +
                                     " dedup=" +
                                     std::to_string(static_cast<int>(dedup));
-        EXPECT_EQ(ToPairNsldSet(*result), expected) << context;
-        ExpectStreamingMatchesLegacy(info, reference_info, context);
+        EXPECT_EQ(ToPairNsldSet(*result), oracle) << context;
+        ExpectSameCounters(info, serial_info, context);
       }
 
       // The default run exercised the machinery it claims to: L1 probes
@@ -504,6 +535,8 @@ TEST(DifferentialTest, SpillForcedStreamingMatchesInMemoryEngines) {
   for (int round = 0; round < kRounds; ++round) {
     const Corpus corpus = RandomJoinCorpus(&rng, 36);
     const double t = 0.08 + 0.3 * rng.NextDouble();
+    const PairNsldSet oracle =
+        ToPairNsldSet(BruteForceNsldSelfJoin(corpus, t));
     for (DedupStrategy dedup : {DedupStrategy::kGroupOnOneString,
                                 DedupStrategy::kGroupOnBothStrings}) {
       TsjOptions options;
@@ -511,14 +544,7 @@ TEST(DifferentialTest, SpillForcedStreamingMatchesInMemoryEngines) {
       options.max_token_frequency = 1u << 30;
       options.dedup = dedup;
       options.adaptive_partitions = false;  // the sweep sets the count
-
-      TsjOptions legacy_options = options;
-      legacy_options.enable_streaming_shuffle = false;
-      TsjRunInfo legacy_info;
-      const auto legacy = TokenizedStringJoiner(legacy_options)
-                              .SelfJoin(corpus, &legacy_info);
-      ASSERT_TRUE(legacy.ok());
-      const PairNsldSet expected = ToPairNsldSet(*legacy);
+      const TsjRunInfo reference = SerialSelfJoinInfo(corpus, options);
 
       for (const bool combiner_on : {true, false}) {
         for (const size_t workers : {size_t{1}, size_t{4}}) {
@@ -543,28 +569,14 @@ TEST(DifferentialTest, SpillForcedStreamingMatchesInMemoryEngines) {
                   " workers=" + std::to_string(workers) +
                   " partitions=" + std::to_string(partitions) +
                   " budget=" + std::to_string(budget);
-              EXPECT_EQ(ToPairNsldSet(*spilled), expected) << context;
-              ExpectStreamingMatchesLegacy(info, legacy_info, context);
+              EXPECT_EQ(ToPairNsldSet(*spilled), oracle) << context;
+              ExpectSameCounters(info, reference, context);
               if (budget <= 7) {
                 // Tiny budgets must actually force multi-file spills —
                 // otherwise this sweep silently stops testing anything.
                 EXPECT_GT(info.spilled_records, 0u) << context;
                 EXPECT_GT(info.spill_files, 1u) << context;
                 EXPECT_GT(info.merge_passes, 0u) << context;
-              }
-              if (workers == 4 && partitions == 7) {
-                // Legacy v1 run format (no checksums, no compression, no
-                // segmentation): the format toggle may never change the
-                // join. One combo per budget keeps the sweep's runtime.
-                TsjOptions v1_options = spill_options;
-                v1_options.mapreduce.spill_format.v2 = false;
-                TsjRunInfo v1_info;
-                const auto v1_result = TokenizedStringJoiner(v1_options)
-                                           .SelfJoin(corpus, &v1_info);
-                ASSERT_TRUE(v1_result.ok())
-                    << v1_result.status().ToString();
-                EXPECT_EQ(ToPairNsldSet(*v1_result), expected)
-                    << context << " format=v1";
               }
             }
           }
@@ -581,6 +593,8 @@ TEST(DifferentialTest, SpillForcedRpJoinMatchesInMemoryEngines) {
   const Corpus r_corpus = RandomJoinCorpus(&rng, 30);
   const Corpus p_corpus = RandomJoinCorpus(&rng, 24);
   const double t = 0.15;
+  const PairNsldSet oracle =
+      ToPairNsldSet(testutil::BruteForceRP(r_corpus, p_corpus, t));
   for (DedupStrategy dedup : {DedupStrategy::kGroupOnOneString,
                               DedupStrategy::kGroupOnBothStrings}) {
     TsjOptions options;
@@ -588,14 +602,8 @@ TEST(DifferentialTest, SpillForcedRpJoinMatchesInMemoryEngines) {
     options.max_token_frequency = 1u << 30;
     options.dedup = dedup;
     options.adaptive_partitions = false;
-
-    TsjOptions legacy_options = options;
-    legacy_options.enable_streaming_shuffle = false;
-    TsjRunInfo legacy_info;
-    const auto legacy = TokenizedStringJoiner(legacy_options)
-                            .Join(r_corpus, p_corpus, &legacy_info);
-    ASSERT_TRUE(legacy.ok());
-    const PairNsldSet expected = ToPairNsldSet(*legacy);
+    const TsjRunInfo reference =
+        SerialRpJoinInfo(r_corpus, p_corpus, options);
 
     for (const size_t budget : {size_t{1}, size_t{7}, size_t{64}}) {
       TsjOptions spill_options = options;
@@ -610,38 +618,11 @@ TEST(DifferentialTest, SpillForcedRpJoinMatchesInMemoryEngines) {
       const std::string context =
           "dedup=" + std::to_string(static_cast<int>(dedup)) +
           " budget=" + std::to_string(budget);
-      EXPECT_EQ(ToPairNsldSet(*spilled), expected) << context;
-      ExpectStreamingMatchesLegacy(info, legacy_info, context);
+      EXPECT_EQ(ToPairNsldSet(*spilled), oracle) << context;
+      ExpectSameCounters(info, reference, context);
       if (budget <= 7) EXPECT_GT(info.spilled_records, 0u) << context;
     }
   }
-}
-
-TEST(DifferentialTest, StreamingSelfJoinPeaksBelowLegacy) {
-  // The reason the streaming engine exists: on a token-sharing-heavy
-  // corpus the legacy pipeline holds the pre-dedup candidate universe and
-  // the dedup job's map output at the same time, while the fused pipeline
-  // streams generation into the dedup shuffle. The differential suite
-  // pins the peak ordering so a fusion regression (re-materializing the
-  // universe) cannot land silently.
-  Rng rng(27182818);
-  const Corpus corpus = RandomJoinCorpus(&rng, 250);
-  TsjOptions options;
-  options.threshold = 0.1;
-  options.max_token_frequency = 1u << 30;
-
-  TsjOptions legacy_options = options;
-  legacy_options.enable_streaming_shuffle = false;
-  TsjRunInfo legacy_info, streaming_info;
-  ASSERT_TRUE(TokenizedStringJoiner(legacy_options)
-                  .SelfJoin(corpus, &legacy_info)
-                  .ok());
-  ASSERT_TRUE(
-      TokenizedStringJoiner(options).SelfJoin(corpus, &streaming_info).ok());
-  EXPECT_GT(legacy_info.peak_shuffle_records, 0u);
-  EXPECT_GT(streaming_info.peak_shuffle_records, 0u);
-  EXPECT_LT(streaming_info.peak_shuffle_records,
-            legacy_info.peak_shuffle_records);
 }
 
 // ---- Batched SIMD verify kernel ------------------------------------------
@@ -851,7 +832,7 @@ TEST(DifferentialTest, BatchedSelfJoinIsLossless) {
             " workers=" + std::to_string(workers);
         EXPECT_EQ(ToPairNsldSet(*batched), ToPairNsldSet(*scalar))
             << context;
-        ExpectStreamingMatchesLegacy(batched_info, scalar_info, context);
+        ExpectSameCounters(batched_info, scalar_info, context);
         if (workers == 1) {
           // Work accounting is only run-to-run deterministic single
           // threaded: with several workers the shared cache fills in a

@@ -398,39 +398,6 @@ TEST_F(FaultTest, BadAllocInMapperIsRetriedWithEmitterReset) {
   EXPECT_EQ(stats.task_retries, 1u);
 }
 
-TEST_F(FaultTest, LegacyEngineRetriesAndAbortsTheSameWay) {
-  // The hash-shuffle engine shares the retry layer: absorb a single
-  // start fault, abort on persistent ones.
-  std::vector<int> inputs(300);
-  for (int i = 0; i < 300; ++i) inputs[i] = i;
-  auto run = [&](JobStats* stats) {
-    auto result = RunMapReduce<int, int, int, std::pair<int, int>>(
-        "fault-legacy", inputs,
-        [](const int& v, Emitter<int, int>* out) { out->Emit(v % 7, v); },
-        [](const int& key, std::vector<int>* values,
-           std::vector<std::pair<int, int>>* out) {
-          int total = 0;
-          for (int v : *values) total += v;
-          out->emplace_back(key, total);
-        },
-        MapReduceOptions{}, stats);
-    std::sort(result.begin(), result.end());
-    return result;
-  };
-  const auto reference = run(nullptr);
-
-  ASSERT_TRUE(Arm("task.map=once").ok());
-  JobStats absorbed;
-  EXPECT_EQ(run(&absorbed), reference);
-  EXPECT_TRUE(absorbed.status.ok());
-  EXPECT_EQ(absorbed.task_retries, 1u);
-
-  ASSERT_TRUE(Arm("task.reduce=every@1").ok());
-  JobStats aborted;
-  EXPECT_TRUE(run(&aborted).empty());
-  EXPECT_FALSE(aborted.status.ok());
-}
-
 // ---- Injector-driven spill faults ------------------------------------------
 
 TEST_F(FaultTest, InjectedSpillWriteFaultsDegradeWithoutRecordLoss) {

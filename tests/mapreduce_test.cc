@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,10 +16,10 @@ namespace {
 std::vector<std::pair<std::string, int>> WordCount(
     const std::vector<std::string>& docs, const MapReduceOptions& options,
     JobStats* stats = nullptr) {
-  auto result = RunMapReduce<std::string, std::string, int,
-                             std::pair<std::string, int>>(
+  auto result = RunMapReduceSorted<std::string, std::string, int,
+                                   std::pair<std::string, int>>(
       "wordcount", docs,
-      [](const std::string& doc, Emitter<std::string, int>* out) {
+      [](const std::string& doc, PartitionedEmitter<std::string, int>* out) {
         std::string word;
         for (char c : doc) {
           if (c == ' ') {
@@ -30,10 +31,10 @@ std::vector<std::pair<std::string, int>> WordCount(
         }
         if (!word.empty()) out->Emit(word, 1);
       },
-      [](const std::string& word, std::vector<int>* values,
+      [](const std::string& word, std::span<int> values,
          std::vector<std::pair<std::string, int>>* out) {
         int total = 0;
-        for (int v : *values) total += v;
+        for (int v : values) total += v;
         out->emplace_back(word, total);
       },
       options, stats);
@@ -107,12 +108,12 @@ TEST(MapReduceTest, ReducerSeesAllValuesForItsKey) {
   // A skewed key: one group receives 1000 values; they must all arrive at
   // a single reduce invocation.
   std::vector<int> inputs(1000, 7);
-  auto result = RunMapReduce<int, int, int, std::pair<int, size_t>>(
+  auto result = RunMapReduceSorted<int, int, int, std::pair<int, size_t>>(
       "skew", inputs,
-      [](const int& v, Emitter<int, int>* out) { out->Emit(1, v); },
-      [](const int& key, std::vector<int>* values,
+      [](const int& v, PartitionedEmitter<int, int>* out) { out->Emit(1, v); },
+      [](const int& key, std::span<int> values,
          std::vector<std::pair<int, size_t>>* out) {
-        out->emplace_back(key, values->size());
+        out->emplace_back(key, values.size());
       },
       {});
   ASSERT_EQ(result.size(), 1u);
@@ -120,26 +121,26 @@ TEST(MapReduceTest, ReducerSeesAllValuesForItsKey) {
 }
 
 TEST(MapReduceTest, MapCanEmitNothing) {
-  auto result = RunMapReduce<int, int, int, int>(
+  auto result = RunMapReduceSorted<int, int, int, int>(
       "empty-map", {1, 2, 3},
-      [](const int&, Emitter<int, int>*) {},
-      [](const int&, std::vector<int>*, std::vector<int>*) {}, {});
+      [](const int&, PartitionedEmitter<int, int>*) {},
+      [](const int&, std::span<int>, std::vector<int>*) {}, {});
   EXPECT_TRUE(result.empty());
 }
 
 TEST(MapReduceTest, PairKeysWork) {
   using Key = std::pair<uint32_t, uint32_t>;
   std::vector<int> inputs = {1, 2, 3, 4, 5, 6};
-  auto result = RunMapReduce<int, Key, int, std::pair<Key, int>>(
+  auto result = RunMapReduceSorted<int, Key, int, std::pair<Key, int>>(
       "pair-keys", inputs,
-      [](const int& v, Emitter<Key, int>* out) {
+      [](const int& v, PartitionedEmitter<Key, int>* out) {
         out->Emit({static_cast<uint32_t>(v % 2), static_cast<uint32_t>(v % 3)},
                   v);
       },
-      [](const Key& key, std::vector<int>* values,
+      [](const Key& key, std::span<int> values,
          std::vector<std::pair<Key, int>>* out) {
         int total = 0;
-        for (int v : *values) total += v;
+        for (int v : values) total += v;
         out->emplace_back(key, total);
       },
       {});
@@ -164,11 +165,13 @@ TEST(MapReduceTest, ReduceWorkUnitsRecordedPerGroup) {
   // them to the right GroupLoad.
   std::vector<int> inputs = {1, 2, 3, 4, 5, 6};
   JobStats stats;
-  RunMapReduce<int, int, int, int>(
+  RunMapReduceSorted<int, int, int, int>(
       "units", inputs,
-      [](const int& v, Emitter<int, int>* out) { out->Emit(v % 2, v); },
-      [](const int&, std::vector<int>* values, std::vector<int>*) {
-        AddWorkUnits(10 * values->size());
+      [](const int& v, PartitionedEmitter<int, int>* out) {
+        out->Emit(v % 2, v);
+      },
+      [](const int&, std::span<int> values, std::vector<int>*) {
+        AddWorkUnits(10 * values.size());
       },
       {}, &stats);
   ASSERT_EQ(stats.group_loads.size(), 2u);
@@ -180,13 +183,13 @@ TEST(MapReduceTest, ReduceWorkUnitsRecordedPerGroup) {
 TEST(MapReduceTest, MapWorkUnitsAccumulateAcrossTasks) {
   std::vector<int> inputs(100, 1);
   JobStats stats;
-  RunMapReduce<int, int, int, int>(
+  RunMapReduceSorted<int, int, int, int>(
       "map-units", inputs,
-      [](const int&, Emitter<int, int>* out) {
+      [](const int&, PartitionedEmitter<int, int>* out) {
         AddWorkUnits(7);
         out->Emit(0, 1);
       },
-      [](const int&, std::vector<int>*, std::vector<int>*) {}, {}, &stats);
+      [](const int&, std::span<int>, std::vector<int>*) {}, {}, &stats);
   EXPECT_EQ(stats.map_work_units, 700u);
 }
 
@@ -206,7 +209,8 @@ TEST(MapReduceTest, CombinerPreAggregatesWithoutChangingResult) {
 
   // Reference without combiner.
   JobStats plain_stats;
-  auto count = [](const std::string& doc, Emitter<std::string, int>* out) {
+  auto count = [](const std::string& doc,
+                  PartitionedEmitter<std::string, int>* out) {
     std::string word;
     for (char c : doc) {
       if (c == ' ') {
@@ -218,16 +222,17 @@ TEST(MapReduceTest, CombinerPreAggregatesWithoutChangingResult) {
     }
     if (!word.empty()) out->Emit(word, 1);
   };
-  auto sum = [](const std::string& word, std::vector<int>* values,
+  auto sum = [](const std::string& word, std::span<int> values,
                 std::vector<std::pair<std::string, int>>* out) {
     int total = 0;
-    for (int v : *values) total += v;
+    for (int v : values) total += v;
     out->emplace_back(word, total);
   };
   auto plain =
-      RunMapReduce<std::string, std::string, int,
-                   std::pair<std::string, int>>("plain", docs, count, sum,
-                                                options, &plain_stats);
+      RunMapReduceSorted<std::string, std::string, int,
+                         std::pair<std::string, int>>("plain", docs, count,
+                                                      sum, options,
+                                                      &plain_stats);
 
   JobStats combined_stats;
   CombinerFn<std::string, int> combiner = [](const std::string&,
@@ -237,10 +242,11 @@ TEST(MapReduceTest, CombinerPreAggregatesWithoutChangingResult) {
     values->assign(1, total);
   };
   auto combined =
-      RunMapReduce<std::string, std::string, int,
-                   std::pair<std::string, int>>("combined", docs, count, sum,
-                                                options, &combined_stats,
-                                                combiner);
+      RunMapReduceSorted<std::string, std::string, int,
+                         std::pair<std::string, int>>("combined", docs, count,
+                                                      sum, options,
+                                                      &combined_stats,
+                                                      combiner);
 
   std::sort(plain.begin(), plain.end());
   std::sort(combined.begin(), combined.end());

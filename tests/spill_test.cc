@@ -1,9 +1,9 @@
 // Fault-injection and unit tier of the external-memory spill subsystem
-// (mapreduce/spill.h): codec round-trips, framed run files (v2 segments
-// and legacy v1 streams), the SpillIo seam under injected short writes /
-// ENOSPC / truncated reads / bit-flips, and the engine-level guarantee
-// that every spill I/O fault surfaces as a clean Status — no crash, no
-// silent record loss, no silently wrong record.
+// (mapreduce/spill.h): codec round-trips, framed segment files, the
+// SpillIo seam under injected short writes / ENOSPC / truncated reads /
+// bit-flips, and the engine-level guarantee that every spill I/O fault
+// surfaces as a clean Status — no crash, no silent record loss, no
+// silently wrong record.
 
 #include <algorithm>
 #include <atomic>
@@ -29,13 +29,16 @@ std::string TempPath(const std::string& name) {
   return (std::filesystem::path(::testing::TempDir()) / name).string();
 }
 
-// The legacy headerless frame-per-record format: what pre-v2 builds wrote
-// and what the layout-sensitive corruption tests below poke at byte
-// offsets of.
-SpillFormatOptions V1Format() {
-  SpillFormatOptions format;
-  format.v2 = false;
-  return format.Normalized();
+// `size` pseudo-random letters: bytes the block delta encoding cannot
+// shrink, so records built from them keep a predictable frame layout.
+std::string Incompressible(size_t size, uint64_t seed) {
+  std::string bytes(size, '\0');
+  uint64_t x = seed * 0x9e3779b97f4a7c15ULL + 1;
+  for (char& c : bytes) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    c = static_cast<char>('a' + (x >> 59) % 26);
+  }
+  return bytes;
 }
 
 // ---- Codec -----------------------------------------------------------------
@@ -160,9 +163,8 @@ std::vector<Record> SomeRecords(int n) {
   return records;
 }
 
-void WriteRun(const std::string& path, const std::vector<Record>& records,
-              SpillFormatOptions format = {}) {
-  SpillRunWriter<std::string, int> writer(MakeDefaultSpillIo(), format);
+void WriteRun(const std::string& path, const std::vector<Record>& records) {
+  SpillRunWriter<std::string, int> writer(MakeDefaultSpillIo());
   ASSERT_TRUE(writer.Open(path).ok());
   for (const Record& record : records) {
     ASSERT_TRUE(writer.Append(record).ok());
@@ -187,33 +189,7 @@ void ReadWholeRun(const std::string& path, std::vector<Record>* out) {
 TEST(SpillRunTest, WriteReadRoundTrip) {
   const std::string path = TempPath("spill_roundtrip.run");
   const std::vector<Record> records = SomeRecords(100);
-  WriteRun(path, records);  // default format: v2, compressed
-
-  std::vector<Record> read_back;
-  ReadWholeRun(path, &read_back);
-  EXPECT_EQ(read_back, records);
-  RemoveSpillFile(path);
-}
-
-TEST(SpillRunTest, WriteReadRoundTripUncompressedV2) {
-  const std::string path = TempPath("spill_roundtrip_nocompress.run");
-  SpillFormatOptions format;
-  format.compress = false;
-  const std::vector<Record> records = SomeRecords(100);
-  WriteRun(path, records, format);
-
-  std::vector<Record> read_back;
-  ReadWholeRun(path, &read_back);
-  EXPECT_EQ(read_back, records);
-  RemoveSpillFile(path);
-}
-
-TEST(SpillRunTest, LegacyV1RunsStillRead) {
-  // v1 compatibility: the reader must keep consuming pre-v2 run files
-  // (no header, no checksums, one frame per record).
-  const std::string path = TempPath("spill_roundtrip_v1.run");
-  const std::vector<Record> records = SomeRecords(100);
-  WriteRun(path, records, V1Format());
+  WriteRun(path, records);
 
   std::vector<Record> read_back;
   ReadWholeRun(path, &read_back);
@@ -256,9 +232,10 @@ TEST(SpillRunTest, MissingFileIsCleanError) {
 
 // Reads the run until it ends or errors; returns the terminal status and
 // the records recovered before it.
-Status DrainRun(const std::string& path, std::vector<Record>* out) {
+template <typename Source>
+Status DrainRun(const Source& source, std::vector<Record>* out) {
   SpillRunReader<std::string, int> reader(MakeDefaultSpillIo());
-  if (Status s = reader.Open(path); !s.ok()) return s;
+  if (Status s = reader.Open(source); !s.ok()) return s;
   while (true) {
     Record record;
     bool done = false;
@@ -269,18 +246,43 @@ Status DrainRun(const std::string& path, std::vector<Record>* out) {
   }
 }
 
+// Records whose keys are larger than one block and incompressible: every
+// record is a frame of its own, as in a run of big rows.
+std::vector<Record> FramePerRecord(int n) {
+  std::vector<Record> records;
+  for (int i = 0; i < n; ++i) {
+    records.emplace_back(Incompressible(kSpillBlockTargetBytes + 100, i), i);
+  }
+  return records;
+}
+
+// Writes `records` as one run and returns its extent.
+SpillRunRef WriteOneRun(const std::string& path,
+                        const std::vector<Record>& records) {
+  SpillRunWriter<std::string, int> writer(MakeDefaultSpillIo());
+  SpillRunRef ref;
+  EXPECT_TRUE(writer.Open(path).ok());
+  writer.BeginRun(0);
+  for (const Record& record : records) {
+    EXPECT_TRUE(writer.Append(record).ok());
+  }
+  EXPECT_TRUE(writer.EndRun(&ref).ok());
+  EXPECT_TRUE(writer.Finish().ok());
+  return ref;
+}
+
 TEST(SpillRunTest, TornFinalFrameIsDetectedByLengthPrefix) {
   const std::string path = TempPath("spill_torn.run");
-  const std::vector<Record> records = SomeRecords(20);
-  WriteRun(path, records, V1Format());  // layout-sensitive: v1 framing
-  // Tear the final frame: drop the last few payload bytes, the classic
-  // crash-mid-write artifact. The length prefix promises more bytes than
-  // the file holds, so the reader must error — not return a short record.
-  const auto size = std::filesystem::file_size(path);
-  std::filesystem::resize_file(path, size - 3);
+  const std::vector<Record> records = FramePerRecord(20);
+  const SpillRunRef ref = WriteOneRun(path, records);
+  // Tear the final frame: drop the last few payload bytes (and the footer
+  // behind them), the classic crash-mid-write artifact. The length prefix
+  // promises more bytes than the file holds, so the reader must error —
+  // not return a short record.
+  std::filesystem::resize_file(path, ref.offset + ref.length - 3);
 
   std::vector<Record> recovered;
-  Status s = DrainRun(path, &recovered);
+  Status s = DrainRun(ref, &recovered);
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInternal);
   EXPECT_NE(s.message().find("torn"), std::string::npos) << s.ToString();
@@ -293,36 +295,44 @@ TEST(SpillRunTest, TornFinalFrameIsDetectedByLengthPrefix) {
 }
 
 TEST(SpillRunTest, TruncatedFrameHeaderIsCleanError) {
+  // Cut the file 2 bytes into the last frame's header: neither a clean
+  // end between frames nor a full header. A run of the first 4 records
+  // ends exactly where the 5-record run's last frame starts (each record
+  // is a frame of its own, and the delta chain restarts per frame).
   const std::string path = TempPath("spill_torn_header.run");
-  WriteRun(path, SomeRecords(5), V1Format());
-  // Leave 2 bytes of the next length prefix: neither a clean EOF nor a
-  // full header.
-  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 2);
-  // First make the cut land inside the *last header* rather than a
-  // payload: rewrite the file as 5 records + 2 stray bytes.
-  {
-    std::vector<Record> recovered;
-    Status s = DrainRun(path, &recovered);
-    EXPECT_FALSE(s.ok());  // torn payload or header, either way clean
-  }
+  const std::vector<Record> records = FramePerRecord(5);
+  const SpillRunRef prefix_run = WriteOneRun(
+      path, std::vector<Record>(records.begin(), records.end() - 1));
+  const SpillRunRef ref = WriteOneRun(path, records);
+  std::filesystem::resize_file(path,
+                               prefix_run.offset + prefix_run.length + 2);
+
+  std::vector<Record> recovered;
+  Status s = DrainRun(ref, &recovered);
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("truncated spill frame header"),
+            std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(recovered.size(), records.size() - 1);
   RemoveSpillFile(path);
 }
 
 TEST(SpillRunTest, CorruptLengthPrefixIsCleanError) {
   const std::string path = TempPath("spill_corrupt_len.run");
   {
-    SpillRunWriter<std::string, int> writer(MakeDefaultSpillIo(),
-                                            V1Format());
+    SpillRunWriter<std::string, int> writer(MakeDefaultSpillIo());
     ASSERT_TRUE(writer.Open(path).ok());
     ASSERT_TRUE(writer.Append({"k", 1}).ok());
     ASSERT_TRUE(writer.Finish().ok());
   }
-  // Stamp an absurd length over the first frame's prefix.
+  // Stamp an absurd length (2^32 - 1, past the frame cap) over the first
+  // frame's varint prefix, right after the header.
   {
     std::FILE* f = std::fopen(path.c_str(), "r+b");
     ASSERT_NE(f, nullptr);
-    const uint32_t bogus = 0xfffffff0u;
-    ASSERT_EQ(std::fwrite(&bogus, sizeof(bogus), 1, f), 1u);
+    ASSERT_EQ(std::fseek(f, kSpillHeaderBytes, SEEK_SET), 0);
+    const unsigned char bogus[5] = {0xff, 0xff, 0xff, 0xff, 0x0f};
+    ASSERT_EQ(std::fwrite(bogus, sizeof(bogus), 1, f), 1u);
     std::fclose(f);
   }
   std::vector<Record> recovered;
@@ -335,11 +345,12 @@ TEST(SpillRunTest, CorruptLengthPrefixIsCleanError) {
 
 TEST(SpillRunTest, CorruptPayloadIsCleanError) {
   const std::string path = TempPath("spill_corrupt_payload.run");
-  // A frame whose payload is too short for the record codec.
+  // A well-formed, checksummed block holding one 2-byte record (escape
+  // form: prefix 0, suffix 0, middle 2) — too short for the record codec.
   {
-    SpillFrameWriter frames(MakeDefaultSpillIo(), V1Format());
+    SpillFrameWriter frames(MakeDefaultSpillIo());
     ASSERT_TRUE(frames.Open(path).ok());
-    const char junk[2] = {1, 2};
+    const char junk[6] = {static_cast<char>(0xFF), 0, 0, 2, 1, 2};
     ASSERT_TRUE(frames.WriteFrame(junk, sizeof(junk)).ok());
     ASSERT_TRUE(frames.Finish().ok());
   }
@@ -433,6 +444,17 @@ TEST(SpillSegmentTest, FooterIndexMapsRunsAndBoundedReadsHonorExtents) {
       read_back.push_back(std::move(record));
     }
     EXPECT_EQ(read_back, runs[r]);
+  }
+
+  // An extent outside the frames is a clean error, never a whole-file or
+  // header read — {0, 0} included.
+  for (const SpillRunRef& bad :
+       {SpillRunRef{path, 0, 0, 0}, SpillRunRef{path, 4, refs[0].length, 1},
+        SpillRunRef{path, refs[0].offset, ~uint64_t{0}, 1}}) {
+    SpillRunReader<std::string, int> reader(MakeDefaultSpillIo());
+    const Status s = reader.Open(bad);
+    EXPECT_FALSE(s.ok()) << bad.offset;
+    EXPECT_NE(s.message().find("extent"), std::string::npos) << s.ToString();
   }
   RemoveSpillFile(path);
 }
@@ -620,13 +642,14 @@ TEST(SpillFaultTest, TransientFlushErrorDoesNotDuplicatePartialFrames) {
   // of the buffer is on disk.
   const std::string path = TempPath("spill_flush_retry.run");
   SpillRunWriter<std::string, int> writer(
-      std::make_unique<PartialFailOnceIo>(7, 3), V1Format());
+      std::make_unique<PartialFailOnceIo>(7, 3));
   ASSERT_TRUE(writer.Open(path).ok());
   std::vector<Record> records;
   bool saw_error = false;
-  // 4 KiB values so the 256 KiB write buffer flushes mid-stream.
+  // 4 KiB incompressible keys so the 256 KiB write buffer flushes
+  // mid-stream.
   for (int i = 0; i < 80; ++i) {
-    Record record{"key" + std::to_string(1000 + i) + std::string(4096, 'x'),
+    Record record{"key" + std::to_string(1000 + i) + Incompressible(4096, i),
                   i};
     records.push_back(record);
     if (!writer.Append(record).ok()) saw_error = true;
@@ -642,14 +665,13 @@ TEST(SpillFaultTest, TransientFlushErrorDoesNotDuplicatePartialFrames) {
 
 // ---- Checksum tier ---------------------------------------------------------
 
-// Writes a small uncompressed v2 run with a known layout: header bytes
-// [0,8), then one frame = [1-byte varint body size][4-byte checksum @9-12]
-// [body @13...]. Returns the records written.
+// Writes a small run with a known layout: header bytes [0,8), then one
+// frame = [1-byte varint body size][4-byte checksum @9-12][22-byte body
+// @13-34: the first record whole (escape form), the next two as compact
+// deltas]. Returns the records written.
 std::vector<Record> WriteSmallV2Run(const std::string& path) {
   std::vector<Record> records = {{"aa", 1}, {"bb", 2}, {"cc", 3}};
-  SpillFormatOptions format;
-  format.compress = false;
-  SpillRunWriter<std::string, int> writer(MakeDefaultSpillIo(), format);
+  SpillRunWriter<std::string, int> writer(MakeDefaultSpillIo());
   EXPECT_TRUE(writer.Open(path).ok());
   for (const Record& record : records) {
     EXPECT_TRUE(writer.Append(record).ok());
@@ -786,8 +808,7 @@ TEST(SpillContextTest, SegmentFilesLiveUntilTheirLastRunIsReleased) {
   ASSERT_TRUE(context.Init().ok());
   const std::string path = context.NewRunPath();
   {
-    SpillRunWriter<std::string, int> writer(context.NewIo(),
-                                            context.format());
+    SpillRunWriter<std::string, int> writer(context.NewIo());
     ASSERT_TRUE(writer.Open(path).ok());
     writer.BeginRun(0);
     ASSERT_TRUE(writer.Append({"a", 1}).ok());
@@ -818,8 +839,7 @@ TEST(SpillContextTest, ProtectedCheckpointRunsSurviveReleaseAndTeardown) {
     SpillContext context(8, dir, nullptr);
     ASSERT_TRUE(context.Init().ok());
     path = context.NewRunPath();
-    SpillRunWriter<std::string, int> writer(context.NewIo(),
-                                            context.format());
+    SpillRunWriter<std::string, int> writer(context.NewIo());
     ASSERT_TRUE(writer.Open(path).ok());
     writer.BeginRun(0);
     ASSERT_TRUE(writer.Append({"a", 1}).ok());
@@ -848,8 +868,7 @@ TEST(CheckpointManifestTest, RoundTripValidatesCorruptionAndIdentity) {
   std::vector<SpillSegmentEntry> entries;
   uint64_t data_bytes = 0;
   {
-    SpillRunWriter<std::string, int> writer(ckpt.NewIo(),
-                                            CheckpointContext::Format());
+    SpillRunWriter<std::string, int> writer(ckpt.NewIo());
     ASSERT_TRUE(writer.Open(ckpt.DataPath(task)).ok());
     writer.BeginRun(0);
     ASSERT_TRUE(writer.Append({"alpha", 1}).ok());
@@ -876,6 +895,33 @@ TEST(CheckpointManifestTest, RoundTripValidatesCorruptionAndIdentity) {
     EXPECT_EQ(loaded[i].offset, entries[i].offset);
     EXPECT_EQ(loaded[i].length, entries[i].length);
     EXPECT_EQ(loaded[i].records, entries[i].records);
+  }
+
+  // Checksum-valid manifests whose extents the writer can never produce
+  // are invalid too: each one, restored, would replay a wrong record set
+  // or fail the task fatally instead of re-running it.
+  {
+    const SpillSegmentEntry& e0 = entries[0];
+    const std::vector<std::pair<const char*, std::vector<SpillSegmentEntry>>>
+        crafted = {
+            // Read as "the whole file", every record of the segment
+            // would land in partition 0.
+            {"whole-file sentinel", {{0, 0, 0, 3}}},
+            {"extent inside the header", {{0, 4, e0.length, e0.records}}},
+            {"wrapping extent",
+             {{0, e0.offset, ~uint64_t{0} - e0.offset + 5, e0.records}}},
+            {"absurd record count",
+             {{0, e0.offset, e0.length, uint64_t{1} << 62}}},
+            {"partition listed twice", {e0, e0}},
+        };
+    for (const auto& [name, bad] : crafted) {
+      ASSERT_TRUE(ckpt.WriteManifest(task, bad, data_bytes).ok()) << name;
+      std::vector<SpillSegmentEntry> rejected;
+      EXPECT_FALSE(ckpt.ReadManifest(task, &rejected).ok()) << name;
+      EXPECT_TRUE(rejected.empty()) << name;
+    }
+    ASSERT_TRUE(ckpt.WriteManifest(task, entries, data_bytes).ok());
+    ASSERT_TRUE(ckpt.ReadManifest(task, &loaded).ok());
   }
 
   // A run with a different input fingerprint must reject the checkpoint:
@@ -1001,15 +1047,6 @@ TEST(SpillFaultTest, FailedSpillReadsAreReportedNotSilent) {
 }
 
 TEST(SpillFaultTest, PayloadBitFlipIsDataLossNeverASilentWrongAnswer) {
-  // Corruption detection is a v2 feature; the v1-compat CI leg pins the
-  // legacy checksum-free format process-wide, where a payload flip is
-  // undetectable by design.
-  SpillFormatOptions effective;
-  ApplySpillFormatEnv(&effective);
-  if (!effective.v2) {
-    GTEST_SKIP() << "payload checksums require the v2 spill format";
-  }
-
   std::vector<int> inputs(500);
   for (int i = 0; i < 500; ++i) inputs[i] = i;
 
@@ -1025,7 +1062,7 @@ TEST(SpillFaultTest, PayloadBitFlipIsDataLossNeverASilentWrongAnswer) {
   JobStats stats;
   KeySums(inputs, options, &stats);  // must complete, never crash
   EXPECT_GT(stats.spilled_records, 0u);
-  // The flip was caught by the v2 frame checksum and reported as the
+  // The flip was caught by the frame checksum and reported as the
   // lossy fault class (outputs may be incomplete) — the one that must
   // fail consuming pipelines. Silent wrong answers are not an option.
   EXPECT_FALSE(stats.spill_data_loss.ok());

@@ -10,7 +10,10 @@
 #include <vector>
 
 #include "common/random.h"
+#include "tokenized/corpus.h"
+#include "tokenized/sld.h"
 #include "tokenized/tokenized_string.h"
+#include "tsj/tsj.h"
 
 namespace tsj {
 namespace testutil {
@@ -126,6 +129,25 @@ std::vector<std::pair<uint32_t, uint32_t>> BruteForcePairs(size_t n,
   for (uint32_t i = 0; i < n; ++i) {
     for (uint32_t j = i + 1; j < n; ++j) {
       if (pred(i, j)) pairs.emplace_back(i, j);
+    }
+  }
+  return pairs;
+}
+
+/// Brute-force R x P NSLD join: every (r, p) with NSLD <= t, with `a` the
+/// id in r and `b` the id in p, by exact Hungarian SLD with no filters and
+/// no cache — the two-collection counterpart of BruteForceNsldSelfJoin
+/// (eval/join_metrics.h), computing NSLD the same way.
+inline std::vector<TsjPair> BruteForceRP(const Corpus& r, const Corpus& p,
+                                         double t) {
+  std::vector<TsjPair> pairs;
+  for (uint32_t i = 0; i < r.size(); ++i) {
+    const TokenizedString x = r.Materialize(i);
+    for (uint32_t j = 0; j < p.size(); ++j) {
+      const int64_t sld = Sld(x, p.Materialize(j), TokenAligning::kExact);
+      const double nsld =
+          NsldFromSld(sld, r.aggregate_length(i), p.aggregate_length(j));
+      if (nsld <= t) pairs.push_back(TsjPair{i, j, nsld});
     }
   }
   return pairs;

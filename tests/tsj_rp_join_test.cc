@@ -42,18 +42,6 @@ Corpus MakeCorpus(Rng* rng, size_t n) {
   return corpus;
 }
 
-PairSet BruteForceRP(const Corpus& r, const Corpus& p, double t) {
-  PairSet expected;
-  for (uint32_t i = 0; i < r.size(); ++i) {
-    for (uint32_t j = 0; j < p.size(); ++j) {
-      if (Nsld(r.Materialize(i), p.Materialize(j)) <= t) {
-        expected.emplace(i, j);
-      }
-    }
-  }
-  return expected;
-}
-
 TsjOptions Lossless(double t) {
   TsjOptions options;
   options.threshold = t;
@@ -71,7 +59,8 @@ TEST_P(TsjRpJoinTest, MatchesBruteForce) {
     Corpus p = MakeCorpus(&rng, 50);
     const auto result = TokenizedStringJoiner(Lossless(t)).Join(r, p);
     ASSERT_TRUE(result.ok());
-    EXPECT_EQ(ToSet(*result), BruteForceRP(r, p, t)) << "T=" << t;
+    EXPECT_EQ(ToSet(*result), ToSet(testutil::BruteForceRP(r, p, t)))
+        << "T=" << t;
   }
 }
 

@@ -65,15 +65,22 @@ std::vector<std::vector<uint32_t>> RandomMultisets(Rng* rng, size_t n,
   return sets;
 }
 
+// gtest names each case after the raw bytes of its Config, so the struct has
+// no padding for stray stack bytes to show through: `zero` fills the gap
+// between the 4-byte measure and the double.
 struct Config {
   MultisetMeasure measure;
+  uint32_t zero = 0;
   double threshold;
 };
+static_assert(sizeof(Config) ==
+              sizeof(MultisetMeasure) + sizeof(uint32_t) + sizeof(double));
 
 class VsmartJoinTest : public ::testing::TestWithParam<Config> {};
 
 TEST_P(VsmartJoinTest, MatchesBruteForce) {
-  const auto [measure, threshold] = GetParam();
+  const MultisetMeasure measure = GetParam().measure;
+  const double threshold = GetParam().threshold;
   Rng rng(800 + static_cast<uint64_t>(threshold * 100) +
           static_cast<uint64_t>(measure));
   for (int round = 0; round < 6; ++round) {
@@ -94,12 +101,13 @@ TEST_P(VsmartJoinTest, MatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, VsmartJoinTest,
-    ::testing::Values(Config{MultisetMeasure::kJaccard, 0.4},
-                      Config{MultisetMeasure::kJaccard, 0.7},
-                      Config{MultisetMeasure::kDice, 0.5},
-                      Config{MultisetMeasure::kDice, 0.8},
-                      Config{MultisetMeasure::kCosine, 0.6},
-                      Config{MultisetMeasure::kCosine, 0.9}));
+    ::testing::Values(
+        Config{.measure = MultisetMeasure::kJaccard, .threshold = 0.4},
+        Config{.measure = MultisetMeasure::kJaccard, .threshold = 0.7},
+        Config{.measure = MultisetMeasure::kDice, .threshold = 0.5},
+        Config{.measure = MultisetMeasure::kDice, .threshold = 0.8},
+        Config{.measure = MultisetMeasure::kCosine, .threshold = 0.6},
+        Config{.measure = MultisetMeasure::kCosine, .threshold = 0.9}));
 
 TEST(VsmartJoinTest, ReportedSimilaritiesAreExact) {
   Rng rng(801);
