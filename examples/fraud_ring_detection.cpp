@@ -53,9 +53,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::cout << "similar pairs: " << pairs->size()
-            << " (candidates: " << info.distinct_candidates
-            << ", filtered: "
-            << info.length_filtered + info.histogram_filtered
+            << " (length-skipped before dedup: " << info.length_filtered
+            << ", distinct candidates: " << info.distinct_candidates
+            << ", histogram-filtered: " << info.histogram_filtered
             << ", verified: " << info.verified_candidates << ")\n";
 
   // ---- 3. Similarity graph -> clusters. ----------------------------------

@@ -40,10 +40,12 @@ int main(int argc, char** argv) {
             << "\n";
   std::cout << "  similar-token cands:    " << info.similar_token_candidates
             << "\n";
+  std::cout << "  length-skipped:         " << info.length_filtered
+            << " (before dedup)\n";
   std::cout << "  distinct candidates:    " << info.distinct_candidates
             << "\n";
-  std::cout << "  pruned by filters:      "
-            << info.length_filtered + info.histogram_filtered << "\n";
+  std::cout << "  histogram-filtered:     " << info.histogram_filtered
+            << "\n";
   std::cout << "  fully verified:         " << info.verified_candidates
             << "\n";
   std::cout << "  local wall time:        "

@@ -1,12 +1,14 @@
-// Hardened parsing of numeric environment-variable knobs.
+// Hardened parsing of numeric environment-variable knobs and of the
+// command-line tools' count flags.
 //
 // Every CC_* env knob that means "a positive count" must parse the same
 // way: surrounding whitespace tolerated, anything that is not a plain
 // positive decimal integer — including a leading '-' (strtoull silently
 // wraps -1 into ~2^64), an out-of-range value (ERANGE), or trailing junk
 // ("9e19", "100ms") — reads as *unset*, never as a huge or wrapped
-// number. CC_SHUFFLE_SPILL_BUDGET (mapreduce/spill.h) and
-// CC_TASK_TIMEOUT_MS (common/thread_pool.h) both parse through here.
+// number. CC_SHUFFLE_SPILL_BUDGET (mapreduce/spill.h),
+// CC_TASK_TIMEOUT_MS (common/thread_pool.h), tsj_join
+// --max-token-frequency and tsj_knn --k all parse through here.
 
 #ifndef TSJ_COMMON_PARSE_H_
 #define TSJ_COMMON_PARSE_H_

@@ -89,7 +89,8 @@ struct HmjOptions {
   bool enable_batched_verify = true;
 
   Status Validate() const {
-    if (threshold < 0.0 || threshold >= 1.0) {
+    // Written so that NaN, for which every comparison is false, fails.
+    if (!(threshold >= 0.0 && threshold < 1.0)) {
       return Status::InvalidArgument("threshold must satisfy 0 <= T < 1");
     }
     if (num_partitions == 0) {

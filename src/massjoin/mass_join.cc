@@ -193,6 +193,12 @@ std::vector<NldPair> MassJoinSelfNld(const std::vector<std::string>& tokens,
 StatusOr<std::vector<NldPair>> RunMassJoinSelfNld(
     const std::vector<std::string>& tokens, double threshold,
     const MassJoinOptions& options, PipelineStats* stats) {
+  // Checked here, not only by MassJoinSelfNldImpl's assert, which Release
+  // builds drop: a NaN threshold makes the signature length bounds
+  // unbounded and the join never returns.
+  if (!(threshold >= 0.0 && threshold < 1.0)) {
+    return Status::InvalidArgument("threshold must satisfy 0 <= T < 1");
+  }
   PipelineStats local_stats;
   std::vector<NldPair> results =
       MassJoinSelfNldImpl(tokens, threshold, options, &local_stats);

@@ -82,8 +82,9 @@ std::vector<NldPair> MassJoinSelfNld(const std::vector<std::string>& tokens,
 /// mapreduce.h) fails the join with the root-cause Status; degraded
 /// write faults and retry-absorbed task failures keep their complete
 /// results and surface only through `stats` (JobStats::spill_status and
-/// the task counters). MassJoinSelfNld above is the legacy thin wrapper
-/// that drops the Status.
+/// the task counters). A threshold outside [0, 1), NaN included, returns
+/// InvalidArgument before any job runs. MassJoinSelfNld above is the
+/// legacy thin wrapper that drops the Status.
 StatusOr<std::vector<NldPair>> RunMassJoinSelfNld(
     const std::vector<std::string>& tokens, double threshold,
     const MassJoinOptions& options = {}, PipelineStats* stats = nullptr);

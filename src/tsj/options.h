@@ -53,7 +53,12 @@ struct TsjOptions {
   /// Dedup strategy for candidate pairs.
   DedupStrategy dedup = DedupStrategy::kGroupOnOneString;
 
-  /// Length filter (Sec. III-E.1, Lemma 6 lower bound). Lossless.
+  /// Length filter (Sec. III-E.1, Lemma 6 lower bound), applied where
+  /// candidate pairs are generated: each generator walks its strings in
+  /// aggregate-length order and emits only the pairs whose bound is
+  /// within T, so the dedup shuffle never carries the others
+  /// (TsjRunInfo::length_filtered counts the skipped emissions). Lossless.
+  /// Disabled, every generated pair goes through dedup and verify.
   bool enable_length_filter = true;
 
   /// Token-length-histogram filter (Sec. III-E.2). Lossless.
@@ -177,7 +182,8 @@ struct TsjOptions {
 
   /// Validates the option combination.
   Status Validate() const {
-    if (threshold < 0.0 || threshold >= 1.0) {
+    // Written so that NaN, for which every comparison is false, fails.
+    if (!(threshold >= 0.0 && threshold < 1.0)) {
       return Status::InvalidArgument(
           "threshold must satisfy 0 <= T < 1 (NSLD == 1 only for empty "
           "strings)");

@@ -71,11 +71,12 @@ struct Counters {
   std::atomic<uint64_t> peq_table_reuses{0};
 };
 
-// Filter + verify one distinct candidate pair, with `a` resolved against
-// `corpus_a` and `b` against `corpus_b` (the same corpus twice for
+// Histogram filter + verify one distinct candidate pair, with `a` resolved
+// against `corpus_a` and `b` against `corpus_b` (the same corpus twice for
 // self-joins); appends to `out` when the pair joins. Lossless filters only
-// (Sec. III-E). `cache` (may be null) is the run's corpus-wide token-pair
-// cache, only consulted on the token-id path.
+// (Sec. III-E); the length filter already ran where the pair was
+// generated (LengthWindow). `cache` (may be null) is the run's
+// corpus-wide token-pair cache, only consulted on the token-id path.
 void FilterAndVerify(const Corpus& corpus_a, const Corpus& corpus_b,
                      const TsjOptions& options, Counters* counters,
                      TokenPairCache* cache, uint32_t a, uint32_t b,
@@ -83,12 +84,6 @@ void FilterAndVerify(const Corpus& corpus_a, const Corpus& corpus_b,
   const double t = options.threshold;
   const size_t la = corpus_a.aggregate_length(a);
   const size_t lb = corpus_b.aggregate_length(b);
-  if (options.enable_length_filter &&
-      NsldLowerBoundFromAggregateLengths(la, lb) > t) {
-    counters->length_filtered.fetch_add(1, std::memory_order_relaxed);
-    AddWorkUnits(1);
-    return;
-  }
   if (options.enable_histogram_filter &&
       NsldLowerBoundFromHistograms(corpus_a.length_histogram(a),
                                    corpus_b.length_histogram(b)) > t) {
@@ -162,11 +157,11 @@ TokenPairCache* SelectPairCache(const TsjOptions& options,
              : local;
 }
 
-// Length-sorted candidate batching: one reduce group verifies its
-// candidates in ascending aggregate-length order (ids break ties for
-// determinism), so consecutive bigraphs have similar dimensions and the
-// verify scratch, DP rows and cache lines stay resident instead of being
-// resized around by a random length sequence.
+// Sorts string ids by (aggregate length, id), the order the length window
+// walks. It also batches verification: one reduce group verifies its
+// candidates in this order, so consecutive bigraphs have similar
+// dimensions and the verify scratch, DP rows and cache lines stay
+// resident instead of being resized around by a random length sequence.
 template <typename LengthOf>
 void SortByAggregateLength(std::span<uint32_t> ids,
                            const LengthOf& length_of) {
@@ -176,6 +171,54 @@ void SortByAggregateLength(std::span<uint32_t> ids,
     if (lp != lq) return lp < lq;
     return p < q;
   });
+}
+
+// The Lemma 6 length filter (Sec. III-E.1), applied where candidate pairs
+// are generated: a pair can join only if
+// NsldLowerBoundFromAggregateLengths(la, lb) <= T. The bound is monotone
+// in the longer length (and in the shorter one), so over strings sorted by
+// aggregate length the partners one string admits form one contiguous
+// range; the generators below walk only that range. Disabled, it admits
+// every pair.
+struct LengthWindow {
+  bool enabled = true;
+  double threshold = 0.0;
+
+  bool Admits(size_t la, size_t lb) const {
+    return !enabled || NsldLowerBoundFromAggregateLengths(la, lb) <= threshold;
+  }
+};
+
+// Calls visit(x, y) for every x of `xs` and y of `ys` whose aggregate
+// lengths the window admits, and returns the number of such pairs. Both
+// lists are sorted by (aggregate length, id). As x's length grows, both
+// ends of its admitted range in `ys` only move right, so two pointers
+// find them: `lo` skips the partners too short for x, `hi` stops at the
+// first one too long.
+template <typename Id, typename LengthOfX, typename LengthOfY, typename Visit>
+uint64_t ForEachWindowedCross(std::span<const Id> xs,
+                              const LengthOfX& length_of_x,
+                              std::span<const Id> ys,
+                              const LengthOfY& length_of_y,
+                              const LengthWindow& window, const Visit& visit) {
+  uint64_t visited = 0;
+  size_t lo = 0;
+  size_t hi = 0;
+  for (const Id x : xs) {
+    const size_t lx = length_of_x(x);
+    while (lo < ys.size() && length_of_y(ys[lo]) < lx &&
+           !window.Admits(lx, length_of_y(ys[lo]))) {
+      ++lo;
+    }
+    hi = std::max(hi, lo);
+    while (hi < ys.size() && (length_of_y(ys[hi]) <= lx ||
+                              window.Admits(lx, length_of_y(ys[hi])))) {
+      ++hi;
+    }
+    for (size_t k = lo; k < hi; ++k) visit(x, ys[k]);
+    visited += hi - lo;
+  }
+  return visited;
 }
 
 // Sorts a reduce group's value run in place, dedups it, and returns the
@@ -237,8 +280,12 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
     fp = MixCheckpointFingerprint(fp, total_token_occurrences);
     fp = MixCheckpointFingerprint(fp, static_cast<uint64_t>(t * 1e9));
     fp = MixCheckpointFingerprint(fp, options_.max_token_frequency);
+    // The length window shapes the sealed expansion (map2) output.
+    fp = MixCheckpointFingerprint(fp, options_.enable_length_filter);
     mr_options.checkpoint_fingerprint = fp;
   }
+  const LengthWindow window{options_.enable_length_filter, t};
+  auto length_of = [&corpus](uint32_t s) { return corpus.aggregate_length(s); };
 
   // ---- Token statistics: frequencies and the high-frequency cutoff. ----
   const std::vector<uint32_t> frequency =
@@ -326,6 +373,10 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
         if (surviving[token]) postings[token].push_back(s);
       }
     }
+    // Sorted once here, so every expansion walks a length window.
+    for (std::vector<uint32_t>& list : postings) {
+      SortByAggregateLength(list, length_of);
+    }
     token_pair_candidates.reserve(token_pairs.size());
     for (const NldPair& pair : token_pairs) {
       token_pair_candidates.push_back(
@@ -351,19 +402,25 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
     }
   }
 
-  // Expands one similar-token pair into string-pair candidates through the
-  // postings (the dedup/verify stage's map side).
-  auto expand_token_pair = [&postings, &counters](const SimilarTokenPair& cand,
-                                                  const auto& emit) {
-    AddWorkUnits(1 + postings[cand.a].size() * postings[cand.b].size());
-    for (uint32_t s1 : postings[cand.a]) {
-      for (uint32_t s2 : postings[cand.b]) {
-        if (s1 == s2) continue;
-        counters.similar_token_candidates.fetch_add(1,
-                                                    std::memory_order_relaxed);
-        emit(std::min(s1, s2), std::max(s1, s2));
-      }
-    }
+  // Expands one similar-token pair into the string-pair candidates the
+  // length window admits, through the postings (the dedup/verify stage's
+  // map side).
+  auto expand_token_pair = [&](const SimilarTokenPair& cand,
+                               const auto& emit) {
+    const std::vector<uint32_t>& xs = postings[cand.a];
+    const std::vector<uint32_t>& ys = postings[cand.b];
+    uint64_t emitted = 0;
+    const uint64_t admitted = ForEachWindowedCross<uint32_t>(
+        xs, length_of, ys, length_of, window, [&](uint32_t s1, uint32_t s2) {
+          if (s1 == s2) return;
+          emit(std::min(s1, s2), std::max(s1, s2));
+          ++emitted;
+        });
+    AddWorkUnits(1 + xs.size() + ys.size() + admitted);
+    counters.similar_token_candidates.fetch_add(emitted,
+                                                std::memory_order_relaxed);
+    counters.length_filtered.fetch_add(xs.size() * ys.size() - admitted,
+                                       std::memory_order_relaxed);
   };
 
   const Corpus& corpus_ref = corpus;
@@ -387,14 +444,31 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
                         PartitionedEmitter<uint32_t, uint32_t>* out) {
     for_each_distinct_token(s, [&](TokenId token) { out->Emit(token, s); });
   };
-  // Counts the unordered pairs of one token's strings, which reduce_shared
-  // emits straight into the dedup shuffle (Sec. III-C's reduce, fused with
-  // Job 2's map).
-  auto pair_count = [&counters](size_t group) {
-    const uint64_t pairs = static_cast<uint64_t>(group) * (group - 1) / 2;
-    AddWorkUnits(pairs);
-    counters.shared_token_candidates.fetch_add(pairs,
+  // Emits the unordered pairs of one token's strings that the length
+  // window admits, straight into the dedup shuffle (Sec. III-C's reduce,
+  // fused with Job 2's map). Sorted by (aggregate length, id), each
+  // string's partner scan stops at its first partner too long for it.
+  auto for_each_shared_pair = [&](std::span<uint32_t> strings,
+                                  const auto& emit) {
+    SortByAggregateLength(strings, length_of);
+    uint64_t emitted = 0;
+    for (size_t i = 0; i < strings.size(); ++i) {
+      const size_t li = length_of(strings[i]);
+      for (size_t j = i + 1;
+           j < strings.size() && window.Admits(li, length_of(strings[j]));
+           ++j) {
+        emit(std::min(strings[i], strings[j]),
+             std::max(strings[i], strings[j]));
+        ++emitted;
+      }
+    }
+    const uint64_t pairs =
+        static_cast<uint64_t>(strings.size()) * (strings.size() - 1) / 2;
+    AddWorkUnits(strings.size() + emitted);
+    counters.shared_token_candidates.fetch_add(emitted,
                                                std::memory_order_relaxed);
+    counters.length_filtered.fetch_add(pairs - emitted,
+                                       std::memory_order_relaxed);
   };
 
   JobStats stage1_stats, stage2_stats;
@@ -405,14 +479,9 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
     auto reduce_shared = [&](const uint32_t& /*token*/,
                              std::span<uint32_t> strings,
                              PartitionedEmitter<PairKey, char>* out) {
-      pair_count(strings.size());
-      for (size_t i = 0; i < strings.size(); ++i) {
-        for (size_t j = i + 1; j < strings.size(); ++j) {
-          const uint32_t a = std::min(strings[i], strings[j]);
-          const uint32_t b = std::max(strings[i], strings[j]);
-          out->Emit(PairKey{a, b}, 0);
-        }
-      }
+      for_each_shared_pair(strings, [&](uint32_t a, uint32_t b) {
+        out->Emit(PairKey{a, b}, 0);
+      });
     };
     auto map_expand = [&](const SimilarTokenPair& cand,
                           PartitionedEmitter<PairKey, char>* out) {
@@ -452,13 +521,8 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
     auto reduce_shared = [&](const uint32_t& /*token*/,
                              std::span<uint32_t> strings,
                              PartitionedEmitter<uint32_t, uint32_t>* out) {
-      pair_count(strings.size());
-      for (size_t i = 0; i < strings.size(); ++i) {
-        for (size_t j = i + 1; j < strings.size(); ++j) {
-          emit_keyed(std::min(strings[i], strings[j]),
-                     std::max(strings[i], strings[j]), out);
-        }
-      }
+      for_each_shared_pair(
+          strings, [&](uint32_t a, uint32_t b) { emit_keyed(a, b, out); });
     };
     auto map_expand = [&](const SimilarTokenPair& cand,
                           PartitionedEmitter<uint32_t, uint32_t>* out) {
@@ -651,8 +715,16 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
     fp = MixCheckpointFingerprint(fp, total_token_occurrences);
     fp = MixCheckpointFingerprint(fp, static_cast<uint64_t>(t * 1e9));
     fp = MixCheckpointFingerprint(fp, options_.max_token_frequency);
+    fp = MixCheckpointFingerprint(fp, options_.enable_length_filter);
     mr_options.checkpoint_fingerprint = fp;
   }
+  const LengthWindow window{options_.enable_length_filter, t};
+  auto r_length = [&r_corpus](uint32_t s) {
+    return r_corpus.aggregate_length(s);
+  };
+  auto p_length = [&p_corpus](uint32_t s) {
+    return p_corpus.aggregate_length(s);
+  };
 
   // ---- Joint token space. ------------------------------------------------
   // Tokens are interned per corpus; the join needs one id space covering
@@ -764,6 +836,13 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
         p_postings[j].push_back(s);
       }
     }
+    // Sorted once here, so every expansion walks a length window.
+    for (std::vector<uint32_t>& list : r_postings) {
+      SortByAggregateLength(list, r_length);
+    }
+    for (std::vector<uint32_t>& list : p_postings) {
+      SortByAggregateLength(list, p_length);
+    }
     token_pair_candidates.reserve(token_pairs.size());
     for (const NldPair& pair : token_pairs) {
       token_pair_candidates.push_back(
@@ -801,18 +880,19 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
   }
 
   // A similar token pair (j1, j2) joins R strings containing either token
-  // with P strings containing the other.
+  // with P strings containing the other, within the length window.
   auto expand_token_pair = [&](const SimilarTokenPair& cand, const auto& emit) {
     AddWorkUnits(1);
     auto cross = [&](uint32_t jr, uint32_t jp) {
-      AddWorkUnits(r_postings[jr].size() * p_postings[jp].size());
-      for (uint32_t r : r_postings[jr]) {
-        for (uint32_t p : p_postings[jp]) {
-          counters.similar_token_candidates.fetch_add(
-              1, std::memory_order_relaxed);
-          emit(r, p);
-        }
-      }
+      const std::vector<uint32_t>& rs = r_postings[jr];
+      const std::vector<uint32_t>& ps = p_postings[jp];
+      const uint64_t pairs = ForEachWindowedCross<uint32_t>(
+          rs, r_length, ps, p_length, window, emit);
+      AddWorkUnits(rs.size() + ps.size() + pairs);
+      counters.similar_token_candidates.fetch_add(pairs,
+                                                  std::memory_order_relaxed);
+      counters.length_filtered.fetch_add(rs.size() * ps.size() - pairs,
+                                         std::memory_order_relaxed);
     };
     cross(cand.a, cand.b);
     cross(cand.b, cand.a);
@@ -840,22 +920,38 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
     for (uint32_t j : joint) out->Emit(j, tagged);
   };
   // Cross product of the R-side and P-side strings sharing this token
-  // (the reduce of Sec. III-C in its two-collection form), streamed
-  // straight into the dedup shuffle.
-  auto for_each_cross = [&counters](std::span<uint64_t> values,
-                                    const auto& emit) {
-    uint64_t pairs = 0;
-    for (uint64_t tagged_r : values) {
-      if (TagIsP(tagged_r)) continue;
-      for (uint64_t tagged_p : values) {
-        if (!TagIsP(tagged_p)) continue;
-        emit(TagStringId(tagged_r), TagStringId(tagged_p));
-        ++pairs;
-      }
-    }
+  // (the reduce of Sec. III-C in its two-collection form), within the
+  // length window, streamed straight into the dedup shuffle. The group
+  // sorts into its R strings, then its P strings, each by (aggregate
+  // length, id), and the two runs cross through the two-pointer window.
+  auto tagged_length = [&](uint64_t tagged) {
+    return TagIsP(tagged) ? p_length(TagStringId(tagged))
+                          : r_length(TagStringId(tagged));
+  };
+  auto for_each_cross = [&](std::span<uint64_t> values, const auto& emit) {
+    std::sort(values.begin(), values.end(), [&](uint64_t x, uint64_t y) {
+      if (TagIsP(x) != TagIsP(y)) return TagIsP(y);
+      const size_t lx = tagged_length(x);
+      const size_t ly = tagged_length(y);
+      if (lx != ly) return lx < ly;
+      return x < y;
+    });
+    const size_t num_r = static_cast<size_t>(
+        std::partition_point(values.begin(), values.end(),
+                             [](uint64_t v) { return !TagIsP(v); }) -
+        values.begin());
+    const std::span<const uint64_t> rs = values.first(num_r);
+    const std::span<const uint64_t> ps = values.subspan(num_r);
+    const uint64_t pairs = ForEachWindowedCross<uint64_t>(
+        rs, tagged_length, ps, tagged_length, window,
+        [&](uint64_t r, uint64_t p) {
+          emit(TagStringId(r), TagStringId(p));
+        });
     AddWorkUnits(values.size() + pairs);
     counters.shared_token_candidates.fetch_add(pairs,
                                                std::memory_order_relaxed);
+    counters.length_filtered.fetch_add(rs.size() * ps.size() - pairs,
+                                       std::memory_order_relaxed);
   };
 
   JobStats stage1_stats, stage2_stats;

@@ -6,8 +6,12 @@
 //             NLD-join over the token space (Sec. III-D, justified by
 //             Theorem 3);
 //   filter:   high-frequency tokens dropped up front (M, Sec. III-G.2);
-//             candidates pruned by the Lemma 6 length filter and the
-//             token-length-histogram SLD lower bound (Sec. III-E) — both
+//             the Lemma 6 length filter (Sec. III-E.1) runs inside
+//             generation: every generator walks its strings in
+//             aggregate-length order and emits only the pairs whose
+//             length bound is within T, so pruned pairs never reach the
+//             dedup shuffle; distinct candidates are then pruned by the
+//             token-length-histogram SLD lower bound (Sec. III-E.2) — both
 //             lossless;
 //   verify:   surviving pairs checked with the budget-aware SLD engine
 //             (tokenized/sld.h): the NSLD threshold becomes an integer SLD
@@ -60,15 +64,21 @@ struct TsjRunInfo {
 
   /// Distinct tokens ignored because they occur in more than M strings.
   uint64_t dropped_tokens = 0;
-  /// Candidate pairs produced by the shared-token pass (pre-dedup).
+  /// Candidate pairs the shared-token pass emitted into the dedup shuffle
+  /// (pre-dedup, after the length window).
   uint64_t shared_token_candidates = 0;
   /// Similar (non-identical) token pairs found by the MassJoin NLD-join.
   uint64_t similar_token_pairs = 0;
-  /// Candidate pairs produced by expanding similar token pairs (pre-dedup).
+  /// Candidate pairs the similar-token expansion emitted into the dedup
+  /// shuffle (pre-dedup, after the length window).
   uint64_t similar_token_candidates = 0;
-  /// Distinct candidate pairs after dedup.
+  /// Distinct candidate pairs after dedup; each one the length window
+  /// admitted, so distinct_candidates == histogram_filtered +
+  /// verified_candidates.
   uint64_t distinct_candidates = 0;
-  /// Candidates pruned by the length filter (Sec. III-E.1).
+  /// Emissions the length window (Sec. III-E.1) skipped during
+  /// generation, counted before dedup: a pair generated through k tokens
+  /// counts k times. Zero when TsjOptions::enable_length_filter is off.
   uint64_t length_filtered = 0;
   /// Candidates pruned by the histogram filter (Sec. III-E.2).
   uint64_t histogram_filtered = 0;

@@ -51,6 +51,7 @@
 #include "gtest/gtest.h"
 #include "hmj/hmj.h"
 #include "test_util.h"
+#include "tokenized/bounds.h"
 #include "tokenized/corpus.h"
 #include "tokenized/sld.h"
 #include "tokenized/token_pair_cache.h"
@@ -334,15 +335,35 @@ TsjRunInfo SerialSelfJoinInfo(const Corpus& corpus,
   EXPECT_TRUE(TokenizedStringJoiner(SerialInMemory(options))
                   .SelfJoin(corpus, &info)
                   .ok());
-  // The shared-token pass emits every unordered pair of the strings of
-  // each surviving token: sum f(f-1)/2 over token string frequencies f.
-  uint64_t shared_pairs = 0;
-  for (const uint32_t f : corpus.ComputeTokenStringFrequencies()) {
-    if (f <= options.max_token_frequency) {
-      shared_pairs += uint64_t{f} * (f - 1) / 2;
+  // The shared-token pass emits, per surviving token, the unordered pairs
+  // of its strings whose Lemma 6 length bound is within T (every pair with
+  // the length filter off); the pairs it skips are length_filtered.
+  std::vector<std::vector<uint32_t>> strings_of(corpus.num_distinct_tokens());
+  for (uint32_t s = 0; s < corpus.size(); ++s) {
+    const std::set<TokenId> distinct(corpus.tokens(s).begin(),
+                                     corpus.tokens(s).end());
+    for (const TokenId token : distinct) strings_of[token].push_back(s);
+  }
+  uint64_t all_pairs = 0;
+  uint64_t admitted_pairs = 0;
+  for (const std::vector<uint32_t>& strings : strings_of) {
+    if (strings.size() > options.max_token_frequency) continue;
+    for (size_t i = 0; i < strings.size(); ++i) {
+      for (size_t j = i + 1; j < strings.size(); ++j) {
+        ++all_pairs;
+        if (!options.enable_length_filter ||
+            NsldLowerBoundFromAggregateLengths(
+                corpus.aggregate_length(strings[i]),
+                corpus.aggregate_length(strings[j])) <= options.threshold) {
+          ++admitted_pairs;
+        }
+      }
     }
   }
-  EXPECT_EQ(info.shared_token_candidates, shared_pairs);
+  EXPECT_EQ(info.shared_token_candidates, admitted_pairs);
+  if (options.matching == TokenMatching::kExact) {
+    EXPECT_EQ(info.shared_token_candidates + info.length_filtered, all_pairs);
+  }
   return info;
 }
 

@@ -1,5 +1,6 @@
 #include "hmj/hmj.h"
 
+#include <limits>
 #include <set>
 #include <utility>
 #include <vector>
@@ -139,9 +140,15 @@ TEST(HmjTest, EmptyCorpus) {
 
 TEST(HmjTest, RejectsInvalidOptions) {
   HmjOptions options;
-  options.threshold = 1.5;
   Corpus corpus;
-  EXPECT_FALSE(HybridMetricJoiner(options).SelfJoin(corpus).ok());
+  // NaN fails every comparison, so it must be rejected as well.
+  for (const double bad :
+       {1.5, 1.0, -0.1, std::numeric_limits<double>::quiet_NaN()}) {
+    options.threshold = bad;
+    EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_FALSE(HybridMetricJoiner(options).SelfJoin(corpus).ok()) << bad;
+  }
   options.threshold = 0.1;
   options.num_partitions = 0;
   EXPECT_FALSE(HybridMetricJoiner(options).SelfJoin(corpus).ok());

@@ -1,5 +1,6 @@
 #include "massjoin/mass_join.h"
 
+#include <limits>
 #include <set>
 #include <string>
 #include <utility>
@@ -168,6 +169,16 @@ TEST(MassJoinTest, PersistentTaskFaultsAbortWithRootCause) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
   EXPECT_FALSE(stats.first_task_error().ok());
+}
+
+TEST(MassJoinTest, StatusEntryPointRejectsThresholdOutsideUnitInterval) {
+  const std::vector<std::string> tokens = {"abc", "abd", "xyz"};
+  for (const double bad :
+       {std::numeric_limits<double>::quiet_NaN(), -0.1, 1.0}) {
+    const auto result = RunMassJoinSelfNld(tokens, bad);
+    ASSERT_FALSE(result.ok()) << bad;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
 }
 
 TEST(MassJoinTest, ReportedDistancesAreExact) {

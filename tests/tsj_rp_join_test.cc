@@ -198,9 +198,8 @@ TEST(TsjRpJoinTest, RunInfoConsistent) {
       TokenizedStringJoiner(Lossless(0.15)).Join(r, p, &info);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(info.result_pairs, result->size());
-  EXPECT_EQ(info.distinct_candidates, info.length_filtered +
-                                          info.histogram_filtered +
-                                          info.verified_candidates);
+  EXPECT_EQ(info.distinct_candidates,
+            info.histogram_filtered + info.verified_candidates);
   EXPECT_EQ(info.pipeline.jobs.size(), 4u);
 }
 

@@ -1,6 +1,9 @@
 #include "tsj/tsj.h"
 
+#include <cmath>
+#include <limits>
 #include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -55,10 +58,13 @@ TsjOptions Lossless(double t) {
 
 TEST(TsjOptionsTest, ValidateRejectsBadThreshold) {
   TsjOptions options;
-  options.threshold = 1.0;
-  EXPECT_FALSE(options.Validate().ok());
-  options.threshold = -0.1;
-  EXPECT_FALSE(options.Validate().ok());
+  // NaN fails every comparison, so it must be rejected as well.
+  for (const double bad :
+       {1.0, -0.1, std::numeric_limits<double>::quiet_NaN()}) {
+    options.threshold = bad;
+    EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument)
+        << bad;
+  }
   options.threshold = 0.5;
   EXPECT_TRUE(options.Validate().ok());
 }
@@ -70,11 +76,14 @@ TEST(TsjOptionsTest, ValidateRejectsZeroMaxFrequency) {
 }
 
 TEST(TsjTest, SelfJoinRejectsInvalidOptions) {
-  TsjOptions options;
-  options.threshold = 2.0;
-  TokenizedStringJoiner joiner(options);
-  Corpus corpus;
-  EXPECT_FALSE(joiner.SelfJoin(corpus).ok());
+  for (const double bad : {2.0, std::numeric_limits<double>::quiet_NaN()}) {
+    TsjOptions options;
+    options.threshold = bad;
+    TokenizedStringJoiner joiner(options);
+    Corpus corpus;
+    EXPECT_FALSE(joiner.SelfJoin(corpus).ok()) << bad;
+    EXPECT_FALSE(joiner.Join(corpus, corpus).ok()) << bad;
+  }
 }
 
 class TsjExactnessTest : public ::testing::TestWithParam<double> {};
@@ -160,6 +169,61 @@ TEST(TsjTest, FiltersAreLossless) {
   EXPECT_GT(info_f.length_filtered + info_f.histogram_filtered, 0u);
   EXPECT_EQ(info_u.length_filtered, 0u);
   EXPECT_LT(info_f.verified_candidates, info_u.verified_candidates);
+}
+
+TEST(TsjTest, LengthWindowAdmitsPairsOnTheBound) {
+  // At T = 0.5 both marked pairs sit exactly on the Lemma 6 bound (1 - 3/6
+  // and 1 - 6/12) and have NSLD exactly 0.5, so the length window must
+  // admit them. {ab, c} ~ {ab, cdef} shares the token "ab" (shared-token
+  // path); {abcdef} ~ {abcdefghijkl} shares none, only a similar-token
+  // pair of NLD 0.5 (similar-token path). One ulp below 0.5 the window
+  // must skip the shared-token pair.
+  Corpus corpus;  // self-join pairs (0, 1) and (2, 3)
+  corpus.AddString({"ab", "c"});
+  corpus.AddString({"ab", "cdef"});
+  corpus.AddString({"abcdef"});
+  corpus.AddString({"abcdefghijkl"});
+  Corpus r_corpus;  // R x P pairs (0, 0) and (1, 1)
+  r_corpus.AddString({"ab", "c"});
+  r_corpus.AddString({"abcdef"});
+  Corpus p_corpus;
+  p_corpus.AddString({"ab", "cdef"});
+  p_corpus.AddString({"abcdefghijkl"});
+  using PairNsldSet = std::set<std::tuple<uint32_t, uint32_t, double>>;
+  auto to_set = [](const std::vector<TsjPair>& pairs) {
+    PairNsldSet set;
+    for (const TsjPair& p : pairs) set.emplace(p.a, p.b, p.nsld);
+    return set;
+  };
+  for (const double t : {0.5, std::nextafter(0.5, 0.0)}) {
+    const PairNsldSet self_oracle = to_set(BruteForceNsldSelfJoin(corpus, t));
+    const PairNsldSet rp_oracle =
+        to_set(testutil::BruteForceRP(r_corpus, p_corpus, t));
+    const size_t on_bound = t == 0.5 ? 1 : 0;
+    EXPECT_EQ(self_oracle.count({0u, 1u, 0.5}), on_bound);
+    EXPECT_EQ(self_oracle.count({2u, 3u, 0.5}), on_bound);
+    EXPECT_EQ(rp_oracle.count({0u, 0u, 0.5}), on_bound);
+    EXPECT_EQ(rp_oracle.count({1u, 1u, 0.5}), on_bound);
+    for (const DedupStrategy dedup : {DedupStrategy::kGroupOnOneString,
+                                      DedupStrategy::kGroupOnBothStrings}) {
+      TsjOptions options = Lossless(t);
+      options.dedup = dedup;
+      TsjRunInfo self_info;
+      TsjRunInfo rp_info;
+      const auto self =
+          TokenizedStringJoiner(options).SelfJoin(corpus, &self_info);
+      const auto rp =
+          TokenizedStringJoiner(options).Join(r_corpus, p_corpus, &rp_info);
+      ASSERT_TRUE(self.ok());
+      ASSERT_TRUE(rp.ok());
+      EXPECT_EQ(to_set(*self), self_oracle) << "t=" << t;
+      EXPECT_EQ(to_set(*rp), rp_oracle) << "t=" << t;
+      if (on_bound == 0) {
+        EXPECT_GT(self_info.length_filtered, 0u);
+        EXPECT_GT(rp_info.length_filtered, 0u);
+      }
+    }
+  }
 }
 
 TEST(TsjTest, ApproximationsNeverAddPairs) {
@@ -279,9 +343,10 @@ TEST(TsjTest, RunInfoCountersAreConsistent) {
       TokenizedStringJoiner(Lossless(0.15)).SelfJoin(corpus, &info);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(info.result_pairs, result->size());
-  EXPECT_EQ(info.distinct_candidates, info.length_filtered +
-                                          info.histogram_filtered +
-                                          info.verified_candidates);
+  // The length filter runs where pairs are generated, so every distinct
+  // candidate meets the histogram filter or verification.
+  EXPECT_EQ(info.distinct_candidates,
+            info.histogram_filtered + info.verified_candidates);
   EXPECT_GE(info.verified_candidates, info.result_pairs);
   EXPECT_GT(info.shared_token_candidates + info.similar_token_candidates,
             0u);

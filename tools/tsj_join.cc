@@ -14,10 +14,13 @@
 //   printf 'barak obama\nobama barak\njohn smith\n' > /tmp/names.txt
 //   tsj_join --input /tmp/names.txt --threshold 0.2
 
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 
+#include "common/parse.h"
 #include "tokenized/corpus_io.h"
 #include "tsj/tsj.h"
 
@@ -37,6 +40,17 @@ void PrintUsage() {
       "                [--matching fuzzy|exact] [--dedup one|both] [--stats]\n";
 }
 
+// Parses all of `value` as a threshold in [0, 1); "abc", "0.2x", "nan"
+// and out-of-range values are rejected.
+bool ParseThreshold(const char* value, double* threshold) {
+  char* end = nullptr;
+  const double parsed = std::strtod(value, &end);
+  if (end == value || *end != '\0') return false;
+  if (!(parsed >= 0.0 && parsed < 1.0)) return false;
+  *threshold = parsed;
+  return true;
+}
+
 bool ParseArgs(int argc, char** argv, CliOptions* options) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -53,13 +67,16 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       options->output = v;
     } else if (arg == "--threshold") {
       const char* v = next();
-      if (v == nullptr) return false;
-      options->join.threshold = std::atof(v);
+      if (v == nullptr || !ParseThreshold(v, &options->join.threshold)) {
+        return false;
+      }
     } else if (arg == "--max-token-frequency") {
       const char* v = next();
       if (v == nullptr) return false;
-      options->join.max_token_frequency =
-          static_cast<uint32_t>(std::atoll(v));
+      const uint64_t m =
+          tsj::ParsePositiveInt(v, std::numeric_limits<uint32_t>::max());
+      if (m == 0) return false;
+      options->join.max_token_frequency = static_cast<uint32_t>(m);
     } else if (arg == "--aligning") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -142,9 +159,9 @@ int main(int argc, char** argv) {
               << "distinct tokens:      "
               << loaded->corpus.num_distinct_tokens() << "\n"
               << "dropped tokens (>M):  " << info.dropped_tokens << "\n"
+              << "length-skipped:       " << info.length_filtered << "\n"
               << "distinct candidates:  " << info.distinct_candidates << "\n"
-              << "filtered:             "
-              << info.length_filtered + info.histogram_filtered << "\n"
+              << "histogram-filtered:   " << info.histogram_filtered << "\n"
               << "verified:             " << info.verified_candidates << "\n"
               << "pairs:                " << info.result_pairs << "\n"
               << "wall seconds:         "

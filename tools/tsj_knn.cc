@@ -10,13 +10,18 @@
 // Without --query, queries are read from stdin, one per line.
 
 #include <iostream>
+#include <limits>
 #include <string>
 
+#include "common/parse.h"
 #include "metric/nsld_index.h"
 #include "text/tokenizer.h"
 #include "tokenized/corpus_io.h"
 
 namespace {
+
+constexpr char kUsage[] =
+    "usage: tsj_knn --input FILE [--k K] [--query STRING]\n";
 
 void Answer(const tsj::NsldIndex& index,
             const std::vector<std::string>& raw_lines,
@@ -52,15 +57,20 @@ int main(int argc, char** argv) {
       query = v;
     } else if (arg == "--k") {
       const char* v = next();
-      if (v == nullptr) break;
-      k = static_cast<size_t>(std::atoll(v));
+      k = v == nullptr ? 0
+                       : tsj::ParsePositiveInt(
+                             v, std::numeric_limits<size_t>::max());
+      if (k == 0) {  // missing, non-numeric, zero or negative
+        std::cerr << kUsage;
+        return 2;
+      }
     } else {
       std::cerr << "unknown argument: " << arg << "\n";
       return 2;
     }
   }
   if (input_path.empty()) {
-    std::cerr << "usage: tsj_knn --input FILE [--k K] [--query STRING]\n";
+    std::cerr << kUsage;
     return 2;
   }
 
