@@ -24,14 +24,6 @@
 // --spill_json <path> emits them as JSON (merged into BENCH_verify.json
 // by CI alongside the shuffle counters).
 //
-// The batched-verify ablation row runs the full configuration with the
-// batched SIMD kernel off (per-pair scalar MyersBoundedLevenshtein, the
-// pre-batching hot path); the lanes% and peq reuse columns show the
-// kernel's SIMD lane occupancy and shared-Peq amortization on the rows
-// that batch. --verify_json <path> emits the kernel counters plus the
-// batched-vs-scalar wall/work comparison as JSON (merged into
-// BENCH_verify.json by CI).
-//
 // The fault-framework rows run the full configuration with the fault
 // injector explicitly disarmed (pinning the disabled FAULT_POINT cost —
 // one relaxed atomic load per site — at noise level next to the 'full'
@@ -95,23 +87,10 @@ std::string CombinerColumn(const TsjRunInfo& info) {
          TablePrinter::Fmt(info.combiner_output_records);
 }
 
-// "filled/slots" lane-occupancy percentage; "-" when no row batched.
-std::string LanesColumn(const TsjRunInfo& info) {
-  if (info.batched_verify_lane_slots == 0) return "-";
-  return PercentOrDash(info.batched_verify_lanes_filled,
-                       info.batched_verify_lane_slots);
-}
-
-std::string PeqReuseColumn(const TsjRunInfo& info) {
-  if (info.batched_verify_calls == 0) return "-";
-  return TablePrinter::Fmt(info.peq_table_reuses);
-}
-
 // Returns false when the spill run failed (main exits non-zero so CI's
 // merge step never reads a missing/zeroed BENCH_spill.json as success).
 bool Run(const std::string& shuffle_json_path,
          const std::string& spill_json_path,
-         const std::string& verify_json_path,
          const std::string& fault_json_path,
          const std::string& ckpt_json_path) {
   bench::PrintHeader("Ablation", "contribution of each TSJ design choice");
@@ -167,14 +146,6 @@ bool Run(const std::string& shuffle_json_path,
     rows.push_back({"- budgeted verify (unbounded SLD)", o});
   }
   {
-    // Batched-verify ablation: per-pair scalar kernel calls, one Peq
-    // preprocessing per (token, token) edge — the pre-batching hot path.
-    // Identical pairs, NSLD values and work units by construction.
-    TsjOptions o = base;
-    o.enable_batched_verify = false;
-    rows.push_back({"- batched verify (per-pair scalar kernel)", o});
-  }
-  {
     // Token-id verification ablation: same engine, but every candidate
     // materializes byte strings first (and loses the corpus-wide cache).
     TsjOptions o = base;
@@ -222,14 +193,30 @@ bool Run(const std::string& shuffle_json_path,
 
   TablePrinter table({"configuration", "pairs", "distinct cands", "verified",
                       "verify work", "L1 hit%", "shared hit%", "flushes",
-                      "comb in>out", "lanes%", "peq reuse", "peak shuffle",
-                      "wall (ms)"});
+                      "comb in>out", "peak shuffle", "wall (ms)"});
+  auto add_row = [&table](const std::string& name, uint64_t pairs,
+                          const TsjRunInfo& info, double ms) {
+    const uint64_t l1_probes =
+        info.token_pair_cache_l1_hits + info.token_pair_cache_l1_misses;
+    const uint64_t shared_probes =
+        info.token_pair_cache_hits + info.token_pair_cache_misses;
+    table.AddRow({name, TablePrinter::Fmt(pairs),
+                  TablePrinter::Fmt(info.distinct_candidates),
+                  TablePrinter::Fmt(info.verified_candidates),
+                  TablePrinter::Fmt(info.verify_work_units),
+                  PercentOrDash(info.token_pair_cache_l1_hits, l1_probes),
+                  PercentOrDash(info.token_pair_cache_hits, shared_probes),
+                  info.token_pair_cache_flush_batches == 0
+                      ? std::string("-")
+                      : TablePrinter::Fmt(info.token_pair_cache_flush_batches),
+                  CombinerColumn(info),
+                  TablePrinter::Fmt(info.peak_shuffle_records),
+                  TablePrinter::Fmt(ms, 0)});
+  };
   uint64_t budgeted_work = 0, unbounded_work = 0;
   ShuffleNumbers streaming_numbers;
   TsjRunInfo full_info;
-  TsjRunInfo scalar_verify_info;
   double full_wall_ms = 0, pr3_wall_ms = 0;
-  double scalar_verify_wall_ms = 0;
   for (const auto& row : rows) {
     Stopwatch watch;
     TsjRunInfo info;
@@ -248,27 +235,7 @@ bool Run(const std::string& shuffle_json_path,
     if (!row.options.enable_budgeted_verify) {
       unbounded_work = info.verify_work_units;
     }
-    if (!row.options.enable_batched_verify) {
-      scalar_verify_info = info;
-      scalar_verify_wall_ms = ms;
-    }
-    const uint64_t l1_probes =
-        info.token_pair_cache_l1_hits + info.token_pair_cache_l1_misses;
-    const uint64_t shared_probes =
-        info.token_pair_cache_hits + info.token_pair_cache_misses;
-    table.AddRow({row.name, TablePrinter::Fmt(uint64_t{result->size()}),
-                  TablePrinter::Fmt(info.distinct_candidates),
-                  TablePrinter::Fmt(info.verified_candidates),
-                  TablePrinter::Fmt(info.verify_work_units),
-                  PercentOrDash(info.token_pair_cache_l1_hits, l1_probes),
-                  PercentOrDash(info.token_pair_cache_hits, shared_probes),
-                  info.token_pair_cache_flush_batches == 0
-                      ? std::string("-")
-                      : TablePrinter::Fmt(info.token_pair_cache_flush_batches),
-                  CombinerColumn(info), LanesColumn(info),
-                  PeqReuseColumn(info),
-                  TablePrinter::Fmt(info.peak_shuffle_records),
-                  TablePrinter::Fmt(ms, 0)});
+    add_row(row.name, result->size(), info, ms);
   }
   // ---- Out-of-core spill row: the full configuration under a memory
   // budget of a quarter of its own in-memory shuffle peak, so several
@@ -295,25 +262,8 @@ bool Run(const std::string& shuffle_json_path,
                 << "\n";
     }
     if (result.ok()) {
-      const uint64_t l1_probes = spill_info.token_pair_cache_l1_hits +
-                                 spill_info.token_pair_cache_l1_misses;
-      const uint64_t shared_probes = spill_info.token_pair_cache_hits +
-                                     spill_info.token_pair_cache_misses;
-      table.AddRow(
-          {"+ shuffle spill (budget = peak/4)",
-           TablePrinter::Fmt(uint64_t{result->size()}),
-           TablePrinter::Fmt(spill_info.distinct_candidates),
-           TablePrinter::Fmt(spill_info.verified_candidates),
-           TablePrinter::Fmt(spill_info.verify_work_units),
-           PercentOrDash(spill_info.token_pair_cache_l1_hits, l1_probes),
-           PercentOrDash(spill_info.token_pair_cache_hits, shared_probes),
-           spill_info.token_pair_cache_flush_batches == 0
-               ? std::string("-")
-               : TablePrinter::Fmt(spill_info.token_pair_cache_flush_batches),
-           CombinerColumn(spill_info), LanesColumn(spill_info),
-           PeqReuseColumn(spill_info),
-           TablePrinter::Fmt(spill_info.peak_shuffle_records),
-           TablePrinter::Fmt(spill_wall_ms, 0)});
+      add_row("+ shuffle spill (budget = peak/4)", result->size(), spill_info,
+              spill_wall_ms);
     }
   }
 
@@ -329,26 +279,6 @@ bool Run(const std::string& shuffle_json_path,
   double fault_absorbed_wall_ms = 0;
   bool fault_absorbed_ok = false;
   {
-    auto add_fault_row = [&](const std::string& name, uint64_t pairs,
-                             const TsjRunInfo& info, double ms) {
-      const uint64_t l1_probes =
-          info.token_pair_cache_l1_hits + info.token_pair_cache_l1_misses;
-      const uint64_t shared_probes =
-          info.token_pair_cache_hits + info.token_pair_cache_misses;
-      table.AddRow({name, TablePrinter::Fmt(pairs),
-                    TablePrinter::Fmt(info.distinct_candidates),
-                    TablePrinter::Fmt(info.verified_candidates),
-                    TablePrinter::Fmt(info.verify_work_units),
-                    PercentOrDash(info.token_pair_cache_l1_hits, l1_probes),
-                    PercentOrDash(info.token_pair_cache_hits, shared_probes),
-                    info.token_pair_cache_flush_batches == 0
-                        ? std::string("-")
-                        : TablePrinter::Fmt(info.token_pair_cache_flush_batches),
-                    CombinerColumn(info), LanesColumn(info),
-                    PeqReuseColumn(info),
-                    TablePrinter::Fmt(info.peak_shuffle_records),
-                    TablePrinter::Fmt(ms, 0)});
-    };
     FaultInjector::Global().Configure("");  // explicit: disarmed
     Stopwatch watch;
     const auto result = TokenizedStringJoiner(base).SelfJoin(
@@ -356,7 +286,7 @@ bool Run(const std::string& shuffle_json_path,
     fault_disabled_wall_ms = watch.ElapsedMillis();
     fault_disabled_ok = result.ok();
     if (fault_disabled_ok) {
-      add_fault_row("+ fault framework (disabled)", result->size(),
+      add_row("+ fault framework (disabled)", result->size(),
                     fault_disabled_info, fault_disabled_wall_ms);
     }
     // Two absorbable start faults: one map task and one reduce task each
@@ -370,8 +300,8 @@ bool Run(const std::string& shuffle_json_path,
     fault_absorbed_ok = armed.ok();
     FaultInjector::Global().ConfigureFromEnv();
     if (fault_absorbed_ok) {
-      add_fault_row("+ fault injection (2 absorbed faults)", armed->size(),
-                    fault_absorbed_info, fault_absorbed_wall_ms);
+      add_row("+ fault injection (2 absorbed faults)", armed->size(),
+              fault_absorbed_info, fault_absorbed_wall_ms);
     }
   }
 
@@ -389,26 +319,6 @@ bool Run(const std::string& shuffle_json_path,
   bool restart_ok = false;
   uint64_t aborted_tasks_checkpointed = 0;
   {
-    auto add_ckpt_row = [&](const std::string& name, uint64_t pairs,
-                            const TsjRunInfo& info, double ms) {
-      const uint64_t l1_probes =
-          info.token_pair_cache_l1_hits + info.token_pair_cache_l1_misses;
-      const uint64_t shared_probes =
-          info.token_pair_cache_hits + info.token_pair_cache_misses;
-      table.AddRow({name, TablePrinter::Fmt(pairs),
-                    TablePrinter::Fmt(info.distinct_candidates),
-                    TablePrinter::Fmt(info.verified_candidates),
-                    TablePrinter::Fmt(info.verify_work_units),
-                    PercentOrDash(info.token_pair_cache_l1_hits, l1_probes),
-                    PercentOrDash(info.token_pair_cache_hits, shared_probes),
-                    info.token_pair_cache_flush_batches == 0
-                        ? std::string("-")
-                        : TablePrinter::Fmt(info.token_pair_cache_flush_batches),
-                    CombinerColumn(info), LanesColumn(info),
-                    PeqReuseColumn(info),
-                    TablePrinter::Fmt(info.peak_shuffle_records),
-                    TablePrinter::Fmt(ms, 0)});
-    };
     const std::string ckpt_dir =
         (std::filesystem::temp_directory_path() / "tsj-ablation-ckpt")
             .string();
@@ -423,8 +333,8 @@ bool Run(const std::string& shuffle_json_path,
     ckpt_wall_ms = ckpt_watch.ElapsedMillis();
     ckpt_ok = sealed.ok();
     if (ckpt_ok) {
-      add_ckpt_row("+ checkpointing (no fault)", sealed->size(), ckpt_info,
-                   ckpt_wall_ms);
+      add_row("+ checkpointing (no fault)", sealed->size(), ckpt_info,
+              ckpt_wall_ms);
     }
     // Restart leg: wipe the directory, abort a checkpointing run with a
     // fatal reduce fault (retries off so the fault is terminal), then
@@ -447,8 +357,8 @@ bool Run(const std::string& shuffle_json_path,
       restart_wall_ms = restart_watch.ElapsedMillis();
       restart_ok = restarted.ok();
       if (restart_ok) {
-        add_ckpt_row("+ restart after fault", restarted->size(), restart_info,
-                     restart_wall_ms);
+        add_row("+ restart after fault", restarted->size(), restart_info,
+                restart_wall_ms);
       }
     }
     std::filesystem::remove_all(ckpt_dir, ec);
@@ -521,20 +431,6 @@ bool Run(const std::string& shuffle_json_path,
                      static_cast<double>(budgeted_work)
               << "x fewer verify work units than unbounded SLD\n";
   }
-  if (full_info.batched_verify_calls > 0) {
-    std::cout << "batched verify: " << full_info.batched_verify_calls
-              << " row batches, lanes filled "
-              << full_info.batched_verify_lanes_filled << "/"
-              << full_info.batched_verify_lane_slots << " ("
-              << PercentOrDash(full_info.batched_verify_lanes_filled,
-                               full_info.batched_verify_lane_slots)
-              << "%), " << full_info.peq_table_reuses
-              << " Peq reuses; wall " << full_wall_ms << " ms vs "
-              << scalar_verify_wall_ms
-              << " ms per-pair scalar (verify work "
-              << full_info.verify_work_units << " vs "
-              << scalar_verify_info.verify_work_units << " units)\n";
-  }
   if (full_info.combiner_input_records > 0) {
     std::cout << "combiner reduction: " << full_info.combiner_input_records
               << " -> " << full_info.combiner_output_records
@@ -548,8 +444,8 @@ bool Run(const std::string& shuffle_json_path,
   }
   std::cout << "\nexpectations: removing filters raises 'verified' with the "
                "same result pairs; the approximations only shrink the "
-               "result; disabling budgeted verify, batched verify, token-id "
-               "verify, either cache tier, the combiner, or adaptive "
+               "result; disabling budgeted verify, token-id verify, "
+               "either cache tier, the combiner, or adaptive "
                "partitioning changes nothing but the work/traffic/wall "
                "columns (byte-identical pairs and NSLD values).\n";
 
@@ -676,35 +572,6 @@ bool Run(const std::string& shuffle_json_path,
     std::cout << "spill counters written to " << spill_json_path << "\n";
   }
 
-  if (!verify_json_path.empty()) {
-    std::ofstream json(verify_json_path);
-    json << "{\n"
-         << "  \"batched_verify_calls\": " << full_info.batched_verify_calls
-         << ",\n"
-         << "  \"lanes_filled\": " << full_info.batched_verify_lanes_filled
-         << ",\n"
-         << "  \"lane_slots\": " << full_info.batched_verify_lane_slots
-         << ",\n"
-         << "  \"lane_fill_pct\": "
-         << (full_info.batched_verify_lane_slots > 0
-                 ? 100.0 *
-                       static_cast<double>(
-                           full_info.batched_verify_lanes_filled) /
-                       static_cast<double>(full_info.batched_verify_lane_slots)
-                 : 0.0)
-         << ",\n"
-         << "  \"peq_table_reuses\": " << full_info.peq_table_reuses << ",\n"
-         << "  \"batched_wall_ms\": " << full_wall_ms << ",\n"
-         << "  \"scalar_wall_ms\": " << scalar_verify_wall_ms << ",\n"
-         << "  \"batched_verify_work_units\": " << full_info.verify_work_units
-         << ",\n"
-         << "  \"scalar_verify_work_units\": "
-         << scalar_verify_info.verify_work_units << "\n"
-         << "}\n";
-    std::cout << "batched-verify counters written to " << verify_json_path
-              << "\n";
-  }
-
   if (!fault_json_path.empty() && fault_disabled_ok) {
     std::ofstream json(fault_json_path);
     json << "{\n"
@@ -774,7 +641,6 @@ bool Run(const std::string& shuffle_json_path,
 int main(int argc, char** argv) {
   std::string shuffle_json_path;
   std::string spill_json_path;
-  std::string verify_json_path;
   std::string fault_json_path;
   std::string ckpt_json_path;
   for (int i = 1; i + 1 < argc; ++i) {
@@ -784,9 +650,6 @@ int main(int argc, char** argv) {
     if (std::string(argv[i]) == "--spill_json") {
       spill_json_path = argv[i + 1];
     }
-    if (std::string(argv[i]) == "--verify_json") {
-      verify_json_path = argv[i + 1];
-    }
     if (std::string(argv[i]) == "--fault_json") {
       fault_json_path = argv[i + 1];
     }
@@ -794,8 +657,8 @@ int main(int argc, char** argv) {
       ckpt_json_path = argv[i + 1];
     }
   }
-  return tsj::Run(shuffle_json_path, spill_json_path, verify_json_path,
-                  fault_json_path, ckpt_json_path)
+  return tsj::Run(shuffle_json_path, spill_json_path, fault_json_path,
+                  ckpt_json_path)
              ? 0
              : 1;
 }

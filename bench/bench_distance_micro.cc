@@ -4,7 +4,6 @@
 // vs. full Levenshtein).
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "assignment/greedy_matching.h"
@@ -14,7 +13,6 @@
 #include "distance/jaro.h"
 #include "distance/levenshtein.h"
 #include "distance/myers.h"
-#include "distance/myers_batch.h"
 #include "distance/normalized_levenshtein.h"
 #include "tokenized/corpus.h"
 #include "tokenized/sld.h"
@@ -140,74 +138,6 @@ BENCHMARK(BM_MyersBoundedLevenshteinSimilar)
     ->Args({32, 4})
     ->Args({64, 4})
     ->Args({64, 8});
-
-// The batched one-pattern-vs-many kernel (distance/myers_batch.h) against
-// the per-pair scalar kernel on the exact same workload: one pattern vs
-// 64 distinct candidate texts from the same length class — the verify
-// stage's length-sorted reduce-group regime (a group holds different
-// tokens sharing a token with the row, not edit chains of it, so the
-// scalar kernel's affix trimming finds little to trim). The batch pays
-// one Peq preprocessing per iteration where the per-pair baseline pays
-// 64; counters report pairs/s via SetItemsProcessed. The acceptance bar
-// is >= 1.5x batched over per-pair at lengths >= 32.
-constexpr size_t kBatchTexts = 64;
-constexpr uint32_t kBatchBound = 4;
-
-std::vector<std::string> MakeBatchTexts(Rng* rng, size_t len) {
-  std::vector<std::string> texts;
-  texts.reserve(kBatchTexts);
-  for (size_t t = 0; t < kBatchTexts; ++t) {
-    const size_t jitter = rng->Uniform(9);  // len-4 .. len+4
-    texts.push_back(MakeString(rng, len - 4 + jitter));
-  }
-  return texts;
-}
-
-void BM_MyersBatch(benchmark::State& state) {
-  Rng rng(13);
-  const size_t lanes = static_cast<size_t>(state.range(0));
-  const size_t len = static_cast<size_t>(state.range(1));
-  const std::string x = MakeString(&rng, len);
-  const std::vector<std::string> texts = MakeBatchTexts(&rng, len);
-  const std::vector<std::string_view> views(texts.begin(), texts.end());
-  std::vector<uint32_t> dists(views.size());
-  MyersBatchVerifier verifier(BatchSimdMode::kAuto, lanes);
-  for (auto _ : state) {
-    verifier.SetPattern(x);
-    verifier.VerifyMany(kBatchBound, views, dists.data());
-    benchmark::DoNotOptimize(dists.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(views.size()));
-}
-BENCHMARK(BM_MyersBatch)
-    ->ArgNames({"lanes", "len"})
-    ->Args({1, 32})
-    ->Args({2, 32})
-    ->Args({4, 32})
-    ->Args({1, 128})
-    ->Args({2, 128})
-    ->Args({4, 128});
-
-void BM_MyersOneVsManyPerPair(benchmark::State& state) {
-  Rng rng(13);
-  const size_t len = static_cast<size_t>(state.range(0));
-  const std::string x = MakeString(&rng, len);
-  const std::vector<std::string> texts = MakeBatchTexts(&rng, len);
-  std::vector<uint32_t> dists(texts.size());
-  for (auto _ : state) {
-    for (size_t t = 0; t < texts.size(); ++t) {
-      dists[t] = MyersBoundedLevenshtein(x, texts[t], kBatchBound);
-    }
-    benchmark::DoNotOptimize(dists.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(texts.size()));
-}
-BENCHMARK(BM_MyersOneVsManyPerPair)
-    ->ArgNames({"len"})
-    ->Arg(32)
-    ->Arg(128);
 
 void BM_NldWithin(benchmark::State& state) {
   Rng rng(3);
@@ -372,20 +302,15 @@ BENCHMARK(BM_SldGreedy)->Arg(2)->Arg(4)->Arg(8);
 
 // Custom main instead of BENCHMARK_MAIN(): stamps the harness's own
 // build type (NDEBUG-derived, unlike the benchmark library's
-// library_build_type, which describes libbenchmark) and the resolved
-// verify-kernel SIMD backend into the JSON context. CI's merge script
-// asserts tsj_build_type == "release" — a debug-built harness once fed
-// the perf trajectory unnoticed.
+// library_build_type, which describes libbenchmark) into the JSON
+// context. CI's merge script asserts tsj_build_type == "release" — a
+// debug-built harness once fed the perf trajectory unnoticed.
 int main(int argc, char** argv) {
 #ifdef NDEBUG
   benchmark::AddCustomContext("tsj_build_type", "release");
 #else
   benchmark::AddCustomContext("tsj_build_type", "debug");
 #endif
-  benchmark::AddCustomContext(
-      "verify_simd",
-      tsj::BatchSimdModeName(
-          tsj::ResolveBatchSimdMode(tsj::BatchSimdModeFromEnv())));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -45,10 +45,6 @@ struct WorkState {
   std::atomic<uint64_t> distance_computations{0};
   std::atomic<uint64_t> pivot_filtered{0};
   std::atomic<uint64_t> assignments{0};
-  std::atomic<uint64_t> batched_verify_calls{0};
-  std::atomic<uint64_t> batched_verify_lanes_filled{0};
-  std::atomic<uint64_t> batched_verify_lane_slots{0};
-  std::atomic<uint64_t> peq_table_reuses{0};
   std::atomic<bool> aborted{false};
 };
 
@@ -96,20 +92,10 @@ class HmjRunner {
     const size_t lb = corpus_.aggregate_length(b);
     const int64_t budget =
         SldBudgetFromThreshold(options_.threshold, la, lb);
-    SldVerifyScratch& scratch = LeafVerifyScratch();
-    scratch.use_batched_verify = options_.enable_batched_verify;
     const BoundedSldResult verdict =
         BoundedSld(corpus_, corpus_.tokens(a), corpus_.tokens(b), budget,
-                   options_.aligning, &scratch, &pair_cache_);
+                   options_.aligning, &LeafVerifyScratch(), &pair_cache_);
     AddWorkUnits(verdict.work_units);
-    state_->batched_verify_calls.fetch_add(verdict.batched_verify_calls,
-                                           std::memory_order_relaxed);
-    state_->batched_verify_lanes_filled.fetch_add(
-        verdict.batched_verify_lanes_filled, std::memory_order_relaxed);
-    state_->batched_verify_lane_slots.fetch_add(
-        verdict.batched_verify_lane_slots, std::memory_order_relaxed);
-    state_->peq_table_reuses.fetch_add(verdict.peq_table_reuses,
-                                       std::memory_order_relaxed);
     if (!verdict.within_budget) return false;
     *nsld = NsldFromSld(verdict.sld, la, lb);
     return true;
@@ -263,9 +249,13 @@ StatusOr<std::vector<TsjPair>> HybridMetricJoiner::SelfJoin(
   // gate): strip the engine-level dir unless the join-level switch is
   // on; with the switch on and no caller-supplied fingerprint, derive
   // one from the corpus statistics and join parameters so restarts only
-  // restore checkpoints written for this exact input.
+  // restore checkpoints written for this exact input. A work-limited run
+  // strips it too: once the limit trips, map tasks return early, and a
+  // sealed truncated task would be restored as if it were complete.
+  const bool checkpointing =
+      options_.enable_checkpointing && options_.work_limit == 0;
   uint64_t ckpt_fp = options_.mapreduce.checkpoint_fingerprint;
-  if (options_.enable_checkpointing && ckpt_fp == 0) {
+  if (checkpointing && ckpt_fp == 0) {
     ckpt_fp = MixCheckpointFingerprint(0, corpus.size());
     ckpt_fp = MixCheckpointFingerprint(ckpt_fp, corpus.num_distinct_tokens());
     size_t total_token_occurrences = 0;
@@ -278,7 +268,7 @@ StatusOr<std::vector<TsjPair>> HybridMetricJoiner::SelfJoin(
     ckpt_fp = MixCheckpointFingerprint(ckpt_fp, options_.seed);
   }
   const auto gate_checkpoint = [&](MapReduceOptions* mr) {
-    if (!options_.enable_checkpointing) {
+    if (!checkpointing) {
       mr->checkpoint_dir.clear();
     } else if (mr->checkpoint_fingerprint == 0) {
       mr->checkpoint_fingerprint = ckpt_fp;
@@ -368,10 +358,6 @@ StatusOr<std::vector<TsjPair>> HybridMetricJoiner::SelfJoin(
   local_info.distance_computations = state.distance_computations;
   local_info.pivot_filtered = state.pivot_filtered;
   local_info.assignments = state.assignments;
-  local_info.batched_verify_calls = state.batched_verify_calls;
-  local_info.batched_verify_lanes_filled = state.batched_verify_lanes_filled;
-  local_info.batched_verify_lane_slots = state.batched_verify_lane_slots;
-  local_info.peq_table_reuses = state.peq_table_reuses;
   local_info.task_failures = local_info.pipeline.total_task_failures();
   local_info.task_retries = local_info.pipeline.total_task_retries();
   local_info.tasks_cancelled =

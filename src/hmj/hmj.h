@@ -51,7 +51,8 @@ struct HmjOptions {
   /// Pivot-sampling seed.
   uint64_t seed = 42;
   /// Budget of NSLD evaluations; 0 = unlimited. Exceeding it aborts the
-  /// run (HmjRunInfo::completed = false), modelling the paper's DNF.
+  /// run (HmjRunInfo::completed = false), modelling the paper's DNF. A
+  /// nonzero limit turns checkpointing off (see enable_checkpointing).
   uint64_t work_limit = 0;
   /// Verification alignment mode (kept exact to match the NSLD metric).
   TokenAligning aligning = TokenAligning::kExact;
@@ -72,7 +73,10 @@ struct HmjOptions {
   /// over the same corpus skips tasks whose checkpoint validates. A zero
   /// mapreduce.checkpoint_fingerprint is derived from the corpus
   /// statistics and join parameters. Off by default: the engine-level
-  /// dir is stripped unless this is set.
+  /// dir is stripped unless this is set. A run with work_limit > 0 never
+  /// seals or restores checkpoints (its dir is stripped as well): an
+  /// aborted run's map tasks stop early, and their truncated outputs
+  /// must not be restored by a later run.
   bool enable_checkpointing = false;
   /// Skew-adaptive shuffle partitioning (mapreduce/cluster_model.h):
   /// each job plans its partition count from its key profile — the
@@ -82,11 +86,6 @@ struct HmjOptions {
   /// (which remains the fallback/off value). Lossless: results are
   /// partition-count-invariant.
   bool adaptive_partitions = true;
-  /// Batched SIMD verify kernel inside the leaf verification loops
-  /// (batched-edge contract in tokenized/sld.h; same semantics as
-  /// TsjOptions::enable_batched_verify). Lossless; disable only to
-  /// measure the per-pair scalar baseline.
-  bool enable_batched_verify = true;
 
   Status Validate() const {
     // Written so that NaN, for which every comparison is false, fails.
@@ -109,13 +108,11 @@ struct HmjRunInfo {
   uint64_t pivot_filtered = 0;
   /// Total partition-assignment records (home + window replicas).
   uint64_t assignments = 0;
-  /// Batched-verify kernel counters (distance/myers_batch.h), summed
-  /// over the leaf verification loops; same semantics as the TsjRunInfo
-  /// fields of the same names.
+  /// Always 0; read by perfbench/; delete at the next benchmark change
+  /// (ROADMAP item 6).
   uint64_t batched_verify_calls = 0;
   uint64_t batched_verify_lanes_filled = 0;
   uint64_t batched_verify_lane_slots = 0;
-  uint64_t peq_table_reuses = 0;
   /// Task-level fault-tolerance counters summed across the run's jobs
   /// (same semantics as the TsjRunInfo fields of the same names; see the
   /// fault contract in mapreduce.h).

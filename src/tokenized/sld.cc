@@ -143,165 +143,6 @@ uint64_t BandedLdWorkUnits(size_t len_a, size_t len_b, int64_t cap) {
          1;
 }
 
-// Batched row evaluation (the batched-edge contract documented in
-// sld.h): phase 1 resolves trivial edges and probes the cache tiers in
-// column order, queueing only cache-miss survivors; phase 2 runs ONE
-// length-sorted VerifyMany batch for the whole row, sharing the row
-// token's Peq table across every survivor; phase 3 installs costs and
-// cache upserts back in column order — the identical cache-op sequence
-// the scalar path would have issued — then fills duplicate columns from
-// their representatives. The batch runs at the uniform row bound
-// max_e b_e (b_e = min(cap, longer_e)): the kernel returns
-// min(LD, row_bound + 1), so per edge "result > b_e" certifies
-// LD > cap exactly as a b_e-bounded scalar run would, a result <= b_e
-// is the exact LD, and min(result, b_e + 1) is bit-identical to the
-// value the scalar kernel would have cached at b_e. Returns the row
-// minimum; work accounting matches the scalar path edge for edge.
-template <typename Side>
-int64_t EvaluateRowBatched(const Side& x, const Side& y, size_t i, size_t kx,
-                           size_t ky, size_t k, int64_t cap,
-                           SldVerifyScratch* scratch, TokenPairCache* cache,
-                           TokenPairL1Cache* l1, int64_t* row,
-                           BoundedSldResult* result) {
-  using BatchedEdge = SldVerifyScratch::BatchedEdge;
-  const bool xi_real = i < kx;
-  auto& edges = scratch->batch_edges;
-  edges.clear();
-  // Phase 1: trivial edges and cache probes, column order.
-  for (size_t j = 0; j < k; ++j) {
-    if (scratch->rep_y[j] != j) continue;  // duplicate column: phase 3
-    const bool yj_real = j < ky;
-    if (!(xi_real && yj_real)) {
-      if (xi_real) {
-        row[j] = std::min(static_cast<int64_t>(x.length(i)), cap + 1);
-      } else if (yj_real) {
-        row[j] = std::min(static_cast<int64_t>(y.length(j)), cap + 1);
-      } else {
-        row[j] = 0;
-      }
-      result->work_units += 1;
-      continue;
-    }
-    if (x.TokenEquals(i, y, j)) {
-      row[j] = 0;
-      result->work_units += 1;
-      continue;
-    }
-    if (cap == 0) {
-      row[j] = 1;
-      result->work_units += 1;
-      continue;
-    }
-    const int64_t longer =
-        static_cast<int64_t>(std::max(x.length(i), y.length(j)));
-    const uint32_t bound = static_cast<uint32_t>(std::min(cap, longer));
-    const uint64_t kernel_units =
-        BandedLdWorkUnits(x.length(i), y.length(j), bound);
-    uint8_t install = BatchedEdge::kNoInstall;
-    if constexpr (Side::kHasIds) {
-      const bool probe =
-          cache != nullptr && kernel_units >= kMinKernelUnitsToProbeCache;
-      uint32_t ld = 0;
-      if (probe && l1 != nullptr) {
-        const bool consult_shared =
-            kernel_units >= kMinKernelUnitsToProbeSharedShards;
-        if (l1->Lookup(cache, x.id(i), y.id(j), bound, &ld, consult_shared)) {
-          row[j] = (ld > bound) ? cap + 1 : static_cast<int64_t>(ld);
-          result->work_units += 1;
-          continue;
-        }
-        install = consult_shared ? BatchedEdge::kInstallL1Deferred
-                                 : BatchedEdge::kInstallL1Local;
-      } else if (probe &&
-                 kernel_units >= kMinKernelUnitsToProbeSharedShards) {
-        if (cache->Lookup(x.id(i), y.id(j), bound, &ld)) {
-          row[j] = (ld > bound) ? cap + 1 : static_cast<int64_t>(ld);
-          result->work_units += 1;
-          continue;
-        }
-        install = BatchedEdge::kInstallShared;
-      }
-    }
-    edges.push_back(BatchedEdge{
-        .col = static_cast<uint32_t>(j),
-        .bound = bound,
-        .dist = 0,
-        .text_length = static_cast<uint32_t>(y.length(j)),
-        .kernel_units = kernel_units,
-        .install = install,
-    });
-  }
-  // Phase 2: one shared-Peq kernel batch over the survivors. Single-edge
-  // batches (common on short-token rows) skip both sorts — a one-element
-  // sequence is already in every order.
-  if (!edges.empty()) {
-    if (edges.size() > 1) {
-      std::sort(edges.begin(), edges.end(),
-                [](const BatchedEdge& a, const BatchedEdge& b) {
-                  return a.text_length != b.text_length
-                             ? a.text_length < b.text_length
-                             : a.col < b.col;
-                });
-    }
-    auto& texts = scratch->batch_texts;
-    auto& dists = scratch->batch_dists;
-    texts.clear();
-    uint32_t row_bound = 0;
-    for (const BatchedEdge& e : edges) {
-      texts.push_back(y.view(e.col));
-      row_bound = std::max(row_bound, e.bound);
-    }
-    dists.resize(edges.size());
-    MyersBatchVerifier& verifier = scratch->batch_verifier;
-    const uint64_t calls0 = verifier.batch_calls();
-    const uint64_t filled0 = verifier.lanes_filled();
-    const uint64_t slots0 = verifier.lane_slots();
-    const uint64_t reuses0 = verifier.peq_reuses();
-    verifier.SetPattern(x.view(i));
-    verifier.VerifyMany(row_bound, texts, dists.data());
-    result->batched_verify_calls += verifier.batch_calls() - calls0;
-    result->batched_verify_lanes_filled += verifier.lanes_filled() - filled0;
-    result->batched_verify_lane_slots += verifier.lane_slots() - slots0;
-    result->peq_table_reuses += verifier.peq_reuses() - reuses0;
-    for (size_t e = 0; e < edges.size(); ++e) edges[e].dist = dists[e];
-    // Install in column order: same cache-op sequence as the scalar path.
-    if (edges.size() > 1) {
-      std::sort(edges.begin(), edges.end(),
-                [](const BatchedEdge& a, const BatchedEdge& b) {
-                  return a.col < b.col;
-                });
-    }
-    for (const BatchedEdge& e : edges) {
-      row[e.col] = (e.dist > e.bound) ? cap + 1 : static_cast<int64_t>(e.dist);
-      result->work_units += e.kernel_units;
-      if constexpr (Side::kHasIds) {
-        const uint32_t store = std::min(e.dist, e.bound + 1);
-        if (e.install == BatchedEdge::kInstallL1Deferred) {
-          l1->Insert(cache, x.id(i), y.id(e.col), e.bound, store,
-                     /*defer_shared=*/true);
-        } else if (e.install == BatchedEdge::kInstallL1Local) {
-          l1->Insert(cache, x.id(i), y.id(e.col), e.bound, store,
-                     /*defer_shared=*/false);
-        } else if (e.install == BatchedEdge::kInstallShared) {
-          cache->Insert(x.id(i), y.id(e.col), e.bound, store);
-        }
-      }
-    }
-  }
-  // Phase 3: duplicate columns copy their (already final) representative;
-  // the row minimum covers every column.
-  int64_t row_min = std::numeric_limits<int64_t>::max();
-  for (size_t j = 0; j < k; ++j) {
-    const uint32_t rep_col = scratch->rep_y[j];
-    if (rep_col != j) {
-      row[j] = row[rep_col];
-      result->work_units += 1;
-    }
-    row_min = std::min(row_min, row[j]);
-  }
-  return row_min;
-}
-
 }  // namespace
 
 int64_t Sld(const TokenizedString& x, const TokenizedString& y,
@@ -420,11 +261,6 @@ BoundedSldResult BoundedSldImpl(const Side& x, const Side& y, int64_t budget,
         row_min = std::min(row_min, row[j]);
       }
       result.work_units += k;
-    } else if (scratch->use_batched_verify) {
-      // Batched-edge path (see EvaluateRowBatched): same values, same
-      // cache traffic, same work accounting — one kernel batch per row.
-      row_min = EvaluateRowBatched(x, y, i, kx, ky, k, cap, scratch, cache,
-                                   l1, row, &result);
     } else {
       const bool xi_real = i < kx;
       for (size_t j = 0; j < k; ++j) {

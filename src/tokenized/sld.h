@@ -81,44 +81,6 @@
 // and tiering change only *where* a value is found, never the value —
 // the path stays lossless, pinned by tests/differential_test.cc with the
 // L1 tier on and off.
-//
-// Batched edge evaluation (the batched-edge contract). When
-// SldVerifyScratch::use_batched_verify is on (the default), each
-// non-duplicate bigraph row is evaluated in three phases instead of one
-// edge at a time:
-//
-//   1. Column-order scan: trivial edges resolve in place (identical
-//      tokens -> 0, cap == 0 -> 1, padding -> min(length, cap + 1)),
-//      duplicate columns defer to phase 3, and kernel edges probe the
-//      cache tiers in exactly the scalar path's order and gates — L1
-//      first, shared shards only above the shared gate, probes skipped
-//      entirely below the L1 gate. Only cache-miss survivors queue for
-//      the kernel.
-//   2. One MyersBatchVerifier::VerifyMany per row over the queued
-//      texts, length-sorted, with the row token's Peq table built once
-//      and shared across the run (distance/myers_batch.h). The batch
-//      runs at the uniform row bound max_e min(cap, longer_e); each
-//      edge then reads its own bound b_e = min(cap, longer_e) off the
-//      shared result: the kernel returns min(LD, row_bound + 1), so
-//      "result > b_e" still certifies LD > cap exactly as the scalar
-//      kernel's b_e-bounded run would, and a result <= b_e IS the exact
-//      LD — the exactness guarantee is unchanged edge by edge.
-//   3. Column-order install: costs land in the row, fresh values enter
-//      the cache tiers through the same batched-upsert machinery
-//      (L1 insert + deferred shared flush) at bound b_e with value
-//      min(result, b_e + 1) — bit-identical to what the scalar kernel
-//      would have inserted — and duplicate columns copy their
-//      representative.
-//
-// A row falls back to the scalar per-edge path only when the toggle is
-// off; a row with 0 queued survivors skips the kernel, and a single
-// survivor still batches (a 1-text batch runs the shared-Peq scalar
-// core), so counters and cache traffic stay mode-independent. Work
-// accounting is unchanged: each kernel edge still bills
-// BandedLdWorkUnits at its own b_e, cache hits bill 1. The whole path —
-// values, within_budget, work_units, and cache counters — is pinned
-// batched == scalar by tests/differential_test.cc and the fast tier
-// (myers_batch_test.cc).
 
 #ifndef TSJ_TOKENIZED_SLD_H_
 #define TSJ_TOKENIZED_SLD_H_
@@ -127,11 +89,8 @@
 #include <span>
 #include <vector>
 
-#include <string_view>
-
 #include "assignment/greedy_matching.h"
 #include "assignment/hungarian.h"
-#include "distance/myers_batch.h"
 #include "tokenized/token_pair_cache.h"
 #include "tokenized/tokenized_string.h"
 
@@ -194,34 +153,6 @@ struct SldVerifyScratch {
   /// Disable to probe the shared shards directly on every gated edge
   /// (the pre-L1 behaviour; bench_ablation measures the difference).
   bool use_l1_cache = true;
-  /// The one-pattern-vs-many verify kernel of the batched-edge contract
-  /// (see the file comment): one row token's Peq table shared across the
-  /// row's cache-miss survivors, 2-4 texts per SIMD pass. SIMD backend
-  /// resolved from CC_VERIFY_SIMD at scratch construction.
-  MyersBatchVerifier batch_verifier;
-  /// Disable to evaluate edges one scalar kernel call at a time (the
-  /// pre-batch behaviour; lossless either way — bench_ablation measures
-  /// the difference).
-  bool use_batched_verify = true;
-
-  /// Internal per-row queues of the batched-edge path.
-  struct BatchedEdge {
-    enum : uint8_t {
-      kNoInstall = 0,
-      kInstallL1Deferred,  // L1 insert, shared upsert deferred to a batch
-      kInstallL1Local,     // L1 insert only (below the shared gate)
-      kInstallShared,      // direct shared-shard insert (L1 tier off)
-    };
-    uint32_t col = 0;
-    uint32_t bound = 0;        // this edge's own b_e = min(cap, longer)
-    uint32_t dist = 0;         // kernel result at the uniform row bound
-    uint32_t text_length = 0;  // batch sort key
-    uint64_t kernel_units = 0;
-    uint8_t install = kNoInstall;
-  };
-  std::vector<BatchedEdge> batch_edges;
-  std::vector<std::string_view> batch_texts;
-  std::vector<uint32_t> batch_dists;
 };
 
 /// Result of one budget-bounded SLD evaluation.
@@ -234,15 +165,6 @@ struct BoundedSldResult {
   /// Deterministic count of the operations actually performed (banded DP
   /// cells, solver rows), in the same units as SldWorkUnits.
   uint64_t work_units = 0;
-  /// Batched-verify kernel counters (distance/myers_batch.h), all zero
-  /// when the batched path is off or no row reached the kernel:
-  /// VerifyMany batches issued, texts packed into SIMD lanes vs. the
-  /// lane capacity those passes allocated, and kernel texts that reused
-  /// an already-built Peq table instead of re-preprocessing the pattern.
-  uint64_t batched_verify_calls = 0;
-  uint64_t batched_verify_lanes_filled = 0;
-  uint64_t batched_verify_lane_slots = 0;
-  uint64_t peq_table_reuses = 0;
 };
 
 /// Budget-bounded SLD (see the file comment for the derivation and the

@@ -113,19 +113,6 @@ struct TsjOptions {
   /// does).
   bool enable_l1_verify_cache = true;
 
-  /// Batched SIMD verify kernel (batched-edge contract in
-  /// tokenized/sld.h): each bigraph row's cache-miss edges run as ONE
-  /// one-pattern-vs-many Myers batch — the row token's Peq table built
-  /// once and shared across the length-sorted survivors, 2-4 texts per
-  /// SIMD pass (SSE2/AVX2 with a portable fallback; CC_VERIFY_SIMD
-  /// pins a backend). Lossless: values, decisions, work units and cache
-  /// traffic are byte-identical to the per-pair scalar kernel (the
-  /// batched differential sweep pins it). Disable only to measure the
-  /// per-pair baseline (bench_ablation does). TsjRunInfo reports
-  /// batched_verify_calls / lanes_filled / lane_slots /
-  /// peq_table_reuses.
-  bool enable_batched_verify = true;
-
   /// External-memory shuffle spill (mapreduce/spill.h): when enabled AND
   /// mapreduce.memory_budget_records is set, the fused pipeline's jobs
   /// keep at most that many shuffle records resident, flushing

@@ -65,10 +65,6 @@ struct Counters {
   std::atomic<uint64_t> histogram_filtered{0};
   std::atomic<uint64_t> verified_candidates{0};
   std::atomic<uint64_t> verify_work_units{0};
-  std::atomic<uint64_t> batched_verify_calls{0};
-  std::atomic<uint64_t> batched_verify_lanes_filled{0};
-  std::atomic<uint64_t> batched_verify_lane_slots{0};
-  std::atomic<uint64_t> peq_table_reuses{0};
 };
 
 // Histogram filter + verify one distinct candidate pair, with `a` resolved
@@ -98,7 +94,6 @@ void FilterAndVerify(const Corpus& corpus_a, const Corpus& corpus_b,
   // or the reported NSLD.
   SldVerifyScratch& scratch = VerifyScratch();
   scratch.use_l1_cache = options.enable_l1_verify_cache;
-  scratch.use_batched_verify = options.enable_batched_verify;
   if (options.enable_budgeted_verify) {
     const int64_t budget = SldBudgetFromThreshold(t, la, lb);
     BoundedSldResult verdict;
@@ -117,14 +112,6 @@ void FilterAndVerify(const Corpus& corpus_a, const Corpus& corpus_b,
     AddWorkUnits(verdict.work_units);
     counters->verify_work_units.fetch_add(verdict.work_units,
                                           std::memory_order_relaxed);
-    counters->batched_verify_calls.fetch_add(verdict.batched_verify_calls,
-                                             std::memory_order_relaxed);
-    counters->batched_verify_lanes_filled.fetch_add(
-        verdict.batched_verify_lanes_filled, std::memory_order_relaxed);
-    counters->batched_verify_lane_slots.fetch_add(
-        verdict.batched_verify_lane_slots, std::memory_order_relaxed);
-    counters->peq_table_reuses.fetch_add(verdict.peq_table_reuses,
-                                         std::memory_order_relaxed);
     if (verdict.within_budget) {
       out->push_back(TsjPair{a, b, NsldFromSld(verdict.sld, la, lb)});
     }
@@ -576,10 +563,6 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
   local_info.histogram_filtered = counters.histogram_filtered;
   local_info.verified_candidates = counters.verified_candidates;
   local_info.verify_work_units = counters.verify_work_units;
-  local_info.batched_verify_calls = counters.batched_verify_calls;
-  local_info.batched_verify_lanes_filled = counters.batched_verify_lanes_filled;
-  local_info.batched_verify_lane_slots = counters.batched_verify_lane_slots;
-  local_info.peq_table_reuses = counters.peq_table_reuses;
   if (pair_cache != nullptr) {
     // Deltas, so a caller-shared warm cache reports this run's traffic.
     local_info.token_pair_cache_hits = pair_cache->hits() - cache_hits_before;
@@ -1059,10 +1042,6 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
   local_info.histogram_filtered = counters.histogram_filtered;
   local_info.verified_candidates = counters.verified_candidates;
   local_info.verify_work_units = counters.verify_work_units;
-  local_info.batched_verify_calls = counters.batched_verify_calls;
-  local_info.batched_verify_lanes_filled = counters.batched_verify_lanes_filled;
-  local_info.batched_verify_lane_slots = counters.batched_verify_lane_slots;
-  local_info.peq_table_reuses = counters.peq_table_reuses;
   if (pair_cache != nullptr) {
     local_info.token_pair_cache_hits = pair_cache->hits() - cache_hits_before;
     local_info.token_pair_cache_misses =

@@ -106,18 +106,11 @@ struct TsjRunInfo {
   /// Deferred upserts flushed (records; the per-edge shared-shard inserts
   /// these batches replaced).
   uint64_t token_pair_cache_flushed_records = 0;
-  /// Batched-verify kernel counters (distance/myers_batch.h), summed
-  /// across the run's verify calls; all zero when
-  /// TsjOptions::enable_batched_verify is off or no bigraph row had
-  /// cache-miss kernel edges. One VerifyMany batch runs per such row;
-  /// lanes_filled / lane_slots is the SIMD lane occupancy of those
-  /// batches (bench_ablation reports it as lanes%); peq_table_reuses
-  /// counts kernel texts that reused an already-built Peq table instead
-  /// of re-preprocessing the row token.
+  /// Always 0; read by perfbench/; delete at the next benchmark change
+  /// (ROADMAP item 6).
   uint64_t batched_verify_calls = 0;
   uint64_t batched_verify_lanes_filled = 0;
   uint64_t batched_verify_lane_slots = 0;
-  uint64_t peq_table_reuses = 0;
   /// Records scanned by the shuffle combiner (pre-combine candidate
   /// volume) and records it kept. input - output is the shuffle
   /// traffic the combiner removed before the dedup/verify stage boundary.

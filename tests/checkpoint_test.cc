@@ -20,6 +20,7 @@
 
 #include "common/fault.h"
 #include "gtest/gtest.h"
+#include "hmj/hmj.h"
 #include "mapreduce/mapreduce.h"
 #include "tsj/tsj.h"
 #include "workload/ring_workload.h"
@@ -383,6 +384,65 @@ TEST_F(CheckpointTest, JoinLevelSwitchGatesTheEngineDirectory) {
   EXPECT_EQ(info.tasks_skipped_by_checkpoint, 0u);
   EXPECT_TRUE(!std::filesystem::exists(dir_) ||
               std::filesystem::is_empty(dir_));
+}
+
+TEST_F(CheckpointTest, HmjRestartAfterWorkLimitedRunMatchesFreshRun) {
+  // A work-limited HMJ run that trips its limit (DNF) stops its map tasks
+  // early. Restarting over the same directory, without the limit, must
+  // give a fresh run's (pair, NSLD) set: none of the limited run's
+  // truncated tasks may be restored. Fig. 7's corpus shape: 2-4 tokens
+  // of 2-4 syllables.
+  RingWorkloadOptions workload_options;
+  workload_options.num_accounts = 400;
+  workload_options.num_rings = 16;
+  workload_options.names.min_tokens = 2;
+  workload_options.names.max_tokens = 4;
+  workload_options.names.min_syllables = 2;
+  workload_options.names.max_syllables = 4;
+  const RingWorkload workload = GenerateRingWorkload(workload_options);
+  HmjOptions options;
+  options.threshold = 0.1;
+  options.mapreduce.num_workers = 4;
+  const auto fresh = HybridMetricJoiner(options).SelfJoin(workload.corpus);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  ASSERT_FALSE(fresh->empty());
+
+  HmjOptions ckpt = options;
+  ckpt.enable_checkpointing = true;
+  ckpt.mapreduce.checkpoint_dir = dir_;
+  ckpt.work_limit = 5000;  // the map phase alone needs 400 x 64 distances
+  HmjRunInfo limited_info;
+  ASSERT_TRUE(
+      HybridMetricJoiner(ckpt).SelfJoin(workload.corpus, &limited_info).ok());
+  EXPECT_FALSE(limited_info.completed);
+  EXPECT_EQ(limited_info.tasks_checkpointed, 0u);
+
+  // The same limit again: still a DNF, never a restored "complete" run.
+  HmjRunInfo again_info;
+  ASSERT_TRUE(
+      HybridMetricJoiner(ckpt).SelfJoin(workload.corpus, &again_info).ok());
+  EXPECT_FALSE(again_info.completed);
+  EXPECT_EQ(again_info.tasks_skipped_by_checkpoint, 0u);
+
+  ckpt.work_limit = 0;
+  HmjRunInfo restarted_info;
+  const auto restarted =
+      HybridMetricJoiner(ckpt).SelfJoin(workload.corpus, &restarted_info);
+  ASSERT_TRUE(restarted.ok()) << restarted.status().ToString();
+  EXPECT_TRUE(restarted_info.completed);
+  EXPECT_EQ(restarted_info.tasks_skipped_by_checkpoint, 0u);
+  EXPECT_GE(restarted_info.tasks_checkpointed, 1u);
+  EXPECT_EQ(SortedPairs(*restarted), SortedPairs(*fresh));
+
+  // The unlimited run's own checkpoints are complete: a further restart
+  // restores them and still matches.
+  HmjRunInfo restored_info;
+  const auto restored =
+      HybridMetricJoiner(ckpt).SelfJoin(workload.corpus, &restored_info);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_TRUE(restored_info.completed);
+  EXPECT_GE(restored_info.tasks_skipped_by_checkpoint, 1u);
+  EXPECT_EQ(SortedPairs(*restored), SortedPairs(*fresh));
 }
 
 }  // namespace

@@ -12,7 +12,8 @@
 //     cap family (0, 1, small, huge);
 //   * BoundedSld on interned token-id spans (with and without the
 //     TokenPairCache, exact and greedy aligning) == BoundedSld on the
-//     materialized byte multisets, on random corpora and budgets;
+//     materialized byte multisets, on random corpora (some with tokens
+//     longer than 64 characters) and budgets;
 //   * the fused TSJ pipeline (with the shuffle combiner and the
 //     per-worker L1 verify-cache tier on, i.e. the defaults) == the
 //     brute-force NSLD oracle (exact Hungarian, no filters, no cache:
@@ -33,12 +34,9 @@
 //     re-combine at flush and merge), exactly what this sweep hammers.
 
 #include <algorithm>
-#include <cstdlib>
-#include <deque>
 #include <filesystem>
 #include <set>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -46,7 +44,6 @@
 #include "common/random.h"
 #include "distance/levenshtein.h"
 #include "distance/myers.h"
-#include "distance/myers_batch.h"
 #include "eval/join_metrics.h"
 #include "gtest/gtest.h"
 #include "hmj/hmj.h"
@@ -173,12 +170,29 @@ TEST(DifferentialTest, MyersWordBoundarySweep) {
 }
 
 // Random corpora for the SLD-level differential: small alphabet and token
-// counts so duplicate tokens (within and across strings) are common.
+// counts so duplicate tokens (within and across strings) are common. About
+// one string in four also carries one long token: a 40-150-character draw
+// over the same alphabet, half the time the corpus's shared long base,
+// then a few random edits. Edges with such a token run the blocked Myers
+// path (patterns longer than 64 characters), and long-vs-long edges off
+// the shared base have small distances, so they land both within and
+// beyond the row caps on either side of the word seam.
 Corpus RandomCorpus(Rng* rng, size_t n) {
+  const std::string long_base = testutil::RandomString(rng, 40, 150, 3);
   Corpus corpus;
   for (size_t s = 0; s < n; ++s) {
     TokenizedString tokens =
         testutil::RandomTokenizedString(rng, 0, 4, 0, 8, 3);
+    if (rng->Uniform(4) == 0) {
+      std::string long_token = rng->Bernoulli(0.5)
+                                   ? long_base
+                                   : testutil::RandomString(rng, 40, 150, 3);
+      for (uint64_t e = rng->Uniform(5); e > 0; --e) {
+        long_token = testutil::RandomEdit(rng, long_token, 3);
+      }
+      tokens.insert(tokens.begin() + rng->Uniform(tokens.size() + 1),
+                    std::move(long_token));
+    }
     corpus.AddString(tokens);
   }
   return corpus;
@@ -644,258 +658,6 @@ TEST(DifferentialTest, SpillForcedRpJoinMatchesInMemoryEngines) {
       if (budget <= 7) EXPECT_GT(info.spilled_records, 0u) << context;
     }
   }
-}
-
-// ---- Batched SIMD verify kernel ------------------------------------------
-
-// One batch of texts for the one-pattern-vs-many differential: every
-// family the scalar kernel's own sweep covers, relative to `pattern` so
-// equal-string and edit-chain short-circuits carry traffic.
-std::vector<std::string> RandomBatchTexts(Rng* rng,
-                                          const std::string& pattern) {
-  std::vector<std::string> texts;
-  const size_t count = 1 + rng->Uniform(7);  // partial final groups included
-  texts.reserve(count);
-  for (size_t t = 0; t < count; ++t) {
-    switch (rng->Uniform(6)) {
-      case 0:  // independent draw from the pair families
-        texts.push_back(RandomPair(rng).second);
-        break;
-      case 1:  // equal to the pattern (short-circuit path)
-        texts.push_back(pattern);
-        break;
-      case 2: {  // edit chain off the pattern: known-small distances
-        std::string y = pattern;
-        for (uint64_t e = rng->Uniform(5); e > 0; --e) {
-          y = testutil::RandomEdit(rng, y, 6);
-        }
-        texts.push_back(std::move(y));
-        break;
-      }
-      case 3:  // empty text
-        texts.emplace_back();
-        break;
-      case 4:  // raw bytes, full 8-bit range
-        texts.push_back(testutil::RandomByteString(rng, 0, 24));
-        break;
-      default:  // long text: blocked path and big length gaps
-        texts.push_back(testutil::RandomString(rng, 40, 150, 4));
-        break;
-    }
-  }
-  return texts;
-}
-
-TEST(DifferentialTest, BatchedVerifierMatchesScalarAndNaiveDp) {
-  // The batched one-pattern-vs-many kernel vs the scalar bounded kernel
-  // vs the naive DP: >= 10k (pattern, text) pairs x the cap families x
-  // lane counts {1, 2, 4} x every SIMD backend, plus the CC_VERIFY_SIMD
-  // env toggle that CI uses to force the portable fallback.
-  Rng rng(80082024);
-
-  struct Config {
-    BatchSimdMode mode;
-    size_t lanes;
-  };
-  std::vector<Config> configs;
-  for (const BatchSimdMode mode :
-       {BatchSimdMode::kPortable, BatchSimdMode::kSse2, BatchSimdMode::kAvx2,
-        BatchSimdMode::kAuto}) {
-    for (const size_t lanes : {size_t{1}, size_t{2}, size_t{4}}) {
-      configs.push_back({mode, lanes});
-    }
-  }
-  // deque: the verifier is move-less (it hands out views into owned
-  // pattern storage), and a deque never relocates emplaced elements.
-  std::deque<MyersBatchVerifier> verifiers;
-  for (const Config& c : configs) verifiers.emplace_back(c.mode, c.lanes);
-  // The env toggle, exactly as the CC_VERIFY_SIMD=off CI leg sees it: a
-  // default-constructed verifier must resolve to the portable backend.
-  {
-    char* saved = getenv("CC_VERIFY_SIMD");
-    const std::string saved_value = saved ? saved : "";
-    const bool had = saved != nullptr;
-    ASSERT_EQ(setenv("CC_VERIFY_SIMD", "off", 1), 0);
-    verifiers.emplace_back();
-    EXPECT_EQ(verifiers.back().mode(), BatchSimdMode::kPortable);
-    if (had) {
-      ASSERT_EQ(setenv("CC_VERIFY_SIMD", saved_value.c_str(), 1), 0);
-    } else {
-      ASSERT_EQ(unsetenv("CC_VERIFY_SIMD"), 0);
-    }
-  }
-
-  size_t pairs_checked = 0;
-  for (int trial = 0; pairs_checked < 10500; ++trial) {
-    const std::string pattern = RandomPair(&rng).first;
-    const std::vector<std::string> texts = RandomBatchTexts(&rng, pattern);
-    std::vector<std::string_view> views(texts.begin(), texts.end());
-    std::vector<uint32_t> naive(texts.size());
-    for (size_t t = 0; t < texts.size(); ++t) {
-      naive[t] = NaiveLd(pattern, texts[t]);
-    }
-    std::vector<uint32_t> dists(texts.size());
-    for (const uint32_t cap : CapFamilies(&rng)) {
-      for (MyersBatchVerifier& verifier : verifiers) {
-        verifier.SetPattern(pattern);
-        verifier.VerifyMany(cap, views, dists.data());
-        for (size_t t = 0; t < texts.size(); ++t) {
-          const uint32_t expected = std::min(naive[t], cap + 1);
-          ASSERT_EQ(dists[t], expected)
-              << "trial=" << trial << " text=" << t << " cap=" << cap
-              << " mode=" << BatchSimdModeName(verifier.mode())
-              << " lanes=" << verifier.max_lanes()
-              << " |p|=" << pattern.size() << " |y|=" << texts[t].size();
-          ASSERT_EQ(MyersBoundedLevenshtein(pattern, texts[t], cap),
-                    expected)
-              << "trial=" << trial << " text=" << t << " cap=" << cap;
-        }
-      }
-    }
-    pairs_checked += texts.size();
-  }
-}
-
-TEST(DifferentialTest, BatchedSldMatchesScalarSld) {
-  // BoundedSld with the batched row evaluation (the default) vs the
-  // per-edge scalar path it replaced: identical SLD, verdicts, and work
-  // accounting, with and without the shared TokenPairCache, across both
-  // alignings and every budget family. > 10k random (pair, budget)
-  // trials mirroring BoundedSldOnTokenIdsMatchesBytes.
-  Rng rng(424344454);
-  constexpr int kRounds = 24;
-  constexpr int kPairsPerRound = 440;
-  for (int round = 0; round < kRounds; ++round) {
-    const Corpus corpus = RandomCorpus(&rng, 30);
-    TokenPairCache batched_cache;  // separate caches: same insert streams
-    TokenPairCache scalar_cache;
-    SldVerifyScratch batched_scratch;
-    SldVerifyScratch scalar_scratch;
-    scalar_scratch.use_batched_verify = false;
-    for (int trial = 0; trial < kPairsPerRound; ++trial) {
-      const uint32_t a = static_cast<uint32_t>(rng.Uniform(corpus.size()));
-      const uint32_t b = static_cast<uint32_t>(rng.Uniform(corpus.size()));
-      const size_t la = corpus.aggregate_length(a);
-      const size_t lb = corpus.aggregate_length(b);
-      int64_t budget = 0;
-      switch (rng.Uniform(5)) {
-        case 0: budget = 0; break;
-        case 1: budget = 1; break;
-        case 2: budget = static_cast<int64_t>(rng.Uniform(6)); break;
-        case 3:
-          budget = SldBudgetFromThreshold(0.05 + 0.3 * rng.NextDouble(), la,
-                                          lb);
-          break;
-        default: budget = static_cast<int64_t>(la + lb); break;
-      }
-      const TokenAligning aligning = rng.Bernoulli(0.5)
-                                         ? TokenAligning::kExact
-                                         : TokenAligning::kGreedy;
-      for (const bool cached : {false, true}) {
-        const BoundedSldResult batched = BoundedSld(
-            corpus, corpus.tokens(a), corpus.tokens(b), budget, aligning,
-            &batched_scratch, cached ? &batched_cache : nullptr);
-        const BoundedSldResult scalar = BoundedSld(
-            corpus, corpus.tokens(a), corpus.tokens(b), budget, aligning,
-            &scalar_scratch, cached ? &scalar_cache : nullptr);
-        const std::string context =
-            "round=" + std::to_string(round) + " trial=" +
-            std::to_string(trial) + " a=" + std::to_string(a) + " b=" +
-            std::to_string(b) + " budget=" + std::to_string(budget) +
-            " exact=" +
-            std::to_string(aligning == TokenAligning::kExact) +
-            " cached=" + std::to_string(cached);
-        ASSERT_EQ(batched.within_budget, scalar.within_budget) << context;
-        ASSERT_EQ(batched.sld, scalar.sld) << context;
-        ASSERT_EQ(batched.work_units, scalar.work_units) << context;
-        // The scalar path must never touch the batch kernel.
-        ASSERT_EQ(scalar.batched_verify_calls, 0u) << context;
-        ASSERT_EQ(scalar.batched_verify_lane_slots, 0u) << context;
-      }
-    }
-  }
-}
-
-TEST(DifferentialTest, BatchedSelfJoinIsLossless) {
-  // End-to-end: enable_batched_verify may only change how row edges reach
-  // the LD kernel, never the join. Batched-on (the default) vs
-  // batched-off: identical (pair, NSLD) sets, identical candidate/filter
-  // counters, identical verify work — for TSJ (both dedup strategies,
-  // multi-worker) and for the HMJ baseline's leaf loops.
-  Rng rng(91929394);
-  constexpr int kRounds = 4;
-  for (int round = 0; round < kRounds; ++round) {
-    const Corpus corpus = RandomJoinCorpus(&rng, 80);
-    const double t = 0.08 + 0.3 * rng.NextDouble();
-    for (DedupStrategy dedup : {DedupStrategy::kGroupOnOneString,
-                                DedupStrategy::kGroupOnBothStrings}) {
-      for (const size_t workers : {size_t{1}, size_t{4}}) {
-        TsjOptions batched_options;  // defaults: batched verify on
-        batched_options.threshold = t;
-        batched_options.max_token_frequency = 1u << 30;
-        batched_options.dedup = dedup;
-        batched_options.mapreduce.num_workers = workers;
-        ASSERT_TRUE(batched_options.enable_batched_verify);
-
-        TsjOptions scalar_options = batched_options;
-        scalar_options.enable_batched_verify = false;
-
-        TsjRunInfo batched_info, scalar_info;
-        const auto batched = TokenizedStringJoiner(batched_options)
-                                 .SelfJoin(corpus, &batched_info);
-        const auto scalar = TokenizedStringJoiner(scalar_options)
-                                .SelfJoin(corpus, &scalar_info);
-        ASSERT_TRUE(batched.ok());
-        ASSERT_TRUE(scalar.ok());
-        const std::string context =
-            "round=" + std::to_string(round) + " t=" + std::to_string(t) +
-            " dedup=" + std::to_string(static_cast<int>(dedup)) +
-            " workers=" + std::to_string(workers);
-        EXPECT_EQ(ToPairNsldSet(*batched), ToPairNsldSet(*scalar))
-            << context;
-        ExpectSameCounters(batched_info, scalar_info, context);
-        if (workers == 1) {
-          // Work accounting is only run-to-run deterministic single
-          // threaded: with several workers the shared cache fills in a
-          // racy order, so hit patterns (and thus work units) drift even
-          // scalar-vs-scalar. One worker pins exact equality.
-          EXPECT_EQ(batched_info.verify_work_units,
-                    scalar_info.verify_work_units)
-              << context;
-        }
-        // The toggle actually toggled: the scalar run never batches; the
-        // batched run's slot/fill geometry is consistent when it does.
-        EXPECT_EQ(scalar_info.batched_verify_calls, 0u) << context;
-        EXPECT_EQ(scalar_info.batched_verify_lane_slots, 0u) << context;
-        EXPECT_GE(batched_info.batched_verify_lane_slots,
-                  batched_info.batched_verify_lanes_filled)
-            << context;
-      }
-    }
-  }
-
-  // The HMJ baseline shares the leaf verification loops; one compact
-  // on/off differential pins its wiring too.
-  const Corpus corpus = RandomJoinCorpus(&rng, 60);
-  HmjOptions batched_options;
-  batched_options.threshold = 0.12;
-  ASSERT_TRUE(batched_options.enable_batched_verify);
-  HmjOptions scalar_options = batched_options;
-  scalar_options.enable_batched_verify = false;
-  HmjRunInfo batched_info, scalar_info;
-  const auto batched =
-      HybridMetricJoiner(batched_options).SelfJoin(corpus, &batched_info);
-  const auto scalar =
-      HybridMetricJoiner(scalar_options).SelfJoin(corpus, &scalar_info);
-  ASSERT_TRUE(batched.ok());
-  ASSERT_TRUE(scalar.ok());
-  EXPECT_EQ(ToPairNsldSet(*batched), ToPairNsldSet(*scalar));
-  EXPECT_EQ(batched_info.distance_computations,
-            scalar_info.distance_computations);
-  EXPECT_EQ(scalar_info.batched_verify_calls, 0u);
-  EXPECT_EQ(scalar_info.batched_verify_lane_slots, 0u);
-  EXPECT_GE(batched_info.batched_verify_lane_slots,
-            batched_info.batched_verify_lanes_filled);
 }
 
 TEST(DifferentialTest, FaultMatrixNeverCrashesHangsOrCorrupts) {

@@ -1,6 +1,8 @@
 #include "tokenized/token_pair_cache.h"
 
+#include <algorithm>
 #include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -278,6 +280,79 @@ TEST(TokenPairL1CacheTest, EvictionIsLossyButNeverWrong) {
   l1.Flush(&shared);
   EXPECT_LE(l1.size(), size_t{1} << 14);
   EXPECT_GT(shared.size(), 0u);
+}
+
+TEST(TokenPairCacheTest, ConcurrentWorkersNeverServeAWrongValue) {
+  // Four workers, each with its own L1, share one cache. Neighbouring
+  // workers' key ranges overlap by half, so shards grow and rehash while
+  // other workers probe them, insert directly and flush L1 batches into
+  // them. A miss "computes" min(f(key), cap + 1) at a random cap, as the
+  // bounded kernel would; every hit from either tier must equal
+  // min(f(key), query_cap + 1).
+  constexpr uint32_t kWorkers = 4;
+  constexpr uint32_t kKeysPerWorker = 4000;
+  constexpr uint32_t kRangeStride = kKeysPerWorker / 2;
+  constexpr uint32_t kDistinctKeys =
+      (kWorkers - 1) * kRangeStride + kKeysPerWorker;
+  constexpr int kOpsPerWorker = 60000;
+  // Key k is the token pair (k, k + kPairOffset); f is its "distance".
+  constexpr TokenId kPairOffset = 1u << 20;
+  const auto f = [](uint32_t k) {
+    return static_cast<uint32_t>(Mix64(k) % 40);
+  };
+  TokenPairCache shared;
+  std::vector<uint64_t> hits(kWorkers, 0), wrong(kWorkers, 0);
+  std::vector<std::thread> workers;
+  for (uint32_t w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([&, w] {
+      TokenPairL1Cache l1;
+      Rng rng(7100 + w);
+      for (int op = 0; op < kOpsPerWorker; ++op) {
+        const uint32_t k = w * kRangeStride +
+                           static_cast<uint32_t>(rng.Uniform(kKeysPerWorker));
+        const uint32_t cap = static_cast<uint32_t>(rng.Uniform(48));
+        const uint32_t want = std::min(f(k), cap + 1);
+        uint32_t got = 0;
+        bool hit = false;
+        if (rng.Uniform(4) == 0) {
+          // Shared shards only, as with the L1 tier off.
+          hit = shared.Lookup(k + kPairOffset, k, cap, &got);
+          if (!hit) shared.Insert(k, k + kPairOffset, cap, want);
+        } else {
+          l1.BindTo(&shared);
+          const bool consult_shared = rng.Uniform(5) != 0;
+          hit = l1.Lookup(&shared, k, k + kPairOffset, cap, &got,
+                          consult_shared);
+          if (!hit) {
+            l1.Insert(&shared, k, k + kPairOffset, cap, want,
+                      /*defer_shared=*/consult_shared);
+          }
+          if (rng.Uniform(200) == 0) l1.FlushIfBatchReady(&shared);
+        }
+        if (hit) {
+          ++hits[w];
+          if (got != want) ++wrong[w];
+        }
+      }
+      l1.Flush(&shared);
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  for (uint32_t w = 0; w < kWorkers; ++w) {
+    EXPECT_GT(hits[w], 0u) << "worker " << w;
+    EXPECT_EQ(wrong[w], 0u) << "worker " << w;
+  }
+  EXPECT_LE(shared.size(), size_t{kDistinctKeys});
+  // Far more than the 64 shards hold before their first rehash.
+  EXPECT_GT(shared.size(), size_t{kDistinctKeys / 2});
+  // What the shards kept after the races still serves the right values.
+  for (uint32_t k = 0; k < kDistinctKeys; ++k) {
+    uint32_t got = 0;
+    const uint32_t cap = k % 48;
+    if (shared.Lookup(k, k + kPairOffset, cap, &got)) {
+      EXPECT_EQ(got, std::min(f(k), cap + 1)) << "k=" << k;
+    }
+  }
 }
 
 // ---- Join-level stress: warm vs. cold cache ------------------------------
