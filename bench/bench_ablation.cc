@@ -1,11 +1,12 @@
-// Ablation study of TSJ's design choices (DESIGN.md, not a paper figure):
-// measures, on one workload, what each lossless filter (Sec. III-E), the
+// Ablation study of TSJ's design choices (not a paper figure): measures,
+// on one workload, what each lossless filter (Sec. III-E), the
 // dedup strategy, the verification engine tiers (budgeted verify,
 // token-id path, shared token-pair cache, per-worker L1 tier) and the
 // shuffle (combiner, skew-adaptive partitioning) contribute in candidate/verification counts, per-tier cache hit rates,
 // combiner record reduction, peak shuffle-resident records and measured
 // wall time. Complements Figs. 1-5, which report the paper's own
-// parameter sweeps.
+// parameter sweeps. The bag filter (tokenized/bounds.h) has no switch, so
+// it runs in every row, the filter-less ones included.
 //
 // A --workers sweep table shows the contention story directly: the same
 // full configuration at workers=1 vs workers=hw, with the L1/shared

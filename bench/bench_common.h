@@ -1,7 +1,8 @@
 // Shared setup for the figure-reproduction harnesses: the default account
 // workload (a scaled-down stand-in for the paper's 44.4M Google-account
-// names; see DESIGN.md "Substitutions"), the cluster-model calibration used
-// to simulate 100-1,000-machine runs, and small formatting helpers.
+// names, which are not public: synthetic names with planted fraud rings,
+// workload/ring_workload.h), the cluster-model calibration used to
+// simulate 100-1,000-machine runs, and small formatting helpers.
 //
 // Scale: every harness multiplies its default workload size by the
 // TSJ_BENCH_SCALE environment variable (default 1.0), so

@@ -53,8 +53,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::cout << "similar pairs: " << pairs->size()
-            << " (length-skipped before dedup: " << info.length_filtered
-            << ", distinct candidates: " << info.distinct_candidates
+            << " (skipped before dedup: " << info.length_filtered
+            << " by length, " << info.bag_filtered << " by character bag"
+            << "; distinct candidates: " << info.distinct_candidates
             << ", histogram-filtered: " << info.histogram_filtered
             << ", verified: " << info.verified_candidates << ")\n";
 

@@ -42,6 +42,8 @@ int main(int argc, char** argv) {
             << "\n";
   std::cout << "  length-skipped:         " << info.length_filtered
             << " (before dedup)\n";
+  std::cout << "  bag-skipped:            " << info.bag_filtered
+            << " (before dedup)\n";
   std::cout << "  distinct candidates:    " << info.distinct_candidates
             << "\n";
   std::cout << "  histogram-filtered:     " << info.histogram_filtered

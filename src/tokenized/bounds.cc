@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <initializer_list>
 #include <numeric>
 
 #include "tokenized/sld.h"
@@ -51,6 +52,30 @@ double NsldLowerBoundFromHistograms(const std::vector<uint32_t>& lengths_x,
   const size_t ly = std::accumulate(lengths_y.begin(), lengths_y.end(),
                                     static_cast<size_t>(0));
   return NsldFromSld(sld_lb, lx, ly);
+}
+
+int64_t SldLowerBoundFromCharBags(const CharBag& bag_x, const CharBag& bag_y,
+                                  size_t len_x, size_t len_y) {
+  uint32_t x_only = 0;  // |X \ Y| over the saturated buckets
+  uint32_t y_only = 0;  // |Y \ X|
+  for (size_t i = 0; i < kCharBagBuckets; ++i) {
+    const int32_t d = static_cast<int32_t>(bag_x[i]) - bag_y[i];
+    x_only += static_cast<uint32_t>(std::max(d, 0));
+    y_only += static_cast<uint32_t>(std::max(-d, 0));
+  }
+  // Over the unsaturated bags |X \ Y| - |Y \ X| = L(x) - L(y) exactly, so
+  // each side is at least the other side's saturated count plus that
+  // difference. Without saturation this changes nothing.
+  const int64_t diff =
+      static_cast<int64_t>(len_x) - static_cast<int64_t>(len_y);
+  return std::max({static_cast<int64_t>(x_only), static_cast<int64_t>(y_only),
+                   y_only + diff, x_only - diff});
+}
+
+double NsldLowerBoundFromCharBags(const CharBag& bag_x, const CharBag& bag_y,
+                                  size_t len_x, size_t len_y) {
+  return NsldFromSld(SldLowerBoundFromCharBags(bag_x, bag_y, len_x, len_y),
+                     len_x, len_y);
 }
 
 }  // namespace tsj

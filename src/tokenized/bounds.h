@@ -1,6 +1,6 @@
 // Lower bounds on SLD / NSLD used by TSJ's candidate filters (Sec. III-E).
 //
-// Two filters are supported:
+// Three filters are supported:
 //  * Length filter (Lemma 6): from the aggregate token lengths alone,
 //    NSLD(x, y) >= 1 - L(x)/L(y) for L(x) <= L(y).
 //  * Histogram filter (Sec. III-E.2): from the token-length histograms.
@@ -11,8 +11,22 @@
 //    under |a - b| cost pairs them in sorted order (no-crossing exchange
 //    argument), so the bound is computable in O(k log k).
 //    The paper defers its exact histogram-pruning algorithm to an extended
-//    version; this is a provably correct instance of the same idea and can
-//    only prune true negatives (see DESIGN.md).
+//    version; this is a provably correct instance of the same idea. It can
+//    only prune true negatives because the bound never exceeds SLD
+//    (HistogramBoundTest.NeverExceedsTrueSldOnRandomSamples pins that).
+//  * Bag filter (not in the paper): from the character bags (CharBag,
+//    tokenized/tokenized_string.h). With X and Y the multisets of all
+//    characters of x and y, SLD(x, y) >= max(|X \ Y|, |Y \ X|). An edit
+//    operation removes at most one character from a string's bag and adds
+//    at most one, so it shrinks |A \ B| and |B \ A| by at most one each:
+//    LD(a, b) >= max(|A \ B|, |B \ A|) for every token pair, an empty
+//    padding token included (the bag distance of Bartolini, Ciaccia &
+//    Patella, SPIRE 2002). Multiset difference is subadditive, so summing
+//    over the optimal token matching gives the bound. The bound is never
+//    below ||X| - |Y|| = |L(x) - L(y)|, so it dominates Lemma 6, and greedy
+//    aligning costs at least SLD, so it is safe there too. TSJ applies it
+//    where candidate pairs are generated (tsj/tsj.h); CharBagBoundTest
+//    pins both inequalities.
 
 #ifndef TSJ_TOKENIZED_BOUNDS_H_
 #define TSJ_TOKENIZED_BOUNDS_H_
@@ -38,9 +52,9 @@ double NsldLowerBoundFromAggregateLengths(size_t len_x, size_t len_y);
 /// y = {"b","b","b","b","b","b"} has SLD = 8 > L(y) = 6 and
 /// NSLD = 16/17 > 2/(1/2+2) = 0.8. TSJ only ever prunes with the *lower*
 /// bound, which is sound, so the join is unaffected; this function is
-/// provided for completeness and documented fidelity to the paper. See
-/// DESIGN.md ("Paper errata") and tokenized_bounds_test.cc for the
-/// counterexample regression.
+/// provided for completeness and documented fidelity to the paper.
+/// AggregateLengthBoundsTest.Lemma6UpperBoundErratumCounterexample pins
+/// the counterexample.
 double NsldUpperBoundFromAggregateLengths(size_t len_x, size_t len_y);
 
 /// Lower bound on SLD(x, y) from the sorted token-length histograms of the
@@ -54,6 +68,21 @@ int64_t SldLowerBoundFromHistograms(const std::vector<uint32_t>& lengths_x,
 /// bound into Def. 4 yields a valid NSLD lower bound.
 double NsldLowerBoundFromHistograms(const std::vector<uint32_t>& lengths_x,
                                     const std::vector<uint32_t>& lengths_y);
+
+/// Lower bound on SLD(x, y) from the character bags and aggregate lengths
+/// of the two strings: max(|X \ Y|, |Y \ X|) over the bags, raised where
+/// saturation lost counts by |X \ Y| - |Y \ X| = L(x) - L(y). Never
+/// exceeds the true SLD (or the greedy-aligning cost), and never falls
+/// below |L(x) - L(y)|.
+int64_t SldLowerBoundFromCharBags(const CharBag& bag_x, const CharBag& bag_y,
+                                  size_t len_x, size_t len_y);
+
+/// NsldFromSld of SldLowerBoundFromCharBags: a pair can join at threshold T
+/// only if this is <= T. It is the predicate SldBudgetFromThreshold is
+/// fixed against, so it admits exactly the pairs whose bound is within the
+/// SLD budget.
+double NsldLowerBoundFromCharBags(const CharBag& bag_x, const CharBag& bag_y,
+                                  size_t len_x, size_t len_y);
 
 }  // namespace tsj
 

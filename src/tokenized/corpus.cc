@@ -19,16 +19,19 @@ StringId Corpus::AddString(const TokenizedString& tokens) {
   size_t aggregate = 0;
   std::vector<uint32_t> lengths;
   lengths.reserve(tokens.size());
+  CharBag bag{};
   for (const auto& token : tokens) {
     ids.push_back(InternToken(token));
     aggregate += token.size();
     lengths.push_back(static_cast<uint32_t>(token.size()));
+    AddToCharBag(token, &bag);
   }
   std::sort(lengths.begin(), lengths.end());
   const StringId id = static_cast<StringId>(strings_.size());
   strings_.push_back(std::move(ids));
   aggregate_lengths_.push_back(aggregate);
   length_histograms_.push_back(std::move(lengths));
+  char_bags_.push_back(bag);
   return id;
 }
 

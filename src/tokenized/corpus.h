@@ -5,8 +5,9 @@
 // (Sec. III-C) — and only resolves ids back to strings for the final
 // verification. Corpus provides that id space: every distinct token gets a
 // TokenId, every tokenized string a StringId, and per-string metadata
-// (aggregate length, sorted token-length histogram) is precomputed for the
-// filters of Sec. III-E.
+// (aggregate length, sorted token-length histogram, character bag) is
+// precomputed for the filters of Sec. III-E and the bag filter
+// (tokenized/bounds.h).
 
 #ifndef TSJ_TOKENIZED_CORPUS_H_
 #define TSJ_TOKENIZED_CORPUS_H_
@@ -58,6 +59,9 @@ class Corpus {
     return length_histograms_[id];
   }
 
+  /// Character bag of string `id` (the bag filter's metadata).
+  const CharBag& char_bag(StringId id) const { return char_bags_[id]; }
+
   /// Materializes string `id` back into its token multiset (final
   /// verification resolves ids to strings, Sec. III-F).
   TokenizedString Materialize(StringId id) const;
@@ -79,6 +83,7 @@ class Corpus {
   std::vector<std::vector<TokenId>> strings_;
   std::vector<size_t> aggregate_lengths_;
   std::vector<std::vector<uint32_t>> length_histograms_;
+  std::vector<CharBag> char_bags_;
   std::vector<std::string> token_texts_;
   std::unordered_map<std::string, TokenId> token_ids_;
 };

@@ -7,8 +7,10 @@
 #ifndef TSJ_TOKENIZED_CORPUS_IO_H_
 #define TSJ_TOKENIZED_CORPUS_IO_H_
 
-#include <iosfwd>
+#include <charconv>
+#include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -36,11 +38,17 @@ StatusOr<LoadedCorpus> ReadCorpusFromFile(
     const std::string& path, const Tokenizer& tokenizer = Tokenizer());
 
 /// Writes "a<TAB>b<TAB>nsld" lines for each pair. The generic row type
-/// only needs fields a, b, nsld (e.g. TsjPair).
+/// only needs fields a, b, nsld (e.g. TsjPair). NSLD is written in the
+/// shortest form that reads back as the same double (std::to_chars), so
+/// a reader sees exactly the value the join computed: 2/21 is
+/// 0.09523809523809523, not 0.0952381.
 template <typename Pair>
 void WritePairs(std::ostream& output, const std::vector<Pair>& pairs) {
+  char nsld[32];
   for (const auto& pair : pairs) {
-    output << pair.a << '\t' << pair.b << '\t' << pair.nsld << '\n';
+    const char* end = std::to_chars(nsld, nsld + sizeof(nsld), pair.nsld).ptr;
+    output << pair.a << '\t' << pair.b << '\t'
+           << std::string_view(nsld, static_cast<size_t>(end - nsld)) << '\n';
   }
 }
 

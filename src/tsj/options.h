@@ -58,7 +58,9 @@ struct TsjOptions {
   /// aggregate-length order and emits only the pairs whose bound is
   /// within T, so the dedup shuffle never carries the others
   /// (TsjRunInfo::length_filtered counts the skipped emissions). Lossless.
-  /// Disabled, every generated pair goes through dedup and verify.
+  /// Disabled, the window admits every generated pair; the bag filter,
+  /// which has no switch and dominates the Lemma 6 bound, still checks
+  /// each one (TsjRunInfo::bag_filtered).
   bool enable_length_filter = true;
 
   /// Token-length-histogram filter (Sec. III-E.2). Lossless.

@@ -62,6 +62,7 @@ struct Counters {
   std::atomic<uint64_t> similar_token_candidates{0};
   std::atomic<uint64_t> distinct_candidates{0};
   std::atomic<uint64_t> length_filtered{0};
+  std::atomic<uint64_t> bag_filtered{0};
   std::atomic<uint64_t> histogram_filtered{0};
   std::atomic<uint64_t> verified_candidates{0};
   std::atomic<uint64_t> verify_work_units{0};
@@ -70,9 +71,9 @@ struct Counters {
 // Histogram filter + verify one distinct candidate pair, with `a` resolved
 // against `corpus_a` and `b` against `corpus_b` (the same corpus twice for
 // self-joins); appends to `out` when the pair joins. Lossless filters only
-// (Sec. III-E); the length filter already ran where the pair was
-// generated (LengthWindow). `cache` (may be null) is the run's
-// corpus-wide token-pair cache, only consulted on the token-id path.
+// (Sec. III-E); the length and bag filters already ran where the pair
+// was generated (LengthWindow, BagFilter). `cache` (may be null) is the
+// run's corpus-wide token-pair cache, only consulted on the token-id path.
 void FilterAndVerify(const Corpus& corpus_a, const Corpus& corpus_b,
                      const TsjOptions& options, Counters* counters,
                      TokenPairCache* cache, uint32_t a, uint32_t b,
@@ -176,6 +177,26 @@ struct LengthWindow {
   }
 };
 
+// The bag filter (tokenized/bounds.h), applied by every generator to each
+// pair the length window admits, before the pair is emitted: a pair with
+// `a` in `corpus_a` and `b` in `corpus_b` can join only if
+// NsldLowerBoundFromCharBags(...) <= T. That is the predicate the SLD
+// budget is fixed against, and the bound never exceeds the exact or the
+// greedy SLD, so the filter is lossless. It has no switch: the
+// brute-force differentials check that it prunes nothing that joins.
+struct BagFilter {
+  const Corpus& corpus_a;
+  const Corpus& corpus_b;
+  double threshold = 0.0;
+
+  bool Admits(uint32_t a, uint32_t b) const {
+    return NsldLowerBoundFromCharBags(
+               corpus_a.char_bag(a), corpus_b.char_bag(b),
+               corpus_a.aggregate_length(a),
+               corpus_b.aggregate_length(b)) <= threshold;
+  }
+};
+
 // Calls visit(x, y) for every x of `xs` and y of `ys` whose aggregate
 // lengths the window admits, and returns the number of such pairs. Both
 // lists are sorted by (aggregate length, id). As x's length grows, both
@@ -272,6 +293,7 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
     mr_options.checkpoint_fingerprint = fp;
   }
   const LengthWindow window{options_.enable_length_filter, t};
+  const BagFilter bags{corpus, corpus, t};
   auto length_of = [&corpus](uint32_t s) { return corpus.aggregate_length(s); };
 
   // ---- Token statistics: frequencies and the high-frequency cutoff. ----
@@ -374,32 +396,50 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
   // Empty tokenized strings have no tokens and thus no signatures, yet any
   // two of them are identical (NSLD = 0): they are unconditional results,
   // emitted directly instead of pushing O(e^2) candidates through the
-  // dedup/verify pipeline. No other pipeline path can rediscover them
-  // (token-free strings never reach a posting), so no dedup is needed.
+  // dedup/verify pipeline. A "blank" string, whose tokens are all empty
+  // (aggregate length 0), is identical to them too. The pipeline pairs
+  // blanks with each other through their shared empty token, but never
+  // with a token-free string, so those pairs are emitted here as well. No
+  // pipeline path can rediscover a token-free string (it never reaches a
+  // posting), so no dedup is needed.
   std::vector<TsjPair> results;
   {
     std::vector<uint32_t> empties;
+    std::vector<uint32_t> blanks;
     for (uint32_t s = 0; s < corpus.size(); ++s) {
-      if (corpus.tokens(s).empty()) empties.push_back(s);
+      if (corpus.tokens(s).empty()) {
+        empties.push_back(s);
+      } else if (corpus.aggregate_length(s) == 0) {
+        blanks.push_back(s);
+      }
     }
     for (size_t i = 0; i < empties.size(); ++i) {
       for (size_t j = i + 1; j < empties.size(); ++j) {
         results.push_back(TsjPair{empties[i], empties[j], 0.0});
       }
+      for (const uint32_t blank : blanks) {
+        results.push_back(TsjPair{std::min(empties[i], blank),
+                                  std::max(empties[i], blank), 0.0});
+      }
     }
   }
 
   // Expands one similar-token pair into the string-pair candidates the
-  // length window admits, through the postings (the dedup/verify stage's
-  // map side).
+  // length window and the bag filter admit, through the postings (the
+  // dedup/verify stage's map side).
   auto expand_token_pair = [&](const SimilarTokenPair& cand,
                                const auto& emit) {
     const std::vector<uint32_t>& xs = postings[cand.a];
     const std::vector<uint32_t>& ys = postings[cand.b];
     uint64_t emitted = 0;
+    uint64_t bag_skipped = 0;
     const uint64_t admitted = ForEachWindowedCross<uint32_t>(
         xs, length_of, ys, length_of, window, [&](uint32_t s1, uint32_t s2) {
           if (s1 == s2) return;
+          if (!bags.Admits(s1, s2)) {
+            ++bag_skipped;
+            return;
+          }
           emit(std::min(s1, s2), std::max(s1, s2));
           ++emitted;
         });
@@ -408,6 +448,7 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
                                                 std::memory_order_relaxed);
     counters.length_filtered.fetch_add(xs.size() * ys.size() - admitted,
                                        std::memory_order_relaxed);
+    counters.bag_filtered.fetch_add(bag_skipped, std::memory_order_relaxed);
   };
 
   const Corpus& corpus_ref = corpus;
@@ -432,18 +473,22 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
     for_each_distinct_token(s, [&](TokenId token) { out->Emit(token, s); });
   };
   // Emits the unordered pairs of one token's strings that the length
-  // window admits, straight into the dedup shuffle (Sec. III-C's reduce,
-  // fused with Job 2's map). Sorted by (aggregate length, id), each
-  // string's partner scan stops at its first partner too long for it.
+  // window and the bag filter admit, straight into the dedup shuffle
+  // (Sec. III-C's reduce, fused with Job 2's map). Sorted by (aggregate
+  // length, id), each string's partner scan stops at its first partner
+  // too long for it.
   auto for_each_shared_pair = [&](std::span<uint32_t> strings,
                                   const auto& emit) {
     SortByAggregateLength(strings, length_of);
+    uint64_t admitted = 0;
     uint64_t emitted = 0;
     for (size_t i = 0; i < strings.size(); ++i) {
       const size_t li = length_of(strings[i]);
       for (size_t j = i + 1;
            j < strings.size() && window.Admits(li, length_of(strings[j]));
            ++j) {
+        ++admitted;
+        if (!bags.Admits(strings[i], strings[j])) continue;
         emit(std::min(strings[i], strings[j]),
              std::max(strings[i], strings[j]));
         ++emitted;
@@ -451,11 +496,13 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
     }
     const uint64_t pairs =
         static_cast<uint64_t>(strings.size()) * (strings.size() - 1) / 2;
-    AddWorkUnits(strings.size() + emitted);
+    AddWorkUnits(strings.size() + admitted);
     counters.shared_token_candidates.fetch_add(emitted,
                                                std::memory_order_relaxed);
-    counters.length_filtered.fetch_add(pairs - emitted,
+    counters.length_filtered.fetch_add(pairs - admitted,
                                        std::memory_order_relaxed);
+    counters.bag_filtered.fetch_add(admitted - emitted,
+                                    std::memory_order_relaxed);
   };
 
   JobStats stage1_stats, stage2_stats;
@@ -560,6 +607,7 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
   local_info.similar_token_candidates = counters.similar_token_candidates;
   local_info.distinct_candidates = counters.distinct_candidates;
   local_info.length_filtered = counters.length_filtered;
+  local_info.bag_filtered = counters.bag_filtered;
   local_info.histogram_filtered = counters.histogram_filtered;
   local_info.verified_candidates = counters.verified_candidates;
   local_info.verify_work_units = counters.verify_work_units;
@@ -702,6 +750,7 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
     mr_options.checkpoint_fingerprint = fp;
   }
   const LengthWindow window{options_.enable_length_filter, t};
+  const BagFilter bags{r_corpus, p_corpus, t};
   auto r_length = [&r_corpus](uint32_t s) {
     return r_corpus.aggregate_length(s);
   };
@@ -835,20 +884,32 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
 
   // Empty strings on both sides are identical (NSLD = 0) but
   // signature-less: unconditional results, emitted directly (no pipeline
-  // path can rediscover a token-free string).
+  // path can rediscover a token-free string). So are their pairs with
+  // blank strings, whose tokens are all empty (see SelfJoin); blank pairs
+  // meet in the pipeline through the shared empty token.
   std::vector<TsjPair> results;
   {
-    std::vector<uint32_t> r_empty, p_empty;
+    std::vector<uint32_t> r_empty, p_empty, r_blank, p_blank;
     for (uint32_t s = 0; s < r_corpus.size(); ++s) {
-      if (r_corpus.tokens(s).empty()) r_empty.push_back(s);
+      if (r_corpus.tokens(s).empty()) {
+        r_empty.push_back(s);
+      } else if (r_corpus.aggregate_length(s) == 0) {
+        r_blank.push_back(s);
+      }
     }
     for (uint32_t s = 0; s < p_corpus.size(); ++s) {
-      if (p_corpus.tokens(s).empty()) p_empty.push_back(s);
+      if (p_corpus.tokens(s).empty()) {
+        p_empty.push_back(s);
+      } else if (p_corpus.aggregate_length(s) == 0) {
+        p_blank.push_back(s);
+      }
     }
     for (uint32_t r : r_empty) {
-      for (uint32_t p : p_empty) {
-        results.push_back(TsjPair{r, p, 0.0});
-      }
+      for (uint32_t p : p_empty) results.push_back(TsjPair{r, p, 0.0});
+      for (uint32_t p : p_blank) results.push_back(TsjPair{r, p, 0.0});
+    }
+    for (uint32_t r : r_blank) {
+      for (uint32_t p : p_empty) results.push_back(TsjPair{r, p, 0.0});
     }
   }
 
@@ -863,19 +924,27 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
   }
 
   // A similar token pair (j1, j2) joins R strings containing either token
-  // with P strings containing the other, within the length window.
+  // with P strings containing the other, within the length window and the
+  // bag filter.
   auto expand_token_pair = [&](const SimilarTokenPair& cand, const auto& emit) {
     AddWorkUnits(1);
     auto cross = [&](uint32_t jr, uint32_t jp) {
       const std::vector<uint32_t>& rs = r_postings[jr];
       const std::vector<uint32_t>& ps = p_postings[jp];
+      uint64_t emitted = 0;
       const uint64_t pairs = ForEachWindowedCross<uint32_t>(
-          rs, r_length, ps, p_length, window, emit);
+          rs, r_length, ps, p_length, window, [&](uint32_t r, uint32_t p) {
+            if (!bags.Admits(r, p)) return;
+            emit(r, p);
+            ++emitted;
+          });
       AddWorkUnits(rs.size() + ps.size() + pairs);
-      counters.similar_token_candidates.fetch_add(pairs,
+      counters.similar_token_candidates.fetch_add(emitted,
                                                   std::memory_order_relaxed);
       counters.length_filtered.fetch_add(rs.size() * ps.size() - pairs,
                                          std::memory_order_relaxed);
+      counters.bag_filtered.fetch_add(pairs - emitted,
+                                      std::memory_order_relaxed);
     };
     cross(cand.a, cand.b);
     cross(cand.b, cand.a);
@@ -904,9 +973,10 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
   };
   // Cross product of the R-side and P-side strings sharing this token
   // (the reduce of Sec. III-C in its two-collection form), within the
-  // length window, streamed straight into the dedup shuffle. The group
-  // sorts into its R strings, then its P strings, each by (aggregate
-  // length, id), and the two runs cross through the two-pointer window.
+  // length window and the bag filter, streamed straight into the dedup
+  // shuffle. The group sorts into its R strings, then its P strings, each
+  // by (aggregate length, id), and the two runs cross through the
+  // two-pointer window.
   auto tagged_length = [&](uint64_t tagged) {
     return TagIsP(tagged) ? p_length(TagStringId(tagged))
                           : r_length(TagStringId(tagged));
@@ -925,16 +995,21 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
         values.begin());
     const std::span<const uint64_t> rs = values.first(num_r);
     const std::span<const uint64_t> ps = values.subspan(num_r);
+    uint64_t emitted = 0;
     const uint64_t pairs = ForEachWindowedCross<uint64_t>(
         rs, tagged_length, ps, tagged_length, window,
         [&](uint64_t r, uint64_t p) {
+          if (!bags.Admits(TagStringId(r), TagStringId(p))) return;
           emit(TagStringId(r), TagStringId(p));
+          ++emitted;
         });
     AddWorkUnits(values.size() + pairs);
-    counters.shared_token_candidates.fetch_add(pairs,
+    counters.shared_token_candidates.fetch_add(emitted,
                                                std::memory_order_relaxed);
     counters.length_filtered.fetch_add(rs.size() * ps.size() - pairs,
                                        std::memory_order_relaxed);
+    counters.bag_filtered.fetch_add(pairs - emitted,
+                                    std::memory_order_relaxed);
   };
 
   JobStats stage1_stats, stage2_stats;
@@ -1039,6 +1114,7 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
   local_info.similar_token_candidates = counters.similar_token_candidates;
   local_info.distinct_candidates = counters.distinct_candidates;
   local_info.length_filtered = counters.length_filtered;
+  local_info.bag_filtered = counters.bag_filtered;
   local_info.histogram_filtered = counters.histogram_filtered;
   local_info.verified_candidates = counters.verified_candidates;
   local_info.verify_work_units = counters.verify_work_units;

@@ -6,13 +6,17 @@
 //             NLD-join over the token space (Sec. III-D, justified by
 //             Theorem 3);
 //   filter:   high-frequency tokens dropped up front (M, Sec. III-G.2);
-//             the Lemma 6 length filter (Sec. III-E.1) runs inside
-//             generation: every generator walks its strings in
-//             aggregate-length order and emits only the pairs whose
-//             length bound is within T, so pruned pairs never reach the
-//             dedup shuffle; distinct candidates are then pruned by the
-//             token-length-histogram SLD lower bound (Sec. III-E.2) — both
-//             lossless;
+//             the Lemma 6 length filter (Sec. III-E.1) and the bag filter
+//             run inside generation: every generator walks its strings in
+//             aggregate-length order, and of the pairs whose length bound
+//             is within T it emits only those whose character-bag SLD
+//             bound (tokenized/bounds.h) is within T too, so pruned pairs
+//             never reach the dedup shuffle; distinct candidates are then
+//             pruned by the token-length-histogram SLD lower bound
+//             (Sec. III-E.2) — all lossless. The bag filter is not in the
+//             paper and has no switch; it runs at all four emit sites
+//             (shared-token pairs and similar-token expansion, in both
+//             SelfJoin and Join);
 //   verify:   surviving pairs checked with the budget-aware SLD engine
 //             (tokenized/sld.h): the NSLD threshold becomes an integer SLD
 //             budget, and BoundedSld certifies "within" (with the exact
@@ -72,14 +76,20 @@ struct TsjRunInfo {
   /// Candidate pairs the similar-token expansion emitted into the dedup
   /// shuffle (pre-dedup, after the length window).
   uint64_t similar_token_candidates = 0;
-  /// Distinct candidate pairs after dedup; each one the length window
-  /// admitted, so distinct_candidates == histogram_filtered +
-  /// verified_candidates.
+  /// Distinct candidate pairs after dedup; each one the length window and
+  /// the bag filter admitted, so distinct_candidates ==
+  /// histogram_filtered + verified_candidates.
   uint64_t distinct_candidates = 0;
   /// Emissions the length window (Sec. III-E.1) skipped during
   /// generation, counted before dedup: a pair generated through k tokens
   /// counts k times. Zero when TsjOptions::enable_length_filter is off.
   uint64_t length_filtered = 0;
+  /// Emissions the bag filter skipped during generation: pairs the length
+  /// window admitted whose character-bag SLD bound (tokenized/bounds.h)
+  /// exceeds the threshold. Counted before dedup like length_filtered, so
+  /// for exact-token matching shared_token_candidates + bag_filtered is
+  /// the number of pairs the window admitted.
+  uint64_t bag_filtered = 0;
   /// Candidates pruned by the histogram filter (Sec. III-E.2).
   uint64_t histogram_filtered = 0;
   /// Candidates that reached full SLD verification.

@@ -1,7 +1,9 @@
 #include "tokenized/corpus_io.h"
 
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "tsj/tsj.h"
@@ -72,6 +74,22 @@ TEST(CorpusIoTest, WritePairsFormat) {
   std::ostringstream out;
   WritePairs(out, std::vector<TsjPair>{{1, 2, 0.125}, {3, 4, 0.0}});
   EXPECT_EQ(out.str(), "1\t2\t0.125\n3\t4\t0\n");
+}
+
+TEST(CorpusIoTest, WritePairsRoundTripsNsld) {
+  // 1/9 has no short decimal form; six significant digits would read back
+  // as 0.111111, a different double.
+  const double nsld = 1.0 / 9.0;
+  std::ostringstream out;
+  WritePairs(out, std::vector<TsjPair>{{5, 6, nsld}});
+  const std::string line = out.str();
+  ASSERT_EQ(line.rfind("5\t6\t", 0), 0u) << line;
+  ASSERT_EQ(line.back(), '\n');
+  const std::string text = line.substr(4, line.size() - 5);
+  char* end = nullptr;
+  const double read_back = std::strtod(text.c_str(), &end);
+  EXPECT_EQ(*end, '\0') << text;
+  EXPECT_EQ(read_back, nsld) << text;
 }
 
 }  // namespace

@@ -22,7 +22,10 @@
 //     one serial in-memory run (1 worker, 1 partition) on the
 //     candidate/filter counters, across dedup strategies, matchings,
 //     worker and partition counts, for both SelfJoin and the
-//     two-collection Join;
+//     two-collection Join, on corpora where some strings carry tokens
+//     longer than 64 characters. The serial self-join's shared-token,
+//     length-window and bag-filter counts are checked against a
+//     brute-force count of the same predicates;
 //   * each contention-relief toggle alone — L1 tier, combiner,
 //     skew-adaptive partitioning — off vs the all-on default: the same
 //     oracle result and counters (they may only move traffic and timing);
@@ -274,13 +277,33 @@ PairNsldSet ToPairNsldSet(const std::vector<TsjPair>& pairs) {
 
 // A corpus with heavy token sharing plus a few empty strings, so the
 // shared-token pass, the similar-token expansion, and the empty-string
-// short-circuit all carry traffic.
-Corpus RandomJoinCorpus(Rng* rng, size_t n) {
+// short-circuit all carry traffic. With `long_tokens`, as in RandomCorpus,
+// about one base string in four also carries a 40-150-character token
+// over the 3-letter alphabet, half the time an edit of the corpus's
+// shared long base: its repeated bytes cross the 64-char Myers word, and
+// pairs of such strings join, so the bag filter and the blocked edge
+// kernel both meet them at join level. The spill-forced and fault sweeps
+// draw without them: a long token gives MassJoin about 40x the signature
+// records, and at their one-record spill budgets each becomes a spill
+// file, which takes minutes without testing anything new about spilling.
+Corpus RandomJoinCorpus(Rng* rng, size_t n, bool long_tokens) {
+  const std::string long_base =
+      long_tokens ? testutil::RandomString(rng, 40, 150, 3) : "";
   Corpus corpus;
   size_t added = 0;
   while (added < n) {
     TokenizedString base =
         testutil::RandomTokenizedString(rng, 1, 4, 1, 7, 3);
+    if (long_tokens && rng->Uniform(4) == 0) {
+      std::string long_token = rng->Bernoulli(0.5)
+                                   ? long_base
+                                   : testutil::RandomString(rng, 40, 150, 3);
+      for (uint64_t e = rng->Uniform(5); e > 0; --e) {
+        long_token = testutil::RandomEdit(rng, long_token, 3);
+      }
+      base.insert(base.begin() + rng->Uniform(base.size() + 1),
+                  std::move(long_token));
+    }
     corpus.AddString(base);
     ++added;
     for (uint64_t c = rng->Uniform(3); c > 0 && added < n; --c, ++added) {
@@ -325,6 +348,7 @@ void ExpectSameCounters(const TsjRunInfo& run, const TsjRunInfo& reference,
   EXPECT_EQ(run.distinct_candidates, reference.distinct_candidates)
       << context;
   EXPECT_EQ(run.length_filtered, reference.length_filtered) << context;
+  EXPECT_EQ(run.bag_filtered, reference.bag_filtered) << context;
   EXPECT_EQ(run.histogram_filtered, reference.histogram_filtered)
       << context;
   EXPECT_EQ(run.verified_candidates, reference.verified_candidates)
@@ -349,9 +373,12 @@ TsjRunInfo SerialSelfJoinInfo(const Corpus& corpus,
   EXPECT_TRUE(TokenizedStringJoiner(SerialInMemory(options))
                   .SelfJoin(corpus, &info)
                   .ok());
-  // The shared-token pass emits, per surviving token, the unordered pairs
-  // of its strings whose Lemma 6 length bound is within T (every pair with
-  // the length filter off); the pairs it skips are length_filtered.
+  // The shared-token pass considers, per surviving token, the unordered
+  // pairs of its strings. The length window admits those whose Lemma 6
+  // bound is within T (every pair with the length filter off); the pairs
+  // it skips are length_filtered. Of the admitted pairs it emits those
+  // whose bag bound, NsldFromSld(SldLowerBoundFromCharBags), is within T
+  // too; the rest are bag_filtered.
   std::vector<std::vector<uint32_t>> strings_of(corpus.num_distinct_tokens());
   for (uint32_t s = 0; s < corpus.size(); ++s) {
     const std::set<TokenId> distinct(corpus.tokens(s).begin(),
@@ -360,23 +387,38 @@ TsjRunInfo SerialSelfJoinInfo(const Corpus& corpus,
   }
   uint64_t all_pairs = 0;
   uint64_t admitted_pairs = 0;
+  uint64_t bag_skipped_pairs = 0;
   for (const std::vector<uint32_t>& strings : strings_of) {
     if (strings.size() > options.max_token_frequency) continue;
     for (size_t i = 0; i < strings.size(); ++i) {
       for (size_t j = i + 1; j < strings.size(); ++j) {
         ++all_pairs;
-        if (!options.enable_length_filter ||
-            NsldLowerBoundFromAggregateLengths(
-                corpus.aggregate_length(strings[i]),
-                corpus.aggregate_length(strings[j])) <= options.threshold) {
-          ++admitted_pairs;
+        const size_t li = corpus.aggregate_length(strings[i]);
+        const size_t lj = corpus.aggregate_length(strings[j]);
+        if (options.enable_length_filter &&
+            NsldLowerBoundFromAggregateLengths(li, lj) > options.threshold) {
+          continue;
+        }
+        ++admitted_pairs;
+        const int64_t bag_bound =
+            SldLowerBoundFromCharBags(corpus.char_bag(strings[i]),
+                                      corpus.char_bag(strings[j]), li, lj);
+        if (NsldFromSld(bag_bound, li, lj) > options.threshold) {
+          ++bag_skipped_pairs;
         }
       }
     }
   }
-  EXPECT_EQ(info.shared_token_candidates, admitted_pairs);
+  EXPECT_EQ(info.shared_token_candidates, admitted_pairs - bag_skipped_pairs);
+  // Only the shared-token pass runs under exact-token matching, so the
+  // pre-dedup filter counters are its alone.
   if (options.matching == TokenMatching::kExact) {
-    EXPECT_EQ(info.shared_token_candidates + info.length_filtered, all_pairs);
+    EXPECT_EQ(info.shared_token_candidates + info.bag_filtered,
+              admitted_pairs);
+    EXPECT_EQ(info.bag_filtered, bag_skipped_pairs);
+    EXPECT_EQ(info.shared_token_candidates + info.bag_filtered +
+                  info.length_filtered,
+              all_pairs);
   }
   return info;
 }
@@ -390,7 +432,7 @@ TsjRunInfo SerialRpJoinInfo(const Corpus& r_corpus, const Corpus& p_corpus,
   return info;
 }
 
-TEST(DifferentialTest, StreamingSelfJoinMatchesLegacyEngine) {
+TEST(DifferentialTest, StreamingSelfJoinMatchesBruteForce) {
   // The engine against the brute-force oracle for every worker/partition
   // combination, and against the serial run's counters (determinism
   // across the sweep).
@@ -399,7 +441,7 @@ TEST(DifferentialTest, StreamingSelfJoinMatchesLegacyEngine) {
   const std::vector<size_t> worker_counts = {1, 4, 0};  // 0 = hardware
   const std::vector<size_t> partition_counts = {1, 7, 64};
   for (int round = 0; round < kRounds; ++round) {
-    const Corpus corpus = RandomJoinCorpus(&rng, 60);
+    const Corpus corpus = RandomJoinCorpus(&rng, 60, /*long_tokens=*/true);
     const double t = 0.08 + 0.3 * rng.NextDouble();
     const PairNsldSet oracle =
         ToPairNsldSet(BruteForceNsldSelfJoin(corpus, t));
@@ -442,12 +484,12 @@ TEST(DifferentialTest, StreamingSelfJoinMatchesLegacyEngine) {
   }
 }
 
-TEST(DifferentialTest, StreamingRpJoinMatchesLegacyEngine) {
+TEST(DifferentialTest, StreamingRpJoinMatchesBruteForce) {
   Rng rng(31415926);
   constexpr int kRounds = 5;
   for (int round = 0; round < kRounds; ++round) {
-    const Corpus r_corpus = RandomJoinCorpus(&rng, 45);
-    const Corpus p_corpus = RandomJoinCorpus(&rng, 35);
+    const Corpus r_corpus = RandomJoinCorpus(&rng, 45, /*long_tokens=*/true);
+    const Corpus p_corpus = RandomJoinCorpus(&rng, 35, /*long_tokens=*/true);
     const double t = 0.08 + 0.3 * rng.NextDouble();
     const PairNsldSet oracle =
         ToPairNsldSet(testutil::BruteForceRP(r_corpus, p_corpus, t));
@@ -493,7 +535,7 @@ TEST(DifferentialTest, L1TierCombinerAndAdaptivePartitionsAreLossless) {
   Rng rng(17092026);
   constexpr int kRounds = 4;
   for (int round = 0; round < kRounds; ++round) {
-    const Corpus corpus = RandomJoinCorpus(&rng, 80);
+    const Corpus corpus = RandomJoinCorpus(&rng, 80, /*long_tokens=*/true);
     const double t = 0.08 + 0.3 * rng.NextDouble();
     const PairNsldSet oracle =
         ToPairNsldSet(BruteForceNsldSelfJoin(corpus, t));
@@ -568,7 +610,7 @@ TEST(DifferentialTest, SpillForcedStreamingMatchesInMemoryEngines) {
   Rng rng(50926072);
   constexpr int kRounds = 2;
   for (int round = 0; round < kRounds; ++round) {
-    const Corpus corpus = RandomJoinCorpus(&rng, 36);
+    const Corpus corpus = RandomJoinCorpus(&rng, 36, /*long_tokens=*/false);
     const double t = 0.08 + 0.3 * rng.NextDouble();
     const PairNsldSet oracle =
         ToPairNsldSet(BruteForceNsldSelfJoin(corpus, t));
@@ -625,8 +667,8 @@ TEST(DifferentialTest, SpillForcedRpJoinMatchesInMemoryEngines) {
   // Two-collection form of the spill differential (tagged-id keys flow
   // through the spill codec; one compact sweep).
   Rng rng(60926072);
-  const Corpus r_corpus = RandomJoinCorpus(&rng, 30);
-  const Corpus p_corpus = RandomJoinCorpus(&rng, 24);
+  const Corpus r_corpus = RandomJoinCorpus(&rng, 30, /*long_tokens=*/false);
+  const Corpus p_corpus = RandomJoinCorpus(&rng, 24, /*long_tokens=*/false);
   const double t = 0.15;
   const PairNsldSet oracle =
       ToPairNsldSet(testutil::BruteForceRP(r_corpus, p_corpus, t));
@@ -678,7 +720,7 @@ TEST(DifferentialTest, FaultMatrixNeverCrashesHangsOrCorrupts) {
   } restore;
 
   Rng rng(70926072);
-  const Corpus corpus = RandomJoinCorpus(&rng, 40);
+  const Corpus corpus = RandomJoinCorpus(&rng, 40, /*long_tokens=*/false);
   const double t = 0.2;
   TsjOptions options;
   options.threshold = t;

@@ -85,7 +85,7 @@ TEST(PartitionedEmitterTest, ZeroPartitionsClampsToOne) {
   EXPECT_EQ(emitter.bucket(0).size(), 1u);
 }
 
-TEST(MapReduceSortedTest, MatchesLegacyEngine) {
+TEST(MapReduceSortedTest, MatchesSerialWordCount) {
   std::vector<std::string> docs;
   for (int i = 0; i < 300; ++i) {
     docs.push_back("w" + std::to_string(i % 41) + " w" +

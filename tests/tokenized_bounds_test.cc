@@ -1,11 +1,14 @@
 #include "tokenized/bounds.h"
 
+#include <cstdlib>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
+#include "tokenized/corpus.h"
 #include "tokenized/sld.h"
 #include "tokenized/tokenized_string.h"
 
@@ -131,6 +134,107 @@ TEST(HistogramBoundTest, HistogramBoundAtLeastAggregateBound) {
               NsldLowerBoundFromAggregateLengths(AggregateLength(x),
                                                  AggregateLength(y)) -
                   1e-12);
+  }
+}
+
+// The bag bound of x and y, from the bags a Corpus stores for them: the
+// ones the join's filter reads.
+int64_t BagBound(const TokenizedString& x, const TokenizedString& y) {
+  Corpus corpus;
+  corpus.AddString(x);
+  corpus.AddString(y);
+  return SldLowerBoundFromCharBags(corpus.char_bag(0), corpus.char_bag(1),
+                                   corpus.aggregate_length(0),
+                                   corpus.aggregate_length(1));
+}
+
+TEST(CharBagBoundTest, KnownValues) {
+  // One substituted character: the bound is tight.
+  EXPECT_EQ(BagBound({"xy", "abc"}, {"xy", "abd"}), 1);
+  // Anagrams have equal bags: the bound is 0 while LD(ab, ba) = 2.
+  EXPECT_EQ(BagBound({"ab"}, {"ba"}), 0);
+  // Against the empty string every character is an edit.
+  EXPECT_EQ(BagBound({"abc"}, {}), 3);
+  EXPECT_EQ(BagBound({}, {}), 0);
+  // 0x81 and 'a' (0x61) share bucket 1, so their difference is invisible.
+  EXPECT_EQ(BagBound({"\x81"}, {"a"}), 0);
+  // 300 'a's saturate their bucket at 255; the length difference restores
+  // the 45 lost counts against the empty string...
+  EXPECT_EQ(BagBound({std::string(300, 'a')}, {}), 300);
+  // ...but not between two saturated buckets, where 255 < SLD = 300.
+  EXPECT_EQ(BagBound({std::string(300, 'a')}, {std::string(300, 'b')}), 255);
+}
+
+TEST(CharBagBoundTest, BagsBucketAndSaturate) {
+  Corpus corpus;
+  corpus.AddString({"\xff\x80", std::string(300, 'q'), "", "qq"});
+  const CharBag& bag = corpus.char_bag(0);
+  EXPECT_EQ(bag['q' % kCharBagBuckets], 255);
+  EXPECT_EQ(bag[0xff % kCharBagBuckets], 1);
+  EXPECT_EQ(bag[0x80 % kCharBagBuckets], 1);
+  EXPECT_EQ(std::accumulate(bag.begin(), bag.end(), 0), 257);
+}
+
+// One token of the bag-bound samples: short tokens over a tiny alphabet
+// (so duplicates within and across strings are common, empty ones
+// included), raw bytes with the high bit set, tokens past the 64-char
+// Myers word, and one-byte runs longer than a bucket's 255 saturation.
+std::string RandomBagToken(Rng* rng) {
+  switch (rng->Uniform(8)) {
+    case 0:
+      return testutil::RandomByteString(rng, 0, 12);
+    case 1:
+      return testutil::RandomString(rng, 65, 100, 3);
+    case 2:
+      return std::string(250 + rng->Uniform(60),
+                         static_cast<char>('a' + rng->Uniform(3)));
+    default:
+      return testutil::RandomString(rng, 0, 5, 3);
+  }
+}
+
+TokenizedString RandomBagString(Rng* rng) {
+  TokenizedString tokens(rng->Uniform(4));
+  for (std::string& token : tokens) token = RandomBagToken(rng);
+  return tokens;
+}
+
+TEST(CharBagBoundTest, NeverExceedsSldAndNeverBelowLengthGap) {
+  // Soundness of the bag filter: the bound lower-bounds the exact SLD (and
+  // so the greedy-aligning cost) and is never below |L(x) - L(y)|, the
+  // Lemma 6 bound it replaces. y is x itself, an edit of x, a token
+  // duplicated, or an independent draw.
+  Rng rng(46);
+  for (int trial = 0; trial < 600; ++trial) {
+    const TokenizedString x = RandomBagString(&rng);
+    TokenizedString y;
+    switch (rng.Uniform(4)) {
+      case 0:
+        y = x;
+        break;
+      case 1:
+        y = x;
+        if (!y.empty()) {
+          std::string& token = y[rng.Uniform(y.size())];
+          token = testutil::RandomEdit(&rng, token, 3);
+        }
+        break;
+      case 2:
+        y = x;
+        if (!y.empty()) y.push_back(y[rng.Uniform(y.size())]);
+        break;
+      default:
+        y = RandomBagString(&rng);
+        break;
+    }
+    const int64_t bound = BagBound(x, y);
+    const int64_t exact = Sld(x, y, TokenAligning::kExact);
+    ASSERT_LE(bound, exact) << "trial " << trial;
+    ASSERT_LE(bound, Sld(x, y, TokenAligning::kGreedy)) << "trial " << trial;
+    const int64_t lx = static_cast<int64_t>(AggregateLength(x));
+    const int64_t ly = static_cast<int64_t>(AggregateLength(y));
+    ASSERT_GE(bound, std::abs(lx - ly)) << "trial " << trial;
+    ASSERT_EQ(bound, BagBound(y, x)) << "trial " << trial;
   }
 }
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -226,6 +227,73 @@ TEST(TsjTest, LengthWindowAdmitsPairsOnTheBound) {
   }
 }
 
+TEST(TsjTest, BagFilterAdmitsPairsOnTheBound) {
+  // Both marked pairs have a bag bound equal to their SLD, and NSLD
+  // exactly T = NsldFromSld(1, 5, 5) = 2/11, so the bag filter must admit
+  // them at T. {xy, abc} ~ {xy, abd} shares the token "xy" (shared-token
+  // path; bound and SLD 1, lengths 5). {abcdefg, xyz} ~ {abcdefh, xyw}
+  // shares none, only the similar-token pair abcdefg ~ abcdefh of NLD
+  // 2/15 (similar-token path; bound and SLD 2, lengths 10). One ulp below
+  // T the length window still admits both (equal lengths), so the bag
+  // filter must skip both, one emission on each path.
+  const double on_bound = NsldFromSld(1, 5, 5);
+  ASSERT_EQ(on_bound, NsldFromSld(2, 10, 10));
+  Corpus corpus;  // self-join pairs (0, 1) and (2, 3)
+  corpus.AddString({"xy", "abc"});
+  corpus.AddString({"xy", "abd"});
+  corpus.AddString({"abcdefg", "xyz"});
+  corpus.AddString({"abcdefh", "xyw"});
+  Corpus r_corpus;  // R x P pairs (0, 0) and (1, 1)
+  r_corpus.AddString({"xy", "abc"});
+  r_corpus.AddString({"abcdefg", "xyz"});
+  Corpus p_corpus;
+  p_corpus.AddString({"xy", "abd"});
+  p_corpus.AddString({"abcdefh", "xyw"});
+  using PairNsldSet = std::set<std::tuple<uint32_t, uint32_t, double>>;
+  auto to_set = [](const std::vector<TsjPair>& pairs) {
+    PairNsldSet set;
+    for (const TsjPair& p : pairs) set.emplace(p.a, p.b, p.nsld);
+    return set;
+  };
+  for (const double t : {on_bound, std::nextafter(on_bound, 0.0)}) {
+    const bool at_bound = t == on_bound;
+    const PairNsldSet self_expected =
+        at_bound ? PairNsldSet{{0u, 1u, on_bound}, {2u, 3u, on_bound}}
+                 : PairNsldSet{};
+    const PairNsldSet rp_expected =
+        at_bound ? PairNsldSet{{0u, 0u, on_bound}, {1u, 1u, on_bound}}
+                 : PairNsldSet{};
+    EXPECT_EQ(to_set(BruteForceNsldSelfJoin(corpus, t)), self_expected);
+    EXPECT_EQ(to_set(testutil::BruteForceRP(r_corpus, p_corpus, t)),
+              rp_expected);
+    for (const DedupStrategy dedup : {DedupStrategy::kGroupOnOneString,
+                                      DedupStrategy::kGroupOnBothStrings}) {
+      TsjOptions options = Lossless(t);
+      options.dedup = dedup;
+      TsjRunInfo self_info;
+      TsjRunInfo rp_info;
+      const auto self =
+          TokenizedStringJoiner(options).SelfJoin(corpus, &self_info);
+      const auto rp =
+          TokenizedStringJoiner(options).Join(r_corpus, p_corpus, &rp_info);
+      ASSERT_TRUE(self.ok());
+      ASSERT_TRUE(rp.ok());
+      const std::string context = "t=" + std::to_string(t) + " dedup=" +
+                                  std::to_string(static_cast<int>(dedup));
+      EXPECT_EQ(to_set(*self), self_expected) << context;
+      EXPECT_EQ(to_set(*rp), rp_expected) << context;
+      EXPECT_EQ(self_info.length_filtered, 0u) << context;
+      EXPECT_EQ(rp_info.length_filtered, 0u) << context;
+      EXPECT_EQ(self_info.bag_filtered, at_bound ? 0u : 2u) << context;
+      EXPECT_EQ(rp_info.bag_filtered, at_bound ? 0u : 2u) << context;
+      EXPECT_EQ(self_info.shared_token_candidates, at_bound ? 1u : 0u)
+          << context;
+      EXPECT_EQ(self_info.similar_token_candidates, at_bound ? 1u : 0u)
+          << context;
+    }
+  }
+}
+
 TEST(TsjTest, ApproximationsNeverAddPairs) {
   // Precision stays 1.0 for every approximation (Sec. V-B.2): greedy and
   // exact-token results are subsets of the fuzzy/exact reference.
@@ -317,6 +385,41 @@ TEST(TsjTest, EmptyTokenizedStringsPairTogether) {
   ASSERT_TRUE(result.ok());
   // NSLD(empty, empty) = 0; empty vs "bob" = 1.
   EXPECT_EQ(ToSet(*result), (PairSet{{0u, 1u}}));
+}
+
+TEST(TsjTest, BlankStringsPairWithTokenFreeOnes) {
+  // A string whose tokens are all empty has aggregate length 0, so it is
+  // identical (NSLD 0) to a token-free string, although only it has a
+  // token to be generated through. Both join forms must find every such
+  // pair.
+  Corpus corpus;
+  corpus.AddString({});
+  corpus.AddString({""});
+  corpus.AddString({"", ""});
+  corpus.AddString({"", "bob"});
+  const std::vector<TsjPair> expected = BruteForceNsldSelfJoin(corpus, 0.1);
+  EXPECT_EQ(ToSet(expected), (PairSet{{0u, 1u}, {0u, 2u}, {1u, 2u}}));
+  Corpus r_corpus;
+  r_corpus.AddString({});
+  r_corpus.AddString({""});
+  Corpus p_corpus;
+  p_corpus.AddString({"", ""});
+  p_corpus.AddString({});
+  EXPECT_EQ(ToSet(testutil::BruteForceRP(r_corpus, p_corpus, 0.1)),
+            (PairSet{{0u, 0u}, {0u, 1u}, {1u, 0u}, {1u, 1u}}));
+  for (const DedupStrategy dedup : {DedupStrategy::kGroupOnOneString,
+                                    DedupStrategy::kGroupOnBothStrings}) {
+    TsjOptions options = Lossless(0.1);
+    options.dedup = dedup;
+    const auto self = TokenizedStringJoiner(options).SelfJoin(corpus);
+    ASSERT_TRUE(self.ok());
+    EXPECT_EQ(self->size(), expected.size());
+    EXPECT_EQ(ToSet(*self), ToSet(expected));
+    const auto rp = TokenizedStringJoiner(options).Join(r_corpus, p_corpus);
+    ASSERT_TRUE(rp.ok());
+    EXPECT_EQ(rp->size(), 4u);
+    EXPECT_EQ(ToSet(*rp), (PairSet{{0u, 0u}, {0u, 1u}, {1u, 0u}, {1u, 1u}}));
+  }
 }
 
 TEST(TsjTest, ResultIndependentOfWorkerCount) {

@@ -10,6 +10,13 @@
 //            [--aligning exact|greedy] [--matching fuzzy|exact]
 //            [--dedup one|both] [--stats]
 //
+// --stats prints the run's counters to stderr: among them the pairs the
+// length window and the bag filter skipped during generation (before
+// dedup), and the distinct candidates the histogram filter pruned.
+//
+// Exit status: 0 on success; 1 when the input cannot be read, the join
+// fails, or the pairs cannot be written; 2 on bad arguments.
+//
 // Example:
 //   printf 'barak obama\nobama barak\njohn smith\n' > /tmp/names.txt
 //   tsj_join --input /tmp/names.txt --threshold 0.2
@@ -143,15 +150,24 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (options.output.empty()) {
-    tsj::WritePairs(std::cout, *pairs);
-  } else {
-    std::ofstream out(options.output);
-    if (!out.is_open()) {
+  std::ofstream file;
+  std::ostream* out = &std::cout;
+  if (!options.output.empty()) {
+    file.open(options.output);
+    if (!file.is_open()) {
       std::cerr << "cannot open output file: " << options.output << "\n";
       return 1;
     }
-    tsj::WritePairs(out, *pairs);
+    out = &file;
+  }
+  tsj::WritePairs(*out, *pairs);
+  // A full disk or a closed pipe shows only once the buffer is flushed.
+  out->flush();
+  if (!*out) {
+    std::cerr << "cannot write output: "
+              << (options.output.empty() ? "stdout" : options.output)
+              << "\n";
+    return 1;
   }
 
   if (options.print_stats) {
@@ -160,6 +176,7 @@ int main(int argc, char** argv) {
               << loaded->corpus.num_distinct_tokens() << "\n"
               << "dropped tokens (>M):  " << info.dropped_tokens << "\n"
               << "length-skipped:       " << info.length_filtered << "\n"
+              << "bag-skipped:          " << info.bag_filtered << "\n"
               << "distinct candidates:  " << info.distinct_candidates << "\n"
               << "histogram-filtered:   " << info.histogram_filtered << "\n"
               << "verified:             " << info.verified_candidates << "\n"
