@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <span>
@@ -263,7 +264,7 @@ StatusOr<std::vector<TsjPair>> HybridMetricJoiner::SelfJoin(
       total_token_occurrences += corpus.tokens(s).size();
     }
     ckpt_fp = MixCheckpointFingerprint(ckpt_fp, total_token_occurrences);
-    ckpt_fp = MixCheckpointFingerprint(ckpt_fp, static_cast<uint64_t>(t * 1e9));
+    ckpt_fp = MixCheckpointFingerprint(ckpt_fp, std::bit_cast<uint64_t>(t));
     ckpt_fp = MixCheckpointFingerprint(ckpt_fp, options_.num_partitions);
     ckpt_fp = MixCheckpointFingerprint(ckpt_fp, options_.seed);
   }

@@ -1,6 +1,7 @@
 #include "massjoin/mass_join.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <span>
 #include <tuple>
@@ -66,7 +67,7 @@ std::vector<NldPair> MassJoinSelfNldImpl(
     uint64_t total_bytes = 0;
     for (const std::string& token : tokens) total_bytes += token.size();
     fp = MixCheckpointFingerprint(fp, total_bytes);
-    fp = MixCheckpointFingerprint(fp, static_cast<uint64_t>(threshold * 1e9));
+    fp = MixCheckpointFingerprint(fp, std::bit_cast<uint64_t>(threshold));
     mr_options.checkpoint_fingerprint = fp;
   }
   if (options.adaptive_partitions) {

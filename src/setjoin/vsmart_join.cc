@@ -1,6 +1,7 @@
 #include "setjoin/vsmart_join.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <map>
@@ -113,7 +114,7 @@ std::vector<VsmartPair> VsmartSelfJoinImpl(
     }
     ckpt_fp = MixCheckpointFingerprint(ckpt_fp, total_tokens);
     ckpt_fp =
-        MixCheckpointFingerprint(ckpt_fp, static_cast<uint64_t>(threshold * 1e9));
+        MixCheckpointFingerprint(ckpt_fp, std::bit_cast<uint64_t>(threshold));
     ckpt_fp = MixCheckpointFingerprint(
         ckpt_fp, static_cast<uint64_t>(options.measure));
   }

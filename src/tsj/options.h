@@ -74,22 +74,22 @@ struct TsjOptions {
   /// unbounded baseline (bench_ablation does).
   bool enable_budgeted_verify = true;
 
-  /// Token-id-level verification: when the two sides of a candidate share
-  /// one Corpus (self-joins, or Join called with the same corpus twice),
-  /// verify on the interned token-id spans directly instead of
-  /// materializing byte strings per candidate (no MaterializeInto, no
-  /// byte copies, duplicate detection by id). Lossless: byte-identical
-  /// pairs and NSLD values. Requires enable_budgeted_verify; cross-corpus
-  /// joins fall back to the materialized path automatically. Disable only
-  /// to measure the materialized baseline (bench_ablation does).
+  /// Token-id-level verification: verify on the interned token-id spans
+  /// directly instead of materializing byte strings per candidate (no
+  /// MaterializeInto, no byte copies, duplicate detection by id). Both
+  /// join forms verify within one Corpus (Join concatenates R and P), so
+  /// both take this path. Lossless: byte-identical pairs and NSLD values.
+  /// Requires enable_budgeted_verify. Disable only to measure the
+  /// materialized baseline (bench_ablation does).
   bool enable_token_id_verify = true;
 
   /// Corpus-wide memoization of token-pair edge distances
   /// (tokenized/token_pair_cache.h): duplicate token pairs across
   /// *candidates* skip the LD kernel entirely. Only effective on the
-  /// token-id verification path. Lossless: a served entry equals what the
-  /// kernel would have computed. Disable only to measure the uncached
-  /// baseline (bench_ablation does).
+  /// token-id verification path, and in SelfJoin only: Join runs without
+  /// a cache. Lossless: a served entry equals what the kernel would have
+  /// computed. Disable only to measure the uncached baseline
+  /// (bench_ablation does).
   bool enable_token_pair_cache = true;
 
   /// Shuffle combiner: duplicate candidate records collapse inside the
@@ -160,10 +160,10 @@ struct TsjOptions {
   bool adaptive_partitions = true;
 
   /// Optional externally owned cache to use instead of the per-run one,
-  /// letting repeated joins over the same corpus start warm. Must have
-  /// been used only with the corpus being joined (token ids are
-  /// corpus-relative). Ignored unless the token-id path and the cache are
-  /// enabled. Not owned.
+  /// letting repeated self-joins over the same corpus start warm. Must
+  /// have been used only with the corpus being joined (token ids are
+  /// corpus-relative). SelfJoin only: Join ignores it. Ignored unless the
+  /// token-id path and the cache are enabled. Not owned.
   TokenPairCache* shared_token_pair_cache = nullptr;
 
   /// MapReduce engine configuration shared by all pipeline jobs.

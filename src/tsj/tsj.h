@@ -14,23 +14,27 @@
 //             never reach the dedup shuffle; distinct candidates are then
 //             pruned by the token-length-histogram SLD lower bound
 //             (Sec. III-E.2) — all lossless. The bag filter is not in the
-//             paper and has no switch; it runs at all four emit sites
-//             (shared-token pairs and similar-token expansion, in both
-//             SelfJoin and Join);
+//             paper and has no switch; it runs at both emit sites
+//             (shared-token pairs and similar-token expansion);
 //   verify:   surviving pairs checked with the budget-aware SLD engine
 //             (tokenized/sld.h): the NSLD threshold becomes an integer SLD
 //             budget, and BoundedSld certifies "within" (with the exact
 //             SLD, so reported NSLD values match the unbounded path
 //             byte-for-byte) or "over" while skipping the DP/solver work a
 //             doomed pair would waste (Sec. III-F; exact Hungarian or
-//             greedy-token-aligning per Sec. III-G.5). When both sides
-//             share one Corpus the engine runs directly on interned
-//             token-id spans — Myers bit-parallel edge kernel, a
-//             corpus-wide TokenPairCache across candidates, and no
-//             per-candidate materialization; cross-corpus joins resolve
-//             ids into per-thread scratch via Corpus::MaterializeInto.
-//             Candidates of one reduce group verify in aggregate-length
-//             order so DP scratch and cache lines stay resident.
+//             greedy-token-aligning per Sec. III-G.5). The engine runs
+//             directly on interned token-id spans — Myers bit-parallel
+//             edge kernel, no per-candidate materialization — and a
+//             self-join adds a corpus-wide TokenPairCache across
+//             candidates. Candidates of one reduce group verify in
+//             aggregate-length order so DP scratch and cache lines stay
+//             resident.
+//
+// Both join forms run this one pipeline over one Corpus. The general
+// R x P join (Sec. II-B) copies R's strings and then P's into one corpus
+// and marks the boundary between them; pair enumeration then crosses a
+// token's R strings with its P strings instead of pairing all of them,
+// and nothing else differs.
 //
 // Every stage runs on the in-process MapReduce engine and records JobStats,
 // so a run can be replayed through the simulated-cluster model at any
@@ -55,10 +59,6 @@ struct TsjPair {
   StringId a = 0;
   StringId b = 0;
   double nsld = 0.0;
-
-  bool operator==(const TsjPair& other) const {
-    return a == other.a && b == other.b;
-  }
 };
 
 /// Counters and per-job statistics of one TSJ run.
@@ -207,6 +207,12 @@ class TokenizedStringJoiner {
   /// normalization — the two id spaces are distinct). The token-frequency
   /// cutoff M applies to a token's total string count across both
   /// collections. Exactness/approximation guarantees match SelfJoin.
+  ///
+  /// Runs SelfJoin's pipeline over one Corpus that holds r_corpus's
+  /// strings and then p_corpus's (copied in one serial pass), pairing a
+  /// token's strings only across that boundary. It uses no token-pair
+  /// cache: TsjOptions::shared_token_pair_cache is ignored, and the run
+  /// reports zero token_pair_cache_* counters.
   StatusOr<std::vector<TsjPair>> Join(const Corpus& r_corpus,
                                       const Corpus& p_corpus,
                                       TsjRunInfo* info = nullptr) const;

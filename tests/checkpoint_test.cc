@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -19,9 +20,12 @@
 #include <vector>
 
 #include "common/fault.h"
+#include "eval/join_metrics.h"
 #include "gtest/gtest.h"
 #include "hmj/hmj.h"
 #include "mapreduce/mapreduce.h"
+#include "massjoin/mass_join.h"
+#include "tokenized/sld.h"
 #include "tsj/tsj.h"
 #include "workload/ring_workload.h"
 
@@ -384,6 +388,98 @@ TEST_F(CheckpointTest, JoinLevelSwitchGatesTheEngineDirectory) {
   EXPECT_EQ(info.tasks_skipped_by_checkpoint, 0u);
   EXPECT_TRUE(!std::filesystem::exists(dir_) ||
               std::filesystem::is_empty(dir_));
+}
+
+TEST_F(CheckpointTest, TsjRestartAtAnotherThresholdRestoresNothing) {
+  // {abcdefg, pqs} ~ {abcdefh, prs} has NSLD exactly 2/11 (SLD 2, L 10 +
+  // 10) and no shared token, so only the similar-token expansion finds
+  // it, and its bag bound is the SLD. A run one ulp below 2/11 seals map
+  // output whose expansion skipped the pair. A restart at 2/11 over the
+  // same directory must not restore that output: the derived fingerprint
+  // separates every pair of distinct thresholds.
+  Corpus corpus;
+  corpus.AddString({"abcdefg", "pqs"});
+  corpus.AddString({"abcdefh", "prs"});
+  const double on_bound = NsldFromSld(2, 10, 10);
+  ASSERT_EQ(on_bound, 2.0 / 11);
+  TsjOptions options;
+  options.max_token_frequency = 1u << 30;
+  options.enable_checkpointing = true;
+  options.mapreduce.checkpoint_dir = dir_;
+
+  options.threshold = std::nextafter(on_bound, 0.0);
+  TsjRunInfo below_info;
+  const auto below =
+      TokenizedStringJoiner(options).SelfJoin(corpus, &below_info);
+  ASSERT_TRUE(below.ok()) << below.status().ToString();
+  EXPECT_TRUE(below->empty());
+  EXPECT_TRUE(BruteForceNsldSelfJoin(corpus, options.threshold).empty());
+  EXPECT_GE(below_info.tasks_checkpointed, 1u);
+
+  options.threshold = on_bound;
+  TsjRunInfo at_info;
+  const auto at = TokenizedStringJoiner(options).SelfJoin(corpus, &at_info);
+  ASSERT_TRUE(at.ok()) << at.status().ToString();
+  EXPECT_EQ(at_info.tasks_skipped_by_checkpoint, 0u);
+  EXPECT_EQ(SortedPairs(*at),
+            SortedPairs(BruteForceNsldSelfJoin(corpus, on_bound)));
+  ASSERT_EQ(at->size(), 1u);
+  EXPECT_EQ((*at)[0].nsld, on_bound);
+}
+
+// The next two tests seal a run at T = 2/11 and restart one ulp above it.
+// The two thresholds agree in their first nine decimals, so a fingerprint
+// that kept T only to a fixed precision would match both.
+TEST_F(CheckpointTest, HmjRestartOneUlpAboveRestoresNothing) {
+  const RingWorkload workload = GenerateRingWorkload(SmallWorkload());
+  HmjOptions ckpt;
+  ckpt.threshold = 2.0 / 11;
+  ckpt.mapreduce.num_workers = 4;
+  ckpt.enable_checkpointing = true;
+  ckpt.mapreduce.checkpoint_dir = dir_;
+  HmjRunInfo sealed_info;
+  ASSERT_TRUE(
+      HybridMetricJoiner(ckpt).SelfJoin(workload.corpus, &sealed_info).ok());
+  ASSERT_GE(sealed_info.tasks_checkpointed, 1u);
+
+  // The same threshold restores the sealed tasks...
+  HmjRunInfo same_info;
+  ASSERT_TRUE(
+      HybridMetricJoiner(ckpt).SelfJoin(workload.corpus, &same_info).ok());
+  EXPECT_GE(same_info.tasks_skipped_by_checkpoint, 1u);
+
+  // ...one ulp above it restores none of them.
+  ckpt.threshold = std::nextafter(2.0 / 11, 1.0);
+  HmjRunInfo above_info;
+  ASSERT_TRUE(
+      HybridMetricJoiner(ckpt).SelfJoin(workload.corpus, &above_info).ok());
+  EXPECT_EQ(above_info.tasks_skipped_by_checkpoint, 0u);
+}
+
+TEST_F(CheckpointTest, MassJoinRestartOneUlpAboveRestoresNothing) {
+  const RingWorkload workload = GenerateRingWorkload(SmallWorkload());
+  std::vector<std::string> tokens;
+  for (TokenId token = 0; token < workload.corpus.num_distinct_tokens();
+       ++token) {
+    tokens.push_back(workload.corpus.token_text(token));
+  }
+  MassJoinOptions ckpt;
+  ckpt.mapreduce.num_workers = 4;
+  ckpt.enable_checkpointing = true;
+  ckpt.mapreduce.checkpoint_dir = dir_;
+  PipelineStats sealed_stats;
+  ASSERT_TRUE(RunMassJoinSelfNld(tokens, 2.0 / 11, ckpt, &sealed_stats).ok());
+  ASSERT_GE(sealed_stats.total_tasks_checkpointed(), 1u);
+
+  PipelineStats same_stats;
+  ASSERT_TRUE(RunMassJoinSelfNld(tokens, 2.0 / 11, ckpt, &same_stats).ok());
+  EXPECT_GE(same_stats.total_tasks_skipped_by_checkpoint(), 1u);
+
+  PipelineStats above_stats;
+  ASSERT_TRUE(RunMassJoinSelfNld(tokens, std::nextafter(2.0 / 11, 1.0), ckpt,
+                                 &above_stats)
+                  .ok());
+  EXPECT_EQ(above_stats.total_tasks_skipped_by_checkpoint(), 0u);
 }
 
 TEST_F(CheckpointTest, HmjRestartAfterWorkLimitedRunMatchesFreshRun) {

@@ -23,9 +23,9 @@
 //     candidate/filter counters, across dedup strategies, matchings,
 //     worker and partition counts, for both SelfJoin and the
 //     two-collection Join, on corpora where some strings carry tokens
-//     longer than 64 characters. The serial self-join's shared-token,
-//     length-window and bag-filter counts are checked against a
-//     brute-force count of the same predicates;
+//     longer than 64 characters. The serial runs' shared-token,
+//     length-window and bag-filter counts, for both join forms, are
+//     checked against a brute-force count of the same predicates;
 //   * each contention-relief toggle alone — L1 tier, combiner,
 //     skew-adaptive partitioning — off vs the all-on default: the same
 //     oracle result and counters (they may only move traffic and timing);
@@ -38,6 +38,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -367,59 +368,75 @@ TsjOptions SerialInMemory(TsjOptions options) {
   return options;
 }
 
+// Brute-force tallies of the pairs a shared-token pass considers. The
+// length window admits those whose Lemma 6 bound is within T (every pair
+// with the length filter off); the pairs it skips are length_filtered. Of
+// the admitted pairs the pass emits those whose bag bound,
+// NsldFromSld(SldLowerBoundFromCharBags), is within T too; the rest are
+// bag_filtered.
+struct SharedPairTally {
+  uint64_t all_pairs = 0;
+  uint64_t admitted_pairs = 0;
+  uint64_t bag_skipped_pairs = 0;
+
+  void Add(const TsjOptions& options, size_t la, const CharBag& bag_a,
+           size_t lb, const CharBag& bag_b) {
+    ++all_pairs;
+    if (options.enable_length_filter &&
+        NsldLowerBoundFromAggregateLengths(la, lb) > options.threshold) {
+      return;
+    }
+    ++admitted_pairs;
+    const int64_t bag_bound = SldLowerBoundFromCharBags(bag_a, bag_b, la, lb);
+    if (NsldFromSld(bag_bound, la, lb) > options.threshold) {
+      ++bag_skipped_pairs;
+    }
+  }
+
+  void ExpectCounters(const TsjRunInfo& info,
+                      const TsjOptions& options) const {
+    EXPECT_EQ(info.shared_token_candidates,
+              admitted_pairs - bag_skipped_pairs);
+    // Only the shared-token pass runs under exact-token matching, so the
+    // pre-dedup filter counters are its alone.
+    if (options.matching == TokenMatching::kExact) {
+      EXPECT_EQ(info.shared_token_candidates + info.bag_filtered,
+                admitted_pairs);
+      EXPECT_EQ(info.bag_filtered, bag_skipped_pairs);
+      EXPECT_EQ(info.shared_token_candidates + info.bag_filtered +
+                    info.length_filtered,
+                all_pairs);
+    }
+  }
+};
+
 TsjRunInfo SerialSelfJoinInfo(const Corpus& corpus,
                               const TsjOptions& options) {
   TsjRunInfo info;
   EXPECT_TRUE(TokenizedStringJoiner(SerialInMemory(options))
                   .SelfJoin(corpus, &info)
                   .ok());
-  // The shared-token pass considers, per surviving token, the unordered
-  // pairs of its strings. The length window admits those whose Lemma 6
-  // bound is within T (every pair with the length filter off); the pairs
-  // it skips are length_filtered. Of the admitted pairs it emits those
-  // whose bag bound, NsldFromSld(SldLowerBoundFromCharBags), is within T
-  // too; the rest are bag_filtered.
+  // The self-join's shared-token pass considers, per surviving token, the
+  // unordered pairs of its strings.
   std::vector<std::vector<uint32_t>> strings_of(corpus.num_distinct_tokens());
   for (uint32_t s = 0; s < corpus.size(); ++s) {
     const std::set<TokenId> distinct(corpus.tokens(s).begin(),
                                      corpus.tokens(s).end());
     for (const TokenId token : distinct) strings_of[token].push_back(s);
   }
-  uint64_t all_pairs = 0;
-  uint64_t admitted_pairs = 0;
-  uint64_t bag_skipped_pairs = 0;
+  SharedPairTally tally;
   for (const std::vector<uint32_t>& strings : strings_of) {
     if (strings.size() > options.max_token_frequency) continue;
     for (size_t i = 0; i < strings.size(); ++i) {
       for (size_t j = i + 1; j < strings.size(); ++j) {
-        ++all_pairs;
-        const size_t li = corpus.aggregate_length(strings[i]);
-        const size_t lj = corpus.aggregate_length(strings[j]);
-        if (options.enable_length_filter &&
-            NsldLowerBoundFromAggregateLengths(li, lj) > options.threshold) {
-          continue;
-        }
-        ++admitted_pairs;
-        const int64_t bag_bound =
-            SldLowerBoundFromCharBags(corpus.char_bag(strings[i]),
-                                      corpus.char_bag(strings[j]), li, lj);
-        if (NsldFromSld(bag_bound, li, lj) > options.threshold) {
-          ++bag_skipped_pairs;
-        }
+        tally.Add(options, corpus.aggregate_length(strings[i]),
+                  corpus.char_bag(strings[i]),
+                  corpus.aggregate_length(strings[j]),
+                  corpus.char_bag(strings[j]));
       }
     }
   }
-  EXPECT_EQ(info.shared_token_candidates, admitted_pairs - bag_skipped_pairs);
-  // Only the shared-token pass runs under exact-token matching, so the
-  // pre-dedup filter counters are its alone.
-  if (options.matching == TokenMatching::kExact) {
-    EXPECT_EQ(info.shared_token_candidates + info.bag_filtered,
-              admitted_pairs);
-    EXPECT_EQ(info.bag_filtered, bag_skipped_pairs);
-    EXPECT_EQ(info.shared_token_candidates + info.bag_filtered +
-                  info.length_filtered,
-              all_pairs);
-  }
+  tally.ExpectCounters(info, options);
   return info;
 }
 
@@ -429,6 +446,38 @@ TsjRunInfo SerialRpJoinInfo(const Corpus& r_corpus, const Corpus& p_corpus,
   EXPECT_TRUE(TokenizedStringJoiner(SerialInMemory(options))
                   .Join(r_corpus, p_corpus, &info)
                   .ok());
+  // The R x P shared-token pass considers, per surviving token text (one
+  // in at most M strings of R and P together), the pairs of its R strings
+  // with its P strings. Token ids are corpus-relative, so the strings of
+  // a token are gathered by its text.
+  std::map<std::string, std::vector<uint32_t>> r_strings_of;
+  std::map<std::string, std::vector<uint32_t>> p_strings_of;
+  auto gather = [](const Corpus& corpus,
+                   std::map<std::string, std::vector<uint32_t>>* strings_of) {
+    for (uint32_t s = 0; s < corpus.size(); ++s) {
+      const std::set<TokenId> distinct(corpus.tokens(s).begin(),
+                                       corpus.tokens(s).end());
+      for (const TokenId token : distinct) {
+        (*strings_of)[corpus.token_text(token)].push_back(s);
+      }
+    }
+  };
+  gather(r_corpus, &r_strings_of);
+  gather(p_corpus, &p_strings_of);
+  SharedPairTally tally;
+  for (const auto& [text, rs] : r_strings_of) {
+    const auto it = p_strings_of.find(text);
+    if (it == p_strings_of.end()) continue;
+    const std::vector<uint32_t>& ps = it->second;
+    if (rs.size() + ps.size() > options.max_token_frequency) continue;
+    for (const uint32_t r : rs) {
+      for (const uint32_t p : ps) {
+        tally.Add(options, r_corpus.aggregate_length(r), r_corpus.char_bag(r),
+                  p_corpus.aggregate_length(p), p_corpus.char_bag(p));
+      }
+    }
+  }
+  tally.ExpectCounters(info, options);
   return info;
 }
 
@@ -495,30 +544,36 @@ TEST(DifferentialTest, StreamingRpJoinMatchesBruteForce) {
         ToPairNsldSet(testutil::BruteForceRP(r_corpus, p_corpus, t));
     for (DedupStrategy dedup : {DedupStrategy::kGroupOnOneString,
                                 DedupStrategy::kGroupOnBothStrings}) {
-      TsjOptions options;
-      options.threshold = t;
-      options.max_token_frequency = 1u << 30;
-      options.dedup = dedup;
-      options.adaptive_partitions = false;  // the sweep sets the count
-      const TsjRunInfo reference =
-          SerialRpJoinInfo(r_corpus, p_corpus, options);
+      for (TokenMatching matching :
+           {TokenMatching::kFuzzy, TokenMatching::kExact}) {
+        TsjOptions options;
+        options.threshold = t;
+        options.max_token_frequency = 1u << 30;
+        options.dedup = dedup;
+        options.matching = matching;
+        options.adaptive_partitions = false;  // the sweep sets the count
+        const TsjRunInfo reference =
+            SerialRpJoinInfo(r_corpus, p_corpus, options);
 
-      for (size_t workers : {size_t{1}, size_t{4}}) {
-        for (size_t partitions : {size_t{1}, size_t{7}, size_t{64}}) {
-          TsjOptions sweep_options = options;
-          sweep_options.mapreduce.num_workers = workers;
-          sweep_options.mapreduce.num_partitions = partitions;
-          TsjRunInfo info;
-          const auto result = TokenizedStringJoiner(sweep_options)
-                                  .Join(r_corpus, p_corpus, &info);
-          ASSERT_TRUE(result.ok());
-          const std::string context =
-              "round=" + std::to_string(round) + " t=" + std::to_string(t) +
-              " dedup=" + std::to_string(static_cast<int>(dedup)) +
-              " workers=" + std::to_string(workers) +
-              " partitions=" + std::to_string(partitions);
-          EXPECT_EQ(ToPairNsldSet(*result), oracle) << context;
-          ExpectSameCounters(info, reference, context);
+        for (size_t workers : {size_t{1}, size_t{4}}) {
+          for (size_t partitions : {size_t{1}, size_t{7}, size_t{64}}) {
+            TsjOptions sweep_options = options;
+            sweep_options.mapreduce.num_workers = workers;
+            sweep_options.mapreduce.num_partitions = partitions;
+            TsjRunInfo info;
+            const auto result = TokenizedStringJoiner(sweep_options)
+                                    .Join(r_corpus, p_corpus, &info);
+            ASSERT_TRUE(result.ok());
+            const std::string context =
+                "round=" + std::to_string(round) + " t=" + std::to_string(t) +
+                " dedup=" + std::to_string(static_cast<int>(dedup)) +
+                " matching=" + std::to_string(static_cast<int>(matching)) +
+                " workers=" + std::to_string(workers) +
+                " partitions=" + std::to_string(partitions);
+            ExpectMatchesOracle(ToPairNsldSet(*result), oracle, matching,
+                                context);
+            ExpectSameCounters(info, reference, context);
+          }
         }
       }
     }
@@ -664,8 +719,8 @@ TEST(DifferentialTest, SpillForcedStreamingMatchesInMemoryEngines) {
 }
 
 TEST(DifferentialTest, SpillForcedRpJoinMatchesInMemoryEngines) {
-  // Two-collection form of the spill differential (tagged-id keys flow
-  // through the spill codec; one compact sweep).
+  // Two-collection form of the spill differential: the R x P run's cross
+  // candidates flow through the spill codec (one compact sweep).
   Rng rng(60926072);
   const Corpus r_corpus = RandomJoinCorpus(&rng, 30, /*long_tokens=*/false);
   const Corpus p_corpus = RandomJoinCorpus(&rng, 24, /*long_tokens=*/false);
