@@ -96,13 +96,23 @@ Status FaultInjector::ParseSpec(const std::string& spec,
       char* parse_end = nullptr;
       errno = 0;
       site.probability = std::strtod(prob.c_str(), &parse_end);
+      // Written as a range check so NaN, which compares false with
+      // everything, is rejected instead of arming a site that never fires.
       if (prob.empty() || parse_end == nullptr || *parse_end != '\0' ||
-          errno == ERANGE || site.probability < 0.0 ||
-          site.probability > 1.0) {
+          errno == ERANGE ||
+          !(site.probability >= 0.0 && site.probability <= 1.0)) {
         return Status::InvalidArgument("bad probability: '" + mode + "'");
       }
     } else {
       return Status::InvalidArgument("unknown fault mode: '" + mode + "'");
+    }
+    // Every lookup stops at a site's first entry, so a second entry for
+    // the same site could never fire.
+    for (const SiteSpec& earlier : *out) {
+      if (earlier.site == site.site) {
+        return Status::InvalidArgument("fault spec names site '" +
+                                       site.site + "' twice");
+      }
     }
     out->push_back(site);
   }

@@ -13,8 +13,6 @@
 //                  (failure = checkpoint skipped, job unaffected)
 //   ckpt.read      validating/restoring a checkpoint at restart
 //                  (failure = checkpoint treated as invalid, task re-runs)
-//   hedge.launch   launching a hedged attempt for a watchdog-flagged task
-//                  (failure = hedge suppressed, primary keeps running)
 //
 // A site is evaluated with FAULT_POINT("name"), which returns Status::OK()
 // unless the process-wide FaultInjector is armed for that site. Evaluation
@@ -25,34 +23,35 @@
 // faults per site regardless of interleaving when tasks evaluate a site
 // once each.
 //
-// Keyed evaluation: the shared-counter index breaks down once the same
-// task can be evaluated *concurrently more than once* — a hedged attempt
-// racing its primary would advance the counter in scheduler-dependent
-// interleavings, so replays of the same CC_FAULT_SPEC could fire on
-// different tasks run-to-run. FAULT_POINT_AT("name", k) therefore lets
-// the call site supply the 1-based index explicitly; the task layer keys
-// it by (task, attempt) — attempt 0 of task t uses k = base + t + 1,
-// while retries and hedged attempts map into disjoint per-task index
-// blocks above base + n. `base` comes from ReserveBlock(site, count):
-// each phase that evaluates a site claims the next contiguous index
-// range, so sequential phases (jobs run one after another) never reuse
-// indices and a "once" spec still fires exactly once per process — in
-// the first phase, at the task the index names — instead of once per
-// phase. Reservation order is the phases' program order, which is
-// deterministic, so the whole schedule replays exactly. The per-site
-// evaluation counter still increments for observability, but no longer
-// decides.
+// Keyed evaluation: the shared-counter index breaks down once a task
+// evaluates its site *more than once* — a retried task re-evaluates its
+// site while its siblings run, advancing the counter in
+// scheduler-dependent interleavings, so replays of the same
+// CC_FAULT_SPEC could fire on different tasks run-to-run.
+// FAULT_POINT_AT("name", k) therefore lets the call site supply the
+// 1-based index explicitly; the task layer keys it by (task, attempt) —
+// attempt 0 of task t uses k = base + t + 1, while retries map into
+// disjoint per-task index blocks above base + n. `base` comes from
+// ReserveBlock(site, count): each phase that evaluates a site claims the
+// next contiguous index range, so sequential phases (jobs run one after
+// another) never reuse indices and a "once" spec still fires exactly
+// once per process — in the first phase, at the task the index names —
+// instead of once per phase. Reservation order is the phases' program
+// order, which is deterministic, so the whole schedule replays exactly.
+// The per-site evaluation counter still increments for observability,
+// but no longer decides.
 //
 // CC_FAULT_SPEC grammar
 // ---------------------
 //   spec   := entry (';' entry)*
-//   entry  := site '=' mode
+//   entry  := site '=' mode         (each site at most once per spec)
 //   site   := dotted identifier, e.g. task.reduce
 //   mode   := 'once' ['@' N]        fire on the N-th evaluation only
 //                                   (1-based; default N=1)
 //           | 'every' '@' N         fire on every N-th evaluation
 //           | 'p' FLOAT ['@seed' S] fire each evaluation independently
-//                                   with probability FLOAT, decided by a
+//                                   with probability FLOAT in [0, 1]
+//                                   (NaN is rejected), decided by a
 //                                   SplitMix64 draw over (S, k); default
 //                                   seed S=0
 //
@@ -90,8 +89,10 @@ class FaultInjector {
   static FaultInjector& Global();
 
   /// Arms the injector with a CC_FAULT_SPEC-grammar string (empty string
-  /// disarms). Returns InvalidArgument on a malformed spec, leaving the
-  /// previous configuration in place. Resets per-site counters.
+  /// disarms). Returns InvalidArgument on a malformed spec — including
+  /// one that names a site twice, or whose probability is not a number
+  /// in [0, 1] — leaving the previous configuration in place. Resets
+  /// per-site counters.
   Status Configure(const std::string& spec);
 
   /// Re-arms from the CC_FAULT_SPEC environment variable (disarms when
@@ -112,8 +113,8 @@ class FaultInjector {
   /// Like Evaluate, but the fire decision uses the caller-supplied 1-based
   /// index `k` instead of the per-site counter, making the decision
   /// independent of cross-thread interleaving (the counter still
-  /// increments for evaluations() observability). Two concurrent attempts
-  /// of the same logical task must pass distinct `k` values.
+  /// increments for evaluations() observability). Two attempts of the
+  /// same logical task must pass distinct `k` values.
   Status EvaluateAt(const char* site, uint64_t k);
 
   /// Claims the next `count` evaluation indices of `site` for one phase of
@@ -189,8 +190,8 @@ class FaultInjector {
        : ::tsj::Status::OK())
 
 /// Keyed variant: the fire decision is a pure function of (site spec, k)
-/// with `k` supplied by the caller, so concurrent attempts of the same
-/// task replay deterministically. Usage:
+/// with `k` supplied by the caller, so a task's attempts replay
+/// deterministically however its siblings interleave. Usage:
 ///   if (Status s = FAULT_POINT_AT("task.map", task + 1); !s.ok()) ...
 #define FAULT_POINT_AT(site, k)                               \
   (::tsj::FaultInjector::Global().enabled()                   \

@@ -90,11 +90,6 @@ Status ThreadPool::TakeStatus() {
   return taken;
 }
 
-void ThreadPool::SetStuckTaskCallback(std::function<void()> callback) {
-  std::lock_guard<std::mutex> lock(stuck_callback_mu_);
-  stuck_callback_ = std::move(callback);
-}
-
 void ThreadPool::RecordException(std::exception_ptr eptr) {
   Status status = Status::Internal("task threw an unknown exception type");
   try {
@@ -150,7 +145,6 @@ void ThreadPool::WatchdogLoop(int64_t timeout_ms) {
       if (shutdown_) return;
     }
     const int64_t now = NowMs();
-    size_t newly_flagged = 0;
     for (auto& slot_ptr : slots_) {
       WorkerSlot& slot = *slot_ptr;
       const int64_t start = slot.start_ms.load(std::memory_order_acquire);
@@ -162,16 +156,6 @@ void ThreadPool::WatchdogLoop(int64_t timeout_ms) {
       if (slot.start_ms.load(std::memory_order_acquire) != start) continue;
       slot.flagged_seq = seq;
       tasks_degraded_.fetch_add(1, std::memory_order_relaxed);
-      ++newly_flagged;
-    }
-    if (newly_flagged > 0) {
-      // Invoked under stuck_callback_mu_ (not the pool mutex) so that
-      // SetStuckTaskCallback(nullptr) blocks until we return and the
-      // callback may safely Submit() more work.
-      std::lock_guard<std::mutex> cb_lock(stuck_callback_mu_);
-      if (stuck_callback_) {
-        for (size_t i = 0; i < newly_flagged; ++i) stuck_callback_();
-      }
     }
   }
 }

@@ -18,11 +18,8 @@
 //    as *disabled*, never as a timeout that can never fire), a monitor
 //    thread samples the workers and counts every task that has been
 //    running longer than the timeout as *degraded* (tasks_degraded()).
-//    The task itself keeps running — preempting it could not be made
-//    safe — but a client may register a stuck-task callback
-//    (SetStuckTaskCallback) that the watchdog invokes once per newly
-//    flagged task; the MapReduce engine uses it to launch hedged
-//    attempts against the same immutable input (see mapreduce.h).
+//    The count is observational: the task itself keeps running, since
+//    preempting it could not be made safe.
 
 #ifndef TSJ_COMMON_THREAD_POOL_H_
 #define TSJ_COMMON_THREAD_POOL_H_
@@ -109,19 +106,6 @@ class ThreadPool {
     return tasks_degraded_.load(std::memory_order_relaxed);
   }
 
-  /// True when the CC_TASK_TIMEOUT_MS watchdog thread is running. Hedged
-  /// execution is only armed when a watchdog exists to flag stragglers.
-  bool watchdog_enabled() const { return watchdog_.joinable(); }
-
-  /// Registers `callback` to be invoked by the watchdog thread each time it
-  /// flags a *newly* stuck task (at most once per task, same cadence as
-  /// tasks_degraded()). Pass nullptr to clear. Clearing blocks until any
-  /// in-flight invocation returns, so after SetStuckTaskCallback(nullptr)
-  /// the previous callback's captures are safe to destroy. The callback
-  /// runs on the watchdog thread and may Submit() to this pool, but must
-  /// not call Wait() or SetStuckTaskCallback().
-  void SetStuckTaskCallback(std::function<void()> callback);
-
  private:
   // Per-worker watchdog sample slot: what the worker is running and since
   // when (steady-clock ms; 0 = idle). seq distinguishes tasks so one stuck
@@ -152,10 +136,6 @@ class ThreadPool {
   std::mutex watchdog_mu_;
   std::condition_variable watchdog_cv_;
   std::atomic<uint64_t> tasks_degraded_{0};
-  // Held across stuck-callback invocation so SetStuckTaskCallback(nullptr)
-  // synchronizes with a running callback. Never held while holding mu_.
-  std::mutex stuck_callback_mu_;
-  std::function<void()> stuck_callback_;  // guarded by stuck_callback_mu_
 };
 
 }  // namespace tsj

@@ -368,8 +368,6 @@ StatusOr<std::vector<TsjPair>> HybridMetricJoiner::SelfJoin(
       local_info.pipeline.total_tasks_checkpointed();
   local_info.tasks_skipped_by_checkpoint =
       local_info.pipeline.total_tasks_skipped_by_checkpoint();
-  local_info.hedges_launched = local_info.pipeline.total_hedges_launched();
-  local_info.hedges_won = local_info.pipeline.total_hedges_won();
   // When the work limit was exceeded the results are incomplete; they are
   // still returned for inspection, with completed=false marking the DNF.
   local_info.completed = !state.aborted.load();

@@ -120,13 +120,11 @@ struct HmjRunInfo {
   uint64_t task_retries = 0;
   uint64_t tasks_cancelled = 0;
   uint64_t tasks_degraded = 0;
-  /// Checkpoint/restart and hedged-execution counters summed across the
-  /// run's jobs (same semantics as the TsjRunInfo fields of the same
-  /// names; see the checkpoint and hedge contracts in mapreduce.h).
+  /// Checkpoint/restart counters summed across the run's jobs (same
+  /// semantics as the TsjRunInfo fields of the same names; see the
+  /// checkpoint contract in mapreduce.h).
   uint64_t tasks_checkpointed = 0;
   uint64_t tasks_skipped_by_checkpoint = 0;
-  uint64_t hedges_launched = 0;
-  uint64_t hedges_won = 0;
   /// False when the work_limit was exceeded (DNF).
   bool completed = true;
 };

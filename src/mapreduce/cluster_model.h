@@ -114,7 +114,7 @@ double SimulatePipelineSeconds(const PipelineStats& stats, uint64_t machines,
 /// `fixed_fallback` is returned verbatim when the profile is empty
 /// (num_keys, total_load or max_key_load of 0) — the caller's configured
 /// fixed partition count. Deterministic; callers gate it behind their
-/// adaptive_partitions option (tsj/hmj/massjoin/vsmart all do).
+/// adaptive_partitions option (tsj/hmj/massjoin all do).
 size_t AdaptivePartitionCount(size_t workers, uint64_t num_keys,
                               uint64_t total_load, uint64_t max_key_load,
                               size_t fixed_fallback);
@@ -123,8 +123,8 @@ size_t AdaptivePartitionCount(size_t workers, uint64_t num_keys,
 /// consumes. AddQuadraticKey prices one reduce key whose group holds
 /// `frequency` records with the shared-token reduce's cost shape —
 /// f records in, f*(f-1)/2 pair emissions out — which is the load proxy
-/// TSJ (both join forms) and vsmart's joining phase share; keeping it
-/// here means recalibrating the proxy touches exactly one place.
+/// TSJ sizes its shared-token job with; keeping it here means
+/// recalibrating the proxy touches exactly one place.
 struct KeyLoadProfile {
   uint64_t num_keys = 0;
   uint64_t total_load = 0;

@@ -174,11 +174,6 @@ struct JobStats {
   /// Map tasks skipped at (re)start because a valid checkpoint from a
   /// prior run of the same job supplied their output.
   uint64_t tasks_skipped_by_checkpoint = 0;
-  /// Hedged (speculative) attempts launched for watchdog-flagged tasks.
-  uint64_t hedges_launched = 0;
-  /// Hedged attempts that finished before their primary and supplied the
-  /// task's output (the primary was cancelled and Abandon'ed).
-  uint64_t hedges_won = 0;
   /// First fatal task error: non-OK exactly when the job was aborted and
   /// its outputs are incomplete/absent. Retryable failures that a retry
   /// absorbed do NOT set this — they are visible only via task_failures /
@@ -359,18 +354,6 @@ struct PipelineStats {
   uint64_t total_tasks_skipped_by_checkpoint() const {
     uint64_t total = 0;
     for (const auto& j : jobs) total += j.tasks_skipped_by_checkpoint;
-    return total;
-  }
-
-  uint64_t total_hedges_launched() const {
-    uint64_t total = 0;
-    for (const auto& j : jobs) total += j.hedges_launched;
-    return total;
-  }
-
-  uint64_t total_hedges_won() const {
-    uint64_t total = 0;
-    for (const auto& j : jobs) total += j.hedges_won;
     return total;
   }
 };

@@ -105,11 +105,10 @@
 //    attempts into task_failures, re-executions into task_retries.
 //  * Watchdog semantics. When CC_TASK_TIMEOUT_MS is set (> 0), the
 //    ThreadPool watchdog counts every task observed running longer than
-//    the timeout into JobStats::tasks_degraded. The flagged task is
-//    never preempted (preemption cannot be made safe) and the job's
-//    Status is unaffected — but when hedged execution is enabled (see
-//    below) a newly flagged map task additionally gets a second attempt
-//    launched against the same immutable input.
+//    the timeout into JobStats::tasks_degraded. The count is purely
+//    observational: the flagged task is never preempted (preemption
+//    cannot be made safe), and neither the job's Status nor its output
+//    changes.
 //  * Checkpoint validity. When MapReduceOptions::checkpoint_dir is set,
 //    every completed map task seals its output
 //    (sorted residue + spill runs, merged in reduce source order) into a
@@ -129,39 +128,28 @@
 //    cannot prove two runs share a corpus — restore requires the
 //    explicit option). Reduce tasks are not checkpointed: their outputs
 //    live in job-local memory and are cheap to recompute relative to
-//    re-verifying.
-//  * Hedge-cancellation semantics. With enable_hedged_execution (default
-//    on, inert unless the CC_TASK_TIMEOUT_MS watchdog is armed), a map
-//    task the watchdog flags as stuck gets ONE hedged attempt launched
-//    against the same input slice with a fresh PartitionedEmitter. Both
-//    attempts run to their claim point; the FIRST finisher wins the
-//    task via an atomic claim, cancels the loser's per-attempt
-//    CancellationToken (polled between input records — cooperative, so
-//    a truly wedged loser still holds its worker until it returns), and
-//    only the winner's emitter, counters and checkpoint are installed;
-//    the loser's emitter is Abandon'ed (its spill runs released), so
-//    results stay byte-identical to an unhedged run. A failed or
-//    fault-suppressed ("hedge.launch") hedge is a no-op: the primary
-//    attempt and its retry budget are unaffected.
+//    re-verifying. A map attempt cut short by a job abort seals nothing:
+//    the map loop polls the job's CancellationToken between input
+//    records and once more before sealing, so a restart never restores
+//    a partial slice.
 //  * Fault injection. The deterministic injector (common/fault.h,
 //    CC_FAULT_SPEC) is evaluated at named sites: "task.map" /
 //    "task.reduce" at task starts, "alloc.shuffle" at shuffle-phase task
 //    starts (fires kResourceExhausted), "ckpt.write" / "ckpt.read"
-//    around checkpoint sealing/restore, "hedge.launch" before a hedged
-//    attempt is submitted, and "spill.open" / "spill.write"
+//    around checkpoint sealing/restore, and "spill.open" / "spill.write"
 //    / "merge.read" inside every spill I/O stream (SpillContext::NewIo
 //    wraps both the default FILE* io and any test-installed
 //    spill_io_factory, so engine and spill faults share one harness).
 //    Injected spill faults follow the spill contract above (write =>
 //    degraded, read => lossy); injected task faults follow the retry
 //    rules. Task-start sites are evaluated with FAULT_POINT_AT keyed by
-//    (task, attempt) — attempt 0 of task t is index t+1, retries and
-//    hedges map into disjoint per-task blocks above n — so a
-//    CC_FAULT_SPEC schedule replays exactly even when a hedged attempt
-//    races its primary. One caveat: spill observability counters
+//    (task, attempt) — attempt 0 of task t is index t+1, retries map
+//    into disjoint per-task blocks above n — so a CC_FAULT_SPEC schedule
+//    replays exactly even when a retried task re-evaluates its site
+//    while its siblings run. One caveat: spill observability counters
 //    (spilled_records, spill_files, …) count ALL attempts, including
-//    runs an abandoned retry or losing hedge released — they are I/O
-//    meters, not result accounting.
+//    runs an abandoned retry released — they are I/O meters, not result
+//    accounting.
 //
 // JobStats records per-phase record counts, wall times, per-group loads,
 // and shuffle-record and peak-resident counters (ShuffleGauge);
@@ -175,11 +163,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <utility>
@@ -259,10 +245,6 @@ struct MapReduceOptions {
   /// corpus size and token counts). 0 is a valid fingerprint but makes
   /// "same name, different data" collisions the caller's responsibility.
   uint64_t checkpoint_fingerprint = 0;
-  /// Launch a hedged second attempt for map tasks the watchdog flags as
-  /// stuck (see the "Hedge-cancellation semantics" section). Inert
-  /// unless CC_TASK_TIMEOUT_MS arms the watchdog.
-  bool enable_hedged_execution = true;
 
   size_t effective_workers() const {
     if (num_workers > 0) return num_workers;
@@ -707,11 +689,9 @@ struct TaskCounters {
 //                                         every@N / p@seed schedules are
 //                                         unchanged)
 //   retry attempt a >= 1  -> n + 1 + t * kFaultRetryStride + (a - 1)
-//   hedged attempt        -> the kFaultHedgeAttempt slot of the same block
-// Retries beyond kFaultHedgeAttempt - 1 would alias the hedge slot; with
-// the default max_task_retries = 2 the blocks are far apart.
+// Retries beyond kFaultRetryStride would alias the next task's block;
+// with the default max_task_retries = 2 the blocks are far apart.
 inline constexpr uint64_t kFaultRetryStride = 32;
-inline constexpr size_t kFaultHedgeAttempt = 31;
 
 inline uint64_t TaskAttemptFaultKey(size_t n, size_t task, size_t attempt) {
   if (attempt == 0) return static_cast<uint64_t>(task) + 1;
@@ -737,150 +717,26 @@ inline uint64_t ReservePhaseFaultBlock(const char* site, uint64_t count) {
   return injector.ReserveBlock(site, count);
 }
 
-// Coordinates one optional hedged (duplicate) attempt per task of a map
-// phase. The watchdog's stuck-task callback calls OnStuck(), which picks
-// the longest-running primary that has neither finished nor been hedged
-// and invokes the launcher for it — while holding the controller mutex,
-// so the chosen primary is still inside its body (EndPrimary needs the
-// same mutex) and anything the launcher Submits is ordered before the
-// pool's Wait() can return. First finisher wins the task via ClaimWin;
-// the winner cancels the loser's per-attempt token.
-class HedgeController {
- public:
-  explicit HedgeController(size_t n) : states_(n) {}
-
-  void set_launcher(std::function<void(size_t)> launcher) {
-    launcher_ = std::move(launcher);
-  }
-  /// Base of this phase's reserved "hedge.launch" key range.
-  void set_fault_base(uint64_t base) { fault_base_ = base; }
-
-  const CancellationToken& primary_token(size_t task) const {
-    return states_[task].primary;
-  }
-  const CancellationToken& hedge_token(size_t task) const {
-    return states_[task].hedge;
-  }
-
-  void BeginPrimary(size_t task) {
-    std::lock_guard<std::mutex> lock(mu_);
-    states_[task].running = true;
-    states_[task].start = std::chrono::steady_clock::now();
-  }
-  void EndPrimary(size_t task) {
-    std::lock_guard<std::mutex> lock(mu_);
-    states_[task].running = false;
-  }
-
-  // First finisher wins; attempt 0 = primary, 1 = hedge. The winner
-  // cancels the loser's attempt token so it bails at its next record
-  // boundary. Returns false when the other attempt already claimed —
-  // the caller must then discard all of its attempt's side effects.
-  bool ClaimWin(size_t task, int attempt) {
-    State& st = states_[task];
-    int expected = -1;
-    if (!st.winner.compare_exchange_strong(expected, attempt,
-                                           std::memory_order_acq_rel)) {
-      return false;
-    }
-    if (st.hedge_launched.load(std::memory_order_acquire)) {
-      if (attempt == 0) {
-        st.hedge.Cancel(Status::Unavailable("hedged attempt lost the race"));
-      } else {
-        won_.fetch_add(1, std::memory_order_relaxed);
-        st.primary.Cancel(
-            Status::Unavailable("primary attempt lost to its hedge"));
-      }
-    }
-    return true;
-  }
-
-  int winner(size_t task) const {
-    return states_[task].winner.load(std::memory_order_acquire);
-  }
-  bool hedge_launched(size_t task) const {
-    return states_[task].hedge_launched.load(std::memory_order_acquire);
-  }
-
-  // Watchdog-thread entry point (serialized by the watchdog). Launches at
-  // most one hedge per call, for the oldest still-running unhedged task.
-  // The "hedge.launch" fault gate still consumes the task's single hedge
-  // slot when it fires, so injected suppression stays deterministic.
-  void OnStuck() {
-    if (launcher_ == nullptr) return;
-    std::lock_guard<std::mutex> lock(mu_);
-    bool found = false;
-    size_t candidate = 0;
-    std::chrono::steady_clock::time_point oldest{};
-    for (size_t t = 0; t < states_.size(); ++t) {
-      State& st = states_[t];
-      if (!st.running || st.hedge_launched.load(std::memory_order_relaxed) ||
-          st.winner.load(std::memory_order_relaxed) != -1) {
-        continue;
-      }
-      if (!found || st.start < oldest) {
-        found = true;
-        oldest = st.start;
-        candidate = t;
-      }
-    }
-    if (!found) return;
-    states_[candidate].hedge_launched.store(true, std::memory_order_release);
-    if (Status s = FAULT_POINT_AT(
-            "hedge.launch",
-            fault_base_ + static_cast<uint64_t>(candidate) + 1);
-        !s.ok()) {
-      return;
-    }
-    launched_.fetch_add(1, std::memory_order_relaxed);
-    launcher_(candidate);
-  }
-
-  uint64_t launched() const {
-    return launched_.load(std::memory_order_relaxed);
-  }
-  uint64_t won() const { return won_.load(std::memory_order_relaxed); }
-
- private:
-  struct State {
-    CancellationToken primary;
-    CancellationToken hedge;
-    std::atomic<int> winner{-1};
-    std::atomic<bool> hedge_launched{false};
-    bool running = false;
-    std::chrono::steady_clock::time_point start{};
-  };
-
-  std::mutex mu_;
-  std::vector<State> states_;
-  std::function<void(size_t)> launcher_;
-  uint64_t fault_base_ = 0;
-  std::atomic<uint64_t> launched_{0};
-  std::atomic<uint64_t> won_{0};
-};
-
 // Runs `n` logical tasks on `pool` under the engine's fault-tolerance
 // contract. Each task: (1) bails (counted cancelled) when the job token
 // is already tripped; (2) evaluates the phase's FAULT_POINT — keyed by
-// (task, attempt) via TaskAttemptFaultKey, and fired *here* it precedes
-// any side effect, so it is retryable even for phases with no reset;
-// (3) runs `body(task, attempt_token)`, catching exceptions into a
-// Status. A retryable failure re-executes the task — after `reset(task)`
-// restores its pristine state if the body had started — up to
-// `max_retries` times; a fatal failure (or exhausted retries, or a
-// retryable body failure in a phase that passed reset == nullptr because
-// it consumes shared state destructively) trips the token with the root
-// cause and sibling tasks stop at their next boundary.
-//
-// When `hedge` is non-null the body receives the task's per-attempt
-// primary token (tripped only when its hedge wins) instead of the job
-// token, and the primary's running window is reported to the controller.
-inline void RunTasksWithRetryHedged(
+// (task, attempt) via TaskAttemptFaultKey in a block this phase reserves
+// for `fault_site`, and fired *here* it precedes any side effect, so it
+// is retryable even for phases with no reset; (3) runs `body(task)`,
+// catching exceptions into a Status. A retryable failure re-executes the
+// task — after `reset(task)` restores its pristine state if the body had
+// started — up to `max_retries` times; a fatal failure (or exhausted
+// retries, or a retryable body failure in a phase that passed reset ==
+// nullptr because it consumes shared state destructively) trips the
+// token with the root cause and sibling tasks stop at their next
+// boundary.
+inline void RunTasksWithRetry(
     ThreadPool* pool, size_t n, size_t max_retries,
-    CancellationToken token, const char* fault_site, uint64_t fault_base,
-    TaskCounters* counters, const std::function<void(size_t)>& reset,
-    const std::function<void(size_t, const CancellationToken&)>& body,
-    HedgeController* hedge) {
+    CancellationToken token, const char* fault_site, TaskCounters* counters,
+    const std::function<void(size_t)>& reset,
+    const std::function<void(size_t)>& body) {
+  const uint64_t fault_base =
+      ReservePhaseFaultBlock(fault_site, TaskFaultBlockSize(n));
   pool->ParallelFor(n, [&, token](size_t task) mutable {
     if (token.cancelled()) {
       counters->cancelled.fetch_add(1, std::memory_order_relaxed);
@@ -892,9 +748,8 @@ inline void RunTasksWithRetryHedged(
       bool started = false;
       if (s.ok()) {
         started = true;
-        if (hedge != nullptr) hedge->BeginPrimary(task);
         try {
-          body(task, hedge != nullptr ? hedge->primary_token(task) : token);
+          body(task);
         } catch (const std::bad_alloc&) {
           s = Status::ResourceExhausted("task threw std::bad_alloc");
         } catch (const std::exception& e) {
@@ -902,7 +757,6 @@ inline void RunTasksWithRetryHedged(
         } catch (...) {
           s = Status::Internal("task threw an unknown exception type");
         }
-        if (hedge != nullptr) hedge->EndPrimary(task);
       }
       if (s.ok()) return;
       counters->failures.fetch_add(1, std::memory_order_relaxed);
@@ -917,20 +771,6 @@ inline void RunTasksWithRetryHedged(
       return;
     }
   });
-}
-
-// Unhedged wrapper: every existing phase call site funnels through the
-// keyed evaluator above with no hedging.
-inline void RunTasksWithRetry(
-    ThreadPool* pool, size_t n, size_t max_retries,
-    CancellationToken token, const char* fault_site, TaskCounters* counters,
-    const std::function<void(size_t)>& reset,
-    const std::function<void(size_t)>& body) {
-  RunTasksWithRetryHedged(
-      pool, n, max_retries, std::move(token), fault_site,
-      ReservePhaseFaultBlock(fault_site, TaskFaultBlockSize(n)), counters,
-      reset, [&body](size_t task, const CancellationToken&) { body(task); },
-      /*hedge=*/nullptr);
 }
 
 // Folds the pool-level task accounting into the job's stats at job end:
@@ -1604,9 +1444,7 @@ struct SortedJob {
         num_partitions(std::max<size_t>(1, job_options.num_partitions)),
         pool(num_workers),
         gauge{&local_gauge, job_options.shuffle_gauge},
-        spill(MakeSpillContext(job_options, spill_stats)),
-        hedging(job_options.enable_hedged_execution &&
-                pool.watchdog_enabled()) {}
+        spill(MakeSpillContext(job_options, spill_stats)) {}
   SortedJob(const SortedJob&) = delete;
   SortedJob& operator=(const SortedJob&) = delete;
 
@@ -1617,7 +1455,6 @@ struct SortedJob {
   ShuffleGauge local_gauge;
   const GaugePair gauge;
   const std::unique_ptr<SpillContext> spill;  // null = in-memory shuffle
-  const bool hedging;
   CancellationToken cancel;
 };
 
@@ -1632,18 +1469,8 @@ inline size_t ProducerShare(const SortedJob& job, size_t stages,
   return std::max<size_t>(1, job.spill->budget() / stages / producers);
 }
 
-// A fresh producer, spill-armed with `share` when the job spills.
-template <typename Key, typename Value>
-PartitionedEmitter<Key, Value> NewProducer(
-    const SortedJob& job, size_t share,
-    const CombinerFn<Key, Value>& combiner) {
-  PartitionedEmitter<Key, Value> producer(job.num_partitions);
-  if (job.spill != nullptr) {
-    producer.EnableSpill(job.spill.get(), share, combiner);
-  }
-  return producer;
-}
-
+// `count` fresh producers, each spill-armed with `share` when the job
+// spills.
 template <typename Key, typename Value>
 std::vector<PartitionedEmitter<Key, Value>> NewProducers(
     const SortedJob& job, size_t count, size_t share,
@@ -1651,26 +1478,26 @@ std::vector<PartitionedEmitter<Key, Value>> NewProducers(
   std::vector<PartitionedEmitter<Key, Value>> producers;
   producers.reserve(count);
   for (size_t i = 0; i < count; ++i) {
-    producers.push_back(NewProducer(job, share, combiner));
+    producers.emplace_back(job.num_partitions);
+    if (job.spill != nullptr) {
+      producers.back().EnableSpill(job.spill.get(), share, combiner);
+    }
   }
   return producers;
 }
 
 // Runs one map phase: task t of `n` = producers->size() - first maps an
-// even slice of `inputs` into (*producers)[first + t], under the retry,
-// hedge and checkpoint contracts of the file comment. One attempt either
-// restores the task's checkpoint or maps its slice (polling its token
-// between records), combines and sorts its buckets, then claims the task
-// — a false claim means a concurrent attempt won and this attempt's
-// results are dropped — seals a checkpoint and publishes its residency.
-// A hedge-won task's producer is swapped for its hedge's afterwards (the
-// loser Abandon'ed), so later phases see exactly one winner. Folds the
+// even slice of `inputs` into (*producers)[first + t], under the retry
+// and checkpoint contracts of the file comment. One attempt either
+// restores the task's checkpoint or maps its slice, polling the job
+// token between records; combines and sorts its buckets; checks the
+// token once more; then seals a checkpoint and publishes its residency.
+// An attempt cut short by a job abort therefore seals nothing. Folds the
 // phase's map-side counters into *stats.
 template <typename Input, typename Key, typename Value, typename MapFn>
 void RunMapStage(SortedJob& job, const std::string& job_name,
                  const char* phase_tag, const std::vector<Input>& inputs,
                  const MapFn& map_fn, const CombinerFn<Key, Value>& combiner,
-                 size_t share,
                  std::vector<PartitionedEmitter<Key, Value>>* producers,
                  size_t first, TaskCounters* counters, JobStats* stats) {
   Stopwatch watch;
@@ -1679,102 +1506,42 @@ void RunMapStage(SortedJob& job, const std::string& job_name,
   const std::unique_ptr<CheckpointContext> ckpt = MakeCheckpointContext(
       job.options, job_name, phase_tag, n, job.num_partitions, &restore);
   std::vector<uint64_t> units(n, 0), combine_in(n, 0), combine_out(n, 0);
-  auto attempt = [&](size_t task, PartitionedEmitter<Key, Value>& em,
-                     const CancellationToken& token, const auto& claim) {
-    if (ckpt != nullptr && restore &&
-        TryRestoreTaskCheckpoint<Key, Value>(ckpt.get(), task, &em,
-                                             job.spill.get())) {
-      if (claim()) job.gauge.Add(em.size());
-      return;
-    }
-    const size_t begin = inputs.size() * task / n;
-    const size_t end = inputs.size() * (task + 1) / n;
-    TakeWorkUnits();  // clear leftovers from other tasks on this thread
-    for (size_t i = begin; i < end; ++i) {
-      if (token.cancelled()) return;  // job abort or lost hedge
-      map_fn(inputs[i], &em);
-    }
-    if (token.cancelled()) return;
-    uint64_t cin = 0, cout = 0;
-    if (combiner != nullptr) em.Combine(combiner, &cin, &cout);
-    em.FinishSpill();  // sort the residue for the merge
-    const uint64_t task_units = TakeWorkUnits();
-    if (!claim()) return;  // a concurrent attempt finished first
-    units[task] = task_units;
-    combine_in[task] = cin;
-    combine_out[task] = cout;
-    if (ckpt != nullptr) {
-      WriteTaskCheckpoint<Key, Value>(ckpt.get(), task, &em,
-                                      job.spill.get());
-    }
-    job.gauge.Add(em.size());
-  };
-
-  const uint64_t fault_base =
-      ReservePhaseFaultBlock("task.map", TaskFaultBlockSize(n));
-  const bool hedging = job.hedging && n > 0;
-  HedgeController hedge(n);
-  std::vector<std::unique_ptr<PartitionedEmitter<Key, Value>>> hedges(n);
-  if (hedging) {
-    hedge.set_fault_base(ReservePhaseFaultBlock(
-        "hedge.launch", static_cast<uint64_t>(n) + 1));
-    hedge.set_launcher([&, n, fault_base](size_t task) {
-      job.pool.Submit([&, n, fault_base, task] {
-        if (Status s = FAULT_POINT_AT(
-                "task.map",
-                fault_base + TaskAttemptFaultKey(n, task, kFaultHedgeAttempt));
-            !s.ok()) {
-          return;  // injected: the hedge aborts, the primary continues
-        }
-        try {
-          hedges[task] = std::make_unique<PartitionedEmitter<Key, Value>>(
-              NewProducer(job, share, combiner));
-          attempt(task, *hedges[task], hedge.hedge_token(task),
-                  [&hedge, task] { return hedge.ClaimWin(task, 1); });
-        } catch (...) {
-          // A failed hedge is a no-op: it never claimed, the primary
-          // attempt (and its retry budget) is unaffected.
-        }
-      });
-    });
-    job.pool.SetStuckTaskCallback([&hedge] { hedge.OnStuck(); });
-  }
-  RunTasksWithRetryHedged(
+  RunTasksWithRetry(
       &job.pool, n, job.options.max_task_retries, job.cancel, "task.map",
-      fault_base, counters,
+      counters,
       [&](size_t task) {  // reset: rebuild the producer from scratch
         (*producers)[first + task].Abandon();
         units[task] = 0;
         combine_in[task] = 0;
         combine_out[task] = 0;
       },
-      [&](size_t task, const CancellationToken& token) {
+      [&](size_t task) {
         auto& em = (*producers)[first + task];
-        if (hedging) {
-          attempt(task, em, token,
-                  [&hedge, task] { return hedge.ClaimWin(task, 0); });
-        } else {
-          attempt(task, em, token, [] { return true; });
+        if (ckpt != nullptr && restore &&
+            TryRestoreTaskCheckpoint<Key, Value>(ckpt.get(), task, &em,
+                                                 job.spill.get())) {
+          job.gauge.Add(em.size());
+          return;
         }
-      },
-      hedging ? &hedge : nullptr);
-  if (hedging) {
-    // Blocks until any in-flight callback returns; afterwards the
-    // controller (a stack local) can no longer be reached.
-    job.pool.SetStuckTaskCallback(nullptr);
-    for (size_t t = 0; t < n; ++t) {
-      if (hedges[t] == nullptr) continue;
-      auto& slot = (*producers)[first + t];
-      if (hedge.winner(t) == 1) {
-        slot.Abandon();
-        slot = std::move(*hedges[t]);
-      } else {
-        hedges[t]->Abandon();
-      }
-    }
-    stats->hedges_launched += hedge.launched();
-    stats->hedges_won += hedge.won();
-  }
+        const size_t begin = inputs.size() * task / n;
+        const size_t end = inputs.size() * (task + 1) / n;
+        TakeWorkUnits();  // clear leftovers from other tasks on this thread
+        for (size_t i = begin; i < end; ++i) {
+          if (job.cancel.cancelled()) return;  // job abort
+          map_fn(inputs[i], &em);
+        }
+        if (job.cancel.cancelled()) return;  // never seal a partial slice
+        if (combiner != nullptr) {
+          em.Combine(combiner, &combine_in[task], &combine_out[task]);
+        }
+        em.FinishSpill();  // sort the residue for the merge
+        units[task] = TakeWorkUnits();
+        if (ckpt != nullptr) {
+          WriteTaskCheckpoint<Key, Value>(ckpt.get(), task, &em,
+                                          job.spill.get());
+        }
+        job.gauge.Add(em.size());
+      });
   if (ckpt != nullptr) {
     stats->tasks_checkpointed += ckpt->tasks_checkpointed();
     stats->tasks_skipped_by_checkpoint += ckpt->tasks_skipped();
@@ -1951,12 +1718,11 @@ std::vector<Output> RunMapReduceSorted(
   mri::TaskCounters counters;
 
   const size_t num_map_tasks = mri::NumMapTasks(inputs.size(), job.num_workers);
-  const size_t share = mri::ProducerShare(job, 1, num_map_tasks);
-  auto producers =
-      mri::NewProducers<Key, Value>(job, num_map_tasks, share, combiner);
+  auto producers = mri::NewProducers<Key, Value>(
+      job, num_map_tasks, mri::ProducerShare(job, 1, num_map_tasks), combiner);
   mri::RunMapStage<Input, Key, Value>(job, job_name, "map", inputs, map_fn,
-                                      combiner, share, &producers, 0,
-                                      &counters, &local_stats);
+                                      combiner, &producers, 0, &counters,
+                                      &local_stats);
   local_stats.shuffle_records = local_stats.map_output_records;
   auto partitions = mri::RunShuffleStage<Key, Value>(job, &producers,
                                                      &counters, &local_stats);
@@ -2040,13 +1806,12 @@ std::vector<Output> RunFusedMapReduceSorted(
   // half the job budget, split evenly over its producers.
   const size_t num_map1_tasks =
       mri::NumMapTasks(stage1_inputs.size(), job.num_workers);
-  const size_t share1 = mri::ProducerShare(job, 2, num_map1_tasks);
-  auto producers1 =
-      mri::NewProducers<Key1, Value1>(job, num_map1_tasks, share1, combiner1);
+  auto producers1 = mri::NewProducers<Key1, Value1>(
+      job, num_map1_tasks, mri::ProducerShare(job, 2, num_map1_tasks),
+      combiner1);
   mri::RunMapStage<Input1, Key1, Value1>(job, stage1_name, "map1",
                                          stage1_inputs, map1_fn, combiner1,
-                                         share1, &producers1, 0, &counters1,
-                                         &s1);
+                                         &producers1, 0, &counters1, &s1);
   s1.shuffle_records = s1.map_output_records;
   auto partitions1 =
       mri::RunShuffleStage<Key1, Value1>(job, &producers1, &counters1, &s1);
@@ -2059,12 +1824,12 @@ std::vector<Output> RunFusedMapReduceSorted(
           ? 0
           : mri::NumMapTasks(stage2_side_inputs.size(), job.num_workers);
   const size_t num_producers2 = job.num_partitions + num_map2_tasks;
-  const size_t share2 = mri::ProducerShare(job, 2, num_producers2);
-  auto producers2 =
-      mri::NewProducers<Key2, Value2>(job, num_producers2, share2, combiner2);
+  auto producers2 = mri::NewProducers<Key2, Value2>(
+      job, num_producers2, mri::ProducerShare(job, 2, num_producers2),
+      combiner2);
   mri::RunMapStage<Input2, Key2, Value2>(
       job, stage2_name, "map2", stage2_side_inputs, map2_fn, combiner2,
-      share2, &producers2, job.num_partitions, &counters2, &s2);
+      &producers2, job.num_partitions, &counters2, &s2);
 
   // ---- Stage 1 reduce, emitting into stage 2's shuffle.
   std::vector<uint64_t> combine2_in(job.num_partitions, 0);

@@ -720,8 +720,6 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
       local_info.pipeline.total_tasks_checkpointed();
   local_info.tasks_skipped_by_checkpoint =
       local_info.pipeline.total_tasks_skipped_by_checkpoint();
-  local_info.hedges_launched = local_info.pipeline.total_hedges_launched();
-  local_info.hedges_won = local_info.pipeline.total_hedges_won();
   local_info.result_pairs = results.size();
   local_info.peak_shuffle_records = gauge.peak();
   // Lossy spill faults (failed run reads: a partition's merge aborted,

@@ -1,9 +1,9 @@
-// Checkpoint/restart and hedged-execution tier (the checkpoint and hedge
-// contracts in mapreduce.h): completed map tasks sealed under
-// checkpoint_dir, restarted runs skipping validated checkpoints with
-// byte-identical results, corrupt or faulted checkpoints discarded and
-// re-run (never trusted, never fatal), and watchdog-flagged stragglers
-// hedged with a first-finisher-wins race that cannot change the answer.
+// Checkpoint/restart tier (the checkpoint contract in mapreduce.h):
+// completed map tasks sealed under checkpoint_dir, restarted runs
+// skipping validated checkpoints with byte-identical results, corrupt or
+// faulted checkpoints discarded and re-run (never trusted, never fatal),
+// map attempts cut short by a job abort sealing nothing, and nothing
+// restored that a run at another threshold or under a work limit sealed.
 
 #include <algorithm>
 #include <atomic>
@@ -12,7 +12,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -71,18 +73,24 @@ class CheckpointTest : public ::testing::Test {
   bool had_env_dir_ = false;
 };
 
+using KeySumsMap =
+    std::function<void(const int&, PartitionedEmitter<int, int>*)>;
+
+void EmitKeyMod13(const int& v, PartitionedEmitter<int, int>* out) {
+  out->Emit(v % 13, v);
+}
+
 // The canonical sorted job of the fault tests: key sums mod 13 over
-// [0, n).
+// [0, n). `map` replaces the mapper, EmitKeyMod13, where a test needs
+// one that fails or stalls.
 std::vector<std::pair<int, int>> KeySums(int n,
                                          const MapReduceOptions& options,
-                                         JobStats* stats) {
+                                         JobStats* stats,
+                                         const KeySumsMap& map = EmitKeyMod13) {
   std::vector<int> inputs(n);
   for (int i = 0; i < n; ++i) inputs[i] = i;
   auto result = RunMapReduceSorted<int, int, int, std::pair<int, int>>(
-      "ckpt-key-sums", inputs,
-      [](const int& v, PartitionedEmitter<int, int>* out) {
-        out->Emit(v % 13, v);
-      },
+      "ckpt-key-sums", inputs, map,
       [](const int& key, std::span<int> values,
          std::vector<std::pair<int, int>>* out) {
         int total = 0;
@@ -227,90 +235,44 @@ TEST_F(CheckpointTest, FaultedCheckpointReadRerunsTheTask) {
   EXPECT_GE(FaultInjector::Global().fired("ckpt.read"), 1u);
 }
 
-TEST_F(CheckpointTest, WatchdogFlaggedStragglerIsHedgedAndWinnerIsIdentical) {
-  // The first attempt of the task holding record 0 sleeps far past the
-  // watchdog timeout; the watchdog flags it, a hedged attempt re-runs the
-  // same immutable input without the sleep, finishes first and wins. The
-  // loser is cancelled and abandoned, so the result is byte-identical to
-  // the straggler-free run.
-  const auto reference = KeySums(64, {}, nullptr);
-  std::atomic<int> slow_calls{0};
-  auto slow_map = [&slow_calls](const int& v,
-                                PartitionedEmitter<int, int>* out) {
-    if (v == 0 && slow_calls.fetch_add(1) == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(600));
-    }
-    out->Emit(v % 13, v);
-  };
-  auto reduce = [](const int& key, std::span<int> values,
-                   std::vector<std::pair<int, int>>* out) {
-    int total = 0;
-    for (int v : values) total += v;
-    out->emplace_back(key, total);
-  };
-  std::vector<int> inputs(64);
-  for (int i = 0; i < 64; ++i) inputs[i] = i;
+TEST_F(CheckpointTest, MapAttemptCutShortByAbortSealsNothing) {
+  // 2,000 inputs over 2 workers make 8 map tasks of 250 records. Task 0's
+  // mapper throws on record 0, which is fatal, but only once task 1 is
+  // running, so task 1 cannot bail at its start check instead. Task 1
+  // waits at its first record (250) until that throw has happened, then
+  // sleeps long enough for the abort to trip the job token. The map
+  // loop's poll must stop task 1 there, and the check before sealing must
+  // keep it from sealing the one record it mapped: nothing is sealed, and
+  // a restart over the same directory restores nothing.
+  const auto reference = KeySums(2000, {}, nullptr);
+  MapReduceOptions options = CheckpointedOptions(dir_);
+  options.max_task_retries = 0;
+  std::atomic<bool> task1_running{false};
+  std::atomic<bool> thrown{false};
+  JobStats aborted;
+  const auto result = KeySums(
+      2000, options, &aborted,
+      [&](const int& v, PartitionedEmitter<int, int>* out) {
+        if (v == 0) {
+          while (!task1_running.load()) std::this_thread::yield();
+          thrown.store(true);
+          throw std::runtime_error("map task 0 failed");
+        }
+        if (v == 250) {
+          task1_running.store(true);
+          while (!thrown.load()) std::this_thread::yield();
+          std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        }
+        EmitKeyMod13(v, out);
+      });
+  EXPECT_TRUE(result.empty());
+  EXPECT_EQ(aborted.status.code(), StatusCode::kInternal);
+  EXPECT_EQ(aborted.tasks_checkpointed, 0u);
 
-  // The pool reads the watchdog timeout at construction, inside the run.
-  ::setenv("CC_TASK_TIMEOUT_MS", "40", 1);
-  MapReduceOptions options;
-  options.num_workers = 2;
-  JobStats stats;
-  auto result = RunMapReduceSorted<int, int, int, std::pair<int, int>>(
-      "hedge-race", inputs, slow_map, reduce, options, &stats);
-  ::unsetenv("CC_TASK_TIMEOUT_MS");
-  std::sort(result.begin(), result.end());
-
-  EXPECT_EQ(result, reference);
-  EXPECT_TRUE(stats.status.ok()) << stats.status.ToString();
-  EXPECT_GE(stats.hedges_launched, 1u);
-  EXPECT_GE(stats.hedges_won, 1u);
-  EXPECT_GE(stats.tasks_degraded, 1u);  // the watchdog flagged the primary
-}
-
-TEST_F(CheckpointTest, HedgingCanBeDisabledAndIsInertWithoutTheWatchdog) {
-  const auto reference = KeySums(64, {}, nullptr);
-  std::atomic<int> slow_calls{0};
-  auto slow_map = [&slow_calls](const int& v,
-                                PartitionedEmitter<int, int>* out) {
-    if (v == 0 && slow_calls.fetch_add(1) == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(120));
-    }
-    out->Emit(v % 13, v);
-  };
-  auto reduce = [](const int& key, std::span<int> values,
-                   std::vector<std::pair<int, int>>* out) {
-    int total = 0;
-    for (int v : values) total += v;
-    out->emplace_back(key, total);
-  };
-  std::vector<int> inputs(64);
-  for (int i = 0; i < 64; ++i) inputs[i] = i;
-
-  // Watchdog armed but hedging switched off: flagged, never hedged.
-  ::setenv("CC_TASK_TIMEOUT_MS", "40", 1);
-  MapReduceOptions no_hedge;
-  no_hedge.num_workers = 2;
-  no_hedge.enable_hedged_execution = false;
-  JobStats stats;
-  auto result = RunMapReduceSorted<int, int, int, std::pair<int, int>>(
-      "hedge-off", inputs, slow_map, reduce, no_hedge, &stats);
-  ::unsetenv("CC_TASK_TIMEOUT_MS");
-  std::sort(result.begin(), result.end());
-  EXPECT_EQ(result, reference);
-  EXPECT_EQ(stats.hedges_launched, 0u);
-  EXPECT_EQ(stats.hedges_won, 0u);
-
-  // No watchdog: hedging enabled but inert.
-  slow_calls.store(0);
-  MapReduceOptions no_watchdog;
-  no_watchdog.num_workers = 2;
-  JobStats quiet;
-  auto result2 = RunMapReduceSorted<int, int, int, std::pair<int, int>>(
-      "hedge-no-watchdog", inputs, slow_map, reduce, no_watchdog, &quiet);
-  std::sort(result2.begin(), result2.end());
-  EXPECT_EQ(result2, reference);
-  EXPECT_EQ(quiet.hedges_launched, 0u);
+  JobStats restarted;
+  EXPECT_EQ(KeySums(2000, options, &restarted), reference);
+  EXPECT_TRUE(restarted.status.ok()) << restarted.status.ToString();
+  EXPECT_EQ(restarted.tasks_skipped_by_checkpoint, 0u);
 }
 
 // ---- Join-level gating -----------------------------------------------------

@@ -2,8 +2,9 @@
 // grammar, once/every/probability schedules, counters), the cooperative
 // CancellationToken, the task-retry layer of all three MapReduce engines
 // (retryable faults absorbed losslessly, fatal faults aborting with a
-// clean root-cause Status), the injector-driven spill fault routing, and
-// the CC_TASK_TIMEOUT_MS watchdog.
+// clean root-cause Status), the injector-driven spill fault routing, the
+// CC_TASK_TIMEOUT_MS watchdog, and the parse of the CC_* overrides CI
+// arms.
 
 #include "common/fault.h"
 
@@ -54,7 +55,7 @@ TEST_F(FaultTest, MalformedSpecsAreRejectedAndLeaveConfigInPlace) {
   for (const char* bad :
        {"noequals", "=once", "x=", "x=maybe", "x=once@0", "x=once@x",
         "x=every@0", "x=every@", "x=p1.5", "x=p-0.1", "x=p",
-        "x=p0.5@seedz"}) {
+        "x=p0.5@seedz", "x=pnan", "x=p-nan", "x=once;x=every@2"}) {
     Status s = Arm(bad);
     EXPECT_FALSE(s.ok()) << "spec '" << bad << "' should be rejected";
     EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
@@ -136,9 +137,10 @@ TEST_F(FaultTest, ConfigureResetsCounters) {
 TEST_F(FaultTest, KeyedEvaluationDecidesFromTheKeyNotTheOrder) {
   // FAULT_POINT_AT's fire decision is a pure function of (spec, k), so a
   // key set produces the same fired set in any evaluation order — the
-  // property hedged/retried attempts rely on (fault.h "Keyed
-  // evaluation"). A *replayed* key fires again, which is exactly why two
-  // concurrent attempts of one task must use distinct keys.
+  // property retried attempts rely on, since a retried task re-evaluates
+  // its site while its siblings run (fault.h "Keyed evaluation"). A
+  // *replayed* key fires again, which is exactly why two attempts of one
+  // task must use distinct keys.
   const std::vector<uint64_t> keys = {9, 2, 5, 7, 1, 3, 5, 8};
   auto fired_set = [&](std::vector<uint64_t> order) {
     EXPECT_TRUE(Arm("s=once@5").ok());
@@ -495,9 +497,35 @@ TEST(WatchdogTest, EngineSurfacesDegradedTasksInJobStats) {
       },
       options, &stats);
   ASSERT_EQ(unsetenv("CC_TASK_TIMEOUT_MS"), 0);
-  EXPECT_EQ(result.size(), 4u);  // purely observational: nothing dropped
+  // Purely observational: the flagged task's output is unchanged.
+  std::sort(result.begin(), result.end());
+  const std::vector<std::pair<int, int>> expected = {
+      {0, 1}, {1, 1}, {2, 1}, {3, 1}};
+  EXPECT_EQ(result, expected);
   EXPECT_TRUE(stats.status.ok());
   EXPECT_GE(stats.tasks_degraded, 1u);
+}
+
+// ---- CC_* overrides --------------------------------------------------------
+
+// CI arms whole legs of the fast tier through CC_FAULT_SPEC and
+// CC_SHUFFLE_SPILL_BUDGET. A malformed value fails nothing at run time:
+// the injector disarms with one stderr line and the budget reads 0 (no
+// spill), so a typo would silently turn its leg into a plain run. This
+// test fails such a leg instead. An unset variable checks nothing.
+TEST(EnvOverrideTest, ArmedOverridesParse) {
+  if (const char* spec = std::getenv("CC_FAULT_SPEC");
+      spec != nullptr && spec[0] != '\0') {
+    const Status s = FaultInjector::Global().Configure(spec);
+    FaultInjector::Global().ConfigureFromEnv();
+    EXPECT_TRUE(s.ok()) << "CC_FAULT_SPEC='" << spec << "': " << s.ToString();
+  }
+  if (const char* budget = std::getenv("CC_SHUFFLE_SPILL_BUDGET");
+      budget != nullptr) {
+    EXPECT_GT(SpillBudgetFromEnv(), 0u)
+        << "CC_SHUFFLE_SPILL_BUDGET='" << budget << "' is not a positive "
+        << "record count";
+  }
 }
 
 }  // namespace
