@@ -1,12 +1,12 @@
 // Ablation study of TSJ's design choices (not a paper figure): measures,
-// on one workload, what each lossless filter (Sec. III-E), the
-// dedup strategy, the verification engine tiers (budgeted verify,
-// token-id path, shared token-pair cache, per-worker L1 tier) and the
-// shuffle (combiner, skew-adaptive partitioning) contribute in candidate/verification counts, per-tier cache hit rates,
-// combiner record reduction, peak shuffle-resident records and measured
-// wall time. Complements Figs. 1-5, which report the paper's own
-// parameter sweeps. The bag filter (tokenized/bounds.h) has no switch, so
-// it runs in every row, the filter-less ones included.
+// on one workload, what each lossless filter (Sec. III-E), the dedup
+// strategy and the verification engine tiers (budgeted verify, token-id
+// path, shared token-pair cache, per-worker L1 tier) contribute in
+// candidate/verification counts, per-tier cache hit rates, peak
+// shuffle-resident records and measured wall time. Complements Figs. 1-5,
+// which report the paper's own parameter sweeps. The bag filter
+// (tokenized/bounds.h) has no switch, so it runs in every row, the
+// filter-less ones included.
 //
 // A --workers sweep table shows the contention story directly: the same
 // full configuration at workers=1 vs workers=hw, with the L1/shared
@@ -15,8 +15,9 @@
 //
 // With --shuffle_json <path>, additionally writes the shuffle counters
 // (map output records, pipeline peak shuffle-resident records) plus the
-// cache-tier and combiner counters of the workers=hw run as JSON, which CI merges into BENCH_verify.json so
-// the memory and contention wins are tracked in the perf trajectory.
+// cache-tier counters of the workers=hw run as JSON, which CI merges into
+// BENCH_verify.json so the memory and contention wins are tracked in the
+// perf trajectory.
 //
 // The out-of-core spill row runs the full configuration under a memory
 // budget of a quarter of its own in-memory shuffle peak
@@ -79,13 +80,6 @@ std::string PercentOrDash(uint64_t part, uint64_t whole) {
   if (whole == 0) return "-";
   return TablePrinter::Fmt(
       100.0 * static_cast<double>(part) / static_cast<double>(whole), 1);
-}
-
-// "in->out" combiner column; "-" when no combiner ran.
-std::string CombinerColumn(const TsjRunInfo& info) {
-  if (info.combiner_input_records == 0) return "-";
-  return TablePrinter::Fmt(info.combiner_input_records) + ">" +
-         TablePrinter::Fmt(info.combiner_output_records);
 }
 
 // Returns false when the spill run failed (main exits non-zero so CI's
@@ -167,34 +161,10 @@ bool Run(const std::string& shuffle_json_path,
     o.enable_l1_verify_cache = false;
     rows.push_back({"- L1 verify cache (shared shards only)", o});
   }
-  {
-    // Combiner ablation: every duplicate candidate record crosses the
-    // stage boundary again.
-    TsjOptions o = base;
-    o.enable_shuffle_combiner = false;
-    rows.push_back({"- shuffle combiner", o});
-  }
-  {
-    // Partition-planning ablation: back to the fixed knob.
-    TsjOptions o = base;
-    o.adaptive_partitions = false;
-    rows.push_back({"- adaptive partitions (fixed 64)", o});
-  }
-  {
-    // The PR 3 configuration: streaming shuffle, shared-shards-only
-    // cache, no combiner, fixed partitions — the baseline the
-    // contention-relief tier (L1 + combiner + adaptive partitions) is
-    // measured against.
-    TsjOptions o = base;
-    o.enable_l1_verify_cache = false;
-    o.enable_shuffle_combiner = false;
-    o.adaptive_partitions = false;
-    rows.push_back({"PR3 baseline (no L1/combiner/adaptive)", o});
-  }
 
   TablePrinter table({"configuration", "pairs", "distinct cands", "verified",
                       "verify work", "L1 hit%", "shared hit%", "flushes",
-                      "comb in>out", "peak shuffle", "wall (ms)"});
+                      "peak shuffle", "wall (ms)"});
   auto add_row = [&table](const std::string& name, uint64_t pairs,
                           const TsjRunInfo& info, double ms) {
     const uint64_t l1_probes =
@@ -210,14 +180,13 @@ bool Run(const std::string& shuffle_json_path,
                   info.token_pair_cache_flush_batches == 0
                       ? std::string("-")
                       : TablePrinter::Fmt(info.token_pair_cache_flush_batches),
-                  CombinerColumn(info),
                   TablePrinter::Fmt(info.peak_shuffle_records),
                   TablePrinter::Fmt(ms, 0)});
   };
   uint64_t budgeted_work = 0, unbounded_work = 0;
   ShuffleNumbers streaming_numbers;
   TsjRunInfo full_info;
-  double full_wall_ms = 0, pr3_wall_ms = 0;
+  double full_wall_ms = 0;
   for (const auto& row : rows) {
     Stopwatch watch;
     TsjRunInfo info;
@@ -232,7 +201,6 @@ bool Run(const std::string& shuffle_json_path,
       full_info = info;
       full_wall_ms = ms;
     }
-    if (row.name.rfind("PR3 baseline", 0) == 0) pr3_wall_ms = ms;
     if (!row.options.enable_budgeted_verify) {
       unbounded_work = info.verify_work_units;
     }
@@ -432,29 +400,17 @@ bool Run(const std::string& shuffle_json_path,
                      static_cast<double>(budgeted_work)
               << "x fewer verify work units than unbounded SLD\n";
   }
-  if (full_info.combiner_input_records > 0) {
-    std::cout << "combiner reduction: " << full_info.combiner_input_records
-              << " -> " << full_info.combiner_output_records
-              << " records crossed the dedup/verify stage boundary ("
-              << (full_info.combiner_output_records > 0
-                      ? static_cast<double>(full_info.combiner_input_records) /
-                            static_cast<double>(
-                                full_info.combiner_output_records)
-                      : 0.0)
-              << "x)\n";
-  }
   std::cout << "\nexpectations: removing filters raises 'verified' with the "
                "same result pairs; the approximations only shrink the "
-               "result; disabling budgeted verify, token-id verify, "
-               "either cache tier, the combiner, or adaptive "
-               "partitioning changes nothing but the work/traffic/wall "
+               "result; disabling budgeted verify, token-id verify, or "
+               "either cache tier changes nothing but the work/traffic/wall "
                "columns (byte-identical pairs and NSLD values).\n";
 
   // ---- Workers sweep: the contention picture in one table. ---------------
   std::cout << "\n";
   TablePrinter sweep_table({"configuration", "workers", "L1 hit%",
-                            "shared hit%", "flushes", "comb in>out",
-                            "peak shuffle", "wall (ms)"});
+                            "shared hit%", "flushes", "peak shuffle",
+                            "wall (ms)"});
   std::vector<SweepNumbers> sweep;
   std::vector<size_t> worker_counts = {1};
   if (hw > 1) worker_counts.push_back(hw);
@@ -481,7 +437,7 @@ bool Run(const std::string& shuffle_json_path,
            info.token_pair_cache_flush_batches == 0
                ? std::string("-")
                : TablePrinter::Fmt(info.token_pair_cache_flush_batches),
-           CombinerColumn(info), TablePrinter::Fmt(info.peak_shuffle_records),
+           TablePrinter::Fmt(info.peak_shuffle_records),
            TablePrinter::Fmt(ms, 0)});
       if (l1) sweep.push_back(SweepNumbers{workers, info, ms});
     }
@@ -511,15 +467,9 @@ bool Run(const std::string& shuffle_json_path,
          << full_info.token_pair_cache_flush_batches
          << ", \"flushed_records\": "
          << full_info.token_pair_cache_flushed_records << "},\n"
-         << "  \"combiner\": {\"records_in\": "
-         << full_info.combiner_input_records
-         << ", \"records_out\": " << full_info.combiner_output_records
-         << "},\n"
          << "  \"shuffle_partitions\": " << full_info.shuffle_partitions
          << ",\n"
-         << "  \"full_wall_ms\": " << full_wall_ms
-         << ",\n"
-         << "  \"pr3_baseline_wall_ms\": " << pr3_wall_ms << ",\n"
+         << "  \"full_wall_ms\": " << full_wall_ms << ",\n"
          << "  \"workers_sweep\": [";
     for (size_t i = 0; i < sweep.size(); ++i) {
       const SweepNumbers& s = sweep[i];
@@ -527,10 +477,7 @@ bool Run(const std::string& shuffle_json_path,
            << ", \"wall_ms\": " << s.wall_ms << ", \"l1_hits\": "
            << s.info.token_pair_cache_l1_hits << ", \"shared_hits\": "
            << s.info.token_pair_cache_hits << ", \"flush_batches\": "
-           << s.info.token_pair_cache_flush_batches
-           << ", \"combiner_records_in\": " << s.info.combiner_input_records
-           << ", \"combiner_records_out\": "
-           << s.info.combiner_output_records << "}";
+           << s.info.token_pair_cache_flush_batches << "}";
     }
     json << "]\n}\n";
     std::cout << "\nshuffle + cache-tier counters written to "

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "mapreduce/cluster_model.h"
 #include "mapreduce/work_units.h"
 #include "tokenized/sld.h"
 #include "tokenized/token_pair_cache.h"
@@ -301,18 +300,9 @@ StatusOr<std::vector<TsjPair>> HybridMetricJoiner::SelfJoin(
         out);
     runner.FlushVerifyCache();  // reduce-group boundary
   };
-  // Skew-adaptive partitioning for the join job: one reduce key per
-  // pivot, near-uniform loads by construction (records split ~evenly
-  // across Voronoi cells plus window replicas), so the planner's job is
-  // mostly to not exceed the key count.
   MapReduceOptions join_mr = options_.mapreduce;
   if (!options_.enable_shuffle_spill) join_mr.memory_budget_records = 0;
   gate_checkpoint(&join_mr);
-  if (options_.adaptive_partitions) {
-    join_mr.num_partitions = AdaptivePartitionCount(
-        join_mr.effective_workers(), pivots.size(), n,
-        std::max<uint64_t>(1, n / pivots.size()), join_mr.num_partitions);
-  }
   // Partition-task boundary: fully drain each leaf-verify worker's
   // deferred cache upserts into the run-wide shared tier.
   join_mr.reduce_partition_epilogue = [&runner] {
@@ -340,15 +330,9 @@ StatusOr<std::vector<TsjPair>> HybridMetricJoiner::SelfJoin(
   // what the reducer does with the full run).
   const CombinerFn<PairKey, double> combine_dup =
       KeepFirstCombiner<PairKey, double>();
-  // Dedup job: near-uniform pair keys, a couple of records each.
   MapReduceOptions dedup_mr = options_.mapreduce;
   if (!options_.enable_shuffle_spill) dedup_mr.memory_budget_records = 0;
   gate_checkpoint(&dedup_mr);
-  if (options_.adaptive_partitions) {
-    dedup_mr.num_partitions = AdaptivePartitionCount(
-        dedup_mr.effective_workers(), raw_pairs.size(), raw_pairs.size(),
-        /*max_key_load=*/2, dedup_mr.num_partitions);
-  }
   JobStats dedup_stats;
   std::vector<TsjPair> results =
       RunMapReduceSorted<TsjPair, PairKey, double, TsjPair>(

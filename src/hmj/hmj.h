@@ -44,7 +44,7 @@ struct HmjOptions {
   size_t num_partitions = 64;
   /// Partitions larger than this are recursively repartitioned.
   size_t max_partition_size = 512;
-  /// Number of sub-pivots per recursive repartitioning.
+  /// Number of sub-pivots per recursive repartitioning; at least 1.
   size_t num_subpartitions = 8;
   /// Maximum recursion depth (beyond it, partitions join quadratically).
   size_t max_recursion_depth = 4;
@@ -56,7 +56,8 @@ struct HmjOptions {
   uint64_t work_limit = 0;
   /// Verification alignment mode (kept exact to match the NSLD metric).
   TokenAligning aligning = TokenAligning::kExact;
-  /// MapReduce engine configuration.
+  /// MapReduce engine configuration. Both jobs shuffle into
+  /// mapreduce.num_partitions partitions, whatever the pivot count above.
   MapReduceOptions mapreduce;
   /// External-memory shuffle spill (mapreduce/spill.h): when enabled AND
   /// mapreduce.memory_budget_records is set, the partition-join and dedup
@@ -78,14 +79,6 @@ struct HmjOptions {
   /// aborted run's map tasks stop early, and their truncated outputs
   /// must not be restored by a later run.
   bool enable_checkpointing = false;
-  /// Skew-adaptive shuffle partitioning (mapreduce/cluster_model.h):
-  /// each job plans its partition count from its key profile — the
-  /// partition-join from the pivot count (one reduce key per Voronoi
-  /// partition, near-uniform by construction), the dedup job from its
-  /// pair-key count — instead of the fixed mapreduce.num_partitions knob
-  /// (which remains the fallback/off value). Lossless: results are
-  /// partition-count-invariant.
-  bool adaptive_partitions = true;
 
   Status Validate() const {
     // Written so that NaN, for which every comparison is false, fails.
@@ -94,6 +87,9 @@ struct HmjOptions {
     }
     if (num_partitions == 0) {
       return Status::InvalidArgument("num_partitions must be positive");
+    }
+    if (num_subpartitions == 0) {
+      return Status::InvalidArgument("num_subpartitions must be positive");
     }
     return Status::OK();
   }

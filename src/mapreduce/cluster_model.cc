@@ -1,7 +1,6 @@
 #include "mapreduce/cluster_model.h"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 namespace tsj {
@@ -65,29 +64,6 @@ double SimulatePipelineSeconds(const PipelineStats& stats, uint64_t machines,
     total += SimulateJobSeconds(job, machines, params);
   }
   return total;
-}
-
-size_t AdaptivePartitionCount(size_t workers, uint64_t num_keys,
-                              uint64_t total_load, uint64_t max_key_load,
-                              size_t fixed_fallback) {
-  if (num_keys == 0 || total_load == 0 || max_key_load == 0) {
-    return std::max<size_t>(1, fixed_fallback);
-  }
-  if (workers == 0) workers = 1;
-  const double mean_key_load =
-      static_cast<double>(total_load) / static_cast<double>(num_keys);
-  // Skew ratio >= ~1: how much heavier the worst key is than the mean.
-  const double skew = static_cast<double>(max_key_load) / mean_key_load;
-  // 4 granules per worker at skew 1, growing logarithmically with skew
-  // (see the header); the factor is capped so pathological single-key
-  // profiles cannot explode the count past what the num_keys/1024 clamps
-  // would cut anyway.
-  const double factor = std::clamp(std::log2(1.0 + skew), 1.0, 8.0);
-  const double raw = 4.0 * static_cast<double>(workers) * factor;
-  uint64_t partitions = static_cast<uint64_t>(std::llround(raw));
-  partitions = std::min<uint64_t>(partitions, num_keys);
-  partitions = std::clamp<uint64_t>(partitions, 1, 1024);
-  return static_cast<size_t>(partitions);
 }
 
 }  // namespace tsj

@@ -31,8 +31,6 @@
 #ifndef TSJ_MAPREDUCE_CLUSTER_MODEL_H_
 #define TSJ_MAPREDUCE_CLUSTER_MODEL_H_
 
-#include <algorithm>
-#include <cstddef>
 #include <cstdint>
 
 #include "mapreduce/job_stats.h"
@@ -87,66 +85,6 @@ double SimulateJobSeconds(const JobStats& stats, uint64_t machines,
 /// Simulated wall time of a pipeline (jobs run back to back).
 double SimulatePipelineSeconds(const PipelineStats& stats, uint64_t machines,
                                const ClusterModelParams& params = {});
-
-/// Skew-adaptive shuffle partition count (the planning-layer counterpart
-/// of the makespan model above): given the per-key load profile of the
-/// job about to run — `num_keys` distinct reduce keys, their `total_load`
-/// and the heaviest single key's `max_key_load`, all in any one
-/// consistent unit (records, emitted pairs, work units) — picks how many
-/// shuffle partitions the sorted engine should use for `workers` parallel
-/// reducers.
-///
-/// Rationale. A partition is the engine's reduce-scheduling granule, and
-/// a key cannot be split across partitions, so the heaviest key pins one
-/// partition for at least max_key_load. Two forces push the count up from
-/// the classic 4 granules per worker: (a) every other key that hashes
-/// into the heavy key's partition rides on the critical path, and the
-/// expected co-hashed load shrinks as total_load / partitions; (b) finer
-/// granules let the remaining workers interleave around the straggler.
-/// Both matter in proportion to the skew ratio max_key_load / mean key
-/// load — the same quantity that drives the simulated-cluster makespan's
-/// skew term — so the count scales as 4 * workers * log2(1 + skew),
-/// clamped to [1, min(num_keys, 1024)]: never more partitions than keys
-/// (empty partitions only add merge/sort overhead) and a hard ceiling so
-/// per-partition fixed costs stay negligible. A uniform profile
-/// (skew ~ 1) reproduces the classic 4 * workers.
-///
-/// `fixed_fallback` is returned verbatim when the profile is empty
-/// (num_keys, total_load or max_key_load of 0) — the caller's configured
-/// fixed partition count. Deterministic; callers gate it behind their
-/// adaptive_partitions option (tsj/hmj/massjoin all do).
-size_t AdaptivePartitionCount(size_t workers, uint64_t num_keys,
-                              uint64_t total_load, uint64_t max_key_load,
-                              size_t fixed_fallback);
-
-/// Accumulator for the per-key load profile AdaptivePartitionCount
-/// consumes. AddQuadraticKey prices one reduce key whose group holds
-/// `frequency` records with the shared-token reduce's cost shape —
-/// f records in, f*(f-1)/2 pair emissions out — which is the load proxy
-/// TSJ sizes its shared-token job with; keeping it here means
-/// recalibrating the proxy touches exactly one place.
-struct KeyLoadProfile {
-  uint64_t num_keys = 0;
-  uint64_t total_load = 0;
-  uint64_t max_key_load = 0;
-
-  void AddQuadraticKey(uint64_t frequency) {
-    if (frequency == 0) return;
-    const uint64_t load = frequency + frequency * (frequency - 1) / 2;
-    ++num_keys;
-    total_load += load;
-    max_key_load = std::max(max_key_load, load);
-  }
-};
-
-/// Convenience overload over an accumulated profile.
-inline size_t AdaptivePartitionCount(size_t workers,
-                                     const KeyLoadProfile& profile,
-                                     size_t fixed_fallback) {
-  return AdaptivePartitionCount(workers, profile.num_keys,
-                                profile.total_load, profile.max_key_load,
-                                fixed_fallback);
-}
 
 }  // namespace tsj
 

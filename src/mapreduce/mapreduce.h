@@ -30,10 +30,11 @@
 // shuffle (plus an optional stage-2 side input mapped into the same
 // shuffle), so the peak number of shuffle-resident records is bounded by
 // one stage's records instead of the sum of both. TSJ's candidate-
-// generation → dedup/verify pipeline runs on it (tsj/tsj.cc), with a
-// stage-2 combiner that collapses duplicate candidates inside the
-// producing task, so a hot token's quadratic candidate fan-out shrinks
-// before the dedup/verify shuffle ever sees it.
+// generation → dedup/verify pipeline runs on it (tsj/tsj.cc) without a
+// combiner: its dedup reducers drop duplicate candidates themselves.
+// MassJoin's generate → verify pipeline (massjoin/mass_join.cc) runs on
+// it with a stage-2 combiner that keeps one copy of each candidate token
+// pair inside the producing task.
 //
 // Spill / merge contract (external memory; mapreduce/spill.h). A job
 // optionally runs under MapReduceOptions::memory_budget_records — a bound
@@ -277,26 +278,16 @@ template <typename Key, typename Value>
 using CombinerFn =
     std::function<void(const Key&, std::vector<Value>*)>;
 
-/// Ready-made combiner for dedup-shaped reductions where every record of
-/// one key is interchangeable: keep the first, drop the rest (TSJ's
-/// pair-key candidate dedup, hmj's duplicate pair discoveries, massjoin's
-/// duplicate candidate pairs all combine this way).
+/// The engine's ready-made combiner, for dedup-shaped reductions where
+/// every record of one key is interchangeable: keep the first, drop the
+/// rest (HMJ's duplicate pair discoveries and MassJoin's duplicate
+/// candidate pairs combine this way).
 template <typename Key, typename Value>
 CombinerFn<Key, Value> KeepFirstCombiner() {
   return [](const Key&, std::vector<Value>* values) {
-    if (values->size() > 1) values->resize(1);
-  };
-}
-
-/// Ready-made combiner for set-valued reductions: sort + unique the
-/// values (TSJ's one-string candidate lists; the reducer finishes the
-/// same dedup across producers, so pre-shrinking is lossless).
-template <typename Key, typename Value>
-CombinerFn<Key, Value> SortUniqueCombiner() {
-  return [](const Key&, std::vector<Value>* values) {
-    std::sort(values->begin(), values->end());
-    values->erase(std::unique(values->begin(), values->end()),
-                  values->end());
+    // erase, not resize(1): the call only shrinks, and resize draws a
+    // false -Warray-bounds warning from g++ 12.
+    if (values->size() > 1) values->erase(values->begin() + 1, values->end());
   };
 }
 
@@ -1763,12 +1754,12 @@ std::vector<Output> RunMapReduceSorted(
 /// buckets; `combiner2` pre-aggregates every stage-2 producer — both the
 /// buckets stage 1's reduce emitted into and the side-input map tasks' —
 /// right where they are filled (combine-at-sort, inside the producing
-/// task, before the records cross the stage boundary). This is what
-/// shrinks a hot reduce key's record run at its source: with `combiner2`
+/// task, before the records cross the stage boundary). With `combiner2`
 /// a stage-2 key that stage 1 emitted k times from one partition crosses
-/// into the stage-2 shuffle as the combined records only. Reduction
-/// volumes land in the respective stage's combiner_{input,output}
-/// JobStats counters.
+/// into the stage-2 shuffle as the combined records only; MassJoin's
+/// verify stage combines its duplicate candidate token pairs this way.
+/// Reduction volumes land in the respective stage's
+/// combiner_{input,output} JobStats counters.
 template <typename Input1, typename Key1, typename Value1, typename Input2,
           typename Key2, typename Value2, typename Output>
 std::vector<Output> RunFusedMapReduceSorted(

@@ -9,7 +9,6 @@
 
 #include "distance/levenshtein.h"
 #include "distance/normalized_levenshtein.h"
-#include "mapreduce/cluster_model.h"
 #include "mapreduce/work_units.h"
 #include "passjoin/partition.h"
 
@@ -49,12 +48,6 @@ std::vector<NldPair> MassJoinSelfNldImpl(
   std::vector<uint32_t> ids(tokens.size());
   for (uint32_t i = 0; i < tokens.size(); ++i) ids[i] = i;
 
-  // Skew-adaptive partition planning from the token-length profile: a
-  // token's signature fan-out scales with its length, and the signature
-  // key space itself is fine-grained (chunk texts rarely collide en
-  // masse), so the profile is near-uniform — the planner lands at the
-  // classic 4-per-worker granularity bounded by the token count, instead
-  // of whatever fixed knob the caller configured.
   MapReduceOptions mr_options = options.mapreduce;
   if (!options.enable_shuffle_spill) mr_options.memory_budget_records = 0;
   // Checkpoint gating (same contract as the TSJ gate): strip the
@@ -69,16 +62,6 @@ std::vector<NldPair> MassJoinSelfNldImpl(
     fp = MixCheckpointFingerprint(fp, total_bytes);
     fp = MixCheckpointFingerprint(fp, std::bit_cast<uint64_t>(threshold));
     mr_options.checkpoint_fingerprint = fp;
-  }
-  if (options.adaptive_partitions) {
-    uint64_t total_len = 0, max_len = 0;
-    for (const std::string& token : tokens) {
-      total_len += token.size() + 1;
-      max_len = std::max<uint64_t>(max_len, token.size() + 1);
-    }
-    mr_options.num_partitions = AdaptivePartitionCount(
-        mr_options.effective_workers(), tokens.size(), total_len, max_len,
-        mr_options.num_partitions);
   }
 
   auto map_signatures = [&tokens, threshold](

@@ -36,17 +36,9 @@ namespace tsj {
 
 /// MassJoin configuration.
 struct MassJoinOptions {
-  /// Engine options used by both jobs.
+  /// Engine options used by both jobs; both shuffle into
+  /// mapreduce.num_partitions partitions.
   MapReduceOptions mapreduce;
-  /// Skew-adaptive shuffle partitioning (mapreduce/cluster_model.h): the
-  /// partition count is planned from the token-length profile — each
-  /// token's signature fan-out scales with its length and the threshold
-  /// — instead of the fixed mapreduce.num_partitions knob (which remains
-  /// the fallback and the off-switch value). The signature key space is
-  /// fine-grained, so the profile is near-uniform and the planner mostly
-  /// picks the classic 4-per-worker granularity bounded by the key count.
-  /// Lossless: results are partition-count-invariant.
-  bool adaptive_partitions = true;
   /// External-memory shuffle spill (mapreduce/spill.h): when enabled AND
   /// mapreduce.memory_budget_records is set, the fused generate/verify
   /// job bounds its resident shuffle records by the budget (sorted runs

@@ -8,7 +8,6 @@
 #include "common/status.h"
 #include "mapreduce/mapreduce.h"
 #include "tokenized/sld.h"
-#include "tokenized/token_pair_cache.h"
 
 namespace tsj {
 
@@ -86,23 +85,12 @@ struct TsjOptions {
   /// Corpus-wide memoization of token-pair edge distances
   /// (tokenized/token_pair_cache.h): duplicate token pairs across
   /// *candidates* skip the LD kernel entirely. Only effective on the
-  /// token-id verification path, and in SelfJoin only: Join runs without
-  /// a cache. Lossless: a served entry equals what the kernel would have
-  /// computed. Disable only to measure the uncached baseline
+  /// token-id verification path, and in SelfJoin only: each SelfJoin
+  /// builds its own cache and drops it when it returns, and Join runs
+  /// without one. Lossless: a served entry equals what the kernel would
+  /// have computed. Disable only to measure the uncached baseline
   /// (bench_ablation does).
   bool enable_token_pair_cache = true;
-
-  /// Shuffle combiner: duplicate candidate records collapse inside the
-  /// producing task — combine-at-sort in the emitter buckets
-  /// (PartitionedEmitter::Combine) — before they cross into the
-  /// dedup/verify shuffle, so a hot token's quadratic candidate fan-out
-  /// shrinks at its source instead of shipping every copy. Lossless: the
-  /// dedup reducers already treat duplicates as one candidate; only
-  /// shuffle volume, peak residency and wall change
-  /// (TsjRunInfo::combiner_{input,output}_records report the reduction).
-  /// Disable only to measure the combiner-free baseline (bench_ablation
-  /// does).
-  bool enable_shuffle_combiner = true;
 
   /// Per-worker L1 tier of the token-pair cache (two-tier probe contract
   /// in tokenized/sld.h): cache probes hit a lock-free table private to
@@ -118,17 +106,18 @@ struct TsjOptions {
   /// External-memory shuffle spill (mapreduce/spill.h): when enabled AND
   /// mapreduce.memory_budget_records is set, the fused pipeline's jobs
   /// keep at most that many shuffle records resident, flushing
-  /// over-budget partition buckets to disk as sorted (and combined) runs
-  /// and driving the dedup/verify reducers from a k-way sort-merge of the
-  /// runs — so corpora whose candidate shuffle outgrows RAM still join.
-  /// Lossless: byte-identical pairs, NSLD values and candidate/filter
-  /// counters (the spill-forced differential sweep pins it). Off by default: the budget in mapreduce options is ignored
-  /// unless this is set (the CC_SHUFFLE_SPILL_BUDGET test-tier override
-  /// bypasses this gate by design — see mapreduce.h). Lossy spill faults
-  /// (a failed run read aborted a merge; output may be incomplete)
-  /// surface as the join's error Status; degraded write faults keep
-  /// their complete in-memory results and are reported via the per-job
-  /// JobStats::spill_status only. TsjRunInfo reports
+  /// over-budget partition buckets to disk as sorted runs and driving the
+  /// dedup/verify reducers from a k-way sort-merge of the runs — so
+  /// corpora whose candidate shuffle outgrows RAM still join. Lossless:
+  /// byte-identical pairs, NSLD values and candidate/filter counters (the
+  /// spill-forced differential sweep pins it). Off by default: the budget
+  /// in mapreduce options is ignored unless this is set (the
+  /// CC_SHUFFLE_SPILL_BUDGET test-tier override bypasses this gate by
+  /// design — see mapreduce.h). Lossy spill faults (a failed run read
+  /// aborted a merge; output may be incomplete) surface as the join's
+  /// error Status; degraded write faults keep their complete in-memory
+  /// results and are reported via the per-job JobStats::spill_status
+  /// only. TsjRunInfo reports
   /// spilled_records/spill_files/spill_bytes/merge_passes and the
   /// peak-resident-records gauge that proves the budget held.
   bool enable_shuffle_spill = false;
@@ -147,26 +136,9 @@ struct TsjOptions {
   /// engine-level, write-only, and bypasses this gate by design).
   bool enable_checkpointing = false;
 
-  /// Skew-adaptive shuffle partitioning (mapreduce/cluster_model.h,
-  /// AdaptivePartitionCount): the run derives its shuffle partition count
-  /// from the token-frequency profile it computes anyway — more
-  /// partitions when a few hot tokens dominate the reduce load, the
-  /// classic 4-per-worker when the profile is uniform — instead of the
-  /// fixed mapreduce.num_partitions knob, which remains the fallback for
-  /// empty profiles and the value used when this is disabled. Lossless:
-  /// results are partition-count-invariant (the differential harness pins
-  /// that); only load balance and wall change. Disable to control the
-  /// partition count exactly (the differential partition sweeps do).
-  bool adaptive_partitions = true;
-
-  /// Optional externally owned cache to use instead of the per-run one,
-  /// letting repeated self-joins over the same corpus start warm. Must
-  /// have been used only with the corpus being joined (token ids are
-  /// corpus-relative). SelfJoin only: Join ignores it. Ignored unless the
-  /// token-id path and the cache are enabled. Not owned.
-  TokenPairCache* shared_token_pair_cache = nullptr;
-
-  /// MapReduce engine configuration shared by all pipeline jobs.
+  /// MapReduce engine configuration shared by all pipeline jobs, the
+  /// MassJoin sub-pipeline included: every job shuffles into
+  /// mapreduce.num_partitions partitions (TsjRunInfo::shuffle_partitions).
   MapReduceOptions mapreduce;
 
   /// Validates the option combination.

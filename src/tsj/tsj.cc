@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/hash.h"
-#include "mapreduce/cluster_model.h"
 #include "mapreduce/work_units.h"
 #include "massjoin/mass_join.h"
 #include "tokenized/bounds.h"
@@ -142,20 +141,6 @@ void FilterAndVerify(const Corpus& corpus, const TsjOptions& options,
   }
 }
 
-// The run's token-pair cache: the caller-shared one when provided (warm
-// starts across runs), otherwise `local`; null when the id path or the
-// cache is disabled, which turns every lookup off.
-TokenPairCache* SelectPairCache(const TsjOptions& options,
-                                TokenPairCache* local) {
-  if (!options.enable_budgeted_verify || !options.enable_token_id_verify ||
-      !options.enable_token_pair_cache) {
-    return nullptr;
-  }
-  return options.shared_token_pair_cache != nullptr
-             ? options.shared_token_pair_cache
-             : local;
-}
-
 // Sorts string ids by (aggregate length, id), the order the length window
 // walks. It also batches verification: one reduce group verifies its
 // candidates in this order, so consecutive bigraphs have similar
@@ -275,18 +260,6 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
   TsjRunInfo local_info;
   Counters counters;
   const double t = options.threshold;
-  const uint64_t cache_hits_before =
-      pair_cache != nullptr ? pair_cache->hits() : 0;
-  const uint64_t cache_misses_before =
-      pair_cache != nullptr ? pair_cache->misses() : 0;
-  const uint64_t cache_l1_hits_before =
-      pair_cache != nullptr ? pair_cache->l1_hits() : 0;
-  const uint64_t cache_l1_misses_before =
-      pair_cache != nullptr ? pair_cache->l1_misses() : 0;
-  const uint64_t cache_flush_batches_before =
-      pair_cache != nullptr ? pair_cache->flush_batches() : 0;
-  const uint64_t cache_flushed_records_before =
-      pair_cache != nullptr ? pair_cache->flushed_records() : 0;
   // One gauge threads through every job of the run (and the candidate
   // vectors between jobs), so TsjRunInfo reports the pipeline-wide peak of
   // shuffle-resident records.
@@ -338,22 +311,6 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
     } else {
       ++local_info.dropped_tokens;
     }
-  }
-
-  // ---- Skew-adaptive partition planning. --------------------------------
-  // The surviving-token frequency profile is exactly the per-key load
-  // profile of the shared-token reduce (f records in, f*(f-1)/2 candidate
-  // emissions out per token; an R x P group emits at most (f/2)^2), so the
-  // partition count comes from the cluster model's skew estimate instead
-  // of the fixed knob; every job of the run (massjoin included) uses the
-  // planned count.
-  if (options.adaptive_partitions) {
-    KeyLoadProfile profile;
-    for (size_t token = 0; token < frequency.size(); ++token) {
-      if (surviving[token]) profile.AddQuadraticKey(frequency[token]);
-    }
-    mr_options.num_partitions = AdaptivePartitionCount(
-        mr_options.effective_workers(), profile, mr_options.num_partitions);
   }
   local_info.shuffle_partitions = mr_options.num_partitions;
 
@@ -605,19 +562,12 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
                       key.second, out);
       FlushVerifyCache(pair_cache);  // reduce-group boundary
     };
-    // Shuffle combiner: duplicate copies of one pair collapse inside the
-    // producing task (the reducer treats the run length only as a
-    // duplicate tally).
-    const CombinerFn<PairKey, char> combine_duplicates =
-        options.enable_shuffle_combiner ? KeepFirstCombiner<PairKey, char>()
-                                        : nullptr;
     streamed = RunFusedMapReduceSorted<uint32_t, uint32_t, uint32_t,
                                        SimilarTokenPair, PairKey, char,
                                        TsjPair>(
         "tsj-shared-token", "tsj-dedup-verify-both", string_ids, map_tokens,
         reduce_shared, token_pair_candidates, map_expand, reduce_verify,
-        mr_options, &stage1_stats, &stage2_stats,
-        /*combiner1=*/nullptr, combine_duplicates);
+        mr_options, &stage1_stats, &stage2_stats);
   } else {
     auto emit_keyed = [](uint32_t a, uint32_t b,
                          PartitionedEmitter<uint32_t, uint32_t>* out) {
@@ -653,20 +603,12 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
       }
       FlushVerifyCache(pair_cache);  // reduce-group boundary
     };
-    // Shuffle combiner: one string's candidate list dedups inside the
-    // producing task (sort + unique, the same scan DedupRun finishes
-    // across producers at the reducer).
-    const CombinerFn<uint32_t, uint32_t> combine_duplicates =
-        options.enable_shuffle_combiner
-            ? SortUniqueCombiner<uint32_t, uint32_t>()
-            : nullptr;
     streamed = RunFusedMapReduceSorted<uint32_t, uint32_t, uint32_t,
                                        SimilarTokenPair, uint32_t, uint32_t,
                                        TsjPair>(
         "tsj-shared-token", "tsj-dedup-verify-one", string_ids, map_tokens,
         reduce_shared, token_pair_candidates, map_expand, reduce_verify,
-        mr_options, &stage1_stats, &stage2_stats,
-        /*combiner1=*/nullptr, combine_duplicates);
+        mr_options, &stage1_stats, &stage2_stats);
   }
   gauge.Sub(token_pair_candidates.size());
   results.insert(results.end(), streamed.begin(), streamed.end());
@@ -683,23 +625,15 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
   local_info.verified_candidates = counters.verified_candidates;
   local_info.verify_work_units = counters.verify_work_units;
   if (pair_cache != nullptr) {
-    // Deltas, so a caller-shared warm cache reports this run's traffic.
-    local_info.token_pair_cache_hits = pair_cache->hits() - cache_hits_before;
-    local_info.token_pair_cache_misses =
-        pair_cache->misses() - cache_misses_before;
-    local_info.token_pair_cache_l1_hits =
-        pair_cache->l1_hits() - cache_l1_hits_before;
-    local_info.token_pair_cache_l1_misses =
-        pair_cache->l1_misses() - cache_l1_misses_before;
-    local_info.token_pair_cache_flush_batches =
-        pair_cache->flush_batches() - cache_flush_batches_before;
+    // The cache lives for this run only, so its totals are the run's.
+    local_info.token_pair_cache_hits = pair_cache->hits();
+    local_info.token_pair_cache_misses = pair_cache->misses();
+    local_info.token_pair_cache_l1_hits = pair_cache->l1_hits();
+    local_info.token_pair_cache_l1_misses = pair_cache->l1_misses();
+    local_info.token_pair_cache_flush_batches = pair_cache->flush_batches();
     local_info.token_pair_cache_flushed_records =
-        pair_cache->flushed_records() - cache_flushed_records_before;
+        pair_cache->flushed_records();
   }
-  local_info.combiner_input_records =
-      local_info.pipeline.total_combiner_input_records();
-  local_info.combiner_output_records =
-      local_info.pipeline.total_combiner_output_records();
   local_info.spilled_records = local_info.pipeline.total_spilled_records();
   local_info.spill_files = local_info.pipeline.total_spill_files();
   local_info.spill_bytes = local_info.pipeline.total_spill_bytes();
@@ -747,9 +681,14 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
 StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
     const Corpus& corpus, TsjRunInfo* info) const {
   if (Status s = options_.Validate(); !s.ok()) return s;
-  TokenPairCache local_cache;
-  return RunPipeline(corpus, Sides{}, options_,
-                     SelectPairCache(options_, &local_cache), info);
+  // The run's own token-pair cache. Only the token-id path consults it;
+  // a null cache turns every lookup off.
+  TokenPairCache cache;
+  const bool use_cache = options_.enable_budgeted_verify &&
+                         options_.enable_token_id_verify &&
+                         options_.enable_token_pair_cache;
+  return RunPipeline(corpus, Sides{}, options_, use_cache ? &cache : nullptr,
+                     info);
 }
 
 StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
@@ -764,8 +703,6 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
     joint.AddString(p_corpus.Materialize(s));
   }
   const uint32_t num_r = static_cast<uint32_t>(r_corpus.size());
-  // No token-pair cache: a caller's shared cache holds another corpus's
-  // token ids.
   StatusOr<std::vector<TsjPair>> pairs =
       RunPipeline(joint, Sides{/*cross=*/true, num_r}, options_,
                   /*pair_cache=*/nullptr, info);

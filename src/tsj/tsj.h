@@ -121,14 +121,8 @@ struct TsjRunInfo {
   uint64_t batched_verify_calls = 0;
   uint64_t batched_verify_lanes_filled = 0;
   uint64_t batched_verify_lane_slots = 0;
-  /// Records scanned by the shuffle combiner (pre-combine candidate
-  /// volume) and records it kept. input - output is the shuffle
-  /// traffic the combiner removed before the dedup/verify stage boundary.
-  uint64_t combiner_input_records = 0;
-  uint64_t combiner_output_records = 0;
-  /// Shuffle partition count the run actually executed with (the adaptive
-  /// planner's choice when TsjOptions::adaptive_partitions is on,
-  /// otherwise the configured fixed count).
+  /// Shuffle partition count of every job of the run:
+  /// TsjOptions::mapreduce.num_partitions.
   uint64_t shuffle_partitions = 0;
   /// External-memory spill counters (mapreduce/spill.h), summed across
   /// the run's jobs; all zero when TsjOptions::enable_shuffle_spill is
@@ -207,8 +201,7 @@ class TokenizedStringJoiner {
   /// Runs SelfJoin's pipeline over one Corpus that holds r_corpus's
   /// strings and then p_corpus's (copied in one serial pass), pairing a
   /// token's strings only across that boundary. It uses no token-pair
-  /// cache: TsjOptions::shared_token_pair_cache is ignored, and the run
-  /// reports zero token_pair_cache_* counters.
+  /// cache, so the run reports zero token_pair_cache_* counters.
   StatusOr<std::vector<TsjPair>> Join(const Corpus& r_corpus,
                                       const Corpus& p_corpus,
                                       TsjRunInfo* info = nullptr) const;

@@ -2,7 +2,9 @@
 # runs TOOL with ARGS ('|'-separated; @INPUT@ names the file), and checks
 # the exit code against EXPECT_EXIT and, when given, stdout against
 # EXPECT_STDOUT and stderr against EXPECT_STDERR (regular expressions).
-# A tool still running after 30 s fails the case.
+# With STDOUT_FILE the tool writes its stdout to that file instead (for
+# example /dev/full), and EXPECT_STDOUT has nothing to match. A tool still
+# running after 30 s fails the case.
 #
 #   cmake -DTOOL=build/tsj_join -DWORK_DIR=build/cli -DARGS='--input|@INPUT@'
 #         -DEXPECT_EXIT=0 -P tests/cli_test.cmake
@@ -13,9 +15,14 @@ file(WRITE "${input}" "barak obama\nobama barak\nchan kalan\nchank alan\n")
 
 string(REPLACE "@INPUT@" "${input}" args "${ARGS}")
 string(REPLACE "|" ";" args "${args}")
+if(DEFINED STDOUT_FILE)
+  set(stdout_sink OUTPUT_FILE "${STDOUT_FILE}")
+else()
+  set(stdout_sink OUTPUT_VARIABLE out)
+endif()
 execute_process(COMMAND "${TOOL}" ${args}
                 RESULT_VARIABLE code
-                OUTPUT_VARIABLE out
+                ${stdout_sink}
                 ERROR_VARIABLE err
                 TIMEOUT 30)
 

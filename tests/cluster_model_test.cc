@@ -159,54 +159,5 @@ TEST(ClusterModelTest, PipelineAppendMergesJobs) {
   EXPECT_EQ(a.jobs.size(), 3u);
 }
 
-// ---- Skew-adaptive partition planning ------------------------------------
-
-TEST(AdaptivePartitionCountTest, UniformProfileGivesFourPerWorker) {
-  // 10k keys of equal load: the classic granularity.
-  EXPECT_EQ(AdaptivePartitionCount(/*workers=*/8, /*num_keys=*/10000,
-                                   /*total_load=*/10000,
-                                   /*max_key_load=*/1, /*fallback=*/64),
-            32u);
-  EXPECT_EQ(AdaptivePartitionCount(1, 10000, 10000, 1, 64), 4u);
-}
-
-TEST(AdaptivePartitionCountTest, EmptyProfileFallsBackToFixedCount) {
-  EXPECT_EQ(AdaptivePartitionCount(8, 0, 0, 0, 64), 64u);
-  EXPECT_EQ(AdaptivePartitionCount(8, 10, 0, 0, 7), 7u);
-  EXPECT_EQ(AdaptivePartitionCount(8, 10, 100, 0, 1), 1u);
-  // Even a zero fallback yields a valid count.
-  EXPECT_EQ(AdaptivePartitionCount(8, 0, 0, 0, 0), 1u);
-}
-
-TEST(AdaptivePartitionCountTest, MonotoneInSkew) {
-  // Same totals, increasingly dominant heaviest key: the count must never
-  // decrease (finer granules interleave around the pinned straggler).
-  size_t previous = 0;
-  for (uint64_t max_load : {1u, 10u, 100u, 1000u, 10000u}) {
-    const size_t p = AdaptivePartitionCount(/*workers=*/8,
-                                            /*num_keys=*/100000,
-                                            /*total_load=*/100000, max_load,
-                                            /*fallback=*/64);
-    EXPECT_GE(p, previous) << "max_load=" << max_load;
-    previous = p;
-  }
-  // And heavy skew really does raise it above the uniform choice.
-  EXPECT_GT(AdaptivePartitionCount(8, 100000, 100000, 10000, 64),
-            AdaptivePartitionCount(8, 100000, 100000, 1, 64));
-}
-
-TEST(AdaptivePartitionCountTest, NeverExceedsKeysOrCeiling) {
-  // More partitions than keys would only add merge/sort overhead.
-  EXPECT_EQ(AdaptivePartitionCount(/*workers=*/16, /*num_keys=*/3,
-                                   /*total_load=*/300, /*max_key_load=*/100,
-                                   /*fallback=*/64),
-            3u);
-  // The hard ceiling holds under extreme worker counts and skew.
-  EXPECT_LE(AdaptivePartitionCount(512, 1u << 30, 1u << 30, 1u << 20, 64),
-            1024u);
-  // And the result is always at least one partition.
-  EXPECT_GE(AdaptivePartitionCount(1, 1, 1, 1, 64), 1u);
-}
-
 }  // namespace
 }  // namespace tsj

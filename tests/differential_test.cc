@@ -14,27 +14,29 @@
 //     TokenPairCache, exact and greedy aligning) == BoundedSld on the
 //     materialized byte multisets, on random corpora (some with tokens
 //     longer than 64 characters) and budgets;
-//   * the fused TSJ pipeline (with the shuffle combiner and the
-//     per-worker L1 verify-cache tier on, i.e. the defaults) == the
-//     brute-force NSLD oracle (exact Hungarian, no filters, no cache:
-//     BruteForceNsldSelfJoin, testutil::BruteForceRP) on the sorted
-//     (pair, NSLD) set — a subset of it for exact-token matching — and ==
-//     one serial in-memory run (1 worker, 1 partition) on the
-//     candidate/filter counters, across dedup strategies, matchings,
-//     worker and partition counts, for both SelfJoin and the
-//     two-collection Join, on corpora where some strings carry tokens
-//     longer than 64 characters. The serial runs' shared-token,
+//   * the fused TSJ pipeline (with the per-worker L1 verify-cache tier
+//     on, the default) == the brute-force NSLD oracle (exact Hungarian,
+//     no filters, no cache: BruteForceNsldSelfJoin,
+//     testutil::BruteForceRP) on the sorted (pair, NSLD) set — a subset
+//     of it for exact-token matching — and == one serial in-memory run
+//     (1 worker, 1 partition) on the candidate/filter counters, across
+//     dedup strategies, matchings, worker and partition counts, for both
+//     SelfJoin and the two-collection Join, on corpora where some strings
+//     carry tokens longer than 64 characters. The serial runs' shared-token,
 //     length-window and bag-filter counts, for both join forms, are
 //     checked against a brute-force count of the same predicates;
-//   * each contention-relief toggle alone — L1 tier, combiner,
-//     skew-adaptive partitioning — off vs the all-on default: the same
-//     oracle result and counters (they may only move traffic and timing);
+//   * a finite high-frequency cutoff M, with one token at exactly M
+//     strings and another at M + 1, == the oracle's pairs that still
+//     share a surviving token (or, fuzzy, a surviving similar token pair);
+//   * the L1 tier off vs on: the same oracle result and counters (it may
+//     only move traffic and timing);
 //   * the spill-forced pipeline (enable_shuffle_spill with
 //     memory_budget_records tiny enough to force multi-file disk spills,
-//     budgets {1, 7, 64} x workers x partitions x combiner on/off) == the
-//     oracle and the serial in-memory counters — spill correctness is
-//     dominated by rare boundary conditions (runs split across files,
-//     re-combine at flush and merge), exactly what this sweep hammers.
+//     budgets {1, 7, 64} x workers x partitions) == the oracle and the
+//     serial in-memory counters — spill correctness is dominated by rare
+//     boundary conditions (runs split across files, and MassJoin's verify
+//     stage re-combining at flush and merge), exactly what this sweep
+//     hammers.
 
 #include <algorithm>
 #include <filesystem>
@@ -48,6 +50,7 @@
 #include "common/random.h"
 #include "distance/levenshtein.h"
 #include "distance/myers.h"
+#include "distance/normalized_levenshtein.h"
 #include "eval/join_metrics.h"
 #include "gtest/gtest.h"
 #include "hmj/hmj.h"
@@ -363,7 +366,6 @@ void ExpectSameCounters(const TsjRunInfo& run, const TsjRunInfo& reference,
 TsjOptions SerialInMemory(TsjOptions options) {
   options.mapreduce.num_workers = 1;
   options.mapreduce.num_partitions = 1;
-  options.adaptive_partitions = false;
   options.enable_shuffle_spill = false;
   return options;
 }
@@ -503,9 +505,6 @@ TEST(DifferentialTest, StreamingSelfJoinMatchesBruteForce) {
         options.max_token_frequency = 1u << 30;
         options.dedup = dedup;
         options.matching = matching;
-        // The sweep below must control the partition count exactly, so
-        // the adaptive planner is off; its losslessness has its own test.
-        options.adaptive_partitions = false;
         const TsjRunInfo reference = SerialSelfJoinInfo(corpus, options);
 
         for (size_t workers : worker_counts) {
@@ -551,7 +550,6 @@ TEST(DifferentialTest, StreamingRpJoinMatchesBruteForce) {
         options.max_token_frequency = 1u << 30;
         options.dedup = dedup;
         options.matching = matching;
-        options.adaptive_partitions = false;  // the sweep sets the count
         const TsjRunInfo reference =
             SerialRpJoinInfo(r_corpus, p_corpus, options);
 
@@ -580,13 +578,101 @@ TEST(DifferentialTest, StreamingRpJoinMatchesBruteForce) {
   }
 }
 
-TEST(DifferentialTest, L1TierCombinerAndAdaptivePartitionsAreLossless) {
-  // The contention-relief tier: the per-worker L1 verify cache (deferred
-  // batched shared upserts included), the sorted-shuffle combiner, and
-  // the skew-adaptive partition planner must each change *nothing* about
-  // the join's output or its candidate/filter counters — only traffic
-  // and timing. The all-on default and each toggle run against the
-  // oracle and the serial run's counters on the same corpora.
+TEST(DifferentialTest, FiniteTokenFrequencyCutoffMatchesOracle) {
+  // The other join-level differentials set M = 1 << 30, so no token ever
+  // meets the cutoff. Here each round picks M so that one token sits in
+  // exactly M strings (it survives) and another in M + 1 (it is dropped).
+  // A brute-force pair is then expected iff a surviving token of a and a
+  // surviving token of b are equal (either matching) or, under fuzzy
+  // matching, within NLD T of each other; or iff one string has no tokens
+  // and the other has no tokens or only empty ones (TSJ emits those
+  // directly, whatever M).
+  Rng rng(81726354);
+  constexpr int kRounds = 12;
+  uint64_t cut_pairs[2] = {0, 0};  // pairs the cutoff removed, per matching
+  for (int round = 0; round < kRounds; ++round) {
+    const Corpus corpus = RandomJoinCorpus(&rng, 70, /*long_tokens=*/true);
+    const double t = 0.08 + 0.3 * rng.NextDouble();
+    const std::vector<uint32_t> frequency =
+        corpus.ComputeTokenStringFrequencies();
+    const std::set<uint32_t> frequencies(frequency.begin(), frequency.end());
+    std::vector<uint32_t> cutoffs;
+    for (const uint32_t f : frequencies) {
+      if (frequencies.count(f + 1) > 0) cutoffs.push_back(f);
+    }
+    ASSERT_FALSE(cutoffs.empty()) << "round=" << round;
+    const uint32_t m = cutoffs[rng.Uniform(cutoffs.size())];
+
+    // Whether a and b meet the rule above when only the tokens `survives`
+    // accepts take part.
+    auto joinable = [&](uint32_t a, uint32_t b, TokenMatching matching,
+                        const auto& survives) {
+      const auto ta = corpus.tokens(a);
+      const auto tb = corpus.tokens(b);
+      if ((ta.empty() && corpus.aggregate_length(b) == 0) ||
+          (tb.empty() && corpus.aggregate_length(a) == 0)) {
+        return true;
+      }
+      for (const TokenId x : ta) {
+        if (!survives(x)) continue;
+        for (const TokenId y : tb) {
+          if (!survives(y)) continue;
+          if (x == y) return true;
+          if (matching == TokenMatching::kFuzzy &&
+              NormalizedLevenshtein(corpus.token_text(x),
+                                    corpus.token_text(y)) <= t) {
+            return true;
+          }
+        }
+      }
+      return false;
+    };
+    const auto below_cutoff = [&](TokenId x) { return frequency[x] <= m; };
+    const auto every_token = [](TokenId) { return true; };
+    const std::vector<TsjPair> oracle = BruteForceNsldSelfJoin(corpus, t);
+
+    for (TokenMatching matching :
+         {TokenMatching::kFuzzy, TokenMatching::kExact}) {
+      PairNsldSet expected;
+      for (const TsjPair& p : oracle) {
+        if (joinable(p.a, p.b, matching, below_cutoff)) {
+          expected.insert({{p.a, p.b}, p.nsld});
+        } else if (joinable(p.a, p.b, matching, every_token)) {
+          ++cut_pairs[static_cast<int>(matching)];
+        }
+      }
+      for (DedupStrategy dedup : {DedupStrategy::kGroupOnOneString,
+                                  DedupStrategy::kGroupOnBothStrings}) {
+        for (const size_t workers : {size_t{1}, size_t{4}}) {
+          TsjOptions options;
+          options.threshold = t;
+          options.max_token_frequency = m;
+          options.matching = matching;
+          options.dedup = dedup;
+          options.mapreduce.num_workers = workers;
+          const auto result = TokenizedStringJoiner(options).SelfJoin(corpus);
+          ASSERT_TRUE(result.ok());
+          EXPECT_EQ(ToPairNsldSet(*result), expected)
+              << "round=" << round << " t=" << t << " M=" << m
+              << " matching=" << static_cast<int>(matching)
+              << " dedup=" << static_cast<int>(dedup)
+              << " workers=" << workers;
+        }
+      }
+    }
+  }
+  // The cutoff must actually remove pairs, or the sweep checks nothing
+  // the M = 1 << 30 differentials do not.
+  EXPECT_GT(cut_pairs[static_cast<int>(TokenMatching::kFuzzy)], 0u);
+  EXPECT_GT(cut_pairs[static_cast<int>(TokenMatching::kExact)], 0u);
+}
+
+TEST(DifferentialTest, L1VerifyCacheToggleIsLossless) {
+  // The per-worker L1 verify-cache tier (deferred batched shared upserts
+  // included) must change *nothing* about the join's output or its
+  // candidate/filter counters — only traffic and timing. The default
+  // (L1 on) and the L1-off run both meet the oracle and the serial run's
+  // counters on the same corpora.
   Rng rng(17092026);
   constexpr int kRounds = 4;
   for (int round = 0; round < kRounds; ++round) {
@@ -596,62 +682,26 @@ TEST(DifferentialTest, L1TierCombinerAndAdaptivePartitionsAreLossless) {
         ToPairNsldSet(BruteForceNsldSelfJoin(corpus, t));
     for (DedupStrategy dedup : {DedupStrategy::kGroupOnOneString,
                                 DedupStrategy::kGroupOnBothStrings}) {
-      TsjOptions all_on;  // combiner + L1 + adaptive: the defaults
-      all_on.threshold = t;
-      all_on.max_token_frequency = 1u << 30;
-      all_on.dedup = dedup;
-      all_on.mapreduce.num_workers = 4;
-      const TsjRunInfo serial_info = SerialSelfJoinInfo(corpus, all_on);
-
-      TsjRunInfo reference_info;
-      const auto reference = TokenizedStringJoiner(all_on).SelfJoin(
-          corpus, &reference_info);
-      ASSERT_TRUE(reference.ok());
-      EXPECT_EQ(ToPairNsldSet(*reference), oracle);
-      ExpectSameCounters(reference_info, serial_info,
-                         "all-on round=" + std::to_string(round));
-
-      struct Toggle {
-        const char* name;
-        void (*apply)(TsjOptions*);
-      };
-      const Toggle toggles[] = {
-          {"l1-off",
-           [](TsjOptions* o) { o->enable_l1_verify_cache = false; }},
-          {"combiner-off",
-           [](TsjOptions* o) { o->enable_shuffle_combiner = false; }},
-          {"adaptive-off",
-           [](TsjOptions* o) { o->adaptive_partitions = false; }},
-          {"all-off",
-           [](TsjOptions* o) {
-             o->enable_l1_verify_cache = false;
-             o->enable_shuffle_combiner = false;
-             o->adaptive_partitions = false;
-           }},
-      };
-      for (const Toggle& toggle : toggles) {
-        TsjOptions options = all_on;
-        toggle.apply(&options);
+      TsjOptions l1_on;
+      l1_on.threshold = t;
+      l1_on.max_token_frequency = 1u << 30;
+      l1_on.dedup = dedup;
+      l1_on.mapreduce.num_workers = 4;
+      const TsjRunInfo serial_info = SerialSelfJoinInfo(corpus, l1_on);
+      TsjOptions l1_off = l1_on;
+      l1_off.enable_l1_verify_cache = false;
+      for (const TsjOptions& options : {l1_on, l1_off}) {
         TsjRunInfo info;
         const auto result =
             TokenizedStringJoiner(options).SelfJoin(corpus, &info);
         ASSERT_TRUE(result.ok());
-        const std::string context = std::string(toggle.name) +
-                                    " round=" + std::to_string(round) +
-                                    " dedup=" +
-                                    std::to_string(static_cast<int>(dedup));
+        const std::string context =
+            std::string(options.enable_l1_verify_cache ? "l1-on" : "l1-off") +
+            " round=" + std::to_string(round) +
+            " dedup=" + std::to_string(static_cast<int>(dedup));
         EXPECT_EQ(ToPairNsldSet(*result), oracle) << context;
         ExpectSameCounters(info, serial_info, context);
       }
-
-      // The default run exercised the machinery it claims to: L1 probes
-      // happened (the tiny-token corpus may gate most edges below the
-      // shared round-trip, but the L1 gate sits far lower), and the
-      // combiner saw the candidate stream.
-      EXPECT_GT(reference_info.combiner_input_records, 0u)
-          << "round=" << round;
-      EXPECT_GE(reference_info.combiner_input_records,
-                reference_info.combiner_output_records);
     }
   }
 }
@@ -659,9 +709,10 @@ TEST(DifferentialTest, L1TierCombinerAndAdaptivePartitionsAreLossless) {
 TEST(DifferentialTest, SpillForcedStreamingMatchesInMemoryEngines) {
   // The spill tier's differential: with budgets far below the workload's
   // shuffle volume, every partition bucket spills (multi-file runs, runs
-  // split mid-key, flush-combine + merge-combine) — and nothing about
-  // the join may change. Budget 64 sits near the workload's size, so the
-  // boundary "barely spills / barely doesn't" is swept too.
+  // split mid-key, and in MassJoin's verify stage flush-combine +
+  // merge-combine) — and nothing about the join may change. Budget 64
+  // sits near the workload's size, so the boundary "barely spills /
+  // barely doesn't" is swept too.
   Rng rng(50926072);
   constexpr int kRounds = 2;
   for (int round = 0; round < kRounds; ++round) {
@@ -675,41 +726,39 @@ TEST(DifferentialTest, SpillForcedStreamingMatchesInMemoryEngines) {
       options.threshold = t;
       options.max_token_frequency = 1u << 30;
       options.dedup = dedup;
-      options.adaptive_partitions = false;  // the sweep sets the count
       const TsjRunInfo reference = SerialSelfJoinInfo(corpus, options);
 
-      for (const bool combiner_on : {true, false}) {
-        for (const size_t workers : {size_t{1}, size_t{4}}) {
-          for (const size_t partitions : {size_t{1}, size_t{7}}) {
-            for (const size_t budget :
-                 {size_t{1}, size_t{7}, size_t{64}}) {
-              TsjOptions spill_options = options;
-              spill_options.enable_shuffle_combiner = combiner_on;
-              spill_options.enable_shuffle_spill = true;
-              spill_options.mapreduce.memory_budget_records = budget;
-              spill_options.mapreduce.num_workers = workers;
-              spill_options.mapreduce.num_partitions = partitions;
-              TsjRunInfo info;
-              const auto spilled = TokenizedStringJoiner(spill_options)
-                                       .SelfJoin(corpus, &info);
-              ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
-              const std::string context =
-                  "round=" + std::to_string(round) +
-                  " t=" + std::to_string(t) +
-                  " dedup=" + std::to_string(static_cast<int>(dedup)) +
-                  " combiner=" + std::to_string(combiner_on) +
-                  " workers=" + std::to_string(workers) +
-                  " partitions=" + std::to_string(partitions) +
-                  " budget=" + std::to_string(budget);
-              EXPECT_EQ(ToPairNsldSet(*spilled), oracle) << context;
-              ExpectSameCounters(info, reference, context);
-              if (budget <= 7) {
-                // Tiny budgets must actually force multi-file spills —
-                // otherwise this sweep silently stops testing anything.
-                EXPECT_GT(info.spilled_records, 0u) << context;
-                EXPECT_GT(info.spill_files, 1u) << context;
-                EXPECT_GT(info.merge_passes, 0u) << context;
-              }
+      for (const size_t workers : {size_t{1}, size_t{4}}) {
+        for (const size_t partitions : {size_t{1}, size_t{7}}) {
+          for (const size_t budget : {size_t{1}, size_t{7}, size_t{64}}) {
+            TsjOptions spill_options = options;
+            spill_options.enable_shuffle_spill = true;
+            spill_options.mapreduce.memory_budget_records = budget;
+            spill_options.mapreduce.num_workers = workers;
+            spill_options.mapreduce.num_partitions = partitions;
+            TsjRunInfo info;
+            const auto spilled =
+                TokenizedStringJoiner(spill_options).SelfJoin(corpus, &info);
+            ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
+            const std::string context =
+                "round=" + std::to_string(round) +
+                " t=" + std::to_string(t) +
+                " dedup=" + std::to_string(static_cast<int>(dedup)) +
+                " workers=" + std::to_string(workers) +
+                " partitions=" + std::to_string(partitions) +
+                " budget=" + std::to_string(budget);
+            EXPECT_EQ(ToPairNsldSet(*spilled), oracle) << context;
+            ExpectSameCounters(info, reference, context);
+            if (budget <= 7) {
+              // Tiny budgets must actually force multi-file spills —
+              // otherwise this sweep silently stops testing anything.
+              EXPECT_GT(info.spilled_records, 0u) << context;
+              EXPECT_GT(info.spill_files, 1u) << context;
+              EXPECT_GT(info.merge_passes, 0u) << context;
+              // And MassJoin's verify stage still combines while it
+              // spills, so spill-aware combine runs here too.
+              EXPECT_GT(info.pipeline.total_combiner_input_records(), 0u)
+                  << context;
             }
           }
         }
@@ -733,7 +782,6 @@ TEST(DifferentialTest, SpillForcedRpJoinMatchesInMemoryEngines) {
     options.threshold = t;
     options.max_token_frequency = 1u << 30;
     options.dedup = dedup;
-    options.adaptive_partitions = false;
     const TsjRunInfo reference =
         SerialRpJoinInfo(r_corpus, p_corpus, options);
 
@@ -780,7 +828,6 @@ TEST(DifferentialTest, FaultMatrixNeverCrashesHangsOrCorrupts) {
   TsjOptions options;
   options.threshold = t;
   options.max_token_frequency = 1u << 30;
-  options.adaptive_partitions = false;
   options.mapreduce.num_partitions = 7;
 
   ASSERT_TRUE(FaultInjector::Global().Configure("").ok());

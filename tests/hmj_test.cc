@@ -154,6 +154,22 @@ TEST(HmjTest, RejectsInvalidOptions) {
   EXPECT_FALSE(HybridMetricJoiner(options).SelfJoin(corpus).ok());
 }
 
+TEST(HmjTest, ZeroSubpartitionsAreRejected) {
+  // An oversized partition splits into num_subpartitions sub-partitions,
+  // so zero of them would divide by zero. One partition of ten strings
+  // with max_partition_size = 1 reaches that split: Validate must reject
+  // the option before the join runs.
+  Rng rng(84);
+  Corpus corpus = MakeCorpus(&rng, 10);
+  HmjOptions options;
+  options.num_partitions = 1;
+  options.max_partition_size = 1;
+  options.num_subpartitions = 0;
+  EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
+  const auto result = HybridMetricJoiner(options).SelfJoin(corpus);
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(HmjTest, GreedyAligningNeverAddsPairs) {
   // Greedy SLD over-estimates distances, so greedy HMJ returns a subset of
   // the exact join (same one-sided guarantee as TSJ's approximation).

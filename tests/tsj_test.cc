@@ -455,43 +455,35 @@ TEST(TsjTest, RunInfoCountersAreConsistent) {
             0u);
 }
 
-TEST(TsjTest, ContentionReliefTogglesAreLossless) {
+TEST(TsjTest, L1VerifyCacheToggleIsLossless) {
   // Fast-tier pin (the randomized differential harness has the deep
-  // version): the per-worker L1 verify-cache tier, the shuffle combiner
-  // and the skew-adaptive partition planner — all on by default — must
-  // not change the joined pairs or their NSLD values; and the default run
-  // must actually exercise them (nonzero L1 traffic, nonzero combiner
-  // traffic, a planned partition count). Multi-worker so the sanitizer
-  // job drives the batched flush path concurrently.
+  // version): the per-worker L1 verify-cache tier, on by default, must not
+  // change the joined pairs, and the default run must actually probe it.
+  // Multi-worker so the sanitizer jobs drive the batched flush path
+  // concurrently.
   Rng rng(90210);
   Corpus corpus = MakeCorpus(&rng, 90);
-  TsjOptions all_on = Lossless(0.2);
-  all_on.mapreduce.num_workers = 4;
+  TsjOptions l1_on = Lossless(0.2);
+  l1_on.mapreduce.num_workers = 4;
   TsjRunInfo on_info;
   const auto reference =
-      TokenizedStringJoiner(all_on).SelfJoin(corpus, &on_info);
+      TokenizedStringJoiner(l1_on).SelfJoin(corpus, &on_info);
   ASSERT_TRUE(reference.ok());
-  EXPECT_GT(on_info.combiner_input_records, 0u);
-  EXPECT_GE(on_info.combiner_input_records, on_info.combiner_output_records);
   EXPECT_GT(on_info.token_pair_cache_l1_hits +
                 on_info.token_pair_cache_l1_misses,
             0u);
-  EXPECT_GT(on_info.shuffle_partitions, 0u);
+  EXPECT_EQ(on_info.shuffle_partitions, l1_on.mapreduce.num_partitions);
 
-  for (int toggle = 0; toggle < 3; ++toggle) {
-    TsjOptions options = all_on;
-    if (toggle == 0) options.enable_l1_verify_cache = false;
-    if (toggle == 1) options.enable_shuffle_combiner = false;
-    if (toggle == 2) options.adaptive_partitions = false;
-    TsjRunInfo off_info;
-    const auto result =
-        TokenizedStringJoiner(options).SelfJoin(corpus, &off_info);
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(ToSet(*result), ToSet(*reference)) << "toggle=" << toggle;
-    EXPECT_EQ(off_info.result_pairs, on_info.result_pairs);
-    EXPECT_EQ(off_info.distinct_candidates, on_info.distinct_candidates);
-    EXPECT_EQ(off_info.verified_candidates, on_info.verified_candidates);
-  }
+  TsjOptions l1_off = l1_on;
+  l1_off.enable_l1_verify_cache = false;
+  TsjRunInfo off_info;
+  const auto result =
+      TokenizedStringJoiner(l1_off).SelfJoin(corpus, &off_info);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(ToSet(*result), ToSet(*reference));
+  EXPECT_EQ(off_info.result_pairs, on_info.result_pairs);
+  EXPECT_EQ(off_info.distinct_candidates, on_info.distinct_candidates);
+  EXPECT_EQ(off_info.verified_candidates, on_info.verified_candidates);
 }
 
 TEST(TsjTest, BudgetedVerifyIsByteIdenticalToUnbounded) {

@@ -7,7 +7,10 @@
 // Usage:
 //   tsj_knn --input names.txt [--k 10] [--query "barak obama"]
 //
-// Without --query, queries are read from stdin, one per line.
+// Without --query, queries are read from stdin, one per line. Exits 2 on
+// a usage error (an unknown flag, a flag without its value, a K that is
+// not a positive integer) and 1 when the input cannot be read or the
+// answers cannot be written.
 
 #include <iostream>
 #include <limits>
@@ -44,29 +47,25 @@ int main(int argc, char** argv) {
   size_t k = 10;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return (i + 1 < argc) ? argv[++i] : nullptr;
-    };
+    if (arg != "--input" && arg != "--query" && arg != "--k") {
+      std::cerr << "unknown argument: " << arg << "\n";
+      return 2;
+    }
+    if (i + 1 == argc) {  // the flag's value is missing
+      std::cerr << kUsage;
+      return 2;
+    }
+    const char* value = argv[++i];
     if (arg == "--input") {
-      const char* v = next();
-      if (v == nullptr) break;
-      input_path = v;
+      input_path = value;
     } else if (arg == "--query") {
-      const char* v = next();
-      if (v == nullptr) break;
-      query = v;
-    } else if (arg == "--k") {
-      const char* v = next();
-      k = v == nullptr ? 0
-                       : tsj::ParsePositiveInt(
-                             v, std::numeric_limits<size_t>::max());
-      if (k == 0) {  // missing, non-numeric, zero or negative
+      query = value;
+    } else {
+      k = tsj::ParsePositiveInt(value, std::numeric_limits<size_t>::max());
+      if (k == 0) {  // non-numeric, zero or negative
         std::cerr << kUsage;
         return 2;
       }
-    } else {
-      std::cerr << "unknown argument: " << arg << "\n";
-      return 2;
     }
   }
   if (input_path.empty()) {
@@ -85,12 +84,18 @@ int main(int argc, char** argv) {
 
   if (!query.empty()) {
     Answer(index, loaded->raw_lines, tokenizer, query, k);
-    return 0;
+  } else {
+    std::string line;
+    while (std::getline(std::cin, line)) {
+      if (line.empty()) continue;
+      Answer(index, loaded->raw_lines, tokenizer, line, k);
+    }
   }
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    if (line.empty()) continue;
-    Answer(index, loaded->raw_lines, tokenizer, line, k);
+  // A full disk or a closed pipe shows only once the buffer is flushed.
+  std::cout.flush();
+  if (!std::cout) {
+    std::cerr << "cannot write output: stdout\n";
+    return 1;
   }
   return 0;
 }
