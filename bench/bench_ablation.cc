@@ -32,18 +32,8 @@
 // row) and armed with two absorbable task-start faults (showing the
 // lossless retry cost). --fault_json <path> emits the overhead and
 // absorption counters as JSON (merged into BENCH_verify.json by CI).
-//
-// The checkpoint rows run the full configuration sealing every map task
-// under a scratch checkpoint directory ("+ checkpointing (no fault)": the
-// pure sealing cost, within run-to-run noise by contract), then abort a
-// checkpointing run with a fatal reduce fault and restart it over the
-// sealed artifacts ("+ restart after fault": the restore-and-skip win).
-// --ckpt_json <path> emits the overhead, the checkpointed/skipped task
-// counts and the restart wall as JSON (merged into BENCH_verify.json by
-// CI).
 
 #include <algorithm>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -86,8 +76,7 @@ std::string PercentOrDash(uint64_t part, uint64_t whole) {
 // merge step never reads a missing/zeroed BENCH_spill.json as success).
 bool Run(const std::string& shuffle_json_path,
          const std::string& spill_json_path,
-         const std::string& fault_json_path,
-         const std::string& ckpt_json_path) {
+         const std::string& fault_json_path) {
   bench::PrintHeader("Ablation", "contribution of each TSJ design choice");
   const auto workload =
       GenerateRingWorkload(bench::DefaultWorkload(bench::Scaled(10000)));
@@ -274,65 +263,6 @@ bool Run(const std::string& shuffle_json_path,
     }
   }
 
-  // ---- Checkpoint rows: the full configuration sealing every map task
-  // under a scratch directory ("+ checkpointing (no fault)": the pure
-  // sealing cost, noise-level by contract since sealing rides the spill
-  // writer off the task's critical path), then a fatal-fault abort
-  // followed by a restart over the sealed artifacts ("+ restart after
-  // fault": validated tasks are restored instead of re-run).
-  TsjRunInfo ckpt_info;
-  double ckpt_wall_ms = 0;
-  bool ckpt_ok = false;
-  TsjRunInfo restart_info;
-  double restart_wall_ms = 0;
-  bool restart_ok = false;
-  uint64_t aborted_tasks_checkpointed = 0;
-  {
-    const std::string ckpt_dir =
-        (std::filesystem::temp_directory_path() / "tsj-ablation-ckpt")
-            .string();
-    std::error_code ec;
-    std::filesystem::remove_all(ckpt_dir, ec);
-    TsjOptions o = base;
-    o.enable_checkpointing = true;
-    o.mapreduce.checkpoint_dir = ckpt_dir;
-    Stopwatch ckpt_watch;
-    const auto sealed =
-        TokenizedStringJoiner(o).SelfJoin(workload.corpus, &ckpt_info);
-    ckpt_wall_ms = ckpt_watch.ElapsedMillis();
-    ckpt_ok = sealed.ok();
-    if (ckpt_ok) {
-      add_row("+ checkpointing (no fault)", sealed->size(), ckpt_info,
-              ckpt_wall_ms);
-    }
-    // Restart leg: wipe the directory, abort a checkpointing run with a
-    // fatal reduce fault (retries off so the fault is terminal), then
-    // restart the identical job over whatever map tasks sealed before the
-    // abort. Byte-identical pairs by the checkpoint contract; the wall
-    // column shows the restore-and-skip path.
-    std::filesystem::remove_all(ckpt_dir, ec);
-    TsjOptions fatal = o;
-    fatal.mapreduce.max_task_retries = 0;
-    FaultInjector::Global().Configure("task.reduce=once");
-    TsjRunInfo aborted_info;
-    const auto aborted =
-        TokenizedStringJoiner(fatal).SelfJoin(workload.corpus, &aborted_info);
-    FaultInjector::Global().ConfigureFromEnv();
-    aborted_tasks_checkpointed = aborted_info.tasks_checkpointed;
-    if (!aborted.ok() && aborted_tasks_checkpointed > 0) {
-      Stopwatch restart_watch;
-      const auto restarted =
-          TokenizedStringJoiner(o).SelfJoin(workload.corpus, &restart_info);
-      restart_wall_ms = restart_watch.ElapsedMillis();
-      restart_ok = restarted.ok();
-      if (restart_ok) {
-        add_row("+ restart after fault", restarted->size(), restart_info,
-                restart_wall_ms);
-      }
-    }
-    std::filesystem::remove_all(ckpt_dir, ec);
-  }
-
   table.Print(std::cout);
   if (fault_disabled_ok && full_wall_ms > 0) {
     std::cout << "\nfault framework disarmed overhead: " << full_wall_ms
@@ -351,23 +281,6 @@ bool Run(const std::string& shuffle_json_path,
               << fault_absorbed_info.tasks_cancelled
               << " cancellations; wall " << fault_absorbed_wall_ms
               << " ms vs " << fault_disabled_wall_ms << " ms fault-free\n";
-  }
-  if (ckpt_ok && full_wall_ms > 0) {
-    std::cout << "checkpoint sealing: " << ckpt_info.tasks_checkpointed
-              << " map tasks sealed; wall " << ckpt_wall_ms << " ms vs "
-              << full_wall_ms << " ms without checkpointing: "
-              << 100.0 * (ckpt_wall_ms - full_wall_ms) / full_wall_ms
-              << "% (noise-level by contract; sealing rides the spill "
-                 "writer off the critical path)\n";
-  }
-  if (restart_ok) {
-    std::cout << "checkpoint restart: fatal fault aborted the run with "
-              << aborted_tasks_checkpointed << " tasks sealed; restart "
-              << "restored " << restart_info.tasks_skipped_by_checkpoint
-              << " of them ("
-              << restart_info.tasks_checkpointed << " newly sealed) in "
-              << restart_wall_ms << " ms vs " << ckpt_wall_ms
-              << " ms from scratch\n";
   }
   if (spill_budget > 0 && spill_run_ok) {
     std::cout << "\nout-of-core spill (budget "
@@ -550,37 +463,7 @@ bool Run(const std::string& shuffle_json_path,
               << "\n";
   }
 
-  // Only a run that actually sealed and restored checkpoints may feed the
-  // trajectory — a restart that silently re-ran everything would read as a
-  // regression-free success in CI.
-  if (!ckpt_json_path.empty() && ckpt_ok) {
-    std::ofstream json(ckpt_json_path);
-    json << "{\n"
-         << "  \"baseline_wall_ms\": " << full_wall_ms << ",\n"
-         << "  \"checkpoint_wall_ms\": " << ckpt_wall_ms << ",\n"
-         << "  \"sealing_overhead_pct\": "
-         << (full_wall_ms > 0
-                 ? 100.0 * (ckpt_wall_ms - full_wall_ms) / full_wall_ms
-                 : 0.0)
-         << ",\n"
-         << "  \"tasks_checkpointed\": " << ckpt_info.tasks_checkpointed
-         << ",\n"
-         << "  \"aborted_tasks_checkpointed\": " << aborted_tasks_checkpointed
-         << ",\n"
-         << "  \"restart_wall_ms\": " << (restart_ok ? restart_wall_ms : 0)
-         << ",\n"
-         << "  \"restart_tasks_skipped\": "
-         << (restart_ok ? restart_info.tasks_skipped_by_checkpoint : 0)
-         << ",\n"
-         << "  \"restart_tasks_checkpointed\": "
-         << (restart_ok ? restart_info.tasks_checkpointed : 0) << ",\n"
-         << "  \"restart_result_ok\": " << (restart_ok ? "true" : "false")
-         << "\n"
-         << "}\n";
-    std::cout << "checkpoint counters written to " << ckpt_json_path << "\n";
-  }
-  return (spill_budget == 0 || spill_run_ok) && fault_disabled_ok && ckpt_ok &&
-         restart_ok;
+  return (spill_budget == 0 || spill_run_ok) && fault_disabled_ok;
 }
 
 }  // namespace
@@ -590,7 +473,6 @@ int main(int argc, char** argv) {
   std::string shuffle_json_path;
   std::string spill_json_path;
   std::string fault_json_path;
-  std::string ckpt_json_path;
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::string(argv[i]) == "--shuffle_json") {
       shuffle_json_path = argv[i + 1];
@@ -601,12 +483,6 @@ int main(int argc, char** argv) {
     if (std::string(argv[i]) == "--fault_json") {
       fault_json_path = argv[i + 1];
     }
-    if (std::string(argv[i]) == "--ckpt_json") {
-      ckpt_json_path = argv[i + 1];
-    }
   }
-  return tsj::Run(shuffle_json_path, spill_json_path, fault_json_path,
-                  ckpt_json_path)
-             ? 0
-             : 1;
+  return tsj::Run(shuffle_json_path, spill_json_path, fault_json_path) ? 0 : 1;
 }

@@ -1,5 +1,6 @@
 #include "common/fault.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -65,6 +66,11 @@ Status FaultInjector::ParseSpec(const std::string& spec,
     }
     SiteSpec site;
     site.site = entry.substr(0, eq);
+    if (std::find(kFaultSites.begin(), kFaultSites.end(), site.site) ==
+        kFaultSites.end()) {
+      return Status::InvalidArgument("unknown fault site: '" + site.site +
+                                     "'");
+    }
     site.resource_exhausted = site.site.rfind("alloc.", 0) == 0;
     const std::string mode = entry.substr(eq + 1);
 

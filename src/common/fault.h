@@ -1,18 +1,15 @@
 // Deterministic, seeded fault injection for the whole engine.
 //
 // Every fallible layer declares named *injection sites* — stable string
-// identifiers for a place where a real-world fault could strike:
+// identifiers for a place where a real-world fault could strike. These six
+// are all the engine evaluates (kFaultSites below):
 //
-//   spill.open     opening a spill file (SpillContext::NewIo wrapper)
-//   spill.write    a spill run/segment write (SpillContext::NewIo wrapper)
-//   merge.read     reading a spill run back during the k-way merge
 //   task.map       start of a map task (mapreduce.h, all three engines)
 //   task.reduce    start of a reduce/merge partition task
 //   alloc.shuffle  shuffle-buffer growth (modelled as ResourceExhausted)
-//   ckpt.write     sealing a completed task's checkpoint segment+manifest
-//                  (failure = checkpoint skipped, job unaffected)
-//   ckpt.read      validating/restoring a checkpoint at restart
-//                  (failure = checkpoint treated as invalid, task re-runs)
+//   spill.open     opening a spill file (SpillContext::NewIo wrapper)
+//   spill.write    a spill run/segment write (SpillContext::NewIo wrapper)
+//   merge.read     reading a spill run back during the k-way merge
 //
 // A site is evaluated with FAULT_POINT("name"), which returns Status::OK()
 // unless the process-wide FaultInjector is armed for that site. Evaluation
@@ -45,7 +42,7 @@
 // ---------------------
 //   spec   := entry (';' entry)*
 //   entry  := site '=' mode         (each site at most once per spec)
-//   site   := dotted identifier, e.g. task.reduce
+//   site   := one of kFaultSites, e.g. task.reduce
 //   mode   := 'once' ['@' N]        fire on the N-th evaluation only
 //                                   (1-based; default N=1)
 //           | 'every' '@' N         fire on every N-th evaluation
@@ -70,14 +67,21 @@
 #ifndef TSJ_COMMON_FAULT_H_
 #define TSJ_COMMON_FAULT_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
 
 namespace tsj {
+
+/// The injection sites the engine evaluates (see the file comment).
+inline constexpr std::array<std::string_view, 6> kFaultSites = {
+    "task.map",   "task.reduce", "alloc.shuffle",
+    "spill.open", "spill.write", "merge.read"};
 
 /// Process-wide deterministic fault injector. All methods are thread-safe;
 /// configuration replaces the armed spec atomically with respect to
@@ -90,8 +94,9 @@ class FaultInjector {
 
   /// Arms the injector with a CC_FAULT_SPEC-grammar string (empty string
   /// disarms). Returns InvalidArgument on a malformed spec — including
-  /// one that names a site twice, or whose probability is not a number
-  /// in [0, 1] — leaving the previous configuration in place. Resets
+  /// one that names a site outside kFaultSites (such an entry could never
+  /// fire) or a site twice, or whose probability is not a number in
+  /// [0, 1] — leaving the previous configuration in place. Resets
   /// per-site counters.
   Status Configure(const std::string& spec);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cmath>
 #include <numeric>
 #include <span>
@@ -245,35 +244,6 @@ StatusOr<std::vector<TsjPair>> HybridMetricJoiner::SelfJoin(
   // key runs (mapreduce.h).
   const double t = options_.threshold;
 
-  // Checkpoint gating, shared by both jobs (same contract as the TSJ
-  // gate): strip the engine-level dir unless the join-level switch is
-  // on; with the switch on and no caller-supplied fingerprint, derive
-  // one from the corpus statistics and join parameters so restarts only
-  // restore checkpoints written for this exact input. A work-limited run
-  // strips it too: once the limit trips, map tasks return early, and a
-  // sealed truncated task would be restored as if it were complete.
-  const bool checkpointing =
-      options_.enable_checkpointing && options_.work_limit == 0;
-  uint64_t ckpt_fp = options_.mapreduce.checkpoint_fingerprint;
-  if (checkpointing && ckpt_fp == 0) {
-    ckpt_fp = MixCheckpointFingerprint(0, corpus.size());
-    ckpt_fp = MixCheckpointFingerprint(ckpt_fp, corpus.num_distinct_tokens());
-    size_t total_token_occurrences = 0;
-    for (uint32_t s = 0; s < corpus.size(); ++s) {
-      total_token_occurrences += corpus.tokens(s).size();
-    }
-    ckpt_fp = MixCheckpointFingerprint(ckpt_fp, total_token_occurrences);
-    ckpt_fp = MixCheckpointFingerprint(ckpt_fp, std::bit_cast<uint64_t>(t));
-    ckpt_fp = MixCheckpointFingerprint(ckpt_fp, options_.num_partitions);
-    ckpt_fp = MixCheckpointFingerprint(ckpt_fp, options_.seed);
-  }
-  const auto gate_checkpoint = [&](MapReduceOptions* mr) {
-    if (!checkpointing) {
-      mr->checkpoint_dir.clear();
-    } else if (mr->checkpoint_fingerprint == 0) {
-      mr->checkpoint_fingerprint = ckpt_fp;
-    }
-  };
   auto map_assign = [&runner, &pivots, &state, t](
                         const uint32_t& s,
                         PartitionedEmitter<uint32_t, Member>* out) {
@@ -302,7 +272,6 @@ StatusOr<std::vector<TsjPair>> HybridMetricJoiner::SelfJoin(
   };
   MapReduceOptions join_mr = options_.mapreduce;
   if (!options_.enable_shuffle_spill) join_mr.memory_budget_records = 0;
-  gate_checkpoint(&join_mr);
   // Partition-task boundary: fully drain each leaf-verify worker's
   // deferred cache upserts into the run-wide shared tier.
   join_mr.reduce_partition_epilogue = [&runner] {
@@ -332,7 +301,6 @@ StatusOr<std::vector<TsjPair>> HybridMetricJoiner::SelfJoin(
       KeepFirstCombiner<PairKey, double>();
   MapReduceOptions dedup_mr = options_.mapreduce;
   if (!options_.enable_shuffle_spill) dedup_mr.memory_budget_records = 0;
-  gate_checkpoint(&dedup_mr);
   JobStats dedup_stats;
   std::vector<TsjPair> results =
       RunMapReduceSorted<TsjPair, PairKey, double, TsjPair>(
@@ -348,10 +316,6 @@ StatusOr<std::vector<TsjPair>> HybridMetricJoiner::SelfJoin(
   local_info.tasks_cancelled =
       local_info.pipeline.total_tasks_cancelled();
   local_info.tasks_degraded = local_info.pipeline.total_tasks_degraded();
-  local_info.tasks_checkpointed =
-      local_info.pipeline.total_tasks_checkpointed();
-  local_info.tasks_skipped_by_checkpoint =
-      local_info.pipeline.total_tasks_skipped_by_checkpoint();
   // When the work limit was exceeded the results are incomplete; they are
   // still returned for inspection, with completed=false marking the DNF.
   local_info.completed = !state.aborted.load();

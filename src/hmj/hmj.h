@@ -51,8 +51,7 @@ struct HmjOptions {
   /// Pivot-sampling seed.
   uint64_t seed = 42;
   /// Budget of NSLD evaluations; 0 = unlimited. Exceeding it aborts the
-  /// run (HmjRunInfo::completed = false), modelling the paper's DNF. A
-  /// nonzero limit turns checkpointing off (see enable_checkpointing).
+  /// run (HmjRunInfo::completed = false), modelling the paper's DNF.
   uint64_t work_limit = 0;
   /// Verification alignment mode (kept exact to match the NSLD metric).
   TokenAligning aligning = TokenAligning::kExact;
@@ -67,18 +66,6 @@ struct HmjOptions {
   /// spill faults (failed run reads) surface as the join's error Status,
   /// degraded write faults via JobStats::spill_status only.
   bool enable_shuffle_spill = false;
-  /// Checkpoint/restart (mapreduce.h "Checkpoint validity"; same
-  /// semantics as TsjOptions::enable_checkpointing): when enabled AND
-  /// mapreduce.checkpoint_dir is set, the partition-join and dedup jobs
-  /// seal completed map tasks under that directory and a restarted run
-  /// over the same corpus skips tasks whose checkpoint validates. A zero
-  /// mapreduce.checkpoint_fingerprint is derived from the corpus
-  /// statistics and join parameters. Off by default: the engine-level
-  /// dir is stripped unless this is set. A run with work_limit > 0 never
-  /// seals or restores checkpoints (its dir is stripped as well): an
-  /// aborted run's map tasks stop early, and their truncated outputs
-  /// must not be restored by a later run.
-  bool enable_checkpointing = false;
 
   Status Validate() const {
     // Written so that NaN, for which every comparison is false, fails.
@@ -116,11 +103,6 @@ struct HmjRunInfo {
   uint64_t task_retries = 0;
   uint64_t tasks_cancelled = 0;
   uint64_t tasks_degraded = 0;
-  /// Checkpoint/restart counters summed across the run's jobs (same
-  /// semantics as the TsjRunInfo fields of the same names; see the
-  /// checkpoint contract in mapreduce.h).
-  uint64_t tasks_checkpointed = 0;
-  uint64_t tasks_skipped_by_checkpoint = 0;
   /// False when the work_limit was exceeded (DNF).
   bool completed = true;
 };

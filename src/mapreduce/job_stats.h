@@ -168,12 +168,6 @@ struct JobStats {
   /// Tasks the ThreadPool watchdog observed running past
   /// CC_TASK_TIMEOUT_MS (observational; the tasks still completed).
   uint64_t tasks_degraded = 0;
-  /// Completed map tasks whose output was sealed into the checkpoint dir
-  /// (segment + validated manifest). 0 unless checkpointing is armed.
-  uint64_t tasks_checkpointed = 0;
-  /// Map tasks skipped at (re)start because a valid checkpoint from a
-  /// prior run of the same job supplied their output.
-  uint64_t tasks_skipped_by_checkpoint = 0;
   /// First fatal task error: non-OK exactly when the job was aborted and
   /// its outputs are incomplete/absent. Retryable failures that a retry
   /// absorbed do NOT set this — they are visible only via task_failures /
@@ -342,18 +336,6 @@ struct PipelineStats {
   uint64_t total_tasks_degraded() const {
     uint64_t total = 0;
     for (const auto& j : jobs) total += j.tasks_degraded;
-    return total;
-  }
-
-  uint64_t total_tasks_checkpointed() const {
-    uint64_t total = 0;
-    for (const auto& j : jobs) total += j.tasks_checkpointed;
-    return total;
-  }
-
-  uint64_t total_tasks_skipped_by_checkpoint() const {
-    uint64_t total = 0;
-    for (const auto& j : jobs) total += j.tasks_skipped_by_checkpoint;
     return total;
   }
 };

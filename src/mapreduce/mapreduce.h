@@ -99,45 +99,23 @@
 //  * Cancellation points. A fatal failure (or a retryable one that
 //    exhausted its retries) trips the job's CancellationToken with the
 //    root-cause Status. Sibling tasks poll the token at task start —
-//    their partition boundary — and bail without running; later phases
-//    are skipped entirely. The job then returns empty outputs with
-//    JobStats::status carrying the root cause (the first fatal error
-//    wins). Skipped tasks count into JobStats::tasks_cancelled, failed
-//    attempts into task_failures, re-executions into task_retries.
+//    their partition boundary — and bail without running; a running map
+//    task also polls it between input records and stops at its next
+//    record; later phases are skipped entirely. The job then returns
+//    empty outputs with JobStats::status carrying the root cause (the
+//    first fatal error wins). Skipped tasks count into
+//    JobStats::tasks_cancelled, failed attempts into task_failures,
+//    re-executions into task_retries.
 //  * Watchdog semantics. When CC_TASK_TIMEOUT_MS is set (> 0), the
 //    ThreadPool watchdog counts every task observed running longer than
 //    the timeout into JobStats::tasks_degraded. The count is purely
 //    observational: the flagged task is never preempted (preemption
 //    cannot be made safe), and neither the job's Status nor its output
 //    changes.
-//  * Checkpoint validity. When MapReduceOptions::checkpoint_dir is set,
-//    every completed map task seals its output
-//    (sorted residue + spill runs, merged in reduce source order) into a
-//    checksummed v2 segment plus a manifest under that directory, and a
-//    restarted job with the same dir, job name, fingerprint and task
-//    geometry SKIPS tasks whose checkpoint validates — manifest magic,
-//    body checksum, job identity, and exact segment size must all match.
-//    A checkpoint that fails ANY check is invalid: it is discarded and
-//    the task re-runs from its input — a corrupt or stale checkpoint is
-//    never trusted and never fatal, the worst case is lost savings.
-//    Checkpoint WRITE failures (including injected "ckpt.write" faults)
-//    are degraded: the checkpoint is dropped, the job continues
-//    unaffected. Restored outputs replay the exact (producer, emission)
-//    record order, so a restarted job is byte-identical to an
-//    uninterrupted one. The CC_CHECKPOINT_DIR env override is
-//    write-only: it seals checkpoints but never restores (an env var
-//    cannot prove two runs share a corpus — restore requires the
-//    explicit option). Reduce tasks are not checkpointed: their outputs
-//    live in job-local memory and are cheap to recompute relative to
-//    re-verifying. A map attempt cut short by a job abort seals nothing:
-//    the map loop polls the job's CancellationToken between input
-//    records and once more before sealing, so a restart never restores
-//    a partial slice.
 //  * Fault injection. The deterministic injector (common/fault.h,
 //    CC_FAULT_SPEC) is evaluated at named sites: "task.map" /
 //    "task.reduce" at task starts, "alloc.shuffle" at shuffle-phase task
-//    starts (fires kResourceExhausted), "ckpt.write" / "ckpt.read"
-//    around checkpoint sealing/restore, and "spill.open" / "spill.write"
+//    starts (fires kResourceExhausted), and "spill.open" / "spill.write"
 //    / "merge.read" inside every spill I/O stream (SpillContext::NewIo
 //    wraps both the default FILE* io and any test-installed
 //    spill_io_factory, so engine and spill faults share one harness).
@@ -229,23 +207,6 @@ struct MapReduceOptions {
   /// failure (see the fault-tolerance contract in the file comment).
   /// 0 disables retry: the first failure of any kind is fatal.
   size_t max_task_retries = 2;
-  /// Checkpoint/restart directory (map phases; see the
-  /// "Checkpoint validity" section of the file comment). Empty = no
-  /// checkpointing — unless CC_CHECKPOINT_DIR is set, which arms the
-  /// WRITE side only. With a non-empty dir, completed map tasks seal
-  /// their output there and a restarted job (same dir, job name,
-  /// fingerprint, task geometry) skips tasks whose checkpoint
-  /// validates. The caller owns the directory's lifetime: checkpoints
-  /// survive the job and must be cleaned up (or simply reused) by the
-  /// caller.
-  std::string checkpoint_dir;
-  /// Caller-supplied input identity folded into the checkpoint job id.
-  /// Two runs may restore from each other's checkpoints only when their
-  /// job name, this fingerprint, and task/partition geometry all match —
-  /// so callers SHOULD derive it from the input corpus (the joins hash
-  /// corpus size and token counts). 0 is a valid fingerprint but makes
-  /// "same name, different data" collisions the caller's responsibility.
-  uint64_t checkpoint_fingerprint = 0;
 
   size_t effective_workers() const {
     if (num_workers > 0) return num_workers;
@@ -253,16 +214,6 @@ struct MapReduceOptions {
     return hw > 0 ? hw : 4;
   }
 };
-
-/// Order-dependent 64-bit mixer for building
-/// MapReduceOptions::checkpoint_fingerprint out of input statistics
-/// (corpus sizes, token counts, thresholds): fold each quantity in with
-/// one call. The joins use it so two runs restore from each other's
-/// checkpoints only when their inputs agree on these statistics.
-inline uint64_t MixCheckpointFingerprint(uint64_t h, uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  return h;
-}
 
 /// Optional combiner: merges the values of one key *within one producer*
 /// before the shuffle, cutting shuffle volume for associative reductions
@@ -455,28 +406,6 @@ class PartitionedEmitter {
   /// into the job's combiner statistics alongside Combine's counts.
   uint64_t spill_combiner_input() const { return spill_combiner_in_; }
   uint64_t spill_combiner_output() const { return spill_combiner_out_; }
-
-  /// Checkpoint restore, in-memory flavor: installs partition `p`'s
-  /// records exactly as the original task left them (post-Combine /
-  /// post-FinishSpill order). Only valid on a fresh emitter whose bucket
-  /// `p` is still empty.
-  void AdoptSortedBucket(size_t p,
-                         std::vector<std::pair<Key, Value>> records) {
-    size_ += records.size();
-    buckets_[p] = std::move(records);
-  }
-
-  /// Checkpoint restore, spill flavor: installs a run extent of the
-  /// checkpoint segment as this producer's (sole) run for partition `p`.
-  /// The file must already be protected in the SpillContext
-  /// (RegisterProtectedRuns) — run release must never delete a
-  /// checkpoint. Counts into spilled_records() so map_output_records
-  /// matches an uninterrupted run.
-  void AdoptCheckpointRun(size_t p, SpillRunRef ref) {
-    if (spill_runs_.empty()) spill_runs_.assign(buckets_.size(), {});
-    spilled_records_ += ref.records;
-    spill_runs_[p].push_back(std::move(ref));
-  }
 
  private:
   void SortBucket(size_t p) {
@@ -1208,220 +1137,6 @@ Status ReduceMergedRuns(Producers* producers, size_t p,
   return Status::OK();
 }
 
-// 64-bit FNV-1a over the job name + phase tag, with fingerprint and task
-// geometry mixed in: the checkpoint job identity. Any mismatch between
-// the writing and restoring run yields a different id, and ReadManifest
-// rejects the stale file.
-inline uint64_t CheckpointJobId(const std::string& job_name,
-                                const char* phase_tag, uint64_t fingerprint,
-                                size_t num_tasks, size_t num_partitions) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : job_name) {
-    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
-  }
-  for (const char* p = phase_tag; *p != '\0'; ++p) {
-    h = (h ^ static_cast<unsigned char>(*p)) * 0x100000001b3ULL;
-  }
-  const uint64_t mixed[3] = {fingerprint, num_tasks, num_partitions};
-  for (uint64_t v : mixed) {
-    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  }
-  return h;
-}
-
-// Builds the checkpoint context for one map phase, or nullptr when
-// checkpointing is off (or the directory cannot be prepared — checkpoints
-// are an optimization, never a new failure mode). `restore_enabled` is
-// true only for an explicit options.checkpoint_dir: the CC_CHECKPOINT_DIR
-// env fallback arms the WRITE side only (see the file comment).
-inline std::unique_ptr<CheckpointContext> MakeCheckpointContext(
-    const MapReduceOptions& options, const std::string& job_name,
-    const char* phase_tag, size_t num_tasks, size_t num_partitions,
-    bool* restore_enabled) {
-  *restore_enabled = !options.checkpoint_dir.empty();
-  std::string dir = options.checkpoint_dir;
-  if (dir.empty()) dir = CheckpointDirFromEnv();
-  if (dir.empty() || num_tasks == 0) return nullptr;
-  const uint64_t job_id =
-      CheckpointJobId(job_name, phase_tag, options.checkpoint_fingerprint,
-                      num_tasks, num_partitions);
-  auto context = std::make_unique<CheckpointContext>(
-      std::move(dir), job_id, options.checkpoint_fingerprint,
-      options.spill_io_factory);
-  if (!context->Init().ok()) {
-    *restore_enabled = false;
-    return nullptr;
-  }
-  context->fault_write_base = ReservePhaseFaultBlock(
-      "ckpt.write", static_cast<uint64_t>(num_tasks) + 1);
-  context->fault_read_base = ReservePhaseFaultBlock(
-      "ckpt.read", static_cast<uint64_t>(num_tasks) + 1);
-  return context;
-}
-
-// Seals a completed map task's output — in-memory residue plus any spill
-// runs — into one checkpoint segment and manifest. Read-only over the
-// task's live state: residue records are COPIED (the emitter keeps
-// serving this job's own shuffle) and spill runs are streamed without
-// being released. Each partition becomes one run holding the exact
-// record sequence ReduceMergedRuns would consume for it (disk runs in
-// flush order, then residue, ties to the earlier source), so a restart
-// replays byte-identically. Any failure — including an injected
-// "ckpt.write" fault — discards the partial checkpoint and returns; the
-// job itself is unaffected (degraded semantics).
-template <typename Key, typename Value>
-void WriteTaskCheckpoint(CheckpointContext* ckpt, size_t task,
-                         PartitionedEmitter<Key, Value>* emitter,
-                         SpillContext* spill) {
-  if (Status s = FAULT_POINT_AT(
-          "ckpt.write",
-          ckpt->fault_write_base + static_cast<uint64_t>(task) + 1);
-      !s.ok()) {
-    return;
-  }
-  const std::string path = ckpt->DataPath(task);
-  SpillRunWriter<Key, Value> writer(ckpt->NewIo());
-  Status s = writer.Open(path);
-  std::vector<SpillSegmentEntry> entries;
-  for (size_t p = 0; s.ok() && p < emitter->num_partitions(); ++p) {
-    const std::vector<SpillRunRef>& runs = emitter->spill_runs(p);
-    std::vector<std::pair<Key, Value>>& bucket = emitter->bucket(p);
-    if (runs.empty() && bucket.empty()) continue;
-    writer.BeginRun(static_cast<uint32_t>(p));
-    if (runs.empty()) {
-      // Pure in-memory partition: the residue is already the full run.
-      for (size_t i = 0; s.ok() && i < bucket.size(); ++i) {
-        s = writer.Append(bucket[i]);
-      }
-    } else {
-      std::vector<RunCursor<Key, Value>> cursors;
-      cursors.reserve(runs.size() + 1);
-      for (const SpillRunRef& run : runs) {
-        RunCursor<Key, Value> cursor;
-        cursor.from_disk = true;
-        // Read back through the checkpoint's raw io, NOT spill->NewIo():
-        // the fault-wrapped spill io charges every Read to "merge.read",
-        // and sealing must never consume fires scheduled against the
-        // job's real k-way merge (a seal-read failure is degraded, not
-        // lossy — its injection site is "ckpt.write" above).
-        cursor.reader =
-            std::make_unique<SpillRunReader<Key, Value>>(ckpt->NewIo());
-        cursor.reader->set_checksum_failure_counter(
-            spill->checksum_failure_counter());
-        s = cursor.reader->Open(run);
-        if (!s.ok()) break;
-        cursors.push_back(std::move(cursor));
-      }
-      // RunCursor's memory mode MOVES records out — merge from a copy so
-      // the live residue stays intact for the job's own reduce.
-      std::vector<std::pair<Key, Value>> residue(bucket.begin(),
-                                                 bucket.end());
-      if (s.ok() && !residue.empty()) {
-        RunCursor<Key, Value> cursor;
-        cursor.memory = &residue;
-        cursors.push_back(std::move(cursor));
-      }
-      for (auto& cursor : cursors) {
-        if (!s.ok()) break;
-        s = cursor.Advance();
-      }
-      if (s.ok()) {
-        RunCursorHeap<Key, Value> heap(&cursors);
-        while (s.ok() && !heap.empty()) {
-          const size_t index = heap.Pop();
-          auto& cursor = cursors[index];
-          s = writer.Append(cursor.head);
-          if (!s.ok()) break;
-          s = cursor.Advance();
-          if (s.ok() && cursor.has_head) heap.Reinsert(index);
-        }
-      }
-    }
-    if (s.ok()) {
-      SpillRunRef out_ref;
-      s = writer.EndRun(&out_ref);
-      if (s.ok()) {
-        entries.push_back(SpillSegmentEntry{static_cast<uint32_t>(p),
-                                            out_ref.offset, out_ref.length,
-                                            out_ref.records});
-      }
-    }
-  }
-  if (s.ok()) s = writer.Finish();
-  if (s.ok()) s = ckpt->WriteManifest(task, entries, writer.bytes_written());
-  if (!s.ok()) {
-    ckpt->Discard(task);
-    return;
-  }
-  ckpt->RecordCheckpointed();
-}
-
-// Attempts to supply map task `task`'s output from its checkpoint.
-// Returns true when the emitter was populated (the caller skips the map
-// body). A missing / corrupt / mismatched checkpoint — or an injected
-// "ckpt.read" fault — discards the on-disk artifacts and returns false:
-// the task re-runs from its input, a suspect checkpoint is never trusted.
-// Spill mode protects the segment file in the SpillContext BEFORE
-// adopting any extent, so no later release path can delete it.
-template <typename Key, typename Value>
-bool TryRestoreTaskCheckpoint(CheckpointContext* ckpt, size_t task,
-                              PartitionedEmitter<Key, Value>* emitter,
-                              SpillContext* spill) {
-  std::vector<SpillSegmentEntry> entries;
-  Status s = FAULT_POINT_AT(
-      "ckpt.read", ckpt->fault_read_base + static_cast<uint64_t>(task) + 1);
-  if (s.ok()) s = ckpt->ReadManifest(task, &entries);
-  for (const SpillSegmentEntry& entry : entries) {
-    if (!s.ok()) break;
-    if (entry.partition >= emitter->num_partitions()) {
-      s = Status::Internal("checkpoint entry partition out of range");
-    }
-  }
-  const std::string data_path = ckpt->DataPath(task);
-  if (s.ok() && spill != nullptr) {
-    spill->RegisterProtectedRuns(data_path, entries.size());
-    for (const SpillSegmentEntry& entry : entries) {
-      emitter->AdoptCheckpointRun(
-          entry.partition,
-          SpillRunRef{data_path, entry.offset, entry.length, entry.records});
-    }
-  } else if (s.ok()) {
-    // In-memory job: load each partition's run back into its bucket.
-    std::vector<std::vector<std::pair<Key, Value>>> buckets(
-        emitter->num_partitions());
-    for (const SpillSegmentEntry& entry : entries) {
-      SpillRunReader<Key, Value> reader(ckpt->NewIo());
-      s = reader.Open(
-          SpillRunRef{data_path, entry.offset, entry.length, entry.records});
-      auto& bucket = buckets[entry.partition];
-      bucket.reserve(entry.records);
-      while (s.ok()) {
-        std::pair<Key, Value> record;
-        bool done = false;
-        s = reader.Next(&record, &done);
-        if (!s.ok() || done) break;
-        bucket.push_back(std::move(record));
-      }
-      if (s.ok()) s = reader.Close();
-      if (!s.ok()) break;
-    }
-    if (s.ok()) {
-      for (size_t p = 0; p < buckets.size(); ++p) {
-        if (!buckets[p].empty()) {
-          emitter->AdoptSortedBucket(p, std::move(buckets[p]));
-        }
-      }
-    }
-  }
-  if (!s.ok()) {
-    emitter->Abandon();  // drop anything a partial restore installed
-    ckpt->Discard(task);
-    return false;
-  }
-  ckpt->RecordSkipped();
-  return true;
-}
-
 // ---- One job's phases --------------------------------------------------
 
 // Job-wide state shared by every phase of one job (a fused two-stage job
@@ -1479,23 +1194,17 @@ std::vector<PartitionedEmitter<Key, Value>> NewProducers(
 
 // Runs one map phase: task t of `n` = producers->size() - first maps an
 // even slice of `inputs` into (*producers)[first + t], under the retry
-// and checkpoint contracts of the file comment. One attempt either
-// restores the task's checkpoint or maps its slice, polling the job
-// token between records; combines and sorts its buckets; checks the
-// token once more; then seals a checkpoint and publishes its residency.
-// An attempt cut short by a job abort therefore seals nothing. Folds the
-// phase's map-side counters into *stats.
+// contract of the file comment. One attempt maps its slice, polling the
+// job token between records, then combines and sorts its buckets and
+// publishes its residency. Folds the phase's map-side counters into
+// *stats.
 template <typename Input, typename Key, typename Value, typename MapFn>
-void RunMapStage(SortedJob& job, const std::string& job_name,
-                 const char* phase_tag, const std::vector<Input>& inputs,
+void RunMapStage(SortedJob& job, const std::vector<Input>& inputs,
                  const MapFn& map_fn, const CombinerFn<Key, Value>& combiner,
                  std::vector<PartitionedEmitter<Key, Value>>* producers,
                  size_t first, TaskCounters* counters, JobStats* stats) {
   Stopwatch watch;
   const size_t n = producers->size() - first;
-  bool restore = false;
-  const std::unique_ptr<CheckpointContext> ckpt = MakeCheckpointContext(
-      job.options, job_name, phase_tag, n, job.num_partitions, &restore);
   std::vector<uint64_t> units(n, 0), combine_in(n, 0), combine_out(n, 0);
   RunTasksWithRetry(
       &job.pool, n, job.options.max_task_retries, job.cancel, "task.map",
@@ -1508,12 +1217,6 @@ void RunMapStage(SortedJob& job, const std::string& job_name,
       },
       [&](size_t task) {
         auto& em = (*producers)[first + task];
-        if (ckpt != nullptr && restore &&
-            TryRestoreTaskCheckpoint<Key, Value>(ckpt.get(), task, &em,
-                                                 job.spill.get())) {
-          job.gauge.Add(em.size());
-          return;
-        }
         const size_t begin = inputs.size() * task / n;
         const size_t end = inputs.size() * (task + 1) / n;
         TakeWorkUnits();  // clear leftovers from other tasks on this thread
@@ -1521,22 +1224,13 @@ void RunMapStage(SortedJob& job, const std::string& job_name,
           if (job.cancel.cancelled()) return;  // job abort
           map_fn(inputs[i], &em);
         }
-        if (job.cancel.cancelled()) return;  // never seal a partial slice
         if (combiner != nullptr) {
           em.Combine(combiner, &combine_in[task], &combine_out[task]);
         }
         em.FinishSpill();  // sort the residue for the merge
         units[task] = TakeWorkUnits();
-        if (ckpt != nullptr) {
-          WriteTaskCheckpoint<Key, Value>(ckpt.get(), task, &em,
-                                          job.spill.get());
-        }
         job.gauge.Add(em.size());
       });
-  if (ckpt != nullptr) {
-    stats->tasks_checkpointed += ckpt->tasks_checkpointed();
-    stats->tasks_skipped_by_checkpoint += ckpt->tasks_skipped();
-  }
   for (size_t t = 0; t < n; ++t) {
     const auto& producer = (*producers)[first + t];
     stats->map_output_records += producer.size() + producer.spilled_records();
@@ -1711,9 +1405,8 @@ std::vector<Output> RunMapReduceSorted(
   const size_t num_map_tasks = mri::NumMapTasks(inputs.size(), job.num_workers);
   auto producers = mri::NewProducers<Key, Value>(
       job, num_map_tasks, mri::ProducerShare(job, 1, num_map_tasks), combiner);
-  mri::RunMapStage<Input, Key, Value>(job, job_name, "map", inputs, map_fn,
-                                      combiner, &producers, 0, &counters,
-                                      &local_stats);
+  mri::RunMapStage<Input, Key, Value>(job, inputs, map_fn, combiner,
+                                      &producers, 0, &counters, &local_stats);
   local_stats.shuffle_records = local_stats.map_output_records;
   auto partitions = mri::RunShuffleStage<Key, Value>(job, &producers,
                                                      &counters, &local_stats);
@@ -1800,9 +1493,9 @@ std::vector<Output> RunFusedMapReduceSorted(
   auto producers1 = mri::NewProducers<Key1, Value1>(
       job, num_map1_tasks, mri::ProducerShare(job, 2, num_map1_tasks),
       combiner1);
-  mri::RunMapStage<Input1, Key1, Value1>(job, stage1_name, "map1",
-                                         stage1_inputs, map1_fn, combiner1,
-                                         &producers1, 0, &counters1, &s1);
+  mri::RunMapStage<Input1, Key1, Value1>(job, stage1_inputs, map1_fn,
+                                         combiner1, &producers1, 0,
+                                         &counters1, &s1);
   s1.shuffle_records = s1.map_output_records;
   auto partitions1 =
       mri::RunShuffleStage<Key1, Value1>(job, &producers1, &counters1, &s1);
@@ -1819,8 +1512,8 @@ std::vector<Output> RunFusedMapReduceSorted(
       job, num_producers2, mri::ProducerShare(job, 2, num_producers2),
       combiner2);
   mri::RunMapStage<Input2, Key2, Value2>(
-      job, stage2_name, "map2", stage2_side_inputs, map2_fn, combiner2,
-      &producers2, job.num_partitions, &counters2, &s2);
+      job, stage2_side_inputs, map2_fn, combiner2, &producers2,
+      job.num_partitions, &counters2, &s2);
 
   // ---- Stage 1 reduce, emitting into stage 2's shuffle.
   std::vector<uint64_t> combine2_in(job.num_partitions, 0);

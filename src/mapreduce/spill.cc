@@ -650,10 +650,7 @@ SpillContext::~SpillContext() {
   // not fail a job that already reported its real error.
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (const std::string& path : created_paths_) {
-      if (protected_paths_.count(path) != 0) continue;  // checkpoint file
-      RemoveSpillFile(path);
-    }
+    for (const std::string& path : created_paths_) RemoveSpillFile(path);
   }
   if (owns_dir_) {
     std::error_code ec;
@@ -760,13 +757,6 @@ void SpillContext::RegisterRuns(const std::string& path, uint64_t runs) {
   live_runs_[path] += runs;
 }
 
-void SpillContext::RegisterProtectedRuns(const std::string& path,
-                                         uint64_t runs) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  protected_paths_.insert(path);
-  if (runs != 0) live_runs_[path] += runs;
-}
-
 void SpillContext::ReleaseRun(const std::string& path) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -775,9 +765,6 @@ void SpillContext::ReleaseRun(const std::string& path) {
       if (--it->second > 0) return;  // segment still backs other runs
       live_runs_.erase(it);
     }
-    // A protected (checkpoint) segment flows through the merge like any
-    // run but its file belongs to the checkpoint dir, not to us.
-    if (protected_paths_.count(path) != 0) return;
   }
   RemoveSpillFile(path);
 }
@@ -803,221 +790,6 @@ Status SpillContext::status() const {
 Status SpillContext::data_loss() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return data_loss_;
-}
-
-// ---- CheckpointContext -----------------------------------------------------
-
-namespace {
-
-// "CKP1", little-endian.
-constexpr uint32_t kCkptManifestMagic = 0x31504b43u;
-// A manifest is identity fields + one fixed-width row per partition; a
-// body beyond this bound cannot be legitimate and is rejected before any
-// allocation trusts its size field.
-constexpr uint64_t kCkptManifestMaxBytes = 1ull << 24;
-
-}  // namespace
-
-const std::string& CheckpointDirFromEnv() {
-  static const std::string dir = [] {
-    const char* env = std::getenv("CC_CHECKPOINT_DIR");
-    return std::string(env != nullptr ? env : "");
-  }();
-  return dir;
-}
-
-CheckpointContext::CheckpointContext(std::string dir, uint64_t job_id,
-                                     uint64_t input_fingerprint,
-                                     SpillIoFactory factory)
-    : dir_(std::move(dir)),
-      job_id_(job_id),
-      input_fingerprint_(input_fingerprint),
-      factory_(std::move(factory)) {}
-
-Status CheckpointContext::Init() {
-  std::error_code ec;
-  std::filesystem::create_directories(dir_, ec);
-  if (ec) {
-    return Status::Internal("cannot create checkpoint dir " + dir_ + ": " +
-                            ec.message());
-  }
-  return Status::OK();
-}
-
-std::string CheckpointContext::DataPath(size_t task) const {
-  char name[64];
-  std::snprintf(name, sizeof(name), "/ckpt-%016llx-t%05llu.seg",
-                static_cast<unsigned long long>(job_id_),
-                static_cast<unsigned long long>(task));
-  return dir_ + name;
-}
-
-std::string CheckpointContext::ManifestPath(size_t task) const {
-  char name[64];
-  std::snprintf(name, sizeof(name), "/ckpt-%016llx-t%05llu.manifest",
-                static_cast<unsigned long long>(job_id_),
-                static_cast<unsigned long long>(task));
-  return dir_ + name;
-}
-
-std::unique_ptr<SpillIo> CheckpointContext::NewIo() const {
-  return factory_ ? factory_() : MakeDefaultSpillIo();
-}
-
-Status CheckpointContext::WriteManifest(
-    size_t task, const std::vector<SpillSegmentEntry>& entries,
-    uint64_t data_bytes) {
-  std::string body;
-  AppendU64(job_id_, &body);
-  AppendU64(input_fingerprint_, &body);
-  AppendU64(static_cast<uint64_t>(task), &body);
-  AppendU64(data_bytes, &body);
-  AppendU64(static_cast<uint64_t>(entries.size()), &body);
-  for (const SpillSegmentEntry& entry : entries) {
-    AppendU64(static_cast<uint64_t>(entry.partition), &body);
-    AppendU64(entry.offset, &body);
-    AppendU64(entry.length, &body);
-    AppendU64(entry.records, &body);
-  }
-  std::string frame;
-  AppendU32(kCkptManifestMagic, &frame);
-  AppendU32(static_cast<uint32_t>(body.size()), &frame);
-  AppendU32(FrameChecksum(body.data(), body.size()), &frame);
-  frame += body;
-
-  // Temp-write + rename: a crash mid-write can leave a torn temp file but
-  // never a valid-looking half manifest under the final name.
-  const std::string path = ManifestPath(task);
-  const std::string tmp = path + ".tmp";
-  std::unique_ptr<SpillIo> io = NewIo();
-  if (Status s = io->Open(tmp, /*for_write=*/true); !s.ok()) return s;
-  size_t written = 0;
-  Status status = Status::OK();
-  while (status.ok() && written < frame.size()) {
-    StatusOr<size_t> n = io->Write(frame.data() + written,
-                                   frame.size() - written);
-    if (!n.ok()) {
-      status = n.status();
-    } else if (*n == 0) {
-      status = Status::Internal("checkpoint manifest short write");
-    } else {
-      written += *n;
-    }
-  }
-  if (Status s = io->Close(); status.ok() && !s.ok()) status = s;
-  if (!status.ok()) {
-    RemoveSpillFile(tmp);
-    return status;
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    RemoveSpillFile(tmp);
-    return Status::Internal("checkpoint manifest rename failed: " +
-                            ec.message());
-  }
-  return Status::OK();
-}
-
-Status CheckpointContext::ReadManifest(size_t task,
-                                       std::vector<SpillSegmentEntry>* entries) {
-  entries->clear();
-  const std::string path = ManifestPath(task);
-  std::unique_ptr<SpillIo> io = NewIo();
-  if (Status s = io->Open(path, /*for_write=*/false); !s.ok()) return s;
-  Status status = Status::OK();
-  std::string frame;
-  {
-    char header[12];
-    StatusOr<size_t> n = IoReadFully(io.get(), header, sizeof(header));
-    if (!n.ok()) {
-      status = n.status();
-    } else if (*n != sizeof(header) ||
-               LoadU32(header) != kCkptManifestMagic) {
-      status = Status::Internal("checkpoint manifest header invalid");
-    } else {
-      const uint64_t body_size = LoadU32(header + 4);
-      const uint32_t checksum = LoadU32(header + 8);
-      if (body_size > kCkptManifestMaxBytes) {
-        status = Status::Internal("checkpoint manifest oversized");
-      } else {
-        frame.resize(body_size);
-        StatusOr<size_t> body = IoReadFully(io.get(), frame.data(), body_size);
-        if (!body.ok()) {
-          status = body.status();
-        } else if (*body != body_size ||
-                   FrameChecksum(frame.data(), frame.size()) != checksum) {
-          status = Status::Internal("checkpoint manifest checksum mismatch");
-        }
-      }
-    }
-  }
-  if (Status s = io->Close(); status.ok() && !s.ok()) status = s;
-  if (!status.ok()) return status;
-
-  // Identity + extent validation: everything must match exactly, and the
-  // segment file must be exactly the size the manifest sealed. Anything
-  // else means "a different job's checkpoint" or "torn/corrupt" — both
-  // invalid, both re-run.
-  if (frame.size() < 40) {
-    return Status::Internal("checkpoint manifest truncated");
-  }
-  const char* p = frame.data();
-  const uint64_t job_id = LoadU64(p);
-  const uint64_t fingerprint = LoadU64(p + 8);
-  const uint64_t task_index = LoadU64(p + 16);
-  const uint64_t data_bytes = LoadU64(p + 24);
-  const uint64_t entry_count = LoadU64(p + 32);
-  if (job_id != job_id_ || fingerprint != input_fingerprint_ ||
-      task_index != static_cast<uint64_t>(task)) {
-    return Status::Internal("checkpoint manifest identity mismatch");
-  }
-  if (entry_count > (frame.size() - 40) / 32 ||
-      frame.size() != 40 + entry_count * 32) {
-    return Status::Internal("checkpoint manifest truncated");
-  }
-  std::error_code ec;
-  const uint64_t actual_bytes = std::filesystem::file_size(DataPath(task), ec);
-  if (ec || actual_bytes != data_bytes) {
-    return Status::Internal("checkpoint segment size mismatch");
-  }
-  // Only extents the writer can produce are trusted: one non-empty run
-  // per partition, in increasing partition order, back to back after the
-  // segment header. Each record takes at least one byte of its run.
-  std::vector<SpillSegmentEntry> loaded;
-  loaded.reserve(entry_count);
-  uint64_t next_partition = 0;
-  uint64_t prev_end = kSpillHeaderBytes;
-  for (uint64_t i = 0; i < entry_count; ++i) {
-    const char* row = p + 40 + i * 32;
-    const uint64_t partition = LoadU64(row);
-    SpillSegmentEntry entry;
-    entry.offset = LoadU64(row + 8);
-    entry.length = LoadU64(row + 16);
-    entry.records = LoadU64(row + 24);
-    if (partition < next_partition ||
-        partition > std::numeric_limits<uint32_t>::max()) {
-      return Status::Internal("checkpoint manifest partitions out of order");
-    }
-    if (entry.offset < prev_end || entry.length > data_bytes ||
-        entry.offset > data_bytes - entry.length) {
-      return Status::Internal("checkpoint manifest extent out of range");
-    }
-    if (entry.records == 0 || entry.records > entry.length) {
-      return Status::Internal("checkpoint manifest record count invalid");
-    }
-    entry.partition = static_cast<uint32_t>(partition);
-    next_partition = partition + 1;
-    prev_end = entry.offset + entry.length;
-    loaded.push_back(entry);
-  }
-  *entries = std::move(loaded);
-  return Status::OK();
-}
-
-void CheckpointContext::Discard(size_t task) {
-  RemoveSpillFile(ManifestPath(task));
-  RemoveSpillFile(DataPath(task));
 }
 
 }  // namespace tsj

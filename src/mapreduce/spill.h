@@ -93,7 +93,6 @@
 #include <tuple>
 #include <type_traits>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -738,17 +737,18 @@ class SpillRunReader {
 
 // ---- Per-job spill state ---------------------------------------------------
 
-/// Shared by every producer and merge of one job (thread-safe). Owns the
-/// spill directory when it created one (removed, with every file it ever
-/// named, at destruction), the prefetch pool, and the
-/// spill counters JobStats reports; tracks per-file live-run counts so
-/// pre-merges can drop a consumed run without deleting a segment file
-/// that still backs other partitions' runs; and carries the job's
-/// peak-resident-records gauge: emitters Add on every emit and Sub on
-/// every flush, merges Add/Sub their active window, so `resident().peak()`
-/// is the in-memory high-water mark the budget bounds (slack: one merge
-/// window per concurrent reduce worker plus one record per producer, the
-/// flush trigger's overshoot).
+/// Shared by every producer and merge of one job (thread-safe). It is the
+/// one owner of every spill file the job writes: a file is removed when
+/// its last run is released, and at destruction every file it ever named
+/// goes, with the spill directory when it created one. It also owns the
+/// prefetch pool and the spill counters JobStats reports; tracks per-file
+/// live-run counts so pre-merges can drop a consumed run without deleting
+/// a segment file that still backs other partitions' runs; and carries
+/// the job's peak-resident-records gauge: emitters Add on every emit and
+/// Sub on every flush, merges Add/Sub their active window, so
+/// `resident().peak()` is the in-memory high-water mark the budget bounds
+/// (slack: one merge window per concurrent reduce worker plus one record
+/// per producer, the flush trigger's overshoot).
 class SpillContext {
  public:
   /// budget > 0 (records). `dir` empty = create an owned temp directory.
@@ -773,20 +773,12 @@ class SpillContext {
   std::unique_ptr<SpillIo> NewIo() const;
 
   /// Live-run refcounting for shared segment files: every run a writer
-  /// committed into `path` is registered; a merge that consumed a run
-  /// releases it, and the file is removed once its last run is released.
-  /// Releasing an unregistered path removes the file immediately.
+  /// committed into `path` is registered; a merge that consumed a run (or
+  /// an abandoned map attempt that wrote it) releases it, and the file is
+  /// removed once its last run is released. Releasing an unregistered
+  /// path removes the file immediately.
   void RegisterRuns(const std::string& path, uint64_t runs);
   void ReleaseRun(const std::string& path);
-
-  /// Like RegisterRuns, but marks `path` as *protected*: its runs flow
-  /// through the merge (and are Release'd) like scratch runs, yet the
-  /// file itself is never removed — not when its last run is released,
-  /// not at context teardown. Restored checkpoint segments are adopted
-  /// this way: their lifetime belongs to the checkpoint directory, not
-  /// to this (scratch) context, so a restart must survive the temp-dir
-  /// cleanup that removes everything else.
-  void RegisterProtectedRuns(const std::string& path, uint64_t runs);
 
   ShuffleGauge& resident() { return resident_; }
 
@@ -873,101 +865,6 @@ class SpillContext {
   Status data_loss_;
   std::vector<std::string> created_paths_;
   std::unordered_map<std::string, uint64_t> live_runs_;
-  std::unordered_set<std::string> protected_paths_;
-};
-
-// ---- Checkpoint/restart ----------------------------------------------------
-
-/// CC_CHECKPOINT_DIR (read once per process): when set, jobs whose
-/// options carry no explicit checkpoint_dir *write* checkpoints
-/// there but never restore from them — a blanket env override cannot
-/// prove two runs share a corpus, so env-driven checkpointing exercises
-/// the write path (CI) without risking a stale-checkpoint reuse. Restore
-/// requires an explicit MapReduceOptions::checkpoint_dir. Empty when
-/// unset.
-const std::string& CheckpointDirFromEnv();
-
-/// Per-(job, phase) checkpoint directory handle: path naming, manifest
-/// read/write/validation, and the checkpointed/skipped counters. The
-/// templated segment write/restore lives in mapreduce.h (it is typed over
-/// Key/Value); this class owns everything byte-level.
-///
-/// A checkpoint for task t is two files derived from the 64-bit job id
-/// (a hash of job name, phase tag, caller fingerprint, task count and
-/// partition count):
-///   <dir>/ckpt-<jobid>-tNNNNN.seg       v2 spill segment, one run per
-///                                       non-empty partition
-///   <dir>/ckpt-<jobid>-tNNNNN.manifest  checksummed extents frame
-///
-/// The manifest is written to a temp name and renamed into place, so a
-/// crash mid-write leaves either no manifest or a torn temp file — never
-/// a valid-looking half manifest. Validation (ReadManifest) re-checks the
-/// magic, the body checksum, every identity field, and the segment file's
-/// exact size, and that every extent is one the writer could have
-/// produced; any mismatch means the checkpoint is *invalid* and the caller
-/// must Discard() and re-run the task — a corrupt checkpoint is never
-/// trusted and never fatal.
-class CheckpointContext {
- public:
-  /// `factory` null = default FILE* io. Call Init() before use.
-  CheckpointContext(std::string dir, uint64_t job_id,
-                    uint64_t input_fingerprint, SpillIoFactory factory);
-
-  /// Creates the checkpoint directory (unlike SpillContext, never owned:
-  /// checkpoints must outlive the process).
-  Status Init();
-
-  const std::string& dir() const { return dir_; }
-  uint64_t job_id() const { return job_id_; }
-
-  std::string DataPath(size_t task) const;
-  std::string ManifestPath(size_t task) const;
-
-  /// A fresh SpillIo from the configured factory (or the default).
-  std::unique_ptr<SpillIo> NewIo() const;
-
-  /// Seals task `task`'s manifest: `entries` are the segment's per-
-  /// partition run extents, `data_bytes` the exact segment file size.
-  Status WriteManifest(size_t task, const std::vector<SpillSegmentEntry>& entries,
-                       uint64_t data_bytes);
-
-  /// Validates and loads task `task`'s manifest. Non-OK = the checkpoint
-  /// is missing or invalid (torn, corrupt, wrong job/fingerprint, segment
-  /// size mismatch, or an extent list the writer cannot produce: an
-  /// extent outside the segment's frames, a record count of 0 or beyond
-  /// the extent's bytes, partitions not strictly increasing, overlapping
-  /// extents); the caller must Discard() and re-run.
-  Status ReadManifest(size_t task, std::vector<SpillSegmentEntry>* entries);
-
-  /// Best-effort removal of task `task`'s checkpoint files.
-  void Discard(size_t task);
-
-  /// Bases of this phase's reserved "ckpt.write" / "ckpt.read" fault-key
-  /// ranges (FaultInjector::ReserveBlock; set by the engine right after
-  /// construction, before any task evaluates the sites).
-  uint64_t fault_write_base = 0;
-  uint64_t fault_read_base = 0;
-
-  void RecordCheckpointed() {
-    tasks_checkpointed_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void RecordSkipped() {
-    tasks_skipped_.fetch_add(1, std::memory_order_relaxed);
-  }
-  uint64_t tasks_checkpointed() const {
-    return tasks_checkpointed_.load(std::memory_order_relaxed);
-  }
-  uint64_t tasks_skipped() const {
-    return tasks_skipped_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::string dir_;
-  uint64_t job_id_;
-  uint64_t input_fingerprint_;
-  SpillIoFactory factory_;
-  std::atomic<uint64_t> tasks_checkpointed_{0};
-  std::atomic<uint64_t> tasks_skipped_{0};
 };
 
 }  // namespace tsj

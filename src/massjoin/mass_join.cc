@@ -1,7 +1,6 @@
 #include "massjoin/mass_join.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <span>
 #include <tuple>
@@ -50,20 +49,6 @@ std::vector<NldPair> MassJoinSelfNldImpl(
 
   MapReduceOptions mr_options = options.mapreduce;
   if (!options.enable_shuffle_spill) mr_options.memory_budget_records = 0;
-  // Checkpoint gating (same contract as the TSJ gate): strip the
-  // engine-level dir unless the join-level switch is on; derive a zero
-  // fingerprint from the token statistics and the threshold.
-  if (!options.enable_checkpointing) {
-    mr_options.checkpoint_dir.clear();
-  } else if (mr_options.checkpoint_fingerprint == 0) {
-    uint64_t fp = MixCheckpointFingerprint(0, tokens.size());
-    uint64_t total_bytes = 0;
-    for (const std::string& token : tokens) total_bytes += token.size();
-    fp = MixCheckpointFingerprint(fp, total_bytes);
-    fp = MixCheckpointFingerprint(fp, std::bit_cast<uint64_t>(threshold));
-    mr_options.checkpoint_fingerprint = fp;
-  }
-
   auto map_signatures = [&tokens, threshold](
                             const uint32_t& id,
                             PartitionedEmitter<SignatureKey, RoleValue>* out) {

@@ -48,15 +48,6 @@ struct MassJoinOptions {
   /// spill_data_loss entries appended to `stats` — TSJ checks the lossy
   /// class and fails its join on it.
   bool enable_shuffle_spill = false;
-  /// Checkpoint/restart (mapreduce.h "Checkpoint validity"; same
-  /// semantics as TsjOptions::enable_checkpointing): when enabled AND
-  /// mapreduce.checkpoint_dir is set, the fused job seals completed map
-  /// tasks under that directory and a restarted run over the same tokens
-  /// skips tasks whose checkpoint validates. A zero
-  /// mapreduce.checkpoint_fingerprint is derived from the token
-  /// statistics and the threshold. Off by default: the engine-level dir
-  /// is stripped unless this is set. TSJ forwards its own switch here.
-  bool enable_checkpointing = false;
 };
 
 /// Self-joins `tokens` under NLD <= threshold (0 <= threshold < 1) using

@@ -122,20 +122,6 @@ struct TsjOptions {
   /// peak-resident-records gauge that proves the budget held.
   bool enable_shuffle_spill = false;
 
-  /// Checkpoint/restart (mapreduce.h "Checkpoint validity"): when enabled
-  /// AND mapreduce.checkpoint_dir is set, every pipeline job seals
-  /// completed map tasks' outputs under that directory and a restarted
-  /// run over the same corpus skips tasks whose checkpoint validates —
-  /// byte-identical results, counted in TsjRunInfo::tasks_checkpointed /
-  /// tasks_skipped_by_checkpoint. When mapreduce.checkpoint_fingerprint
-  /// is 0 the run derives one from the corpus statistics and join
-  /// parameters, so a dir accidentally reused across different inputs
-  /// invalidates instead of corrupting. Off by default: the engine-level
-  /// dir is ignored (stripped) unless this is set, mirroring the
-  /// enable_shuffle_spill gate (the CC_CHECKPOINT_DIR env override is
-  /// engine-level, write-only, and bypasses this gate by design).
-  bool enable_checkpointing = false;
-
   /// MapReduce engine configuration shared by all pipeline jobs, the
   /// MassJoin sub-pipeline included: every job shuffles into
   /// mapreduce.num_partitions partitions (TsjRunInfo::shuffle_partitions).

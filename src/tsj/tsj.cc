@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <span>
 #include <utility>
 #include <vector>
@@ -270,31 +269,6 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
   // join-level switch is on (the CC_SHUFFLE_SPILL_BUDGET test override
   // is engine-level and bypasses this gate by design).
   if (!options.enable_shuffle_spill) mr_options.memory_budget_records = 0;
-  // Checkpoint gating mirrors spill gating. When armed and the caller
-  // supplied no fingerprint, derive one from the corpus statistics and
-  // the join parameters, so a restart restores checkpoints only when
-  // they were written for this exact input and configuration.
-  if (!options.enable_checkpointing) {
-    mr_options.checkpoint_dir.clear();
-  } else if (mr_options.checkpoint_fingerprint == 0) {
-    uint64_t fp = MixCheckpointFingerprint(0, corpus.size());
-    fp = MixCheckpointFingerprint(fp, corpus.num_distinct_tokens());
-    size_t total_token_occurrences = 0;
-    for (uint32_t s = 0; s < corpus.size(); ++s) {
-      total_token_occurrences += corpus.tokens(s).size();
-    }
-    fp = MixCheckpointFingerprint(fp, total_token_occurrences);
-    // The threshold's bits: every distinct T is a distinct fingerprint.
-    fp = MixCheckpointFingerprint(fp, std::bit_cast<uint64_t>(t));
-    fp = MixCheckpointFingerprint(fp, options.max_token_frequency);
-    // The length window and the sides shape the sealed expansion (map2)
-    // output: a self-join over R ++ P and an R x P run over (R, P) read
-    // the same corpus.
-    fp = MixCheckpointFingerprint(fp, options.enable_length_filter);
-    fp = MixCheckpointFingerprint(fp, sides.cross);
-    fp = MixCheckpointFingerprint(fp, sides.boundary);
-    mr_options.checkpoint_fingerprint = fp;
-  }
   const LengthWindow window{options.enable_length_filter, t};
   const BagFilter bags{corpus, t};
   auto length_of = [&corpus](uint32_t s) { return corpus.aggregate_length(s); };
@@ -356,7 +330,6 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
     MassJoinOptions mass_options;
     mass_options.mapreduce = mr_options;
     mass_options.enable_shuffle_spill = options.enable_shuffle_spill;
-    mass_options.enable_checkpointing = options.enable_checkpointing;
     const std::vector<NldPair> token_pairs =
         MassJoinSelfNld(token_texts, t, mass_options, &mass_stats);
     local_info.similar_token_pairs = token_pairs.size();
@@ -650,10 +623,6 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
   local_info.tasks_cancelled =
       local_info.pipeline.total_tasks_cancelled();
   local_info.tasks_degraded = local_info.pipeline.total_tasks_degraded();
-  local_info.tasks_checkpointed =
-      local_info.pipeline.total_tasks_checkpointed();
-  local_info.tasks_skipped_by_checkpoint =
-      local_info.pipeline.total_tasks_skipped_by_checkpoint();
   local_info.result_pairs = results.size();
   local_info.peak_shuffle_records = gauge.peak();
   // Lossy spill faults (failed run reads: a partition's merge aborted,

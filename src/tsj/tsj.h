@@ -159,13 +159,6 @@ struct TsjRunInfo {
   uint64_t task_retries = 0;
   uint64_t tasks_cancelled = 0;
   uint64_t tasks_degraded = 0;
-  /// Checkpoint/restart counters (the checkpoint contract in
-  /// mapreduce.h), summed across the run's jobs: map tasks whose output
-  /// was sealed under checkpoint_dir, and map tasks a restarted run
-  /// skipped by restoring a validated checkpoint. Both zero unless
-  /// TsjOptions::enable_checkpointing armed them.
-  uint64_t tasks_checkpointed = 0;
-  uint64_t tasks_skipped_by_checkpoint = 0;
   /// Pairs in the final result.
   uint64_t result_pairs = 0;
   /// Pipeline-wide high-water mark of shuffle-resident records: one

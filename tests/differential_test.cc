@@ -39,10 +39,10 @@
 //     hammers.
 
 #include <algorithm>
-#include <filesystem>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -818,9 +818,7 @@ TEST(DifferentialTest, FaultMatrixNeverCrashesHangsOrCorrupts) {
   //     retryable 'once' fault or a degraded write fault.
   // The injector is process-global; the sweep restores the CC_FAULT_SPEC
   // environment configuration when it finishes (or fails).
-  struct RestoreEnvSpec {
-    ~RestoreEnvSpec() { FaultInjector::Global().ConfigureFromEnv(); }
-  } restore;
+  testutil::RestoreFaultSpecFromEnv restore;
 
   Rng rng(70926072);
   const Corpus corpus = RandomJoinCorpus(&rng, 40, /*long_tokens=*/false);
@@ -835,10 +833,8 @@ TEST(DifferentialTest, FaultMatrixNeverCrashesHangsOrCorrupts) {
   ASSERT_TRUE(reference.ok());
   const PairNsldSet expected = ToPairNsldSet(*reference);
 
-  const std::vector<std::string> sites = {"task.map",   "task.reduce",
-                                          "alloc.shuffle", "spill.open",
-                                          "spill.write", "merge.read"};
-  for (const std::string& site : sites) {
+  for (const std::string_view site_name : kFaultSites) {
+    const std::string site(site_name);
     for (const std::string& mode : {std::string("once"),
                                     std::string("p0.05@seed1")}) {
       for (const size_t workers : {size_t{1}, size_t{4}}) {
@@ -905,57 +901,6 @@ TEST(DifferentialTest, FaultMatrixNeverCrashesHangsOrCorrupts) {
       }
     }
   }
-}
-
-TEST(DifferentialTest, CheckpointRestartOn10kRingIsByteIdentical) {
-  // The checkpoint/restart differential at acceptance scale: a fatal
-  // reduce fault aborts a checkpointing run over the 10k-account ring
-  // workload, and the restart over the same directory must skip at least
-  // one checkpointed map task while reproducing the byte-identical
-  // fault-free (pair, NSLD) set. The injector is process-global; restore
-  // the env configuration on every exit path.
-  struct RestoreEnvSpec {
-    ~RestoreEnvSpec() { FaultInjector::Global().ConfigureFromEnv(); }
-  } restore;
-
-  RingWorkloadOptions wopts;
-  wopts.num_accounts = 10000;
-  const RingWorkload workload = GenerateRingWorkload(wopts);
-
-  TsjOptions options;  // the paper's evaluation defaults (T=0.1, M=1000)
-  const std::string dir =
-      (std::filesystem::path(::testing::TempDir()) / "ckpt-10k-ring")
-          .string();
-  std::filesystem::remove_all(dir);
-
-  ASSERT_TRUE(FaultInjector::Global().Configure("").ok());
-  const auto reference =
-      TokenizedStringJoiner(options).SelfJoin(workload.corpus);
-  ASSERT_TRUE(reference.ok());
-  const PairNsldSet expected = ToPairNsldSet(*reference);
-
-  TsjOptions ckpt = options;
-  ckpt.enable_checkpointing = true;
-  ckpt.mapreduce.checkpoint_dir = dir;
-  ckpt.mapreduce.max_task_retries = 0;
-
-  ASSERT_TRUE(
-      FaultInjector::Global().Configure("task.reduce=once").ok());
-  TsjRunInfo aborted_info;
-  const auto aborted =
-      TokenizedStringJoiner(ckpt).SelfJoin(workload.corpus, &aborted_info);
-  EXPECT_FALSE(aborted.ok());
-  EXPECT_GE(aborted_info.tasks_checkpointed, 1u);
-
-  ASSERT_TRUE(FaultInjector::Global().Configure("").ok());
-  TsjRunInfo restarted_info;
-  const auto restarted =
-      TokenizedStringJoiner(ckpt).SelfJoin(workload.corpus,
-                                           &restarted_info);
-  ASSERT_TRUE(restarted.ok()) << restarted.status().ToString();
-  EXPECT_EQ(ToPairNsldSet(*restarted), expected);
-  EXPECT_GE(restarted_info.tasks_skipped_by_checkpoint, 1u);
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

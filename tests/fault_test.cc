@@ -53,9 +53,12 @@ TEST_F(FaultTest, EmptySpecDisarms) {
 TEST_F(FaultTest, MalformedSpecsAreRejectedAndLeaveConfigInPlace) {
   ASSERT_TRUE(Arm("task.map=once").ok());
   for (const char* bad :
-       {"noequals", "=once", "x=", "x=maybe", "x=once@0", "x=once@x",
-        "x=every@0", "x=every@", "x=p1.5", "x=p-0.1", "x=p",
-        "x=p0.5@seedz", "x=pnan", "x=p-nan", "x=once;x=every@2"}) {
+       {"noequals", "=once", "task.map=", "task.map=maybe",
+        "task.map=once@0", "task.map=once@x", "task.map=every@0",
+        "task.map=every@", "task.map=p1.5", "task.map=p-0.1", "task.map=p",
+        "task.map=p0.5@seedz", "task.map=pnan", "task.map=p-nan",
+        "task.map=once;task.map=every@2", "task.mpa=once",
+        "ckpt.write=once"}) {
     Status s = Arm(bad);
     EXPECT_FALSE(s.ok()) << "spec '" << bad << "' should be rejected";
     EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
@@ -66,44 +69,46 @@ TEST_F(FaultTest, MalformedSpecsAreRejectedAndLeaveConfigInPlace) {
 }
 
 TEST_F(FaultTest, MultiEntrySpecArmsEverySite) {
-  ASSERT_TRUE(Arm("a.x=once;b.y=every@2;c.z=p1.0").ok());
-  EXPECT_FALSE(FAULT_POINT("a.x").ok());
-  EXPECT_TRUE(FAULT_POINT("a.x").ok());   // once: only the first fires
-  EXPECT_TRUE(FAULT_POINT("b.y").ok());   // every@2: k=1 passes
-  EXPECT_FALSE(FAULT_POINT("b.y").ok());  // k=2 fires
-  EXPECT_FALSE(FAULT_POINT("c.z").ok());  // p=1: always fires
+  ASSERT_TRUE(Arm("task.map=once;task.reduce=every@2;spill.write=p1.0").ok());
+  EXPECT_FALSE(FAULT_POINT("task.map").ok());
+  EXPECT_TRUE(FAULT_POINT("task.map").ok());      // once: only the first
+  EXPECT_TRUE(FAULT_POINT("task.reduce").ok());   // every@2: k=1 passes
+  EXPECT_FALSE(FAULT_POINT("task.reduce").ok());  // k=2 fires
+  EXPECT_FALSE(FAULT_POINT("spill.write").ok());  // p=1: always fires
   EXPECT_TRUE(FAULT_POINT("unarmed.site").ok());
   EXPECT_EQ(FaultInjector::Global().total_fired(), 3u);
 }
 
 TEST_F(FaultTest, OnceAtNFiresExactlyTheNthEvaluation) {
-  ASSERT_TRUE(Arm("s=once@4").ok());
+  ASSERT_TRUE(Arm("task.map=once@4").ok());
   for (uint64_t k = 1; k <= 10; ++k) {
-    EXPECT_EQ(FAULT_POINT("s").ok(), k != 4) << "k=" << k;
+    EXPECT_EQ(FAULT_POINT("task.map").ok(), k != 4) << "k=" << k;
   }
-  EXPECT_EQ(FaultInjector::Global().fired("s"), 1u);
-  EXPECT_EQ(FaultInjector::Global().evaluations("s"), 10u);
+  EXPECT_EQ(FaultInjector::Global().fired("task.map"), 1u);
+  EXPECT_EQ(FaultInjector::Global().evaluations("task.map"), 10u);
 }
 
 TEST_F(FaultTest, EveryAtNFiresEveryNth) {
-  ASSERT_TRUE(Arm("s=every@3").ok());
+  ASSERT_TRUE(Arm("task.map=every@3").ok());
   uint64_t fired = 0;
   for (uint64_t k = 1; k <= 12; ++k) {
-    if (!FAULT_POINT("s").ok()) ++fired;
+    if (!FAULT_POINT("task.map").ok()) ++fired;
   }
   EXPECT_EQ(fired, 4u);
-  EXPECT_EQ(FaultInjector::Global().fired("s"), 4u);
+  EXPECT_EQ(FaultInjector::Global().fired("task.map"), 4u);
 }
 
 TEST_F(FaultTest, ProbabilityScheduleIsAPureFunctionOfSeedAndIndex) {
   auto schedule = [&](const std::string& spec) {
     EXPECT_TRUE(Arm(spec).ok());
     std::vector<bool> fires;
-    for (int k = 0; k < 300; ++k) fires.push_back(!FAULT_POINT("s").ok());
+    for (int k = 0; k < 300; ++k) {
+      fires.push_back(!FAULT_POINT("task.map").ok());
+    }
     return fires;
   };
-  const std::vector<bool> first = schedule("s=p0.3@seed7");
-  const std::vector<bool> replay = schedule("s=p0.3@seed7");
+  const std::vector<bool> first = schedule("task.map=p0.3@seed7");
+  const std::vector<bool> replay = schedule("task.map=p0.3@seed7");
   EXPECT_EQ(first, replay);  // same spec -> identical schedule
   const size_t hits =
       static_cast<size_t>(std::count(first.begin(), first.end(), true));
@@ -111,7 +116,7 @@ TEST_F(FaultTest, ProbabilityScheduleIsAPureFunctionOfSeedAndIndex) {
   EXPECT_LT(hits, 160u);
   // A different seed produces a different schedule (with p=0.3 over 300
   // draws, collision odds are astronomically small).
-  EXPECT_NE(schedule("s=p0.3@seed8"), first);
+  EXPECT_NE(schedule("task.map=p0.3@seed8"), first);
 }
 
 TEST_F(FaultTest, AllocSitesModelMemoryPressureOthersUnavailability) {
@@ -126,12 +131,12 @@ TEST_F(FaultTest, AllocSitesModelMemoryPressureOthersUnavailability) {
 }
 
 TEST_F(FaultTest, ConfigureResetsCounters) {
-  ASSERT_TRUE(Arm("s=every@1").ok());
-  for (int i = 0; i < 5; ++i) (void)FAULT_POINT("s");
-  EXPECT_EQ(FaultInjector::Global().fired("s"), 5u);
-  ASSERT_TRUE(Arm("s=every@1").ok());
-  EXPECT_EQ(FaultInjector::Global().fired("s"), 0u);
-  EXPECT_EQ(FaultInjector::Global().evaluations("s"), 0u);
+  ASSERT_TRUE(Arm("task.map=every@1").ok());
+  for (int i = 0; i < 5; ++i) (void)FAULT_POINT("task.map");
+  EXPECT_EQ(FaultInjector::Global().fired("task.map"), 5u);
+  ASSERT_TRUE(Arm("task.map=every@1").ok());
+  EXPECT_EQ(FaultInjector::Global().fired("task.map"), 0u);
+  EXPECT_EQ(FaultInjector::Global().evaluations("task.map"), 0u);
 }
 
 TEST_F(FaultTest, KeyedEvaluationDecidesFromTheKeyNotTheOrder) {
@@ -143,10 +148,10 @@ TEST_F(FaultTest, KeyedEvaluationDecidesFromTheKeyNotTheOrder) {
   // task must use distinct keys.
   const std::vector<uint64_t> keys = {9, 2, 5, 7, 1, 3, 5, 8};
   auto fired_set = [&](std::vector<uint64_t> order) {
-    EXPECT_TRUE(Arm("s=once@5").ok());
+    EXPECT_TRUE(Arm("task.map=once@5").ok());
     std::vector<uint64_t> fired;
     for (uint64_t k : order) {
-      if (!FAULT_POINT_AT("s", k).ok()) fired.push_back(k);
+      if (!FAULT_POINT_AT("task.map", k).ok()) fired.push_back(k);
     }
     std::sort(fired.begin(), fired.end());
     return fired;
@@ -156,26 +161,26 @@ TEST_F(FaultTest, KeyedEvaluationDecidesFromTheKeyNotTheOrder) {
   std::vector<uint64_t> reversed(keys.rbegin(), keys.rend());
   EXPECT_EQ(fired_set(reversed), expected);
   // The counter keeps counting for observability but no longer decides.
-  EXPECT_EQ(FaultInjector::Global().evaluations("s"), keys.size());
+  EXPECT_EQ(FaultInjector::Global().evaluations("task.map"), keys.size());
 }
 
 TEST_F(FaultTest, KeyedProbabilityScheduleSurvivesThreadedInterleaving) {
   // The per-key decisions of a probability spec must be identical whether
   // the keys are evaluated serially or raced across threads — the
   // counter-indexed path can't promise that, the keyed path must.
-  ASSERT_TRUE(Arm("s=p0.3@seed11").ok());
+  ASSERT_TRUE(Arm("task.map=p0.3@seed11").ok());
   constexpr uint64_t kKeys = 256;
   std::vector<char> serial(kKeys + 1, 0);
   for (uint64_t k = 1; k <= kKeys; ++k) {
-    serial[k] = FAULT_POINT_AT("s", k).ok() ? 0 : 1;
+    serial[k] = FAULT_POINT_AT("task.map", k).ok() ? 0 : 1;
   }
-  ASSERT_TRUE(Arm("s=p0.3@seed11").ok());
+  ASSERT_TRUE(Arm("task.map=p0.3@seed11").ok());
   std::vector<char> threaded(kKeys + 1, 0);
   {
     ThreadPool pool(8);
     for (uint64_t k = 1; k <= kKeys; ++k) {
       pool.Submit([k, &threaded] {
-        threaded[k] = FAULT_POINT_AT("s", k).ok() ? 0 : 1;
+        threaded[k] = FAULT_POINT_AT("task.map", k).ok() ? 0 : 1;
       });
     }
     pool.Wait();
@@ -184,17 +189,17 @@ TEST_F(FaultTest, KeyedProbabilityScheduleSurvivesThreadedInterleaving) {
 }
 
 TEST_F(FaultTest, ReserveBlockClaimsDisjointRangesAndResets) {
-  ASSERT_TRUE(Arm("s=once@12").ok());
+  ASSERT_TRUE(Arm("task.map=once@12").ok());
   FaultInjector& injector = FaultInjector::Global();
   // Sequential reservations claim contiguous, disjoint ranges.
-  EXPECT_EQ(injector.ReserveBlock("s", 10), 0u);
-  EXPECT_EQ(injector.ReserveBlock("s", 5), 10u);
-  EXPECT_EQ(injector.ReserveBlock("s", 1), 15u);
+  EXPECT_EQ(injector.ReserveBlock("task.map", 10), 0u);
+  EXPECT_EQ(injector.ReserveBlock("task.map", 5), 10u);
+  EXPECT_EQ(injector.ReserveBlock("task.map", 1), 15u);
   // Unknown (disarmed) sites share the harmless zero base.
   EXPECT_EQ(injector.ReserveBlock("unarmed.site", 10), 0u);
   // Configure resets reservations like the counters.
-  ASSERT_TRUE(Arm("s=once@12").ok());
-  EXPECT_EQ(injector.ReserveBlock("s", 4), 0u);
+  ASSERT_TRUE(Arm("task.map=once@12").ok());
+  EXPECT_EQ(injector.ReserveBlock("task.map", 4), 0u);
 }
 
 TEST_F(FaultTest, OncePerProcessAcrossReservedPhases) {
@@ -202,13 +207,13 @@ TEST_F(FaultTest, OncePerProcessAcrossReservedPhases) {
   // the engines: once@12 fires in the second phase (task index 1), and
   // ONLY there — once per process, not once per phase, the regression
   // the reservation scheme exists to prevent.
-  ASSERT_TRUE(Arm("s=once@12").ok());
+  ASSERT_TRUE(Arm("task.map=once@12").ok());
   FaultInjector& injector = FaultInjector::Global();
   std::vector<std::pair<int, uint64_t>> fired;  // (phase, task)
   for (int phase = 0; phase < 3; ++phase) {
-    const uint64_t base = injector.ReserveBlock("s", 10);
+    const uint64_t base = injector.ReserveBlock("task.map", 10);
     for (uint64_t task = 0; task < 10; ++task) {
-      if (!FAULT_POINT_AT("s", base + task + 1).ok()) {
+      if (!FAULT_POINT_AT("task.map", base + task + 1).ok()) {
         fired.emplace_back(phase, task);
       }
     }
@@ -365,6 +370,49 @@ TEST_F(FaultTest, ThrowingMapperBecomesInternalStatusNotTermination) {
   ASSERT_FALSE(stats.status.ok());
   EXPECT_EQ(stats.status.code(), StatusCode::kInternal);
   EXPECT_NE(stats.status.message().find("mapper exploded"), std::string::npos);
+}
+
+TEST_F(FaultTest, MapAttemptStopsAtItsNextRecordAfterAnAbort) {
+  // 2,000 inputs over 2 workers make 8 map tasks of 250 records. Task 0's
+  // mapper throws on record 0, which is fatal, but only once task 1 is
+  // running, so task 1 cannot bail at its start check instead. Task 1
+  // waits at its first record (250) until that throw has happened, then
+  // sleeps long enough for the abort to trip the job token. The map
+  // loop's per-record poll must stop task 1 there: its mapper runs for 1
+  // of its 250 records.
+  MapReduceOptions options;
+  options.num_workers = 2;
+  options.max_task_retries = 0;
+  std::atomic<bool> task1_running{false};
+  std::atomic<bool> thrown{false};
+  std::atomic<int> task1_mapped{0};
+  std::vector<int> inputs(2000);
+  for (int i = 0; i < 2000; ++i) inputs[i] = i;
+  JobStats stats;
+  auto result = RunMapReduceSorted<int, int, int, std::pair<int, int>>(
+      "fault-aborted-map", inputs,
+      [&](const int& v, PartitionedEmitter<int, int>* out) {
+        if (v == 0) {
+          while (!task1_running.load()) std::this_thread::yield();
+          thrown.store(true);
+          throw std::runtime_error("map task 0 failed");
+        }
+        if (v >= 250 && v < 500) task1_mapped.fetch_add(1);
+        if (v == 250) {
+          task1_running.store(true);
+          while (!thrown.load()) std::this_thread::yield();
+          std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        }
+        out->Emit(v % 13, v);
+      },
+      [](const int& key, std::span<int> values,
+         std::vector<std::pair<int, int>>* out) {
+        out->emplace_back(key, static_cast<int>(values.size()));
+      },
+      options, &stats);
+  EXPECT_TRUE(result.empty());
+  EXPECT_EQ(stats.status.code(), StatusCode::kInternal);
+  EXPECT_EQ(task1_mapped.load(), 1);
 }
 
 TEST_F(FaultTest, BadAllocInMapperIsRetriedWithEmitterReset) {

@@ -2,9 +2,11 @@
 
 #include <limits>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/fault.h"
 #include "common/random.h"
 #include "eval/join_metrics.h"
 #include "gtest/gtest.h"
@@ -101,6 +103,32 @@ TEST(HmjTest, WorkLimitTriggersDnf) {
   const auto result = HybridMetricJoiner(options).SelfJoin(corpus, &info);
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(info.completed);
+}
+
+TEST(HmjTest, FatalTaskFaultFailsTheJoinWithItsRootCause) {
+  // With no retries, one injected reduce fault aborts its job. The join
+  // must fail with that root cause instead of returning the pairs the
+  // other job found; disarmed, the same options join completely.
+  testutil::RestoreFaultSpecFromEnv restore;
+  Rng rng(85);
+  const Corpus corpus = MakeCorpus(&rng, 60);
+  HmjOptions options;
+  options.threshold = 0.15;
+  options.num_partitions = 8;
+  options.mapreduce.max_task_retries = 0;
+
+  ASSERT_TRUE(FaultInjector::Global().Configure("task.reduce=once").ok());
+  const auto aborted = HybridMetricJoiner(options).SelfJoin(corpus);
+  ASSERT_FALSE(aborted.ok());
+  EXPECT_EQ(aborted.status().code(), StatusCode::kUnavailable);
+  EXPECT_NE(aborted.status().message().find("task.reduce"),
+            std::string::npos)
+      << aborted.status().ToString();
+
+  ASSERT_TRUE(FaultInjector::Global().Configure("").ok());
+  const auto joined = HybridMetricJoiner(options).SelfJoin(corpus);
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  EXPECT_EQ(ToSet(*joined), ToSet(BruteForceNsldSelfJoin(corpus, 0.15)));
 }
 
 TEST(HmjTest, PivotFilterSkipsComputations) {

@@ -827,146 +827,6 @@ TEST(SpillContextTest, SegmentFilesLiveUntilTheirLastRunIsReleased) {
   EXPECT_FALSE(std::filesystem::exists(path));
 }
 
-TEST(SpillContextTest, ProtectedCheckpointRunsSurviveReleaseAndTeardown) {
-  // A restored checkpoint segment flows through the merge like any spill
-  // run, but its file belongs to the checkpoint dir: releasing its last
-  // run — or tearing the whole context down — must never delete it,
-  // or a job restored from a checkpoint would destroy the very artifact
-  // the NEXT restart needs.
-  const std::string dir = TempPath("protected-ctx-dir");
-  std::string path;
-  {
-    SpillContext context(8, dir, nullptr);
-    ASSERT_TRUE(context.Init().ok());
-    path = context.NewRunPath();
-    SpillRunWriter<std::string, int> writer(context.NewIo());
-    ASSERT_TRUE(writer.Open(path).ok());
-    writer.BeginRun(0);
-    ASSERT_TRUE(writer.Append({"a", 1}).ok());
-    ASSERT_TRUE(writer.EndRun(nullptr).ok());
-    writer.BeginRun(1);
-    ASSERT_TRUE(writer.Append({"b", 2}).ok());
-    ASSERT_TRUE(writer.EndRun(nullptr).ok());
-    ASSERT_TRUE(writer.Finish().ok());
-    context.RegisterProtectedRuns(path, 2);
-    context.ReleaseRun(path);
-    EXPECT_TRUE(std::filesystem::exists(path));
-    context.ReleaseRun(path);  // last run gone, file still protected
-    EXPECT_TRUE(std::filesystem::exists(path));
-  }
-  // Context teardown removed its scratch files but not the protected one.
-  EXPECT_TRUE(std::filesystem::exists(path));
-  std::filesystem::remove_all(dir);
-}
-
-TEST(CheckpointManifestTest, RoundTripValidatesCorruptionAndIdentity) {
-  const std::string dir = TempPath("ckpt-manifest-dir");
-  CheckpointContext ckpt(dir, /*job_id=*/0x0123456789abcdefULL,
-                         /*input_fingerprint=*/42, /*factory=*/nullptr);
-  ASSERT_TRUE(ckpt.Init().ok());
-  const size_t task = 3;
-  std::vector<SpillSegmentEntry> entries;
-  uint64_t data_bytes = 0;
-  {
-    SpillRunWriter<std::string, int> writer(ckpt.NewIo());
-    ASSERT_TRUE(writer.Open(ckpt.DataPath(task)).ok());
-    writer.BeginRun(0);
-    ASSERT_TRUE(writer.Append({"alpha", 1}).ok());
-    ASSERT_TRUE(writer.Append({"beta", 2}).ok());
-    SpillRunRef run0;
-    ASSERT_TRUE(writer.EndRun(&run0).ok());
-    entries.push_back({0, run0.offset, run0.length, run0.records});
-    writer.BeginRun(2);
-    ASSERT_TRUE(writer.Append({"gamma", 3}).ok());
-    SpillRunRef run2;
-    ASSERT_TRUE(writer.EndRun(&run2).ok());
-    entries.push_back({2, run2.offset, run2.length, run2.records});
-    ASSERT_TRUE(writer.Finish().ok());
-    data_bytes = writer.bytes_written();
-  }
-  ASSERT_TRUE(ckpt.WriteManifest(task, entries, data_bytes).ok());
-
-  // Round trip: every extent field survives byte-identically.
-  std::vector<SpillSegmentEntry> loaded;
-  ASSERT_TRUE(ckpt.ReadManifest(task, &loaded).ok());
-  ASSERT_EQ(loaded.size(), entries.size());
-  for (size_t i = 0; i < entries.size(); ++i) {
-    EXPECT_EQ(loaded[i].partition, entries[i].partition);
-    EXPECT_EQ(loaded[i].offset, entries[i].offset);
-    EXPECT_EQ(loaded[i].length, entries[i].length);
-    EXPECT_EQ(loaded[i].records, entries[i].records);
-  }
-
-  // Checksum-valid manifests whose extents the writer can never produce
-  // are invalid too: each one, restored, would replay a wrong record set
-  // or fail the task fatally instead of re-running it.
-  {
-    const SpillSegmentEntry& e0 = entries[0];
-    const std::vector<std::pair<const char*, std::vector<SpillSegmentEntry>>>
-        crafted = {
-            // Read as "the whole file", every record of the segment
-            // would land in partition 0.
-            {"whole-file sentinel", {{0, 0, 0, 3}}},
-            {"extent inside the header", {{0, 4, e0.length, e0.records}}},
-            {"wrapping extent",
-             {{0, e0.offset, ~uint64_t{0} - e0.offset + 5, e0.records}}},
-            {"absurd record count",
-             {{0, e0.offset, e0.length, uint64_t{1} << 62}}},
-            {"partition listed twice", {e0, e0}},
-        };
-    for (const auto& [name, bad] : crafted) {
-      ASSERT_TRUE(ckpt.WriteManifest(task, bad, data_bytes).ok()) << name;
-      std::vector<SpillSegmentEntry> rejected;
-      EXPECT_FALSE(ckpt.ReadManifest(task, &rejected).ok()) << name;
-      EXPECT_TRUE(rejected.empty()) << name;
-    }
-    ASSERT_TRUE(ckpt.WriteManifest(task, entries, data_bytes).ok());
-    ASSERT_TRUE(ckpt.ReadManifest(task, &loaded).ok());
-  }
-
-  // A run with a different input fingerprint must reject the checkpoint:
-  // same dir, same job id, different corpus.
-  CheckpointContext other(dir, 0x0123456789abcdefULL, 43, nullptr);
-  ASSERT_TRUE(other.Init().ok());
-  std::vector<SpillSegmentEntry> ignored;
-  EXPECT_FALSE(other.ReadManifest(task, &ignored).ok());
-
-  // A single flipped bit anywhere in the manifest invalidates it
-  // (checksummed body) — corrupt checkpoints are never trusted.
-  const std::string manifest_path = ckpt.ManifestPath(task);
-  {
-    std::string bytes;
-    {
-      std::ifstream in(manifest_path, std::ios::binary);
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      bytes = buf.str();
-    }
-    ASSERT_FALSE(bytes.empty());
-    std::string corrupt = bytes;
-    corrupt[corrupt.size() / 2] ^= 0x40;
-    {
-      std::ofstream out(manifest_path, std::ios::binary | std::ios::trunc);
-      out << corrupt;
-    }
-    EXPECT_FALSE(ckpt.ReadManifest(task, &ignored).ok());
-    std::ofstream out(manifest_path, std::ios::binary | std::ios::trunc);
-    out << bytes;  // restore
-  }
-  ASSERT_TRUE(ckpt.ReadManifest(task, &ignored).ok());
-
-  // A truncated segment file fails the exact-size identity check.
-  std::filesystem::resize_file(ckpt.DataPath(task), data_bytes - 1);
-  EXPECT_FALSE(ckpt.ReadManifest(task, &ignored).ok());
-
-  // Discard removes both files; a missing manifest is invalid, not fatal.
-  ckpt.Discard(task);
-  EXPECT_FALSE(std::filesystem::exists(manifest_path));
-  EXPECT_FALSE(std::filesystem::exists(ckpt.DataPath(task)));
-  EXPECT_FALSE(ckpt.ReadManifest(task, &ignored).ok());
-  std::filesystem::remove_all(dir);
-}
-
 TEST(SpillContextTest, FirstErrorIsSticky) {
   SpillContext context(8, "", nullptr);
   ASSERT_TRUE(context.Init().ok());

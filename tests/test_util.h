@@ -1,6 +1,7 @@
 // Shared helpers for the test suite: random string/token generation over a
 // small alphabet (so that collisions and near-misses are common enough to
-// exercise boundary behaviour), and brute-force reference joins.
+// exercise boundary behaviour), brute-force reference joins, and a guard
+// for tests that arm the process-global fault injector.
 
 #ifndef TSJ_TESTS_TEST_UTIL_H_
 #define TSJ_TESTS_TEST_UTIL_H_
@@ -9,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fault.h"
 #include "common/random.h"
 #include "tokenized/corpus.h"
 #include "tokenized/sld.h"
@@ -152,6 +154,13 @@ inline std::vector<TsjPair> BruteForceRP(const Corpus& r, const Corpus& p,
   }
   return pairs;
 }
+
+/// Re-arms the fault injector from CC_FAULT_SPEC when it goes out of scope,
+/// so a test that calls FaultInjector::Configure cannot leave its spec
+/// armed for the rest of the binary, even when an assertion returns early.
+struct RestoreFaultSpecFromEnv {
+  ~RestoreFaultSpecFromEnv() { FaultInjector::Global().ConfigureFromEnv(); }
+};
 
 }  // namespace testutil
 }  // namespace tsj

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fault.h"
 #include "common/random.h"
 #include "eval/join_metrics.h"
 #include "gtest/gtest.h"
@@ -453,6 +454,30 @@ TEST(TsjTest, RunInfoCountersAreConsistent) {
   EXPECT_GE(info.verified_candidates, info.result_pairs);
   EXPECT_GT(info.shared_token_candidates + info.similar_token_candidates,
             0u);
+}
+
+TEST(TsjTest, FatalTaskFaultFailsTheJoinWithItsRootCause) {
+  // With no retries, one injected reduce fault aborts its job. The join
+  // must fail with that root cause instead of returning the pairs the
+  // other jobs found; disarmed, the same options join completely.
+  testutil::RestoreFaultSpecFromEnv restore;
+  Rng rng(4545);
+  const Corpus corpus = MakeCorpus(&rng, 60);
+  TsjOptions options = Lossless(0.15);
+  options.mapreduce.max_task_retries = 0;
+
+  ASSERT_TRUE(FaultInjector::Global().Configure("task.reduce=once").ok());
+  const auto aborted = TokenizedStringJoiner(options).SelfJoin(corpus);
+  ASSERT_FALSE(aborted.ok());
+  EXPECT_EQ(aborted.status().code(), StatusCode::kUnavailable);
+  EXPECT_NE(aborted.status().message().find("task.reduce"),
+            std::string::npos)
+      << aborted.status().ToString();
+
+  ASSERT_TRUE(FaultInjector::Global().Configure("").ok());
+  const auto joined = TokenizedStringJoiner(options).SelfJoin(corpus);
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  EXPECT_EQ(ToSet(*joined), ToSet(BruteForceNsldSelfJoin(corpus, 0.15)));
 }
 
 TEST(TsjTest, L1VerifyCacheToggleIsLossless) {
