@@ -4,11 +4,11 @@
 // The paper sweeps T from 0.025 to 0.225 and compares fuzzy-token-matching
 // (exact Hungarian verification + MassJoin candidates), greedy-token-
 // aligning (mean saving 13%, growing with T) and exact-token-matching
-// (mean saving 60%, runtime nearly flat in T). Simulated cluster times are
-// reported at the paper's default 1,000 machines.
+// (mean saving 60%, runtime nearly flat in T). This harness times each
+// configuration at the default worker count and reports its verify work
+// units beside the time (bench::MatchingSweep).
 
 #include <iostream>
-#include <vector>
 
 #include "bench_common.h"
 #include "eval/table_printer.h"
@@ -17,76 +17,23 @@
 namespace tsj {
 namespace {
 
-// Runs one configuration and returns its simulated cluster time. Costs
-// are deterministic work units (mapreduce/work_units.h), so one run
-// suffices; `repetitions` (minimum kept) remains for wall-time studies.
-double RunConfig(const Corpus& corpus, double threshold,
-                 TokenMatching matching, TokenAligning aligning,
-                 uint64_t machines, const ClusterModelParams& params,
-                 int repetitions = 1) {
-  TsjOptions options;
-  options.threshold = threshold;
-  options.max_token_frequency = 1000;
-  options.matching = matching;
-  options.aligning = aligning;
-  double best = -1;
-  for (int rep = 0; rep < repetitions; ++rep) {
-    TsjRunInfo info;
-    const auto result =
-        TokenizedStringJoiner(options).SelfJoin(corpus, &info);
-    if (!result.ok()) return -1;
-    const double simulated =
-        SimulatePipelineSeconds(info.pipeline, machines, params);
-    if (best < 0 || simulated < best) best = simulated;
-  }
-  return best;
-}
-
 void Run() {
   bench::PrintHeader("Fig. 2", "TSJ runtime vs. NSLD threshold T");
+  bench::PrintHost();
   const auto workload =
       GenerateRingWorkload(bench::DefaultWorkload(bench::Scaled(20000)));
-  const auto params = bench::DefaultClusterParams();
-  // Simulated at 200 machines: with the scaled-down corpus, higher machine
-  // counts leave single reduce groups as the makespan, whose measured-time
-  // jitter would drown the series (the paper's 44M-name runs do not have
-  // this problem; see EXPERIMENTS.md).
-  const uint64_t machines = 200;
-  std::cout << "accounts=" << workload.corpus.size() << " M=1000 machines="
-            << machines << "\n\n";
+  TsjOptions options;
+  options.max_token_frequency = 1000;
+  std::cout << "accounts=" << workload.corpus.size()
+            << " M=" << options.max_token_frequency
+            << " workers=" << options.mapreduce.effective_workers() << "\n\n";
 
-
-  TablePrinter table({"T", "fuzzy (s)", "greedy (s)", "exact-token (s)",
-                      "greedy saving", "exact saving"});
-  double greedy_saving_sum = 0, exact_saving_sum = 0;
-  int rows = 0;
+  bench::MatchingSweep sweep("T");
   for (double t = 0.025; t <= 0.2251; t += 0.025) {
-    const double fuzzy =
-        RunConfig(workload.corpus, t, TokenMatching::kFuzzy,
-                  TokenAligning::kExact, machines, params);
-    const double greedy =
-        RunConfig(workload.corpus, t, TokenMatching::kFuzzy,
-                  TokenAligning::kGreedy, machines, params);
-    const double exact_token =
-        RunConfig(workload.corpus, t, TokenMatching::kExact,
-                  TokenAligning::kExact, machines, params);
-    const double greedy_saving = 100.0 * (fuzzy - greedy) / fuzzy;
-    const double exact_saving = 100.0 * (fuzzy - exact_token) / fuzzy;
-    greedy_saving_sum += greedy_saving;
-    exact_saving_sum += exact_saving;
-    ++rows;
-    table.AddRow({TablePrinter::Fmt(t, 3), TablePrinter::Fmt(fuzzy, 1),
-                  TablePrinter::Fmt(greedy, 1),
-                  TablePrinter::Fmt(exact_token, 1),
-                  TablePrinter::Fmt(greedy_saving, 1) + "%",
-                  TablePrinter::Fmt(exact_saving, 1) + "%"});
+    options.threshold = t;
+    sweep.AddRow(workload.corpus, TablePrinter::Fmt(t, 3), options);
   }
-  table.Print(std::cout);
-  std::cout << "\nmean saving vs fuzzy: greedy "
-            << TablePrinter::Fmt(greedy_saving_sum / rows, 1)
-            << "% (paper: 13%), exact-token "
-            << TablePrinter::Fmt(exact_saving_sum / rows, 1)
-            << "% (paper: 60%)\n";
+  sweep.Print("13%", "60%");
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 //
 // The paper sweeps M from 100 to 1,000 at T = 0.1; greedy-token-aligning
 // saves ~9% over fuzzy-token-matching and exact-token-matching ~33%, with
-// savings fairly stable across M.
+// savings fairly stable across M. This harness times each configuration
+// at the default worker count and reports its verify work units beside
+// the time (bench::MatchingSweep).
 
 #include <iostream>
 
@@ -14,69 +16,23 @@
 namespace tsj {
 namespace {
 
-// Simulated cluster time of one configuration (see the Fig. 2 harness).
-double RunConfig(const Corpus& corpus, uint32_t max_frequency,
-                 TokenMatching matching, TokenAligning aligning,
-                 uint64_t machines, const ClusterModelParams& params,
-                 int repetitions = 1) {
-  TsjOptions options;
-  options.threshold = 0.1;
-  options.max_token_frequency = max_frequency;
-  options.matching = matching;
-  options.aligning = aligning;
-  double best = -1;
-  for (int rep = 0; rep < repetitions; ++rep) {
-    TsjRunInfo info;
-    const auto result =
-        TokenizedStringJoiner(options).SelfJoin(corpus, &info);
-    if (!result.ok()) return -1;
-    const double simulated =
-        SimulatePipelineSeconds(info.pipeline, machines, params);
-    if (best < 0 || simulated < best) best = simulated;
-  }
-  return best;
-}
-
 void Run() {
   bench::PrintHeader("Fig. 3", "TSJ runtime vs. max token frequency M");
+  bench::PrintHost();
   const auto workload =
       GenerateRingWorkload(bench::DefaultWorkload(bench::Scaled(20000)));
-  const auto params = bench::DefaultClusterParams();
-  // 200 machines for the same jitter reasons as Fig. 2 (see EXPERIMENTS.md).
-  const uint64_t machines = 200;
-  std::cout << "accounts=" << workload.corpus.size() << " T=0.1 machines="
-            << machines << "\n\n";
+  TsjOptions options;
+  options.threshold = 0.1;
+  std::cout << "accounts=" << workload.corpus.size()
+            << " T=" << options.threshold
+            << " workers=" << options.mapreduce.effective_workers() << "\n\n";
 
-
-  TablePrinter table({"M", "fuzzy (s)", "greedy (s)", "exact-token (s)",
-                      "greedy saving", "exact saving"});
-  double greedy_saving_sum = 0, exact_saving_sum = 0;
-  int rows = 0;
+  bench::MatchingSweep sweep("M");
   for (uint32_t m = 100; m <= 1000; m += 100) {
-    const double fuzzy = RunConfig(workload.corpus, m, TokenMatching::kFuzzy,
-                                   TokenAligning::kExact, machines, params);
-    const double greedy = RunConfig(workload.corpus, m, TokenMatching::kFuzzy,
-                                    TokenAligning::kGreedy, machines, params);
-    const double exact_token =
-        RunConfig(workload.corpus, m, TokenMatching::kExact,
-                  TokenAligning::kExact, machines, params);
-    const double greedy_saving = 100.0 * (fuzzy - greedy) / fuzzy;
-    const double exact_saving = 100.0 * (fuzzy - exact_token) / fuzzy;
-    greedy_saving_sum += greedy_saving;
-    exact_saving_sum += exact_saving;
-    ++rows;
-    table.AddRow({TablePrinter::Fmt(uint64_t{m}), TablePrinter::Fmt(fuzzy, 1),
-                  TablePrinter::Fmt(greedy, 1),
-                  TablePrinter::Fmt(exact_token, 1),
-                  TablePrinter::Fmt(greedy_saving, 1) + "%",
-                  TablePrinter::Fmt(exact_saving, 1) + "%"});
+    options.max_token_frequency = m;
+    sweep.AddRow(workload.corpus, TablePrinter::Fmt(uint64_t{m}), options);
   }
-  table.Print(std::cout);
-  std::cout << "\nmean saving vs fuzzy: greedy "
-            << TablePrinter::Fmt(greedy_saving_sum / rows, 1)
-            << "% (paper: 9%), exact-token "
-            << TablePrinter::Fmt(exact_saving_sum / rows, 1)
-            << "% (paper: 33%)\n";
+  sweep.Print("9%", "33%");
 }
 
 }  // namespace

@@ -25,7 +25,8 @@ std::vector<TsjPair> RunOnce(const Corpus& corpus, double threshold,
   options.matching = matching;
   options.aligning = aligning;
   auto result = TokenizedStringJoiner(options).SelfJoin(corpus);
-  return result.ok() ? std::move(*result) : std::vector<TsjPair>{};
+  bench::ExitIfFailed(result.status());
+  return std::move(*result);
 }
 
 void Run() {

@@ -24,7 +24,8 @@ std::vector<TsjPair> RunOnce(const Corpus& corpus, uint32_t max_frequency,
   options.matching = matching;
   options.aligning = aligning;
   auto result = TokenizedStringJoiner(options).SelfJoin(corpus);
-  return result.ok() ? std::move(*result) : std::vector<TsjPair>{};
+  bench::ExitIfFailed(result.status());
+  return std::move(*result);
 }
 
 void Run() {

@@ -1,26 +1,58 @@
-// Scaling playground: run the full TSJ pipeline on a synthetic corpus and
-// replay it through the simulated-cluster model at any machine count —
-// the tooling behind the paper's Figs. 1-3 sweeps, exposed interactively.
+// Scaling playground: run the full TSJ pipeline on a synthetic corpus,
+// print its counters and per-job breakdown, then time the same self-join
+// at 1, 2 and 4 workers on this host — the measurement behind the Figs.
+// 1-3 harnesses, exposed interactively.
 //
-// Run: ./build/examples/scaling_playground [accounts] [threshold] [machines]
+// Run: ./build/example_scaling_playground [accounts] [threshold]
+//   accounts: an integer >= 5 (default 20000); the workload draws one
+//   vocabulary token per 5 accounts.
+//   threshold: an NSLD threshold in [0, 1) (default 0.1).
+// Exit status: 0 on success, 1 when a join fails, 2 on a malformed
+// argument.
 
-#include <cstdlib>
+#include <algorithm>
+#include <cstdint>
 #include <iostream>
+#include <iterator>
+#include <limits>
+#include <thread>
 
-#include "mapreduce/cluster_model.h"
+#include "common/parse.h"
+#include "common/stopwatch.h"
 #include "tsj/tsj.h"
 #include "workload/ring_workload.h"
 
+namespace {
+
+constexpr uint64_t kMinAccounts = 5;
+
+int Usage() {
+  std::cerr << "usage: example_scaling_playground [accounts >= "
+            << kMinAccounts << "] [threshold in [0, 1)]\n";
+  return 2;
+}
+
+int JoinFailed(const tsj::Status& status) {
+  std::cerr << "join failed: " << status.ToString() << "\n";
+  return 1;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  const size_t accounts =
-      argc > 1 ? static_cast<size_t>(std::atoll(argv[1])) : 20000;
-  const double threshold = argc > 2 ? std::atof(argv[2]) : 0.1;
-  const uint64_t machines =
-      argc > 3 ? static_cast<uint64_t>(std::atoll(argv[3])) : 500;
+  if (argc > 3) return Usage();
+  uint64_t accounts = 20000;
+  if (argc > 1) {
+    accounts = tsj::ParsePositiveInt(argv[1],
+                                     std::numeric_limits<uint32_t>::max());
+    if (accounts < kMinAccounts) return Usage();
+  }
+  double threshold = 0.1;
+  if (argc > 2 && !tsj::ParseThreshold(argv[2], &threshold)) return Usage();
 
   tsj::RingWorkloadOptions workload_options;
   workload_options.num_accounts = accounts;
-  workload_options.names.vocabulary_size = accounts / 5;
+  workload_options.names.vocabulary_size = accounts / kMinAccounts;
   const auto workload = tsj::GenerateRingWorkload(workload_options);
 
   tsj::TsjOptions options;
@@ -28,10 +60,7 @@ int main(int argc, char** argv) {
   tsj::TsjRunInfo info;
   const auto pairs =
       tsj::TokenizedStringJoiner(options).SelfJoin(workload.corpus, &info);
-  if (!pairs.ok()) {
-    std::cerr << "join failed: " << pairs.status().ToString() << "\n";
-    return 1;
-  }
+  if (!pairs.ok()) return JoinFailed(pairs.status());
 
   std::cout << "TSJ self-join of " << accounts << " accounts at T="
             << threshold << "\n";
@@ -61,13 +90,21 @@ int main(int argc, char** argv) {
               << " out=" << job.reduce_output_records << "\n";
   }
 
-  const tsj::ClusterModelParams params;
-  std::cout << "\nsimulated cluster wall time:\n";
-  for (uint64_t w : {machines / 4, machines, machines * 4}) {
-    if (w == 0) continue;
-    std::cout << "  " << w << " machines: "
-              << tsj::SimulatePipelineSeconds(info.pipeline, w, params)
-              << " s\n";
+  std::cout << "\nmeasured on one host, "
+            << std::thread::hardware_concurrency()
+            << " hardware threads (median of 3 joins):\n";
+  for (size_t workers : {1, 2, 4}) {
+    options.mapreduce.num_workers = workers;
+    const tsj::TokenizedStringJoiner joiner(options);
+    double seconds[3];
+    for (double& run_seconds : seconds) {
+      tsj::Stopwatch watch;
+      const auto timed = joiner.SelfJoin(workload.corpus);
+      run_seconds = watch.ElapsedSeconds();
+      if (!timed.ok()) return JoinFailed(timed.status());
+    }
+    std::sort(std::begin(seconds), std::end(seconds));
+    std::cout << "  " << workers << " workers: " << seconds[1] << " s\n";
   }
   return 0;
 }

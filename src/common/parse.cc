@@ -20,4 +20,13 @@ uint64_t ParsePositiveInt(const char* value, uint64_t max_value) {
   return static_cast<uint64_t>(parsed);
 }
 
+bool ParseThreshold(const char* value, double* threshold) {
+  char* end = nullptr;
+  const double parsed = std::strtod(value, &end);
+  if (end == value || *end != '\0') return false;
+  if (!(parsed >= 0.0 && parsed < 1.0)) return false;
+  *threshold = parsed;
+  return true;
+}
+
 }  // namespace tsj

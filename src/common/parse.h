@@ -1,5 +1,5 @@
 // Hardened parsing of numeric environment-variable knobs and of the
-// command-line tools' count flags.
+// command-line programs' count and threshold arguments.
 //
 // Every CC_* env knob that means "a positive count" must parse the same
 // way: surrounding whitespace tolerated, anything that is not a plain
@@ -25,6 +25,12 @@ namespace tsj {
 /// reached (the watchdog bug this helper fixed: LLONG_MAX ms arms a
 /// watchdog that cannot fire).
 uint64_t ParsePositiveInt(const char* value, uint64_t max_value);
+
+/// Parses all of `value` as an NSLD threshold in [0, 1) into *threshold.
+/// Returns false, leaving *threshold alone, for "abc", "0.2x", "nan" and
+/// out-of-range values. tsj_join --threshold and the scaling example parse
+/// through here.
+bool ParseThreshold(const char* value, double* threshold);
 
 }  // namespace tsj
 

@@ -1,5 +1,5 @@
 // Wall-clock stopwatch used by benchmark harnesses and by the MapReduce
-// engine to measure per-task costs that feed the simulated-cluster model.
+// engine to measure per-phase wall times.
 
 #ifndef TSJ_COMMON_STOPWATCH_H_
 #define TSJ_COMMON_STOPWATCH_H_

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "mapreduce/work_units.h"
 #include "tokenized/sld.h"
 #include "tokenized/token_pair_cache.h"
 
@@ -63,10 +62,6 @@ class HmjRunner {
     if (options_.work_limit > 0 && done >= options_.work_limit) {
       state_->aborted.store(true, std::memory_order_relaxed);
     }
-    AddWorkUnits(SldWorkUnits(corpus_.aggregate_length(a),
-                              corpus_.aggregate_length(b),
-                              strings_[a].size(), strings_[b].size(),
-                              options_.aligning));
     const int64_t sld = Sld(strings_[a], strings_[b], options_.aligning);
     return NsldFromSld(sld, corpus_.aggregate_length(a),
                        corpus_.aggregate_length(b));
@@ -94,7 +89,6 @@ class HmjRunner {
     const BoundedSldResult verdict =
         BoundedSld(corpus_, corpus_.tokens(a), corpus_.tokens(b), budget,
                    options_.aligning, &LeafVerifyScratch(), &pair_cache_);
-    AddWorkUnits(verdict.work_units);
     if (!verdict.within_budget) return false;
     *nsld = NsldFromSld(verdict.sld, la, lb);
     return true;
@@ -191,7 +185,6 @@ class HmjRunner {
         // pair is then guaranteed to also be discovered nowhere "cheaper".
         if (!(u.top_home || v.top_home)) continue;
         if (!(u.level_home || v.level_home)) continue;
-        AddWorkUnits(1);  // pair scan step
         // Pivot triangle-inequality filter: |d(u,p) - d(v,p)| <= d(u,v).
         if (std::abs(u.dist - v.dist) > options_.threshold + 1e-12) {
           state_->pivot_filtered.fetch_add(1, std::memory_order_relaxed);

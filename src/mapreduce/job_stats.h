@@ -1,13 +1,4 @@
 // Per-job execution statistics collected by the MapReduce engine.
-//
-// Besides wall-clock observability, these statistics drive the
-// simulated-cluster cost model (cluster_model.h): each reduce group records
-// its stable key hash, record count and *measured* processing cost, which
-// lets the model re-assign groups to any number of simulated machines and
-// compute the resulting makespan — including the load skew caused by
-// popular tokens, the effect the paper highlights in Sec. V-A and V-E, and
-// the CPU-cost differences between verification modes (Hungarian vs.
-// greedy) that drive Figs. 2 and 3.
 
 #ifndef TSJ_MAPREDUCE_JOB_STATS_H_
 #define TSJ_MAPREDUCE_JOB_STATS_H_
@@ -51,17 +42,6 @@ class ShuffleGauge {
   std::atomic<uint64_t> peak_{0};
 };
 
-/// One reduce group: its stable key hash (used for machine assignment), the
-/// number of records that flowed into it, the deterministic work units the
-/// reduce function reported for it (see work_units.h; 0 if none reported),
-/// and the measured wall seconds it took (fallback cost source).
-struct GroupLoad {
-  uint64_t key_hash = 0;
-  uint64_t records = 0;
-  uint64_t work_units = 0;
-  double cost_seconds = 0;
-};
-
 /// Statistics for a single MapReduce job execution.
 struct JobStats {
   std::string name;
@@ -72,16 +52,10 @@ struct JobStats {
   uint64_t num_groups = 0;
   uint64_t reduce_output_records = 0;
 
-  // Measured wall time of the in-process execution, per phase, and the
-  // number of OS workers that executed it (so total CPU ~ wall * workers).
+  // Measured wall time of the in-process execution, per phase.
   double map_wall_seconds = 0;
   double shuffle_wall_seconds = 0;
   double reduce_wall_seconds = 0;
-  uint64_t executed_workers = 1;
-
-  /// Deterministic work units reported by map tasks (see work_units.h);
-  /// 0 when the map function reports none.
-  uint64_t map_work_units = 0;
 
   /// Records that entered this job's shuffle (scattered into partition
   /// buckets). Equals map_output_records for plain jobs; for the second
@@ -174,10 +148,6 @@ struct JobStats {
   /// task_retries. Pipelines must check and propagate this the same way
   /// they do spill_data_loss.
   Status status;
-
-  /// Per-group loads for the simulated-cluster model. Populated when
-  /// MapReduceOptions::collect_group_loads is set.
-  std::vector<GroupLoad> group_loads;
 
   double total_wall_seconds() const {
     return map_wall_seconds + shuffle_wall_seconds + reduce_wall_seconds;

@@ -1,9 +1,9 @@
 // Stable hash functors for MapReduce keys.
 //
-// Shuffle partitioning and the simulated-cluster model both need hashes
-// that are identical across runs and platforms, which std::hash does not
-// guarantee. These functors compose the fingerprint primitives from
-// common/hash.h for the key shapes used throughout the library.
+// Shuffle partitioning needs hashes that are identical across runs and
+// platforms, which std::hash does not guarantee. These functors compose
+// the fingerprint primitives from common/hash.h for the key shapes used
+// throughout the library.
 
 #ifndef TSJ_MAPREDUCE_KEY_HASH_H_
 #define TSJ_MAPREDUCE_KEY_HASH_H_

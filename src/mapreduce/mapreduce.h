@@ -129,13 +129,6 @@
 //    (spilled_records, spill_files, …) count ALL attempts, including
 //    runs an abandoned retry released — they are I/O meters, not result
 //    accounting.
-//
-// JobStats records per-phase record counts, wall times, per-group loads,
-// and shuffle-record and peak-resident counters (ShuffleGauge);
-// cluster_model.h turns the group loads into
-// simulated wall times for a cluster of W machines, which is how the
-// repository reproduces the paper's 100-to-1,000-machine sweeps (Figs. 1,
-// 7) on a single host.
 
 #ifndef TSJ_MAPREDUCE_MAPREDUCE_H_
 #define TSJ_MAPREDUCE_MAPREDUCE_H_
@@ -156,7 +149,6 @@
 #include "mapreduce/job_stats.h"
 #include "mapreduce/key_hash.h"
 #include "mapreduce/spill.h"
-#include "mapreduce/work_units.h"
 
 namespace tsj {
 
@@ -167,8 +159,6 @@ struct MapReduceOptions {
   size_t num_workers = 0;
   /// Number of shuffle partitions (each is reduced as one unit of work).
   size_t num_partitions = 64;
-  /// Record per-group loads into JobStats for the cluster model.
-  bool collect_group_loads = true;
   /// Optional pipeline-wide gauge (not owned): every Add/Sub the engine
   /// performs on its job-local gauge is mirrored here, so a multi-job
   /// pipeline can observe one peak across all of its jobs plus whatever
@@ -390,7 +380,6 @@ class PartitionedEmitter {
     return buckets_[p];
   }
 
-  bool spill_active() const { return spill_ != nullptr; }
   /// Records written to disk (post-flush-combine).
   uint64_t spilled_records() const { return spilled_records_; }
   /// Runs this producer wrote for partition p, in flush order — which is
@@ -732,33 +721,19 @@ std::vector<std::pair<Key, Value>> MergeSortPartition(
   return partition;
 }
 
-// Reduces one key run, counting the group and — when `loads` is non-null
-// — recording its GroupLoad. Deterministic work units (work_units.h) are
-// the preferred cost source for the simulated-cluster makespan; per-group
-// wall time is kept as a fallback for reduce functions that report none.
+// Reduces one key run and counts the group.
 template <typename Key, typename Value, typename ReduceRun>
 void ReduceGroup(const Key& key, std::vector<Value>* values,
-                 std::vector<GroupLoad>* loads, uint64_t* num_groups,
-                 const ReduceRun& reduce_run) {
+                 uint64_t* num_groups, const ReduceRun& reduce_run) {
   ++*num_groups;
-  if (loads == nullptr) {
-    reduce_run(key, std::span<Value>(*values));
-    return;
-  }
-  Stopwatch group_watch;
-  const uint64_t records = values->size();
-  TakeWorkUnits();
   reduce_run(key, std::span<Value>(*values));
-  loads->push_back(GroupLoad{StableHash()(key), records, TakeWorkUnits(),
-                             group_watch.ElapsedSeconds()});
 }
 
 // Scans one sorted partition run by run, moving each run's values into
 // the reused `run_values` buffer and reducing each run (ReduceGroup).
 template <typename Key, typename Value, typename ReduceRun>
 void ReduceSortedRuns(std::vector<std::pair<Key, Value>>* partition,
-                      std::vector<GroupLoad>* loads, uint64_t* num_groups,
-                      const ReduceRun& reduce_run) {
+                      uint64_t* num_groups, const ReduceRun& reduce_run) {
   std::vector<Value> run_values;  // reused across runs: no per-key node
   size_t i = 0;
   while (i < partition->size()) {
@@ -769,7 +744,7 @@ void ReduceSortedRuns(std::vector<std::pair<Key, Value>>* partition,
     for (size_t r = i; r < j; ++r) {
       run_values.push_back(std::move((*partition)[r].second));
     }
-    ReduceGroup(key, &run_values, loads, num_groups, reduce_run);
+    ReduceGroup(key, &run_values, num_groups, reduce_run);
     i = j;
   }
 }
@@ -1052,8 +1027,7 @@ template <typename Key, typename Value, typename Producers,
 Status ReduceMergedRuns(Producers* producers, size_t p,
                         SpillContext* context,
                         const CombinerFn<Key, Value>& combiner,
-                        std::vector<GroupLoad>* loads, uint64_t* num_groups,
-                        const ReduceRun& reduce_run) {
+                        uint64_t* num_groups, const ReduceRun& reduce_run) {
   // Hierarchical pre-merge per producer, then one cursor per remaining
   // run plus one per in-memory residue.
   std::vector<std::vector<SpillRunRef>> producer_runs;
@@ -1108,7 +1082,7 @@ Status ReduceMergedRuns(Producers* producers, size_t p,
     if (combiner != nullptr && run_values.size() > 1) {
       combiner(current_key, &run_values);  // merge-time re-combine
     }
-    ReduceGroup(current_key, &run_values, loads, num_groups, reduce_run);
+    ReduceGroup(current_key, &run_values, num_groups, reduce_run);
     publish_window();
     context->resident().Sub(window);
     run_values.clear();
@@ -1205,13 +1179,12 @@ void RunMapStage(SortedJob& job, const std::vector<Input>& inputs,
                  size_t first, TaskCounters* counters, JobStats* stats) {
   Stopwatch watch;
   const size_t n = producers->size() - first;
-  std::vector<uint64_t> units(n, 0), combine_in(n, 0), combine_out(n, 0);
+  std::vector<uint64_t> combine_in(n, 0), combine_out(n, 0);
   RunTasksWithRetry(
       &job.pool, n, job.options.max_task_retries, job.cancel, "task.map",
       counters,
       [&](size_t task) {  // reset: rebuild the producer from scratch
         (*producers)[first + task].Abandon();
-        units[task] = 0;
         combine_in[task] = 0;
         combine_out[task] = 0;
       },
@@ -1219,7 +1192,6 @@ void RunMapStage(SortedJob& job, const std::vector<Input>& inputs,
         auto& em = (*producers)[first + task];
         const size_t begin = inputs.size() * task / n;
         const size_t end = inputs.size() * (task + 1) / n;
-        TakeWorkUnits();  // clear leftovers from other tasks on this thread
         for (size_t i = begin; i < end; ++i) {
           if (job.cancel.cancelled()) return;  // job abort
           map_fn(inputs[i], &em);
@@ -1228,13 +1200,11 @@ void RunMapStage(SortedJob& job, const std::vector<Input>& inputs,
           em.Combine(combiner, &combine_in[task], &combine_out[task]);
         }
         em.FinishSpill();  // sort the residue for the merge
-        units[task] = TakeWorkUnits();
         job.gauge.Add(em.size());
       });
   for (size_t t = 0; t < n; ++t) {
     const auto& producer = (*producers)[first + t];
     stats->map_output_records += producer.size() + producer.spilled_records();
-    stats->map_work_units += units[t];
     stats->combiner_input_records +=
         combine_in[t] + producer.spill_combiner_input();
     stats->combiner_output_records +=
@@ -1272,7 +1242,7 @@ std::vector<std::vector<std::pair<Key, Value>>> RunShuffleStage(
 // values)` sees each key run. Then the partition's input records are
 // freed, `done(p)` runs — where the fused runner moves the records stage
 // 1 emitted into stage 2's shuffle — and the freed records leave the
-// gauge. Folds group counts and loads into *stats.
+// gauge. Folds the group counts into *stats.
 template <typename Key, typename Value, typename ReduceRun, typename Done>
 void RunReduceStage(SortedJob& job,
                     std::vector<PartitionedEmitter<Key, Value>>* producers,
@@ -1281,31 +1251,23 @@ void RunReduceStage(SortedJob& job,
                     TaskCounters* counters, JobStats* stats,
                     const ReduceRun& reduce_run, const Done& done) {
   Stopwatch watch;
-  struct GroupResult {
-    std::vector<GroupLoad> loads;
-    uint64_t num_groups = 0;
-  };
-  std::vector<GroupResult> results(job.num_partitions);
-  const bool collect = job.options.collect_group_loads;
+  std::vector<uint64_t> num_groups(job.num_partitions, 0);
   RunTasksWithRetry(
       &job.pool, job.num_partitions, job.options.max_task_retries,
       job.cancel, "task.reduce", counters, nullptr, [&](size_t p) {
-        GroupResult& result = results[p];
-        std::vector<GroupLoad>* loads = collect ? &result.loads : nullptr;
         auto reduce_key = [&](const Key& key, std::span<Value> values) {
           reduce_run(p, key, values);
         };
         size_t released = 0;
         if (job.spill != nullptr) {
           Status s = ReduceMergedRuns<Key, Value>(
-              producers, p, job.spill.get(), combiner, loads,
-              &result.num_groups, reduce_key);
+              producers, p, job.spill.get(), combiner, &num_groups[p],
+              reduce_key);
           if (!s.ok()) job.spill->RecordDataLoss(s);
           released = ReleasePartitionResidue(producers, p);
         } else {
           auto& partition = (*partitions)[p];
-          ReduceSortedRuns<Key, Value>(&partition, loads, &result.num_groups,
-                                       reduce_key);
+          ReduceSortedRuns<Key, Value>(&partition, &num_groups[p], reduce_key);
           released = partition.size();
           partition.clear();
           partition.shrink_to_fit();
@@ -1316,11 +1278,7 @@ void RunReduceStage(SortedJob& job,
           job.options.reduce_partition_epilogue();
         }
       });
-  for (GroupResult& result : results) {
-    stats->num_groups += result.num_groups;
-    stats->group_loads.insert(stats->group_loads.end(), result.loads.begin(),
-                              result.loads.end());
-  }
+  for (uint64_t groups : num_groups) stats->num_groups += groups;
   stats->reduce_wall_seconds = watch.ElapsedSeconds();
 }
 
@@ -1399,7 +1357,6 @@ std::vector<Output> RunMapReduceSorted(
   local_stats.name = job_name;
   local_stats.input_records = inputs.size();
   mri::SortedJob job(options, &local_stats);
-  local_stats.executed_workers = job.num_workers;
   mri::TaskCounters counters;
 
   const size_t num_map_tasks = mri::NumMapTasks(inputs.size(), job.num_workers);
@@ -1436,8 +1393,8 @@ std::vector<Output> RunMapReduceSorted(
 /// stage's records plus transients instead of the sum of both stages.
 ///
 /// Both stages record their own JobStats (names `stage1_name` /
-/// `stage2_name`, group loads included); they share one ShuffleGauge and
-/// report the same fused-job peak. Determinism: outputs are deterministic
+/// `stage2_name`); they share one ShuffleGauge and report the same
+/// fused-job peak. Determinism: outputs are deterministic
 /// for fixed worker/partition counts; the order of values within a
 /// stage-2 run follows producer order (stage-1 partitions first, then
 /// side-input map tasks), so reducers that must be invariant across
@@ -1478,8 +1435,6 @@ std::vector<Output> RunFusedMapReduceSorted(
   s2.name = stage2_name;
   s2.input_records = stage2_side_inputs.size();
   mri::SortedJob job(options, &s1);
-  s1.executed_workers = job.num_workers;
-  s2.executed_workers = job.num_workers;
   // One failure domain for the fused job: both stages share the job's
   // token (stage 2 cannot produce anything meaningful from an aborted
   // stage 1) but account their tasks separately.

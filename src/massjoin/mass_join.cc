@@ -8,7 +8,6 @@
 
 #include "distance/levenshtein.h"
 #include "distance/normalized_levenshtein.h"
-#include "mapreduce/work_units.h"
 #include "passjoin/partition.h"
 
 namespace tsj {
@@ -52,7 +51,6 @@ std::vector<NldPair> MassJoinSelfNldImpl(
   auto map_signatures = [&tokens, threshold](
                             const uint32_t& id,
                             PartitionedEmitter<SignatureKey, RoleValue>* out) {
-    const size_t emitted_before = out->size();
     const std::string& text = tokens[id];
     const uint32_t len = static_cast<uint32_t>(text.size());
     // Segment role: this token as the shorter side of a future pair.
@@ -86,13 +84,11 @@ std::vector<NldPair> MassJoinSelfNldImpl(
         }
       }
     }
-    AddWorkUnits(1 + (out->size() - emitted_before));
   };
 
   auto reduce_candidates = [](const SignatureKey& /*key*/,
                               std::span<RoleValue> values,
                               PartitionedEmitter<CandidatePair, char>* out) {
-    const size_t emitted_before = out->size();
     // Pair every segment-role token with every substring-role token,
     // streaming each candidate into the dedup/verify shuffle.
     for (const RoleValue& seg : values) {
@@ -105,7 +101,6 @@ std::vector<NldPair> MassJoinSelfNldImpl(
                   0);
       }
     }
-    AddWorkUnits(values.size() + (out->size() - emitted_before));
   };
 
   // ---- Stage 2: dedup + verify (one contiguous run per distinct pair). --
@@ -114,17 +109,12 @@ std::vector<NldPair> MassJoinSelfNldImpl(
   auto map_side = [](const CandidatePair&,
                      PartitionedEmitter<CandidatePair, char>*) {};
   auto reduce_verify = [&tokens, threshold](const CandidatePair& pair,
-                                            std::span<char> values,
+                                            std::span<char> /*values*/,
                                             std::vector<NldPair>* out) {
     const std::string& x = tokens[pair.first];
     const std::string& y = tokens[pair.second];
     const uint32_t tau = MaxLdForNld(threshold, std::max(x.size(), y.size()),
                                      /*x_is_shorter=*/true);
-    // Banded verifier touches at most (2*tau+1) cells per row.
-    AddWorkUnits(values.size() +
-                 (2 * static_cast<uint64_t>(tau) + 1) *
-                     std::min(x.size(), y.size()) +
-                 1);
     const uint32_t ld = BoundedLevenshtein(x, y, tau);
     if (ld > tau) return;
     const double nld = NldFromLd(ld, x.size(), y.size());

@@ -19,8 +19,8 @@
 // under the Lemma 8 budget.
 //
 // The result equals PassJoinSelfNld on the same input (tested), but every
-// stage is a MapReduce job with recorded JobStats, so TSJ's cluster-time
-// simulation covers the token join too.
+// stage is a MapReduce job with recorded JobStats, so TSJ's pipeline
+// statistics cover the token join too.
 
 #ifndef TSJ_MASSJOIN_MASS_JOIN_H_
 #define TSJ_MASSJOIN_MASS_JOIN_H_

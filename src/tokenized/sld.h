@@ -187,13 +187,13 @@ BoundedSldResult BoundedSld(const Corpus& corpus,
                             SldVerifyScratch* scratch = nullptr,
                             TokenPairCache* cache = nullptr);
 
-/// Deterministic operation count of one *unbounded* SLD evaluation, used
-/// for cluster cost accounting (mapreduce/work_units.h): the L(x)*L(y) DP
-/// cells of the bigraph weights plus the assignment-solver steps — 3*k^3
-/// for the Hungarian algorithm, 2*k^2 for the small-k greedy scan,
-/// constants calibrated against bench_distance_micro. The budgeted verify
-/// path reports the work actually performed through
-/// BoundedSldResult::work_units instead (same units, never larger).
+/// Deterministic operation count of one *unbounded* SLD evaluation, the
+/// unit of TsjRunInfo::verify_work_units: the L(x)*L(y) DP cells of the
+/// bigraph weights plus the assignment-solver steps — 3*k^3 for the
+/// Hungarian algorithm, 2*k^2 for the small-k greedy scan, constants
+/// calibrated against bench_distance_micro. The budgeted verify path
+/// reports the work actually performed through BoundedSldResult::work_units
+/// instead (same units, never larger).
 uint64_t SldWorkUnits(size_t len_x, size_t len_y, size_t num_tokens_x,
                       size_t num_tokens_y, TokenAligning aligning);
 

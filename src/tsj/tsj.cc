@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/hash.h"
-#include "mapreduce/work_units.h"
 #include "massjoin/mass_join.h"
 #include "tokenized/bounds.h"
 #include "tokenized/sld.h"
@@ -93,7 +92,6 @@ void FilterAndVerify(const Corpus& corpus, const TsjOptions& options,
       NsldLowerBoundFromHistograms(corpus.length_histogram(a),
                                    corpus.length_histogram(b)) > t) {
     counters->histogram_filtered.fetch_add(1, std::memory_order_relaxed);
-    AddWorkUnits(corpus.tokens(a).size() + corpus.tokens(b).size() + 1);
     return;
   }
   counters->verified_candidates.fetch_add(1, std::memory_order_relaxed);
@@ -119,7 +117,6 @@ void FilterAndVerify(const Corpus& corpus, const TsjOptions& options,
       verdict =
           BoundedSld(scratch.x, scratch.y, budget, options.aligning, &scratch);
     }
-    AddWorkUnits(verdict.work_units);
     counters->verify_work_units.fetch_add(verdict.work_units,
                                           std::memory_order_relaxed);
     if (verdict.within_budget) {
@@ -131,7 +128,6 @@ void FilterAndVerify(const Corpus& corpus, const TsjOptions& options,
   corpus.MaterializeInto(b, &scratch.y);
   const uint64_t work = SldWorkUnits(la, lb, scratch.x.size(),
                                      scratch.y.size(), options.aligning);
-  AddWorkUnits(work);
   counters->verify_work_units.fetch_add(work, std::memory_order_relaxed);
   const int64_t sld = Sld(scratch.x, scratch.y, options.aligning);
   const double nsld = NsldFromSld(sld, la, lb);
@@ -301,7 +297,6 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
     std::sort(distinct.begin(), distinct.end());
     distinct.erase(std::unique(distinct.begin(), distinct.end()),
                    distinct.end());
-    AddWorkUnits(1 + distinct.size());
     for (TokenId token : distinct) {
       if (surviving[token]) fn(token);
     }
@@ -434,7 +429,6 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
     } else {
       walk(xs, ys);
     }
-    AddWorkUnits(1 + xs.size() + ys.size() + admitted);
     counters.similar_token_candidates.fetch_add(emitted,
                                                 std::memory_order_relaxed);
     counters.length_filtered.fetch_add(crossed - admitted,
@@ -498,7 +492,6 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
       }
       pairs = static_cast<uint64_t>(strings.size()) * (strings.size() - 1) / 2;
     }
-    AddWorkUnits(strings.size() + admitted);
     counters.shared_token_candidates.fetch_add(emitted,
                                                std::memory_order_relaxed);
     counters.length_filtered.fetch_add(pairs - admitted,
@@ -527,10 +520,10 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
     };
     // Grouping-on-both-strings: one distinct pair per group.
     auto reduce_verify = [&corpus, &options, &counters, pair_cache](
-                             const PairKey& key, std::span<char> duplicates,
+                             const PairKey& key,
+                             std::span<char> /*duplicates*/,
                              std::vector<TsjPair>* out) {
       counters.distinct_candidates.fetch_add(1, std::memory_order_relaxed);
-      AddWorkUnits(duplicates.size());  // duplicate copies read, discarded
       FilterAndVerify(corpus, options, &counters, pair_cache, key.first,
                       key.second, out);
       FlushVerifyCache(pair_cache);  // reduce-group boundary
@@ -563,7 +556,6 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
     auto reduce_verify = [&corpus, &options, &counters, pair_cache](
                              const uint32_t& key, std::span<uint32_t> others,
                              std::vector<TsjPair>* out) {
-      AddWorkUnits(others.size());
       const std::span<uint32_t> distinct = DedupRun(others);
       counters.distinct_candidates.fetch_add(distinct.size(),
                                              std::memory_order_relaxed);

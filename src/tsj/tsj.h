@@ -36,9 +36,8 @@
 // token's R strings with its P strings instead of pairing all of them,
 // and nothing else differs.
 //
-// Every stage runs on the in-process MapReduce engine and records JobStats,
-// so a run can be replayed through the simulated-cluster model at any
-// machine count (Figs. 1-3, 7).
+// Every stage runs on the in-process MapReduce engine and records its
+// JobStats into TsjRunInfo::pipeline.
 
 #ifndef TSJ_TSJ_TSJ_H_
 #define TSJ_TSJ_TSJ_H_

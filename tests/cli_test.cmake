@@ -1,10 +1,10 @@
-# One command-line tool case for ctest: writes a four-line names file,
-# runs TOOL with ARGS ('|'-separated; @INPUT@ names the file), and checks
-# the exit code against EXPECT_EXIT and, when given, stdout against
-# EXPECT_STDOUT and stderr against EXPECT_STDERR (regular expressions).
-# With STDOUT_FILE the tool writes its stdout to that file instead (for
-# example /dev/full), and EXPECT_STDOUT has nothing to match. A tool still
-# running after 30 s fails the case.
+# One program case for ctest (a tool, a figure harness or an example):
+# writes a four-line names file, runs TOOL with ARGS ('|'-separated;
+# @INPUT@ names the file), and checks the exit code against EXPECT_EXIT
+# and, when given, stdout against EXPECT_STDOUT and stderr against
+# EXPECT_STDERR (regular expressions). With STDOUT_FILE the tool writes its
+# stdout to that file instead (for example /dev/full), and EXPECT_STDOUT
+# has nothing to match. A program still running after 30 s fails the case.
 #
 #   cmake -DTOOL=build/tsj_join -DWORK_DIR=build/cli -DARGS='--input|@INPUT@'
 #         -DEXPECT_EXIT=0 -P tests/cli_test.cmake

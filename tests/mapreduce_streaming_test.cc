@@ -180,7 +180,7 @@ TEST(MapReduceSortedTest, ReducerMayMutateTheRunInPlace) {
   EXPECT_EQ(result[0], (std::vector<int>{1, 3, 5}));
 }
 
-TEST(MapReduceSortedTest, StatsCountRecordsGroupsAndLoads) {
+TEST(MapReduceSortedTest, StatsCountRecordsAndGroups) {
   std::vector<std::string> docs = {"a b a", "b c", "a"};
   JobStats stats;
   SortedWordCount(docs, {}, &stats);
@@ -190,39 +190,8 @@ TEST(MapReduceSortedTest, StatsCountRecordsGroupsAndLoads) {
   EXPECT_EQ(stats.shuffle_records, 6u);
   EXPECT_EQ(stats.num_groups, 3u);  // a, b, c
   EXPECT_EQ(stats.reduce_output_records, 3u);
-  EXPECT_EQ(stats.group_loads.size(), 3u);
-  uint64_t records = 0;
-  for (const auto& g : stats.group_loads) records += g.records;
-  EXPECT_EQ(records, 6u);
   // Every emitted record was shuffle-resident at some point.
   EXPECT_GE(stats.peak_shuffle_records, 6u);
-}
-
-TEST(MapReduceSortedTest, GroupLoadCollectionCanBeDisabled) {
-  MapReduceOptions options;
-  options.collect_group_loads = false;
-  JobStats stats;
-  SortedWordCount({"a b"}, options, &stats);
-  EXPECT_TRUE(stats.group_loads.empty());
-  EXPECT_EQ(stats.num_groups, 2u);
-}
-
-TEST(MapReduceSortedTest, ReduceWorkUnitsRecordedPerGroup) {
-  std::vector<int> inputs = {1, 2, 3, 4, 5, 6};
-  JobStats stats;
-  RunMapReduceSorted<int, int, int, int>(
-      "units-sorted", inputs,
-      [](const int& v, PartitionedEmitter<int, int>* out) {
-        out->Emit(v % 2, v);
-      },
-      [](const int&, std::span<int> values, std::vector<int>*) {
-        AddWorkUnits(10 * values.size());
-      },
-      {}, &stats);
-  ASSERT_EQ(stats.group_loads.size(), 2u);
-  for (const auto& group : stats.group_loads) {
-    EXPECT_EQ(group.work_units, 10 * group.records);
-  }
 }
 
 // ---- Sorted-mode combiner ------------------------------------------------
@@ -482,8 +451,6 @@ TEST(FusedMapReduceTest, RecordsPerStageStats) {
   EXPECT_EQ(s2.map_output_records, 4u);
   EXPECT_EQ(s2.num_groups, 4u);  // a, b, c, d
   EXPECT_EQ(s2.reduce_output_records, 4u);
-  EXPECT_FALSE(s1.group_loads.empty());
-  EXPECT_FALSE(s2.group_loads.empty());
   // Stages share the fused job's gauge.
   EXPECT_EQ(s1.peak_shuffle_records, s2.peak_shuffle_records);
   EXPECT_GE(s1.peak_shuffle_records, 5u);

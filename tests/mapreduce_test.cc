@@ -84,26 +84,6 @@ TEST(MapReduceTest, StatsCountRecordsCorrectly) {
   EXPECT_EQ(stats.reduce_output_records, 3u);
 }
 
-TEST(MapReduceTest, GroupLoadsSumToMapOutput) {
-  std::vector<std::string> docs;
-  for (int i = 0; i < 200; ++i) docs.push_back("x y" + std::to_string(i % 5));
-  JobStats stats;
-  WordCount(docs, {}, &stats);
-  uint64_t total = 0;
-  for (const auto& g : stats.group_loads) total += g.records;
-  EXPECT_EQ(total, stats.map_output_records);
-  EXPECT_EQ(stats.group_loads.size(), stats.num_groups);
-}
-
-TEST(MapReduceTest, GroupLoadCollectionCanBeDisabled) {
-  MapReduceOptions options;
-  options.collect_group_loads = false;
-  JobStats stats;
-  WordCount({"a b"}, options, &stats);
-  EXPECT_TRUE(stats.group_loads.empty());
-  EXPECT_EQ(stats.num_groups, 2u);
-}
-
 TEST(MapReduceTest, ReducerSeesAllValuesForItsKey) {
   // A skewed key: one group receives 1000 values; they must all arrive at
   // a single reduce invocation.
@@ -158,48 +138,6 @@ TEST(MapReduceTest, WallTimesAreRecorded) {
   EXPECT_GE(stats.shuffle_wall_seconds, 0.0);
   EXPECT_GE(stats.reduce_wall_seconds, 0.0);
   EXPECT_GE(stats.total_wall_seconds(), 0.0);
-}
-
-TEST(MapReduceTest, ReduceWorkUnitsRecordedPerGroup) {
-  // Each reduce group reports 10 * values units; the engine must attribute
-  // them to the right GroupLoad.
-  std::vector<int> inputs = {1, 2, 3, 4, 5, 6};
-  JobStats stats;
-  RunMapReduceSorted<int, int, int, int>(
-      "units", inputs,
-      [](const int& v, PartitionedEmitter<int, int>* out) {
-        out->Emit(v % 2, v);
-      },
-      [](const int&, std::span<int> values, std::vector<int>*) {
-        AddWorkUnits(10 * values.size());
-      },
-      {}, &stats);
-  ASSERT_EQ(stats.group_loads.size(), 2u);
-  for (const auto& group : stats.group_loads) {
-    EXPECT_EQ(group.work_units, 10 * group.records);
-  }
-}
-
-TEST(MapReduceTest, MapWorkUnitsAccumulateAcrossTasks) {
-  std::vector<int> inputs(100, 1);
-  JobStats stats;
-  RunMapReduceSorted<int, int, int, int>(
-      "map-units", inputs,
-      [](const int&, PartitionedEmitter<int, int>* out) {
-        AddWorkUnits(7);
-        out->Emit(0, 1);
-      },
-      [](const int&, std::span<int>, std::vector<int>*) {}, {}, &stats);
-  EXPECT_EQ(stats.map_work_units, 700u);
-}
-
-TEST(MapReduceTest, UnreportedUnitsStayZero) {
-  JobStats stats;
-  WordCount({"a b"}, {}, &stats);
-  EXPECT_EQ(stats.map_work_units, 0u);
-  for (const auto& group : stats.group_loads) {
-    EXPECT_EQ(group.work_units, 0u);
-  }
 }
 
 TEST(MapReduceTest, CombinerPreAggregatesWithoutChangingResult) {

@@ -21,7 +21,6 @@
 //   printf 'barak obama\nobama barak\njohn smith\n' > /tmp/names.txt
 //   tsj_join --input /tmp/names.txt --threshold 0.2
 
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -47,17 +46,6 @@ void PrintUsage() {
       "                [--matching fuzzy|exact] [--dedup one|both] [--stats]\n";
 }
 
-// Parses all of `value` as a threshold in [0, 1); "abc", "0.2x", "nan"
-// and out-of-range values are rejected.
-bool ParseThreshold(const char* value, double* threshold) {
-  char* end = nullptr;
-  const double parsed = std::strtod(value, &end);
-  if (end == value || *end != '\0') return false;
-  if (!(parsed >= 0.0 && parsed < 1.0)) return false;
-  *threshold = parsed;
-  return true;
-}
-
 bool ParseArgs(int argc, char** argv, CliOptions* options) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -74,7 +62,8 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       options->output = v;
     } else if (arg == "--threshold") {
       const char* v = next();
-      if (v == nullptr || !ParseThreshold(v, &options->join.threshold)) {
+      if (v == nullptr ||
+          !tsj::ParseThreshold(v, &options->join.threshold)) {
         return false;
       }
     } else if (arg == "--max-token-frequency") {
