@@ -286,9 +286,8 @@ bool Run(const std::string& shuffle_json_path,
     std::cout << "\nout-of-core spill (budget "
               << spill_budget << " records = in-memory peak/4): "
               << spill_info.spilled_records << " records spilled across "
-              << spill_info.spill_files << " run files ("
-              << spill_info.spill_bytes / (1024 * 1024) << " MiB, "
-              << spill_info.merge_passes << " merge passes); "
+              << spill_info.spill_files << " run files, "
+              << spill_info.merge_passes << " merge passes; "
               << "peak resident " << spill_info.peak_resident_records
               << " records (budget honored: "
               << (spill_info.peak_resident_records <=
@@ -299,11 +298,12 @@ bool Run(const std::string& shuffle_json_path,
     if (spill_info.spill_bytes > 0) {
       std::cout << "spill v2 format: "
                 << spill_info.spill_raw_bytes << " raw record bytes -> "
-                << spill_info.spill_bytes << " on disk ("
+                << spill_info.spill_bytes << " bytes on disk ("
                 << static_cast<double>(spill_info.spill_raw_bytes) /
                        static_cast<double>(spill_info.spill_bytes)
-                << "x compression), " << spill_info.prefetch_hits
-                << " prefetch hits, " << spill_info.checksum_failures
+                << "x compression), "
+                << spill_info.spill_bytes / spill_info.spill_files
+                << " bytes per file, " << spill_info.checksum_failures
                 << " checksum failures\n";
     }
   }
@@ -415,7 +415,6 @@ bool Run(const std::string& shuffle_json_path,
          << ",\n"
          << "  \"checksum_failures\": " << spill_info.checksum_failures
          << ",\n"
-         << "  \"prefetch_hits\": " << spill_info.prefetch_hits << ",\n"
          << "  \"merge_passes\": " << spill_info.merge_passes << ",\n"
          << "  \"peak_resident_records\": "
          << spill_info.peak_resident_records << ",\n"

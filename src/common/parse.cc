@@ -1,5 +1,6 @@
 #include "common/parse.h"
 
+#include <cctype>
 #include <cerrno>
 #include <cstdlib>
 
@@ -8,13 +9,16 @@ namespace tsj {
 uint64_t ParsePositiveInt(const char* value, uint64_t max_value) {
   if (value == nullptr) return 0;
   const char* p = value;
-  while (*p == ' ' || *p == '\t') ++p;
-  if (*p == '\0' || *p == '-') return 0;  // negative = unset, not ~2^64
+  while (std::isspace(static_cast<unsigned char>(*p))) ++p;
+  if (*p == '+') ++p;
+  // A digit must come next: strtoull would itself skip whitespace and
+  // accept a '-', wrapping "-1" into ~2^64.
+  if (!std::isdigit(static_cast<unsigned char>(*p))) return 0;
   errno = 0;
   char* end = nullptr;
   const unsigned long long parsed = std::strtoull(p, &end, 10);
-  if (end == p || errno == ERANGE) return 0;
-  while (*end == ' ' || *end == '\t' || *end == '\n') ++end;
+  if (errno == ERANGE) return 0;
+  while (std::isspace(static_cast<unsigned char>(*end))) ++end;
   if (*end != '\0') return 0;  // trailing junk = unset
   if (parsed > max_value) return 0;
   return static_cast<uint64_t>(parsed);

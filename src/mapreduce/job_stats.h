@@ -86,8 +86,8 @@ struct JobStats {
   uint64_t spilled_records = 0;
   /// Run files written (flush runs plus hierarchical pre-merge outputs).
   uint64_t spill_files = 0;
-  /// Bytes written to spill files (post block compression, framing and
-  /// footers included — the bytes that actually hit disk).
+  /// Bytes written to spill files (post block compression, headers and
+  /// framing included — the bytes that actually hit disk).
   uint64_t spill_bytes = 0;
   /// Serialized record bytes before block compression — the compression
   /// baseline: spill_raw_bytes / spill_bytes is the spill compression
@@ -123,9 +123,8 @@ struct JobStats {
   /// surfaces as a lossy fault in spill_data_loss — this counter exists
   /// so observability can tell payload corruption from torn frames).
   uint64_t checksum_failures = 0;
-  /// Merge-input read chunks that were already prefetched when the merge
-  /// needed them (async read-ahead overlapping reduce compute; 0 when
-  /// prefetching is off or nothing spilled).
+  /// Always 0; read by perfbench/; delete at the next benchmark change
+  /// (ROADMAP item 5).
   uint64_t prefetch_hits = 0;
 
   // Task-level fault tolerance (see the fault-tolerance contract in
@@ -242,6 +241,7 @@ struct PipelineStats {
     return total;
   }
 
+  /// Always 0, like JobStats::prefetch_hits; read by perfbench/.
   uint64_t total_prefetch_hits() const {
     uint64_t total = 0;
     for (const auto& j : jobs) total += j.prefetch_hits;

@@ -48,8 +48,9 @@
 //    to disk: one flush stable-sorts EVERY non-empty bucket,
 //    pre-aggregates each with the job's combiner (the runs are combined
 //    *before* they hit disk), and writes them all as one segment file —
-//    one sorted run per bucket plus a footer index — so the file count is
-//    bounded by the flush count, not bucket x flush.
+//    one sorted run per bucket, each kept in memory as its byte extent
+//    (SpillRunRef) — so the file count is bounded by the flush count, not
+//    bucket x flush.
 //  * Combiner re-arm semantics: the self-tuning combine sample
 //    (PartitionedEmitter::Combine) persists across a producer's flushes,
 //    but every spill flush re-arms it — a bucket's lifetime ends at the
@@ -445,8 +446,8 @@ class PartitionedEmitter {
 
   // Spill flush: sort + flush-combine EVERY non-empty bucket (spill-aware
   // combine: runs are pre-aggregated *before* they hit disk) and write
-  // them all, one sorted run each, into ONE segment file with a footer
-  // index — so the file count tracks the flush count, not bucket × flush.
+  // them all, one sorted run each, into ONE segment file — so the file
+  // count tracks the flush count, not bucket × flush.
   // Returns false when there was nothing to flush or the flush failed. A
   // failed flush is degraded, not lossy: every surviving record stays in
   // memory, the error is recorded on the context, flushing stops, and the
@@ -481,7 +482,6 @@ class PartitionedEmitter {
     for (size_t p = 0; s.ok() && p < buckets_.size(); ++p) {
       auto& bucket = buckets_[p];
       if (bucket.empty()) continue;
-      writer.BeginRun(static_cast<uint32_t>(p));
       for (size_t i = 0; s.ok() && i < bucket.size(); ++i) {
         s = writer.Append(bucket[i]);
       }
@@ -789,12 +789,11 @@ struct RunCursor {
   bool has_head = false;
 
   // Opens spill run `run` as a merge input: read through the job's io
-  // (so injected "merge.read" faults apply), prefetched, counting
-  // checksum failures into the job's counter.
+  // (so injected "merge.read" faults apply), counting checksum failures
+  // into the job's counter.
   Status OpenMergeInput(SpillContext* context, const SpillRunRef& run) {
     from_disk = true;
     reader = std::make_unique<SpillRunReader<Key, Value>>(context->NewIo());
-    reader->set_prefetcher(context->prefetcher());
     reader->set_checksum_failure_counter(context->checksum_failure_counter());
     return reader->Open(run);
   }
@@ -884,7 +883,7 @@ inline constexpr size_t kSpillRunsPerProducerTarget = 4;
 // statistics: the map-side counters keep their exact "every record
 // scanned once" meaning (the existing combiner tests pin it).
 template <typename Key, typename Value>
-Status MergeRunBatchToFile(SpillContext* context, uint32_t partition,
+Status MergeRunBatchToFile(SpillContext* context,
                            const std::vector<SpillRunRef>& runs,
                            const CombinerFn<Key, Value>& combiner,
                            SpillRunRef* out_run) {
@@ -898,7 +897,6 @@ Status MergeRunBatchToFile(SpillContext* context, uint32_t partition,
   const std::string out_path = context->NewRunPath();
   SpillRunWriter<Key, Value> writer(context->NewIo());
   if (Status s = writer.Open(out_path); !s.ok()) return s;
-  writer.BeginRun(partition);
 
   RunCursorHeap<Key, Value> heap(&cursors);
   std::vector<std::pair<Key, Value>> run;  // the active key's records
@@ -963,7 +961,7 @@ Status MergeRunBatchToFile(SpillContext* context, uint32_t partition,
 // contiguous in run order). Each sweep over the run list is one
 // merge pass (JobStats::merge_passes).
 template <typename Key, typename Value>
-Status PreMergeProducerRuns(SpillContext* context, uint32_t partition,
+Status PreMergeProducerRuns(SpillContext* context,
                             const CombinerFn<Key, Value>& combiner,
                             std::vector<SpillRunRef>* runs) {
   while (runs->size() > kSpillRunsPerProducerTarget) {
@@ -979,8 +977,8 @@ Status PreMergeProducerRuns(SpillContext* context, uint32_t partition,
       const std::vector<SpillRunRef> batch(runs->begin() + begin,
                                            runs->begin() + end);
       SpillRunRef out_run;
-      if (Status s = MergeRunBatchToFile<Key, Value>(
-              context, partition, batch, combiner, &out_run);
+      if (Status s = MergeRunBatchToFile<Key, Value>(context, batch,
+                                                     combiner, &out_run);
           !s.ok()) {
         return s;
       }
@@ -1035,8 +1033,8 @@ Status ReduceMergedRuns(Producers* producers, size_t p,
   for (auto& producer : *producers) {
     std::vector<SpillRunRef> runs = producer.spill_runs(p);
     if (!runs.empty()) any_disk = true;
-    if (Status s = PreMergeProducerRuns<Key, Value>(
-            context, static_cast<uint32_t>(p), combiner, &runs);
+    if (Status s =
+            PreMergeProducerRuns<Key, Value>(context, combiner, &runs);
         !s.ok()) {
       return s;
     }
@@ -1309,7 +1307,6 @@ inline void FinishJobStats(SortedJob& job, const TaskCounters& counters,
     stats->spill_raw_bytes = spill->spill_raw_bytes();
     stats->merge_passes = spill->merge_passes();
     stats->checksum_failures = spill->checksum_failures();
-    stats->prefetch_hits = spill->prefetch_hits();
     stats->peak_resident_records = spill->resident().peak();
     stats->spill_status = spill->status();
     stats->spill_data_loss = spill->data_loss();

@@ -100,24 +100,6 @@ class FileSpillIo final : public SpillIo {
     return Status::OK();
   }
 
-  StatusOr<uint64_t> Size() override {
-    if (file_ == nullptr) {
-      return Status::FailedPrecondition("spill io not open");
-    }
-    errno = 0;
-    const off_t pos = ftello(file_);
-    if (pos < 0 || fseeko(file_, 0, SEEK_END) != 0) {
-      return Status::Internal(std::string("spill size failed: ") +
-                              ErrnoMessage(errno));
-    }
-    const off_t end = ftello(file_);
-    if (end < 0 || fseeko(file_, pos, SEEK_SET) != 0) {
-      return Status::Internal(std::string("spill size failed: ") +
-                              ErrnoMessage(errno));
-    }
-    return static_cast<uint64_t>(end);
-  }
-
   Status Close() override {
     if (file_ == nullptr) return Status::OK();
     errno = 0;
@@ -146,18 +128,8 @@ void AppendU32(uint32_t value, std::string* out) {
   out->append(reinterpret_cast<const char*>(&value), sizeof(value));
 }
 
-void AppendU64(uint64_t value, std::string* out) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
 uint32_t LoadU32(const char* p) {
   uint32_t value = 0;
-  std::memcpy(&value, p, sizeof(value));
-  return value;
-}
-
-uint64_t LoadU64(const char* p) {
-  uint64_t value = 0;
   std::memcpy(&value, p, sizeof(value));
   return value;
 }
@@ -172,69 +144,6 @@ StatusOr<size_t> IoReadFully(SpillIo* io, char* data, size_t size) {
     total += *read;
   }
   return total;
-}
-
-// Parses the footer of an already-open v2 segment io. On success the io's
-// cursor position is unspecified (callers Seek afterwards).
-Status ParseSegmentFooter(SpillIo* io,
-                          std::vector<SpillSegmentEntry>* entries,
-                          uint64_t* data_end) {
-  StatusOr<uint64_t> size = io->Size();
-  if (!size.ok()) return size.status();
-  if (*size < kSpillHeaderBytes + kSpillFooterTrailerBytes + 8) {
-    return Status::Internal("torn spill segment: footer missing");
-  }
-  char trailer[kSpillFooterTrailerBytes];
-  if (Status s = io->Seek(*size - kSpillFooterTrailerBytes); !s.ok()) {
-    return s;
-  }
-  StatusOr<size_t> got = IoReadFully(io, trailer, sizeof(trailer));
-  if (!got.ok()) return got.status();
-  if (*got < sizeof(trailer) ||
-      LoadU32(trailer + sizeof(uint64_t)) != kSpillEndMagic) {
-    return Status::Internal("torn spill segment: footer missing");
-  }
-  const uint64_t footer_offset = LoadU64(trailer);
-  if (footer_offset < kSpillHeaderBytes ||
-      footer_offset + 8 + kSpillFooterTrailerBytes > *size) {
-    return Status::Internal("corrupt spill segment footer offset");
-  }
-  if (Status s = io->Seek(footer_offset); !s.ok()) return s;
-  char head[8];
-  got = IoReadFully(io, head, sizeof(head));
-  if (!got.ok()) return got.status();
-  if (*got < sizeof(head) || LoadU32(head) != kSpillFooterMagic) {
-    return Status::Internal("corrupt spill segment footer");
-  }
-  const uint32_t count = LoadU32(head + 4);
-  const uint64_t entry_bytes =
-      *size - footer_offset - 8 - kSpillFooterTrailerBytes;
-  if (static_cast<uint64_t>(count) * kSpillFooterEntryBytes !=
-      entry_bytes) {
-    return Status::Internal("corrupt spill segment footer");
-  }
-  entries->clear();
-  entries->reserve(count);
-  std::string buf(kSpillFooterEntryBytes, '\0');
-  for (uint32_t i = 0; i < count; ++i) {
-    got = IoReadFully(io, buf.data(), buf.size());
-    if (!got.ok()) return got.status();
-    if (*got < buf.size()) {
-      return Status::Internal("corrupt spill segment footer");
-    }
-    SpillSegmentEntry entry;
-    entry.partition = LoadU32(buf.data());
-    entry.offset = LoadU64(buf.data() + 8);
-    entry.length = LoadU64(buf.data() + 16);
-    entry.records = LoadU64(buf.data() + 24);
-    if (entry.offset < kSpillHeaderBytes ||
-        entry.offset + entry.length > footer_offset) {
-      return Status::Internal("corrupt spill segment footer entry");
-    }
-    entries->push_back(entry);
-  }
-  *data_end = footer_offset;
-  return Status::OK();
 }
 
 }  // namespace
@@ -257,29 +166,6 @@ size_t SpillBudgetFromEnv() {
 void RemoveSpillFile(const std::string& path) {
   std::error_code ec;
   std::filesystem::remove(path, ec);  // best effort
-}
-
-StatusOr<std::vector<SpillSegmentEntry>> ReadSpillSegmentIndex(
-    std::unique_ptr<SpillIo> io, const std::string& path) {
-  if (Status s = io->Open(path, /*for_write=*/false); !s.ok()) return s;
-  char header[kSpillHeaderBytes];
-  Status status = Status::OK();
-  std::vector<SpillSegmentEntry> entries;
-  StatusOr<size_t> got = IoReadFully(io.get(), header, sizeof(header));
-  if (!got.ok()) {
-    status = got.status();
-  } else if (*got < sizeof(header) || LoadU32(header) != kSpillMagic) {
-    status = Status::Internal("not a v2 spill segment");
-  } else if (static_cast<uint8_t>(header[4]) != kSpillFormatVersion) {
-    status = Status::Internal("unsupported spill format version");
-  } else {
-    uint64_t data_end = 0;
-    status = ParseSegmentFooter(io.get(), &entries, &data_end);
-  }
-  Status close = io->Close();
-  if (!status.ok()) return status;
-  if (!close.ok()) return close;
-  return entries;
 }
 
 // ---- SpillFrameWriter ------------------------------------------------------
@@ -311,12 +197,6 @@ Status SpillFrameWriter::Open(const std::string& path) {
   return Status::OK();
 }
 
-void SpillFrameWriter::BeginRun(uint32_t partition) {
-  run_start_ = appended_;
-  run_partition_ = partition;
-  in_run_ = true;
-}
-
 Status SpillFrameWriter::WriteFrame(const char* payload, size_t size) {
   if (!open_) return Status::FailedPrecondition("spill writer not open");
   if (size > kMaxSpillFrameBytes) {
@@ -329,17 +209,6 @@ Status SpillFrameWriter::WriteFrame(const char* payload, size_t size) {
   appended_ += buffer_.size() - before;
   if (buffer_.size() >= kSpillWriteBufferBytes) return FlushBuffer();
   return Status::OK();
-}
-
-SpillSegmentEntry SpillFrameWriter::EndRun(uint64_t records) {
-  SpillSegmentEntry entry;
-  entry.partition = run_partition_;
-  entry.offset = run_start_;
-  entry.length = appended_ - run_start_;
-  entry.records = records;
-  if (in_run_) entries_.push_back(entry);
-  in_run_ = false;
-  return entry;
 }
 
 Status SpillFrameWriter::FlushBuffer() {
@@ -364,21 +233,6 @@ Status SpillFrameWriter::FlushBuffer() {
 
 Status SpillFrameWriter::Finish() {
   if (!open_) return Status::FailedPrecondition("spill writer not open");
-  if (in_run_) EndRun(0);
-  const uint64_t footer_offset = appended_;
-  const size_t before = buffer_.size();
-  AppendU32(kSpillFooterMagic, &buffer_);
-  AppendU32(static_cast<uint32_t>(entries_.size()), &buffer_);
-  for (const SpillSegmentEntry& entry : entries_) {
-    AppendU32(entry.partition, &buffer_);
-    AppendU32(0, &buffer_);
-    AppendU64(entry.offset, &buffer_);
-    AppendU64(entry.length, &buffer_);
-    AppendU64(entry.records, &buffer_);
-  }
-  AppendU64(footer_offset, &buffer_);
-  AppendU32(kSpillEndMagic, &buffer_);
-  appended_ += buffer_.size() - before;
   Status s = FlushBuffer();
   open_ = false;
   Status close_status = io_->Close();
@@ -389,8 +243,8 @@ Status SpillFrameWriter::Finish() {
 // ---- SpillFrameReader ------------------------------------------------------
 
 namespace {
-// One read-ahead chunk. Small runs read in one chunk; big merge inputs
-// stream through double-buffered chunks that overlap reduce compute.
+// One read chunk. Small runs read in one chunk; big merge inputs stream
+// through it.
 constexpr size_t kSpillReadChunkBytes = 256 * 1024;
 }  // namespace
 
@@ -398,21 +252,11 @@ SpillFrameReader::SpillFrameReader(std::unique_ptr<SpillIo> io)
     : io_(std::move(io)) {}
 
 SpillFrameReader::~SpillFrameReader() {
-  WaitPendingFill();
   if (open_) io_->Close();
 }
 
-Status SpillFrameReader::Open(const std::string& path) {
-  return OpenInternal(path, nullptr);
-}
-
 Status SpillFrameReader::Open(const SpillRunRef& ref) {
-  return OpenInternal(ref.path, &ref);
-}
-
-Status SpillFrameReader::OpenInternal(const std::string& path,
-                                      const SpillRunRef* ref) {
-  Status s = io_->Open(path, /*for_write=*/false);
+  Status s = io_->Open(ref.path, /*for_write=*/false);
   open_ = s.ok();
   if (!open_) return s;
   char header[kSpillHeaderBytes];
@@ -428,121 +272,37 @@ Status SpillFrameReader::OpenInternal(const std::string& path,
       header[7] != 0) {
     return Status::Internal("corrupt spill segment header");
   }
-  uint64_t start = kSpillHeaderBytes;
-  uint64_t end = 0;
-  if (ref != nullptr) {
-    // A run's frames sit past the header; an extent that starts inside
-    // it or wraps around is corrupt, not a request to read the file.
-    if (ref->offset < kSpillHeaderBytes ||
-        ref->length > ~uint64_t{0} - ref->offset) {
-      return Status::Internal("corrupt spill run extent");
-    }
-    start = ref->offset;
-    end = ref->offset + ref->length;
-  } else {
-    // Whole-segment read: the footer bounds the frame data (runs are
-    // written back to back, so one contiguous extent covers them all).
-    std::vector<SpillSegmentEntry> entries;
-    if (Status fs = ParseSegmentFooter(io_.get(), &entries, &end);
-        !fs.ok()) {
-      return fs;
-    }
+  // A run's frames sit past the header; an extent that starts inside it
+  // or wraps around is corrupt, not a request to read the file.
+  if (ref.offset < kSpillHeaderBytes ||
+      ref.length > ~uint64_t{0} - ref.offset) {
+    return Status::Internal("corrupt spill run extent");
   }
-  if (Status ss = io_->Seek(start); !ss.ok()) return ss;
-  limit_ = end - start;
-  if (prefetcher_ != nullptr) ScheduleFill();
+  if (Status ss = io_->Seek(ref.offset); !ss.ok()) return ss;
+  limit_ = ref.length;
   return Status::OK();
 }
 
-// Synchronously reads the next chunk (bounded by limit_) into *chunk.
-// Decrements limit_ by what it read.
-Status SpillFrameReader::FillChunkSync(std::string* chunk) {
-  const size_t want = static_cast<size_t>(
-      std::min<uint64_t>(kSpillReadChunkBytes, limit_));
-  chunk->resize(want);
-  if (want == 0) return Status::OK();
-  StatusOr<size_t> got = IoReadFully(io_.get(), chunk->data(), want);
-  if (!got.ok()) {
-    chunk->clear();
-    return got.status();
-  }
-  chunk->resize(*got);
-  limit_ -= *got;
-  return Status::OK();
-}
-
-// Enqueues a fill of next_chunk_ on the prefetch pool. At most one fill
-// is in flight per reader; the io is only touched by that task until the
-// consumer Takes the chunk (the fill_mu_ handoff orders the accesses, so
-// the SpillIo itself needs no internal locking).
-void SpillFrameReader::ScheduleFill() {
-  if (limit_ == 0) return;  // bounded extent fully read: nothing ahead
-  {
-    std::lock_guard<std::mutex> lock(fill_mu_);
-    fill_ready_ = false;
-    fill_active_ = true;
-  }
-  prefetcher_->Schedule([this] {
-    std::string chunk;
-    Status s = FillChunkSync(&chunk);
-    std::lock_guard<std::mutex> lock(fill_mu_);
-    next_chunk_ = std::move(chunk);
-    fill_status_ = s;
-    fill_ready_ = true;
-    fill_cv_.notify_all();
-  });
-}
-
-// Swaps the prefetched chunk in (waiting if the fill is still running)
-// and schedules the next one.
-Status SpillFrameReader::TakeChunk() {
-  std::unique_lock<std::mutex> lock(fill_mu_);
-  if (fill_ready_) {
-    prefetcher_->RecordHit();
-  } else {
-    prefetcher_->RecordStall();
-    fill_cv_.wait(lock, [this] { return fill_ready_; });
-  }
-  fill_active_ = false;
-  Status s = fill_status_;
-  chunk_ = std::move(next_chunk_);
-  next_chunk_.clear();
-  chunk_pos_ = 0;
-  lock.unlock();
-  if (!s.ok()) return s;
-  ScheduleFill();
-  return Status::OK();
-}
-
-void SpillFrameReader::WaitPendingFill() {
-  std::unique_lock<std::mutex> lock(fill_mu_);
-  if (!fill_active_) return;
-  fill_cv_.wait(lock, [this] { return fill_ready_; });
-  fill_active_ = false;
-}
-
-// Copies up to `size` bytes out of the chunked stream; *read < size only
-// at end of stream.
+// Copies up to `size` bytes of the extent out of the chunked stream.
+// *read < size only where the extent ends (limit_ == 0) or where the file
+// ends inside it (limit_ > 0).
 Status SpillFrameReader::ReadBytes(char* data, size_t size, size_t* read) {
   size_t total = 0;
   while (total < size) {
-    if (chunk_pos_ >= chunk_.size()) {
-      chunk_.clear();
+    if (chunk_pos_ == chunk_.size()) {
+      if (limit_ == 0) break;
+      chunk_.resize(static_cast<size_t>(
+          std::min<uint64_t>(kSpillReadChunkBytes, limit_)));
       chunk_pos_ = 0;
-      if (prefetcher_ != nullptr) {
-        bool pending = false;
-        {
-          std::lock_guard<std::mutex> lock(fill_mu_);
-          pending = fill_active_;
-        }
-        if (pending) {
-          if (Status s = TakeChunk(); !s.ok()) return s;
-        }
-      } else if (limit_ != 0) {
-        if (Status s = FillChunkSync(&chunk_); !s.ok()) return s;
-        chunk_pos_ = 0;
+      StatusOr<size_t> got =
+          IoReadFully(io_.get(), chunk_.data(), chunk_.size());
+      if (!got.ok()) {
+        chunk_.clear();
+        return got.status();
       }
-      if (chunk_.empty()) break;  // end of stream
+      chunk_.resize(*got);
+      limit_ -= *got;
+      if (chunk_.empty()) break;
     }
     const size_t take =
         std::min(size - total, chunk_.size() - chunk_pos_);
@@ -562,19 +322,19 @@ Status SpillFrameReader::ReadFrame(std::string* payload, bool* eof) {
   {
     uint64_t result = 0;
     int shift = 0;
-    bool first = true;
     while (true) {
       char byte = 0;
       size_t got = 0;
       if (Status s = ReadBytes(&byte, 1, &got); !s.ok()) return s;
       if (got == 0) {
-        if (first) {
-          *eof = true;  // clean end between frames
-          return Status::OK();
+        if (shift > 0) return Status::Internal("truncated spill frame header");
+        if (limit_ > 0) {
+          return Status::Internal(
+              "torn spill run: the file ends inside the run's extent");
         }
-        return Status::Internal("truncated spill frame header");
+        *eof = true;  // the extent ends between frames
+        return Status::OK();
       }
-      first = false;
       const uint8_t b = static_cast<uint8_t>(byte);
       result |= static_cast<uint64_t>(b & 0x7f) << shift;
       if ((b & 0x80) == 0) break;
@@ -618,20 +378,12 @@ Status SpillFrameReader::ReadFrame(std::string* payload, bool* eof) {
 }
 
 Status SpillFrameReader::Close() {
-  WaitPendingFill();
   if (!open_) return Status::OK();
   open_ = false;
   return io_->Close();
 }
 
 // ---- SpillContext ----------------------------------------------------------
-
-namespace {
-// The read-ahead pool is deliberately tiny: fills are short sequential
-// reads, and two threads keep a budget-bound merge's cursors fed without
-// competing with the reduce workers for cores.
-constexpr size_t kSpillPrefetchThreads = 2;
-}  // namespace
 
 SpillContext::SpillContext(size_t budget, std::string dir,
                            SpillIoFactory factory)
@@ -642,9 +394,6 @@ SpillContext::SpillContext(size_t budget, std::string dir,
                  (static_cast<uint64_t>(::getpid()) << 32))) {}
 
 SpillContext::~SpillContext() {
-  // The prefetch pool must drain before files disappear (a late fill on
-  // a removed file would be an io error nobody consumes).
-  prefetcher_.reset();
   // Every file this context ever named is removed (runs are per-job); an
   // owned temp directory goes with them. All best effort: teardown must
   // not fail a job that already reported its real error.
@@ -659,9 +408,6 @@ SpillContext::~SpillContext() {
 }
 
 Status SpillContext::Init() {
-  if (prefetcher_ == nullptr) {
-    prefetcher_ = std::make_unique<SpillPrefetcher>(kSpillPrefetchThreads);
-  }
   std::error_code ec;
   if (!dir_.empty()) {
     std::filesystem::create_directories(dir_, ec);
@@ -733,7 +479,6 @@ class FaultInjectingSpillIo final : public SpillIo {
     return inner_->Read(data, size);
   }
   Status Seek(uint64_t offset) override { return inner_->Seek(offset); }
-  StatusOr<uint64_t> Size() override { return inner_->Size(); }
   Status Close() override { return inner_->Close(); }
 
  private:

@@ -21,24 +21,19 @@
 //  * SpillRunWriter / SpillRunReader — sorted runs inside a spill file.
 //  * SpillContext — per-job shared state: the budget, the spill directory
 //    (owned temp dir unless the caller provided one), run-file naming and
-//    refcounted removal, the prefetch pool, the spill counters JobStats
-//    reports, the peak-resident-records gauge that proves the budget is
-//    honored, and the first I/O error (sticky).
+//    refcounted removal, the spill counters JobStats reports, the
+//    peak-resident-records gauge that proves the budget is honored, and
+//    the first I/O error (sticky).
 //
 // ---- On-disk format (v2) ----------------------------------------------------
 //
 // A spill file is a *segment*: one or more sorted runs back to back,
-// framed, followed by a footer index. All integers little-endian; varints
-// are LEB128.
+// framed. All integers little-endian; varints are LEB128.
 //
-//   segment := header run* footer
+//   segment := header run*
 //   header  := [u32 magic "2LPS"][u8 version = 2][u8 flags][u16 zero]
 //   run     := frame*                     (one frame = one record block)
 //   frame   := [varint body_size][u32 checksum][body]
-//   footer  := [u32 footer_magic][u32 entry_count] entry*
-//              [u64 footer_offset][u32 end_magic]
-//   entry   := [u32 partition][u32 zero][u64 offset][u64 length]
-//              [u64 records]
 //
 // The header's flags are always checksummed | compressed; a reader
 // refuses any other magic, version or flags byte as a clean Status.
@@ -66,13 +61,12 @@
 // against the empty string, i.e. is stored whole via the escape form), so
 // every frame is independently decodable.
 //
-// The footer index maps each partition's run to its (offset, length)
-// extent, so one flush writes every bucket's run into ONE file (budget-1
-// sweeps stop creating thousands of files) and the engine hands bounded
-// SpillRunRefs to the merge. The footer is parsed from the end (trailing
-// [footer_offset][end_magic]); in-process the engine keeps the index in
-// memory and the footer exists for crash forensics and as the future
-// cross-shard wire format.
+// The file holds no index. The writer hands each run back as a
+// SpillRunRef, its (offset, length) extent; the engine keeps the refs in
+// memory and a reader opens exactly one run by its extent. So one flush
+// writes every bucket's run into ONE file (budget-1 sweeps stop creating
+// thousands of files). A file that ends inside a run's extent is torn: the
+// reader reports it as an error, never as a shorter run.
 //
 // The merge itself (run cursors, hierarchical pre-merge passes, the
 // streamed reduce) lives in mapreduce.h next to the engine, because it is
@@ -82,7 +76,6 @@
 #define TSJ_MAPREDUCE_SPILL_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -97,7 +90,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "mapreduce/job_stats.h"
 
 namespace tsj {
@@ -105,23 +97,19 @@ namespace tsj {
 // ---- Byte-level I/O seam ---------------------------------------------------
 
 /// One spill file's byte stream. Implementations need not be internally
-/// synchronized: a SpillIo instance is used by one thread at a time (the
-/// prefetcher moves reads to a background thread, but hands the stream
-/// over with proper ordering — accesses never overlap). Write may report
-/// fewer bytes than requested (a short write — disk full, signal, fault
-/// injection); the frame layer turns that into a Status error. Read
-/// returns 0 at end of file.
+/// synchronized: a SpillIo instance is used by one thread at a time.
+/// Write may report fewer bytes than requested (a short write — disk
+/// full, signal, fault injection); the frame layer turns that into a
+/// Status error. Read returns 0 at end of file.
 class SpillIo {
  public:
   virtual ~SpillIo() = default;
   virtual Status Open(const std::string& path, bool for_write) = 0;
   virtual StatusOr<size_t> Write(const char* data, size_t size) = 0;
   virtual StatusOr<size_t> Read(char* data, size_t size) = 0;
-  /// Repositions the read cursor (v2 footer parsing and bounded run
-  /// reads seek; the write path never does).
+  /// Repositions the read cursor: a run read seeks to the start of its
+  /// extent (the write path never seeks).
   virtual Status Seek(uint64_t offset) = 0;
-  /// Total size of the open file in bytes (locates the v2 footer).
-  virtual StatusOr<uint64_t> Size() = 0;
   virtual Status Close() = 0;
 };
 
@@ -342,12 +330,6 @@ inline constexpr uint8_t kSpillFlags =
     kSpillFlagChecksummed | kSpillFlagCompressed;
 inline constexpr size_t kSpillHeaderBytes = 8;
 
-/// v2 footer markers (see the format comment atop this file).
-inline constexpr uint32_t kSpillFooterMagic = 0x58444932;  // "2IDX"
-inline constexpr uint32_t kSpillEndMagic = 0x32444E45;     // "END2"
-inline constexpr size_t kSpillFooterEntryBytes = 32;
-inline constexpr size_t kSpillFooterTrailerBytes = 12;
-
 /// Target encoded size of one record block (= one checksummed frame).
 /// Large enough to amortize the frame overhead (varint length + u32
 /// checksum) over hundreds of records, small enough that a corrupt frame
@@ -361,78 +343,31 @@ inline constexpr size_t kSpillBlockTargetBytes = 16 * 1024;
 /// Part of the documented peak_resident_records slack.
 inline constexpr size_t kSpillResidentPublishBatch = 64;
 
-/// One run's footer-index entry: which partition it belongs to and where
-/// its frames live in the segment file.
-struct SpillSegmentEntry {
-  uint32_t partition = 0;
-  uint64_t offset = 0;
-  uint64_t length = 0;
-  uint64_t records = 0;
-};
-
-/// Engine-side handle to one sorted run: a byte extent of a segment file
-/// (its frames, past the header and before the footer).
+/// Handle to one sorted run: the byte extent of its frames in a segment
+/// file, past the header. The only way a run is read back.
 struct SpillRunRef {
   std::string path;
   uint64_t offset = 0;
   uint64_t length = 0;
-  uint64_t records = 0;
-};
-
-/// Reads a v2 segment's footer index. Takes an unopened io; opens,
-/// parses, closes. Errors (not a v2 file, torn or corrupt footer) come
-/// back as a clean Status.
-StatusOr<std::vector<SpillSegmentEntry>> ReadSpillSegmentIndex(
-    std::unique_ptr<SpillIo> io, const std::string& path);
-
-/// Read-ahead pool shared by one job's merge cursors: readers enqueue
-/// chunk fills here so disk reads overlap merge/reduce compute. A small
-/// dedicated pool (not the engine's worker pool: every worker can be
-/// inside a merge waiting on a fill, which on the shared pool would be a
-/// deadlock). Thread-safe; counts hits (a chunk was already filled when
-/// the reader needed it) and stalls (the reader had to wait).
-class SpillPrefetcher {
- public:
-  explicit SpillPrefetcher(size_t threads) : pool_(threads) {}
-
-  void Schedule(std::function<void()> fill) {
-    pool_.Submit(std::move(fill));
-  }
-
-  void RecordHit() { hits_.fetch_add(1, std::memory_order_relaxed); }
-  void RecordStall() { stalls_.fetch_add(1, std::memory_order_relaxed); }
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t stalls() const {
-    return stalls_.load(std::memory_order_relaxed);
-  }
-
- private:
-  ThreadPool pool_;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> stalls_{0};
 };
 
 /// Byte/frame-level writer of one segment file, buffered, every short
-/// write reported as an error: the versioned header, checksummed frames
-/// and the footer index. BeginRun/EndRun bracket the runs of a segment
-/// (EndRun records the footer entry).
+/// write reported as an error: the versioned header, then checksummed
+/// frames. Run boundaries are the caller's: a run is the frames written
+/// between two bytes_written() marks.
 class SpillFrameWriter {
  public:
   explicit SpillFrameWriter(std::unique_ptr<SpillIo> io);
   ~SpillFrameWriter();
 
   Status Open(const std::string& path);
-  void BeginRun(uint32_t partition);
   Status WriteFrame(const char* payload, size_t size);
-  /// Closes the current run; `records` lands in its footer entry.
-  SpillSegmentEntry EndRun(uint64_t records);
-  /// Writes the footer, flushes and closes; the file is only complete
-  /// when Finish returned OK.
+  /// Flushes and closes; the file is only complete when Finish returned
+  /// OK.
   Status Finish();
 
   /// Bytes appended so far (== file size once Finish succeeded).
   uint64_t bytes_written() const { return appended_; }
-  const std::vector<SpillSegmentEntry>& entries() const { return entries_; }
 
  private:
   Status FlushBuffer();
@@ -440,45 +375,30 @@ class SpillFrameWriter {
   std::unique_ptr<SpillIo> io_;
   std::string buffer_;
   uint64_t appended_ = 0;
-  std::vector<SpillSegmentEntry> entries_;
-  uint64_t run_start_ = 0;
-  uint32_t run_partition_ = 0;
-  bool in_run_ = false;
   bool open_ = false;
 };
 
-/// Byte/frame-level reader. Opens either a whole segment (the footer
-/// index bounds its frames) or one bounded run of it (SpillRunRef). A
-/// clean end between frames sets *eof; anything else (bad header, torn
-/// frame, short payload, absurd length, checksum mismatch, an extent
-/// outside the frames) is a Status error. Reads are chunked; with
-/// set_prefetcher the next chunk is fetched on the pool while the caller
-/// consumes the current one.
+/// Byte/frame-level reader of one run (SpillRunRef), read synchronously
+/// in chunks. The end of the extent between frames sets *eof; anything
+/// else (bad header, an extent outside the frames, a file that ends
+/// inside the extent, torn frame, absurd length, checksum mismatch) is a
+/// Status error.
 class SpillFrameReader {
  public:
   explicit SpillFrameReader(std::unique_ptr<SpillIo> io);
   ~SpillFrameReader();
 
-  /// Both must be set (if at all) before Open.
-  void set_prefetcher(SpillPrefetcher* prefetcher) {
-    prefetcher_ = prefetcher;
-  }
+  /// Set (if at all) before Open.
   void set_checksum_failure_counter(std::atomic<uint64_t>* counter) {
     checksum_failures_ = counter;
   }
 
-  Status Open(const std::string& path);
   Status Open(const SpillRunRef& ref);
   Status ReadFrame(std::string* payload, bool* eof);
   Status Close();
 
  private:
-  Status OpenInternal(const std::string& path, const SpillRunRef* ref);
   Status ReadBytes(char* data, size_t size, size_t* read);
-  Status FillChunkSync(std::string* chunk);
-  void ScheduleFill();
-  Status TakeChunk();
-  void WaitPendingFill();
 
   std::unique_ptr<SpillIo> io_;
   bool open_ = false;
@@ -489,23 +409,13 @@ class SpillFrameReader {
   size_t chunk_pos_ = 0;
   uint64_t limit_ = 0;
 
-  // Single-slot async read-ahead (null prefetcher_ = synchronous fills).
-  SpillPrefetcher* prefetcher_ = nullptr;
-  std::mutex fill_mu_;
-  std::condition_variable fill_cv_;
-  std::string next_chunk_;
-  Status fill_status_;
-  bool fill_ready_ = false;
-  bool fill_active_ = false;
-
   std::atomic<uint64_t>* checksum_failures_ = nullptr;
 };
 
 /// Writes sorted spill runs of (Key, Value) records through a serializer
 /// (DefaultSpillSerializer unless the caller brings its own). One writer
-/// produces one segment file: either a single run (Open / Append... /
-/// Finish) or several (BeginRun / Append... / EndRun per bucket, then
-/// Finish). Records are packed into delta-encoded checksummed blocks.
+/// produces one segment file: Open, then Append... and EndRun per run,
+/// then Finish. Records are packed into delta-encoded checksummed blocks.
 template <typename Key, typename Value,
           typename Serializer = DefaultSpillSerializer<Key, Value>>
 class SpillRunWriter {
@@ -516,17 +426,12 @@ class SpillRunWriter {
 
   Status Open(const std::string& path) {
     path_ = path;
-    return frames_.Open(path);
-  }
-
-  void BeginRun(uint32_t partition) {
-    frames_.BeginRun(partition);
-    run_records_ = 0;
-    in_run_ = true;
+    Status s = frames_.Open(path);
+    run_start_ = frames_.bytes_written();
+    return s;
   }
 
   Status Append(const std::pair<Key, Value>& record) {
-    if (!in_run_) BeginRun(0);
     scratch_.clear();
     if (!serializer_(record, &scratch_)) {
       return Status::InvalidArgument(
@@ -541,37 +446,23 @@ class SpillRunWriter {
     }
     raw_bytes_ += scratch_.size();
     Status s = AppendToBlock();
-    if (s.ok()) {
-      ++records_written_;
-      ++run_records_;
-    }
+    if (s.ok()) ++records_written_;
     return s;
   }
 
-  /// Closes the current run and returns its extent handle.
+  /// Closes the records appended since Open or the previous EndRun into
+  /// one run and returns its extent in *ref.
   Status EndRun(SpillRunRef* ref) {
-    Status s = FlushBlock();
-    const SpillSegmentEntry entry = frames_.EndRun(run_records_);
-    in_run_ = false;
-    if (!s.ok()) return s;
-    if (ref != nullptr) {
-      ref->path = path_;
-      ref->offset = entry.offset;
-      ref->length = entry.length;
-      ref->records = entry.records;
-    }
+    if (Status s = FlushBlock(); !s.ok()) return s;
+    const uint64_t end = frames_.bytes_written();
+    *ref = SpillRunRef{path_, run_start_, end - run_start_};
+    run_start_ = end;
     return Status::OK();
   }
 
-  Status Finish() {
-    if (in_run_) {
-      if (Status s = EndRun(nullptr); !s.ok()) {
-        frames_.Finish();  // release the io; the file is already void
-        return s;
-      }
-    }
-    return frames_.Finish();
-  }
+  /// Flushes and closes the file. Records appended after the last EndRun
+  /// belong to no run.
+  Status Finish() { return frames_.Finish(); }
 
   uint64_t bytes_written() const { return frames_.bytes_written(); }
   /// Serialized record bytes before block encoding (the compression
@@ -637,16 +528,15 @@ class SpillRunWriter {
   std::string scratch_;
   std::string block_;
   std::string prev_record_;
+  uint64_t run_start_ = 0;
   uint64_t raw_bytes_ = 0;
   uint64_t records_written_ = 0;
-  uint64_t run_records_ = 0;
-  bool in_run_ = false;
 };
 
-/// Reads spill runs back: a whole segment or one bounded run
-/// (SpillRunRef). Next sets *done on clean end; torn or
-/// corrupt frames, checksum mismatches and malformed block encodings come
-/// back as error Status (never a partial or silently wrong record).
+/// Reads one spill run back by its extent (SpillRunRef). Next sets *done
+/// at the end of the extent; a torn run, corrupt frames, checksum
+/// mismatches and malformed block encodings come back as error Status
+/// (never a partial or silently wrong record).
 template <typename Key, typename Value,
           typename Serializer = DefaultSpillSerializer<Key, Value>>
 class SpillRunReader {
@@ -655,14 +545,10 @@ class SpillRunReader {
                           Serializer serializer = Serializer())
       : frames_(std::move(io)), serializer_(std::move(serializer)) {}
 
-  void set_prefetcher(SpillPrefetcher* prefetcher) {
-    frames_.set_prefetcher(prefetcher);
-  }
   void set_checksum_failure_counter(std::atomic<uint64_t>* counter) {
     frames_.set_checksum_failure_counter(counter);
   }
 
-  Status Open(const std::string& path) { return frames_.Open(path); }
   Status Open(const SpillRunRef& ref) { return frames_.Open(ref); }
 
   Status Next(std::pair<Key, Value>* record, bool* done) {
@@ -741,10 +627,10 @@ class SpillRunReader {
 /// one owner of every spill file the job writes: a file is removed when
 /// its last run is released, and at destruction every file it ever named
 /// goes, with the spill directory when it created one. It also owns the
-/// prefetch pool and the spill counters JobStats reports; tracks per-file
-/// live-run counts so pre-merges can drop a consumed run without deleting
-/// a segment file that still backs other partitions' runs; and carries
-/// the job's peak-resident-records gauge: emitters Add on every emit and
+/// spill counters JobStats reports; tracks per-file live-run counts so
+/// pre-merges can drop a consumed run without deleting a segment file
+/// that still backs other partitions' runs; and carries the job's
+/// peak-resident-records gauge: emitters Add on every emit and
 /// Sub on every flush, merges Add/Sub their active window, so
 /// `resident().peak()` is the in-memory high-water mark the budget bounds
 /// (slack: one merge window per concurrent reduce worker plus one record
@@ -759,12 +645,10 @@ class SpillContext {
   SpillContext(const SpillContext&) = delete;
   SpillContext& operator=(const SpillContext&) = delete;
 
-  /// Creates/validates the spill directory and starts the prefetch pool.
+  /// Creates/validates the spill directory.
   Status Init();
 
   size_t budget() const { return budget_; }
-  /// The merge inputs' read-ahead pool (null until Init).
-  SpillPrefetcher* prefetcher() const { return prefetcher_.get(); }
 
   /// A fresh unique run-file path (registered for teardown removal).
   std::string NewRunPath();
@@ -836,10 +720,6 @@ class SpillContext {
   uint64_t checksum_failures() const {
     return checksum_failures_.load(std::memory_order_relaxed);
   }
-  uint64_t prefetch_hits() const {
-    return prefetcher_ != nullptr ? prefetcher_->hits() : 0;
-  }
-
  private:
   const size_t budget_;
   std::string dir_;
@@ -851,7 +731,6 @@ class SpillContext {
   uint64_t tag_ = 0;
   std::atomic<uint64_t> file_seq_{0};
   ShuffleGauge resident_;
-  std::unique_ptr<SpillPrefetcher> prefetcher_;
 
   std::atomic<uint64_t> spilled_records_{0};
   std::atomic<uint64_t> spill_files_{0};

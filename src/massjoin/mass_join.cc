@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <span>
 #include <tuple>
 #include <utility>
@@ -48,13 +49,22 @@ std::vector<NldPair> MassJoinSelfNldImpl(
 
   MapReduceOptions mr_options = options.mapreduce;
   if (!options.enable_shuffle_spill) mr_options.memory_budget_records = 0;
-  auto map_signatures = [&tokens, threshold](
+  // A signature keyed by a length no token has never meets a partner, so
+  // each role's length loop stops at the input's own length range. Near
+  // T = 1 the Lemma 9 bounds alone reach about |token| / (1 - T).
+  size_t min_len = std::numeric_limits<size_t>::max(), max_len = 0;
+  for (const std::string& token : tokens) {
+    min_len = std::min(min_len, token.size());
+    max_len = std::max(max_len, token.size());
+  }
+  auto map_signatures = [&tokens, threshold, min_len, max_len](
                             const uint32_t& id,
                             PartitionedEmitter<SignatureKey, RoleValue>* out) {
     const std::string& text = tokens[id];
     const uint32_t len = static_cast<uint32_t>(text.size());
     // Segment role: this token as the shorter side of a future pair.
-    const size_t max_longer = MaxLongerLengthForNld(threshold, len);
+    const size_t max_longer =
+        std::min(MaxLongerLengthForNld(threshold, len), max_len);
     for (size_t ly = len; ly <= max_longer; ++ly) {
       const uint32_t tau = MaxLdForNld(threshold, ly, /*x_is_shorter=*/true);
       const auto segments = EvenPartition(len, tau + 1);
@@ -68,7 +78,8 @@ std::vector<NldPair> MassJoinSelfNldImpl(
     }
     // Substring role: this token as the longer side.
     const uint32_t tau = MaxLdForNld(threshold, len, /*x_is_shorter=*/true);
-    const size_t min_lx = MinShorterLengthForNld(threshold, len);
+    const size_t min_lx =
+        std::max(MinShorterLengthForNld(threshold, len), min_len);
     for (size_t lx = min_lx; lx <= len; ++lx) {
       const auto segments = EvenPartition(lx, tau + 1);
       for (size_t i = 0; i < segments.size(); ++i) {

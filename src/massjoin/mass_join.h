@@ -4,13 +4,13 @@
 //
 // Job 1 (candidate generation) — each token plays two roles:
 //  * segment role (token as the shorter side): for every feasible longer
-//    length ly, the token is partitioned into MaxLdForNld(T, ly)+1 even
-//    segments; each segment is emitted keyed by
-//    (ly, |token|, segment index, chunk text);
+//    length ly up to the longest input token, the token is partitioned
+//    into MaxLdForNld(T, ly)+1 even segments; each segment is emitted
+//    keyed by (ly, |token|, segment index, chunk text);
 //  * substring role (token as the longer side): for every feasible shorter
-//    length lx, the multi-match-aware selection enumerates the substrings
-//    that could match a segment of an lx-length string, emitted under the
-//    same key shape.
+//    length lx down to the shortest input token, the multi-match-aware
+//    selection enumerates the substrings that could match a segment of an
+//    lx-length string, emitted under the same key shape.
 // The reducer pairs segment-role tokens with substring-role tokens sharing
 // a key, emitting candidate token-id pairs.
 //

@@ -607,7 +607,6 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
   local_info.merge_passes = local_info.pipeline.total_merge_passes();
   local_info.checksum_failures =
       local_info.pipeline.total_checksum_failures();
-  local_info.prefetch_hits = local_info.pipeline.total_prefetch_hits();
   local_info.peak_resident_records =
       local_info.pipeline.max_peak_resident_records();
   local_info.task_failures = local_info.pipeline.total_task_failures();

@@ -139,9 +139,6 @@ struct TsjRunInfo {
   /// v2 spill frames that failed their checksum on read (each also
   /// surfaces as a lossy spill fault failing the join).
   uint64_t checksum_failures = 0;
-  /// Merge-input read chunks served by the async prefetcher before the
-  /// merge asked for them.
-  uint64_t prefetch_hits = 0;
   /// Largest per-job high-water mark of records resident in memory under
   /// the spill policy (JobStats::peak_resident_records): the gauge that
   /// proves memory_budget_records was honored. Equals the in-memory peak

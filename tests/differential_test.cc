@@ -489,11 +489,20 @@ TEST(DifferentialTest, StreamingSelfJoinMatchesBruteForce) {
   // across the sweep).
   Rng rng(20260726);
   constexpr int kRounds = 6;
+  // Two more rounds pin the ends of the threshold range: T = 0, where
+  // only strings of equal token multisets join, and T = 0.99, where
+  // Lemma 9 lets a token pair with one about 100 times its length. They
+  // draw short tokens: at T = 0.99 a 150-char token alone gives MassJoin
+  // millions of substring-role signatures.
+  constexpr double kEndThresholds[] = {0.0, 0.99};
   const std::vector<size_t> worker_counts = {1, 4, 0};  // 0 = hardware
   const std::vector<size_t> partition_counts = {1, 7, 64};
-  for (int round = 0; round < kRounds; ++round) {
-    const Corpus corpus = RandomJoinCorpus(&rng, 60, /*long_tokens=*/true);
-    const double t = 0.08 + 0.3 * rng.NextDouble();
+  for (int round = 0; round < kRounds + 2; ++round) {
+    const Corpus corpus =
+        RandomJoinCorpus(&rng, 60, /*long_tokens=*/round < kRounds);
+    const double drawn = 0.08 + 0.3 * rng.NextDouble();
+    const double t =
+        round < kRounds ? drawn : kEndThresholds[round - kRounds];
     const PairNsldSet oracle =
         ToPairNsldSet(BruteForceNsldSelfJoin(corpus, t));
     for (DedupStrategy dedup : {DedupStrategy::kGroupOnOneString,

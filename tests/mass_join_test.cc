@@ -80,6 +80,35 @@ TEST(MassJoinTest, ReportsPerJobStats) {
   EXPECT_GT(stats.jobs[0].map_output_records, 0u);
 }
 
+TEST(MassJoinTest, SignatureLengthsStayInTheInputLengthRange) {
+  // Near T = 1 Lemma 9 admits partners about |token| / (1 - T) long; at
+  // T = 0.9 a 5-char token's segment role would range over lengths 5..50.
+  // Every token here has length 5, so only the (5, 5) length pair can
+  // match: per token, tau + 1 segment-role signatures and at most
+  // 2 tau + 1 substring-role starts for each of its tau + 1 segments.
+  constexpr double kT = 0.9;
+  Rng rng(9400);
+  std::set<std::string> distinct;
+  while (distinct.size() < 40) {
+    distinct.insert(testutil::RandomString(&rng, 5, 5, 3));
+  }
+  const std::vector<std::string> tokens(distinct.begin(), distinct.end());
+  PairSet expected;
+  for (uint32_t i = 0; i < tokens.size(); ++i) {
+    for (uint32_t j = i + 1; j < tokens.size(); ++j) {
+      if (NormalizedLevenshtein(tokens[i], tokens[j]) <= kT + 1e-12) {
+        expected.emplace(i, j);
+      }
+    }
+  }
+  PipelineStats stats;
+  EXPECT_EQ(ToSet(MassJoinSelfNld(tokens, kT, {}, &stats)), expected);
+  const uint64_t tau = MaxLdForNld(kT, 5, /*x_is_shorter=*/true);
+  ASSERT_EQ(stats.jobs[0].name, "massjoin-generate");
+  EXPECT_LE(stats.jobs[0].map_output_records,
+            tokens.size() * (tau + 1) * (2 * tau + 2));
+}
+
 TEST(MassJoinTest, ResultIndependentOfWorkerCount) {
   Rng rng(6000);
   const auto tokens = MakeTokens(&rng, 70);

@@ -37,9 +37,16 @@ TEST(ParsePositiveIntTest, Table) {
       {"   ", kNoCap, 0},
       // Zero is not a positive count.
       {"0", kNoCap, 0},
-      // A leading '-' must NOT wrap through strtoull into ~2^64.
+      // A leading '-' must NOT wrap through strtoull into ~2^64, whatever
+      // whitespace precedes it. Negated, "-9223372036854775809" is
+      // INT64_MAX: the CC_TASK_TIMEOUT_MS watchdog that can never fire.
       {"-1", kNoCap, 0},
       {"-250", kNoCap, 0},
+      {"\n-1", kNoCap, 0},
+      {"\r-1", kNoCap, 0},
+      {"\v-1", kNoCap, 0},
+      {"\f-5", kNoCap, 0},
+      {"\n-9223372036854775809", INT64_MAX, 0},
       // ERANGE overflow reads as unset, not ULLONG_MAX.
       {"18446744073709551616", kNoCap, 0},
       {"99999999999999999999999999", kNoCap, 0},

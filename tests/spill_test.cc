@@ -146,6 +146,11 @@ TEST(SpillBudgetTest, ParseTableRejectsNegativeAndMalformedValues) {
   // unset, not "spill everything always".
   EXPECT_EQ(ParseSpillBudget("-1"), 0u);
   EXPECT_EQ(ParseSpillBudget(" -5"), 0u);
+  // Nor after whitespace other than ' ' and '\t', which strtoull skips.
+  EXPECT_EQ(ParseSpillBudget("\n-1"), 0u);
+  EXPECT_EQ(ParseSpillBudget("\r-1"), 0u);
+  EXPECT_EQ(ParseSpillBudget("\v-1"), 0u);
+  EXPECT_EQ(ParseSpillBudget("\f-5"), 0u);
   EXPECT_EQ(ParseSpillBudget("99999999999999999999999999"), 0u);  // ERANGE
   EXPECT_EQ(ParseSpillBudget("abc"), 0u);
   EXPECT_EQ(ParseSpillBudget("16abc"), 0u);
@@ -163,38 +168,56 @@ std::vector<Record> SomeRecords(int n) {
   return records;
 }
 
-void WriteRun(const std::string& path, const std::vector<Record>& records) {
+// Writes `records` as one run and returns its extent.
+SpillRunRef WriteRun(const std::string& path,
+                     const std::vector<Record>& records) {
   SpillRunWriter<std::string, int> writer(MakeDefaultSpillIo());
-  ASSERT_TRUE(writer.Open(path).ok());
+  SpillRunRef ref;
+  EXPECT_TRUE(writer.Open(path).ok());
   for (const Record& record : records) {
-    ASSERT_TRUE(writer.Append(record).ok());
+    EXPECT_TRUE(writer.Append(record).ok());
   }
-  ASSERT_TRUE(writer.Finish().ok());
+  EXPECT_TRUE(writer.EndRun(&ref).ok());
+  EXPECT_TRUE(writer.Finish().ok());
   EXPECT_EQ(writer.records_written(), records.size());
-  EXPECT_GT(writer.bytes_written(), 0u);
+  EXPECT_EQ(ref.offset + ref.length, writer.bytes_written());
+  return ref;
 }
 
-void ReadWholeRun(const std::string& path, std::vector<Record>* out) {
-  SpillRunReader<std::string, int> reader(MakeDefaultSpillIo());
-  ASSERT_TRUE(reader.Open(path).ok());
+// Reads the run through `io` until it ends or errors, counting checksum
+// failures into `failures` when given; returns the terminal status and
+// the records recovered before it.
+Status DrainRun(const SpillRunRef& ref, std::vector<Record>* out,
+                std::unique_ptr<SpillIo> io = MakeDefaultSpillIo(),
+                std::atomic<uint64_t>* failures = nullptr) {
+  SpillRunReader<std::string, int> reader(std::move(io));
+  reader.set_checksum_failure_counter(failures);
+  if (Status s = reader.Open(ref); !s.ok()) return s;
   while (true) {
     Record record;
     bool done = false;
-    ASSERT_TRUE(reader.Next(&record, &done).ok());
-    if (done) break;
+    Status s = reader.Next(&record, &done);
+    if (!s.ok()) return s;
+    if (done) return reader.Close();
     out->push_back(std::move(record));
   }
 }
 
 TEST(SpillRunTest, WriteReadRoundTrip) {
-  const std::string path = TempPath("spill_roundtrip.run");
-  const std::vector<Record> records = SomeRecords(100);
-  WriteRun(path, records);
-
-  std::vector<Record> read_back;
-  ReadWholeRun(path, &read_back);
-  EXPECT_EQ(read_back, records);
-  RemoveSpillFile(path);
+  // A run that fits one read chunk, and one of 4 KiB records that spans
+  // several 256 KiB chunks.
+  std::vector<Record> big;
+  for (int i = 0; i < 300; ++i) {
+    big.emplace_back("key" + std::to_string(i) + std::string(4096, 'p'), i);
+  }
+  for (const std::vector<Record>& records : {SomeRecords(100), big}) {
+    const std::string path = TempPath("spill_roundtrip.run");
+    const SpillRunRef ref = WriteRun(path, records);
+    std::vector<Record> read_back;
+    ASSERT_TRUE(DrainRun(ref, &read_back).ok());
+    EXPECT_EQ(read_back, records);
+    RemoveSpillFile(path);
+  }
 }
 
 TEST(SpillRunTest, DeltaCompressionCutsSortedRunBytesSeveralFold) {
@@ -208,43 +231,30 @@ TEST(SpillRunTest, DeltaCompressionCutsSortedRunBytesSeveralFold) {
   }
   const std::string path = TempPath("spill_compression.run");
   SpillRunWriter<std::string, int> writer(MakeDefaultSpillIo());
+  SpillRunRef ref;
   ASSERT_TRUE(writer.Open(path).ok());
   for (const Record& record : records) {
     ASSERT_TRUE(writer.Append(record).ok());
   }
+  ASSERT_TRUE(writer.EndRun(&ref).ok());
   ASSERT_TRUE(writer.Finish().ok());
   EXPECT_GT(writer.raw_bytes(), 3 * writer.bytes_written())
       << "raw=" << writer.raw_bytes()
       << " disk=" << writer.bytes_written();
 
   std::vector<Record> read_back;
-  ReadWholeRun(path, &read_back);
+  ASSERT_TRUE(DrainRun(ref, &read_back).ok());
   EXPECT_EQ(read_back, records);
   RemoveSpillFile(path);
 }
 
 TEST(SpillRunTest, MissingFileIsCleanError) {
   SpillRunReader<std::string, int> reader(MakeDefaultSpillIo());
-  EXPECT_FALSE(reader.Open(TempPath("no_such_file.run")).ok());
+  EXPECT_FALSE(
+      reader.Open({TempPath("no_such_file.run"), kSpillHeaderBytes, 0}).ok());
 }
 
 // ---- Torn / corrupt frames -------------------------------------------------
-
-// Reads the run until it ends or errors; returns the terminal status and
-// the records recovered before it.
-template <typename Source>
-Status DrainRun(const Source& source, std::vector<Record>* out) {
-  SpillRunReader<std::string, int> reader(MakeDefaultSpillIo());
-  if (Status s = reader.Open(source); !s.ok()) return s;
-  while (true) {
-    Record record;
-    bool done = false;
-    Status s = reader.Next(&record, &done);
-    if (!s.ok()) return s;
-    if (done) return Status::OK();
-    out->push_back(std::move(record));
-  }
-}
 
 // Records whose keys are larger than one block and incompressible: every
 // record is a frame of its own, as in a run of big rows.
@@ -256,27 +266,12 @@ std::vector<Record> FramePerRecord(int n) {
   return records;
 }
 
-// Writes `records` as one run and returns its extent.
-SpillRunRef WriteOneRun(const std::string& path,
-                        const std::vector<Record>& records) {
-  SpillRunWriter<std::string, int> writer(MakeDefaultSpillIo());
-  SpillRunRef ref;
-  EXPECT_TRUE(writer.Open(path).ok());
-  writer.BeginRun(0);
-  for (const Record& record : records) {
-    EXPECT_TRUE(writer.Append(record).ok());
-  }
-  EXPECT_TRUE(writer.EndRun(&ref).ok());
-  EXPECT_TRUE(writer.Finish().ok());
-  return ref;
-}
-
 TEST(SpillRunTest, TornFinalFrameIsDetectedByLengthPrefix) {
   const std::string path = TempPath("spill_torn.run");
   const std::vector<Record> records = FramePerRecord(20);
-  const SpillRunRef ref = WriteOneRun(path, records);
-  // Tear the final frame: drop the last few payload bytes (and the footer
-  // behind them), the classic crash-mid-write artifact. The length prefix
+  const SpillRunRef ref = WriteRun(path, records);
+  // Tear the final frame: drop its last few payload bytes, the classic
+  // crash-mid-write artifact. The length prefix
   // promises more bytes than the file holds, so the reader must error —
   // not return a short record.
   std::filesystem::resize_file(path, ref.offset + ref.length - 3);
@@ -295,36 +290,38 @@ TEST(SpillRunTest, TornFinalFrameIsDetectedByLengthPrefix) {
 }
 
 TEST(SpillRunTest, TruncatedFrameHeaderIsCleanError) {
-  // Cut the file 2 bytes into the last frame's header: neither a clean
-  // end between frames nor a full header. A run of the first 4 records
-  // ends exactly where the 5-record run's last frame starts (each record
-  // is a frame of its own, and the delta chain restarts per frame).
+  // Cut the file 2 bytes into the last frame's header (neither a clean
+  // end between frames nor a full header), or exactly where that frame
+  // starts: a frame boundary, but the run's extent still promises the
+  // frame. A run of the first 4 records ends exactly where the 5-record
+  // run's last frame starts (each record is a frame of its own, and the
+  // delta chain restarts per frame).
   const std::string path = TempPath("spill_torn_header.run");
   const std::vector<Record> records = FramePerRecord(5);
-  const SpillRunRef prefix_run = WriteOneRun(
+  const SpillRunRef prefix_run = WriteRun(
       path, std::vector<Record>(records.begin(), records.end() - 1));
-  const SpillRunRef ref = WriteOneRun(path, records);
-  std::filesystem::resize_file(path,
-                               prefix_run.offset + prefix_run.length + 2);
+  const uint64_t last_frame = prefix_run.offset + prefix_run.length;
+  const struct {
+    uint64_t cut;
+    const char* message;
+  } kCuts[] = {{2, "truncated spill frame header"}, {0, "torn"}};
+  for (const auto& [cut, message] : kCuts) {
+    const SpillRunRef ref = WriteRun(path, records);
+    std::filesystem::resize_file(path, last_frame + cut);
 
-  std::vector<Record> recovered;
-  Status s = DrainRun(ref, &recovered);
-  EXPECT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("truncated spill frame header"),
-            std::string::npos)
-      << s.ToString();
-  EXPECT_EQ(recovered.size(), records.size() - 1);
+    std::vector<Record> recovered;
+    Status s = DrainRun(ref, &recovered);
+    EXPECT_FALSE(s.ok()) << "cut " << cut;
+    EXPECT_EQ(s.code(), StatusCode::kInternal);
+    EXPECT_NE(s.message().find(message), std::string::npos) << s.ToString();
+    EXPECT_EQ(recovered.size(), records.size() - 1);
+  }
   RemoveSpillFile(path);
 }
 
 TEST(SpillRunTest, CorruptLengthPrefixIsCleanError) {
   const std::string path = TempPath("spill_corrupt_len.run");
-  {
-    SpillRunWriter<std::string, int> writer(MakeDefaultSpillIo());
-    ASSERT_TRUE(writer.Open(path).ok());
-    ASSERT_TRUE(writer.Append({"k", 1}).ok());
-    ASSERT_TRUE(writer.Finish().ok());
-  }
+  const SpillRunRef ref = WriteRun(path, {{"k", 1}});
   // Stamp an absurd length (2^32 - 1, past the frame cap) over the first
   // frame's varint prefix, right after the header.
   {
@@ -336,7 +333,7 @@ TEST(SpillRunTest, CorruptLengthPrefixIsCleanError) {
     std::fclose(f);
   }
   std::vector<Record> recovered;
-  Status s = DrainRun(path, &recovered);
+  Status s = DrainRun(ref, &recovered);
   EXPECT_FALSE(s.ok());
   EXPECT_NE(s.message().find("corrupt"), std::string::npos) << s.ToString();
   EXPECT_TRUE(recovered.empty());
@@ -347,15 +344,17 @@ TEST(SpillRunTest, CorruptPayloadIsCleanError) {
   const std::string path = TempPath("spill_corrupt_payload.run");
   // A well-formed, checksummed block holding one 2-byte record (escape
   // form: prefix 0, suffix 0, middle 2) — too short for the record codec.
+  SpillRunRef ref{path, kSpillHeaderBytes, 0};
   {
     SpillFrameWriter frames(MakeDefaultSpillIo());
     ASSERT_TRUE(frames.Open(path).ok());
     const char junk[6] = {static_cast<char>(0xFF), 0, 0, 2, 1, 2};
     ASSERT_TRUE(frames.WriteFrame(junk, sizeof(junk)).ok());
+    ref.length = frames.bytes_written() - ref.offset;
     ASSERT_TRUE(frames.Finish().ok());
   }
   std::vector<Record> recovered;
-  Status s = DrainRun(path, &recovered);
+  Status s = DrainRun(ref, &recovered);
   EXPECT_FALSE(s.ok());
   EXPECT_NE(s.message().find("corrupt"), std::string::npos) << s.ToString();
   EXPECT_TRUE(recovered.empty());
@@ -363,13 +362,14 @@ TEST(SpillRunTest, CorruptPayloadIsCleanError) {
 }
 
 TEST(SpillRunTest, TornV2SegmentIsCleanError) {
-  // Truncating a v2 segment tears its footer; the reader must refuse the
-  // file with a clean Status instead of mis-parsing it.
+  // Truncating a v2 segment tears the run at its end (here one block of
+  // small records); the reader must refuse the run with a clean Status
+  // instead of mis-parsing it.
   const std::string path = TempPath("spill_torn_v2.run");
-  WriteRun(path, SomeRecords(20));
+  const SpillRunRef ref = WriteRun(path, SomeRecords(20));
   std::filesystem::resize_file(path, std::filesystem::file_size(path) - 3);
   std::vector<Record> recovered;
-  EXPECT_FALSE(DrainRun(path, &recovered).ok());
+  EXPECT_FALSE(DrainRun(ref, &recovered).ok());
   RemoveSpillFile(path);
 }
 
@@ -392,25 +392,23 @@ TEST(SpillRunTest, UnencodableRecordFailsAppendWithInvalidArgument) {
   RemoveSpillFile(path);
 }
 
-// ---- v2 segments (multi-run files + footer index) --------------------------
+// ---- v2 segments (multi-run files) -----------------------------------------
 
-TEST(SpillSegmentTest, FooterIndexMapsRunsAndBoundedReadsHonorExtents) {
+TEST(SpillSegmentTest, BoundedReadsHonorRunExtents) {
   const std::string path = TempPath("spill_segment.run");
-  const std::vector<uint32_t> partitions = {2, 5, 9};
-  std::vector<std::vector<Record>> runs(partitions.size());
-  for (size_t r = 0; r < partitions.size(); ++r) {
+  std::vector<std::vector<Record>> runs(3);
+  for (size_t r = 0; r < runs.size(); ++r) {
     for (int i = 0; i < 50; ++i) {
       runs[r].emplace_back(
-          "p" + std::to_string(partitions[r]) + "-" + std::to_string(i), i);
+          "p" + std::to_string(r) + "-" + std::to_string(i), i);
     }
   }
 
-  std::vector<SpillRunRef> refs(partitions.size());
+  std::vector<SpillRunRef> refs(runs.size());
   {
     SpillRunWriter<std::string, int> writer(MakeDefaultSpillIo());
     ASSERT_TRUE(writer.Open(path).ok());
-    for (size_t r = 0; r < partitions.size(); ++r) {
-      writer.BeginRun(partitions[r]);
+    for (size_t r = 0; r < runs.size(); ++r) {
       for (const Record& record : runs[r]) {
         ASSERT_TRUE(writer.Append(record).ok());
       }
@@ -419,38 +417,19 @@ TEST(SpillSegmentTest, FooterIndexMapsRunsAndBoundedReadsHonorExtents) {
     ASSERT_TRUE(writer.Finish().ok());
   }
 
-  // The footer index round-trips the runs' partitions and extents.
-  auto index = ReadSpillSegmentIndex(MakeDefaultSpillIo(), path);
-  ASSERT_TRUE(index.ok()) << index.status().ToString();
-  ASSERT_EQ(index->size(), partitions.size());
-  for (size_t r = 0; r < partitions.size(); ++r) {
-    EXPECT_EQ((*index)[r].partition, partitions[r]);
-    EXPECT_EQ((*index)[r].offset, refs[r].offset);
-    EXPECT_EQ((*index)[r].length, refs[r].length);
-    EXPECT_EQ((*index)[r].records, runs[r].size());
-  }
-
   // Each run reads back alone through its bounded extent — no bleed into
-  // the neighboring runs or the footer.
-  for (size_t r = 0; r < partitions.size(); ++r) {
-    SpillRunReader<std::string, int> reader(MakeDefaultSpillIo());
-    ASSERT_TRUE(reader.Open(refs[r]).ok());
+  // the neighboring runs.
+  for (size_t r = 0; r < runs.size(); ++r) {
     std::vector<Record> read_back;
-    while (true) {
-      Record record;
-      bool done = false;
-      ASSERT_TRUE(reader.Next(&record, &done).ok());
-      if (done) break;
-      read_back.push_back(std::move(record));
-    }
+    ASSERT_TRUE(DrainRun(refs[r], &read_back).ok());
     EXPECT_EQ(read_back, runs[r]);
   }
 
   // An extent outside the frames is a clean error, never a whole-file or
   // header read — {0, 0} included.
   for (const SpillRunRef& bad :
-       {SpillRunRef{path, 0, 0, 0}, SpillRunRef{path, 4, refs[0].length, 1},
-        SpillRunRef{path, refs[0].offset, ~uint64_t{0}, 1}}) {
+       {SpillRunRef{path, 0, 0}, SpillRunRef{path, 4, refs[0].length},
+        SpillRunRef{path, refs[0].offset, ~uint64_t{0}}}) {
     SpillRunReader<std::string, int> reader(MakeDefaultSpillIo());
     const Status s = reader.Open(bad);
     EXPECT_FALSE(s.ok()) << bad.offset;
@@ -487,7 +466,6 @@ class FaultyWriteIo final : public SpillIo {
     return inner_->Read(data, size);
   }
   Status Seek(uint64_t offset) override { return inner_->Seek(offset); }
-  StatusOr<uint64_t> Size() override { return inner_->Size(); }
   Status Close() override { return inner_->Close(); }
 
  private:
@@ -519,7 +497,6 @@ class TruncatingReadIo final : public SpillIo {
     return read;
   }
   Status Seek(uint64_t offset) override { return inner_->Seek(offset); }
-  StatusOr<uint64_t> Size() override { return inner_->Size(); }
   Status Close() override { return inner_->Close(); }
 
  private:
@@ -559,7 +536,6 @@ class BitFlipReadIo final : public SpillIo {
     pos_ = offset;
     return inner_->Seek(offset);
   }
-  StatusOr<uint64_t> Size() override { return inner_->Size(); }
   Status Close() override { return inner_->Close(); }
 
  private:
@@ -591,7 +567,6 @@ class PartialFailOnceIo final : public SpillIo {
     return inner_->Read(data, size);
   }
   Status Seek(uint64_t offset) override { return inner_->Seek(offset); }
-  StatusOr<uint64_t> Size() override { return inner_->Size(); }
   Status Close() override { return inner_->Close(); }
 
  private:
@@ -656,9 +631,11 @@ TEST(SpillFaultTest, TransientFlushErrorDoesNotDuplicatePartialFrames) {
   }
   ASSERT_TRUE(saw_error);  // the injected fault reached the caller
   // The transient fault has passed; Finish retries the buffered bytes.
+  SpillRunRef ref;
+  ASSERT_TRUE(writer.EndRun(&ref).ok());
   ASSERT_TRUE(writer.Finish().ok());
   std::vector<Record> recovered;
-  ASSERT_TRUE(DrainRun(path, &recovered).ok());
+  ASSERT_TRUE(DrainRun(ref, &recovered).ok());
   EXPECT_EQ(recovered, records);  // every frame exactly once, in order
   RemoveSpillFile(path);
 }
@@ -668,44 +645,20 @@ TEST(SpillFaultTest, TransientFlushErrorDoesNotDuplicatePartialFrames) {
 // Writes a small run with a known layout: header bytes [0,8), then one
 // frame = [1-byte varint body size][4-byte checksum @9-12][22-byte body
 // @13-34: the first record whole (escape form), the next two as compact
-// deltas]. Returns the records written.
-std::vector<Record> WriteSmallV2Run(const std::string& path) {
-  std::vector<Record> records = {{"aa", 1}, {"bb", 2}, {"cc", 3}};
-  SpillRunWriter<std::string, int> writer(MakeDefaultSpillIo());
-  EXPECT_TRUE(writer.Open(path).ok());
-  for (const Record& record : records) {
-    EXPECT_TRUE(writer.Append(record).ok());
-  }
-  EXPECT_TRUE(writer.Finish().ok());
-  return records;
-}
-
-// Drains `path` through `io`, counting checksum failures into `failures`.
-Status DrainThroughIo(std::unique_ptr<SpillIo> io, const std::string& path,
-                      std::atomic<uint64_t>* failures,
-                      std::vector<Record>* out) {
-  SpillRunReader<std::string, int> reader(std::move(io));
-  reader.set_checksum_failure_counter(failures);
-  if (Status s = reader.Open(path); !s.ok()) return s;
-  while (true) {
-    Record record;
-    bool done = false;
-    Status s = reader.Next(&record, &done);
-    if (!s.ok()) return s;
-    if (done) return Status::OK();
-    out->push_back(std::move(record));
-  }
+// deltas]. Returns the run's extent.
+SpillRunRef WriteSmallV2Run(const std::string& path) {
+  return WriteRun(path, {{"aa", 1}, {"bb", 2}, {"cc", 3}});
 }
 
 TEST(SpillChecksumTest, PayloadBitFlipIsDetected) {
   const std::string path = TempPath("spill_flip_payload.run");
-  WriteSmallV2Run(path);
+  const SpillRunRef ref = WriteSmallV2Run(path);
   std::atomic<uint64_t> failures{0};
   std::vector<Record> recovered;
   // Offset 20 is inside the frame body: without the checksum this would
   // decode into a silently wrong record.
-  Status s = DrainThroughIo(std::make_unique<BitFlipReadIo>(20), path,
-                            &failures, &recovered);
+  Status s = DrainRun(ref, &recovered,
+                      std::make_unique<BitFlipReadIo>(20), &failures);
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInternal);
   EXPECT_NE(s.message().find("checksum"), std::string::npos)
@@ -717,13 +670,13 @@ TEST(SpillChecksumTest, PayloadBitFlipIsDetected) {
 
 TEST(SpillChecksumTest, ChecksumBitFlipIsDetected) {
   const std::string path = TempPath("spill_flip_checksum.run");
-  WriteSmallV2Run(path);
+  const SpillRunRef ref = WriteSmallV2Run(path);
   std::atomic<uint64_t> failures{0};
   std::vector<Record> recovered;
   // Offset 10 is inside the stored checksum itself — corruption there
   // must be indistinguishable from payload corruption: a clean error.
-  Status s = DrainThroughIo(std::make_unique<BitFlipReadIo>(10), path,
-                            &failures, &recovered);
+  Status s = DrainRun(ref, &recovered,
+                      std::make_unique<BitFlipReadIo>(10), &failures);
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInternal);
   EXPECT_EQ(failures.load(), 1u);
@@ -733,49 +686,17 @@ TEST(SpillChecksumTest, ChecksumBitFlipIsDetected) {
 
 TEST(SpillChecksumTest, VersionByteFlipIsCleanOpenError) {
   const std::string path = TempPath("spill_flip_version.run");
-  WriteSmallV2Run(path);
+  const SpillRunRef ref = WriteSmallV2Run(path);
   std::atomic<uint64_t> failures{0};
   std::vector<Record> recovered;
   // Offset 4 is the header's version byte: an unknown version must be
   // refused at Open, not guessed at.
-  Status s = DrainThroughIo(std::make_unique<BitFlipReadIo>(4), path,
-                            &failures, &recovered);
+  Status s = DrainRun(ref, &recovered,
+                      std::make_unique<BitFlipReadIo>(4), &failures);
   EXPECT_FALSE(s.ok());
   EXPECT_NE(s.message().find("version"), std::string::npos)
       << s.ToString();
   EXPECT_TRUE(recovered.empty());
-  RemoveSpillFile(path);
-}
-
-// ---- Prefetch --------------------------------------------------------------
-
-TEST(SpillPrefetchTest, PrefetchedReadsRoundTripAndCount) {
-  // A run spanning several 256 KiB read chunks, consumed with the async
-  // read-ahead pool attached: contents must be identical, and every chunk
-  // handoff lands in exactly one of the hit/stall counters.
-  std::vector<Record> records;
-  for (int i = 0; i < 300; ++i) {
-    records.emplace_back(
-        "key" + std::to_string(i) + std::string(4096, 'p'), i);
-  }
-  const std::string path = TempPath("spill_prefetch.run");
-  WriteRun(path, records);
-
-  SpillPrefetcher prefetcher(2);
-  SpillRunReader<std::string, int> reader(MakeDefaultSpillIo());
-  reader.set_prefetcher(&prefetcher);
-  ASSERT_TRUE(reader.Open(path).ok());
-  std::vector<Record> read_back;
-  while (true) {
-    Record record;
-    bool done = false;
-    ASSERT_TRUE(reader.Next(&record, &done).ok());
-    if (done) break;
-    read_back.push_back(std::move(record));
-  }
-  ASSERT_TRUE(reader.Close().ok());
-  EXPECT_EQ(read_back, records);
-  EXPECT_GT(prefetcher.hits() + prefetcher.stalls(), 0u);
   RemoveSpillFile(path);
 }
 
@@ -790,8 +711,10 @@ TEST(SpillContextTest, OwnsAndCleansItsTempDirectory) {
     run_path = context.NewRunPath();
     dir = std::filesystem::path(run_path).parent_path().string();
     SpillRunWriter<std::string, int> writer(context.NewIo());
+    SpillRunRef ref;
     ASSERT_TRUE(writer.Open(run_path).ok());
     ASSERT_TRUE(writer.Append({"a", 1}).ok());
+    ASSERT_TRUE(writer.EndRun(&ref).ok());
     ASSERT_TRUE(writer.Finish().ok());
     ASSERT_TRUE(std::filesystem::exists(run_path));
     context.AddRunFile(1, writer.bytes_written(), writer.raw_bytes());
@@ -809,13 +732,12 @@ TEST(SpillContextTest, SegmentFilesLiveUntilTheirLastRunIsReleased) {
   const std::string path = context.NewRunPath();
   {
     SpillRunWriter<std::string, int> writer(context.NewIo());
+    SpillRunRef ref;
     ASSERT_TRUE(writer.Open(path).ok());
-    writer.BeginRun(0);
     ASSERT_TRUE(writer.Append({"a", 1}).ok());
-    ASSERT_TRUE(writer.EndRun(nullptr).ok());
-    writer.BeginRun(1);
+    ASSERT_TRUE(writer.EndRun(&ref).ok());
     ASSERT_TRUE(writer.Append({"b", 2}).ok());
-    ASSERT_TRUE(writer.EndRun(nullptr).ok());
+    ASSERT_TRUE(writer.EndRun(&ref).ok());
     ASSERT_TRUE(writer.Finish().ok());
   }
   context.RegisterRuns(path, 2);
@@ -888,22 +810,26 @@ TEST(SpillFaultTest, FailedSpillReadsAreReportedNotSilent) {
   std::vector<int> inputs(500);
   for (int i = 0; i < 500; ++i) inputs[i] = i;
 
-  MapReduceOptions options;
-  options.num_workers = 1;
-  options.memory_budget_records = 8;
-  options.spill_io_factory = [] {
-    // Writes intact; reads end after 32 bytes — a torn run as seen by
-    // the merge.
-    return std::make_unique<TruncatingReadIo>(32);
-  };
-  JobStats stats;
-  const auto faulted = KeySums(inputs, options, &stats);
-  EXPECT_GT(stats.spilled_records, 0u);  // runs were written...
-  EXPECT_FALSE(stats.spill_status.ok());  // ...and the torn read reported
-  EXPECT_EQ(stats.spill_status.code(), StatusCode::kInternal);
-  // A failed read IS potential data loss: the lossy status that must
-  // fail any pipeline consuming this job's output.
-  EXPECT_FALSE(stats.spill_data_loss.ok());
+  // Writes intact; reads end after `read_limit` bytes — a torn run as
+  // seen by the merge. 32 bytes cut into the first frame; 8 end right
+  // after the header, at a frame boundary.
+  for (const size_t read_limit : {size_t{32}, size_t{8}}) {
+    SCOPED_TRACE("read limit " + std::to_string(read_limit));
+    MapReduceOptions options;
+    options.num_workers = 1;
+    options.memory_budget_records = 8;
+    options.spill_io_factory = [read_limit] {
+      return std::make_unique<TruncatingReadIo>(read_limit);
+    };
+    JobStats stats;
+    KeySums(inputs, options, &stats);
+    EXPECT_GT(stats.spilled_records, 0u);  // runs were written...
+    EXPECT_FALSE(stats.spill_status.ok());  // ...and the torn read reported
+    EXPECT_EQ(stats.spill_status.code(), StatusCode::kInternal);
+    // A failed read IS potential data loss: the lossy status that must
+    // fail any pipeline consuming this job's output.
+    EXPECT_FALSE(stats.spill_data_loss.ok());
+  }
 }
 
 TEST(SpillFaultTest, PayloadBitFlipIsDataLossNeverASilentWrongAnswer) {
