@@ -11,9 +11,9 @@
 // figures come from a 100-1,000-machine MapReduce cluster, so each harness
 // prints the paper's numbers as reference lines, not as a target.
 //
-// Exit status: Figs. 1-5 and 7 exit 1 when a join fails (ExitIfFailed
-// puts its Status on stderr); every harness exits 2 on a malformed
-// TSJ_BENCH_SCALE (Scale).
+// Exit status: Figs. 1-5 and 7 and bench_ablation exit 1 when a join
+// fails (ExitIfFailed puts its Status on stderr); every harness exits 2 on
+// a malformed TSJ_BENCH_SCALE (Scale).
 
 #ifndef TSJ_BENCH_BENCH_COMMON_H_
 #define TSJ_BENCH_BENCH_COMMON_H_

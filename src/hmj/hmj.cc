@@ -10,19 +10,10 @@
 
 #include "common/random.h"
 #include "tokenized/sld.h"
-#include "tokenized/token_pair_cache.h"
 
 namespace tsj {
 
 namespace {
-
-// The leaf-verification thread's workspace: shared between DistanceWithin
-// and the reduce-group boundary that flushes its L1 cache tier
-// (tokenized/sld.h, two-tier probe contract).
-SldVerifyScratch& LeafVerifyScratch() {
-  thread_local SldVerifyScratch scratch;
-  return scratch;
-}
 
 // A record assigned to a (sub-)partition.
 struct Member {
@@ -71,10 +62,10 @@ class HmjRunner {
   // values (Distance above), but the final join check only needs a verdict
   // against the threshold, so the NSLD threshold converts to an integer SLD
   // budget and the bounded engine skips the work a doomed pair would waste.
-  // Runs on the interned token-id spans (no materialized strings) with the
-  // run-wide token-pair cache — leaves of neighbouring partitions repeat
-  // the same token pairs constantly. Returns true iff NSLD(a, b) <=
-  // threshold, with *nsld then holding the exact NSLD — identical to the
+  // Runs on the interned token-id spans (no materialized strings) and
+  // without a token-pair cache: on the Fig. 7 workload one cost more time
+  // and memory than it saved. Returns true iff NSLD(a, b) <= threshold,
+  // with *nsld then holding the exact NSLD — identical to the
   // Distance-based decision and value.
   bool DistanceWithin(uint32_t a, uint32_t b, double* nsld) {
     const uint64_t done =
@@ -88,7 +79,7 @@ class HmjRunner {
         SldBudgetFromThreshold(options_.threshold, la, lb);
     const BoundedSldResult verdict =
         BoundedSld(corpus_, corpus_.tokens(a), corpus_.tokens(b), budget,
-                   options_.aligning, &LeafVerifyScratch(), &pair_cache_);
+                   options_.aligning);
     if (!verdict.within_budget) return false;
     *nsld = NsldFromSld(verdict.sld, la, lb);
     return true;
@@ -97,15 +88,6 @@ class HmjRunner {
   bool aborted() const {
     return state_->aborted.load(std::memory_order_relaxed);
   }
-
-  // Reduce-group boundary: publishes the thread's L1 statistics and
-  // drains its deferred cache upserts into the run-wide shared tier in
-  // one shard-grouped batch once enough accumulated.
-  void FlushVerifyCache() {
-    LeafVerifyScratch().l1.FlushIfBatchReady(&pair_cache_);
-  }
-  // Partition-task boundary: unconditional drain.
-  void DrainVerifyCache() { LeafVerifyScratch().l1.Flush(&pair_cache_); }
 
   // Joins one partition's members, recursively repartitioning when too
   // large; emits verified pairs.
@@ -203,9 +185,6 @@ class HmjRunner {
   const HmjOptions& options_;
   WorkState* state_;
   std::vector<TokenizedString> strings_;
-  // Run-wide memoization of token-pair edge distances for the token-id
-  // verification path (thread-safe; leaves run on the pool).
-  TokenPairCache pair_cache_;
 };
 
 }  // namespace
@@ -261,20 +240,12 @@ StatusOr<std::vector<TsjPair>> HybridMetricJoiner::SelfJoin(
     runner.JoinPartition(
         std::vector<Member>(members.begin(), members.end()), /*depth=*/0,
         out);
-    runner.FlushVerifyCache();  // reduce-group boundary
-  };
-  MapReduceOptions join_mr = options_.mapreduce;
-  if (!options_.enable_shuffle_spill) join_mr.memory_budget_records = 0;
-  // Partition-task boundary: fully drain each leaf-verify worker's
-  // deferred cache upserts into the run-wide shared tier.
-  join_mr.reduce_partition_epilogue = [&runner] {
-    runner.DrainVerifyCache();
   };
   JobStats join_stats;
   std::vector<TsjPair> raw_pairs =
       RunMapReduceSorted<uint32_t, uint32_t, Member, TsjPair>(
           "hmj-partition-join", all_ids, map_assign, reduce_join,
-          join_mr, &join_stats);
+          options_.mapreduce, &join_stats);
   local_info.pipeline.Add(join_stats);
 
   // ---- Job 2: dedup (a pair may surface in several partitions). ---------
@@ -292,23 +263,16 @@ StatusOr<std::vector<TsjPair>> HybridMetricJoiner::SelfJoin(
   // what the reducer does with the full run).
   const CombinerFn<PairKey, double> combine_dup =
       KeepFirstCombiner<PairKey, double>();
-  MapReduceOptions dedup_mr = options_.mapreduce;
-  if (!options_.enable_shuffle_spill) dedup_mr.memory_budget_records = 0;
   JobStats dedup_stats;
   std::vector<TsjPair> results =
       RunMapReduceSorted<TsjPair, PairKey, double, TsjPair>(
-          "hmj-dedup", raw_pairs, map_pairs, reduce_dedup, dedup_mr,
+          "hmj-dedup", raw_pairs, map_pairs, reduce_dedup, options_.mapreduce,
           &dedup_stats, combine_dup);
   local_info.pipeline.Add(dedup_stats);
 
   local_info.distance_computations = state.distance_computations;
   local_info.pivot_filtered = state.pivot_filtered;
   local_info.assignments = state.assignments;
-  local_info.task_failures = local_info.pipeline.total_task_failures();
-  local_info.task_retries = local_info.pipeline.total_task_retries();
-  local_info.tasks_cancelled =
-      local_info.pipeline.total_tasks_cancelled();
-  local_info.tasks_degraded = local_info.pipeline.total_tasks_degraded();
   // When the work limit was exceeded the results are incomplete; they are
   // still returned for inspection, with completed=false marking the DNF.
   local_info.completed = !state.aborted.load();

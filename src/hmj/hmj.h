@@ -57,15 +57,12 @@ struct HmjOptions {
   TokenAligning aligning = TokenAligning::kExact;
   /// MapReduce engine configuration. Both jobs shuffle into
   /// mapreduce.num_partitions partitions, whatever the pivot count above.
-  MapReduceOptions mapreduce;
-  /// External-memory shuffle spill (mapreduce/spill.h): when enabled AND
-  /// mapreduce.memory_budget_records is set, the partition-join and dedup
-  /// jobs bound their resident shuffle records by the budget, spilling
-  /// over-budget buckets as sorted runs and merging them back at reduce
-  /// time. Lossless. Off by default (the budget is then ignored); lossy
-  /// spill faults (failed run reads) surface as the join's error Status,
+  /// A set mapreduce.memory_budget_records bounds both jobs' resident
+  /// shuffle records (mapreduce/spill.h): over-budget buckets spill as
+  /// sorted runs and merge back at reduce time. Lossless; lossy spill
+  /// faults (failed run reads) surface as the join's error Status,
   /// degraded write faults via JobStats::spill_status only.
-  bool enable_shuffle_spill = false;
+  MapReduceOptions mapreduce;
 
   Status Validate() const {
     // Written so that NaN, for which every comparison is false, fails.
@@ -84,6 +81,8 @@ struct HmjOptions {
 
 /// Counters and per-job statistics of one HMJ run.
 struct HmjRunInfo {
+  /// Per-job MapReduce statistics (partition join, then dedup); the run's
+  /// spill and task counters are their totals.
   PipelineStats pipeline;
   /// NSLD evaluations performed (partitioning + verification).
   uint64_t distance_computations = 0;
@@ -96,13 +95,6 @@ struct HmjRunInfo {
   uint64_t batched_verify_calls = 0;
   uint64_t batched_verify_lanes_filled = 0;
   uint64_t batched_verify_lane_slots = 0;
-  /// Task-level fault-tolerance counters summed across the run's jobs
-  /// (same semantics as the TsjRunInfo fields of the same names; see the
-  /// fault contract in mapreduce.h).
-  uint64_t task_failures = 0;
-  uint64_t task_retries = 0;
-  uint64_t tasks_cancelled = 0;
-  uint64_t tasks_degraded = 0;
   /// False when the work_limit was exceeded (DNF).
   bool completed = true;
 };

@@ -47,8 +47,6 @@ std::vector<NldPair> MassJoinSelfNldImpl(
   std::vector<uint32_t> ids(tokens.size());
   for (uint32_t i = 0; i < tokens.size(); ++i) ids[i] = i;
 
-  MapReduceOptions mr_options = options.mapreduce;
-  if (!options.enable_shuffle_spill) mr_options.memory_budget_records = 0;
   // A signature keyed by a length no token has never meets a partner, so
   // each role's length loop stops at the input's own length range. Near
   // T = 1 the Lemma 9 bounds alone reach about |token| / (1 - T).
@@ -86,7 +84,11 @@ std::vector<NldPair> MassJoinSelfNldImpl(
         const Segment& seg = segments[i];
         const StartRange range =
             SubstringStartRange(len, lx, tau, i, segments[i]);
-        for (int64_t start = range.lo; start <= range.hi; ++start) {
+        // Every start of an empty segment selects the same "" chunk, and
+        // the reducer needs each (key, token) only once.
+        const int64_t hi =
+            seg.length == 0 ? std::min(range.lo, range.hi) : range.hi;
+        for (int64_t start = range.lo; start <= hi; ++start) {
           out->Emit(
               SignatureKey{len, static_cast<uint32_t>(lx),
                            static_cast<uint32_t>(i),
@@ -139,7 +141,7 @@ std::vector<NldPair> MassJoinSelfNldImpl(
                               CandidatePair, CandidatePair, char, NldPair>(
           "massjoin-generate", "massjoin-verify", ids, map_signatures,
           reduce_candidates, /*stage2_side_inputs=*/{}, map_side,
-          reduce_verify, mr_options, &generate_stats, &verify_stats,
+          reduce_verify, options.mapreduce, &generate_stats, &verify_stats,
           /*combiner1=*/nullptr,
           // Duplicate candidate discoveries of one token pair collapse at
           // the stage boundary (the verify reducer only needs the key).

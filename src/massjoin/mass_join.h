@@ -10,7 +10,8 @@
 //  * substring role (token as the longer side): for every feasible shorter
 //    length lx down to the shortest input token, the multi-match-aware
 //    selection enumerates the substrings that could match a segment of an
-//    lx-length string, emitted under the same key shape.
+//    lx-length string, emitted under the same key shape. An empty segment
+//    selects the same empty chunk at every start, so it is emitted once.
 // The reducer pairs segment-role tokens with substring-role tokens sharing
 // a key, emitting candidate token-id pairs.
 //
@@ -37,17 +38,14 @@ namespace tsj {
 /// MassJoin configuration.
 struct MassJoinOptions {
   /// Engine options used by both jobs; both shuffle into
-  /// mapreduce.num_partitions partitions.
+  /// mapreduce.num_partitions partitions. A set
+  /// mapreduce.memory_budget_records bounds the fused generate/verify
+  /// job's resident shuffle records (mapreduce/spill.h: sorted runs on
+  /// disk, k-way merge at reduce time). Lossless. MassJoinSelfNld returns
+  /// a plain vector, so spill faults surface through the
+  /// JobStats::spill_status / spill_data_loss entries appended to `stats`
+  /// — TSJ checks the lossy class and fails its join on it.
   MapReduceOptions mapreduce;
-  /// External-memory shuffle spill (mapreduce/spill.h): when enabled AND
-  /// mapreduce.memory_budget_records is set, the fused generate/verify
-  /// job bounds its resident shuffle records by the budget (sorted runs
-  /// on disk, k-way merge at reduce time). Lossless. Off by default (the
-  /// budget is then ignored). MassJoinSelfNld returns a plain vector, so
-  /// spill faults surface through the JobStats::spill_status /
-  /// spill_data_loss entries appended to `stats` — TSJ checks the lossy
-  /// class and fails its join on it.
-  bool enable_shuffle_spill = false;
 };
 
 /// Self-joins `tokens` under NLD <= threshold (0 <= threshold < 1) using

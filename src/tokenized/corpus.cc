@@ -42,16 +42,6 @@ TokenizedString Corpus::Materialize(StringId id) const {
   return tokens;
 }
 
-void Corpus::MaterializeInto(StringId id, TokenizedString* out) const {
-  const std::vector<TokenId>& ids = strings_[id];
-  out->resize(ids.size());
-  // std::string::assign reuses each slot's character buffer when the
-  // capacity suffices, unlike the copy-construction Materialize performs.
-  for (size_t i = 0; i < ids.size(); ++i) {
-    (*out)[i].assign(token_texts_[ids[i]]);
-  }
-}
-
 std::vector<uint32_t> Corpus::ComputeTokenStringFrequencies() const {
   std::vector<uint32_t> freq(token_texts_.size(), 0);
   std::vector<TokenId> seen;

@@ -62,15 +62,10 @@ class Corpus {
   /// Character bag of string `id` (the bag filter's metadata).
   const CharBag& char_bag(StringId id) const { return char_bags_[id]; }
 
-  /// Materializes string `id` back into its token multiset (final
-  /// verification resolves ids to strings, Sec. III-F).
+  /// Materializes string `id` back into its token multiset, the input of
+  /// the byte-level distance functions (Sld, Nsld). Verification reads the
+  /// token ids in place instead (the BoundedSld overload in sld.h).
   TokenizedString Materialize(StringId id) const;
-
-  /// Materializes string `id` into `*out`, reusing its existing token and
-  /// character capacity. Verify-loop workers call this with a per-thread
-  /// scratch buffer (e.g. SldVerifyScratch::x/y) instead of Materialize,
-  /// so steady-state verification allocates nothing per candidate.
-  void MaterializeInto(StringId id, TokenizedString* out) const;
 
   /// Number of tokenized strings that contain each token at least once
   /// (document frequency); indexed by TokenId. Used for the

@@ -55,7 +55,7 @@
 //
 // Token-id verification path. The overload taking std::span<const
 // TokenId> verifies directly on a Corpus's interned ids — no
-// MaterializeInto, no byte copies: token texts are read in place through
+// materialization, no byte copies: token texts are read in place through
 // string_views, identical tokens short-circuit on id equality, and
 // duplicate detection is integer comparison instead of string
 // comparison. Its results (sld, within_budget) are byte-identical to the
@@ -73,11 +73,11 @@
 // install into the L1 with the shared upsert deferred into a batch that
 // flushes at most once per kPendingCapacity edges — callers running a
 // verify loop should additionally flush at reduce-group boundaries
-// (scratch->l1.Flush(cache), as tsj/tsj.cc and hmj/hmj.cc do) so late
-// entries and the L1 statistics reach the shared tier. The probes are
-// cost-model gated per tier: edges whose modeled kernel cost is below
-// the price of even the lock-free L1 probe recompute outright, and edges
-// below the (pricier) shared-shard round-trip probe only the L1. Gating
+// (scratch->l1.Flush(cache), as tsj/tsj.cc does) so late entries and the
+// L1 statistics reach the shared tier. The probes are cost-model gated
+// per tier: edges whose modeled kernel cost is below the price of even
+// the lock-free L1 probe recompute outright, and edges below the
+// (pricier) shared-shard round-trip probe only the L1. Gating
 // and tiering change only *where* a value is found, never the value —
 // the path stays lossless, pinned by tests/differential_test.cc with the
 // L1 tier on and off.
@@ -134,18 +134,16 @@ bool NsldWithin(const TokenizedString& x, const TokenizedString& y,
 int64_t SldBudgetFromThreshold(double threshold, size_t len_x, size_t len_y);
 
 /// Reusable workspace for BoundedSld: the bigraph cost matrix, the
-/// duplicate-token memoization tables, the Hungarian solver scratch, two
-/// TokenizedString buffers callers may use with Corpus::MaterializeInto,
-/// and the worker-private L1 cache tier fronting the shared
-/// TokenPairCache (see the file comment's two-tier probe contract) — so
-/// the whole verify loop is allocation-free and, on cache probes,
-/// lock-free after per-thread warm-up. BoundedSld never touches `x`/`y`.
+/// duplicate-token memoization tables, the Hungarian solver scratch and
+/// the worker-private L1 cache tier fronting the shared TokenPairCache
+/// (see the file comment's two-tier probe contract) — so the whole verify
+/// loop is allocation-free and, on cache probes, lock-free after
+/// per-thread warm-up.
 struct SldVerifyScratch {
   std::vector<int64_t> costs;
   std::vector<uint32_t> rep_x, rep_y;
   HungarianScratch hungarian;
   GreedyScratch greedy;
-  TokenizedString x, y;
   /// Per-worker L1 tier (token_pair_cache.h). Auto-binds to whichever
   /// shared cache BoundedSld is called with; flush it at reduce-group
   /// boundaries. Only used when `use_l1_cache` is on.

@@ -32,7 +32,9 @@ enum class DedupStrategy {
 };
 
 /// Tunables of a TSJ run. Defaults follow the paper's evaluation defaults
-/// (T = 0.1, M = 1,000; Sec. V).
+/// (T = 0.1, M = 1,000; Sec. V). The lossless filters (Sec. III-E) and the
+/// budgeted token-id verification (Sec. III-F) have no switch: every run
+/// applies them (tsj/tsj.h).
 struct TsjOptions {
   /// NSLD threshold T: pairs with NSLD <= threshold are joined.
   double threshold = 0.1;
@@ -52,43 +54,12 @@ struct TsjOptions {
   /// Dedup strategy for candidate pairs.
   DedupStrategy dedup = DedupStrategy::kGroupOnOneString;
 
-  /// Length filter (Sec. III-E.1, Lemma 6 lower bound), applied where
-  /// candidate pairs are generated: each generator walks its strings in
-  /// aggregate-length order and emits only the pairs whose bound is
-  /// within T, so the dedup shuffle never carries the others
-  /// (TsjRunInfo::length_filtered counts the skipped emissions). Lossless.
-  /// Disabled, the window admits every generated pair; the bag filter,
-  /// which has no switch and dominates the Lemma 6 bound, still checks
-  /// each one (TsjRunInfo::bag_filtered).
-  bool enable_length_filter = true;
-
-  /// Token-length-histogram filter (Sec. III-E.2). Lossless.
-  bool enable_histogram_filter = true;
-
-  /// Budget-aware verification (tokenized/sld.h): converts the NSLD
-  /// threshold into an integer SLD budget per candidate and verifies with
-  /// BoundedSld, which skips DP/solver work as soon as the pair provably
-  /// misses the threshold. Lossless: joins the same pairs with the same
-  /// NSLD values as the unbounded path. Disable only to measure the
-  /// unbounded baseline (bench_ablation does).
-  bool enable_budgeted_verify = true;
-
-  /// Token-id-level verification: verify on the interned token-id spans
-  /// directly instead of materializing byte strings per candidate (no
-  /// MaterializeInto, no byte copies, duplicate detection by id). Both
-  /// join forms verify within one Corpus (Join concatenates R and P), so
-  /// both take this path. Lossless: byte-identical pairs and NSLD values.
-  /// Requires enable_budgeted_verify. Disable only to measure the
-  /// materialized baseline (bench_ablation does).
-  bool enable_token_id_verify = true;
-
   /// Corpus-wide memoization of token-pair edge distances
   /// (tokenized/token_pair_cache.h): duplicate token pairs across
-  /// *candidates* skip the LD kernel entirely. Only effective on the
-  /// token-id verification path, and in SelfJoin only: each SelfJoin
-  /// builds its own cache and drops it when it returns, and Join runs
-  /// without one. Lossless: a served entry equals what the kernel would
-  /// have computed. Disable only to measure the uncached baseline
+  /// *candidates* skip the LD kernel entirely. SelfJoin only: each
+  /// SelfJoin builds its own cache and drops it when it returns, and Join
+  /// runs without one. Lossless: a served entry equals what the kernel
+  /// would have computed. Disable only to measure the uncached baseline
   /// (bench_ablation does).
   bool enable_token_pair_cache = true;
 
@@ -117,9 +88,9 @@ struct TsjOptions {
   /// aborted a merge; output may be incomplete) surface as the join's
   /// error Status; degraded write faults keep their complete in-memory
   /// results and are reported via the per-job JobStats::spill_status
-  /// only. TsjRunInfo reports
-  /// spilled_records/spill_files/spill_bytes/merge_passes and the
-  /// peak-resident-records gauge that proves the budget held.
+  /// only. TsjRunInfo::pipeline reports the spill counters
+  /// (PipelineStats::total_spilled_records() and its siblings) and
+  /// max_peak_resident_records(), the gauge that proves the budget held.
   bool enable_shuffle_spill = false;
 
   /// MapReduce engine configuration shared by all pipeline jobs, the

@@ -81,58 +81,35 @@ struct Counters {
 // appends to `out` when the pair joins. Lossless filters only
 // (Sec. III-E); the length and bag filters already ran where the pair
 // was generated (LengthWindow, BagFilter). `cache` (may be null) is the
-// run's corpus-wide token-pair cache, only consulted on the token-id path.
+// run's corpus-wide token-pair cache.
 void FilterAndVerify(const Corpus& corpus, const TsjOptions& options,
                      Counters* counters, TokenPairCache* cache, uint32_t a,
                      uint32_t b, std::vector<TsjPair>* out) {
   const double t = options.threshold;
   const size_t la = corpus.aggregate_length(a);
   const size_t lb = corpus.aggregate_length(b);
-  if (options.enable_histogram_filter &&
-      NsldLowerBoundFromHistograms(corpus.length_histogram(a),
+  if (NsldLowerBoundFromHistograms(corpus.length_histogram(a),
                                    corpus.length_histogram(b)) > t) {
     counters->histogram_filtered.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   counters->verified_candidates.fetch_add(1, std::memory_order_relaxed);
-  // Final verification (Sec. III-F) through the budget-aware SLD engine —
+  // Final verification (Sec. III-F) through the budget-aware SLD engine:
   // the NSLD threshold converts to an integer SLD budget (tokenized/sld.h),
   // and the bounded path only ever skips work, never changes the decision
-  // or the reported NSLD.
+  // or the reported NSLD. Both strings live in one interned id space, so
+  // the engine reads token texts in place and the corpus-wide cache can
+  // short-circuit repeated edges.
   SldVerifyScratch& scratch = VerifyScratch();
   scratch.use_l1_cache = options.enable_l1_verify_cache;
-  if (options.enable_budgeted_verify) {
-    const int64_t budget = SldBudgetFromThreshold(t, la, lb);
-    BoundedSldResult verdict;
-    if (options.enable_token_id_verify) {
-      // Token-id verification: both strings live in one interned id
-      // space, so the engine reads token texts in place — no
-      // materialization — and the corpus-wide cache can short-circuit
-      // repeated edges.
-      verdict = BoundedSld(corpus, corpus.tokens(a), corpus.tokens(b),
-                           budget, options.aligning, &scratch, cache);
-    } else {
-      corpus.MaterializeInto(a, &scratch.x);
-      corpus.MaterializeInto(b, &scratch.y);
-      verdict =
-          BoundedSld(scratch.x, scratch.y, budget, options.aligning, &scratch);
-    }
-    counters->verify_work_units.fetch_add(verdict.work_units,
-                                          std::memory_order_relaxed);
-    if (verdict.within_budget) {
-      out->push_back(TsjPair{a, b, NsldFromSld(verdict.sld, la, lb)});
-    }
-    return;
-  }
-  corpus.MaterializeInto(a, &scratch.x);
-  corpus.MaterializeInto(b, &scratch.y);
-  const uint64_t work = SldWorkUnits(la, lb, scratch.x.size(),
-                                     scratch.y.size(), options.aligning);
-  counters->verify_work_units.fetch_add(work, std::memory_order_relaxed);
-  const int64_t sld = Sld(scratch.x, scratch.y, options.aligning);
-  const double nsld = NsldFromSld(sld, la, lb);
-  if (nsld <= t) {
-    out->push_back(TsjPair{a, b, nsld});
+  const BoundedSldResult verdict =
+      BoundedSld(corpus, corpus.tokens(a), corpus.tokens(b),
+                 SldBudgetFromThreshold(t, la, lb), options.aligning,
+                 &scratch, cache);
+  counters->verify_work_units.fetch_add(verdict.work_units,
+                                        std::memory_order_relaxed);
+  if (verdict.within_budget) {
+    out->push_back(TsjPair{a, b, NsldFromSld(verdict.sld, la, lb)});
   }
 }
 
@@ -172,14 +149,12 @@ size_t SortRunsBySide(std::span<uint32_t> ids, const Sides& sides,
 // NsldLowerBoundFromAggregateLengths(la, lb) <= T. The bound is monotone
 // in the longer length (and in the shorter one), so over strings sorted by
 // aggregate length the partners one string admits form one contiguous
-// range; the generators below walk only that range. Disabled, it admits
-// every pair.
+// range; the generators below walk only that range.
 struct LengthWindow {
-  bool enabled = true;
   double threshold = 0.0;
 
   bool Admits(size_t la, size_t lb) const {
-    return !enabled || NsldLowerBoundFromAggregateLengths(la, lb) <= threshold;
+    return NsldLowerBoundFromAggregateLengths(la, lb) <= threshold;
   }
 };
 
@@ -265,7 +240,7 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
   // join-level switch is on (the CC_SHUFFLE_SPILL_BUDGET test override
   // is engine-level and bypasses this gate by design).
   if (!options.enable_shuffle_spill) mr_options.memory_budget_records = 0;
-  const LengthWindow window{options.enable_length_filter, t};
+  const LengthWindow window{t};
   const BagFilter bags{corpus, t};
   auto length_of = [&corpus](uint32_t s) { return corpus.aggregate_length(s); };
 
@@ -324,7 +299,6 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
     }
     MassJoinOptions mass_options;
     mass_options.mapreduce = mr_options;
-    mass_options.enable_shuffle_spill = options.enable_shuffle_spill;
     const std::vector<NldPair> token_pairs =
         MassJoinSelfNld(token_texts, t, mass_options, &mass_stats);
     local_info.similar_token_pairs = token_pairs.size();
@@ -599,21 +573,6 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
     local_info.token_pair_cache_flushed_records =
         pair_cache->flushed_records();
   }
-  local_info.spilled_records = local_info.pipeline.total_spilled_records();
-  local_info.spill_files = local_info.pipeline.total_spill_files();
-  local_info.spill_bytes = local_info.pipeline.total_spill_bytes();
-  local_info.spill_raw_bytes =
-      local_info.pipeline.total_spill_raw_bytes();
-  local_info.merge_passes = local_info.pipeline.total_merge_passes();
-  local_info.checksum_failures =
-      local_info.pipeline.total_checksum_failures();
-  local_info.peak_resident_records =
-      local_info.pipeline.max_peak_resident_records();
-  local_info.task_failures = local_info.pipeline.total_task_failures();
-  local_info.task_retries = local_info.pipeline.total_task_retries();
-  local_info.tasks_cancelled =
-      local_info.pipeline.total_tasks_cancelled();
-  local_info.tasks_degraded = local_info.pipeline.total_tasks_degraded();
   local_info.result_pairs = results.size();
   local_info.peak_shuffle_records = gauge.peak();
   // Lossy spill faults (failed run reads: a partition's merge aborted,
@@ -641,13 +600,10 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
 StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
     const Corpus& corpus, TsjRunInfo* info) const {
   if (Status s = options_.Validate(); !s.ok()) return s;
-  // The run's own token-pair cache. Only the token-id path consults it;
-  // a null cache turns every lookup off.
+  // The run's own token-pair cache; a null cache turns every lookup off.
   TokenPairCache cache;
-  const bool use_cache = options_.enable_budgeted_verify &&
-                         options_.enable_token_id_verify &&
-                         options_.enable_token_pair_cache;
-  return RunPipeline(corpus, Sides{}, options_, use_cache ? &cache : nullptr,
+  return RunPipeline(corpus, Sides{}, options_,
+                     options_.enable_token_pair_cache ? &cache : nullptr,
                      info);
 }
 

@@ -28,7 +28,9 @@
 //             self-join adds a corpus-wide TokenPairCache across
 //             candidates. Candidates of one reduce group verify in
 //             aggregate-length order so DP scratch and cache lines stay
-//             resident.
+//             resident. The filters and the budgeted token-id verify
+//             have no switch: the brute-force differentials pin them
+//             against the unfiltered, unbounded oracle.
 //
 // Both join forms run this one pipeline over one Corpus. The general
 // R x P join (Sec. II-B) copies R's strings and then P's into one corpus
@@ -62,7 +64,9 @@ struct TsjPair {
 
 /// Counters and per-job statistics of one TSJ run.
 struct TsjRunInfo {
-  /// Per-job MapReduce statistics, in execution order.
+  /// Per-job MapReduce statistics, in execution order. The run's spill and
+  /// task counters are its totals (PipelineStats::total_spilled_records(),
+  /// max_peak_resident_records(), total_task_retries(), ...).
   PipelineStats pipeline;
 
   /// Distinct tokens ignored because they occur in more than M strings.
@@ -81,7 +85,7 @@ struct TsjRunInfo {
   uint64_t distinct_candidates = 0;
   /// Emissions the length window (Sec. III-E.1) skipped during
   /// generation, counted before dedup: a pair generated through k tokens
-  /// counts k times. Zero when TsjOptions::enable_length_filter is off.
+  /// counts k times.
   uint64_t length_filtered = 0;
   /// Emissions the bag filter skipped during generation: pairs the length
   /// window admitted whose character-bag SLD bound (tokenized/bounds.h)
@@ -93,11 +97,10 @@ struct TsjRunInfo {
   uint64_t histogram_filtered = 0;
   /// Candidates that reached full SLD verification.
   uint64_t verified_candidates = 0;
-  /// Deterministic work units spent inside SLD verification (same units as
-  /// SldWorkUnits). With budgeted verify this counts the operations
-  /// actually performed, so comparing it against an
-  /// enable_budgeted_verify=false run measures the verification saving
-  /// directly (bench_ablation does exactly that).
+  /// Work units BoundedSld spent verifying (the sum of
+  /// BoundedSldResult::work_units, in the units of SldWorkUnits). A
+  /// token-pair-cache hit counts 1 unit, so with the cache on and more
+  /// than one worker the total can differ between runs.
   uint64_t verify_work_units = 0;
   /// Token-pair-cache probes answered by the per-worker L1 tier (no
   /// shared-shard traffic at all; tokenized/token_pair_cache.h).
@@ -123,38 +126,6 @@ struct TsjRunInfo {
   /// Shuffle partition count of every job of the run:
   /// TsjOptions::mapreduce.num_partitions.
   uint64_t shuffle_partitions = 0;
-  /// External-memory spill counters (mapreduce/spill.h), summed across
-  /// the run's jobs; all zero when TsjOptions::enable_shuffle_spill is
-  /// off or the budget never overflowed. spilled_records counts records
-  /// written to disk as sorted runs (post-flush-combine); merge_passes
-  /// counts per-partition sort-merge passes (final streamed merges plus
-  /// hierarchical pre-merges).
-  uint64_t spilled_records = 0;
-  uint64_t spill_files = 0;
-  uint64_t spill_bytes = 0;
-  /// Pre-compression serialized bytes (spill_raw_bytes / spill_bytes =
-  /// the spill compression ratio; see JobStats::spill_raw_bytes).
-  uint64_t spill_raw_bytes = 0;
-  uint64_t merge_passes = 0;
-  /// v2 spill frames that failed their checksum on read (each also
-  /// surfaces as a lossy spill fault failing the join).
-  uint64_t checksum_failures = 0;
-  /// Largest per-job high-water mark of records resident in memory under
-  /// the spill policy (JobStats::peak_resident_records): the gauge that
-  /// proves memory_budget_records was honored. Equals the in-memory peak
-  /// when no spill ran.
-  uint64_t peak_resident_records = 0;
-  /// Task-level fault-tolerance counters (the fault contract in
-  /// mapreduce.h), summed across the run's jobs: failed task attempts,
-  /// deterministic lossless re-executions, tasks skipped after a fatal
-  /// sibling failure tripped the job's cancellation token, and tasks the
-  /// CC_TASK_TIMEOUT_MS watchdog observed running past the timeout. A
-  /// fatal task error additionally fails the join (its Status is
-  /// returned); retried-and-absorbed faults only show up here.
-  uint64_t task_failures = 0;
-  uint64_t task_retries = 0;
-  uint64_t tasks_cancelled = 0;
-  uint64_t tasks_degraded = 0;
   /// Pairs in the final result.
   uint64_t result_pairs = 0;
   /// Pipeline-wide high-water mark of shuffle-resident records: one

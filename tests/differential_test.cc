@@ -212,7 +212,6 @@ TEST(DifferentialTest, BoundedSldOnTokenIdsMatchesBytes) {
   for (int round = 0; round < kRounds; ++round) {
     const Corpus corpus = RandomCorpus(&rng, 30);
     TokenPairCache cache;  // shared across the round: warms up quickly
-    SldVerifyScratch scratch;
     for (int trial = 0; trial < kPairsPerRound; ++trial) {
       const uint32_t a = static_cast<uint32_t>(rng.Uniform(corpus.size()));
       const uint32_t b = static_cast<uint32_t>(rng.Uniform(corpus.size()));
@@ -234,10 +233,9 @@ TEST(DifferentialTest, BoundedSldOnTokenIdsMatchesBytes) {
       const TokenAligning aligning = rng.Bernoulli(0.5)
                                          ? TokenAligning::kExact
                                          : TokenAligning::kGreedy;
-      corpus.MaterializeInto(a, &scratch.x);
-      corpus.MaterializeInto(b, &scratch.y);
-      const BoundedSldResult byte_result =
-          BoundedSld(scratch.x, scratch.y, budget, aligning);
+      const TokenizedString x = corpus.Materialize(a);
+      const TokenizedString y = corpus.Materialize(b);
+      const BoundedSldResult byte_result = BoundedSld(x, y, budget, aligning);
       const BoundedSldResult id_plain =
           BoundedSld(corpus, corpus.tokens(a), corpus.tokens(b), budget,
                      aligning, /*scratch=*/nullptr, /*cache=*/nullptr);
@@ -261,7 +259,7 @@ TEST(DifferentialTest, BoundedSldOnTokenIdsMatchesBytes) {
       // Within budget, the id path must also agree with the unbounded
       // ground truth.
       if (byte_result.within_budget) {
-        ASSERT_EQ(byte_result.sld, Sld(scratch.x, scratch.y, aligning));
+        ASSERT_EQ(byte_result.sld, Sld(x, y, aligning));
       }
     }
   }
@@ -371,11 +369,10 @@ TsjOptions SerialInMemory(TsjOptions options) {
 }
 
 // Brute-force tallies of the pairs a shared-token pass considers. The
-// length window admits those whose Lemma 6 bound is within T (every pair
-// with the length filter off); the pairs it skips are length_filtered. Of
-// the admitted pairs the pass emits those whose bag bound,
-// NsldFromSld(SldLowerBoundFromCharBags), is within T too; the rest are
-// bag_filtered.
+// length window admits those whose Lemma 6 bound is within T; the pairs it
+// skips are length_filtered. Of the admitted pairs the pass emits those
+// whose bag bound, NsldFromSld(SldLowerBoundFromCharBags), is within T
+// too; the rest are bag_filtered.
 struct SharedPairTally {
   uint64_t all_pairs = 0;
   uint64_t admitted_pairs = 0;
@@ -384,8 +381,7 @@ struct SharedPairTally {
   void Add(const TsjOptions& options, size_t la, const CharBag& bag_a,
            size_t lb, const CharBag& bag_b) {
     ++all_pairs;
-    if (options.enable_length_filter &&
-        NsldLowerBoundFromAggregateLengths(la, lb) > options.threshold) {
+    if (NsldLowerBoundFromAggregateLengths(la, lb) > options.threshold) {
       return;
     }
     ++admitted_pairs;
@@ -761,9 +757,9 @@ TEST(DifferentialTest, SpillForcedStreamingMatchesInMemoryEngines) {
             if (budget <= 7) {
               // Tiny budgets must actually force multi-file spills —
               // otherwise this sweep silently stops testing anything.
-              EXPECT_GT(info.spilled_records, 0u) << context;
-              EXPECT_GT(info.spill_files, 1u) << context;
-              EXPECT_GT(info.merge_passes, 0u) << context;
+              EXPECT_GT(info.pipeline.total_spilled_records(), 0u) << context;
+              EXPECT_GT(info.pipeline.total_spill_files(), 1u) << context;
+              EXPECT_GT(info.pipeline.total_merge_passes(), 0u) << context;
               // And MassJoin's verify stage still combines while it
               // spills, so spill-aware combine runs here too.
               EXPECT_GT(info.pipeline.total_combiner_input_records(), 0u)
@@ -809,7 +805,9 @@ TEST(DifferentialTest, SpillForcedRpJoinMatchesInMemoryEngines) {
           " budget=" + std::to_string(budget);
       EXPECT_EQ(ToPairNsldSet(*spilled), oracle) << context;
       ExpectSameCounters(info, reference, context);
-      if (budget <= 7) EXPECT_GT(info.spilled_records, 0u) << context;
+      if (budget <= 7) {
+        EXPECT_GT(info.pipeline.total_spilled_records(), 0u) << context;
+      }
     }
   }
 }
@@ -892,8 +890,8 @@ TEST(DifferentialTest, FaultMatrixNeverCrashesHangsOrCorrupts) {
             }
             if (fired == 1 && (site.rfind("task.", 0) == 0 ||
                                site.rfind("alloc.", 0) == 0)) {
-              EXPECT_GE(info.task_retries, 1u) << context;
-              EXPECT_GE(info.task_failures, 1u) << context;
+              EXPECT_GE(info.pipeline.total_task_retries(), 1u) << context;
+              EXPECT_GE(info.pipeline.total_task_failures(), 1u) << context;
             }
           } else {
             // Probability mode: dozens of independent strikes. Either the

@@ -217,6 +217,23 @@ TEST(HmjTest, GreedyAligningNeverAddsPairs) {
   }
 }
 
+TEST(HmjTest, MemoryBudgetSpillsAndStaysExact) {
+  // A set memory budget bounds both jobs' resident shuffle records, so
+  // they spill to disk, and the join still equals the oracle.
+  Rng rng(86);
+  const Corpus corpus = MakeCorpus(&rng, 60);
+  const double t = 0.15;
+  HmjOptions options;
+  options.threshold = t;
+  options.num_partitions = 8;
+  options.mapreduce.memory_budget_records = 16;
+  HmjRunInfo info;
+  const auto result = HybridMetricJoiner(options).SelfJoin(corpus, &info);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GT(info.pipeline.total_spilled_records(), 0u);
+  EXPECT_EQ(ToSet(*result), ToSet(BruteForceNsldSelfJoin(corpus, t)));
+}
+
 TEST(HmjTest, RunInfoFieldsPopulated) {
   Rng rng(84);
   Corpus corpus = MakeCorpus(&rng, 60);

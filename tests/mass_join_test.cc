@@ -109,6 +109,25 @@ TEST(MassJoinTest, SignatureLengthsStayInTheInputLengthRange) {
             tokens.size() * (tau + 1) * (2 * tau + 2));
 }
 
+TEST(MassJoinTest, EmptySegmentEmitsOneSubstringSignature) {
+  // Near T = 1 the substring role cuts a short length into more segments
+  // than it has characters, and every start of an empty segment selects
+  // the same "" chunk, so the map emits it once per (length, segment).
+  // A 20-char token and its 3- and 10-char prefixes: the record count
+  // depends only on the lengths; one empty-chunk record per start made
+  // 8,039 of them.
+  constexpr double kT = 0.9;
+  Rng rng(9500);
+  const std::string token = testutil::RandomString(&rng, 20, 20, 26);
+  const std::vector<std::string> tokens = {token, token.substr(0, 3),
+                                           token.substr(0, 10)};
+  PipelineStats stats;
+  EXPECT_EQ(ToSet(MassJoinSelfNld(tokens, kT, {}, &stats)),
+            ToSet(PassJoinSelfNld(tokens, kT)));
+  ASSERT_EQ(stats.jobs[0].name, "massjoin-generate");
+  EXPECT_EQ(stats.jobs[0].map_output_records, 3905u);
+}
+
 TEST(MassJoinTest, ResultIndependentOfWorkerCount) {
   Rng rng(6000);
   const auto tokens = MakeTokens(&rng, 70);
@@ -144,7 +163,6 @@ TEST(MassJoinTest, SpillWriteFaultsDegradeWithoutResultLoss) {
   const auto reference = ToSet(MassJoinSelfNld(tokens, 0.2));
 
   MassJoinOptions options;
-  options.enable_shuffle_spill = true;
   options.mapreduce.memory_budget_records = 16;
   ASSERT_TRUE(FaultInjector::Global().Configure("spill.write=every@1").ok());
   PipelineStats stats;
@@ -160,7 +178,6 @@ TEST(MassJoinTest, SpillReadFaultsFailTheStatusEntryPoint) {
   Rng rng(9100);
   const auto tokens = MakeTokens(&rng, 60);
   MassJoinOptions options;
-  options.enable_shuffle_spill = true;
   options.mapreduce.memory_budget_records = 16;
   options.mapreduce.num_workers = 1;
   ASSERT_TRUE(FaultInjector::Global().Configure("merge.read=once").ok());

@@ -415,20 +415,5 @@ TEST(TokenPairCacheStressTest, WarmAndColdJoinsAreByteIdentical) {
             0u);
 }
 
-TEST(TokenPairCacheStressTest, TokenIdPathOffMatchesOn) {
-  Rng rng(13579);
-  const Corpus corpus = StressCorpus(&rng, 100);
-  TsjOptions on;
-  on.threshold = 0.15;
-  on.max_token_frequency = 1u << 30;
-  TsjOptions off = on;
-  off.enable_token_id_verify = false;  // materialized byte path
-  const auto with_ids = TokenizedStringJoiner(on).SelfJoin(corpus);
-  const auto with_bytes = TokenizedStringJoiner(off).SelfJoin(corpus);
-  ASSERT_TRUE(with_ids.ok());
-  ASSERT_TRUE(with_bytes.ok());
-  EXPECT_EQ(ToPairNsld(*with_ids), ToPairNsld(*with_bytes));
-}
-
 }  // namespace
 }  // namespace tsj

@@ -27,6 +27,15 @@ PairSet ToSet(const std::vector<TsjPair>& pairs) {
   return s;
 }
 
+// (pair, NSLD) as an order-free set, NSLD compared bit for bit.
+using PairNsldSet = std::set<std::tuple<uint32_t, uint32_t, double>>;
+
+PairNsldSet ToPairNsldSet(const std::vector<TsjPair>& pairs) {
+  PairNsldSet set;
+  for (const TsjPair& p : pairs) set.emplace(p.a, p.b, p.nsld);
+  return set;
+}
+
 // A small corpus with planted near-duplicate tokenized strings.
 Corpus MakeCorpus(Rng* rng, size_t n) {
   Corpus corpus;
@@ -155,22 +164,18 @@ TEST(TsjTest, GroupingStrategiesDifferInGroupCounts) {
 }
 
 TEST(TsjTest, FiltersAreLossless) {
+  // The filters prune candidates, and the pruned run still joins exactly
+  // the unfiltered oracle's pairs with the same NSLD values.
   Rng rng(987);
   Corpus corpus = MakeCorpus(&rng, 70);
-  TsjOptions filtered = Lossless(0.2);
-  TsjOptions unfiltered = Lossless(0.2);
-  unfiltered.enable_length_filter = false;
-  unfiltered.enable_histogram_filter = false;
-  TsjRunInfo info_f, info_u;
-  const auto rf = TokenizedStringJoiner(filtered).SelfJoin(corpus, &info_f);
-  const auto ru = TokenizedStringJoiner(unfiltered).SelfJoin(corpus, &info_u);
-  ASSERT_TRUE(rf.ok());
-  ASSERT_TRUE(ru.ok());
-  EXPECT_EQ(ToSet(*rf), ToSet(*ru));
+  TsjRunInfo info;
+  const auto result =
+      TokenizedStringJoiner(Lossless(0.2)).SelfJoin(corpus, &info);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(ToPairNsldSet(*result),
+            ToPairNsldSet(BruteForceNsldSelfJoin(corpus, 0.2)));
   // The filters actually did something.
-  EXPECT_GT(info_f.length_filtered + info_f.histogram_filtered, 0u);
-  EXPECT_EQ(info_u.length_filtered, 0u);
-  EXPECT_LT(info_f.verified_candidates, info_u.verified_candidates);
+  EXPECT_GT(info.length_filtered + info.histogram_filtered, 0u);
 }
 
 TEST(TsjTest, LengthWindowAdmitsPairsOnTheBound) {
@@ -191,16 +196,11 @@ TEST(TsjTest, LengthWindowAdmitsPairsOnTheBound) {
   Corpus p_corpus;
   p_corpus.AddString({"ab", "cdef"});
   p_corpus.AddString({"abcdefghijkl"});
-  using PairNsldSet = std::set<std::tuple<uint32_t, uint32_t, double>>;
-  auto to_set = [](const std::vector<TsjPair>& pairs) {
-    PairNsldSet set;
-    for (const TsjPair& p : pairs) set.emplace(p.a, p.b, p.nsld);
-    return set;
-  };
   for (const double t : {0.5, std::nextafter(0.5, 0.0)}) {
-    const PairNsldSet self_oracle = to_set(BruteForceNsldSelfJoin(corpus, t));
+    const PairNsldSet self_oracle =
+        ToPairNsldSet(BruteForceNsldSelfJoin(corpus, t));
     const PairNsldSet rp_oracle =
-        to_set(testutil::BruteForceRP(r_corpus, p_corpus, t));
+        ToPairNsldSet(testutil::BruteForceRP(r_corpus, p_corpus, t));
     const size_t on_bound = t == 0.5 ? 1 : 0;
     EXPECT_EQ(self_oracle.count({0u, 1u, 0.5}), on_bound);
     EXPECT_EQ(self_oracle.count({2u, 3u, 0.5}), on_bound);
@@ -218,8 +218,8 @@ TEST(TsjTest, LengthWindowAdmitsPairsOnTheBound) {
           TokenizedStringJoiner(options).Join(r_corpus, p_corpus, &rp_info);
       ASSERT_TRUE(self.ok());
       ASSERT_TRUE(rp.ok());
-      EXPECT_EQ(to_set(*self), self_oracle) << "t=" << t;
-      EXPECT_EQ(to_set(*rp), rp_oracle) << "t=" << t;
+      EXPECT_EQ(ToPairNsldSet(*self), self_oracle) << "t=" << t;
+      EXPECT_EQ(ToPairNsldSet(*rp), rp_oracle) << "t=" << t;
       if (on_bound == 0) {
         EXPECT_GT(self_info.length_filtered, 0u);
         EXPECT_GT(rp_info.length_filtered, 0u);
@@ -250,12 +250,6 @@ TEST(TsjTest, BagFilterAdmitsPairsOnTheBound) {
   Corpus p_corpus;
   p_corpus.AddString({"xy", "abd"});
   p_corpus.AddString({"abcdefh", "xyw"});
-  using PairNsldSet = std::set<std::tuple<uint32_t, uint32_t, double>>;
-  auto to_set = [](const std::vector<TsjPair>& pairs) {
-    PairNsldSet set;
-    for (const TsjPair& p : pairs) set.emplace(p.a, p.b, p.nsld);
-    return set;
-  };
   for (const double t : {on_bound, std::nextafter(on_bound, 0.0)}) {
     const bool at_bound = t == on_bound;
     const PairNsldSet self_expected =
@@ -264,8 +258,9 @@ TEST(TsjTest, BagFilterAdmitsPairsOnTheBound) {
     const PairNsldSet rp_expected =
         at_bound ? PairNsldSet{{0u, 0u, on_bound}, {1u, 1u, on_bound}}
                  : PairNsldSet{};
-    EXPECT_EQ(to_set(BruteForceNsldSelfJoin(corpus, t)), self_expected);
-    EXPECT_EQ(to_set(testutil::BruteForceRP(r_corpus, p_corpus, t)),
+    EXPECT_EQ(ToPairNsldSet(BruteForceNsldSelfJoin(corpus, t)),
+              self_expected);
+    EXPECT_EQ(ToPairNsldSet(testutil::BruteForceRP(r_corpus, p_corpus, t)),
               rp_expected);
     for (const DedupStrategy dedup : {DedupStrategy::kGroupOnOneString,
                                       DedupStrategy::kGroupOnBothStrings}) {
@@ -281,8 +276,8 @@ TEST(TsjTest, BagFilterAdmitsPairsOnTheBound) {
       ASSERT_TRUE(rp.ok());
       const std::string context = "t=" + std::to_string(t) + " dedup=" +
                                   std::to_string(static_cast<int>(dedup));
-      EXPECT_EQ(to_set(*self), self_expected) << context;
-      EXPECT_EQ(to_set(*rp), rp_expected) << context;
+      EXPECT_EQ(ToPairNsldSet(*self), self_expected) << context;
+      EXPECT_EQ(ToPairNsldSet(*rp), rp_expected) << context;
       EXPECT_EQ(self_info.length_filtered, 0u) << context;
       EXPECT_EQ(rp_info.length_filtered, 0u) << context;
       EXPECT_EQ(self_info.bag_filtered, at_bound ? 0u : 2u) << context;
@@ -511,42 +506,36 @@ TEST(TsjTest, L1VerifyCacheToggleIsLossless) {
   EXPECT_EQ(off_info.verified_candidates, on_info.verified_candidates);
 }
 
-TEST(TsjTest, BudgetedVerifyIsByteIdenticalToUnbounded) {
+TEST(TsjTest, BudgetedVerifyMatchesAllPairsSld) {
   // The budget-aware verification engine may only skip work: the joined
-  // pairs AND their reported NSLD values must match the unbounded path
-  // bit-for-bit, across thresholds and both alignings, while doing no more
-  // verify work.
+  // pairs AND their reported NSLD values must match an all-pairs loop over
+  // the unbounded byte-level Sld bit for bit, across thresholds and both
+  // alignings.
   Rng rng(5150);
   Corpus corpus = MakeCorpus(&rng, 80);
+  std::vector<TokenizedString> strings;
+  for (uint32_t s = 0; s < corpus.size(); ++s) {
+    strings.push_back(corpus.Materialize(s));
+  }
   for (double t : {0.05, 0.1, 0.2, 0.35}) {
     for (TokenAligning aligning :
          {TokenAligning::kExact, TokenAligning::kGreedy}) {
-      TsjOptions budgeted = Lossless(t);
-      budgeted.aligning = aligning;
-      TsjOptions unbounded = budgeted;
-      unbounded.enable_budgeted_verify = false;
-      TsjRunInfo budgeted_info, unbounded_info;
-      auto budgeted_result =
-          TokenizedStringJoiner(budgeted).SelfJoin(corpus, &budgeted_info);
-      auto unbounded_result =
-          TokenizedStringJoiner(unbounded).SelfJoin(corpus, &unbounded_info);
-      ASSERT_TRUE(budgeted_result.ok());
-      ASSERT_TRUE(unbounded_result.ok());
-      auto by_pair = [](const TsjPair& p, const TsjPair& q) {
-        return std::make_pair(p.a, p.b) < std::make_pair(q.a, q.b);
-      };
-      std::sort(budgeted_result->begin(), budgeted_result->end(), by_pair);
-      std::sort(unbounded_result->begin(), unbounded_result->end(), by_pair);
-      ASSERT_EQ(budgeted_result->size(), unbounded_result->size())
-          << "T=" << t;
-      for (size_t i = 0; i < budgeted_result->size(); ++i) {
-        EXPECT_EQ((*budgeted_result)[i].a, (*unbounded_result)[i].a);
-        EXPECT_EQ((*budgeted_result)[i].b, (*unbounded_result)[i].b);
-        // Byte-identical NSLD, not just approximately equal.
-        EXPECT_EQ((*budgeted_result)[i].nsld, (*unbounded_result)[i].nsld);
+      PairNsldSet expected;
+      for (uint32_t i = 0; i < corpus.size(); ++i) {
+        for (uint32_t j = i + 1; j < corpus.size(); ++j) {
+          const double nsld =
+              NsldFromSld(Sld(strings[i], strings[j], aligning),
+                          corpus.aggregate_length(i),
+                          corpus.aggregate_length(j));
+          if (nsld <= t) expected.emplace(i, j, nsld);
+        }
       }
-      EXPECT_LE(budgeted_info.verify_work_units,
-                unbounded_info.verify_work_units);
+      TsjOptions options = Lossless(t);
+      options.aligning = aligning;
+      const auto result = TokenizedStringJoiner(options).SelfJoin(corpus);
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(ToPairNsldSet(*result), expected)
+          << "T=" << t << " exact=" << (aligning == TokenAligning::kExact);
     }
   }
 }
