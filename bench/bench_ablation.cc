@@ -2,10 +2,13 @@
 // on one workload, what the dedup strategy, the two approximations and the
 // verification cache tiers (shared token-pair cache, per-worker L1 tier)
 // contribute in candidate/verification counts, per-tier cache hit rates,
-// peak shuffle-resident records and measured wall time. Complements Figs.
-// 1-5, which report the paper's own parameter sweeps. The filters (the
-// Lemma 6 length window, the bag and the histogram filters) and the
-// budgeted token-id verification have no switch, so they run in every row.
+// peak shuffle-resident records and measured wall time: every row runs
+// kRowRuns joins and prints their median with the min-max range, since a
+// single join of tens of milliseconds swings by tens of percent between
+// runs. Complements Figs. 1-5, which report the paper's own parameter
+// sweeps. The filters (the Lemma 6 length window, the bag and the
+// histogram filters) and the budgeted token-id verification have no
+// switch, so they run in every row.
 //
 // A --workers sweep table shows the contention story directly: the same
 // full configuration at workers=1 vs workers=hw, with the L1/shared
@@ -26,21 +29,25 @@
 // by CI alongside the shuffle counters).
 //
 // The fault-framework rows run the full configuration with the fault
-// injector explicitly disarmed (pinning the disabled FAULT_POINT cost —
-// one relaxed atomic load per site — at noise level next to the 'full'
-// row) and armed with two absorbable task-start faults (showing the
-// lossless retry cost). --fault_json <path> emits the overhead and
-// absorption counters as JSON (merged into BENCH_verify.json by CI).
+// injector explicitly disarmed (the disabled FAULT_POINT cost is one
+// relaxed atomic load per site; the harness prints the median difference
+// to the 'full' row) and armed with two absorbable task-start faults,
+// re-armed before each of the row's joins (showing the lossless retry
+// cost). --fault_json <path> emits the overhead and absorption counters
+// as JSON (merged into BENCH_verify.json by CI); every *wall_ms field
+// there holds a median.
 //
 // Exit status: 1 when a join fails (ExitIfFailed puts its Status on
-// stderr), when a lossless row's (pair, NSLD) set differs from the full
-// row's, or when an approximation row's pairs are not a subset of the
-// full row's; 2 on a malformed TSJ_BENCH_SCALE.
+// stderr), when one of a lossless row's joins differs from the full row's
+// (pair, NSLD) set, or when one of an approximation row's joins has a pair
+// outside the full row's; 2 on a malformed TSJ_BENCH_SCALE.
 
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -64,21 +71,48 @@ struct AblationRow {
   bool lossless = true;
 };
 
-// One timed join. A failed join exits 1 (bench::ExitIfFailed).
+// Joins per row; a row reports their median wall time and min-max range.
+constexpr int kRowRuns = 5;
+
+// One row's kRowRuns timed joins: the last join's pairs and counters and
+// the wall-time median and range.
 struct RowRun {
   std::vector<TsjPair> pairs;
   TsjRunInfo info;
   double ms = 0;
+  double min_ms = 0;
+  double max_ms = 0;
 };
 
-RowRun TimedSelfJoin(const TsjOptions& options, const Corpus& corpus) {
+// Runs kRowRuns joins of `options`. `arm` (may be empty) runs before each
+// join, outside the timed span; `check` sees each join's pairs. A failed
+// join exits 1 (bench::ExitIfFailed).
+RowRun TimedRow(const TsjOptions& options, const Corpus& corpus,
+                const std::function<void(const std::vector<TsjPair>&)>& check,
+                const std::function<void()>& arm = {}) {
   RowRun run;
-  Stopwatch watch;
-  auto result = TokenizedStringJoiner(options).SelfJoin(corpus, &run.info);
-  run.ms = watch.ElapsedMillis();
-  bench::ExitIfFailed(result.status());
-  run.pairs = std::move(*result);
+  std::vector<double> ms;
+  for (int i = 0; i < kRowRuns; ++i) {
+    if (arm) arm();
+    Stopwatch watch;
+    auto result = TokenizedStringJoiner(options).SelfJoin(corpus, &run.info);
+    ms.push_back(watch.ElapsedMillis());
+    bench::ExitIfFailed(result.status());
+    check(*result);
+    run.pairs = std::move(*result);
+  }
+  std::sort(ms.begin(), ms.end());
+  run.ms = ms[ms.size() / 2];
+  run.min_ms = ms.front();
+  run.max_ms = ms.back();
   return run;
+}
+
+// "median (min-max)" of a row's wall times, in whole milliseconds.
+std::string WallCell(const RowRun& run) {
+  return TablePrinter::Fmt(run.ms, 0) + " (" +
+         TablePrinter::Fmt(run.min_ms, 0) + "-" +
+         TablePrinter::Fmt(run.max_ms, 0) + ")";
 }
 
 using PairNsldSet = std::set<std::tuple<StringId, StringId, double>>;
@@ -172,7 +206,7 @@ void Run(const std::string& shuffle_json_path,
 
   TablePrinter table({"configuration", "pairs", "distinct cands", "verified",
                       "verify work", "L1 hit%", "shared hit%", "flushes",
-                      "peak shuffle", "wall (ms)"});
+                      "peak shuffle", "wall ms, median (min-max)"});
   auto add_row = [&table](const std::string& name, const RowRun& run) {
     const TsjRunInfo& info = run.info;
     const uint64_t l1_probes =
@@ -189,17 +223,28 @@ void Run(const std::string& shuffle_json_path,
                       ? std::string("-")
                       : TablePrinter::Fmt(info.token_pair_cache_flush_batches),
                   TablePrinter::Fmt(info.peak_shuffle_records),
-                  TablePrinter::Fmt(run.ms, 0)});
+                  WallCell(run)});
   };
-  // The full configuration is the reference every other row is checked
-  // against.
-  const RowRun full = TimedSelfJoin(base, workload.corpus);
-  const PairNsldSet full_set = ToPairNsldSet(full.pairs);
-  add_row("full (all filters, group-on-one, exact)", full);
+  // The full configuration is the reference every other join is checked
+  // against: its first join's (pair, NSLD) set, which its later joins must
+  // repeat.
+  const std::string full_name = "full (all filters, group-on-one, exact)";
+  std::optional<PairNsldSet> reference;
+  const RowRun full =
+      TimedRow(base, workload.corpus, [&](const std::vector<TsjPair>& pairs) {
+        if (!reference) reference = ToPairNsldSet(pairs);
+        ExitIfInconsistent(full_name, pairs, *reference, /*lossless=*/true);
+      });
+  const PairNsldSet& full_set = *reference;
+  add_row(full_name, full);
   auto run_row = [&](const std::string& name, const TsjOptions& options,
-                     bool lossless) {
-    RowRun run = TimedSelfJoin(options, workload.corpus);
-    ExitIfInconsistent(name, run.pairs, full_set, lossless);
+                     bool lossless, const std::function<void()>& arm = {}) {
+    RowRun run = TimedRow(
+        options, workload.corpus,
+        [&](const std::vector<TsjPair>& pairs) {
+          ExitIfInconsistent(name, pairs, full_set, lossless);
+        },
+        arm);
     add_row(name, run);
     return run;
   };
@@ -223,35 +268,41 @@ void Run(const std::string& shuffle_json_path,
 
   // ---- Fault-framework rows: the full configuration with the injector
   // explicitly disarmed (the production state — every FAULT_POINT is one
-  // relaxed atomic load, pinned at < 1% wall next to the 'full' row
-  // above), and armed with two absorbable start faults to show what a
-  // retry actually costs when it happens.
+  // relaxed atomic load), and armed with two absorbable start faults to
+  // show what a retry actually costs when it happens.
   FaultInjector::Global().Configure("");  // explicit: disarmed
   const RowRun disabled =
       run_row("+ fault framework (disabled)", base, /*lossless=*/true);
   // Two absorbable start faults: one map task and one reduce task each
-  // fail once and re-execute. Byte-identical pairs by the retry contract;
-  // the wall column shows the re-execution cost.
-  FaultInjector::Global().Configure("task.map=once;task.reduce=once");
-  const RowRun absorbed_run = run_row("+ fault injection (2 absorbed faults)",
-                                      base, /*lossless=*/true);
+  // fail once and re-execute. A "once" spec fires once per Configure, so
+  // it is re-armed before each join and every join absorbs both.
+  // Byte-identical pairs by the retry contract; the wall column shows the
+  // re-execution cost.
+  const RowRun absorbed_run =
+      run_row("+ fault injection (2 absorbed faults)", base,
+              /*lossless=*/true, [] {
+                FaultInjector::Global().Configure(
+                    "task.map=once;task.reduce=once");
+              });
   FaultInjector::Global().ConfigureFromEnv();
 
   table.Print(std::cout);
   if (full.ms > 0) {
-    std::cout << "\nfault framework disarmed overhead: " << full.ms
+    std::cout << "\nfault framework disarmed overhead: median " << full.ms
               << " ms (no framework row) vs " << disabled.ms
               << " ms (disarmed injector): "
               << 100.0 * (disabled.ms - full.ms) / full.ms
-              << "% (noise-level by contract; FAULT_POINT is one relaxed "
-                 "atomic load when disarmed)\n";
+              << "% (medians of " << kRowRuns
+              << " joins; FAULT_POINT is one relaxed atomic load when "
+                 "disarmed)\n";
   }
   const PipelineStats& absorbed = absorbed_run.info.pipeline;
   std::cout << "fault absorption: " << absorbed.total_task_failures()
             << " injected task failures, " << absorbed.total_task_retries()
             << " lossless re-executions, " << absorbed.total_tasks_cancelled()
-            << " cancellations; wall " << absorbed_run.ms << " ms vs "
-            << disabled.ms << " ms fault-free\n";
+            << " cancellations in the last join; median wall "
+            << absorbed_run.ms << " ms vs " << disabled.ms
+            << " ms fault-free\n";
   const PipelineStats& spill = spill_run.info.pipeline;
   const bool budget_honored = spill.max_peak_resident_records() <=
                               spill_budget + spill_budget / 8;
@@ -286,7 +337,7 @@ void Run(const std::string& shuffle_json_path,
   std::cout << "\n";
   TablePrinter sweep_table({"configuration", "workers", "L1 hit%",
                             "shared hit%", "flushes", "peak shuffle",
-                            "wall (ms)"});
+                            "wall ms, median (min-max)"});
   std::vector<SweepNumbers> sweep;
   std::vector<size_t> worker_counts = {1};
   if (hw > 1) worker_counts.push_back(hw);
@@ -297,10 +348,12 @@ void Run(const std::string& shuffle_json_path,
       o.enable_l1_verify_cache = l1;
       const std::string name =
           l1 ? "full (L1 + batched flush)" : "shared shards only";
-      const RowRun run = TimedSelfJoin(o, workload.corpus);
-      ExitIfInconsistent(name + " at " + std::to_string(workers) +
-                             " workers",
-                         run.pairs, full_set, /*lossless=*/true);
+      const RowRun run =
+          TimedRow(o, workload.corpus, [&](const std::vector<TsjPair>& pairs) {
+            ExitIfInconsistent(
+                name + " at " + std::to_string(workers) + " workers", pairs,
+                full_set, /*lossless=*/true);
+          });
       const TsjRunInfo& info = run.info;
       const uint64_t l1_probes =
           info.token_pair_cache_l1_hits + info.token_pair_cache_l1_misses;
@@ -313,8 +366,7 @@ void Run(const std::string& shuffle_json_path,
            info.token_pair_cache_flush_batches == 0
                ? std::string("-")
                : TablePrinter::Fmt(info.token_pair_cache_flush_batches),
-           TablePrinter::Fmt(info.peak_shuffle_records),
-           TablePrinter::Fmt(run.ms, 0)});
+           TablePrinter::Fmt(info.peak_shuffle_records), WallCell(run)});
       if (l1) sweep.push_back(SweepNumbers{workers, info, run.ms});
     }
   }

@@ -58,8 +58,10 @@ int main(int argc, char** argv) {
   tsj::TsjOptions options;
   options.threshold = threshold;
   tsj::TsjRunInfo info;
+  const tsj::Stopwatch join_watch;
   const auto pairs =
       tsj::TokenizedStringJoiner(options).SelfJoin(workload.corpus, &info);
+  const double join_seconds = join_watch.ElapsedSeconds();
   if (!pairs.ok()) return JoinFailed(pairs.status());
 
   std::cout << "TSJ self-join of " << accounts << " accounts at T="
@@ -79,7 +81,8 @@ int main(int argc, char** argv) {
             << "\n";
   std::cout << "  fully verified:         " << info.verified_candidates
             << "\n";
-  std::cout << "  local wall time:        "
+  std::cout << "  local wall time:        " << join_seconds << " s\n";
+  std::cout << "    in jobs:              "
             << info.pipeline.total_wall_seconds() << " s\n\n";
 
   std::cout << "per-job pipeline breakdown:\n";

@@ -88,6 +88,10 @@ size_t MaxLongerLengthForNld(double threshold, size_t len_x) {
   return std::max(cand, len_x);
 }
 
+double MinNldToDifferentString(size_t len) {
+  return NldFromLd(1, len, len + 1);
+}
+
 uint32_t MinLdForNldExceeding(double threshold, size_t len_y,
                               bool x_is_shorter) {
   assert(threshold >= 0.0 && threshold < 1.0);

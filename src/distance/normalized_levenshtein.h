@@ -56,6 +56,17 @@ size_t MinShorterLengthForNld(double threshold, size_t len_y);
 /// largest L with ceil((1-T)*L) <= len_x.
 size_t MaxLongerLengthForNld(double threshold, size_t len_x);
 
+// ---- The nearest different string: NLD(x, y) >= 1 / (|x| + 1) ----------
+// If y != x then LD >= 1 and |y| <= |x| + LD, so
+// NLD = 2*LD / (|x| + |y| + LD) >= LD / (|x| + LD) >= 1 / (|x| + 1); one
+// insertion reaches it.
+
+/// Smallest NLD between a string of length `len` and any string with a
+/// different text: NldFromLd(1, len, len + 1). Computed the way NldFromLd
+/// computes every NLD, so no pair with NLD <= T holds a string whose value
+/// exceeds T. Such a string can join under T only its own text.
+double MinNldToDifferentString(size_t len);
+
 // ---- Lemma 10: NLD > T implies an LD lower bound --------------------------
 // If |x| <= |y|: LD > floor(T*|y| / (2-T)).
 // If |x| >  |y|: LD > floor(2*T*|y| / (2-T)).

@@ -1,6 +1,7 @@
 #include "tokenized/corpus.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace tsj {
 
@@ -44,12 +45,17 @@ TokenizedString Corpus::Materialize(StringId id) const {
 
 std::vector<uint32_t> Corpus::ComputeTokenStringFrequencies() const {
   std::vector<uint32_t> freq(token_texts_.size(), 0);
-  std::vector<TokenId> seen;
-  for (const auto& string_tokens : strings_) {
-    seen.assign(string_tokens.begin(), string_tokens.end());
-    std::sort(seen.begin(), seen.end());
-    seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
-    for (TokenId t : seen) ++freq[t];
+  // Strings are walked in id order, so a token this string already counted
+  // has this string as the last one it was counted for: no per-string
+  // copy, sort or unique.
+  std::vector<StringId> last_string(token_texts_.size(),
+                                    std::numeric_limits<StringId>::max());
+  for (StringId s = 0; s < strings_.size(); ++s) {
+    for (const TokenId t : strings_[s]) {
+      if (last_string[t] == s) continue;
+      last_string[t] = s;
+      ++freq[t];
+    }
   }
   return freq;
 }

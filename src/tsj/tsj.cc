@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "common/hash.h"
+#include "distance/normalized_levenshtein.h"
 #include "massjoin/mass_join.h"
 #include "tokenized/bounds.h"
 #include "tokenized/sld.h"
@@ -16,7 +18,8 @@ namespace tsj {
 namespace {
 
 // A similar-token pair from the MassJoin pass, still to be expanded
-// against the token postings: the dedup/verify stage's side input.
+// against the token postings: the dedup/verify stage's side input. `a` and
+// `b` index the pipeline's posting lists, not the token ids.
 // (Shared-token candidate pairs are never materialized; they stream
 // straight from the generating reduce into the dedup shuffle.)
 struct SimilarTokenPair {
@@ -282,17 +285,23 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
   // pipeline as side inputs; its JobStats are spliced into the pipeline in
   // the documented order (shared-token, massjoin, dedup-verify) below.
   // Token postings (token -> strings containing it) expand similar token
-  // pairs back into string pairs.
+  // pairs back into string pairs; only the tokens of a similar pair get
+  // one, and each SimilarTokenPair names its two lists in `postings`.
   std::vector<std::vector<uint32_t>> postings;
   std::vector<SimilarTokenPair> token_pair_candidates;
   PipelineStats mass_stats;
   if (options.matching == TokenMatching::kFuzzy) {
-    // MassJoin NLD-join over the surviving token space. Distinct tokens
-    // only: identical tokens are already covered by the shared-token pass.
+    // MassJoin NLD-join over the surviving tokens that can have a partner
+    // with a different text. The corpus interns each text once, so a
+    // similar pair holds two texts, and a token whose
+    // MinNldToDifferentString exceeds T has no partner: at T = 0 no token
+    // is left, and MassJoin runs on an empty input. Identical tokens are
+    // already covered by the shared-token pass.
     std::vector<std::string> token_texts;
     std::vector<TokenId> token_of_index;
     for (TokenId token = 0; token < surviving.size(); ++token) {
-      if (surviving[token]) {
+      if (surviving[token] &&
+          MinNldToDifferentString(corpus.token_length(token)) <= t) {
         token_texts.push_back(corpus.token_text(token));
         token_of_index.push_back(token);
       }
@@ -303,15 +312,29 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
         MassJoinSelfNld(token_texts, t, mass_options, &mass_stats);
     local_info.similar_token_pairs = token_pairs.size();
 
-    postings.resize(corpus.num_distinct_tokens());
-    std::vector<TokenId> distinct;
+    constexpr uint32_t kNoPosting = std::numeric_limits<uint32_t>::max();
+    std::vector<uint32_t> posting_of(corpus.num_distinct_tokens(),
+                                     kNoPosting);
+    auto posting_index = [&](uint32_t index) {
+      uint32_t& slot = posting_of[token_of_index[index]];
+      if (slot == kNoPosting) {
+        slot = static_cast<uint32_t>(postings.size());
+        postings.emplace_back();
+      }
+      return slot;
+    };
+    token_pair_candidates.reserve(token_pairs.size());
+    for (const NldPair& pair : token_pairs) {
+      token_pair_candidates.push_back(
+          SimilarTokenPair{posting_index(pair.a), posting_index(pair.b)});
+    }
+    // Strings are walked in id order, so a string that already holds a
+    // token is the last entry of that token's list: no per-string sort.
     for (uint32_t s = 0; s < corpus.size(); ++s) {
-      distinct.assign(corpus.tokens(s).begin(), corpus.tokens(s).end());
-      std::sort(distinct.begin(), distinct.end());
-      distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                     distinct.end());
-      for (TokenId token : distinct) {
-        if (surviving[token]) postings[token].push_back(s);
+      for (const TokenId token : corpus.tokens(s)) {
+        if (posting_of[token] == kNoPosting) continue;
+        std::vector<uint32_t>& list = postings[posting_of[token]];
+        if (list.empty() || list.back() != s) list.push_back(s);
       }
     }
     // Sorted once here, so every expansion walks a length window.
@@ -321,11 +344,6 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
       } else {
         SortByAggregateLength(list, length_of);
       }
-    }
-    token_pair_candidates.reserve(token_pairs.size());
-    for (const NldPair& pair : token_pairs) {
-      token_pair_candidates.push_back(
-          SimilarTokenPair{token_of_index[pair.a], token_of_index[pair.b]});
     }
   }
 

@@ -4,7 +4,12 @@
 //   generate: shared-token candidates (one reduce group per token,
 //             Sec. III-C) plus similar-token candidates through a MassJoin
 //             NLD-join over the token space (Sec. III-D, justified by
-//             Theorem 3);
+//             Theorem 3). MassJoin sees only the surviving tokens that can
+//             have a partner with a different text (a token of length l
+//             is at NLD >= 1/(l+1) from every other text,
+//             MinNldToDifferentString), and only the tokens of a similar
+//             pair get a posting list (token -> strings containing it) to
+//             expand it through;
 //   filter:   high-frequency tokens dropped up front (M, Sec. III-G.2);
 //             the Lemma 6 length filter (Sec. III-E.1) and the bag filter
 //             run inside generation: every generator walks its strings in
@@ -74,7 +79,8 @@ struct TsjRunInfo {
   /// Candidate pairs the shared-token pass emitted into the dedup shuffle
   /// (pre-dedup, after the length window).
   uint64_t shared_token_candidates = 0;
-  /// Similar (non-identical) token pairs found by the MassJoin NLD-join.
+  /// Similar (non-identical) token pairs found by the MassJoin NLD-join:
+  /// all pairs of distinct surviving tokens within NLD T.
   uint64_t similar_token_pairs = 0;
   /// Candidate pairs the similar-token expansion emitted into the dedup
   /// shuffle (pre-dedup, after the length window).

@@ -61,6 +61,23 @@ TEST(CorpusTest, TokenStringFrequenciesCountStringsNotOccurrences) {
   EXPECT_EQ(freq[3], 1u);  // mary
 }
 
+TEST(CorpusTest, TokenStringFrequenciesCountNonAdjacentRepeatsOnce) {
+  Corpus corpus;
+  corpus.AddString({"a", "b", "a"});  // "a" twice, with "b" between
+  corpus.AddString({"b"});
+  const auto freq = corpus.ComputeTokenStringFrequencies();
+  EXPECT_EQ(freq, (std::vector<uint32_t>{1, 2}));  // a=0, b=1
+}
+
+TEST(CorpusTest, TokenStringFrequenciesOfOneRepeatedToken) {
+  Corpus corpus;
+  corpus.AddString({"x", "x", "x"});
+  corpus.AddString({"y"});
+  corpus.AddString({"x"});
+  const auto freq = corpus.ComputeTokenStringFrequencies();
+  EXPECT_EQ(freq, (std::vector<uint32_t>{2, 1}));  // x=0, y=1
+}
+
 TEST(CorpusTest, TokenLengthMatchesText) {
   Corpus corpus;
   const StringId id = corpus.AddString({"abc", "de"});

@@ -1,7 +1,9 @@
 #include "distance/normalized_levenshtein.h"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "distance/levenshtein.h"
@@ -148,6 +150,32 @@ INSTANTIATE_TEST_SUITE_P(Thresholds, NldLemmaTest,
                          ::testing::Values(0.025, 0.05, 0.075, 0.1, 0.125,
                                            0.15, 0.175, 0.2, 0.225, 0.3,
                                            0.5));
+
+TEST(NldTest, MinNldToDifferentStringIsTheNearestOtherString) {
+  // Every string on {a, b} up to length 7 against every other string on
+  // {a, b} up to length 8 (so one insertion is always in the set): the
+  // nearest one is exactly the helper's value for the string's length.
+  std::vector<std::string> strings = {""};
+  for (size_t begin = 0; strings.back().size() < 8;) {
+    const size_t end = strings.size();
+    for (size_t i = begin; i < end; ++i) {
+      strings.push_back(strings[i] + "a");
+      strings.push_back(strings[i] + "b");
+    }
+    begin = end;
+  }
+  ASSERT_EQ(strings.size(), 511u);
+  for (const std::string& x : strings) {
+    if (x.size() > 7) continue;
+    double nearest = 1.0;
+    for (const std::string& y : strings) {
+      if (y != x) nearest = std::min(nearest, NormalizedLevenshtein(x, y));
+    }
+    EXPECT_EQ(nearest, MinNldToDifferentString(x.size())) << "x=" << x;
+  }
+  EXPECT_EQ(MinNldToDifferentString(0), 1.0);
+  EXPECT_EQ(MinNldToDifferentString(9), 0.1);
+}
 
 TEST(NldFromLdTest, ZeroDistanceIsZero) {
   EXPECT_DOUBLE_EQ(NldFromLd(0, 0, 0), 0.0);

@@ -1,5 +1,6 @@
 #include "tsj/tsj.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -10,8 +11,10 @@
 
 #include "common/fault.h"
 #include "common/random.h"
+#include "distance/normalized_levenshtein.h"
 #include "eval/join_metrics.h"
 #include "gtest/gtest.h"
+#include "massjoin/mass_join.h"
 #include "test_util.h"
 #include "tokenized/corpus.h"
 #include "workload/ring_workload.h"
@@ -287,6 +290,137 @@ TEST(TsjTest, BagFilterAdmitsPairsOnTheBound) {
       EXPECT_EQ(self_info.similar_token_candidates, at_bound ? 1u : 0u)
           << context;
     }
+  }
+}
+
+TEST(TsjTest, SimilarTokenPruneKeepsTokensOnTheBound) {
+  // {abcdefghi} ~ {abcdefghij} shares no token, so only the similar-token
+  // path can find it. Its NSLD is exactly 0.1, and so is
+  // MinNldToDifferentString(9): at T = 0.1 MassJoin must still see
+  // "abcdefghi". One ulp below, the token is left out and the pair does
+  // not join.
+  ASSERT_EQ(NsldFromSld(1, 9, 10), 0.1);
+  ASSERT_EQ(MinNldToDifferentString(9), 0.1);
+  Corpus corpus;
+  corpus.AddString({"abcdefghi"});
+  corpus.AddString({"abcdefghij"});
+  Corpus r_corpus;
+  r_corpus.AddString({"abcdefghi"});
+  Corpus p_corpus;
+  p_corpus.AddString({"abcdefghij"});
+  for (const double t : {0.1, std::nextafter(0.1, 0.0)}) {
+    const bool on_bound = t == 0.1;
+    const PairNsldSet expected =
+        on_bound ? PairNsldSet{{0u, 1u, 0.1}} : PairNsldSet{};
+    const PairNsldSet rp_expected =
+        on_bound ? PairNsldSet{{0u, 0u, 0.1}} : PairNsldSet{};
+    EXPECT_EQ(ToPairNsldSet(BruteForceNsldSelfJoin(corpus, t)), expected);
+    EXPECT_EQ(ToPairNsldSet(testutil::BruteForceRP(r_corpus, p_corpus, t)),
+              rp_expected);
+    for (const DedupStrategy dedup : {DedupStrategy::kGroupOnOneString,
+                                      DedupStrategy::kGroupOnBothStrings}) {
+      TsjOptions options = Lossless(t);
+      options.dedup = dedup;
+      TsjRunInfo self_info;
+      TsjRunInfo rp_info;
+      const auto self =
+          TokenizedStringJoiner(options).SelfJoin(corpus, &self_info);
+      const auto rp =
+          TokenizedStringJoiner(options).Join(r_corpus, p_corpus, &rp_info);
+      ASSERT_TRUE(self.ok());
+      ASSERT_TRUE(rp.ok());
+      const std::string context = "t=" + std::to_string(t) + " dedup=" +
+                                  std::to_string(static_cast<int>(dedup));
+      EXPECT_EQ(ToPairNsldSet(*self), expected) << context;
+      EXPECT_EQ(ToPairNsldSet(*rp), rp_expected) << context;
+      EXPECT_EQ(self_info.similar_token_pairs, on_bound ? 1u : 0u)
+          << context;
+      EXPECT_EQ(rp_info.similar_token_pairs, on_bound ? 1u : 0u) << context;
+    }
+  }
+}
+
+TEST(TsjTest, MassJoinSeesOnlyTokensWithAPartnerInReach) {
+  // Token lengths span 0-30, so each threshold of the sweep leaves some
+  // tokens out of MassJoin and keeps others. Leaving them out loses no
+  // similar pair: TSJ's count equals MassJoin's over every surviving
+  // distinct token. MassJoin's input is exactly the tokens
+  // MinNldToDifferentString keeps, none at T = 0, where MassJoin still
+  // runs.
+  Rng rng(5151);
+  Corpus corpus;
+  corpus.AddString({"", testutil::RandomString(&rng, 30, 30, 3)});
+  for (int i = 0; i < 40; ++i) {
+    TokenizedString base = testutil::RandomTokenizedString(&rng, 1, 3, 0, 30,
+                                                           /*alphabet=*/3);
+    corpus.AddString(base);
+    const size_t edited = rng.Uniform(base.size());
+    base[edited] = testutil::RandomEdit(&rng, base[edited], 3);
+    corpus.AddString(base);
+  }
+  const std::vector<uint32_t> frequency =
+      corpus.ComputeTokenStringFrequencies();
+  for (const double t : {0.0, 0.05, 0.1, 0.225, 0.5, 0.9}) {
+    const TsjOptions options = Lossless(t);
+    TsjRunInfo info;
+    const auto joined = TokenizedStringJoiner(options).SelfJoin(corpus, &info);
+    ASSERT_TRUE(joined.ok());
+    std::vector<std::string> surviving;
+    uint64_t kept = 0;
+    for (TokenId token = 0; token < corpus.num_distinct_tokens(); ++token) {
+      if (frequency[token] > options.max_token_frequency) continue;
+      surviving.push_back(corpus.token_text(token));
+      if (MinNldToDifferentString(corpus.token_length(token)) <= t) ++kept;
+    }
+    const std::string context = "t=" + std::to_string(t);
+    EXPECT_EQ(info.similar_token_pairs, MassJoinSelfNld(surviving, t).size())
+        << context;
+    const auto generate = std::find_if(
+        info.pipeline.jobs.begin(), info.pipeline.jobs.end(),
+        [](const JobStats& job) { return job.name == "massjoin-generate"; });
+    ASSERT_NE(generate, info.pipeline.jobs.end()) << context;
+    EXPECT_EQ(generate->input_records, kept) << context;
+    EXPECT_EQ(info.pipeline.jobs.size(), 4u) << context;
+    if (t == 0.0) EXPECT_EQ(kept, 0u);
+    if (t == 0.1) EXPECT_LT(kept, surviving.size());
+    EXPECT_EQ(ToPairNsldSet(*joined),
+              ToPairNsldSet(BruteForceNsldSelfJoin(corpus, t)))
+        << context;
+  }
+}
+
+TEST(TsjTest, SimilarTokenExpansionCountsARepeatedTokenOnce) {
+  // "abcdefghij" ~ "abcdefghik" is a similar-token pair (NLD 2/21). String
+  // 0 holds "abcdefghij" twice, but its posting list must hold string 0
+  // once, so expanding the pair emits (0, 1) once in both join forms.
+  Corpus corpus;
+  corpus.AddString({"abcdefghij", "abcdefghij"});
+  corpus.AddString({"abcdefghik", "abcdefghij"});
+  Corpus r_corpus;
+  r_corpus.AddString({"abcdefghij", "abcdefghij"});
+  Corpus p_corpus;
+  p_corpus.AddString({"abcdefghik", "abcdefghij"});
+  for (const DedupStrategy dedup : {DedupStrategy::kGroupOnOneString,
+                                    DedupStrategy::kGroupOnBothStrings}) {
+    TsjOptions options = Lossless(0.1);
+    options.dedup = dedup;
+    TsjRunInfo self_info;
+    TsjRunInfo rp_info;
+    const auto self =
+        TokenizedStringJoiner(options).SelfJoin(corpus, &self_info);
+    const auto rp =
+        TokenizedStringJoiner(options).Join(r_corpus, p_corpus, &rp_info);
+    ASSERT_TRUE(self.ok());
+    ASSERT_TRUE(rp.ok());
+    EXPECT_EQ(self_info.similar_token_pairs, 1u);
+    EXPECT_EQ(rp_info.similar_token_pairs, 1u);
+    EXPECT_EQ(self_info.similar_token_candidates, 1u);
+    EXPECT_EQ(rp_info.similar_token_candidates, 1u);
+    EXPECT_EQ(ToPairNsldSet(*self),
+              ToPairNsldSet(BruteForceNsldSelfJoin(corpus, 0.1)));
+    EXPECT_EQ(ToPairNsldSet(*rp), ToPairNsldSet(testutil::BruteForceRP(
+                                      r_corpus, p_corpus, 0.1)));
+    EXPECT_EQ(self->size(), 1u);
   }
 }
 
