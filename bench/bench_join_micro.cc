@@ -1,7 +1,7 @@
-// Micro-benchmarks of the join kernels: serial PassJoin vs. brute force on
-// the token space, MassJoin, and the TSJ end-to-end pipeline at small
-// scales. Not a paper figure; quantifies the candidate-pruning power of
-// the signature scheme.
+// Micro-benchmarks of the join kernels: MassJoin vs. brute force on the
+// token space, and the TSJ end-to-end pipeline at small scales. Not a
+// paper figure; quantifies the candidate-pruning power of the signature
+// scheme. A failed join is reported as the benchmark's error, not timed.
 
 #include <string>
 #include <vector>
@@ -10,7 +10,6 @@
 #include "common/random.h"
 #include "distance/normalized_levenshtein.h"
 #include "massjoin/mass_join.h"
-#include "passjoin/pass_join.h"
 #include "tsj/tsj.h"
 #include "workload/ring_workload.h"
 
@@ -32,17 +31,6 @@ std::vector<std::string> MakeTokens(size_t n, uint64_t seed) {
   return tokens;
 }
 
-void BM_PassJoinSelfNld(benchmark::State& state) {
-  const auto tokens = MakeTokens(static_cast<size_t>(state.range(0)), 11);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(PassJoinSelfNld(tokens, 0.15));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(tokens.size()));
-}
-BENCHMARK(BM_PassJoinSelfNld)->Arg(500)->Arg(2000)->Arg(8000)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_BruteForceNld(benchmark::State& state) {
   const auto tokens = MakeTokens(static_cast<size_t>(state.range(0)), 11);
   for (auto _ : state) {
@@ -61,7 +49,12 @@ BENCHMARK(BM_BruteForceNld)->Arg(500)->Arg(2000)
 void BM_MassJoinSelfNld(benchmark::State& state) {
   const auto tokens = MakeTokens(static_cast<size_t>(state.range(0)), 11);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(MassJoinSelfNld(tokens, 0.15));
+    auto result = RunMassJoinSelfNld(tokens, 0.15);
+    if (!result.ok()) {
+      state.SkipWithError(result.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(result);
   }
 }
 BENCHMARK(BM_MassJoinSelfNld)->Arg(2000)->Arg(8000)
@@ -77,6 +70,10 @@ void BM_TsjEndToEnd(benchmark::State& state) {
   for (auto _ : state) {
     auto result =
         TokenizedStringJoiner(tsj_options).SelfJoin(workload.corpus);
+    if (!result.ok()) {
+      state.SkipWithError(result.status().ToString().c_str());
+      break;
+    }
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations() *

@@ -6,9 +6,9 @@
 // positive decimal integer — including a leading '-' (strtoull silently
 // wraps -1 into ~2^64), an out-of-range value (ERANGE), or trailing junk
 // ("9e19", "100ms") — reads as *unset*, never as a huge or wrapped
-// number. CC_SHUFFLE_SPILL_BUDGET (mapreduce/spill.h),
-// CC_TASK_TIMEOUT_MS (common/thread_pool.h), tsj_join
-// --max-token-frequency and tsj_knn --k all parse through here.
+// number. CC_SHUFFLE_SPILL_BUDGET (mapreduce/spill.h), tsj_join
+// --max-token-frequency, tsj_knn --k and the scaling example's account
+// count all parse through here.
 
 #ifndef TSJ_COMMON_PARSE_H_
 #define TSJ_COMMON_PARSE_H_
@@ -20,10 +20,11 @@ namespace tsj {
 /// Parses `value` as a positive decimal integer in [1, max_value].
 /// Returns 0 ("unset") for null/empty input, a leading '-', non-numeric
 /// or trailing-junk input, and any value that overflows unsigned long
-/// long (ERANGE) or exceeds `max_value` — an overflowing knob must
-/// disable its feature, not saturate into a bound that can never be
-/// reached (the watchdog bug this helper fixed: LLONG_MAX ms arms a
-/// watchdog that cannot fire).
+/// long (ERANGE) or exceeds `max_value`. An overflowing count must read
+/// as unset, not saturate into a huge bound that looks set but can never
+/// be reached: the caller then rejects it (the tools exit 2, and
+/// EnvOverrideTest.ArmedOverridesParse fails a CI leg whose spill budget
+/// does not parse).
 uint64_t ParsePositiveInt(const char* value, uint64_t max_value);
 
 /// Parses all of `value` as an NSLD threshold in [0, 1) into *threshold.

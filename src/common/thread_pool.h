@@ -13,13 +13,6 @@
 //    failed task calls Cancel(cause) and sibling tasks poll cancelled() at
 //    their unit boundaries (task start, partition boundaries) and bail.
 //    The pool never preempts a running task.
-//  * Optional watchdog: when CC_TASK_TIMEOUT_MS is set to a positive
-//    integer (hardened parse via common/parse.h — overflow or junk reads
-//    as *disabled*, never as a timeout that can never fire), a monitor
-//    thread samples the workers and counts every task that has been
-//    running longer than the timeout as *degraded* (tasks_degraded()).
-//    The count is observational: the task itself keeps running, since
-//    preempting it could not be made safe.
 
 #ifndef TSJ_COMMON_THREAD_POOL_H_
 #define TSJ_COMMON_THREAD_POOL_H_
@@ -27,7 +20,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -99,25 +91,8 @@ class ThreadPool {
   /// TakeStatus() call, and resets it to OK. OK when nothing threw.
   Status TakeStatus();
 
-  /// Tasks the watchdog observed running past CC_TASK_TIMEOUT_MS. Each
-  /// task is counted at most once, monotone over the pool's lifetime, and
-  /// always 0 when the watchdog is disabled (env unset or <= 0).
-  uint64_t tasks_degraded() const {
-    return tasks_degraded_.load(std::memory_order_relaxed);
-  }
-
  private:
-  // Per-worker watchdog sample slot: what the worker is running and since
-  // when (steady-clock ms; 0 = idle). seq distinguishes tasks so one stuck
-  // task is degraded once, not once per watchdog tick.
-  struct WorkerSlot {
-    std::atomic<int64_t> start_ms{0};
-    std::atomic<uint64_t> seq{0};
-    uint64_t flagged_seq = 0;  // watchdog thread only
-  };
-
-  void WorkerLoop(size_t worker_index);
-  void WatchdogLoop(int64_t timeout_ms);
+  void WorkerLoop();
   void RecordException(std::exception_ptr eptr);
 
   std::vector<std::thread> threads_;
@@ -130,12 +105,6 @@ class ThreadPool {
 
   std::mutex status_mu_;
   Status first_error_;  // guarded by status_mu_
-
-  std::vector<std::unique_ptr<WorkerSlot>> slots_;
-  std::thread watchdog_;
-  std::mutex watchdog_mu_;
-  std::condition_variable watchdog_cv_;
-  std::atomic<uint64_t> tasks_degraded_{0};
 };
 
 }  // namespace tsj

@@ -1,7 +1,7 @@
 // Normalized Levenshtein Distance (Def. 2, from Yujian & Bo Liu [37]) and
 // the threshold-carrying bounds of Lemmas 3, 8, 9 and 10. These bounds are
 // what let TSJ translate a tokenized-string NSLD threshold T into plain
-// edit-distance bounds on tokens, which PassJoin/MassJoin can exploit.
+// edit-distance bounds on tokens, which MassJoin's signatures exploit.
 
 #ifndef TSJ_DISTANCE_NORMALIZED_LEVENSHTEIN_H_
 #define TSJ_DISTANCE_NORMALIZED_LEVENSHTEIN_H_
@@ -73,7 +73,9 @@ double MinNldToDifferentString(size_t len);
 
 /// Strict lower bound ("LD is greater than the returned value") on the edit
 /// distance between two strings *known to be NLD-dissimilar* (NLD > T).
-/// Used by the TSJ histogram pruning filter for unmatched token pairs.
+/// Only its test calls it: TSJ's histogram filter bounds SLD from the two
+/// token-length histograms alone (SldLowerBoundFromHistograms in
+/// tokenized/bounds.h).
 uint32_t MinLdForNldExceeding(double threshold, size_t len_y,
                               bool x_is_shorter);
 

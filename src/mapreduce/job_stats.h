@@ -138,9 +138,6 @@ struct JobStats {
   /// Tasks skipped because a sibling's fatal failure tripped the job's
   /// cancellation token before they started.
   uint64_t tasks_cancelled = 0;
-  /// Tasks the ThreadPool watchdog observed running past
-  /// CC_TASK_TIMEOUT_MS (observational; the tasks still completed).
-  uint64_t tasks_degraded = 0;
   /// First fatal task error: non-OK exactly when the job was aborted and
   /// its outputs are incomplete/absent. Retryable failures that a retry
   /// absorbed do NOT set this — they are visible only via task_failures /
@@ -300,12 +297,6 @@ struct PipelineStats {
   uint64_t total_tasks_cancelled() const {
     uint64_t total = 0;
     for (const auto& j : jobs) total += j.tasks_cancelled;
-    return total;
-  }
-
-  uint64_t total_tasks_degraded() const {
-    uint64_t total = 0;
-    for (const auto& j : jobs) total += j.tasks_degraded;
     return total;
   }
 };

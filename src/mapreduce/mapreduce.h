@@ -107,12 +107,6 @@
 //    first fatal error wins). Skipped tasks count into
 //    JobStats::tasks_cancelled, failed attempts into task_failures,
 //    re-executions into task_retries.
-//  * Watchdog semantics. When CC_TASK_TIMEOUT_MS is set (> 0), the
-//    ThreadPool watchdog counts every task observed running longer than
-//    the timeout into JobStats::tasks_degraded. The count is purely
-//    observational: the flagged task is never preempted (preemption
-//    cannot be made safe), and neither the job's Status nor its output
-//    changes.
 //  * Fault injection. The deterministic injector (common/fault.h,
 //    CC_FAULT_SPEC) is evaluated at named sites: "task.map" /
 //    "task.reduce" at task starts, "alloc.shuffle" at shuffle-phase task
@@ -682,12 +676,11 @@ inline void RunTasksWithRetry(
   });
 }
 
-// Folds the pool-level task accounting into the job's stats at job end:
-// watchdog degradations, and — as a safety net — any exception the pool
-// itself caught outside the retry wrapper becomes the job status.
+// Sets the job's status at job end: the cancellation cause, or — as a
+// safety net — any exception the pool itself caught outside the retry
+// wrapper.
 inline void FinishTaskStats(ThreadPool* pool, const CancellationToken& token,
                             JobStats* stats) {
-  stats->tasks_degraded += pool->tasks_degraded();
   if (token.cancelled()) stats->status = token.cause();
   if (Status s = pool->TakeStatus(); !s.ok() && stats->status.ok()) {
     stats->status = s;
@@ -1509,10 +1502,10 @@ std::vector<Output> RunFusedMapReduceSorted(
   std::vector<Output> result = mri::ConcatOutputs(&outputs);
   s2.reduce_output_records = result.size();
 
-  // The fused job's totals — spill counters, the watchdog count, the pool
-  // safety-net status — land on stage 2, the stage whose stats carry the
-  // job's end state; the shared peaks and statuses are mirrored on stage
-  // 1, like the shuffle gauge.
+  // The fused job's totals — spill counters, the pool safety-net status —
+  // land on stage 2, the stage whose stats carry the job's end state; the
+  // shared peaks and statuses are mirrored on stage 1, like the shuffle
+  // gauge.
   mri::FinishJobStats(job, counters2, &s2);
   counters1.AddTo(&s1);
   s1.peak_shuffle_records = s2.peak_shuffle_records;

@@ -1,7 +1,6 @@
 #include "massjoin/mass_join.h"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 #include <span>
 #include <tuple>
@@ -9,7 +8,7 @@
 
 #include "distance/levenshtein.h"
 #include "distance/normalized_levenshtein.h"
-#include "passjoin/partition.h"
+#include "massjoin/partition.h"
 
 namespace tsj {
 
@@ -28,13 +27,16 @@ struct RoleValue {
 // A raw candidate pair of token ids, normalized a < b.
 using CandidatePair = std::pair<uint32_t, uint32_t>;
 
-// The full join body; both public entry points are thin wrappers over it
-// (RunMassJoinSelfNld adds the fault checks, MassJoinSelfNld the legacy
-// stats-only fault surfacing).
-std::vector<NldPair> MassJoinSelfNldImpl(
+}  // namespace
+
+StatusOr<std::vector<NldPair>> RunMassJoinSelfNld(
     const std::vector<std::string>& tokens, double threshold,
     const MassJoinOptions& options, PipelineStats* stats) {
-  assert(threshold >= 0.0 && threshold < 1.0);
+  // A NaN threshold would make the signature length bounds unbounded, and
+  // the join would never return.
+  if (!(threshold >= 0.0 && threshold < 1.0)) {
+    return Status::InvalidArgument("threshold must satisfy 0 <= T < 1");
+  }
 
   // The two jobs run fused on the streaming sorted-shuffle engine
   // (mapreduce.h): the candidate-pairing reduce of the generation stage
@@ -146,34 +148,9 @@ std::vector<NldPair> MassJoinSelfNldImpl(
           // Duplicate candidate discoveries of one token pair collapse at
           // the stage boundary (the verify reducer only needs the key).
           KeepFirstCombiner<CandidatePair, char>());
-  if (stats != nullptr) {
-    stats->Add(std::move(generate_stats));
-    stats->Add(std::move(verify_stats));
-  }
-  return results;
-}
-
-}  // namespace
-
-std::vector<NldPair> MassJoinSelfNld(const std::vector<std::string>& tokens,
-                                     double threshold,
-                                     const MassJoinOptions& options,
-                                     PipelineStats* stats) {
-  return MassJoinSelfNldImpl(tokens, threshold, options, stats);
-}
-
-StatusOr<std::vector<NldPair>> RunMassJoinSelfNld(
-    const std::vector<std::string>& tokens, double threshold,
-    const MassJoinOptions& options, PipelineStats* stats) {
-  // Checked here, not only by MassJoinSelfNldImpl's assert, which Release
-  // builds drop: a NaN threshold makes the signature length bounds
-  // unbounded and the join never returns.
-  if (!(threshold >= 0.0 && threshold < 1.0)) {
-    return Status::InvalidArgument("threshold must satisfy 0 <= T < 1");
-  }
   PipelineStats local_stats;
-  std::vector<NldPair> results =
-      MassJoinSelfNldImpl(tokens, threshold, options, &local_stats);
+  local_stats.Add(std::move(generate_stats));
+  local_stats.Add(std::move(verify_stats));
   const Status data_loss = local_stats.first_spill_data_loss();
   const Status task_error = local_stats.first_task_error();
   if (stats != nullptr) stats->Append(local_stats);

@@ -1,6 +1,8 @@
 // MassJoin: a MapReduce-distributed string similarity join (Deng, Li, Hao,
 // Wang & Feng [19]), adapted from LD thresholds to NLD thresholds via
-// Lemmas 8 and 9, exactly as TSJ requires (Sec. III-D).
+// Lemmas 8 and 9, exactly as TSJ requires (Sec. III-D). Its signatures
+// are Pass-Join's even partitions and multi-match-aware substrings
+// (massjoin/partition.h).
 //
 // Job 1 (candidate generation) — each token plays two roles:
 //  * segment role (token as the shorter side): for every feasible longer
@@ -19,19 +21,19 @@
 // each distinct pair is verified exactly once with the banded Levenshtein
 // under the Lemma 8 budget.
 //
-// The result equals PassJoinSelfNld on the same input (tested), but every
-// stage is a MapReduce job with recorded JobStats, so TSJ's pipeline
-// statistics cover the token join too.
+// Both jobs record JobStats, so TSJ's pipeline statistics cover the token
+// join too. Tests check the result against brute-force NLD.
 
 #ifndef TSJ_MASSJOIN_MASS_JOIN_H_
 #define TSJ_MASSJOIN_MASS_JOIN_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "mapreduce/job_stats.h"
 #include "mapreduce/mapreduce.h"
-#include "passjoin/pass_join.h"
 
 namespace tsj {
 
@@ -41,31 +43,32 @@ struct MassJoinOptions {
   /// mapreduce.num_partitions partitions. A set
   /// mapreduce.memory_budget_records bounds the fused generate/verify
   /// job's resident shuffle records (mapreduce/spill.h: sorted runs on
-  /// disk, k-way merge at reduce time). Lossless. MassJoinSelfNld returns
-  /// a plain vector, so spill faults surface through the
-  /// JobStats::spill_status / spill_data_loss entries appended to `stats`
-  /// — TSJ checks the lossy class and fails its join on it.
+  /// disk, k-way merge at reduce time). Lossless; a failed run read fails
+  /// the join (see RunMassJoinSelfNld).
   MapReduceOptions mapreduce;
 };
 
-/// Self-joins `tokens` under NLD <= threshold (0 <= threshold < 1) using
-/// the two-job MapReduce plan described above. Returns duplicate-free
-/// pairs (a < b). Per-job statistics are appended to `stats` if non-null.
-std::vector<NldPair> MassJoinSelfNld(const std::vector<std::string>& tokens,
-                                     double threshold,
-                                     const MassJoinOptions& options = {},
-                                     PipelineStats* stats = nullptr);
+/// A verified NLD-similar pair; `a` and `b` are indices into the input
+/// vector with a < b; `ld` is the exact edit distance.
+struct NldPair {
+  uint32_t a = 0;
+  uint32_t b = 0;
+  uint32_t ld = 0;
+  double nld = 0.0;
+};
 
-/// Status-returning entry point with the same fault contract as
-/// TokenizedStringJoiner::SelfJoin and HybridMetricJoiner::SelfJoin: a
-/// lossy spill fault (failed run read — outputs may be incomplete) or a
-/// fatal task error (a job aborted; see the fault-tolerance contract in
-/// mapreduce.h) fails the join with the root-cause Status; degraded
-/// write faults and retry-absorbed task failures keep their complete
-/// results and surface only through `stats` (JobStats::spill_status and
-/// the task counters). A threshold outside [0, 1), NaN included, returns
-/// InvalidArgument before any job runs. MassJoinSelfNld above is the
-/// legacy thin wrapper that drops the Status.
+/// Self-joins `tokens` under NLD <= threshold with the two-job MapReduce
+/// plan described above. Returns duplicate-free pairs (a < b); the jobs'
+/// statistics are appended to `stats` if non-null, also when a job fails.
+///
+/// Same fault contract as TokenizedStringJoiner::SelfJoin and
+/// HybridMetricJoiner::SelfJoin: a lossy spill fault (failed run read —
+/// outputs may be incomplete) or a fatal task error (a job aborted; see
+/// the fault-tolerance contract in mapreduce.h) fails the join with the
+/// root-cause Status; degraded write faults and retry-absorbed task
+/// failures keep their complete results and surface only through `stats`
+/// (JobStats::spill_status and the task counters). A threshold outside
+/// [0, 1), NaN included, returns InvalidArgument before any job runs.
 StatusOr<std::vector<NldPair>> RunMassJoinSelfNld(
     const std::vector<std::string>& tokens, double threshold,
     const MassJoinOptions& options = {}, PipelineStats* stats = nullptr);

@@ -1,4 +1,4 @@
-#include "passjoin/partition.h"
+#include "massjoin/partition.h"
 
 #include <algorithm>
 #include <cassert>

@@ -8,8 +8,8 @@
 // range below encodes. The even-partition scheme (segment lengths differ by
 // at most one) minimizes the space of chunk strings.
 
-#ifndef TSJ_PASSJOIN_PARTITION_H_
-#define TSJ_PASSJOIN_PARTITION_H_
+#ifndef TSJ_MASSJOIN_PARTITION_H_
+#define TSJ_MASSJOIN_PARTITION_H_
 
 #include <cstddef>
 #include <cstdint>
@@ -56,4 +56,4 @@ inline std::string_view ExtractChunk(std::string_view probe, int64_t start,
 
 }  // namespace tsj
 
-#endif  // TSJ_PASSJOIN_PARTITION_H_
+#endif  // TSJ_MASSJOIN_PARTITION_H_

@@ -283,7 +283,8 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
   // ---- Similar-token candidate generation (Sec. III-D). ----------------
   // Runs before the main job so its token pairs can feed the fused
   // pipeline as side inputs; its JobStats are spliced into the pipeline in
-  // the documented order (shared-token, massjoin, dedup-verify) below.
+  // the documented order (shared-token, massjoin, dedup-verify) below. A
+  // failed MassJoin fails the join before the fused job starts.
   // Token postings (token -> strings containing it) expand similar token
   // pairs back into string pairs; only the tokens of a similar pair get
   // one, and each SimilarTokenPair names its two lists in `postings`.
@@ -308,9 +309,15 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
     }
     MassJoinOptions mass_options;
     mass_options.mapreduce = mr_options;
-    const std::vector<NldPair> token_pairs =
-        MassJoinSelfNld(token_texts, t, mass_options, &mass_stats);
-    local_info.similar_token_pairs = token_pairs.size();
+    StatusOr<std::vector<NldPair>> token_pairs =
+        RunMassJoinSelfNld(token_texts, t, mass_options, &mass_stats);
+    if (!token_pairs.ok()) {
+      // The fused job never runs, so MassJoin's jobs are the pipeline.
+      local_info.pipeline = std::move(mass_stats);
+      if (info != nullptr) *info = std::move(local_info);
+      return token_pairs.status();
+    }
+    local_info.similar_token_pairs = token_pairs->size();
 
     constexpr uint32_t kNoPosting = std::numeric_limits<uint32_t>::max();
     std::vector<uint32_t> posting_of(corpus.num_distinct_tokens(),
@@ -323,8 +330,8 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
       }
       return slot;
     };
-    token_pair_candidates.reserve(token_pairs.size());
-    for (const NldPair& pair : token_pairs) {
+    token_pair_candidates.reserve(token_pairs->size());
+    for (const NldPair& pair : *token_pairs) {
       token_pair_candidates.push_back(
           SimilarTokenPair{posting_index(pair.a), posting_index(pair.b)});
     }

@@ -71,7 +71,8 @@ struct TsjPair {
 struct TsjRunInfo {
   /// Per-job MapReduce statistics, in execution order. The run's spill and
   /// task counters are its totals (PipelineStats::total_spilled_records(),
-  /// max_peak_resident_records(), total_task_retries(), ...).
+  /// max_peak_resident_records(), total_task_retries(), ...). A join that
+  /// fails in MassJoin holds MassJoin's two jobs only.
   PipelineStats pipeline;
 
   /// Distinct tokens ignored because they occur in more than M strings.

@@ -2,9 +2,8 @@
 // grammar, once/every/probability schedules, counters), the cooperative
 // CancellationToken, the task-retry layer of all three MapReduce engines
 // (retryable faults absorbed losslessly, fatal faults aborting with a
-// clean root-cause Status), the injector-driven spill fault routing, the
-// CC_TASK_TIMEOUT_MS watchdog, and the parse of the CC_* overrides CI
-// arms.
+// clean root-cause Status), the injector-driven spill fault routing, and
+// the parse of the CC_* overrides CI arms.
 
 #include "common/fault.h"
 
@@ -492,66 +491,6 @@ TEST_F(FaultTest, InjectedSpillOpenFaultDegradesTheWritePath) {
   EXPECT_EQ(stats.spilled_records, 0u);
   EXPECT_FALSE(stats.spill_status.ok());
   EXPECT_TRUE(stats.spill_data_loss.ok());
-}
-
-// ---- Watchdog --------------------------------------------------------------
-
-TEST(WatchdogTest, SlowTasksAreCountedAsDegradedNotKilled) {
-  ASSERT_EQ(setenv("CC_TASK_TIMEOUT_MS", "20", 1), 0);
-  {
-    ThreadPool pool(2);  // reads the env at construction
-    std::atomic<int> finished{0};
-    pool.Submit([&] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(150));
-      finished.fetch_add(1);
-    });
-    pool.Submit([&] { finished.fetch_add(1); });
-    pool.Wait();
-    EXPECT_EQ(finished.load(), 2);  // degraded tasks keep running
-    EXPECT_GE(pool.tasks_degraded(), 1u);
-    EXPECT_LE(pool.tasks_degraded(), 2u);  // each task counted at most once
-  }
-  ASSERT_EQ(unsetenv("CC_TASK_TIMEOUT_MS"), 0);
-}
-
-TEST(WatchdogTest, DisabledWatchdogCountsNothing) {
-  ASSERT_EQ(unsetenv("CC_TASK_TIMEOUT_MS"), 0);
-  ThreadPool pool(2);
-  pool.Submit([] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  });
-  pool.Wait();
-  EXPECT_EQ(pool.tasks_degraded(), 0u);
-}
-
-TEST(WatchdogTest, EngineSurfacesDegradedTasksInJobStats) {
-  ASSERT_EQ(setenv("CC_TASK_TIMEOUT_MS", "10", 1), 0);
-  std::vector<int> inputs(4);
-  for (int i = 0; i < 4; ++i) inputs[i] = i;
-  MapReduceOptions options;
-  options.num_workers = 2;
-  JobStats stats;
-  auto result = RunMapReduceSorted<int, int, int, std::pair<int, int>>(
-      "fault-slow-map", inputs,
-      [](const int& v, PartitionedEmitter<int, int>* out) {
-        if (v == 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        }
-        out->Emit(v, v);
-      },
-      [](const int& key, std::span<int> values,
-         std::vector<std::pair<int, int>>* out) {
-        out->emplace_back(key, static_cast<int>(values.size()));
-      },
-      options, &stats);
-  ASSERT_EQ(unsetenv("CC_TASK_TIMEOUT_MS"), 0);
-  // Purely observational: the flagged task's output is unchanged.
-  std::sort(result.begin(), result.end());
-  const std::vector<std::pair<int, int>> expected = {
-      {0, 1}, {1, 1}, {2, 1}, {3, 1}};
-  EXPECT_EQ(result, expected);
-  EXPECT_TRUE(stats.status.ok());
-  EXPECT_GE(stats.tasks_degraded, 1u);
 }
 
 // ---- CC_* overrides --------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -11,18 +12,39 @@
 #include "distance/levenshtein.h"
 #include "distance/normalized_levenshtein.h"
 #include "gtest/gtest.h"
-#include "passjoin/pass_join.h"
 #include "test_util.h"
 
 namespace tsj {
 namespace {
 
-using PairSet = std::set<std::pair<uint32_t, uint32_t>>;
+// (a, b, NLD) of every pair, compared exactly.
+using PairSet = std::set<std::tuple<uint32_t, uint32_t, double>>;
 
 PairSet ToSet(const std::vector<NldPair>& pairs) {
   PairSet s;
-  for (const auto& p : pairs) s.emplace(p.a, p.b);
+  for (const auto& p : pairs) s.emplace(p.a, p.b, p.nld);
   return s;
+}
+
+// The oracle: every pair i < j of `tokens` with NLD <= t.
+PairSet BruteForce(const std::vector<std::string>& tokens, double t) {
+  PairSet expected;
+  for (uint32_t i = 0; i < tokens.size(); ++i) {
+    for (uint32_t j = i + 1; j < tokens.size(); ++j) {
+      const double nld = NormalizedLevenshtein(tokens[i], tokens[j]);
+      if (nld <= t) expected.emplace(i, j, nld);
+    }
+  }
+  return expected;
+}
+
+// RunMassJoinSelfNld's pairs; a failed join fails the calling test.
+std::vector<NldPair> Join(const std::vector<std::string>& tokens, double t,
+                          const MassJoinOptions& options = {},
+                          PipelineStats* stats = nullptr) {
+  auto result = RunMassJoinSelfNld(tokens, t, options, stats);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  return result.ok() ? std::move(*result) : std::vector<NldPair>{};
 }
 
 std::vector<std::string> MakeTokens(Rng* rng, size_t n) {
@@ -35,44 +57,34 @@ std::vector<std::string> MakeTokens(Rng* rng, size_t n) {
 
 class MassJoinTest : public ::testing::TestWithParam<double> {};
 
-TEST_P(MassJoinTest, MatchesSerialPassJoin) {
-  const double t = GetParam();
-  Rng rng(3000 + static_cast<uint64_t>(t * 1000));
-  for (int round = 0; round < 5; ++round) {
-    const auto tokens = MakeTokens(&rng, 80);
-    const auto serial = PassJoinSelfNld(tokens, t);
-    const auto distributed = MassJoinSelfNld(tokens, t);
-    EXPECT_EQ(ToSet(distributed), ToSet(serial)) << "T=" << t;
-  }
-}
-
 TEST_P(MassJoinTest, MatchesBruteForce) {
+  // Each round adds two empty texts, which join only each other, and a
+  // repeated text, which joins its twin at NLD 0 even at T = 0.
   const double t = GetParam();
   Rng rng(4000 + static_cast<uint64_t>(t * 1000));
-  const auto tokens = MakeTokens(&rng, 60);
-  PairSet expected;
-  for (uint32_t i = 0; i < tokens.size(); ++i) {
-    for (uint32_t j = i + 1; j < tokens.size(); ++j) {
-      if (NormalizedLevenshtein(tokens[i], tokens[j]) <= t + 1e-12) {
-        expected.emplace(i, j);
-      }
-    }
+  for (int round = 0; round < 5; ++round) {
+    std::vector<std::string> tokens = MakeTokens(&rng, 80);
+    tokens.push_back("");
+    tokens.push_back(tokens[rng.Uniform(80)]);
+    tokens.push_back("");
+    EXPECT_EQ(ToSet(Join(tokens, t)), BruteForce(tokens, t))
+        << "T=" << t << " round " << round;
   }
-  EXPECT_EQ(ToSet(MassJoinSelfNld(tokens, t)), expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Thresholds, MassJoinTest,
-                         ::testing::Values(0.05, 0.1, 0.15, 0.225, 0.3));
+                         ::testing::Values(0.0, 0.05, 0.1, 0.15, 0.225, 0.3,
+                                           0.35));
 
 TEST(MassJoinTest, EmptyInput) {
-  EXPECT_TRUE(MassJoinSelfNld({}, 0.1).empty());
+  EXPECT_TRUE(Join({}, 0.1).empty());
 }
 
 TEST(MassJoinTest, ReportsPerJobStats) {
   Rng rng(5000);
   const auto tokens = MakeTokens(&rng, 50);
   PipelineStats stats;
-  MassJoinSelfNld(tokens, 0.2, {}, &stats);
+  Join(tokens, 0.2, {}, &stats);
   ASSERT_EQ(stats.jobs.size(), 2u);
   EXPECT_EQ(stats.jobs[0].name, "massjoin-generate");
   EXPECT_EQ(stats.jobs[1].name, "massjoin-verify");
@@ -93,16 +105,8 @@ TEST(MassJoinTest, SignatureLengthsStayInTheInputLengthRange) {
     distinct.insert(testutil::RandomString(&rng, 5, 5, 3));
   }
   const std::vector<std::string> tokens(distinct.begin(), distinct.end());
-  PairSet expected;
-  for (uint32_t i = 0; i < tokens.size(); ++i) {
-    for (uint32_t j = i + 1; j < tokens.size(); ++j) {
-      if (NormalizedLevenshtein(tokens[i], tokens[j]) <= kT + 1e-12) {
-        expected.emplace(i, j);
-      }
-    }
-  }
   PipelineStats stats;
-  EXPECT_EQ(ToSet(MassJoinSelfNld(tokens, kT, {}, &stats)), expected);
+  EXPECT_EQ(ToSet(Join(tokens, kT, {}, &stats)), BruteForce(tokens, kT));
   const uint64_t tau = MaxLdForNld(kT, 5, /*x_is_shorter=*/true);
   ASSERT_EQ(stats.jobs[0].name, "massjoin-generate");
   EXPECT_LE(stats.jobs[0].map_output_records,
@@ -122,8 +126,7 @@ TEST(MassJoinTest, EmptySegmentEmitsOneSubstringSignature) {
   const std::vector<std::string> tokens = {token, token.substr(0, 3),
                                            token.substr(0, 10)};
   PipelineStats stats;
-  EXPECT_EQ(ToSet(MassJoinSelfNld(tokens, kT, {}, &stats)),
-            ToSet(PassJoinSelfNld(tokens, kT)));
+  EXPECT_EQ(ToSet(Join(tokens, kT, {}, &stats)), BruteForce(tokens, kT));
   ASSERT_EQ(stats.jobs[0].name, "massjoin-generate");
   EXPECT_EQ(stats.jobs[0].map_output_records, 3905u);
 }
@@ -135,15 +138,15 @@ TEST(MassJoinTest, ResultIndependentOfWorkerCount) {
   one_worker.mapreduce.num_workers = 1;
   many_workers.mapreduce.num_workers = 8;
   many_workers.mapreduce.num_partitions = 7;
-  EXPECT_EQ(ToSet(MassJoinSelfNld(tokens, 0.15, one_worker)),
-            ToSet(MassJoinSelfNld(tokens, 0.15, many_workers)));
+  EXPECT_EQ(ToSet(Join(tokens, 0.15, one_worker)),
+            ToSet(Join(tokens, 0.15, many_workers)));
 }
 
 TEST(MassJoinTest, NoDuplicateOrSelfPairs) {
   Rng rng(7000);
   const auto tokens = MakeTokens(&rng, 90);
-  const auto pairs = MassJoinSelfNld(tokens, 0.25);
-  PairSet seen;
+  const auto pairs = Join(tokens, 0.25);
+  std::set<std::pair<uint32_t, uint32_t>> seen;
   for (const auto& p : pairs) {
     EXPECT_LT(p.a, p.b);
     EXPECT_TRUE(seen.emplace(p.a, p.b).second) << "duplicate pair";
@@ -153,14 +156,14 @@ TEST(MassJoinTest, NoDuplicateOrSelfPairs) {
 // ---- Fault parity with the tsj/hmj pipelines -------------------------------
 // Same contract the spill fault tier pins for the raw engine: degraded
 // write faults keep complete results and only surface through stats;
-// lossy read faults fail the Status-returning entry point. Injector
+// lossy read faults fail the join with their Status. Injector
 // tests restore the CC_FAULT_SPEC configuration on exit (the injector
 // is process-global).
 
 TEST(MassJoinTest, SpillWriteFaultsDegradeWithoutResultLoss) {
   Rng rng(9000);
   const auto tokens = MakeTokens(&rng, 60);
-  const auto reference = ToSet(MassJoinSelfNld(tokens, 0.2));
+  const auto reference = ToSet(Join(tokens, 0.2));
 
   MassJoinOptions options;
   options.mapreduce.memory_budget_records = 16;
@@ -192,7 +195,7 @@ TEST(MassJoinTest, SpillReadFaultsFailTheStatusEntryPoint) {
 TEST(MassJoinTest, TaskFaultsAreRetriedLosslesslyInTheFusedEngine) {
   Rng rng(9200);
   const auto tokens = MakeTokens(&rng, 60);
-  const auto reference = ToSet(MassJoinSelfNld(tokens, 0.2));
+  const auto reference = ToSet(Join(tokens, 0.2));
   ASSERT_TRUE(
       FaultInjector::Global().Configure("task.map=once;task.reduce=once@2")
           .ok());
@@ -230,7 +233,7 @@ TEST(MassJoinTest, StatusEntryPointRejectsThresholdOutsideUnitInterval) {
 TEST(MassJoinTest, ReportedDistancesAreExact) {
   Rng rng(8000);
   const auto tokens = MakeTokens(&rng, 60);
-  for (const auto& p : MassJoinSelfNld(tokens, 0.3)) {
+  for (const auto& p : Join(tokens, 0.3)) {
     EXPECT_EQ(p.ld, Levenshtein(tokens[p.a], tokens[p.b]));
     EXPECT_DOUBLE_EQ(p.nld, NldFromLd(p.ld, tokens[p.a].size(),
                                       tokens[p.b].size()));

@@ -1,8 +1,8 @@
-// ParsePositiveInt (common/parse.h): the one hardened parser behind every
-// CC_* "positive count" env knob. The table pins the contract that made it
-// exist — strtoull's silent -1 wraparound and ERANGE saturation must read
-// as *unset* (0), never as a huge bound that disables nothing and can
-// never be reached (the CC_TASK_TIMEOUT_MS watchdog bug).
+// ParsePositiveInt (common/parse.h): the one hardened parser behind the
+// CC_SHUFFLE_SPILL_BUDGET env knob and the tools' count arguments. The
+// table pins the contract that made it exist — strtoull's silent -1
+// wraparound and ERANGE saturation must read as *unset* (0), never as a
+// huge bound that looks set but can never be reached.
 
 #include "common/parse.h"
 
@@ -38,8 +38,8 @@ TEST(ParsePositiveIntTest, Table) {
       // Zero is not a positive count.
       {"0", kNoCap, 0},
       // A leading '-' must NOT wrap through strtoull into ~2^64, whatever
-      // whitespace precedes it. Negated, "-9223372036854775809" is
-      // INT64_MAX: the CC_TASK_TIMEOUT_MS watchdog that can never fire.
+      // whitespace precedes it. Negated, "-9223372036854775809" wraps to
+      // exactly INT64_MAX, which a cap of INT64_MAX would accept.
       {"-1", kNoCap, 0},
       {"-250", kNoCap, 0},
       {"\n-1", kNoCap, 0},

@@ -123,19 +123,6 @@ inline std::string RandomEdit(Rng* rng, std::string s, int alphabet_size = 4) {
   return s;
 }
 
-/// All unordered pairs (i, j), i < j, for which pred(i, j) holds.
-template <typename Pred>
-std::vector<std::pair<uint32_t, uint32_t>> BruteForcePairs(size_t n,
-                                                           Pred pred) {
-  std::vector<std::pair<uint32_t, uint32_t>> pairs;
-  for (uint32_t i = 0; i < n; ++i) {
-    for (uint32_t j = i + 1; j < n; ++j) {
-      if (pred(i, j)) pairs.emplace_back(i, j);
-    }
-  }
-  return pairs;
-}
-
 /// Brute-force R x P NSLD join: every (r, p) with NSLD <= t, with `a` the
 /// id in r and `b` the id in p, by exact Hungarian SLD with no filters and
 /// no cache — the two-collection counterpart of BruteForceNsldSelfJoin

@@ -373,8 +373,9 @@ TEST(TsjTest, MassJoinSeesOnlyTokensWithAPartnerInReach) {
       if (MinNldToDifferentString(corpus.token_length(token)) <= t) ++kept;
     }
     const std::string context = "t=" + std::to_string(t);
-    EXPECT_EQ(info.similar_token_pairs, MassJoinSelfNld(surviving, t).size())
-        << context;
+    const auto unpruned = RunMassJoinSelfNld(surviving, t);
+    ASSERT_TRUE(unpruned.ok()) << context;
+    EXPECT_EQ(info.similar_token_pairs, unpruned->size()) << context;
     const auto generate = std::find_if(
         info.pipeline.jobs.begin(), info.pipeline.jobs.end(),
         [](const JobStats& job) { return job.name == "massjoin-generate"; });
@@ -588,7 +589,9 @@ TEST(TsjTest, RunInfoCountersAreConsistent) {
 TEST(TsjTest, FatalTaskFaultFailsTheJoinWithItsRootCause) {
   // With no retries, one injected reduce fault aborts its job. The join
   // must fail with that root cause instead of returning the pairs the
-  // other jobs found; disarmed, the same options join completely.
+  // other jobs found; disarmed, the same options join completely. The
+  // first reduce is MassJoin's, and the join stops there: the fused
+  // shared-token + dedup/verify job never runs.
   testutil::RestoreFaultSpecFromEnv restore;
   Rng rng(4545);
   const Corpus corpus = MakeCorpus(&rng, 60);
@@ -596,12 +599,17 @@ TEST(TsjTest, FatalTaskFaultFailsTheJoinWithItsRootCause) {
   options.mapreduce.max_task_retries = 0;
 
   ASSERT_TRUE(FaultInjector::Global().Configure("task.reduce=once").ok());
-  const auto aborted = TokenizedStringJoiner(options).SelfJoin(corpus);
+  TsjRunInfo info;
+  const auto aborted = TokenizedStringJoiner(options).SelfJoin(corpus, &info);
   ASSERT_FALSE(aborted.ok());
   EXPECT_EQ(aborted.status().code(), StatusCode::kUnavailable);
   EXPECT_NE(aborted.status().message().find("task.reduce"),
             std::string::npos)
       << aborted.status().ToString();
+  std::vector<std::string> jobs;
+  for (const JobStats& job : info.pipeline.jobs) jobs.push_back(job.name);
+  EXPECT_EQ(jobs, (std::vector<std::string>{"massjoin-generate",
+                                            "massjoin-verify"}));
 
   ASSERT_TRUE(FaultInjector::Global().Configure("").ok());
   const auto joined = TokenizedStringJoiner(options).SelfJoin(corpus);
