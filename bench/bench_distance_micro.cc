@@ -14,9 +14,11 @@
 #include "distance/levenshtein.h"
 #include "distance/myers.h"
 #include "distance/normalized_levenshtein.h"
+#include "tokenized/bounds.h"
 #include "tokenized/corpus.h"
 #include "tokenized/sld.h"
 #include "tokenized/token_pair_cache.h"
+#include "workload/name_generator.h"
 
 namespace tsj {
 namespace {
@@ -148,6 +150,34 @@ void BM_NldWithin(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NldWithin);
+
+// The bag filter's per-pair check (tokenized/bounds.h): the L1 distance
+// of two 32-byte character bags and the saturation terms, with the bag
+// sizes held beside the bags as TSJ's shared-token walk holds them. The
+// bags come from generated names at run time, so the compiler sees no
+// constant input; each iteration checks the next pair of neighbours.
+void BM_CharBagBound(benchmark::State& state) {
+  constexpr size_t kNames = 4096;  // a power of two, for the index wrap
+  const NameGenerator generator(NameGeneratorOptions{});
+  Rng rng(12);
+  Corpus corpus;
+  for (size_t i = 0; i < kNames; ++i) corpus.AddString(generator.Sample(&rng));
+  std::vector<uint32_t> sizes(kNames);
+  for (size_t i = 0; i < kNames; ++i) {
+    sizes[i] = CharBagSize(corpus.char_bag(static_cast<StringId>(i)));
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const size_t j = (i + 1) & (kNames - 1);
+    benchmark::DoNotOptimize(SldLowerBoundFromCharBags(
+        corpus.char_bag(static_cast<StringId>(i)), sizes[i],
+        corpus.char_bag(static_cast<StringId>(j)), sizes[j],
+        corpus.aggregate_length(static_cast<StringId>(i)),
+        corpus.aggregate_length(static_cast<StringId>(j))));
+    i = j;
+  }
+}
+BENCHMARK(BM_CharBagBound);
 
 void BM_JaroWinkler(benchmark::State& state) {
   Rng rng(4);

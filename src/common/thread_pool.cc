@@ -7,11 +7,17 @@
 
 namespace tsj {
 
+namespace {
+
+thread_local size_t current_worker_index = ThreadPool::kNotAWorker;
+
+}  // namespace
+
 ThreadPool::ThreadPool(size_t num_threads) {
   num_threads = std::max<size_t>(1, num_threads);
   threads_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
-    threads_.emplace_back([this] { WorkerLoop(); });
+    threads_.emplace_back([this, i] { WorkerLoop(i); });
   }
 }
 
@@ -32,6 +38,8 @@ void ThreadPool::Submit(std::function<void()> task) {
   }
   work_cv_.notify_one();
 }
+
+size_t ThreadPool::CurrentWorkerIndex() { return current_worker_index; }
 
 void ThreadPool::Wait() {
   std::unique_lock<std::mutex> lock(mu_);
@@ -67,7 +75,8 @@ void ThreadPool::RecordException(std::exception_ptr eptr) {
   if (first_error_.ok()) first_error_ = std::move(status);
 }
 
-void ThreadPool::WorkerLoop() {
+void ThreadPool::WorkerLoop(size_t index) {
+  current_worker_index = index;
   while (true) {
     std::function<void()> task;
     {

@@ -13,6 +13,10 @@
 //    failed task calls Cancel(cause) and sibling tasks poll cancelled() at
 //    their unit boundaries (task start, partition boundaries) and bail.
 //    The pool never preempts a running task.
+//
+// Each worker knows its index in its pool (CurrentWorkerIndex), so a task
+// can keep per-worker state, such as counter slots, that no other running
+// task writes.
 
 #ifndef TSJ_COMMON_THREAD_POOL_H_
 #define TSJ_COMMON_THREAD_POOL_H_
@@ -21,6 +25,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <queue>
@@ -84,6 +89,15 @@ class ThreadPool {
 
   size_t num_threads() const { return threads_.size(); }
 
+  /// What CurrentWorkerIndex() returns on a thread no ThreadPool started.
+  static constexpr size_t kNotAWorker = std::numeric_limits<size_t>::max();
+
+  /// The index of the calling thread among the workers of the pool that
+  /// started it: in [0, num_threads()), distinct for the workers of one
+  /// pool and fixed for the thread's life. kNotAWorker on any other
+  /// thread.
+  static size_t CurrentWorkerIndex();
+
   /// Runs `fn(i)` for i in [0, n) across the pool and waits for completion.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
@@ -92,7 +106,7 @@ class ThreadPool {
   Status TakeStatus();
 
  private:
-  void WorkerLoop();
+  void WorkerLoop(size_t index);
   void RecordException(std::exception_ptr eptr);
 
   std::vector<std::thread> threads_;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <initializer_list>
-#include <numeric>
 
 #include "tokenized/sld.h"
 
@@ -44,38 +42,40 @@ int64_t SldLowerBoundFromHistograms(const std::vector<uint32_t>& lengths_x,
   return bound;
 }
 
-double NsldLowerBoundFromHistograms(const std::vector<uint32_t>& lengths_x,
-                                    const std::vector<uint32_t>& lengths_y) {
-  const int64_t sld_lb = SldLowerBoundFromHistograms(lengths_x, lengths_y);
-  const size_t lx = std::accumulate(lengths_x.begin(), lengths_x.end(),
-                                    static_cast<size_t>(0));
-  const size_t ly = std::accumulate(lengths_y.begin(), lengths_y.end(),
-                                    static_cast<size_t>(0));
-  return NsldFromSld(sld_lb, lx, ly);
+uint32_t CharBagSize(const CharBag& bag) {
+  uint32_t size = 0;
+  for (const uint8_t count : bag) size += count;
+  return size;
 }
 
 int64_t SldLowerBoundFromCharBags(const CharBag& bag_x, const CharBag& bag_y,
                                   size_t len_x, size_t len_y) {
-  uint32_t x_only = 0;  // |X \ Y| over the saturated buckets
-  uint32_t y_only = 0;  // |Y \ X|
-  for (size_t i = 0; i < kCharBagBuckets; ++i) {
-    const int32_t d = static_cast<int32_t>(bag_x[i]) - bag_y[i];
-    x_only += static_cast<uint32_t>(std::max(d, 0));
-    y_only += static_cast<uint32_t>(std::max(-d, 0));
-  }
-  // Over the unsaturated bags |X \ Y| - |Y \ X| = L(x) - L(y) exactly, so
-  // each side is at least the other side's saturated count plus that
-  // difference. Without saturation this changes nothing.
-  const int64_t diff =
-      static_cast<int64_t>(len_x) - static_cast<int64_t>(len_y);
-  return std::max({static_cast<int64_t>(x_only), static_cast<int64_t>(y_only),
-                   y_only + diff, x_only - diff});
+  return SldLowerBoundFromCharBags(bag_x, CharBagSize(bag_x), bag_y,
+                                   CharBagSize(bag_y), len_x, len_y);
 }
 
-double NsldLowerBoundFromCharBags(const CharBag& bag_x, const CharBag& bag_y,
-                                  size_t len_x, size_t len_y) {
-  return NsldFromSld(SldLowerBoundFromCharBags(bag_x, bag_y, len_x, len_y),
-                     len_x, len_y);
+ThresholdTables::ThresholdTables(double threshold, size_t max_length)
+    : max_partner_(max_length + 1), sld_budget_(2 * max_length + 1) {
+  // max_partner(l) never decreases as l grows (a longer l only lowers
+  // every bound 1 - l/L(y)), so one pointer sweeps the partner lengths
+  // once; for each l the admitted lengths L(y) >= l are a prefix.
+  size_t partner = 0;
+  for (size_t length = 0; length <= max_length; ++length) {
+    if (NsldLowerBoundFromAggregateLengths(length, length) > threshold) {
+      max_partner_[length] = static_cast<int64_t>(length) - 1;
+      continue;
+    }
+    partner = std::max(partner, length);
+    while (partner < max_length &&
+           NsldLowerBoundFromAggregateLengths(length, partner + 1) <=
+               threshold) {
+      ++partner;
+    }
+    max_partner_[length] = static_cast<int64_t>(partner);
+  }
+  for (size_t sum = 0; sum < sld_budget_.size(); ++sum) {
+    sld_budget_[sum] = SldBudgetFromThreshold(threshold, sum, 0);
+  }
 }
 
 }  // namespace tsj

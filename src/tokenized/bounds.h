@@ -27,12 +27,27 @@
 //    aligning costs at least SLD, so it is safe there too. TSJ applies it
 //    where candidate pairs are generated (tsj/tsj.h); CharBagBoundTest
 //    pins both inequalities.
+//    Both differences come from the bags' L1 distance SAD = sum |X_i - Y_i|
+//    and their sizes S_x, S_y (the sums of their buckets):
+//    |X \ Y| = (SAD + S_x - S_y) / 2 and |Y \ X| = (SAD - S_x + S_y) / 2,
+//    bucket for bucket, so the identity holds on bucketed and saturated
+//    bags alike. The 32-byte L1 distance is one loop the compiler turns
+//    into `psadbw`, and a caller that checks one bag against many passes
+//    the sizes in.
+//
+// A join compares these bounds against its threshold T through integer
+// tables (ThresholdTables), built once per join from the floating-point
+// predicates they replace: the Lemma 6 window as the longest partner
+// length each aggregate length admits, and the SLD budget of each sum
+// L(x) + L(y). A filter then tests  bound <= budget  with no division.
 
 #ifndef TSJ_TOKENIZED_BOUNDS_H_
 #define TSJ_TOKENIZED_BOUNDS_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <vector>
 
 #include "tokenized/tokenized_string.h"
@@ -63,26 +78,71 @@ double NsldUpperBoundFromAggregateLengths(size_t len_x, size_t len_y);
 int64_t SldLowerBoundFromHistograms(const std::vector<uint32_t>& lengths_x,
                                     const std::vector<uint32_t>& lengths_y);
 
-/// Lower bound on NSLD from the histograms plus aggregate lengths.
-/// NSLD is monotone in SLD for fixed lengths, so plugging the SLD lower
-/// bound into Def. 4 yields a valid NSLD lower bound.
-double NsldLowerBoundFromHistograms(const std::vector<uint32_t>& lengths_x,
-                                    const std::vector<uint32_t>& lengths_y);
+/// The number of characters a bag counts, the sum of its buckets: L(x)
+/// unless a bucket saturated.
+uint32_t CharBagSize(const CharBag& bag);
 
-/// Lower bound on SLD(x, y) from the character bags and aggregate lengths
-/// of the two strings: max(|X \ Y|, |Y \ X|) over the bags, raised where
-/// saturation lost counts by |X \ Y| - |Y \ X| = L(x) - L(y). Never
-/// exceeds the true SLD (or the greedy-aligning cost), and never falls
-/// below |L(x) - L(y)|.
+/// Lower bound on SLD(x, y) from the character bags, their sizes
+/// (CharBagSize) and the aggregate lengths of the two strings:
+/// max(|X \ Y|, |Y \ X|) over the bags, raised where saturation lost
+/// counts by |X \ Y| - |Y \ X| = L(x) - L(y). Never exceeds the true SLD
+/// (or the greedy-aligning cost), and never falls below |L(x) - L(y)|.
+/// Inline so that a caller's pair loop keeps the L1-distance loop
+/// vectorized in place.
+inline int64_t SldLowerBoundFromCharBags(const CharBag& bag_x,
+                                         uint32_t size_x,
+                                         const CharBag& bag_y,
+                                         uint32_t size_y, size_t len_x,
+                                         size_t len_y) {
+  uint32_t sad = 0;
+  for (size_t i = 0; i < kCharBagBuckets; ++i) {
+    sad += static_cast<uint32_t>(std::abs(static_cast<int32_t>(bag_x[i]) -
+                                          static_cast<int32_t>(bag_y[i])));
+  }
+  // SAD and S_x - S_y have the same parity (each bucket adds |d| and d),
+  // so both halves are exact.
+  const int64_t size_gap = static_cast<int64_t>(size_x) - size_y;
+  const int64_t x_only = (sad + size_gap) / 2;  // |X \ Y|
+  const int64_t y_only = (sad - size_gap) / 2;  // |Y \ X|
+  // Over the unsaturated bags |X \ Y| - |Y \ X| = L(x) - L(y) exactly, so
+  // each side is at least the other side's saturated count plus that
+  // difference. Without saturation this changes nothing.
+  const int64_t diff =
+      static_cast<int64_t>(len_x) - static_cast<int64_t>(len_y);
+  return std::max({x_only, y_only, y_only + diff, x_only - diff});
+}
+
+/// The bag bound of two strings whose bag sizes the caller does not hold.
 int64_t SldLowerBoundFromCharBags(const CharBag& bag_x, const CharBag& bag_y,
                                   size_t len_x, size_t len_y);
 
-/// NsldFromSld of SldLowerBoundFromCharBags: a pair can join at threshold T
-/// only if this is <= T. It is the predicate SldBudgetFromThreshold is
-/// fixed against, so it admits exactly the pairs whose bound is within the
-/// SLD budget.
-double NsldLowerBoundFromCharBags(const CharBag& bag_x, const CharBag& bag_y,
-                                  size_t len_x, size_t len_y);
+/// A join threshold T's length predicates as integer tables over the
+/// aggregate lengths 0..max_length, built once per join from the
+/// floating-point predicates they replace; tests/tokenized_bounds_test.cc
+/// pins both equivalences at every length up to 300.
+///  * max_partner(l): the largest L(y) in [l, max_length] with
+///    NsldLowerBoundFromAggregateLengths(l, L(y)) <= T, or l - 1 when not
+///    even L(y) = l is admitted (T < 0). The bound grows with the longer
+///    length and falls with the shorter one, so for
+///    L(x) <= L(y) <= max_length,
+///    L(y) <= max_partner(L(x))  <=>  the Lemma 6 bound is within T.
+///  * sld_budget(L(x) + L(y)): SldBudgetFromThreshold(T, L(x), L(y)),
+///    which depends only on the sum, so for every s >= 0
+///    s <= sld_budget(L(x) + L(y))  <=>  NsldFromSld(s, L(x), L(y)) <= T.
+/// max_length + 1 and 2 * max_length + 1 entries, built in O(max_length).
+class ThresholdTables {
+ public:
+  ThresholdTables(double threshold, size_t max_length);
+
+  int64_t max_partner(size_t length) const { return max_partner_[length]; }
+  int64_t sld_budget(size_t length_sum) const {
+    return sld_budget_[length_sum];
+  }
+
+ private:
+  std::vector<int64_t> max_partner_;
+  std::vector<int64_t> sld_budget_;
+};
 
 }  // namespace tsj
 

@@ -1,13 +1,15 @@
 #include "tsj/tsj.h"
 
 #include <algorithm>
-#include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "common/hash.h"
+#include "common/thread_pool.h"
 #include "distance/normalized_levenshtein.h"
 #include "massjoin/mass_join.h"
 #include "tokenized/bounds.h"
@@ -68,49 +70,92 @@ void FlushVerifyCache(TokenPairCache* cache) {
   if (cache != nullptr) VerifyScratch().l1.FlushIfBatchReady(cache);
 }
 
-// Thread-safe counters shared by the pipeline lambdas.
-struct Counters {
-  std::atomic<uint64_t> shared_token_candidates{0};
-  std::atomic<uint64_t> similar_token_candidates{0};
-  std::atomic<uint64_t> distinct_candidates{0};
-  std::atomic<uint64_t> length_filtered{0};
-  std::atomic<uint64_t> bag_filtered{0};
-  std::atomic<uint64_t> histogram_filtered{0};
-  std::atomic<uint64_t> verified_candidates{0};
-  std::atomic<uint64_t> verify_work_units{0};
+// The counts one worker adds up, in one cache line of its own.
+struct alignas(64) CounterSlot {
+  uint64_t shared_token_candidates = 0;
+  uint64_t similar_token_candidates = 0;
+  uint64_t distinct_candidates = 0;
+  uint64_t length_filtered = 0;
+  uint64_t bag_filtered = 0;
+  uint64_t histogram_filtered = 0;
+  uint64_t verified_candidates = 0;
+  uint64_t verify_work_units = 0;
+};
+
+// The pipeline's counters: one slot per worker of the fused job's pool,
+// which every map and reduce function of the job runs on. A function
+// takes its worker's slot once per call and adds to it with plain
+// stores, so no two workers write one cache line and no candidate pays
+// an atomic. Total() sums the slots once the job is done.
+class Counters {
+ public:
+  explicit Counters(size_t num_workers) : slots_(num_workers) {}
+
+  // The calling worker's slot. A caller outside the fused job's pool is a
+  // bug: it fails here, and never shares another worker's slot.
+  CounterSlot& Local() {
+    const size_t worker = ThreadPool::CurrentWorkerIndex();
+    if (worker >= slots_.size()) {
+      std::fprintf(stderr,
+                   "tsj: counter slot %zu requested, but the join has %zu "
+                   "workers\n",
+                   worker, slots_.size());
+      std::abort();
+    }
+    return slots_[worker];
+  }
+
+  CounterSlot Total() const {
+    CounterSlot total;
+    for (const CounterSlot& slot : slots_) {
+      total.shared_token_candidates += slot.shared_token_candidates;
+      total.similar_token_candidates += slot.similar_token_candidates;
+      total.distinct_candidates += slot.distinct_candidates;
+      total.length_filtered += slot.length_filtered;
+      total.bag_filtered += slot.bag_filtered;
+      total.histogram_filtered += slot.histogram_filtered;
+      total.verified_candidates += slot.verified_candidates;
+      total.verify_work_units += slot.verify_work_units;
+    }
+    return total;
+  }
+
+ private:
+  std::vector<CounterSlot> slots_;
 };
 
 // Histogram filter + verify one distinct candidate pair of `corpus`;
 // appends to `out` when the pair joins. Lossless filters only
 // (Sec. III-E); the length and bag filters already ran where the pair
-// was generated (LengthWindow, BagFilter). `cache` (may be null) is the
-// run's corpus-wide token-pair cache.
+// was generated (LengthWindow, BagFilter). Both the histogram bound and
+// verification compare an integer SLD against the run's budget for
+// L(a) + L(b), read from `tables`. `cache` (may be null) is the run's
+// corpus-wide token-pair cache; `counts` is the calling worker's slot.
 void FilterAndVerify(const Corpus& corpus, const TsjOptions& options,
-                     Counters* counters, TokenPairCache* cache, uint32_t a,
-                     uint32_t b, std::vector<TsjPair>* out) {
-  const double t = options.threshold;
+                     const ThresholdTables& tables, CounterSlot* counts,
+                     TokenPairCache* cache, uint32_t a, uint32_t b,
+                     std::vector<TsjPair>* out) {
   const size_t la = corpus.aggregate_length(a);
   const size_t lb = corpus.aggregate_length(b);
-  if (NsldLowerBoundFromHistograms(corpus.length_histogram(a),
-                                   corpus.length_histogram(b)) > t) {
-    counters->histogram_filtered.fetch_add(1, std::memory_order_relaxed);
+  const int64_t budget = tables.sld_budget(la + lb);
+  if (SldLowerBoundFromHistograms(corpus.length_histogram(a),
+                                  corpus.length_histogram(b)) > budget) {
+    ++counts->histogram_filtered;
     return;
   }
-  counters->verified_candidates.fetch_add(1, std::memory_order_relaxed);
+  ++counts->verified_candidates;
   // Final verification (Sec. III-F) through the budget-aware SLD engine:
-  // the NSLD threshold converts to an integer SLD budget (tokenized/sld.h),
-  // and the bounded path only ever skips work, never changes the decision
-  // or the reported NSLD. Both strings live in one interned id space, so
-  // the engine reads token texts in place and the corpus-wide cache can
+  // the NSLD threshold is an integer SLD budget (tokenized/sld.h), and
+  // the bounded path only ever skips work, never changes the decision or
+  // the reported NSLD. Both strings live in one interned id space, so the
+  // engine reads token texts in place and the corpus-wide cache can
   // short-circuit repeated edges.
   SldVerifyScratch& scratch = VerifyScratch();
   scratch.use_l1_cache = options.enable_l1_verify_cache;
   const BoundedSldResult verdict =
-      BoundedSld(corpus, corpus.tokens(a), corpus.tokens(b),
-                 SldBudgetFromThreshold(t, la, lb), options.aligning,
-                 &scratch, cache);
-  counters->verify_work_units.fetch_add(verdict.work_units,
-                                        std::memory_order_relaxed);
+      BoundedSld(corpus, corpus.tokens(a), corpus.tokens(b), budget,
+                 options.aligning, &scratch, cache);
+  counts->verify_work_units += verdict.work_units;
   if (verdict.within_budget) {
     out->push_back(TsjPair{a, b, NsldFromSld(verdict.sld, la, lb)});
   }
@@ -152,32 +197,47 @@ size_t SortRunsBySide(std::span<uint32_t> ids, const Sides& sides,
 // NsldLowerBoundFromAggregateLengths(la, lb) <= T. The bound is monotone
 // in the longer length (and in the shorter one), so over strings sorted by
 // aggregate length the partners one string admits form one contiguous
-// range; the generators below walk only that range.
+// range; the generators below walk only that range. Its edge is the
+// run's integer table of the longest partner each length admits
+// (ThresholdTables::max_partner), which equals the predicate exactly.
 struct LengthWindow {
-  double threshold = 0.0;
+  const ThresholdTables& tables;
 
-  bool Admits(size_t la, size_t lb) const {
-    return NsldLowerBoundFromAggregateLengths(la, lb) <= threshold;
+  // The longest aggregate length a partner of a length-`l` string may
+  // have. A join's T is at least 0, so this is never below `l`.
+  size_t MaxPartner(size_t l) const {
+    return static_cast<size_t>(tables.max_partner(l));
   }
 };
 
 // The bag filter (tokenized/bounds.h), applied by both generators to each
 // pair the length window admits, before the pair is emitted: a pair can
-// join only if NsldLowerBoundFromCharBags(...) <= T. That is the
-// predicate the SLD budget is fixed against, and the bound never exceeds
-// the exact or the greedy SLD, so the filter is lossless. It has no
-// switch: the brute-force differentials check that it prunes nothing that
-// joins.
+// join only if its SldLowerBoundFromCharBags is within the run's SLD
+// budget for L(a) + L(b) (ThresholdTables::sld_budget), the budget
+// verification uses. The bound never exceeds the exact or the greedy SLD,
+// so the filter is lossless. It has no switch: the brute-force
+// differentials check that it prunes nothing that joins. This form reads
+// both strings from the corpus; the self-join's shared-token walk checks
+// its group from a contiguous copy instead (GroupMember).
 struct BagFilter {
   const Corpus& corpus;
-  double threshold = 0.0;
+  const ThresholdTables& tables;
 
   bool Admits(uint32_t a, uint32_t b) const {
-    return NsldLowerBoundFromCharBags(
-               corpus.char_bag(a), corpus.char_bag(b),
-               corpus.aggregate_length(a),
-               corpus.aggregate_length(b)) <= threshold;
+    const size_t la = corpus.aggregate_length(a);
+    const size_t lb = corpus.aggregate_length(b);
+    return SldLowerBoundFromCharBags(corpus.char_bag(a), corpus.char_bag(b),
+                                     la, lb) <= tables.sld_budget(la + lb);
   }
+};
+
+// What the bag filter reads of one string of a token group, copied out of
+// the corpus so the self-join walk reads its group from one contiguous
+// per-worker array in window order instead of by string id.
+struct GroupMember {
+  CharBag bag{};
+  uint32_t bag_size = 0;  // CharBagSize(bag)
+  size_t length = 0;      // aggregate length
 };
 
 // Calls visit(x, y) for every x of `xs` and y of `ys` whose aggregate
@@ -196,15 +256,12 @@ uint64_t ForEachWindowedCross(std::span<const uint32_t> xs,
   size_t hi = 0;
   for (const uint32_t x : xs) {
     const size_t lx = length_of(x);
-    while (lo < ys.size() && length_of(ys[lo]) < lx &&
-           !window.Admits(lx, length_of(ys[lo]))) {
+    while (lo < ys.size() && window.MaxPartner(length_of(ys[lo])) < lx) {
       ++lo;
     }
     hi = std::max(hi, lo);
-    while (hi < ys.size() && (length_of(ys[hi]) <= lx ||
-                              window.Admits(lx, length_of(ys[hi])))) {
-      ++hi;
-    }
+    const size_t longest = window.MaxPartner(lx);
+    while (hi < ys.size() && length_of(ys[hi]) <= longest) ++hi;
     for (size_t k = lo; k < hi; ++k) visit(x, ys[k]);
     visited += hi - lo;
   }
@@ -231,7 +288,6 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
                                            TokenPairCache* pair_cache,
                                            TsjRunInfo* info) {
   TsjRunInfo local_info;
-  Counters counters;
   const double t = options.threshold;
   // One gauge threads through every job of the run (and the candidate
   // vectors between jobs), so TsjRunInfo reports the pipeline-wide peak of
@@ -243,8 +299,14 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
   // join-level switch is on (the CC_SHUFFLE_SPILL_BUDGET test override
   // is engine-level and bypasses this gate by design).
   if (!options.enable_shuffle_spill) mr_options.memory_budget_records = 0;
-  const LengthWindow window{t};
-  const BagFilter bags{corpus, t};
+  Counters counters(mr_options.effective_workers());
+  size_t max_length = 0;
+  for (uint32_t s = 0; s < corpus.size(); ++s) {
+    max_length = std::max(max_length, corpus.aggregate_length(s));
+  }
+  const ThresholdTables tables(t, max_length);
+  const LengthWindow window{tables};
+  const BagFilter bags{corpus, tables};
   auto length_of = [&corpus](uint32_t s) { return corpus.aggregate_length(s); };
 
   // ---- Token statistics: frequencies and the high-frequency cutoff. ----
@@ -265,17 +327,28 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
   std::vector<uint32_t> string_ids(corpus.size());
   for (uint32_t i = 0; i < corpus.size(); ++i) string_ids[i] = i;
 
-  // Distinct surviving tokens of one string, via a per-thread buffer: the
-  // map side runs once per string and must not allocate a token-vector
-  // copy every call.
+  // Distinct surviving tokens of one string, in first-occurrence order,
+  // in time linear in its token count and with no allocation per call: a
+  // per-thread array over token ids holds the stamp of the last call that
+  // saw each token. Every call takes a fresh stamp, never the string id,
+  // so a map task retried after it started emits again the tokens of the
+  // strings it had already mapped. A call emits each token once and the
+  // shuffle sorts every partition by token, so the order within a call
+  // reaches no reducer.
   auto for_each_distinct_token = [&corpus, &surviving](uint32_t s,
                                                        const auto& fn) {
-    thread_local std::vector<TokenId> distinct;
-    distinct.assign(corpus.tokens(s).begin(), corpus.tokens(s).end());
-    std::sort(distinct.begin(), distinct.end());
-    distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                   distinct.end());
-    for (TokenId token : distinct) {
+    thread_local std::vector<uint32_t> seen_at;
+    thread_local uint32_t stamp = 0;
+    if (seen_at.size() < corpus.num_distinct_tokens()) {
+      seen_at.resize(corpus.num_distinct_tokens(), 0);
+    }
+    if (++stamp == 0) {  // wrapped: forget every earlier call
+      std::fill(seen_at.begin(), seen_at.end(), 0);
+      stamp = 1;
+    }
+    for (const TokenId token : corpus.tokens(s)) {
+      if (seen_at[token] == stamp) continue;
+      seen_at[token] = stamp;
       if (surviving[token]) fn(token);
     }
   };
@@ -428,11 +501,10 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
     } else {
       walk(xs, ys);
     }
-    counters.similar_token_candidates.fetch_add(emitted,
-                                                std::memory_order_relaxed);
-    counters.length_filtered.fetch_add(crossed - admitted,
-                                       std::memory_order_relaxed);
-    counters.bag_filtered.fetch_add(bag_skipped, std::memory_order_relaxed);
+    CounterSlot& counts = counters.Local();
+    counts.similar_token_candidates += emitted;
+    counts.length_filtered += crossed - admitted;
+    counts.bag_filtered += bag_skipped;
   };
 
   // Partition-task boundary: fully drain the verify worker's deferred
@@ -457,8 +529,11 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
   // window and the bag filter admit, straight into the dedup shuffle
   // (Sec. III-C's reduce, fused with Job 2's map). A self-join walks the
   // unordered pairs: sorted by (aggregate length, id), each string's
-  // partner scan stops at its first partner too long for it. An R x P run
-  // crosses the group's R run with its P run.
+  // partner scan stops at its first partner too long for it. It reads the
+  // group from a per-worker contiguous copy of its members' lengths and
+  // bags in that order, so each pair costs one budget-table read and one
+  // 32-byte L1 distance. An R x P run crosses the group's R run with its
+  // P run.
   auto for_each_shared_pair = [&](std::span<uint32_t> strings,
                                   const auto& emit) {
     uint64_t pairs = 0;
@@ -477,13 +552,26 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
           });
     } else {
       SortByAggregateLength(strings, length_of);
+      thread_local std::vector<GroupMember> group;
+      group.resize(strings.size());
       for (size_t i = 0; i < strings.size(); ++i) {
-        const size_t li = length_of(strings[i]);
-        for (size_t j = i + 1;
-             j < strings.size() && window.Admits(li, length_of(strings[j]));
+        GroupMember& member = group[i];
+        member.bag = corpus.char_bag(strings[i]);
+        member.bag_size = CharBagSize(member.bag);
+        member.length = length_of(strings[i]);
+      }
+      for (size_t i = 0; i < group.size(); ++i) {
+        const GroupMember& x = group[i];
+        const size_t longest = window.MaxPartner(x.length);
+        for (size_t j = i + 1; j < group.size() && group[j].length <= longest;
              ++j) {
           ++admitted;
-          if (!bags.Admits(strings[i], strings[j])) continue;
+          const GroupMember& y = group[j];
+          if (SldLowerBoundFromCharBags(x.bag, x.bag_size, y.bag, y.bag_size,
+                                        x.length, y.length) >
+              tables.sld_budget(x.length + y.length)) {
+            continue;
+          }
           emit(std::min(strings[i], strings[j]),
                std::max(strings[i], strings[j]));
           ++emitted;
@@ -491,12 +579,10 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
       }
       pairs = static_cast<uint64_t>(strings.size()) * (strings.size() - 1) / 2;
     }
-    counters.shared_token_candidates.fetch_add(emitted,
-                                               std::memory_order_relaxed);
-    counters.length_filtered.fetch_add(pairs - admitted,
-                                       std::memory_order_relaxed);
-    counters.bag_filtered.fetch_add(admitted - emitted,
-                                    std::memory_order_relaxed);
+    CounterSlot& counts = counters.Local();
+    counts.shared_token_candidates += emitted;
+    counts.length_filtered += pairs - admitted;
+    counts.bag_filtered += admitted - emitted;
   };
 
   JobStats stage1_stats, stage2_stats;
@@ -518,13 +604,14 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
       });
     };
     // Grouping-on-both-strings: one distinct pair per group.
-    auto reduce_verify = [&corpus, &options, &counters, pair_cache](
+    auto reduce_verify = [&corpus, &options, &tables, &counters, pair_cache](
                              const PairKey& key,
                              std::span<char> /*duplicates*/,
                              std::vector<TsjPair>* out) {
-      counters.distinct_candidates.fetch_add(1, std::memory_order_relaxed);
-      FilterAndVerify(corpus, options, &counters, pair_cache, key.first,
-                      key.second, out);
+      CounterSlot& counts = counters.Local();
+      ++counts.distinct_candidates;
+      FilterAndVerify(corpus, options, tables, &counts, pair_cache,
+                      key.first, key.second, out);
       FlushVerifyCache(pair_cache);  // reduce-group boundary
     };
     streamed = RunFusedMapReduceSorted<uint32_t, uint32_t, uint32_t,
@@ -552,17 +639,18 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
     };
     // Grouping-on-one-string: the reducer dedups and verifies all of the
     // key string's candidates.
-    auto reduce_verify = [&corpus, &options, &counters, pair_cache](
-                             const uint32_t& key, std::span<uint32_t> others,
-                             std::vector<TsjPair>* out) {
+    auto reduce_verify = [&corpus, &options, &tables, &counters,
+                          pair_cache](const uint32_t& key,
+                                      std::span<uint32_t> others,
+                                      std::vector<TsjPair>* out) {
       const std::span<uint32_t> distinct = DedupRun(others);
-      counters.distinct_candidates.fetch_add(distinct.size(),
-                                             std::memory_order_relaxed);
+      CounterSlot& counts = counters.Local();
+      counts.distinct_candidates += distinct.size();
       SortByAggregateLength(distinct, [&](uint32_t s) {
         return corpus.aggregate_length(s);
       });
       for (uint32_t other : distinct) {
-        FilterAndVerify(corpus, options, &counters, pair_cache,
+        FilterAndVerify(corpus, options, tables, &counts, pair_cache,
                         std::min(key, other), std::max(key, other), out);
       }
       FlushVerifyCache(pair_cache);  // reduce-group boundary
@@ -576,18 +664,19 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
   }
   gauge.Sub(token_pair_candidates.size());
   results.insert(results.end(), streamed.begin(), streamed.end());
-  local_info.shared_token_candidates = counters.shared_token_candidates;
   local_info.pipeline.Add(std::move(stage1_stats));
   local_info.pipeline.Append(mass_stats);
   local_info.pipeline.Add(std::move(stage2_stats));
 
-  local_info.similar_token_candidates = counters.similar_token_candidates;
-  local_info.distinct_candidates = counters.distinct_candidates;
-  local_info.length_filtered = counters.length_filtered;
-  local_info.bag_filtered = counters.bag_filtered;
-  local_info.histogram_filtered = counters.histogram_filtered;
-  local_info.verified_candidates = counters.verified_candidates;
-  local_info.verify_work_units = counters.verify_work_units;
+  const CounterSlot total = counters.Total();
+  local_info.shared_token_candidates = total.shared_token_candidates;
+  local_info.similar_token_candidates = total.similar_token_candidates;
+  local_info.distinct_candidates = total.distinct_candidates;
+  local_info.length_filtered = total.length_filtered;
+  local_info.bag_filtered = total.bag_filtered;
+  local_info.histogram_filtered = total.histogram_filtered;
+  local_info.verified_candidates = total.verified_candidates;
+  local_info.verify_work_units = total.verify_work_units;
   if (pair_cache != nullptr) {
     // The cache lives for this run only, so its totals are the run's.
     local_info.token_pair_cache_hits = pair_cache->hits();

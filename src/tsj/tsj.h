@@ -15,7 +15,8 @@
 //             run inside generation: every generator walks its strings in
 //             aggregate-length order, and of the pairs whose length bound
 //             is within T it emits only those whose character-bag SLD
-//             bound (tokenized/bounds.h) is within T too, so pruned pairs
+//             bound (tokenized/bounds.h) is within the SLD budget of T
+//             too, each test an integer table read, so pruned pairs
 //             never reach the dedup shuffle; distinct candidates are then
 //             pruned by the token-length-histogram SLD lower bound
 //             (Sec. III-E.2) — all lossless. The bag filter is not in the
@@ -68,6 +69,13 @@ struct TsjPair {
 };
 
 /// Counters and per-job statistics of one TSJ run.
+///
+/// The candidate and filter counters, shared_token_candidates through
+/// verify_work_units (similar_token_pairs aside, which MassJoin reports),
+/// are counted in one slot per worker of the fused job and summed once
+/// the job ends: no candidate touches a counter another worker writes.
+/// They count the same at every worker and partition count, except
+/// verify_work_units with the token-pair cache on.
 struct TsjRunInfo {
   /// Per-job MapReduce statistics, in execution order. The run's spill and
   /// task counters are its totals (PipelineStats::total_spilled_records(),
@@ -96,7 +104,8 @@ struct TsjRunInfo {
   uint64_t length_filtered = 0;
   /// Emissions the bag filter skipped during generation: pairs the length
   /// window admitted whose character-bag SLD bound (tokenized/bounds.h)
-  /// exceeds the threshold. Counted before dedup like length_filtered, so
+  /// exceeds the SLD budget of the threshold, the predicate NSLD > T.
+  /// Counted before dedup like length_filtered, so
   /// for exact-token matching shared_token_candidates + bag_filtered is
   /// the number of pairs the window admitted.
   uint64_t bag_filtered = 0;

@@ -1,9 +1,11 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <new>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -130,6 +132,41 @@ TEST(ThreadPoolTest, TasksRunConcurrently) {
   }
   pool.Wait();
   EXPECT_EQ(arrived.load(), 4);
+}
+
+TEST(ThreadPoolTest, WorkerIndexIsInRangeAndDistinctAmongRunningTasks) {
+  // Four tasks that each wait for the others run on the four workers at
+  // once, so their indices must be 0..3 in some order.
+  constexpr size_t kWorkers = 4;
+  ThreadPool pool(kWorkers);
+  std::atomic<size_t> arrived{0};
+  std::vector<size_t> index(kWorkers, ThreadPool::kNotAWorker);
+  for (size_t task = 0; task < kWorkers; ++task) {
+    pool.Submit([&, task] {
+      index[task] = ThreadPool::CurrentWorkerIndex();
+      arrived.fetch_add(1);
+      while (arrived.load() < kWorkers) std::this_thread::yield();
+    });
+  }
+  pool.Wait();
+  std::sort(index.begin(), index.end());
+  EXPECT_EQ(index, (std::vector<size_t>{0, 1, 2, 3}));
+  // Any task, however many, reads an index below the worker count.
+  std::vector<size_t> seen(200, ThreadPool::kNotAWorker);
+  pool.ParallelFor(seen.size(),
+                   [&](size_t i) { seen[i] = ThreadPool::CurrentWorkerIndex(); });
+  for (const size_t worker : seen) EXPECT_LT(worker, kWorkers);
+}
+
+TEST(ThreadPoolTest, WorkerIndexIsTheSentinelOutsideThePool) {
+  ThreadPool pool(2);
+  pool.ParallelFor(4, [](size_t) {});
+  EXPECT_EQ(ThreadPool::CurrentWorkerIndex(), ThreadPool::kNotAWorker);
+  size_t other_thread = 0;
+  std::thread thread(
+      [&other_thread] { other_thread = ThreadPool::CurrentWorkerIndex(); });
+  thread.join();
+  EXPECT_EQ(other_thread, ThreadPool::kNotAWorker);
 }
 
 }  // namespace

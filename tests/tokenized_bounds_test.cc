@@ -1,6 +1,8 @@
 #include "tokenized/bounds.h"
 
+#include <cmath>
 #include <cstdlib>
+#include <initializer_list>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -69,7 +71,6 @@ TEST(AggregateLengthBoundsTest, EqualLengthsGiveZeroLowerBound) {
 TEST(HistogramBoundTest, IdenticalHistogramsGiveZero) {
   const std::vector<uint32_t> h = {2, 4, 5};
   EXPECT_EQ(SldLowerBoundFromHistograms(h, h), 0);
-  EXPECT_DOUBLE_EQ(NsldLowerBoundFromHistograms(h, h), 0.0);
 }
 
 TEST(HistogramBoundTest, PaddingChargesFullTokenLength) {
@@ -88,26 +89,18 @@ TEST(HistogramBoundTest, SortedPairingOfLengths) {
 
 TEST(HistogramBoundTest, NeverExceedsTrueSldOnRandomSamples) {
   // Soundness: the histogram bound must lower-bound the exact SLD for the
-  // filter (Sec. III-E.2) to be lossless.
-  Rng rng(42);
-  for (int trial = 0; trial < 800; ++trial) {
-    const auto x = testutil::RandomTokenizedString(&rng, 0, 4, 1, 6);
-    const auto y = testutil::RandomTokenizedString(&rng, 0, 4, 1, 6);
-    const int64_t bound =
-        SldLowerBoundFromHistograms(SortedTokenLengths(x),
-                                    SortedTokenLengths(y));
-    EXPECT_LE(bound, Sld(x, y)) << "trial " << trial;
-  }
-}
-
-TEST(HistogramBoundTest, NsldBoundNeverExceedsTrueNsld) {
-  Rng rng(43);
-  for (int trial = 0; trial < 800; ++trial) {
-    const auto x = testutil::RandomTokenizedString(&rng, 0, 4, 1, 6);
-    const auto y = testutil::RandomTokenizedString(&rng, 0, 4, 1, 6);
-    const double bound = NsldLowerBoundFromHistograms(
-        SortedTokenLengths(x), SortedTokenLengths(y));
-    EXPECT_LE(bound, Nsld(x, y) + 1e-12);
+  // filter (Sec. III-E.2) to be lossless. The filter compares it with the
+  // SLD budget, so an NSLD form of the bound needs no test of its own.
+  for (const uint64_t seed : {42, 43}) {
+    Rng rng(seed);
+    for (int trial = 0; trial < 800; ++trial) {
+      const auto x = testutil::RandomTokenizedString(&rng, 0, 4, 1, 6);
+      const auto y = testutil::RandomTokenizedString(&rng, 0, 4, 1, 6);
+      const int64_t bound =
+          SldLowerBoundFromHistograms(SortedTokenLengths(x),
+                                      SortedTokenLengths(y));
+      EXPECT_LE(bound, Sld(x, y)) << "seed " << seed << " trial " << trial;
+    }
   }
 }
 
@@ -123,17 +116,76 @@ TEST(HistogramBoundTest, TightWhenOnlyLengthsDiffer) {
 
 TEST(HistogramBoundTest, HistogramBoundAtLeastAggregateBound) {
   // The histogram bound dominates (is at least as strong as) Lemma 6's
-  // aggregate-length bound: sum |ai - bi| >= |sum ai - sum bi|.
+  // aggregate-length bound: sum |ai - bi| >= |sum ai - sum bi|, the
+  // length gap |L(x) - L(y)|.
   Rng rng(44);
   for (int trial = 0; trial < 500; ++trial) {
     const auto x = testutil::RandomTokenizedString(&rng, 0, 4, 1, 6);
     const auto y = testutil::RandomTokenizedString(&rng, 0, 4, 1, 6);
-    const auto hx = SortedTokenLengths(x);
-    const auto hy = SortedTokenLengths(y);
-    EXPECT_GE(NsldLowerBoundFromHistograms(hx, hy),
-              NsldLowerBoundFromAggregateLengths(AggregateLength(x),
-                                                 AggregateLength(y)) -
-                  1e-12);
+    const int64_t lx = static_cast<int64_t>(AggregateLength(x));
+    const int64_t ly = static_cast<int64_t>(AggregateLength(y));
+    EXPECT_GE(SldLowerBoundFromHistograms(SortedTokenLengths(x),
+                                          SortedTokenLengths(y)),
+              std::abs(lx - ly))
+        << "trial " << trial;
+  }
+}
+
+// The thresholds the table tests run at: both ends of the valid range,
+// the paper's default 0.1, the CLI's bag-filter boundary probe 2/11, and
+// each of them one ulp lower, where a table built with a rounding slip
+// would disagree with its predicate. One ulp below 0 is a negative T, at
+// which nothing is admitted.
+std::vector<double> TableThresholds() {
+  std::vector<double> thresholds;
+  for (const double t : {0.0, 0.05, 0.1, 2.0 / 11.0, 0.225, 0.5, 0.99}) {
+    thresholds.push_back(t);
+    thresholds.push_back(std::nextafter(t, -1.0));
+  }
+  return thresholds;
+}
+
+constexpr size_t kTableMaxLength = 300;
+
+TEST(ThresholdTablesTest, MaxPartnerIsTheLemma6Window) {
+  for (const double t : TableThresholds()) {
+    const ThresholdTables tables(t, kTableMaxLength);
+    for (size_t lx = 0; lx <= kTableMaxLength; ++lx) {
+      for (size_t ly = lx; ly <= kTableMaxLength; ++ly) {
+        ASSERT_EQ(static_cast<int64_t>(ly) <= tables.max_partner(lx),
+                  NsldLowerBoundFromAggregateLengths(lx, ly) <= t)
+            << "T " << t << " L(x) " << lx << " L(y) " << ly;
+      }
+    }
+  }
+}
+
+TEST(ThresholdTablesTest, SldBudgetIsTheNsldFromSldPredicate) {
+  for (const double t : TableThresholds()) {
+    const ThresholdTables tables(t, kTableMaxLength);
+    // At every pair of lengths the predicate holds at the budget and fails
+    // one above it...
+    for (size_t lx = 0; lx <= kTableMaxLength; ++lx) {
+      for (size_t ly = 0; ly <= kTableMaxLength; ++ly) {
+        const int64_t budget = tables.sld_budget(lx + ly);
+        if (budget >= 0) {
+          ASSERT_LE(NsldFromSld(budget, lx, ly), t)
+              << "T " << t << " L(x) " << lx << " L(y) " << ly;
+        }
+        ASSERT_GT(NsldFromSld(budget + 1, lx, ly), t)
+            << "T " << t << " L(x) " << lx << " L(y) " << ly;
+      }
+    }
+    // ...and for every sum of lengths, at every s up to one past the
+    // largest SLD, s <= budget exactly when NSLD <= T.
+    for (size_t sum = 0; sum <= 2 * kTableMaxLength; ++sum) {
+      const size_t lx = sum - sum / 2;
+      const size_t ly = sum / 2;
+      for (int64_t s = 0; s <= static_cast<int64_t>(sum) + 1; ++s) {
+        ASSERT_EQ(s <= tables.sld_budget(sum), NsldFromSld(s, lx, ly) <= t)
+            << "T " << t << " L(x)+L(y) " << sum << " s " << s;
+      }
+    }
   }
 }
 
@@ -163,6 +215,63 @@ TEST(CharBagBoundTest, KnownValues) {
   EXPECT_EQ(BagBound({std::string(300, 'a')}, {}), 300);
   // ...but not between two saturated buckets, where 255 < SLD = 300.
   EXPECT_EQ(BagBound({std::string(300, 'a')}, {std::string(300, 'b')}), 255);
+}
+
+// The bag bound bucket by bucket, as the filter computed it before it took
+// the L1-distance form: the reference that form must equal.
+int64_t PerBucketBagBound(const CharBag& bag_x, const CharBag& bag_y,
+                          size_t len_x, size_t len_y) {
+  int64_t x_only = 0;
+  int64_t y_only = 0;
+  for (size_t i = 0; i < kCharBagBuckets; ++i) {
+    const int64_t d = static_cast<int64_t>(bag_x[i]) - bag_y[i];
+    x_only += std::max<int64_t>(d, 0);
+    y_only += std::max<int64_t>(-d, 0);
+  }
+  const int64_t diff =
+      static_cast<int64_t>(len_x) - static_cast<int64_t>(len_y);
+  return std::max({x_only, y_only, y_only + diff, x_only - diff});
+}
+
+// A bag whose buckets are often empty or saturated, as a long string's
+// are, and otherwise any count.
+CharBag RandomBag(Rng* rng) {
+  CharBag bag{};
+  for (uint8_t& count : bag) {
+    switch (rng->Uniform(4)) {
+      case 0:
+        count = 0;
+        break;
+      case 1:
+        count = 255;
+        break;
+      default:
+        count = static_cast<uint8_t>(rng->Uniform(256));
+        break;
+    }
+  }
+  return bag;
+}
+
+TEST(CharBagBoundTest, SadFormMatchesPerBucketReference) {
+  Rng rng(47);
+  for (int trial = 0; trial < 20000; ++trial) {
+    const CharBag x = RandomBag(&rng);
+    CharBag y = (rng.Uniform(4) == 0) ? x : RandomBag(&rng);
+    y[rng.Uniform(kCharBagBuckets)] = static_cast<uint8_t>(rng.Uniform(256));
+    // A string has at least as many characters as its bag counts, and
+    // more where a bucket saturated.
+    const size_t lx = CharBagSize(x) + (rng.Uniform(2) ? rng.Uniform(700) : 0);
+    const size_t ly = CharBagSize(y) + (rng.Uniform(2) ? rng.Uniform(700) : 0);
+    const int64_t reference = PerBucketBagBound(x, y, lx, ly);
+    ASSERT_EQ(SldLowerBoundFromCharBags(x, y, lx, ly), reference)
+        << "trial " << trial;
+    ASSERT_EQ(SldLowerBoundFromCharBags(x, CharBagSize(x), y, CharBagSize(y),
+                                        lx, ly),
+              reference)
+        << "trial " << trial;
+    ASSERT_EQ(CharBagSize(x), std::accumulate(x.begin(), x.end(), 0u));
+  }
 }
 
 TEST(CharBagBoundTest, BagsBucketAndSaturate) {
