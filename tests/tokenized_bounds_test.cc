@@ -89,18 +89,31 @@ TEST(HistogramBoundTest, SortedPairingOfLengths) {
 
 TEST(HistogramBoundTest, NeverExceedsTrueSldOnRandomSamples) {
   // Soundness: the histogram bound must lower-bound the exact SLD for the
-  // filter (Sec. III-E.2) to be lossless. The filter compares it with the
-  // SLD budget, so an NSLD form of the bound needs no test of its own.
-  for (const uint64_t seed : {42, 43}) {
-    Rng rng(seed);
-    for (int trial = 0; trial < 800; ++trial) {
-      const auto x = testutil::RandomTokenizedString(&rng, 0, 4, 1, 6);
-      const auto y = testutil::RandomTokenizedString(&rng, 0, 4, 1, 6);
-      const int64_t bound =
-          SldLowerBoundFromHistograms(SortedTokenLengths(x),
-                                      SortedTokenLengths(y));
-      EXPECT_LE(bound, Sld(x, y)) << "seed " << seed << " trial " << trial;
-    }
+  // filter (Sec. III-E.2) to be lossless.
+  Rng rng(42);
+  for (int trial = 0; trial < 800; ++trial) {
+    const auto x = testutil::RandomTokenizedString(&rng, 0, 4, 1, 6);
+    const auto y = testutil::RandomTokenizedString(&rng, 0, 4, 1, 6);
+    const int64_t bound =
+        SldLowerBoundFromHistograms(SortedTokenLengths(x),
+                                    SortedTokenLengths(y));
+    EXPECT_LE(bound, Sld(x, y)) << "trial " << trial;
+  }
+}
+
+TEST(HistogramBoundTest, NsldBoundNeverExceedsTrueNsld) {
+  // The filter compares the SLD bound with the SLD budget, which is the
+  // NsldFromSld predicate in integer form; the NSLD that predicate gives
+  // the bound must lower-bound the exact NSLD.
+  Rng rng(43);
+  for (int trial = 0; trial < 800; ++trial) {
+    const auto x = testutil::RandomTokenizedString(&rng, 0, 4, 1, 6);
+    const auto y = testutil::RandomTokenizedString(&rng, 0, 4, 1, 6);
+    const int64_t bound = SldLowerBoundFromHistograms(SortedTokenLengths(x),
+                                                      SortedTokenLengths(y));
+    EXPECT_LE(NsldFromSld(bound, AggregateLength(x), AggregateLength(y)),
+              Nsld(x, y))
+        << "trial " << trial;
   }
 }
 
