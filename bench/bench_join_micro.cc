@@ -1,14 +1,17 @@
 // Micro-benchmarks of the join kernels: MassJoin vs. brute force on the
-// token space, and the TSJ end-to-end pipeline at small scales. Not a
-// paper figure; quantifies the candidate-pruning power of the signature
-// scheme. A failed join is reported as the benchmark's error, not timed.
+// token space, and the TSJ and HMJ end-to-end pipelines at small scales.
+// Not a paper figure; quantifies the candidate-pruning power of the
+// signature scheme. A failed join is reported as the benchmark's error,
+// not timed.
 
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "benchmark/benchmark.h"
 #include "common/random.h"
 #include "distance/normalized_levenshtein.h"
+#include "hmj/hmj.h"
 #include "massjoin/mass_join.h"
 #include "tsj/tsj.h"
 #include "workload/ring_workload.h"
@@ -81,6 +84,32 @@ void BM_TsjEndToEnd(benchmark::State& state) {
 }
 BENCHMARK(BM_TsjEndToEnd)->Arg(2000)->Arg(8000)
     ->Unit(benchmark::kMillisecond);
+
+// HMJ with default options on Fig. 7's corpus shape: 2-4 tokens of 2-4
+// syllables. A run over its work limit did not finish and is an error too.
+void BM_HmjEndToEnd(benchmark::State& state) {
+  auto options = bench::DefaultWorkload(static_cast<size_t>(state.range(0)));
+  options.names.min_tokens = 2;
+  options.names.min_syllables = 2;
+  const auto workload = GenerateRingWorkload(options);
+  for (auto _ : state) {
+    HmjRunInfo info;
+    auto result =
+        HybridMetricJoiner(HmjOptions{}).SelfJoin(workload.corpus, &info);
+    if (!result.ok()) {
+      state.SkipWithError(result.status().ToString().c_str());
+      break;
+    }
+    if (!info.completed) {
+      state.SkipWithError("HMJ exceeded its work limit");
+      break;
+    }
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(options.num_accounts));
+}
+BENCHMARK(BM_HmjEndToEnd)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace tsj

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/worker_slots.h"
 #include "tokenized/sld.h"
 
 namespace tsj {
@@ -29,50 +30,157 @@ struct Member {
   bool level_home = false;
 };
 
-// Shared mutable state across the pipeline's concurrent lambdas.
-struct WorkState {
-  std::atomic<uint64_t> distance_computations{0};
-  std::atomic<uint64_t> pivot_filtered{0};
-  std::atomic<uint64_t> assignments{0};
-  std::atomic<bool> aborted{false};
+// The counts one worker adds up (common/worker_slots.h): one slot per
+// worker of the partition-join job's pool, which runs every distance.
+struct HmjCounts {
+  uint64_t distance_computations = 0;
+  uint64_t pivot_filtered = 0;
+  uint64_t assignments = 0;
+  // The part of distance_computations this worker has charged to the
+  // shared work-limit total; only a run with a work_limit moves it.
+  uint64_t charged = 0;
+
+  HmjCounts& operator+=(const HmjCounts& other) {
+    distance_computations += other.distance_computations;
+    pivot_filtered += other.pivot_filtered;
+    assignments += other.assignments;
+    return *this;
+  }
 };
 
 class HmjRunner {
  public:
-  HmjRunner(const Corpus& corpus, const HmjOptions& options, WorkState* state)
-      : corpus_(corpus), options_(options), state_(state) {
-    strings_.reserve(corpus.size());
-    for (uint32_t s = 0; s < corpus.size(); ++s) {
-      strings_.push_back(corpus.Materialize(s));
+  HmjRunner(const Corpus& corpus, const HmjOptions& options)
+      : corpus_(corpus),
+        options_(options),
+        counts_(options.mapreduce.effective_workers()) {}
+
+  // The partition-join job's map: assigns record s to the partitions of
+  // the top-level pivots, where its home is home at both levels.
+  void MapRecord(uint32_t s, std::span<const uint32_t> pivots,
+                 PartitionedEmitter<uint32_t, Member>* out) {
+    HmjCounts& counts = counts_.Local();
+    if (ShouldStop(&counts)) return;
+    Assign(&counts, s, pivots, [&](size_t j, double dist, bool is_home) {
+      out->Emit(static_cast<uint32_t>(j), Member{s, dist, is_home, is_home});
+    });
+  }
+
+  // Joins one partition's members, recursively repartitioning when too
+  // large; emits verified pairs. A leaf sorts `members` in place.
+  void JoinPartition(std::span<Member> members, size_t depth,
+                     std::vector<TsjPair>* out) {
+    HmjCounts& counts = counts_.Local();
+    if (ShouldStop(&counts)) return;
+    const bool leaf = members.size() <= options_.max_partition_size ||
+                      depth >= options_.max_recursion_depth ||
+                      members.size() <= options_.num_subpartitions;
+    if (leaf) {
+      JoinLeaf(&counts, members, out);
+      return;
+    }
+    const size_t parent_size = members.size();
+    // Recursive repartitioning with sub-pivots ([68]): evenly spaced
+    // members act as sub-pivots (deterministic; spreads over the data).
+    const size_t k = options_.num_subpartitions;
+    const size_t step = members.size() / k;
+    std::vector<uint32_t> pivots(k);
+    for (size_t j = 0; j < k; ++j) pivots[j] = members[j * step].id;
+
+    std::vector<std::vector<Member>> subpartitions(k);
+    for (const Member& m : members) {
+      if (ShouldStop(&counts)) return;
+      Assign(&counts, m.id, pivots,
+             [&](size_t j, double dist, bool is_home) {
+               subpartitions[j].push_back(
+                   Member{m.id, dist, m.top_home, is_home});
+             });
+    }
+    for (auto& sub : subpartitions) {
+      // No-progress guard: when NSLD values concentrate (the
+      // high-dimensional behaviour the paper blames for HMJ's DNF,
+      // Sec. V-E), the window filter replicates records into nearly every
+      // sub-partition and recursion stops shrinking anything — join such a
+      // partition quadratically instead of recursing forever.
+      if (sub.size() * 10 >= parent_size * 9) {
+        JoinLeaf(&counts, sub, out);
+      } else {
+        JoinPartition(sub, depth + 1, out);
+      }
     }
   }
 
-  double Distance(uint32_t a, uint32_t b) {
-    const uint64_t done =
-        state_->distance_computations.fetch_add(1, std::memory_order_relaxed);
-    if (options_.work_limit > 0 && done >= options_.work_limit) {
-      state_->aborted.store(true, std::memory_order_relaxed);
+  // The run's counts; call once the partition-join job is done.
+  HmjCounts TotalCounts() const { return counts_.Total(); }
+
+ private:
+  // Charges the calling worker's distances since its last call to the
+  // work limit and returns true once the run has exceeded it. Called where
+  // the run polls: once per map record, repartitioned member and leaf row.
+  // Without a work_limit it touches nothing shared.
+  bool ShouldStop(HmjCounts* counts) {
+    if (options_.work_limit == 0) return false;
+    const uint64_t uncharged = counts->distance_computations - counts->charged;
+    if (uncharged > 0) {
+      counts->charged = counts->distance_computations;
+      const uint64_t total =
+          charged_.fetch_add(uncharged, std::memory_order_relaxed) +
+          uncharged;
+      if (total > options_.work_limit) {
+        aborted_.store(true, std::memory_order_relaxed);
+      }
     }
-    const int64_t sld = Sld(strings_[a], strings_[b], options_.aligning);
-    return NsldFromSld(sld, corpus_.aggregate_length(a),
-                       corpus_.aggregate_length(b));
+    return aborted_.load(std::memory_order_relaxed);
   }
 
-  // Budget-bounded leaf verification: partitioning needs full distance
-  // values (Distance above), but the final join check only needs a verdict
-  // against the threshold, so the NSLD threshold converts to an integer SLD
-  // budget and the bounded engine skips the work a doomed pair would waste.
-  // Runs on the interned token-id spans (no materialized strings) and
-  // without a token-pair cache: on the Fig. 7 workload one cost more time
-  // and memory than it saved. Returns true iff NSLD(a, b) <= threshold,
-  // with *nsld then holding the exact NSLD — identical to the
-  // Distance-based decision and value.
-  bool DistanceWithin(uint32_t a, uint32_t b, double* nsld) {
-    const uint64_t done =
-        state_->distance_computations.fetch_add(1, std::memory_order_relaxed);
-    if (options_.work_limit > 0 && done >= options_.work_limit) {
-      state_->aborted.store(true, std::memory_order_relaxed);
+  // Computes s's NSLD to every pivot and calls place(j, d_j, is_home) for
+  // its home, the nearest pivot, and — per the general window filter of
+  // [53] — for every other pivot within d_home + 2T.
+  template <typename Place>
+  void Assign(HmjCounts* counts, uint32_t s, std::span<const uint32_t> pivots,
+              const Place& place) {
+    thread_local std::vector<double> dists;
+    dists.resize(pivots.size());
+    for (size_t j = 0; j < pivots.size(); ++j) {
+      dists[j] = Distance(counts, s, pivots[j]);
     }
+    const size_t home = static_cast<size_t>(
+        std::min_element(dists.begin(), dists.end()) - dists.begin());
+    for (size_t j = 0; j < pivots.size(); ++j) {
+      const bool is_home = (j == home);
+      if (!is_home && dists[j] > dists[home] + 2 * options_.threshold) {
+        continue;
+      }
+      ++counts->assignments;
+      place(j, dists[j], is_home);
+    }
+  }
+
+  // Exact NSLD(a, b) for partitioning. The token-id engine runs at budget
+  // L(a) + L(b), which SLD never exceeds, so the bound never binds and the
+  // result is the exact SLD (tokenized/sld.h, invariant 2).
+  double Distance(HmjCounts* counts, uint32_t a, uint32_t b) {
+    ++counts->distance_computations;
+    const size_t la = corpus_.aggregate_length(a);
+    const size_t lb = corpus_.aggregate_length(b);
+    const BoundedSldResult sld =
+        BoundedSld(corpus_, corpus_.tokens(a), corpus_.tokens(b),
+                   static_cast<int64_t>(la + lb), options_.aligning);
+    return NsldFromSld(sld.sld, la, lb);
+  }
+
+  // Budget-bounded leaf verification: partitioning needs exact distance
+  // values, so Distance above runs at a budget that never binds, but the
+  // final join check only needs a verdict against the threshold, so the
+  // NSLD threshold converts to an integer SLD budget and the bounded
+  // engine skips the work a doomed pair would waste. Runs without a
+  // token-pair cache: on the Fig. 7 workload one cost more time and memory
+  // than it saved. Returns true iff NSLD(a, b) <= threshold, with *nsld
+  // then holding the exact NSLD — identical to the Distance-based decision
+  // and value.
+  bool DistanceWithin(HmjCounts* counts, uint32_t a, uint32_t b,
+                      double* nsld) {
+    ++counts->distance_computations;
     const size_t la = corpus_.aggregate_length(a);
     const size_t lb = corpus_.aggregate_length(b);
     const int64_t budget =
@@ -85,65 +193,8 @@ class HmjRunner {
     return true;
   }
 
-  bool aborted() const {
-    return state_->aborted.load(std::memory_order_relaxed);
-  }
-
-  // Joins one partition's members, recursively repartitioning when too
-  // large; emits verified pairs.
-  void JoinPartition(std::vector<Member> members, size_t depth,
-                     std::vector<TsjPair>* out) {
-    if (aborted()) return;
-    const bool leaf = members.size() <= options_.max_partition_size ||
-                      depth >= options_.max_recursion_depth ||
-                      members.size() <= options_.num_subpartitions;
-    if (leaf) {
-      JoinLeaf(std::move(members), out);
-      return;
-    }
-    const size_t parent_size = members.size();
-    // Recursive repartitioning with sub-pivots ([68]): evenly spaced
-    // members act as sub-pivots (deterministic; spreads over the data).
-    const size_t k = options_.num_subpartitions;
-    const size_t step = members.size() / k;
-    std::vector<uint32_t> pivots(k);
-    for (size_t j = 0; j < k; ++j) pivots[j] = members[j * step].id;
-
-    std::vector<std::vector<Member>> subpartitions(k);
-    std::vector<double> dists(k);
-    for (const Member& m : members) {
-      if (aborted()) return;
-      for (size_t j = 0; j < k; ++j) dists[j] = Distance(m.id, pivots[j]);
-      const size_t home = static_cast<size_t>(
-          std::min_element(dists.begin(), dists.end()) - dists.begin());
-      for (size_t j = 0; j < k; ++j) {
-        const bool is_home = (j == home);
-        // General window filter ([53]): replicate into every sub-partition
-        // whose pivot is within d_home + 2T.
-        if (!is_home && dists[j] > dists[home] + 2 * options_.threshold) {
-          continue;
-        }
-        state_->assignments.fetch_add(1, std::memory_order_relaxed);
-        subpartitions[j].push_back(
-            Member{m.id, dists[j], m.top_home, is_home});
-      }
-    }
-    for (auto& sub : subpartitions) {
-      // No-progress guard: when NSLD values concentrate (the
-      // high-dimensional behaviour the paper blames for HMJ's DNF,
-      // Sec. V-E), the window filter replicates records into nearly every
-      // sub-partition and recursion stops shrinking anything — join such a
-      // partition quadratically instead of recursing forever.
-      if (sub.size() * 10 >= parent_size * 9) {
-        JoinLeaf(std::move(sub), out);
-      } else {
-        JoinPartition(std::move(sub), depth + 1, out);
-      }
-    }
-  }
-
- private:
-  void JoinLeaf(std::vector<Member> members, std::vector<TsjPair>* out) {
+  void JoinLeaf(HmjCounts* counts, std::span<Member> members,
+                std::vector<TsjPair>* out) {
     // Length-sorted batching: pairs scan in aggregate-length order, so
     // consecutive verifications see similarly sized bigraphs and the
     // per-thread scratch stays cache-resident. The pair set is unchanged
@@ -157,7 +208,7 @@ class HmjRunner {
                 return u.id < v.id;
               });
     for (size_t i = 0; i < members.size(); ++i) {
-      if (aborted()) return;
+      if (ShouldStop(counts)) return;
       for (size_t j = i + 1; j < members.size(); ++j) {
         const Member& u = members[i];
         const Member& v = members[j];
@@ -169,11 +220,11 @@ class HmjRunner {
         if (!(u.level_home || v.level_home)) continue;
         // Pivot triangle-inequality filter: |d(u,p) - d(v,p)| <= d(u,v).
         if (std::abs(u.dist - v.dist) > options_.threshold + 1e-12) {
-          state_->pivot_filtered.fetch_add(1, std::memory_order_relaxed);
+          ++counts->pivot_filtered;
           continue;
         }
         double d = 0.0;
-        if (DistanceWithin(u.id, v.id, &d)) {
+        if (DistanceWithin(counts, u.id, v.id, &d)) {
           out->push_back(TsjPair{std::min(u.id, v.id), std::max(u.id, v.id),
                                  d});
         }
@@ -183,8 +234,10 @@ class HmjRunner {
 
   const Corpus& corpus_;
   const HmjOptions& options_;
-  WorkState* state_;
-  std::vector<TokenizedString> strings_;
+  WorkerSlots<HmjCounts> counts_;
+  // Distances charged to the work limit, and whether they exceeded it.
+  std::atomic<uint64_t> charged_{0};
+  std::atomic<bool> aborted_{false};
 };
 
 }  // namespace
@@ -193,8 +246,7 @@ StatusOr<std::vector<TsjPair>> HybridMetricJoiner::SelfJoin(
     const Corpus& corpus, HmjRunInfo* info) const {
   if (Status s = options_.Validate(); !s.ok()) return s;
   HmjRunInfo local_info;
-  WorkState state;
-  HmjRunner runner(corpus, options_, &state);
+  HmjRunner runner(corpus, options_);
 
   // ---- Pivot sampling. ---------------------------------------------------
   const size_t n = corpus.size();
@@ -214,32 +266,15 @@ StatusOr<std::vector<TsjPair>> HybridMetricJoiner::SelfJoin(
   // Both jobs run on the streaming sorted-shuffle engine: records scatter
   // into partition buckets at emit time and reduce groups are contiguous
   // key runs (mapreduce.h).
-  const double t = options_.threshold;
-
-  auto map_assign = [&runner, &pivots, &state, t](
+  auto map_assign = [&runner, &pivots](
                         const uint32_t& s,
                         PartitionedEmitter<uint32_t, Member>* out) {
-    if (runner.aborted()) return;
-    std::vector<double> dists(pivots.size());
-    for (size_t j = 0; j < pivots.size(); ++j) {
-      dists[j] = runner.Distance(s, pivots[j]);
-    }
-    const size_t home = static_cast<size_t>(
-        std::min_element(dists.begin(), dists.end()) - dists.begin());
-    for (size_t j = 0; j < pivots.size(); ++j) {
-      const bool is_home = (j == home);
-      if (!is_home && dists[j] > dists[home] + 2 * t) continue;
-      state.assignments.fetch_add(1, std::memory_order_relaxed);
-      out->Emit(static_cast<uint32_t>(j),
-                Member{s, dists[j], is_home, is_home});
-    }
+    runner.MapRecord(s, pivots, out);
   };
   auto reduce_join = [&runner](const uint32_t& /*partition*/,
                                std::span<Member> members,
                                std::vector<TsjPair>* out) {
-    runner.JoinPartition(
-        std::vector<Member>(members.begin(), members.end()), /*depth=*/0,
-        out);
+    runner.JoinPartition(members, /*depth=*/0, out);
   };
   JobStats join_stats;
   std::vector<TsjPair> raw_pairs =
@@ -270,12 +305,14 @@ StatusOr<std::vector<TsjPair>> HybridMetricJoiner::SelfJoin(
           &dedup_stats, combine_dup);
   local_info.pipeline.Add(dedup_stats);
 
-  local_info.distance_computations = state.distance_computations;
-  local_info.pivot_filtered = state.pivot_filtered;
-  local_info.assignments = state.assignments;
+  const HmjCounts total = runner.TotalCounts();
+  local_info.distance_computations = total.distance_computations;
+  local_info.pivot_filtered = total.pivot_filtered;
+  local_info.assignments = total.assignments;
   // When the work limit was exceeded the results are incomplete; they are
   // still returned for inspection, with completed=false marking the DNF.
-  local_info.completed = !state.aborted.load();
+  local_info.completed = options_.work_limit == 0 ||
+                         total.distance_computations <= options_.work_limit;
   // Lossy spill faults (a failed run read aborted a partition's merge,
   // records may be missing) become the join's error; degraded write
   // faults keep their complete results and stay visible via the per-job

@@ -18,6 +18,12 @@
 //    ([68]); a 2-D-grid alternative is unnecessary at our scales;
 //  * a final job dedups pairs discovered in several partitions.
 //
+// Every distance runs on the corpus's interned token ids (the token-id
+// BoundedSld of tokenized/sld.h), with no materialized strings: a
+// partitioning distance at budget L(a) + L(b), which never binds and so
+// yields the exact NSLD, and a leaf verification at the threshold's SLD
+// budget.
+//
 // The paper reports HMJ "did not finish on 100 machines in a reasonable
 // amount of time"; HmjOptions::work_limit reproduces that behaviour: a run
 // that exceeds the distance-computation budget aborts with completed=false
@@ -51,7 +57,12 @@ struct HmjOptions {
   /// Pivot-sampling seed.
   uint64_t seed = 42;
   /// Budget of NSLD evaluations; 0 = unlimited. Exceeding it aborts the
-  /// run (HmjRunInfo::completed = false), modelling the paper's DNF.
+  /// run (HmjRunInfo::completed = false), modelling the paper's DNF. Each
+  /// worker charges its evaluations to the limit and checks it where the
+  /// run polls — once per map record, per member of a repartitioned
+  /// partition and per leaf row — so a worker can overshoot by the
+  /// evaluations between two polls; `completed` compares the exact total
+  /// with the limit.
   uint64_t work_limit = 0;
   /// Verification alignment mode (kept exact to match the NSLD metric).
   TokenAligning aligning = TokenAligning::kExact;
@@ -79,7 +90,10 @@ struct HmjOptions {
   }
 };
 
-/// Counters and per-job statistics of one HMJ run.
+/// Counters and per-job statistics of one HMJ run. Each worker counts in a
+/// slot of its own (common/worker_slots.h) and the run sums the slots once
+/// its jobs are done, so the counts are exact and the same at every worker
+/// count. A retried task counts its work again.
 struct HmjRunInfo {
   /// Per-job MapReduce statistics (partition join, then dedup); the run's
   /// spill and task counters are their totals.
@@ -88,7 +102,11 @@ struct HmjRunInfo {
   uint64_t distance_computations = 0;
   /// Candidate pairs skipped by the pivot triangle-inequality filter.
   uint64_t pivot_filtered = 0;
-  /// Total partition-assignment records (home + window replicas).
+  /// Partition-assignment records (home + window replicas) at every
+  /// level: the top-level partitions and the sub-partitions of recursive
+  /// repartitioning. So assignments per record (perfbench's
+  /// hmj.replication) exceeds the top-level replication whenever a
+  /// partition is repartitioned.
   uint64_t assignments = 0;
   /// Always 0; read by perfbench/; delete at the next benchmark change
   /// (ROADMAP item 6).

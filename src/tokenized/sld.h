@@ -107,7 +107,11 @@ enum class TokenAligning {
   kGreedy,
 };
 
-/// SLD(x, y): exact or greedy depending on `aligning`.
+/// SLD(x, y): exact or greedy depending on `aligning`. The byte-level
+/// reference path, which allocates its cost matrix and runs the full DP
+/// on every token pair: Sld() and Nsld() serve BruteForceNsldSelfJoin,
+/// NsldIndex and the tests as the oracle, and no join calls them (TSJ and
+/// HMJ run the token-id BoundedSld below).
 int64_t Sld(const TokenizedString& x, const TokenizedString& y,
             TokenAligning aligning = TokenAligning::kExact);
 

@@ -1,15 +1,13 @@
 #include "tsj/tsj.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "common/hash.h"
-#include "common/thread_pool.h"
+#include "common/worker_slots.h"
 #include "distance/normalized_levenshtein.h"
 #include "massjoin/mass_join.h"
 #include "tokenized/bounds.h"
@@ -70,8 +68,10 @@ void FlushVerifyCache(TokenPairCache* cache) {
   if (cache != nullptr) VerifyScratch().l1.FlushIfBatchReady(cache);
 }
 
-// The counts one worker adds up, in one cache line of its own.
-struct alignas(64) CounterSlot {
+// The counts one worker adds up (common/worker_slots.h): one slot per
+// worker of the fused job's pool, which every map and reduce function of
+// the job runs on. A function takes its worker's slot once per call.
+struct CounterSlot {
   uint64_t shared_token_candidates = 0;
   uint64_t similar_token_candidates = 0;
   uint64_t distinct_candidates = 0;
@@ -80,48 +80,18 @@ struct alignas(64) CounterSlot {
   uint64_t histogram_filtered = 0;
   uint64_t verified_candidates = 0;
   uint64_t verify_work_units = 0;
-};
 
-// The pipeline's counters: one slot per worker of the fused job's pool,
-// which every map and reduce function of the job runs on. A function
-// takes its worker's slot once per call and adds to it with plain
-// stores, so no two workers write one cache line and no candidate pays
-// an atomic. Total() sums the slots once the job is done.
-class Counters {
- public:
-  explicit Counters(size_t num_workers) : slots_(num_workers) {}
-
-  // The calling worker's slot. A caller outside the fused job's pool is a
-  // bug: it fails here, and never shares another worker's slot.
-  CounterSlot& Local() {
-    const size_t worker = ThreadPool::CurrentWorkerIndex();
-    if (worker >= slots_.size()) {
-      std::fprintf(stderr,
-                   "tsj: counter slot %zu requested, but the join has %zu "
-                   "workers\n",
-                   worker, slots_.size());
-      std::abort();
-    }
-    return slots_[worker];
+  CounterSlot& operator+=(const CounterSlot& other) {
+    shared_token_candidates += other.shared_token_candidates;
+    similar_token_candidates += other.similar_token_candidates;
+    distinct_candidates += other.distinct_candidates;
+    length_filtered += other.length_filtered;
+    bag_filtered += other.bag_filtered;
+    histogram_filtered += other.histogram_filtered;
+    verified_candidates += other.verified_candidates;
+    verify_work_units += other.verify_work_units;
+    return *this;
   }
-
-  CounterSlot Total() const {
-    CounterSlot total;
-    for (const CounterSlot& slot : slots_) {
-      total.shared_token_candidates += slot.shared_token_candidates;
-      total.similar_token_candidates += slot.similar_token_candidates;
-      total.distinct_candidates += slot.distinct_candidates;
-      total.length_filtered += slot.length_filtered;
-      total.bag_filtered += slot.bag_filtered;
-      total.histogram_filtered += slot.histogram_filtered;
-      total.verified_candidates += slot.verified_candidates;
-      total.verify_work_units += slot.verify_work_units;
-    }
-    return total;
-  }
-
- private:
-  std::vector<CounterSlot> slots_;
 };
 
 // Histogram filter + verify one distinct candidate pair of `corpus`;
@@ -299,7 +269,7 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
   // join-level switch is on (the CC_SHUFFLE_SPILL_BUDGET test override
   // is engine-level and bypasses this gate by design).
   if (!options.enable_shuffle_spill) mr_options.memory_budget_records = 0;
-  Counters counters(mr_options.effective_workers());
+  WorkerSlots<CounterSlot> counters(mr_options.effective_workers());
   size_t max_length = 0;
   for (uint32_t s = 0; s < corpus.size(); ++s) {
     max_length = std::max(max_length, corpus.aggregate_length(s));

@@ -1,8 +1,10 @@
 #include "hmj/hmj.h"
 
+#include <bit>
 #include <limits>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "gtest/gtest.h"
 #include "test_util.h"
 #include "tokenized/corpus.h"
+#include "tokenized/sld.h"
 
 namespace tsj {
 namespace {
@@ -78,6 +81,60 @@ TEST(HmjTest, RecursiveRepartitioningPreservesCorrectness) {
   const auto actual = HybridMetricJoiner(options).SelfJoin(corpus);
   ASSERT_TRUE(actual.ok());
   EXPECT_EQ(ToSet(*actual), ToSet(expected));
+}
+
+TEST(HmjTest, ExactAndCountedAlikeAtAnyWorkerCount) {
+  // Each worker counts in its own slot and the run sums the slots once,
+  // so the counters, like the (a, b, NSLD) set, must not depend on the
+  // worker count; and every partition distance and verification runs on
+  // token ids, so each NSLD must equal the byte-level oracle bit for bit.
+  // A retried task counts its distances again: run disarmed.
+  testutil::RestoreFaultSpecFromEnv restore;
+  ASSERT_TRUE(FaultInjector::Global().Configure("").ok());
+  Rng rng(87);
+  const Corpus corpus = MakeCorpus(&rng, 120);
+  for (const TokenAligning aligning :
+       {TokenAligning::kExact, TokenAligning::kGreedy}) {
+    SCOPED_TRACE(aligning == TokenAligning::kExact ? "exact" : "greedy");
+    HmjOptions options;
+    options.threshold = 0.15;
+    options.num_partitions = 4;
+    options.max_partition_size = 10;  // force recursion
+    options.num_subpartitions = 3;
+    options.max_recursion_depth = 5;
+    options.aligning = aligning;
+    HmjRunInfo first_info;
+    std::set<std::tuple<uint32_t, uint32_t, uint64_t>> first_pairs;
+    for (const size_t workers : {1, 2, 4}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers));
+      options.mapreduce.num_workers = workers;
+      HmjRunInfo info;
+      const auto result = HybridMetricJoiner(options).SelfJoin(corpus, &info);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      ASSERT_TRUE(info.completed);
+      std::set<std::tuple<uint32_t, uint32_t, uint64_t>> pairs;
+      for (const TsjPair& pair : *result) {
+        const double oracle = Nsld(corpus.Materialize(pair.a),
+                                   corpus.Materialize(pair.b), aligning);
+        EXPECT_EQ(std::bit_cast<uint64_t>(pair.nsld),
+                  std::bit_cast<uint64_t>(oracle))
+            << pair.a << " " << pair.b;
+        pairs.emplace(pair.a, pair.b, std::bit_cast<uint64_t>(pair.nsld));
+      }
+      if (workers == 1) {
+        EXPECT_FALSE(pairs.empty());
+        EXPECT_GT(info.distance_computations, 0u);
+        EXPECT_GT(info.pivot_filtered, 0u);
+        first_info = info;
+        first_pairs = std::move(pairs);
+        continue;
+      }
+      EXPECT_EQ(info.distance_computations, first_info.distance_computations);
+      EXPECT_EQ(info.pivot_filtered, first_info.pivot_filtered);
+      EXPECT_EQ(info.assignments, first_info.assignments);
+      EXPECT_EQ(pairs, first_pairs);
+    }
+  }
 }
 
 TEST(HmjTest, SinglePartitionDegeneratesToQuadraticJoin) {
