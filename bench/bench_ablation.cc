@@ -1,8 +1,8 @@
 // Ablation study of TSJ's design choices (not a paper figure): measures,
 // on one workload, what the dedup strategy, the two approximations and the
-// verification cache tiers (shared token-pair cache, per-worker L1 tier)
-// contribute in candidate/verification counts, per-tier cache hit rates,
-// peak shuffle-resident records and measured wall time: every row runs
+// token-pair cache (with its per-worker L1 tier) contribute in
+// candidate/verification counts, per-tier cache hit rates, peak
+// shuffle-resident records and measured wall time: every row runs
 // kRowRuns joins and prints their median with the min-max range, since a
 // single join of tens of milliseconds swings by tens of percent between
 // runs. Complements Figs. 1-5, which report the paper's own parameter
@@ -10,32 +10,18 @@
 // histogram filters) and the budgeted token-id verification have no
 // switch, so they run in every row.
 //
-// A --workers sweep table shows the contention story directly: the same
-// full configuration at workers=1 vs workers=hw, with the L1/shared
-// hit split and flush-batch counts that explain where the multi-thread
-// win comes from.
-//
-// With --shuffle_json <path>, additionally writes the shuffle counters
-// (map output records, pipeline peak shuffle-resident records) plus the
-// cache-tier counters of the workers=hw run as JSON, which CI merges into
-// BENCH_verify.json so the memory and contention wins are tracked in the
-// perf trajectory.
+// A workers sweep table runs the full configuration at workers=1 and
+// workers=hw, with the L1/shared hit split and flush-batch counts.
 //
 // The out-of-core spill row runs the full configuration under a memory
 // budget of a quarter of its own in-memory shuffle peak
 // (enable_shuffle_spill, mapreduce/spill.h) and prints the spill
-// counters plus the peak-resident gauge that proves the budget held;
-// --spill_json <path> emits them as JSON (merged into BENCH_verify.json
-// by CI alongside the shuffle counters).
+// counters plus the peak-resident gauge that proves the budget held.
 //
-// The fault-framework rows run the full configuration with the fault
-// injector explicitly disarmed (the disabled FAULT_POINT cost is one
-// relaxed atomic load per site; the harness prints the median difference
-// to the 'full' row) and armed with two absorbable task-start faults,
-// re-armed before each of the row's joins (showing the lossless retry
-// cost). --fault_json <path> emits the overhead and absorption counters
-// as JSON (merged into BENCH_verify.json by CI); every *wall_ms field
-// there holds a median.
+// The fault row runs the full configuration armed with two absorbable
+// task-start faults, re-armed before each of the row's joins, and prints
+// the lossless retry cost against the full row, whose joins run the same
+// fault points disarmed.
 //
 // Exit status: 1 when a join fails (ExitIfFailed puts its Status on
 // stderr), when one of a lossless row's joins differs from the full row's
@@ -44,7 +30,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <optional>
@@ -147,22 +132,13 @@ void ExitIfInconsistent(const std::string& name,
   }
 }
 
-// The counters one sweep run contributes to the JSON trajectory.
-struct SweepNumbers {
-  size_t workers = 0;
-  TsjRunInfo info;
-  double wall_ms = 0;
-};
-
 std::string PercentOrDash(uint64_t part, uint64_t whole) {
   if (whole == 0) return "-";
   return TablePrinter::Fmt(
       100.0 * static_cast<double>(part) / static_cast<double>(whole), 1);
 }
 
-void Run(const std::string& shuffle_json_path,
-         const std::string& spill_json_path,
-         const std::string& fault_json_path) {
+void Run() {
   bench::PrintHeader("Ablation", "contribution of each TSJ design choice");
   const auto workload =
       GenerateRingWorkload(bench::DefaultWorkload(bench::Scaled(10000)));
@@ -195,13 +171,6 @@ void Run(const std::string& shuffle_json_path,
     TsjOptions o = base;
     o.enable_token_pair_cache = false;
     rows.push_back({"- token pair cache", o});
-  }
-  {
-    // L1-tier ablation: shared shards kept, the per-worker front dropped
-    // — every gated probe pays the spinlocked shard round-trip again.
-    TsjOptions o = base;
-    o.enable_l1_verify_cache = false;
-    rows.push_back({"- L1 verify cache (shared shards only)", o});
   }
 
   TablePrinter table({"configuration", "pairs", "distinct cands", "verified",
@@ -266,18 +235,11 @@ void Run(const std::string& shuffle_json_path,
                         /*lossless=*/true);
   }
 
-  // ---- Fault-framework rows: the full configuration with the injector
-  // explicitly disarmed (the production state — every FAULT_POINT is one
-  // relaxed atomic load), and armed with two absorbable start faults to
-  // show what a retry actually costs when it happens.
-  FaultInjector::Global().Configure("");  // explicit: disarmed
-  const RowRun disabled =
-      run_row("+ fault framework (disabled)", base, /*lossless=*/true);
-  // Two absorbable start faults: one map task and one reduce task each
-  // fail once and re-execute. A "once" spec fires once per Configure, so
-  // it is re-armed before each join and every join absorbs both.
-  // Byte-identical pairs by the retry contract; the wall column shows the
-  // re-execution cost.
+  // ---- Fault row: the full configuration armed with two absorbable
+  // start faults: one map task and one reduce task each fail once and
+  // re-execute. A "once" spec fires once per Configure, so it is re-armed
+  // before each join and every join absorbs both. Byte-identical pairs by
+  // the retry contract; the wall column shows the re-execution cost.
   const RowRun absorbed_run =
       run_row("+ fault injection (2 absorbed faults)", base,
               /*lossless=*/true, [] {
@@ -287,22 +249,14 @@ void Run(const std::string& shuffle_json_path,
   FaultInjector::Global().ConfigureFromEnv();
 
   table.Print(std::cout);
-  if (full.ms > 0) {
-    std::cout << "\nfault framework disarmed overhead: median " << full.ms
-              << " ms (no framework row) vs " << disabled.ms
-              << " ms (disarmed injector): "
-              << 100.0 * (disabled.ms - full.ms) / full.ms
-              << "% (medians of " << kRowRuns
-              << " joins; FAULT_POINT is one relaxed atomic load when "
-                 "disarmed)\n";
-  }
+  std::cout << "\n";
   const PipelineStats& absorbed = absorbed_run.info.pipeline;
   std::cout << "fault absorption: " << absorbed.total_task_failures()
             << " injected task failures, " << absorbed.total_task_retries()
             << " lossless re-executions, " << absorbed.total_tasks_cancelled()
             << " cancellations in the last join; median wall "
-            << absorbed_run.ms << " ms vs " << disabled.ms
-            << " ms fault-free\n";
+            << absorbed_run.ms << " ms vs " << full.ms
+            << " ms fault-free (full row)\n";
   const PipelineStats& spill = spill_run.info.pipeline;
   const bool budget_honored = spill.max_peak_resident_records() <=
                               spill_budget + spill_budget / 8;
@@ -330,159 +284,46 @@ void Run(const std::string& shuffle_json_path,
   std::cout << "\nexpectations: every row but the two approximations joins "
                "the full row's pairs with the same NSLD values, and the "
                "approximations only shrink the result (checked: the "
-               "harness exits 1 otherwise); disabling either cache tier "
-               "changes only the work/traffic/wall columns.\n";
+               "harness exits 1 otherwise); disabling the token-pair "
+               "cache changes only the work/traffic/wall columns.\n";
 
-  // ---- Workers sweep: the contention picture in one table. ---------------
+  // ---- Workers sweep: the full configuration at 1 and hw workers. -------
   std::cout << "\n";
-  TablePrinter sweep_table({"configuration", "workers", "L1 hit%",
-                            "shared hit%", "flushes", "peak shuffle",
-                            "wall ms, median (min-max)"});
-  std::vector<SweepNumbers> sweep;
+  TablePrinter sweep_table({"workers", "L1 hit%", "shared hit%", "flushes",
+                            "peak shuffle", "wall ms, median (min-max)"});
   std::vector<size_t> worker_counts = {1};
   if (hw > 1) worker_counts.push_back(hw);
   for (const size_t workers : worker_counts) {
-    for (const bool l1 : {true, false}) {
-      TsjOptions o = base;
-      o.mapreduce.num_workers = workers;
-      o.enable_l1_verify_cache = l1;
-      const std::string name =
-          l1 ? "full (L1 + batched flush)" : "shared shards only";
-      const RowRun run =
-          TimedRow(o, workload.corpus, [&](const std::vector<TsjPair>& pairs) {
-            ExitIfInconsistent(
-                name + " at " + std::to_string(workers) + " workers", pairs,
-                full_set, /*lossless=*/true);
-          });
-      const TsjRunInfo& info = run.info;
-      const uint64_t l1_probes =
-          info.token_pair_cache_l1_hits + info.token_pair_cache_l1_misses;
-      const uint64_t shared_probes =
-          info.token_pair_cache_hits + info.token_pair_cache_misses;
-      sweep_table.AddRow(
-          {name, TablePrinter::Fmt(uint64_t{workers}),
-           PercentOrDash(info.token_pair_cache_l1_hits, l1_probes),
-           PercentOrDash(info.token_pair_cache_hits, shared_probes),
-           info.token_pair_cache_flush_batches == 0
-               ? std::string("-")
-               : TablePrinter::Fmt(info.token_pair_cache_flush_batches),
-           TablePrinter::Fmt(info.peak_shuffle_records), WallCell(run)});
-      if (l1) sweep.push_back(SweepNumbers{workers, info, run.ms});
-    }
+    TsjOptions o = base;
+    o.mapreduce.num_workers = workers;
+    const std::string name =
+        "full at " + std::to_string(workers) + " workers";
+    const RowRun run =
+        TimedRow(o, workload.corpus, [&](const std::vector<TsjPair>& pairs) {
+          ExitIfInconsistent(name, pairs, full_set, /*lossless=*/true);
+        });
+    const TsjRunInfo& info = run.info;
+    const uint64_t l1_probes =
+        info.token_pair_cache_l1_hits + info.token_pair_cache_l1_misses;
+    const uint64_t shared_probes =
+        info.token_pair_cache_hits + info.token_pair_cache_misses;
+    sweep_table.AddRow(
+        {TablePrinter::Fmt(uint64_t{workers}),
+         PercentOrDash(info.token_pair_cache_l1_hits, l1_probes),
+         PercentOrDash(info.token_pair_cache_hits, shared_probes),
+         info.token_pair_cache_flush_batches == 0
+             ? std::string("-")
+             : TablePrinter::Fmt(info.token_pair_cache_flush_batches),
+         TablePrinter::Fmt(info.peak_shuffle_records), WallCell(run)});
   }
-  std::cout << "workers sweep (full configuration vs shared-shards-only "
-               "cache):\n";
+  std::cout << "workers sweep (full configuration):\n";
   sweep_table.Print(std::cout);
-
-  if (!shuffle_json_path.empty()) {
-    const TsjRunInfo& info = full.info;
-    std::ofstream json(shuffle_json_path);
-    json << "{\n"
-         << "  \"workload\": {\"accounts\": " << workload.corpus.size()
-         << ", \"threshold\": " << base.threshold
-         << ", \"max_token_frequency\": " << base.max_token_frequency
-         << ", \"hardware_workers\": " << hw << "},\n"
-         << "  \"streaming\": {\"map_output_records\": "
-         << info.pipeline.total_map_output_records()
-         << ", \"peak_shuffle_records\": " << info.peak_shuffle_records
-         << ", \"wall_ms\": " << full.ms << "},\n"
-         << "  \"cache_tiers\": {\"l1_hits\": "
-         << info.token_pair_cache_l1_hits
-         << ", \"l1_misses\": " << info.token_pair_cache_l1_misses
-         << ", \"shared_hits\": " << info.token_pair_cache_hits
-         << ", \"shared_misses\": " << info.token_pair_cache_misses
-         << ", \"flush_batches\": " << info.token_pair_cache_flush_batches
-         << ", \"flushed_records\": "
-         << info.token_pair_cache_flushed_records << "},\n"
-         << "  \"shuffle_partitions\": " << info.shuffle_partitions << ",\n"
-         << "  \"full_wall_ms\": " << full.ms << ",\n"
-         << "  \"workers_sweep\": [";
-    for (size_t i = 0; i < sweep.size(); ++i) {
-      const SweepNumbers& s = sweep[i];
-      json << (i == 0 ? "" : ", ") << "{\"workers\": " << s.workers
-           << ", \"wall_ms\": " << s.wall_ms << ", \"l1_hits\": "
-           << s.info.token_pair_cache_l1_hits << ", \"shared_hits\": "
-           << s.info.token_pair_cache_hits << ", \"flush_batches\": "
-           << s.info.token_pair_cache_flush_batches << "}";
-    }
-    json << "]\n}\n";
-    std::cout << "\nshuffle + cache-tier counters written to "
-              << shuffle_json_path << "\n";
-  }
-
-  if (!spill_json_path.empty() && spill_budget > 0) {
-    std::ofstream json(spill_json_path);
-    json << "{\n"
-         << "  \"budget_records\": " << spill_budget << ",\n"
-         << "  \"spilled_records\": " << spill.total_spilled_records()
-         << ",\n"
-         << "  \"spill_files\": " << spill.total_spill_files() << ",\n"
-         << "  \"spill_bytes\": " << spill.total_spill_bytes() << ",\n"
-         << "  \"spill_raw_bytes\": " << spill.total_spill_raw_bytes()
-         << ",\n"
-         << "  \"compression_ratio\": "
-         << (spill.total_spill_bytes() > 0
-                 ? static_cast<double>(spill.total_spill_raw_bytes()) /
-                       static_cast<double>(spill.total_spill_bytes())
-                 : 0.0)
-         << ",\n"
-         << "  \"checksum_failures\": " << spill.total_checksum_failures()
-         << ",\n"
-         << "  \"merge_passes\": " << spill.total_merge_passes() << ",\n"
-         << "  \"peak_resident_records\": "
-         << spill.max_peak_resident_records() << ",\n"
-         << "  \"budget_honored\": " << (budget_honored ? "true" : "false")
-         << ",\n"
-         << "  \"in_memory_peak_shuffle_records\": "
-         << full.info.peak_shuffle_records << ",\n"
-         << "  \"wall_ms\": " << spill_run.ms << ",\n"
-         << "  \"in_memory_wall_ms\": " << full.ms << "\n"
-         << "}\n";
-    std::cout << "spill counters written to " << spill_json_path << "\n";
-  }
-
-  if (!fault_json_path.empty()) {
-    // A failed or inconsistent absorbed-fault run exited above, so the
-    // result written here is always the lossless one.
-    std::ofstream json(fault_json_path);
-    json << "{\n"
-         << "  \"baseline_wall_ms\": " << full.ms << ",\n"
-         << "  \"fault_disabled_wall_ms\": " << disabled.ms << ",\n"
-         << "  \"disabled_overhead_pct\": "
-         << (full.ms > 0 ? 100.0 * (disabled.ms - full.ms) / full.ms : 0.0)
-         << ",\n"
-         << "  \"absorbed_wall_ms\": " << absorbed_run.ms << ",\n"
-         << "  \"absorbed_task_failures\": "
-         << absorbed.total_task_failures() << ",\n"
-         << "  \"absorbed_task_retries\": " << absorbed.total_task_retries()
-         << ",\n"
-         << "  \"absorbed_tasks_cancelled\": "
-         << absorbed.total_tasks_cancelled() << ",\n"
-         << "  \"absorbed_result_ok\": true\n"
-         << "}\n";
-    std::cout << "fault-framework counters written to " << fault_json_path
-              << "\n";
-  }
 }
 
 }  // namespace
 }  // namespace tsj
 
-int main(int argc, char** argv) {
-  std::string shuffle_json_path;
-  std::string spill_json_path;
-  std::string fault_json_path;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--shuffle_json") {
-      shuffle_json_path = argv[i + 1];
-    }
-    if (std::string(argv[i]) == "--spill_json") {
-      spill_json_path = argv[i + 1];
-    }
-    if (std::string(argv[i]) == "--fault_json") {
-      fault_json_path = argv[i + 1];
-    }
-  }
-  tsj::Run(shuffle_json_path, spill_json_path, fault_json_path);
+int main() {
+  tsj::Run();
   return 0;
 }

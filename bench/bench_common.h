@@ -75,8 +75,8 @@ inline RingWorkloadOptions DefaultWorkload(size_t num_accounts) {
   return options;
 }
 
-/// Joins per timed cell; each cell reports their median.
-inline constexpr int kTimedRuns = 3;
+/// Joins per timed cell, at least; each cell reports their median.
+inline constexpr size_t kTimedRuns = 3;
 
 /// The worker counts the worker sweeps run at.
 inline constexpr std::array<size_t, 3> kWorkerCounts = {1, 2, 4};
@@ -89,23 +89,36 @@ inline void ExitIfFailed(const Status& status) {
   std::exit(1);
 }
 
-/// Runs `joiner.SelfJoin(corpus, info)` kTimedRuns times and returns the
-/// median wall seconds of the call. `*info` and `*pairs` (optional) hold
-/// the last run's counters and result.
+/// Wall seconds of one timed cell's joins: their median, the fastest and
+/// the slowest, and how many joins ran.
+struct CellSeconds {
+  double median = 0;
+  double min = 0;
+  double max = 0;
+  size_t joins = 0;
+};
+
+/// Runs `joiner.SelfJoin(corpus, info)` kTimedRuns times, and more until
+/// the joins have taken `min_total_seconds` of wall time together, and
+/// returns the wall seconds of the calls. `*info` and `*pairs` (optional)
+/// hold the last run's counters and result.
 template <typename Joiner, typename Info>
-double MedianSelfJoinSeconds(const Joiner& joiner, const Corpus& corpus,
-                             Info* info,
-                             std::vector<TsjPair>* pairs = nullptr) {
+CellSeconds TimeSelfJoins(const Joiner& joiner, const Corpus& corpus,
+                          Info* info, std::vector<TsjPair>* pairs = nullptr,
+                          double min_total_seconds = 0) {
   std::vector<double> seconds;
-  for (int run = 0; run < kTimedRuns; ++run) {
+  double total = 0;
+  while (seconds.size() < kTimedRuns || total < min_total_seconds) {
     Stopwatch watch;
     auto result = joiner.SelfJoin(corpus, info);
     seconds.push_back(watch.ElapsedSeconds());
+    total += seconds.back();
     ExitIfFailed(result.status());
     if (pairs != nullptr) *pairs = std::move(*result);
   }
   std::sort(seconds.begin(), seconds.end());
-  return seconds[seconds.size() / 2];
+  return CellSeconds{seconds[seconds.size() / 2], seconds.front(),
+                     seconds.back(), seconds.size()};
 }
 
 /// Percent by which `value` is below `reference`.
@@ -190,7 +203,7 @@ class MatchingSweep {
     options.aligning = aligning;
     TsjRunInfo info;
     const double seconds =
-        MedianSelfJoinSeconds(TokenizedStringJoiner(options), corpus, &info);
+        TimeSelfJoins(TokenizedStringJoiner(options), corpus, &info).median;
     return Cost{seconds, info.verify_work_units};
   }
 
@@ -206,10 +219,17 @@ inline void PrintHeader(const std::string& figure,
 }
 
 /// Where a timing harness's times come from, printed under its header.
-inline void PrintHost() {
+/// `min_cell_seconds` is the wall time a cell's joins take at least
+/// (TimeSelfJoins), if the harness sets one.
+inline void PrintHost(double min_cell_seconds = 0) {
   std::cout << "measured on one host, " << std::thread::hardware_concurrency()
-            << " hardware threads; each time is the median of " << kTimedRuns
-            << " joins\n\n";
+            << " hardware threads; each time is the median of ";
+  if (min_cell_seconds > 0) {
+    std::cout << "at least " << kTimedRuns << " joins, run until they took "
+              << min_cell_seconds << " s together\n\n";
+  } else {
+    std::cout << kTimedRuns << " joins\n\n";
+  }
 }
 
 }  // namespace bench

@@ -1,7 +1,7 @@
 // Micro-benchmarks of the distance and assignment kernels (google-
 // benchmark). Not a paper figure; used to validate the asymptotic claims
-// of Sec. III-F/III-G.5 (Hungarian O(k^3) vs. greedy O(k^2 log k), banded
-// vs. full Levenshtein).
+// of Sec. III-F/III-G.5 (Hungarian O(k^3) vs. greedy O(k^2 log k), the
+// bounded Myers kernel vs. the full Levenshtein DP).
 
 #include <string>
 #include <vector>
@@ -42,38 +42,9 @@ void BM_Levenshtein(benchmark::State& state) {
 }
 BENCHMARK(BM_Levenshtein)->Arg(8)->Arg(32)->Arg(128);
 
-void BM_BoundedLevenshtein(benchmark::State& state) {
-  Rng rng(2);
-  const size_t len = static_cast<size_t>(state.range(0));
-  const uint32_t bound = static_cast<uint32_t>(state.range(1));
-  const std::string x = MakeString(&rng, len);
-  const std::string y = MakeString(&rng, len);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(BoundedLevenshtein(x, y, bound));
-  }
-}
-BENCHMARK(BM_BoundedLevenshtein)
-    ->Args({32, 1})
-    ->Args({32, 4})
-    ->Args({128, 1})
-    ->Args({128, 4});
-
-// The Myers bit-parallel kernels against the DP baselines above: same
-// seeds, same shapes, so BM_MyersLevenshtein/len pairs off against
-// BM_Levenshtein/len and BM_MyersBoundedLevenshtein/{len,bound} against
-// BM_BoundedLevenshtein/{len,bound}. The acceptance bar for the default
-// edge kernel is >= 2x over the banded DP on <= 64-char tokens.
-void BM_MyersLevenshtein(benchmark::State& state) {
-  Rng rng(1);
-  const size_t len = static_cast<size_t>(state.range(0));
-  const std::string x = MakeString(&rng, len);
-  const std::string y = MakeString(&rng, len);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(MyersLevenshtein(x, y));
-  }
-}
-BENCHMARK(BM_MyersLevenshtein)->Arg(8)->Arg(32)->Arg(128);
-
+// The bounded Myers kernel, every join's LD, on far-apart random strings:
+// the reject path, where the kernel exits early once the bound is out of
+// reach. BM_Levenshtein above is the full DP on the same shapes.
 void BM_MyersBoundedLevenshtein(benchmark::State& state) {
   Rng rng(2);
   const size_t len = static_cast<size_t>(state.range(0));
@@ -90,11 +61,10 @@ BENCHMARK(BM_MyersBoundedLevenshtein)
     ->Args({128, 1})
     ->Args({128, 4});
 
-// Accept-path variants: y is x after `bound` random edits, so the
-// distance is within the bound and neither kernel can abort early — the
+// Accept-path variant: y is x after `bound` random edits, so the
+// distance is within the bound and the kernel cannot abort early — the
 // regime of every near-threshold candidate the verify stage must fully
-// resolve (the reject-path configs above measure the early-exit race on
-// far-apart random strings instead).
+// resolve.
 std::string ApplyEdits(Rng* rng, std::string s, size_t edits) {
   for (size_t e = 0; e < edits; ++e) {
     const char c = static_cast<char>('a' + rng->Uniform(6));
@@ -110,21 +80,6 @@ std::string ApplyEdits(Rng* rng, std::string s, size_t edits) {
   }
   return s;
 }
-
-void BM_BoundedLevenshteinSimilar(benchmark::State& state) {
-  Rng rng(12);
-  const size_t len = static_cast<size_t>(state.range(0));
-  const uint32_t bound = static_cast<uint32_t>(state.range(1));
-  const std::string x = MakeString(&rng, len);
-  const std::string y = ApplyEdits(&rng, x, bound);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(BoundedLevenshtein(x, y, bound));
-  }
-}
-BENCHMARK(BM_BoundedLevenshteinSimilar)
-    ->Args({32, 4})
-    ->Args({64, 4})
-    ->Args({64, 8});
 
 void BM_MyersBoundedLevenshteinSimilar(benchmark::State& state) {
   Rng rng(12);
@@ -241,10 +196,12 @@ void BM_HungarianBounded(benchmark::State& state) {
 }
 BENCHMARK(BM_HungarianBounded)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
 
-// Budgeted-vs-exact verification: BM_SldExact above is the unbounded
-// baseline; these two bound the budget at the NSLD-threshold budget for a
-// dissimilar pair (early abort, the common case) and at a permissive budget
-// (full verification with banded weights).
+// Budgeted-vs-exact verification on interned token ids, the path every
+// join runs: BM_SldExact above is the unbounded byte-level baseline. The
+// reject rows bound a dissimilar pair at the NSLD-threshold budget (early
+// abort, the common case); the accept rows verify identical multisets
+// (SLD 0) cold, and warm through a corpus-wide TokenPairCache primed by
+// the first iteration.
 void BM_BoundedSldReject(benchmark::State& state) {
   Rng rng(10);
   const size_t tokens = static_cast<size_t>(state.range(0));
@@ -253,38 +210,21 @@ void BM_BoundedSldReject(benchmark::State& state) {
     x.push_back(MakeString(&rng, 6));
     y.push_back(MakeString(&rng, 6));
   }
+  Corpus corpus;
+  const StringId xid = corpus.AddString(x);
+  const StringId yid = corpus.AddString(y);
   const int64_t budget = SldBudgetFromThreshold(0.1, AggregateLength(x),
                                                 AggregateLength(y));
   SldVerifyScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        BoundedSld(x, y, budget, TokenAligning::kExact, &scratch));
+    benchmark::DoNotOptimize(BoundedSld(corpus, corpus.tokens(xid),
+                                        corpus.tokens(yid), budget,
+                                        TokenAligning::kExact, &scratch));
   }
 }
 BENCHMARK(BM_BoundedSldReject)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_BoundedSldAccept(benchmark::State& state) {
-  Rng rng(11);
-  const size_t tokens = static_cast<size_t>(state.range(0));
-  TokenizedString x, y;
-  for (size_t i = 0; i < tokens; ++i) {
-    x.push_back(MakeString(&rng, 6));
-    y.push_back(x.back());  // identical multisets: SLD = 0, always accepted
-  }
-  const int64_t budget = SldBudgetFromThreshold(0.1, AggregateLength(x),
-                                                AggregateLength(y));
-  SldVerifyScratch scratch;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        BoundedSld(x, y, budget, TokenAligning::kExact, &scratch));
-  }
-}
-BENCHMARK(BM_BoundedSldAccept)->Arg(2)->Arg(4)->Arg(8);
-
-// Token-id verification: the same accept-path workload as
-// BM_BoundedSldAccept but running on interned id spans, cold (no cache)
-// and warm (corpus-wide TokenPairCache primed by the first iteration).
-void BM_BoundedSldTokenIds(benchmark::State& state) {
   Rng rng(11);
   const size_t num_tokens = static_cast<size_t>(state.range(0));
   const bool cached = state.range(1) != 0;
@@ -307,10 +247,11 @@ void BM_BoundedSldTokenIds(benchmark::State& state) {
                                         cached ? &cache : nullptr));
   }
 }
-BENCHMARK(BM_BoundedSldTokenIds)
+BENCHMARK(BM_BoundedSldAccept)
     ->Args({2, 0})
-    ->Args({2, 1})
+    ->Args({4, 0})
     ->Args({8, 0})
+    ->Args({2, 1})
     ->Args({8, 1});
 
 void BM_SldGreedy(benchmark::State& state) {
@@ -333,8 +274,7 @@ BENCHMARK(BM_SldGreedy)->Arg(2)->Arg(4)->Arg(8);
 // Custom main instead of BENCHMARK_MAIN(): stamps the harness's own
 // build type (NDEBUG-derived, unlike the benchmark library's
 // library_build_type, which describes libbenchmark) into the JSON
-// context. CI's merge script asserts tsj_build_type == "release" — a
-// debug-built harness once fed the perf trajectory unnoticed.
+// context, so numbers from a debug-built harness can be told apart.
 int main(int argc, char** argv) {
 #ifdef NDEBUG
   benchmark::AddCustomContext("tsj_build_type", "release");

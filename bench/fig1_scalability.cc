@@ -52,10 +52,14 @@ void Run() {
     one.mapreduce.num_workers = workers;
     TsjOptions both = one;
     both.dedup = DedupStrategy::kGroupOnBothStrings;
-    const double t_one = bench::MedianSelfJoinSeconds(
-        TokenizedStringJoiner(one), workload.corpus, &info_one, &pairs_one);
-    const double t_both = bench::MedianSelfJoinSeconds(
-        TokenizedStringJoiner(both), workload.corpus, &info_both, &pairs_both);
+    const double t_one =
+        bench::TimeSelfJoins(TokenizedStringJoiner(one), workload.corpus,
+                             &info_one, &pairs_one)
+            .median;
+    const double t_both =
+        bench::TimeSelfJoins(TokenizedStringJoiner(both), workload.corpus,
+                             &info_both, &pairs_both)
+            .median;
     if (workers == bench::kWorkerCounts.front()) one_first = t_one;
     one_last = t_one;
     table.AddRow({TablePrinter::Fmt(uint64_t{workers}),

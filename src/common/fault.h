@@ -57,8 +57,9 @@
 //   CC_FAULT_SPEC='merge.read=once'
 //
 // Disabled cost: when no spec is armed, FAULT_POINT compiles to one
-// relaxed atomic bool load (the bench_ablation "+ fault framework
-// (disabled)" row pins this at < 1% wall on the 10k ring workload).
+// relaxed atomic bool load. Every join runs through it, so every
+// benchmark measures it; no row isolates it, because a cost this small
+// is below the run-to-run noise of a join.
 //
 // Injected faults carry StatusCode::kUnavailable ("injected fault at
 // <site>") except alloc.* sites, which model memory pressure and carry

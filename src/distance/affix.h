@@ -1,7 +1,7 @@
-// Common-affix trimming shared by the Levenshtein kernels (banded DP in
-// levenshtein.cc, Myers bit-parallel in myers.cc). Any optimal edit script
-// maps equal string ends onto each other, so LD is unchanged by trimming
-// and every kernel runs only on the differing core.
+// Common-affix trimming shared by the Levenshtein kernels (the reference
+// DP in levenshtein.cc, Myers bit-parallel in myers.cc). Any optimal edit
+// script maps equal string ends onto each other, so LD is unchanged by
+// trimming and every kernel runs only on the differing core.
 
 #ifndef TSJ_DISTANCE_AFFIX_H_
 #define TSJ_DISTANCE_AFFIX_H_

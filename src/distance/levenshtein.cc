@@ -1,7 +1,6 @@
 #include "distance/levenshtein.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <vector>
 
 #include "distance/affix.h"
@@ -52,61 +51,6 @@ uint32_t Levenshtein(std::string_view x, std::string_view y) {
     std::swap(prev, curr);
   }
   return prev[n];
-}
-
-uint32_t BoundedLevenshtein(std::string_view x, std::string_view y,
-                            uint32_t bound) {
-  // The length difference is a lower bound on LD, and trimming removes
-  // equal counts from both strings, so |len(x) - len(y)| is unchanged by
-  // it: check the trivial bound first, before touching any bytes.
-  if (std::max(x.size(), y.size()) - std::min(x.size(), y.size()) > bound) {
-    return bound + 1;
-  }
-  TrimCommonAffixes(&x, &y);
-  if (x.size() > y.size()) std::swap(x, y);
-  const size_t n = x.size();
-  const size_t m = y.size();
-  if (n == 0) return static_cast<uint32_t>(m);  // m <= bound here.
-  if (bound == 0) return x == y ? 0 : 1;
-
-  const uint32_t kInf = bound + 1;
-  // Banded DP: only cells with |i - j| <= bound can hold values <= bound.
-  // Row j covers i in [lo, hi].
-  LevenshteinScratch& scratch = Scratch();
-  std::vector<uint32_t>& prev = scratch.prev;
-  std::vector<uint32_t>& curr = scratch.curr;
-  prev.assign(n + 1, kInf);
-  curr.assign(n + 1, kInf);
-  const size_t band = bound;
-  for (size_t i = 0; i <= std::min(n, band); ++i) {
-    prev[i] = static_cast<uint32_t>(i);
-  }
-  for (size_t j = 1; j <= m; ++j) {
-    const size_t lo = (j > band) ? j - band : 0;
-    const size_t hi = std::min(n, j + band);
-    uint32_t row_min = kInf;
-    const char yc = y[j - 1];
-    if (lo == 0) {
-      curr[0] = (j <= band) ? static_cast<uint32_t>(j) : kInf;
-      row_min = curr[0];
-    } else {
-      curr[lo - 1] = kInf;  // left neighbour outside the band
-    }
-    for (size_t i = std::max<size_t>(1, lo); i <= hi; ++i) {
-      const uint32_t sub =
-          (prev[i - 1] == kInf) ? kInf : prev[i - 1] + (x[i - 1] == yc ? 0 : 1);
-      const uint32_t del = (prev[i] == kInf) ? kInf : prev[i] + 1;
-      const uint32_t ins = (curr[i - 1] == kInf) ? kInf : curr[i - 1] + 1;
-      uint32_t v = std::min({sub, del, ins});
-      if (v > bound) v = kInf;
-      curr[i] = v;
-      row_min = std::min(row_min, v);
-    }
-    if (hi < n) curr[hi + 1] = kInf;  // right edge of the band
-    if (row_min == kInf) return kInf;  // every path already exceeds the bound
-    std::swap(prev, curr);
-  }
-  return std::min(prev[n], kInf);
 }
 
 }  // namespace tsj

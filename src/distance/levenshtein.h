@@ -1,14 +1,13 @@
-// Levenshtein distance (Def. 1 / Lemma 1 of the paper) and a banded
-// threshold-aware verifier.
+// Levenshtein distance (Def. 1 / Lemma 1 of the paper): the full
+// dynamic program, O(|x|·|y|).
 //
-// The full O(|x|·|y|) dynamic program is used when the exact distance is
-// needed (e.g. SLD bigraph weights). The banded verifier is the workhorse of
-// candidate verification: given a bound U it runs in O((2U+1)·min(|x|,|y|))
-// and stops early once every cell of a row exceeds U.
+// This is the reference LD. The byte-level Sld() oracle weighs its
+// bigraph edges with it, and the tests check the Myers kernel
+// (distance/myers.h) against it. Every join verifies on that kernel.
 //
-// Both kernels strip the common prefix and suffix before the DP (equal ends
-// never contribute edits) and keep their DP rows in per-thread scratch, so
-// the verify loop's millions of token-level calls allocate nothing.
+// The DP strips the common prefix and suffix first (equal ends never
+// contribute edits) and keeps its rows in per-thread scratch, so repeated
+// calls allocate nothing.
 
 #ifndef TSJ_DISTANCE_LEVENSHTEIN_H_
 #define TSJ_DISTANCE_LEVENSHTEIN_H_
@@ -21,26 +20,6 @@ namespace tsj {
 /// Exact Levenshtein distance between x and y (insert/delete/substitute,
 /// unit costs).
 uint32_t Levenshtein(std::string_view x, std::string_view y);
-
-/// Sentinel returned by BoundedLevenshtein when the distance exceeds the
-/// bound: exactly the value `bound + 1` is returned (never the true
-/// distance, whatever it is).
-///
-/// Computes LD(x, y) if it is <= bound, otherwise returns bound + 1.
-/// Equivalent to Levenshtein(x, y) clamped at bound + 1, but runs in
-/// O((2*bound+1) * min(|x|,|y|)) with early exit. The trivial
-/// ||x| - |y|| > bound early-out runs before any byte of the strings is
-/// read. The bit-parallel drop-in replacement with the same contract is
-/// MyersBoundedLevenshtein (distance/myers.h); this banded DP remains the
-/// differential-test reference for it.
-uint32_t BoundedLevenshtein(std::string_view x, std::string_view y,
-                            uint32_t bound);
-
-/// True iff LD(x, y) <= bound.
-inline bool LevenshteinWithin(std::string_view x, std::string_view y,
-                              uint32_t bound) {
-  return BoundedLevenshtein(x, y, bound) <= bound;
-}
 
 }  // namespace tsj
 

@@ -121,22 +121,7 @@ uint32_t MyersCoreBlocked(std::string_view x, std::string_view y,
   return score;
 }
 
-uint32_t MyersCore(std::string_view pattern, std::string_view text,
-                   uint64_t bound) {
-  return pattern.size() <= 64 ? MyersCore64(pattern, text, bound)
-                              : MyersCoreBlocked(pattern, text, bound);
-}
-
 }  // namespace
-
-uint32_t MyersLevenshtein(std::string_view x, std::string_view y) {
-  internal::TrimCommonAffixes(&x, &y);
-  if (x.size() > y.size()) std::swap(x, y);  // x is the bit-vector pattern
-  if (x.empty()) return static_cast<uint32_t>(y.size());
-  // LD never exceeds the longer length, so this bound never triggers the
-  // early exit and the exact distance is returned.
-  return MyersCore(x, y, y.size());
-}
 
 uint32_t MyersBoundedLevenshtein(std::string_view x, std::string_view y,
                                  uint32_t bound) {
@@ -158,11 +143,11 @@ uint32_t MyersBoundedLevenshtein(std::string_view x, std::string_view y,
     // of size >= 2 mismatch in at least two positions, and a one-longer
     // core would need its insertion at the front (prefix mismatch) and at
     // the back (suffix mismatch) simultaneously. This replaces the column
-    // scan the bit-parallel core would run — the reject path where the
-    // 3-cell banded DP used to beat it.
+    // scan the bit-parallel core would run.
     return (x.size() == 1 && y.size() == 1) ? 1 : 2;
   }
-  const uint32_t score = MyersCore(x, y, bound);
+  const uint32_t score = x.size() <= 64 ? MyersCore64(x, y, bound)
+                                         : MyersCoreBlocked(x, y, bound);
   return score > bound ? bound + 1 : score;
 }
 

@@ -9,24 +9,24 @@
 // the blocked variant (ceil(|x|/64) words per text character with
 // horizontal carries chained between blocks).
 //
-// MyersBoundedLevenshtein honours the exact contract of
-// BoundedLevenshtein (distance/levenshtein.h): the trivial
-// length-difference early-out runs first, common affixes are trimmed, the
-// exact distance is returned when it is <= bound, and exactly bound + 1
-// is returned otherwise. The bounded run also exits early once the score
-// can no longer descend back under the bound in the columns that remain
-// (each text column changes the bottom-row score by at most one).
+// Clamp contract of MyersBoundedLevenshtein: the trivial length-difference
+// early-out runs first, common affixes are trimmed, the exact distance is
+// returned when it is <= bound, and exactly bound + 1 is returned
+// otherwise. The bounded run also exits early once the score can no
+// longer descend back under the bound in the columns that remain (each
+// text column changes the bottom-row score by at most one).
 //
 // Small caps never reach the bit vectors: after maximal affix trimming
 // both cores' first and last characters differ, which decides bound <= 1
 // in O(1) — LD <= 1 holds exactly when both cores are single characters —
-// so the tiny-cap reject path, where the 3-cell banded DP used to win,
-// now costs a comparison instead of a column scan.
+// so the tiny-cap reject path costs a comparison instead of a column scan.
 //
-// This is the default edge kernel of the budget-aware SLD verification
-// engine (tokenized/sld.h); the banded DP remains available for
-// differential testing (tests/differential_test.cc pits the two against a
-// naive reference on randomized inputs).
+// This is the one bounded-LD kernel: MassJoin's verify reducer, NldWithin
+// (distance/normalized_levenshtein.h) and every bigraph edge of the SLD
+// verification engine (tokenized/sld.h) run on it. The full DP
+// Levenshtein() (distance/levenshtein.h) is its reference:
+// tests/differential_test.cc pits the two against a naive DP on
+// randomized inputs at every cap.
 
 #ifndef TSJ_DISTANCE_MYERS_H_
 #define TSJ_DISTANCE_MYERS_H_
@@ -36,22 +36,12 @@
 
 namespace tsj {
 
-/// Exact Levenshtein distance between x and y via the bit-parallel
-/// algorithm. Identical values to Levenshtein() on every input.
-uint32_t MyersLevenshtein(std::string_view x, std::string_view y);
-
 /// Computes LD(x, y) if it is <= bound, otherwise returns exactly
-/// bound + 1 (never the true distance). Identical contract and values to
-/// BoundedLevenshtein(); runs in O(ceil(min/64) * max) word operations
-/// after affix trimming.
+/// bound + 1 (never the true distance). Runs in O(ceil(min/64) * max)
+/// word operations after affix trimming. A bound of at least
+/// max(|x|, |y|) never binds, so the call returns the exact distance.
 uint32_t MyersBoundedLevenshtein(std::string_view x, std::string_view y,
                                  uint32_t bound);
-
-/// True iff LD(x, y) <= bound.
-inline bool MyersLevenshteinWithin(std::string_view x, std::string_view y,
-                                   uint32_t bound) {
-  return MyersBoundedLevenshtein(x, y, bound) <= bound;
-}
 
 }  // namespace tsj
 

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "distance/levenshtein.h"
+#include "distance/myers.h"
 
 namespace tsj {
 
@@ -38,7 +39,7 @@ bool NldWithin(std::string_view x, std::string_view y, double threshold) {
   // Lemma 9 length filter first: cheap rejection.
   if (shorter < MinShorterLengthForNld(threshold, longer)) return false;
   const uint32_t max_ld = MaxLdForNld(threshold, x.size(), y.size());
-  const uint32_t ld = BoundedLevenshtein(x, y, max_ld);
+  const uint32_t ld = MyersBoundedLevenshtein(x, y, max_ld);
   if (ld > max_ld) return false;
   return NldFromLd(ld, x.size(), y.size()) <= threshold + kFloorEps;
 }

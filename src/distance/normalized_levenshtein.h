@@ -20,8 +20,8 @@ double NormalizedLevenshtein(std::string_view x, std::string_view y);
 /// lengths `len_x` and `len_y`.
 double NldFromLd(uint32_t ld, size_t len_x, size_t len_y);
 
-/// True iff NLD(x, y) <= threshold, verified with the banded Levenshtein
-/// using the Lemma 8 bound (no full DP).
+/// True iff NLD(x, y) <= threshold, verified with the Myers kernel
+/// (distance/myers.h) under the Lemma 8 bound (no full DP).
 bool NldWithin(std::string_view x, std::string_view y, double threshold);
 
 // ---- Lemma 3: bounds on NLD from the two lengths alone ------------------

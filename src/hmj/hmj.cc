@@ -313,22 +313,11 @@ StatusOr<std::vector<TsjPair>> HybridMetricJoiner::SelfJoin(
   // still returned for inspection, with completed=false marking the DNF.
   local_info.completed = options_.work_limit == 0 ||
                          total.distance_computations <= options_.work_limit;
-  // Lossy spill faults (a failed run read aborted a partition's merge,
-  // records may be missing) become the join's error; degraded write
-  // faults keep their complete results and stay visible via the per-job
-  // JobStats::spill_status entries.
-  if (Status s = local_info.pipeline.first_spill_data_loss(); !s.ok()) {
-    if (info != nullptr) *info = std::move(local_info);
-    return s;
-  }
-  // A fatal task error aborted a job (outputs incomplete): fail the join
-  // with the root cause. Retry-absorbed faults only show in the pipeline
-  // task counters (see the fault contract in mapreduce.h).
-  if (Status s = local_info.pipeline.first_task_error(); !s.ok()) {
-    if (info != nullptr) *info = std::move(local_info);
-    return s;
-  }
+  // Fail the join on a lossy spill fault or a fatal task error
+  // (PipelineStats::failure).
+  const Status failure = local_info.pipeline.failure();
   if (info != nullptr) *info = std::move(local_info);
+  if (!failure.ok()) return failure;
   return results;
 }
 

@@ -282,6 +282,20 @@ struct PipelineStats {
     return Status::OK();
   }
 
+  /// The pipeline's result Status, the one failure rule of every join
+  /// (TSJ, HMJ and MassJoin): a lossy spill fault first
+  /// (first_spill_data_loss(): a failed run read aborted a merge, records
+  /// may be missing), then a fatal task error (first_task_error(): a job
+  /// aborted, outputs incomplete); OK otherwise. Degraded spill write
+  /// faults keep their complete in-memory results and retry-absorbed task
+  /// failures re-ran losslessly, so neither fails the join; they stay
+  /// visible through JobStats::spill_status and the task counters (see the
+  /// fault contract in mapreduce.h).
+  Status failure() const {
+    if (Status s = first_spill_data_loss(); !s.ok()) return s;
+    return first_task_error();
+  }
+
   uint64_t total_task_failures() const {
     uint64_t total = 0;
     for (const auto& j : jobs) total += j.task_failures;

@@ -6,7 +6,7 @@
 #include <tuple>
 #include <utility>
 
-#include "distance/levenshtein.h"
+#include "distance/myers.h"
 #include "distance/normalized_levenshtein.h"
 #include "massjoin/partition.h"
 
@@ -130,7 +130,7 @@ StatusOr<std::vector<NldPair>> RunMassJoinSelfNld(
     const std::string& y = tokens[pair.second];
     const uint32_t tau = MaxLdForNld(threshold, std::max(x.size(), y.size()),
                                      /*x_is_shorter=*/true);
-    const uint32_t ld = BoundedLevenshtein(x, y, tau);
+    const uint32_t ld = MyersBoundedLevenshtein(x, y, tau);
     if (ld > tau) return;
     const double nld = NldFromLd(ld, x.size(), y.size());
     if (nld > threshold) return;
@@ -151,15 +151,9 @@ StatusOr<std::vector<NldPair>> RunMassJoinSelfNld(
   PipelineStats local_stats;
   local_stats.Add(std::move(generate_stats));
   local_stats.Add(std::move(verify_stats));
-  const Status data_loss = local_stats.first_spill_data_loss();
-  const Status task_error = local_stats.first_task_error();
+  const Status failure = local_stats.failure();
   if (stats != nullptr) stats->Append(local_stats);
-  // Same fault contract as tsj/hmj: lossy spill faults and fatal task
-  // errors (outputs may be incomplete) fail the join; degraded write
-  // faults and retry-absorbed failures keep their complete results and
-  // stay visible through the pipeline stats.
-  if (!data_loss.ok()) return data_loss;
-  if (!task_error.ok()) return task_error;
+  if (!failure.ok()) return failure;
   return results;
 }
 

@@ -18,8 +18,8 @@
 // a key, emitting candidate token-id pairs.
 //
 // Job 2 (dedup + verify) — candidates are grouped by normalized pair id so
-// each distinct pair is verified exactly once with the banded Levenshtein
-// under the Lemma 8 budget.
+// each distinct pair is verified exactly once with the Myers bounded
+// Levenshtein (distance/myers.h) under the Lemma 8 budget.
 //
 // Both jobs record JobStats, so TSJ's pipeline statistics cover the token
 // join too. Tests check the result against brute-force NLD.

@@ -11,7 +11,6 @@
 #include "assignment/hungarian.h"
 #include "distance/levenshtein.h"
 #include "distance/myers.h"
-#include "tokenized/bounds.h"
 #include "tokenized/corpus.h"
 #include "tokenized/token_pair_cache.h"
 
@@ -51,66 +50,44 @@ SldVerifyScratch& ThreadVerifyScratch() {
   return scratch;
 }
 
-// One side of the token bigraph, abstracting how the tokens are stored so
-// BoundedSldImpl runs identically on materialized byte strings and on
-// interned token ids. Both expose size/view/length plus same-side token
-// equality; the id side additionally exposes the interned id (the
-// TokenPairCache key) and compares tokens by id instead of by bytes —
-// interning makes the two comparisons equivalent within one corpus.
-struct ByteTokenSide {
-  static constexpr bool kHasIds = false;
-  const TokenizedString* tokens;
-
-  size_t size() const { return tokens->size(); }
-  std::string_view view(size_t i) const { return (*tokens)[i]; }
-  size_t length(size_t i) const { return (*tokens)[i].size(); }
-  bool TokenEquals(size_t i, const ByteTokenSide& other, size_t j) const {
-    return (*tokens)[i] == (*other.tokens)[j];
-  }
-};
-
-struct IdTokenSide {
-  static constexpr bool kHasIds = true;
+// One side of the token bigraph: a corpus's token-id span, read in place.
+// Token texts are string_views into the corpus, and two positions hold the
+// same token iff they hold the same id (interning).
+struct TokenSide {
   const Corpus* corpus;
   std::span<const TokenId> ids;
 
   size_t size() const { return ids.size(); }
   std::string_view view(size_t i) const { return corpus->token_text(ids[i]); }
   size_t length(size_t i) const { return corpus->token_length(ids[i]); }
-  TokenId id(size_t i) const { return ids[i]; }
-  bool TokenEquals(size_t i, const IdTokenSide& other, size_t j) const {
-    return ids[i] == other.ids[j];
+
+  size_t AggregateLength() const {
+    size_t total = 0;
+    for (const TokenId id : ids) total += corpus->token_length(id);
+    return total;
   }
 };
 
-template <typename Side>
-size_t SideAggregateLength(const Side& side) {
-  size_t total = 0;
-  for (size_t i = 0; i < side.size(); ++i) total += side.length(i);
-  return total;
-}
-
-// rep[i] = smallest index holding the same token as position i, so matrix
-// rows/entries of duplicate tokens can be copied instead of recomputed.
-// Padding positions (i >= side.size()) all hold the empty token and share
-// the first padding index. O(T^2) compares (integer compares on the id
-// side), trivial next to the DP.
-template <typename Side>
-void ComputeDuplicateReps(const Side& side, size_t k,
+// rep[i] = smallest index holding the same token id as position i, so
+// matrix rows/entries of duplicate tokens can be copied instead of
+// recomputed. Padding positions (i >= ids.size()) all hold the empty token
+// and share the first padding index. O(T^2) integer compares, trivial next
+// to the kernel.
+void ComputeDuplicateReps(std::span<const TokenId> ids, size_t k,
                           std::vector<uint32_t>* rep) {
   rep->resize(k);
-  for (size_t i = 0; i < side.size(); ++i) {
+  for (size_t i = 0; i < ids.size(); ++i) {
     uint32_t r = static_cast<uint32_t>(i);
     for (size_t prior = 0; prior < i; ++prior) {
-      if (side.TokenEquals(prior, side, i)) {
+      if (ids[prior] == ids[i]) {
         r = static_cast<uint32_t>(prior);
         break;
       }
     }
     (*rep)[i] = r;
   }
-  for (size_t i = side.size(); i < k; ++i) {
-    (*rep)[i] = static_cast<uint32_t>(side.size());
+  for (size_t i = ids.size(); i < k; ++i) {
+    (*rep)[i] = static_cast<uint32_t>(ids.size());
   }
 }
 
@@ -128,9 +105,11 @@ void ComputeDuplicateReps(const Side& side, size_t k,
 constexpr uint64_t kMinKernelUnitsToProbeCache = 16;
 constexpr uint64_t kMinKernelUnitsToProbeSharedShards = 32;
 
-// Deterministic cell count of one banded Levenshtein run with bound `cap`,
-// in the same units as the len_x*len_y term of SldWorkUnits (which it never
-// exceeds).
+// An edge's work in the cost model of SldWorkUnits: the cells a banded
+// Levenshtein DP with bound `cap` would fill, never more than the
+// len_x*len_y term. The Myers kernel computes the edge; the count keeps
+// this model, so TsjRunInfo::verify_work_units does not depend on the
+// kernel.
 uint64_t BandedLdWorkUnits(size_t len_a, size_t len_b, int64_t cap) {
   const uint64_t shorter = std::min(len_a, len_b);
   const uint64_t longer = std::max(len_a, len_b);
@@ -191,16 +170,16 @@ int64_t SldBudgetFromThreshold(double threshold, size_t len_x, size_t len_y) {
   return budget;
 }
 
-// The budget-bounded SLD engine, templated over the token-side
-// representation (byte strings or interned ids). `cache` participates
-// only when the side carries ids; it is consulted at the edge kernel's
-// effective bound — min(row cap, longer token length) — so a served value
-// is bit-identical to what the Myers kernel would have computed.
-template <typename Side>
-BoundedSldResult BoundedSldImpl(const Side& x, const Side& y, int64_t budget,
-                                TokenAligning aligning,
-                                SldVerifyScratch* scratch,
-                                TokenPairCache* cache) {
+// `cache` is consulted at the edge kernel's effective bound — min(row cap,
+// longer token length) — so a served value is bit-identical to what the
+// Myers kernel would have computed.
+BoundedSldResult BoundedSld(const Corpus& corpus,
+                            std::span<const TokenId> x_ids,
+                            std::span<const TokenId> y_ids, int64_t budget,
+                            TokenAligning aligning, SldVerifyScratch* scratch,
+                            TokenPairCache* cache) {
+  const TokenSide x{&corpus, x_ids};
+  const TokenSide y{&corpus, y_ids};
   BoundedSldResult result;
   result.work_units = 1;
   if (budget < 0) {
@@ -216,8 +195,8 @@ BoundedSldResult BoundedSldImpl(const Side& x, const Side& y, int64_t budget,
 
   // SLD never exceeds L(x) + L(y); clamping an oversized caller budget to
   // that ceiling changes no decision and keeps cap + 1 arithmetic safe.
-  const uint64_t lx = static_cast<uint64_t>(SideAggregateLength(x));
-  const uint64_t ly = static_cast<uint64_t>(SideAggregateLength(y));
+  const uint64_t lx = static_cast<uint64_t>(x.AggregateLength());
+  const uint64_t ly = static_cast<uint64_t>(y.AggregateLength());
   budget = std::min(budget, static_cast<int64_t>(lx + ly));
 
   // Per-row budget caps. For the exact aligning, row i's edges can be
@@ -230,19 +209,14 @@ BoundedSldResult BoundedSldImpl(const Side& x, const Side& y, int64_t budget,
   // the tighter per-row caps would not.
   const bool tighten = (aligning == TokenAligning::kExact);
 
-  // Two-tier cache probing (id path only): bind the scratch's L1 tier to
-  // the run's shared cache once per call — a cheap identity check after
-  // the first — so every gated edge below probes lock-free first.
-  TokenPairL1Cache* l1 = nullptr;
-  if constexpr (Side::kHasIds) {
-    if (cache != nullptr && scratch->use_l1_cache) {
-      scratch->l1.BindTo(cache);
-      l1 = &scratch->l1;
-    }
-  }
+  // Two-tier cache probing: bind the scratch's L1 tier to the run's
+  // shared cache once per call — a cheap identity check after the first —
+  // so every gated edge below probes lock-free first.
+  TokenPairL1Cache& l1 = scratch->l1;
+  if (cache != nullptr) l1.BindTo(cache);
 
-  ComputeDuplicateReps(x, k, &scratch->rep_x);
-  ComputeDuplicateReps(y, k, &scratch->rep_y);
+  ComputeDuplicateReps(x_ids, k, &scratch->rep_x);
+  ComputeDuplicateReps(y_ids, k, &scratch->rep_y);
   result.work_units += 2 * k;
 
   scratch->costs.resize(k * k);
@@ -272,7 +246,7 @@ BoundedSldResult BoundedSldImpl(const Side& x, const Side& y, int64_t budget,
         } else {
           const bool yj_real = j < ky;
           if (xi_real && yj_real) {
-            if (x.TokenEquals(i, y, j)) {
+            if (x_ids[i] == y_ids[j]) {
               cost = 0;  // identical tokens: no DP
               result.work_units += 1;
             } else if (cap == 0) {
@@ -293,36 +267,22 @@ BoundedSldResult BoundedSldImpl(const Side& x, const Side& y, int64_t budget,
                   BandedLdWorkUnits(x.length(i), y.length(j), bound);
               uint32_t ld = 0;
               bool cached = false;
-              if constexpr (Side::kHasIds) {
-                // Cost-model gating: tiny edges recompute instead of
-                // probing either tier (see the gate constants above).
-                const bool probe =
-                    cache != nullptr &&
-                    kernel_units >= kMinKernelUnitsToProbeCache;
-                if (probe && l1 != nullptr) {
-                  // Two-tier probe: L1 always, shared shards only for
-                  // edges that clear the pricier shared gate; fresh
-                  // values install into the L1 with the shared upsert
-                  // deferred into the batched flush.
-                  const bool consult_shared =
-                      kernel_units >= kMinKernelUnitsToProbeSharedShards;
-                  cached = l1->Lookup(cache, x.id(i), y.id(j), bound, &ld,
-                                      consult_shared);
-                  if (!cached) {
-                    ld = MyersBoundedLevenshtein(x.view(i), y.view(j), bound);
-                    l1->Insert(cache, x.id(i), y.id(j), bound, ld,
-                               /*defer_shared=*/consult_shared);
-                  }
-                } else if (probe &&
-                           kernel_units >=
-                               kMinKernelUnitsToProbeSharedShards) {
-                  cached = cache->Lookup(x.id(i), y.id(j), bound, &ld);
-                  if (!cached) {
-                    ld = MyersBoundedLevenshtein(x.view(i), y.view(j), bound);
-                    cache->Insert(x.id(i), y.id(j), bound, ld);
-                  }
-                } else {
+              // Cost-model gating: tiny edges recompute instead of probing
+              // either tier (see the gate constants above). A probed edge
+              // reads the L1 always and the shared shards only when it
+              // clears the pricier shared gate; a fresh value installs
+              // into the L1 with the shared upsert deferred into the
+              // batched flush.
+              if (cache != nullptr &&
+                  kernel_units >= kMinKernelUnitsToProbeCache) {
+                const bool consult_shared =
+                    kernel_units >= kMinKernelUnitsToProbeSharedShards;
+                cached = l1.Lookup(cache, x_ids[i], y_ids[j], bound, &ld,
+                                   consult_shared);
+                if (!cached) {
                   ld = MyersBoundedLevenshtein(x.view(i), y.view(j), bound);
+                  l1.Insert(cache, x_ids[i], y_ids[j], bound, ld,
+                            /*defer_shared=*/consult_shared);
                 }
               } else {
                 ld = MyersBoundedLevenshtein(x.view(i), y.view(j), bound);
@@ -381,23 +341,6 @@ BoundedSldResult BoundedSldImpl(const Side& x, const Side& y, int64_t budget,
   return result;
 }
 
-BoundedSldResult BoundedSld(const TokenizedString& x, const TokenizedString& y,
-                            int64_t budget, TokenAligning aligning,
-                            SldVerifyScratch* scratch) {
-  return BoundedSldImpl(ByteTokenSide{&x}, ByteTokenSide{&y}, budget,
-                        aligning, scratch, /*cache=*/nullptr);
-}
-
-BoundedSldResult BoundedSld(const Corpus& corpus,
-                            std::span<const TokenId> x_ids,
-                            std::span<const TokenId> y_ids, int64_t budget,
-                            TokenAligning aligning, SldVerifyScratch* scratch,
-                            TokenPairCache* cache) {
-  return BoundedSldImpl(IdTokenSide{&corpus, x_ids},
-                        IdTokenSide{&corpus, y_ids}, budget, aligning,
-                        scratch, cache);
-}
-
 uint64_t SldWorkUnits(size_t len_x, size_t len_y, size_t num_tokens_x,
                       size_t num_tokens_y, TokenAligning aligning) {
   const uint64_t k = std::max<uint64_t>(std::max(num_tokens_x, num_tokens_y),
@@ -406,19 +349,6 @@ uint64_t SldWorkUnits(size_t len_x, size_t len_y, size_t num_tokens_x,
   const uint64_t solver =
       (aligning == TokenAligning::kExact) ? 3 * k * k * k : 2 * k * k;
   return matrix + solver;
-}
-
-bool NsldWithin(const TokenizedString& x, const TokenizedString& y,
-                double threshold, TokenAligning aligning) {
-  if (threshold >= 1.0) return true;
-  if (threshold < 0.0) return false;
-  const size_t lx = AggregateLength(x);
-  const size_t ly = AggregateLength(y);
-  // Lemma 6: NSLD >= 1 - min/max of the aggregate lengths.
-  if (NsldLowerBoundFromAggregateLengths(lx, ly) > threshold) return false;
-  // Budget-bounded verification: sld <= budget <=> NSLD <= threshold.
-  const int64_t budget = SldBudgetFromThreshold(threshold, lx, ly);
-  return BoundedSld(x, y, budget, aligning).within_budget;
 }
 
 }  // namespace tsj

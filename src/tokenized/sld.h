@@ -21,13 +21,14 @@
 // FP-proofed against the exact NsldFromSld predicate) and the verification
 // becomes "is SLD <= B". BoundedSld threads that budget through every layer:
 //
-//   * each bigraph edge is computed with BoundedLevenshtein capped at the
+//   * each bigraph edge is computed with the Myers kernel capped at the
 //     budget still available to its row, and clamped to cap+1 on overflow —
 //     a matching that uses a clamped edge provably costs more than B, so
 //     clamping never changes the within-budget decision or, when within,
 //     the exact SLD value (see the invariants below);
-//   * identical tokens short-circuit to cost 0 without running the DP, and
-//     duplicate tokens within either multiset reuse the memoized row/entry;
+//   * identical tokens short-circuit to cost 0 without running the kernel,
+//     and duplicate tokens within either multiset reuse the memoized
+//     row/entry;
 //   * the running sum of per-row minima is a lossless lower bound on the
 //     matching cost; the build aborts as soon as it exceeds B;
 //   * the assignment solve itself is budget-bounded (SolveAssignmentBounded
@@ -39,36 +40,32 @@
 //      bounded path may skip work but never flips the join decision;
 //   2. when within_budget, BoundedSldResult::sld is the *exact* SLD (resp.
 //      the exact greedy-aligning cost), so reported NSLD values are
-//      byte-identical to the unbounded path;
+//      byte-identical to the unbounded Sld();
 //   3. work_units never exceeds the unbounded cost model of SldWorkUnits.
 //
-// Myers/clamp contract of the edge kernel. Every bigraph edge is computed
-// by the Myers bit-parallel kernel (distance/myers.h) with bound
-// min(cap_i, longer-token-length): like BoundedLevenshtein, it returns
-// the exact LD when it is <= bound and exactly bound + 1 otherwise, so an
-// edge value is either exact or a certificate that the true LD exceeds
-// the row cap — the clamp value cap_i + 1 then makes any matching through
-// that edge provably exceed the budget, exactly as with the banded DP.
-// The kernels are interchangeable bit for bit; the randomized
-// differential harness (tests/differential_test.cc) pins Myers == banded
-// DP == naive DP on every input family and cap.
+// Clamp contract of the edge kernel. Every bigraph edge is computed by
+// MyersBoundedLevenshtein (distance/myers.h) with bound
+// min(cap_i, longer-token-length): it returns the exact LD when it is
+// <= bound and exactly bound + 1 otherwise, so an edge value is either
+// exact or a certificate that the true LD exceeds the row cap — the clamp
+// value cap_i + 1 then makes any matching through that edge provably
+// exceed the budget. The randomized differential harness
+// (tests/differential_test.cc) pins the kernel against a naive DP at every
+// cap, and BoundedSld against Sld() on every budget family.
 //
-// Token-id verification path. The overload taking std::span<const
-// TokenId> verifies directly on a Corpus's interned ids — no
-// materialization, no byte copies: token texts are read in place through
-// string_views, identical tokens short-circuit on id equality, and
-// duplicate detection is integer comparison instead of string
-// comparison. Its results (sld, within_budget) are byte-identical to the
-// byte path on the materialized multisets. An optional corpus-wide
-// TokenPairCache memoizes edge LDs across *candidates*: entries record
-// the cap they were computed at, so a cached value is only served when
-// it is exact or its certificate is at least as strong as the current
-// row cap (see token_pair_cache.h); served values equal what the kernel
-// would have computed, keeping the path lossless.
+// Token ids only. BoundedSld verifies directly on a Corpus's interned ids —
+// no materialization, no byte copies: token texts are read in place
+// through string_views, identical tokens short-circuit on id equality,
+// and duplicate detection is integer comparison instead of string
+// comparison. Callers holding byte strings intern them into a Corpus
+// first. An optional corpus-wide TokenPairCache memoizes edge LDs across
+// *candidates*: entries record the cap they were computed at, so a cached
+// value is only served when it is exact or its certificate is at least as
+// strong as the current row cap (see token_pair_cache.h); served values
+// equal what the kernel would have computed, keeping the path lossless.
 //
-// Two-tier probe contract. When a cache is supplied (and
-// SldVerifyScratch::use_l1_cache is left on), the engine probes through
-// the scratch's private TokenPairL1Cache: L1 first (no locks, no
+// Two-tier probe contract. When a cache is supplied, the engine probes
+// through the scratch's private TokenPairL1Cache: L1 first (no locks, no
 // atomics), shared shards only on an L1 miss, and freshly computed edges
 // install into the L1 with the shared upsert deferred into a batch that
 // flushes at most once per kPendingCapacity edges — callers running a
@@ -80,7 +77,7 @@
 // (pricier) shared-shard round-trip probe only the L1. Gating
 // and tiering change only *where* a value is found, never the value —
 // the path stays lossless, pinned by tests/differential_test.cc with the
-// L1 tier on and off.
+// cache on and off.
 
 #ifndef TSJ_TOKENIZED_SLD_H_
 #define TSJ_TOKENIZED_SLD_H_
@@ -123,12 +120,6 @@ double NsldFromSld(int64_t sld, size_t len_x, size_t len_y);
 double Nsld(const TokenizedString& x, const TokenizedString& y,
             TokenAligning aligning = TokenAligning::kExact);
 
-/// True iff NSLD(x, y) <= threshold under the chosen aligning. Applies the
-/// Lemma 6 length filter, then runs the budget-bounded SLD.
-bool NsldWithin(const TokenizedString& x, const TokenizedString& y,
-                double threshold,
-                TokenAligning aligning = TokenAligning::kExact);
-
 /// The largest integer SLD consistent with NSLD <= threshold for strings
 /// of aggregate lengths len_x and len_y: max{s >= 0 : NsldFromSld(s) <=
 /// threshold}, i.e. floor(t*(L(x)+L(y))/(2-t)) FP-proofed against the
@@ -150,11 +141,8 @@ struct SldVerifyScratch {
   GreedyScratch greedy;
   /// Per-worker L1 tier (token_pair_cache.h). Auto-binds to whichever
   /// shared cache BoundedSld is called with; flush it at reduce-group
-  /// boundaries. Only used when `use_l1_cache` is on.
+  /// boundaries.
   TokenPairL1Cache l1;
-  /// Disable to probe the shared shards directly on every gated edge
-  /// (the pre-L1 behaviour; bench_ablation measures the difference).
-  bool use_l1_cache = true;
 };
 
 /// Result of one budget-bounded SLD evaluation.
@@ -164,24 +152,17 @@ struct BoundedSldResult {
   int64_t sld = 0;
   /// True iff SLD(x, y) <= budget under the chosen aligning.
   bool within_budget = true;
-  /// Deterministic count of the operations actually performed (banded DP
-  /// cells, solver rows), in the same units as SldWorkUnits.
+  /// Deterministic count of the operations actually performed (edge cells
+  /// of the banded cost model, solver rows), in the units of SldWorkUnits.
   uint64_t work_units = 0;
 };
 
-/// Budget-bounded SLD (see the file comment for the derivation and the
-/// invariants). `scratch` may be nullptr (a thread-local workspace is
-/// used). A negative budget fails immediately.
-BoundedSldResult BoundedSld(const TokenizedString& x,
-                            const TokenizedString& y, int64_t budget,
-                            TokenAligning aligning = TokenAligning::kExact,
-                            SldVerifyScratch* scratch = nullptr);
-
-/// Token-id overload: verifies two of `corpus`'s token-id multisets
-/// without materializing them (see the file comment). Both spans must
-/// hold ids interned by the same `corpus`, and `cache` (optional) must
-/// only ever be shared between calls using that corpus. Returns results
-/// byte-identical to the byte overload on the materialized multisets.
+/// Budget-bounded SLD of two of `corpus`'s token-id multisets (see the file
+/// comment for the derivation and the invariants). Both spans must hold
+/// ids interned by the same `corpus`, and `cache` (optional) must only
+/// ever be shared between calls using that corpus. `scratch` may be
+/// nullptr (a thread-local workspace is used). A negative budget fails
+/// immediately.
 BoundedSldResult BoundedSld(const Corpus& corpus,
                             std::span<const TokenId> x_ids,
                             std::span<const TokenId> y_ids, int64_t budget,

@@ -58,21 +58,12 @@ struct TsjOptions {
   /// (tokenized/token_pair_cache.h): duplicate token pairs across
   /// *candidates* skip the LD kernel entirely. SelfJoin only: each
   /// SelfJoin builds its own cache and drops it when it returns, and Join
-  /// runs without one. Lossless: a served entry equals what the kernel
-  /// would have computed. Disable only to measure the uncached baseline
-  /// (bench_ablation does).
+  /// runs without one. Verification probes it through a per-worker L1
+  /// tier first (the two-tier probe contract in tokenized/sld.h), so a
+  /// probe touches the shared shards only on an L1 miss. Lossless: a
+  /// served entry equals what the kernel would have computed. Disable
+  /// only to measure the uncached baseline (bench_ablation does).
   bool enable_token_pair_cache = true;
-
-  /// Per-worker L1 tier of the token-pair cache (two-tier probe contract
-  /// in tokenized/sld.h): cache probes hit a lock-free table private to
-  /// the verify thread first, shared-shard traffic happens only on L1
-  /// misses, and shared upserts flush in per-reduce-group batches —
-  /// taking each shard spinlock once per batch instead of once per edge.
-  /// Lossless: every served value equals what the kernel would compute.
-  /// Only effective when the token pair cache itself is enabled. Disable
-  /// only to measure the shared-shards-only baseline (bench_ablation
-  /// does).
-  bool enable_l1_verify_cache = true;
 
   /// External-memory shuffle spill (mapreduce/spill.h): when enabled AND
   /// mapreduce.memory_budget_records is set, the fused pipeline's jobs

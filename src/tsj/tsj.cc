@@ -63,7 +63,7 @@ SldVerifyScratch& VerifyScratch() {
 // Reduce-group boundary: publishes the thread's L1 hit/miss counts and —
 // once enough deferred upserts accumulated — drains them into the shared
 // tier in one shard-grouped batch (tiny groups batch across groups).
-// Harmless when the cache or the L1 tier is disabled.
+// Harmless when the cache is disabled.
 void FlushVerifyCache(TokenPairCache* cache) {
   if (cache != nullptr) VerifyScratch().l1.FlushIfBatchReady(cache);
 }
@@ -120,11 +120,9 @@ void FilterAndVerify(const Corpus& corpus, const TsjOptions& options,
   // the reported NSLD. Both strings live in one interned id space, so the
   // engine reads token texts in place and the corpus-wide cache can
   // short-circuit repeated edges.
-  SldVerifyScratch& scratch = VerifyScratch();
-  scratch.use_l1_cache = options.enable_l1_verify_cache;
   const BoundedSldResult verdict =
       BoundedSld(corpus, corpus.tokens(a), corpus.tokens(b), budget,
-                 options.aligning, &scratch, cache);
+                 options.aligning, &VerifyScratch(), cache);
   counts->verify_work_units += verdict.work_units;
   if (verdict.within_budget) {
     out->push_back(TsjPair{a, b, NsldFromSld(verdict.sld, la, lb)});
@@ -659,23 +657,11 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
   }
   local_info.result_pairs = results.size();
   local_info.peak_shuffle_records = gauge.peak();
-  // Lossy spill faults (failed run reads: a partition's merge aborted,
-  // records may be missing) become the join's error. Degraded write
-  // faults are deliberately NOT an error — their records stayed in
-  // memory and the result is complete; they remain visible through the
-  // per-job JobStats::spill_status entries in the pipeline.
-  if (Status s = local_info.pipeline.first_spill_data_loss(); !s.ok()) {
-    if (info != nullptr) *info = std::move(local_info);
-    return s;
-  }
-  // A fatal task error aborted a job (outputs incomplete): fail the join
-  // with the root cause. Retryable faults a retry absorbed are not
-  // errors — they are visible through the task counters only.
-  if (Status s = local_info.pipeline.first_task_error(); !s.ok()) {
-    if (info != nullptr) *info = std::move(local_info);
-    return s;
-  }
+  // Fail the join on a lossy spill fault or a fatal task error
+  // (PipelineStats::failure).
+  const Status failure = local_info.pipeline.failure();
   if (info != nullptr) *info = std::move(local_info);
+  if (!failure.ok()) return failure;
   return results;
 }
 

@@ -32,7 +32,8 @@
 //             directly on interned token-id spans — Myers bit-parallel
 //             edge kernel, no per-candidate materialization — and a
 //             self-join adds a corpus-wide TokenPairCache across
-//             candidates. Candidates of one reduce group verify in
+//             candidates, always probed through a per-worker L1 tier
+//             first. Candidates of one reduce group verify in
 //             aggregate-length order so DP scratch and cache lines stay
 //             resident. The filters and the budgeted token-id verify
 //             have no switch: the brute-force differentials pin them

@@ -6,17 +6,17 @@
 // obviously correct reference on tens of thousands of seeded random
 // inputs:
 //
-//   * Myers bit-parallel LD (single-word and blocked) == banded DP ==
-//     naive full-matrix DP, for every input family (ASCII, raw bytes,
-//     UTF-8-ish sequences, long common affixes, all-equal, empty) and
-//     cap family (0, 1, small, huge);
+//   * Myers bit-parallel LD (single-word and blocked), clamped at every
+//     cap family (0, 1, small, huge), == naive full-matrix DP, and so is
+//     the reference DP Levenshtein(), for every input family (ASCII, raw
+//     bytes, UTF-8-ish sequences, long common affixes, all-equal, empty);
 //   * BoundedSld on interned token-id spans (with and without the
-//     TokenPairCache, exact and greedy aligning) == BoundedSld on the
-//     materialized byte multisets, on random corpora (some with tokens
+//     TokenPairCache, exact and greedy aligning) == the byte-level Sld()
+//     on the materialized multisets, on random corpora (some with tokens
 //     longer than 64 characters) and budgets;
-//   * the fused TSJ pipeline (with the per-worker L1 verify-cache tier
-//     on, the default) == the brute-force NSLD oracle (exact Hungarian,
-//     no filters, no cache: BruteForceNsldSelfJoin,
+//   * the fused TSJ pipeline (with the token-pair cache and its
+//     per-worker L1 tier, the default) == the brute-force NSLD oracle
+//     (exact Hungarian, no filters, no cache: BruteForceNsldSelfJoin,
 //     testutil::BruteForceRP) on the sorted (pair, NSLD) set — a subset
 //     of it for exact-token matching — and == one serial in-memory run
 //     (1 worker, 1 partition) on the candidate/filter counters, across
@@ -28,8 +28,6 @@
 //   * a finite high-frequency cutoff M, with one token at exactly M
 //     strings and another at M + 1, == the oracle's pairs that still
 //     share a surviving token (or, fuzzy, a surviving similar token pair);
-//   * the L1 tier off vs on: the same oracle result and counters (it may
-//     only move traffic and timing);
 //   * the spill-forced pipeline (enable_shuffle_spill with
 //     memory_budget_records tiny enough to force multi-file disk spills,
 //     budgets {1, 7, 64} x workers x partitions) == the oracle and the
@@ -134,7 +132,7 @@ std::vector<uint32_t> CapFamilies(Rng* rng) {
   return {0u, 1u, static_cast<uint32_t>(2 + rng->Uniform(8)), 1000000u};
 }
 
-TEST(DifferentialTest, MyersAgreesWithBandedAndNaiveDp) {
+TEST(DifferentialTest, MyersAgreesWithNaiveDp) {
   Rng rng(20260726);
   constexpr int kPairs = 12000;
   for (int trial = 0; trial < kPairs; ++trial) {
@@ -142,15 +140,10 @@ TEST(DifferentialTest, MyersAgreesWithBandedAndNaiveDp) {
     const uint32_t naive = NaiveLd(x, y);
     ASSERT_EQ(Levenshtein(x, y), naive)
         << "trial=" << trial << " |x|=" << x.size() << " |y|=" << y.size();
-    ASSERT_EQ(MyersLevenshtein(x, y), naive)
-        << "trial=" << trial << " |x|=" << x.size() << " |y|=" << y.size();
     for (const uint32_t cap : CapFamilies(&rng)) {
-      // The shared clamp contract: exact when <= cap, else exactly cap+1.
-      const uint32_t expected = std::min(naive, cap + 1);
-      ASSERT_EQ(BoundedLevenshtein(x, y, cap), expected)
-          << "trial=" << trial << " cap=" << cap << " naive=" << naive
-          << " |x|=" << x.size() << " |y|=" << y.size();
-      ASSERT_EQ(MyersBoundedLevenshtein(x, y, cap), expected)
+      // The clamp contract: exact when <= cap, else exactly cap+1. The
+      // huge cap never binds, so there the kernel is the exact LD.
+      ASSERT_EQ(MyersBoundedLevenshtein(x, y, cap), std::min(naive, cap + 1))
           << "trial=" << trial << " cap=" << cap << " naive=" << naive
           << " |x|=" << x.size() << " |y|=" << y.size();
     }
@@ -167,7 +160,10 @@ TEST(DifferentialTest, MyersWordBoundarySweep) {
       const std::string y =
           testutil::RandomString(&rng, len > 8 ? len - 8 : 0, len + 8, 4);
       const uint32_t naive = NaiveLd(x, y);
-      ASSERT_EQ(MyersLevenshtein(x, y), naive) << "len=" << len;
+      ASSERT_EQ(MyersBoundedLevenshtein(x, y, static_cast<uint32_t>(
+                                                  std::max(len, y.size()))),
+                naive)
+          << "len=" << len;
       const uint32_t cap = static_cast<uint32_t>(rng.Uniform(12));
       ASSERT_EQ(MyersBoundedLevenshtein(x, y, cap),
                 std::min(naive, cap + 1))
@@ -233,9 +229,8 @@ TEST(DifferentialTest, BoundedSldOnTokenIdsMatchesBytes) {
       const TokenAligning aligning = rng.Bernoulli(0.5)
                                          ? TokenAligning::kExact
                                          : TokenAligning::kGreedy;
-      const TokenizedString x = corpus.Materialize(a);
-      const TokenizedString y = corpus.Materialize(b);
-      const BoundedSldResult byte_result = BoundedSld(x, y, budget, aligning);
+      const int64_t exact =
+          Sld(corpus.Materialize(a), corpus.Materialize(b), aligning);
       const BoundedSldResult id_plain =
           BoundedSld(corpus, corpus.tokens(a), corpus.tokens(b), budget,
                      aligning, /*scratch=*/nullptr, /*cache=*/nullptr);
@@ -243,23 +238,18 @@ TEST(DifferentialTest, BoundedSldOnTokenIdsMatchesBytes) {
           BoundedSld(corpus, corpus.tokens(a), corpus.tokens(b), budget,
                      aligning, /*scratch=*/nullptr, &cache);
       for (const BoundedSldResult* id_result : {&id_plain, &id_cached}) {
-        ASSERT_EQ(id_result->within_budget, byte_result.within_budget)
+        ASSERT_EQ(id_result->within_budget, exact <= budget)
             << "round=" << round << " trial=" << trial << " a=" << a
             << " b=" << b << " budget=" << budget
             << " exact=" << (aligning == TokenAligning::kExact)
             << " cached=" << (id_result == &id_cached);
-        if (byte_result.within_budget) {
-          ASSERT_EQ(id_result->sld, byte_result.sld)
+        if (id_result->within_budget) {
+          ASSERT_EQ(id_result->sld, exact)
               << "round=" << round << " trial=" << trial << " a=" << a
               << " b=" << b << " budget=" << budget
               << " exact=" << (aligning == TokenAligning::kExact)
               << " cached=" << (id_result == &id_cached);
         }
-      }
-      // Within budget, the id path must also agree with the unbounded
-      // ground truth.
-      if (byte_result.within_budget) {
-        ASSERT_EQ(byte_result.sld, Sld(x, y, aligning));
       }
     }
   }
@@ -670,45 +660,6 @@ TEST(DifferentialTest, FiniteTokenFrequencyCutoffMatchesOracle) {
   // the M = 1 << 30 differentials do not.
   EXPECT_GT(cut_pairs[static_cast<int>(TokenMatching::kFuzzy)], 0u);
   EXPECT_GT(cut_pairs[static_cast<int>(TokenMatching::kExact)], 0u);
-}
-
-TEST(DifferentialTest, L1VerifyCacheToggleIsLossless) {
-  // The per-worker L1 verify-cache tier (deferred batched shared upserts
-  // included) must change *nothing* about the join's output or its
-  // candidate/filter counters — only traffic and timing. The default
-  // (L1 on) and the L1-off run both meet the oracle and the serial run's
-  // counters on the same corpora.
-  Rng rng(17092026);
-  constexpr int kRounds = 4;
-  for (int round = 0; round < kRounds; ++round) {
-    const Corpus corpus = RandomJoinCorpus(&rng, 80, /*long_tokens=*/true);
-    const double t = 0.08 + 0.3 * rng.NextDouble();
-    const PairNsldSet oracle =
-        ToPairNsldSet(BruteForceNsldSelfJoin(corpus, t));
-    for (DedupStrategy dedup : {DedupStrategy::kGroupOnOneString,
-                                DedupStrategy::kGroupOnBothStrings}) {
-      TsjOptions l1_on;
-      l1_on.threshold = t;
-      l1_on.max_token_frequency = 1u << 30;
-      l1_on.dedup = dedup;
-      l1_on.mapreduce.num_workers = 4;
-      const TsjRunInfo serial_info = SerialSelfJoinInfo(corpus, l1_on);
-      TsjOptions l1_off = l1_on;
-      l1_off.enable_l1_verify_cache = false;
-      for (const TsjOptions& options : {l1_on, l1_off}) {
-        TsjRunInfo info;
-        const auto result =
-            TokenizedStringJoiner(options).SelfJoin(corpus, &info);
-        ASSERT_TRUE(result.ok());
-        const std::string context =
-            std::string(options.enable_l1_verify_cache ? "l1-on" : "l1-off") +
-            " round=" + std::to_string(round) +
-            " dedup=" + std::to_string(static_cast<int>(dedup));
-        EXPECT_EQ(ToPairNsldSet(*result), oracle) << context;
-        ExpectSameCounters(info, serial_info, context);
-      }
-    }
-  }
 }
 
 TEST(DifferentialTest, SpillForcedStreamingMatchesInMemoryEngines) {

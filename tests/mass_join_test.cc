@@ -1,5 +1,6 @@
 #include "massjoin/mass_join.h"
 
+#include <algorithm>
 #include <limits>
 #include <set>
 #include <string>
@@ -75,6 +76,66 @@ TEST_P(MassJoinTest, MatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Thresholds, MassJoinTest,
                          ::testing::Values(0.0, 0.05, 0.1, 0.15, 0.225, 0.3,
                                            0.35));
+
+// A variant of `base` with one or two random edits within its first 4
+// characters and one or two within its last 4.
+std::string EditBothEnds(Rng* rng, const std::string& base) {
+  std::string head = base.substr(0, 4);
+  std::string tail = base.substr(base.size() - 4);
+  for (uint64_t e = 1 + rng->Uniform(2); e > 0; --e) {
+    head = testutil::RandomEdit(rng, head, 3);
+  }
+  for (uint64_t e = 1 + rng->Uniform(2); e > 0; --e) {
+    tail = testutil::RandomEdit(rng, tail, 3);
+  }
+  return head + base.substr(4, base.size() - 8) + tail;
+}
+
+// The shorter of the two cores left after trimming the common prefix and
+// suffix: the pattern the Myers kernel runs on.
+size_t TrimmedPatternLength(const std::string& x, const std::string& y) {
+  const size_t shorter = std::min(x.size(), y.size());
+  size_t prefix = 0;
+  while (prefix < shorter && x[prefix] == y[prefix]) ++prefix;
+  size_t suffix = 0;
+  while (suffix < shorter - prefix &&
+         x[x.size() - 1 - suffix] == y[y.size() - 1 - suffix]) {
+    ++suffix;
+  }
+  return shorter - prefix - suffix;
+}
+
+TEST(MassJoinTest, LongTokensMatchBruteForce) {
+  // Tokens of 60-150 characters: each round draws four shared bases and
+  // eight variants of each, edited near both ends, so two variants of one
+  // base differ by a few edits around a core of most of their length.
+  // Past 64 characters that core runs the blocked Myers kernel in the
+  // verify reducer, within the Lemma 8 bound and beyond it. Only small
+  // thresholds: near T = 1 the substring role emits a signature count
+  // that grows with the token (ROADMAP item 7(a)).
+  Rng rng(4150);
+  size_t blocked_pairs = 0;
+  for (const double t : {0.05, 0.1}) {
+    for (int round = 0; round < 3; ++round) {
+      std::vector<std::string> tokens;
+      for (int b = 0; b < 4; ++b) {
+        const std::string base = testutil::RandomString(&rng, 64, 146, 3);
+        for (int v = 0; v < 8; ++v) tokens.push_back(EditBothEnds(&rng, base));
+      }
+      tokens.push_back(tokens[rng.Uniform(tokens.size())]);
+      const std::vector<NldPair> pairs = Join(tokens, t);
+      EXPECT_EQ(ToSet(pairs), BruteForce(tokens, t))
+          << "T=" << t << " round " << round;
+      for (const NldPair& p : pairs) {
+        if (TrimmedPatternLength(tokens[p.a], tokens[p.b]) > 64) {
+          ++blocked_pairs;
+        }
+      }
+    }
+  }
+  // Joined pairs, not only rejected ones, ran the blocked kernel.
+  EXPECT_GT(blocked_pairs, 0u);
+}
 
 TEST(MassJoinTest, EmptyInput) {
   EXPECT_TRUE(Join({}, 0.1).empty());

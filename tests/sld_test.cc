@@ -8,10 +8,32 @@
 #include "distance/normalized_levenshtein.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
+#include "tokenized/corpus.h"
 #include "tokenized/tokenized_string.h"
 
 namespace tsj {
 namespace {
+
+// BoundedSld runs on interned token ids: interns x and y into one corpus
+// and verifies them there.
+BoundedSldResult BoundedSldOf(const TokenizedString& x,
+                              const TokenizedString& y, int64_t budget,
+                              TokenAligning aligning = TokenAligning::kExact) {
+  Corpus corpus;
+  const StringId a = corpus.AddString(x);
+  const StringId b = corpus.AddString(y);
+  return BoundedSld(corpus, corpus.tokens(a), corpus.tokens(b), budget,
+                    aligning);
+}
+
+// The join's decision: NSLD(x, y) <= threshold, as the SLD budget of the
+// threshold on the token-id BoundedSld.
+bool NsldWithinThreshold(const TokenizedString& x, const TokenizedString& y,
+                         double threshold) {
+  const int64_t budget = SldBudgetFromThreshold(
+      threshold, AggregateLength(x), AggregateLength(y));
+  return BoundedSldOf(x, y, budget).within_budget;
+}
 
 TEST(SldTest, PaperSecIIDExamples) {
   // x = {chan, kalan}, y = {chank, alan}, z = {alan}:
@@ -140,12 +162,13 @@ TEST(SldTest, Theorem3TokenThresholdCarriesOver) {
 }
 
 TEST(SldTest, NsldWithinHonorsLemma6Filter) {
-  // Strings whose aggregate lengths alone violate Lemma 6 are rejected
-  // without computing SLD.
+  // Strings whose aggregate lengths alone violate Lemma 6 are out of
+  // reach: the length gap exceeds the threshold's SLD budget.
   const TokenizedString tiny = {"a"};
   const TokenizedString huge = {"abcdefghij", "klmnopqrst"};
-  EXPECT_FALSE(NsldWithin(tiny, huge, 0.5));
-  EXPECT_TRUE(NsldWithin(tiny, tiny, 0.0));
+  EXPECT_LT(SldBudgetFromThreshold(0.5, 1, 20), 20 - 1);
+  EXPECT_FALSE(NsldWithinThreshold(tiny, huge, 0.5));
+  EXPECT_TRUE(NsldWithinThreshold(tiny, tiny, 0.0));
 }
 
 TEST(SldTest, NsldWithinMatchesDirectComparison) {
@@ -155,7 +178,7 @@ TEST(SldTest, NsldWithinMatchesDirectComparison) {
     for (int trial = 0; trial < 300; ++trial) {
       const auto a = testutil::RandomTokenizedString(&rng, 0, 3, 1, 5);
       const auto b = testutil::RandomTokenizedString(&rng, 0, 3, 1, 5);
-      EXPECT_EQ(NsldWithin(a, b, t), Nsld(a, b) <= t) << "T=" << t;
+      EXPECT_EQ(NsldWithinThreshold(a, b, t), Nsld(a, b) <= t) << "T=" << t;
     }
   }
 }
@@ -209,7 +232,7 @@ TEST(BoundedSldTest, MatchesExactAcrossBudgets) {
       const int64_t budgets[] = {0,         exact - 2, exact - 1, exact,
                                  exact + 1, exact + 4, 1 << 20};
       for (int64_t budget : budgets) {
-        const BoundedSldResult bounded = BoundedSld(a, b, budget, aligning);
+        const BoundedSldResult bounded = BoundedSldOf(a, b, budget, aligning);
         EXPECT_EQ(bounded.within_budget, exact <= budget)
             << "aligning=" << (aligning == TokenAligning::kExact ? "ex" : "gr")
             << " budget=" << budget << " exact=" << exact;
@@ -223,18 +246,18 @@ TEST(BoundedSldTest, EdgeCardinalities) {
   // k = 0: SLD = 0 fits any non-negative budget; a negative budget
   // (threshold < 0) rejects even identical strings.
   const TokenizedString empty;
-  EXPECT_TRUE(BoundedSld(empty, empty, 0).within_budget);
-  EXPECT_EQ(BoundedSld(empty, empty, 0).sld, 0);
-  EXPECT_FALSE(BoundedSld(empty, empty, -1).within_budget);
+  EXPECT_TRUE(BoundedSldOf(empty, empty, 0).within_budget);
+  EXPECT_EQ(BoundedSldOf(empty, empty, 0).sld, 0);
+  EXPECT_FALSE(BoundedSldOf(empty, empty, -1).within_budget);
   // k = 1 against empty: SLD = L(y).
   const TokenizedString y = {"abc", "de"};
-  EXPECT_TRUE(BoundedSld(empty, y, 5).within_budget);
-  EXPECT_EQ(BoundedSld(empty, y, 5).sld, 5);
-  EXPECT_FALSE(BoundedSld(empty, y, 4).within_budget);
+  EXPECT_TRUE(BoundedSldOf(empty, y, 5).within_budget);
+  EXPECT_EQ(BoundedSldOf(empty, y, 5).sld, 5);
+  EXPECT_FALSE(BoundedSldOf(empty, y, 4).within_budget);
   // k = 1 on both sides reduces to plain bounded LD.
-  EXPECT_TRUE(BoundedSld({"chan"}, {"chank"}, 1).within_budget);
-  EXPECT_EQ(BoundedSld({"chan"}, {"chank"}, 1).sld, 1);
-  EXPECT_FALSE(BoundedSld({"chan"}, {"chank"}, 0).within_budget);
+  EXPECT_TRUE(BoundedSldOf({"chan"}, {"chank"}, 1).within_budget);
+  EXPECT_EQ(BoundedSldOf({"chan"}, {"chank"}, 1).sld, 1);
+  EXPECT_FALSE(BoundedSldOf({"chan"}, {"chank"}, 0).within_budget);
 }
 
 TEST(BoundedSldTest, DuplicateTokensStayExact) {
@@ -249,7 +272,7 @@ TEST(BoundedSldTest, DuplicateTokensStayExact) {
     b.push_back(b[rng.Uniform(b.size())]);
     const int64_t exact = Sld(a, b);
     for (int64_t budget : {exact - 1, exact, exact + 2}) {
-      const BoundedSldResult bounded = BoundedSld(a, b, budget);
+      const BoundedSldResult bounded = BoundedSldOf(a, b, budget);
       EXPECT_EQ(bounded.within_budget, exact <= budget);
       if (bounded.within_budget) EXPECT_EQ(bounded.sld, exact);
     }
@@ -268,7 +291,7 @@ TEST(BoundedSldTest, WorkNeverExceedsUnboundedModel) {
     for (TokenAligning aligning :
          {TokenAligning::kExact, TokenAligning::kGreedy}) {
       for (int64_t budget : {int64_t{0}, exact, exact + 3}) {
-        const BoundedSldResult bounded = BoundedSld(a, b, budget, aligning);
+        const BoundedSldResult bounded = BoundedSldOf(a, b, budget, aligning);
         EXPECT_LE(bounded.work_units,
                   SldWorkUnits(AggregateLength(a), AggregateLength(b),
                                a.size(), b.size(), aligning));
@@ -283,7 +306,7 @@ TEST(BoundedSldTest, TightBudgetSkipsWork) {
   // never runs for most of the bigraph.
   const TokenizedString x = {"aaaaaaaaaa", "bbbbbbbbbb", "cccccccccc"};
   const TokenizedString y = {"dddddddddd", "eeeeeeeeee", "ffffffffff"};
-  const BoundedSldResult bounded = BoundedSld(x, y, 2);
+  const BoundedSldResult bounded = BoundedSldOf(x, y, 2);
   EXPECT_FALSE(bounded.within_budget);
   const uint64_t unbounded = SldWorkUnits(30, 30, 3, 3, TokenAligning::kExact);
   EXPECT_LT(bounded.work_units, unbounded / 2);

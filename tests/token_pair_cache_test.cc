@@ -315,7 +315,7 @@ TEST(TokenPairCacheTest, ConcurrentWorkersNeverServeAWrongValue) {
         uint32_t got = 0;
         bool hit = false;
         if (rng.Uniform(4) == 0) {
-          // Shared shards only, as with the L1 tier off.
+          // The shared shards directly, bypassing any L1 tier.
           hit = shared.Lookup(k + kPairOffset, k, cap, &got);
           if (!hit) shared.Insert(k, k + kPairOffset, cap, want);
         } else {
