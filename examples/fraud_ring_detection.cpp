@@ -52,12 +52,17 @@ int main(int argc, char** argv) {
     std::cerr << "join failed: " << pairs.status().ToString() << "\n";
     return 1;
   }
-  std::cout << "similar pairs: " << pairs->size()
-            << " (skipped before dedup: " << info.length_filtered
-            << " by length, " << info.bag_filtered << " by character bag"
-            << "; distinct candidates: " << info.distinct_candidates
+  // The join generates and verifies each distinct name once, so the
+  // candidate and filter counts are pairs of distinct names; the similar
+  // pairs count every pair of accounts.
+  std::cout << "similar pairs: " << pairs->size() << " ("
+            << info.duplicate_strings << " accounts repeat an earlier name)\n"
+            << "distinct-name pairs skipped before dedup: "
+            << info.length_filtered << " by length, " << info.bag_filtered
+            << " by character bag; distinct candidates: "
+            << info.distinct_candidates
             << ", histogram-filtered: " << info.histogram_filtered
-            << ", verified: " << info.verified_candidates << ")\n";
+            << ", verified: " << info.verified_candidates << "\n";
 
   // ---- 3. Similarity graph -> clusters. ----------------------------------
   std::vector<std::pair<uint32_t, uint32_t>> edges;

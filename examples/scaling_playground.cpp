@@ -67,6 +67,9 @@ int main(int argc, char** argv) {
   std::cout << "TSJ self-join of " << accounts << " accounts at T="
             << threshold << "\n";
   std::cout << "  result pairs:           " << pairs->size() << "\n";
+  std::cout << "  duplicate names:        " << info.duplicate_strings
+            << " (folded into an earlier copy)\n";
+  // The candidate and filter counts below are pairs of distinct names.
   std::cout << "  shared-token cands:     " << info.shared_token_candidates
             << "\n";
   std::cout << "  similar-token cands:    " << info.similar_token_candidates

@@ -41,7 +41,8 @@ struct TsjOptions {
 
   /// High-frequency-token cutoff M (Sec. III-G.2): tokens contained in
   /// more than this many tokenized strings are ignored by candidate
-  /// generation (both passes).
+  /// generation (both passes). Every copy of a name counts, although the
+  /// join generates each distinct token sequence once (tsj/tsj.h).
   uint32_t max_token_frequency = 1000;
 
   /// Candidate-generation mode (fuzzy vs. exact-token-matching).

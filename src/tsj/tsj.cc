@@ -1,6 +1,7 @@
 #include "tsj/tsj.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <span>
 #include <utility>
@@ -31,13 +32,104 @@ struct SimilarTokenPair {
 // two of them. An R x P run (Join) holds R's strings at ids
 // [0, boundary) of one corpus and P's after them, and pairs an R string
 // only with a P string; every R id is below every P id, so such a pair
-// already has a < b. Only pair enumeration reads this.
+// already has a < b. Only pair enumeration and the copy classes read this.
 struct Sides {
   bool cross = false;
   uint32_t boundary = 0;
 
   bool IsR(uint32_t s) const { return s < boundary; }
 };
+
+// The corpus's strings grouped into classes of identical token-id
+// sequences, within one side in an R x P run. Only a class's smallest id,
+// its representative, goes through generation, dedup and verification: a
+// verified pair of representatives stands for every pair of their two
+// classes, at the same NSLD, and the copies within a class join each other
+// at NSLD 0. Classes key on the ordered sequence, not the multiset, because
+// greedy aligning's cost depends on token order. It does not depend on
+// which string comes first (at each cost level the greedy pick is the
+// unique stable matching of two index-ranked sides), so a member pair
+// whose ids run the other way round gets its representatives' value too.
+struct CopyClasses {
+  static constexpr uint32_t kNoCopy = std::numeric_limits<uint32_t>::max();
+
+  // Every class's representative, ascending.
+  std::vector<uint32_t> representatives;
+  // Per string, the next member of its class, or kNoCopy. A class's list
+  // starts at its representative; the order of the rest is unspecified.
+  std::vector<uint32_t> next_copy;
+
+  bool HasCopies(uint32_t representative) const {
+    return next_copy[representative] != kNoCopy;
+  }
+
+  // Appends every pair of the classes of representatives a and b, at
+  // `nsld`, each with its smaller id first.
+  void AppendPairs(uint32_t a, uint32_t b, double nsld,
+                   std::vector<TsjPair>* out) const {
+    for (uint32_t x = a; x != kNoCopy; x = next_copy[x]) {
+      for (uint32_t y = b; y != kNoCopy; y = next_copy[y]) {
+        out->push_back(TsjPair{std::min(x, y), std::max(x, y), nsld});
+      }
+    }
+  }
+
+  // Appends the pairs within the class of `representative`, at NSLD 0.
+  void AppendInternalPairs(uint32_t representative,
+                           std::vector<TsjPair>* out) const {
+    for (uint32_t x = representative; x != kNoCopy; x = next_copy[x]) {
+      for (uint32_t y = next_copy[x]; y != kNoCopy; y = next_copy[y]) {
+        out->push_back(TsjPair{std::min(x, y), std::max(x, y), 0.0});
+      }
+    }
+  }
+};
+
+// Builds the classes in one serial pass over the strings in id order: an
+// open-addressing table keyed by a 64-bit hash of the side and the id
+// sequence. A slot whose tag matches is compared exactly, sequence and
+// side, so a hash collision costs a comparison and never merges two
+// classes.
+CopyClasses BuildCopyClasses(const Corpus& corpus, const Sides& sides) {
+  constexpr uint32_t kNoCopy = CopyClasses::kNoCopy;
+  const uint32_t n = static_cast<uint32_t>(corpus.size());
+  CopyClasses classes;
+  classes.next_copy.assign(n, kNoCopy);
+  size_t capacity = 16;
+  while (capacity < 2 * static_cast<size_t>(n)) capacity *= 2;
+  const size_t mask = capacity - 1;
+  struct Slot {
+    uint32_t tag = 0;
+    uint32_t representative = kNoCopy;  // kNoCopy: the slot is free
+  };
+  std::vector<Slot> table(capacity);
+  for (uint32_t s = 0; s < n; ++s) {
+    const std::vector<TokenId>& tokens = corpus.tokens(s);
+    const bool is_r = sides.IsR(s);
+    uint64_t h = is_r ? 0x51ed27066cd3a4b1ull : 0;
+    for (const TokenId token : tokens) {
+      h = (std::rotl(h, 5) ^ token) * 0x9e3779b97f4a7c15ull;
+    }
+    h = Mix64(h ^ tokens.size());
+    const uint32_t tag = static_cast<uint32_t>(h >> 32);
+    for (size_t i = h & mask;; i = (i + 1) & mask) {
+      Slot& slot = table[i];
+      if (slot.representative == kNoCopy) {
+        slot = Slot{tag, s};
+        classes.representatives.push_back(s);
+        break;
+      }
+      const uint32_t r = slot.representative;
+      if (slot.tag == tag && sides.IsR(r) == is_r &&
+          corpus.tokens(r) == tokens) {
+        classes.next_copy[s] = classes.next_copy[r];
+        classes.next_copy[r] = s;
+        break;
+      }
+    }
+  }
+  return classes;
+}
 
 // Key choice of the grouping-on-one-string strategy (Sec. III-G.3): for a
 // pair (tau, upsilon), tau becomes the key iff
@@ -94,15 +186,17 @@ struct CounterSlot {
   }
 };
 
-// Histogram filter + verify one distinct candidate pair of `corpus`;
-// appends to `out` when the pair joins. Lossless filters only
-// (Sec. III-E); the length and bag filters already ran where the pair
-// was generated (LengthWindow, BagFilter). Both the histogram bound and
-// verification compare an integer SLD against the run's budget for
-// L(a) + L(b), read from `tables`. `cache` (may be null) is the run's
-// corpus-wide token-pair cache; `counts` is the calling worker's slot.
+// Histogram filter + verify one distinct candidate pair of
+// representatives of `corpus`; when the pair joins, appends every pair of
+// their two classes to `out`. Lossless filters only (Sec. III-E); the
+// length and bag filters already ran where the pair was generated
+// (LengthWindow, BagFilter). Both the histogram bound and verification
+// compare an integer SLD against the run's budget for L(a) + L(b), read
+// from `tables`. `cache` (may be null) is the run's corpus-wide
+// token-pair cache; `counts` is the calling worker's slot.
 void FilterAndVerify(const Corpus& corpus, const TsjOptions& options,
-                     const ThresholdTables& tables, CounterSlot* counts,
+                     const ThresholdTables& tables,
+                     const CopyClasses& classes, CounterSlot* counts,
                      TokenPairCache* cache, uint32_t a, uint32_t b,
                      std::vector<TsjPair>* out) {
   const size_t la = corpus.aggregate_length(a);
@@ -125,7 +219,7 @@ void FilterAndVerify(const Corpus& corpus, const TsjOptions& options,
                  options.aligning, &VerifyScratch(), cache);
   counts->verify_work_units += verdict.work_units;
   if (verdict.within_budget) {
-    out->push_back(TsjPair{a, b, NsldFromSld(verdict.sld, la, lb)});
+    classes.AppendPairs(a, b, NsldFromSld(verdict.sld, la, lb), out);
   }
 }
 
@@ -292,8 +386,11 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
   }
   local_info.shuffle_partitions = mr_options.num_partitions;
 
-  std::vector<uint32_t> string_ids(corpus.size());
-  for (uint32_t i = 0; i < corpus.size(); ++i) string_ids[i] = i;
+  // ---- Copy classes: from here on only representatives are generated,
+  // deduped and verified; the results expand by class. -----------------
+  const CopyClasses classes = BuildCopyClasses(corpus, sides);
+  const std::vector<uint32_t>& representatives = classes.representatives;
+  local_info.duplicate_strings = corpus.size() - representatives.size();
 
   // Distinct surviving tokens of one string, in first-occurrence order,
   // in time linear in its token count and with no allocation per call: a
@@ -326,9 +423,9 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
   // pipeline as side inputs; its JobStats are spliced into the pipeline in
   // the documented order (shared-token, massjoin, dedup-verify) below. A
   // failed MassJoin fails the join before the fused job starts.
-  // Token postings (token -> strings containing it) expand similar token
-  // pairs back into string pairs; only the tokens of a similar pair get
-  // one, and each SimilarTokenPair names its two lists in `postings`.
+  // Token postings (token -> representatives containing it) expand similar
+  // token pairs back into string pairs; only the tokens of a similar pair
+  // get one, and each SimilarTokenPair names its two lists in `postings`.
   std::vector<std::vector<uint32_t>> postings;
   std::vector<SimilarTokenPair> token_pair_candidates;
   PipelineStats mass_stats;
@@ -376,9 +473,9 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
       token_pair_candidates.push_back(
           SimilarTokenPair{posting_index(pair.a), posting_index(pair.b)});
     }
-    // Strings are walked in id order, so a string that already holds a
+    // Representatives are walked in id order, so one that already holds a
     // token is the last entry of that token's list: no per-string sort.
-    for (uint32_t s = 0; s < corpus.size(); ++s) {
+    for (const uint32_t s : representatives) {
       for (const TokenId token : corpus.tokens(s)) {
         if (posting_of[token] == kNoPosting) continue;
         std::vector<uint32_t>& list = postings[posting_of[token]];
@@ -425,6 +522,22 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
       }
       for (const uint32_t blank : blanks) {
         emit_if_candidate(empties[i], blank);
+      }
+    }
+  }
+  // Two copies of one token sequence are at NSLD 0, and the pipeline
+  // would generate them iff they share a surviving token, which every
+  // length and bag filter then admits. So each class that holds a
+  // surviving token joins its own pairs here. A class lies within one
+  // side, so an R x P run has no such pair.
+  if (!sides.cross) {
+    for (const uint32_t r : representatives) {
+      if (!classes.HasCopies(r)) continue;
+      const std::vector<TokenId>& tokens = corpus.tokens(r);
+      if (std::any_of(tokens.begin(), tokens.end(), [&](TokenId token) {
+            return surviving[token] != 0;
+          })) {
+        classes.AppendInternalPairs(r, &results);
       }
     }
   }
@@ -572,22 +685,22 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
       });
     };
     // Grouping-on-both-strings: one distinct pair per group.
-    auto reduce_verify = [&corpus, &options, &tables, &counters, pair_cache](
-                             const PairKey& key,
-                             std::span<char> /*duplicates*/,
-                             std::vector<TsjPair>* out) {
+    auto reduce_verify = [&corpus, &options, &tables, &classes, &counters,
+                          pair_cache](const PairKey& key,
+                                      std::span<char> /*duplicates*/,
+                                      std::vector<TsjPair>* out) {
       CounterSlot& counts = counters.Local();
       ++counts.distinct_candidates;
-      FilterAndVerify(corpus, options, tables, &counts, pair_cache,
+      FilterAndVerify(corpus, options, tables, classes, &counts, pair_cache,
                       key.first, key.second, out);
       FlushVerifyCache(pair_cache);  // reduce-group boundary
     };
     streamed = RunFusedMapReduceSorted<uint32_t, uint32_t, uint32_t,
                                        SimilarTokenPair, PairKey, char,
                                        TsjPair>(
-        "tsj-shared-token", "tsj-dedup-verify-both", string_ids, map_tokens,
-        reduce_shared, token_pair_candidates, map_expand, reduce_verify,
-        mr_options, &stage1_stats, &stage2_stats);
+        "tsj-shared-token", "tsj-dedup-verify-both", representatives,
+        map_tokens, reduce_shared, token_pair_candidates, map_expand,
+        reduce_verify, mr_options, &stage1_stats, &stage2_stats);
   } else {
     auto emit_keyed = [](uint32_t a, uint32_t b,
                          PartitionedEmitter<uint32_t, uint32_t>* out) {
@@ -607,7 +720,7 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
     };
     // Grouping-on-one-string: the reducer dedups and verifies all of the
     // key string's candidates.
-    auto reduce_verify = [&corpus, &options, &tables, &counters,
+    auto reduce_verify = [&corpus, &options, &tables, &classes, &counters,
                           pair_cache](const uint32_t& key,
                                       std::span<uint32_t> others,
                                       std::vector<TsjPair>* out) {
@@ -618,17 +731,18 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
         return corpus.aggregate_length(s);
       });
       for (uint32_t other : distinct) {
-        FilterAndVerify(corpus, options, tables, &counts, pair_cache,
-                        std::min(key, other), std::max(key, other), out);
+        FilterAndVerify(corpus, options, tables, classes, &counts,
+                        pair_cache, std::min(key, other), std::max(key, other),
+                        out);
       }
       FlushVerifyCache(pair_cache);  // reduce-group boundary
     };
     streamed = RunFusedMapReduceSorted<uint32_t, uint32_t, uint32_t,
                                        SimilarTokenPair, uint32_t, uint32_t,
                                        TsjPair>(
-        "tsj-shared-token", "tsj-dedup-verify-one", string_ids, map_tokens,
-        reduce_shared, token_pair_candidates, map_expand, reduce_verify,
-        mr_options, &stage1_stats, &stage2_stats);
+        "tsj-shared-token", "tsj-dedup-verify-one", representatives,
+        map_tokens, reduce_shared, token_pair_candidates, map_expand,
+        reduce_verify, mr_options, &stage1_stats, &stage2_stats);
   }
   gauge.Sub(token_pair_candidates.size());
   results.insert(results.end(), streamed.begin(), streamed.end());

@@ -1,6 +1,17 @@
 // Tokenized-String Joiner (TSJ), the paper's core framework (Sec. III):
 // a generate-filter-verify NSLD self-join executed as a MapReduce pipeline.
 //
+//   classes:  strings with identical token-id sequences (within one side
+//             in an R x P run) form a class, and generation, dedup and
+//             verification run over each class's smallest id only. A
+//             verified pair of these representatives stands for every
+//             pair of their two classes, at the same NSLD; the copies
+//             within a class join each other at NSLD 0 iff the class holds
+//             a token that survives M. Classes key on the ordered
+//             sequence, since greedy aligning's cost depends on token
+//             order (though not on which string comes first). Token
+//             frequencies and M count every string; token-free strings
+//             join on their own direct path;
 //   generate: shared-token candidates (one reduce group per token,
 //             Sec. III-C) plus similar-token candidates through a MassJoin
 //             NLD-join over the token space (Sec. III-D, justified by
@@ -8,8 +19,8 @@
 //             have a partner with a different text (a token of length l
 //             is at NLD >= 1/(l+1) from every other text,
 //             MinNldToDifferentString), and only the tokens of a similar
-//             pair get a posting list (token -> strings containing it) to
-//             expand it through;
+//             pair get a posting list (token -> representatives containing
+//             it) to expand it through;
 //   filter:   high-frequency tokens dropped up front (M, Sec. III-G.2);
 //             the Lemma 6 length filter (Sec. III-E.1) and the bag filter
 //             run inside generation: every generator walks its strings in
@@ -42,8 +53,9 @@
 // Both join forms run this one pipeline over one Corpus. The general
 // R x P join (Sec. II-B) copies R's strings and then P's into one corpus
 // and marks the boundary between them; pair enumeration then crosses a
-// token's R strings with its P strings instead of pairing all of them,
-// and nothing else differs.
+// token's R strings with its P strings instead of pairing all of them.
+// Copy classes stay within one side, so no pair within a class is a
+// result; nothing else differs.
 //
 // Every stage runs on the in-process MapReduce engine and records its
 // JobStats into TsjRunInfo::pipeline.
@@ -73,10 +85,16 @@ struct TsjPair {
 ///
 /// The candidate and filter counters, shared_token_candidates through
 /// verify_work_units (similar_token_pairs aside, which MassJoin reports),
-/// are counted in one slot per worker of the fused job and summed once
-/// the job ends: no candidate touches a counter another worker writes.
-/// They count the same at every worker and partition count, except
-/// verify_work_units with the token-pair cache on.
+/// count pairs of representatives, one string per distinct token sequence
+/// (the file comment's classes): the work the pipeline does. result_pairs
+/// counts the output, every pair of the classes a verified pair stands for
+/// and the copies within a class included. The candidate and filter
+/// counters are kept in one slot per worker of the fused job and summed
+/// once the job ends: no candidate touches a counter another worker
+/// writes. They count the same at every worker and partition count, except
+/// verify_work_units with the token-pair cache on. At 1 worker every
+/// counter of the run repeats from run to run, peak_shuffle_records
+/// included.
 struct TsjRunInfo {
   /// Per-job MapReduce statistics, in execution order. The run's spill and
   /// task counters are its totals (PipelineStats::total_spilled_records(),
@@ -86,6 +104,11 @@ struct TsjRunInfo {
 
   /// Distinct tokens ignored because they occur in more than M strings.
   uint64_t dropped_tokens = 0;
+  /// Strings whose token-id sequence an earlier string of the same side
+  /// already holds: the corpus's string count minus its classes of
+  /// identical sequences (per side in an R x P run). Token-free strings
+  /// count like any other, though they always join on their own path.
+  uint64_t duplicate_strings = 0;
   /// Candidate pairs the shared-token pass emitted into the dedup shuffle
   /// (pre-dedup, after the length window).
   uint64_t shared_token_candidates = 0;
@@ -143,12 +166,16 @@ struct TsjRunInfo {
   /// Shuffle partition count of every job of the run:
   /// TsjOptions::mapreduce.num_partitions.
   uint64_t shuffle_partitions = 0;
-  /// Pairs in the final result.
+  /// Pairs in the final result, each pair of strings counted once: the
+  /// pairs verified representatives expand to, the copies within a class,
+  /// and the token-free strings' pairs.
   uint64_t result_pairs = 0;
   /// Pipeline-wide high-water mark of shuffle-resident records: one
   /// ShuffleGauge threads through every MapReduce job of the run
   /// (including the MassJoin sub-pipeline) plus the similar-token side
-  /// input held between jobs.
+  /// input held between jobs. The gauge samples what the running tasks
+  /// hold at once, so above 1 worker its peak follows task scheduling
+  /// and moves from run to run; at 1 worker it repeats.
   uint64_t peak_shuffle_records = 0;
 };
 

@@ -24,7 +24,8 @@
 //     SelfJoin and the two-collection Join, on corpora where some strings
 //     carry tokens longer than 64 characters. The serial runs' shared-token,
 //     length-window and bag-filter counts, for both join forms, are
-//     checked against a brute-force count of the same predicates;
+//     checked against a brute-force count of the same predicates over one
+//     representative per distinct token sequence;
 //   * a finite high-frequency cutoff M, with one token at exactly M
 //     strings and another at M + 1, == the oracle's pairs that still
 //     share a surviving token (or, fuzzy, a surviving similar token pair);
@@ -48,7 +49,6 @@
 #include "common/random.h"
 #include "distance/levenshtein.h"
 #include "distance/myers.h"
-#include "distance/normalized_levenshtein.h"
 #include "eval/join_metrics.h"
 #include "gtest/gtest.h"
 #include "hmj/hmj.h"
@@ -398,23 +398,39 @@ struct SharedPairTally {
   }
 };
 
+// TSJ generates and verifies only the first string of each distinct
+// token-id sequence (tsj/tsj.h), so the pass's counters tally these.
+bool IsRepresentative(const Corpus& corpus, uint32_t s) {
+  for (uint32_t earlier = 0; earlier < s; ++earlier) {
+    if (corpus.tokens(earlier) == corpus.tokens(s)) return false;
+  }
+  return true;
+}
+
 TsjRunInfo SerialSelfJoinInfo(const Corpus& corpus,
                               const TsjOptions& options) {
   TsjRunInfo info;
   EXPECT_TRUE(TokenizedStringJoiner(SerialInMemory(options))
                   .SelfJoin(corpus, &info)
                   .ok());
-  // The self-join's shared-token pass considers, per surviving token, the
-  // unordered pairs of its strings.
+  // The self-join's shared-token pass considers, per surviving token (one
+  // in at most M strings, copies included), the unordered pairs of the
+  // representatives that hold it.
+  std::vector<size_t> frequency(corpus.num_distinct_tokens(), 0);
   std::vector<std::vector<uint32_t>> strings_of(corpus.num_distinct_tokens());
   for (uint32_t s = 0; s < corpus.size(); ++s) {
     const std::set<TokenId> distinct(corpus.tokens(s).begin(),
                                      corpus.tokens(s).end());
-    for (const TokenId token : distinct) strings_of[token].push_back(s);
+    const bool representative = IsRepresentative(corpus, s);
+    for (const TokenId token : distinct) {
+      ++frequency[token];
+      if (representative) strings_of[token].push_back(s);
+    }
   }
   SharedPairTally tally;
-  for (const std::vector<uint32_t>& strings : strings_of) {
-    if (strings.size() > options.max_token_frequency) continue;
+  for (TokenId token = 0; token < strings_of.size(); ++token) {
+    if (frequency[token] > options.max_token_frequency) continue;
+    const std::vector<uint32_t>& strings = strings_of[token];
     for (size_t i = 0; i < strings.size(); ++i) {
       for (size_t j = i + 1; j < strings.size(); ++j) {
         tally.Add(options, corpus.aggregate_length(strings[i]),
@@ -435,18 +451,26 @@ TsjRunInfo SerialRpJoinInfo(const Corpus& r_corpus, const Corpus& p_corpus,
                   .Join(r_corpus, p_corpus, &info)
                   .ok());
   // The R x P shared-token pass considers, per surviving token text (one
-  // in at most M strings of R and P together), the pairs of its R strings
-  // with its P strings. Token ids are corpus-relative, so the strings of
-  // a token are gathered by its text.
+  // in at most M strings of R and P together, copies included), the pairs
+  // of the R representatives that hold it with the P representatives that
+  // hold it. Copy classes lie within one side, so each corpus has its own
+  // representatives. Token ids are corpus-relative, so the strings of a
+  // token are gathered by its text.
+  std::map<std::string, size_t> frequency;
   std::map<std::string, std::vector<uint32_t>> r_strings_of;
   std::map<std::string, std::vector<uint32_t>> p_strings_of;
-  auto gather = [](const Corpus& corpus,
-                   std::map<std::string, std::vector<uint32_t>>* strings_of) {
+  auto gather = [&frequency](
+                    const Corpus& corpus,
+                    std::map<std::string, std::vector<uint32_t>>* strings_of) {
     for (uint32_t s = 0; s < corpus.size(); ++s) {
       const std::set<TokenId> distinct(corpus.tokens(s).begin(),
                                        corpus.tokens(s).end());
+      const bool representative = IsRepresentative(corpus, s);
       for (const TokenId token : distinct) {
-        (*strings_of)[corpus.token_text(token)].push_back(s);
+        ++frequency[corpus.token_text(token)];
+        if (representative) {
+          (*strings_of)[corpus.token_text(token)].push_back(s);
+        }
       }
     }
   };
@@ -457,7 +481,7 @@ TsjRunInfo SerialRpJoinInfo(const Corpus& r_corpus, const Corpus& p_corpus,
     const auto it = p_strings_of.find(text);
     if (it == p_strings_of.end()) continue;
     const std::vector<uint32_t>& ps = it->second;
-    if (rs.size() + ps.size() > options.max_token_frequency) continue;
+    if (frequency[text] > options.max_token_frequency) continue;
     for (const uint32_t r : rs) {
       for (const uint32_t p : ps) {
         tally.Add(options, r_corpus.aggregate_length(r), r_corpus.char_bag(r),
@@ -577,11 +601,12 @@ TEST(DifferentialTest, FiniteTokenFrequencyCutoffMatchesOracle) {
   // The other join-level differentials set M = 1 << 30, so no token ever
   // meets the cutoff. Here each round picks M so that one token sits in
   // exactly M strings (it survives) and another in M + 1 (it is dropped).
-  // A brute-force pair is then expected iff a surviving token of a and a
+  // A brute-force pair is then expected iff it meets the cutoff's rule
+  // (testutil::JoinableUnderCutoff): a surviving token of a and a
   // surviving token of b are equal (either matching) or, under fuzzy
-  // matching, within NLD T of each other; or iff one string has no tokens
-  // and the other has no tokens or only empty ones (TSJ emits those
-  // directly, whatever M).
+  // matching, within NLD T of each other; or one string has no tokens and
+  // the other has no tokens or only empty ones (TSJ emits those directly,
+  // whatever M).
   Rng rng(81726354);
   constexpr int kRounds = 12;
   uint64_t cut_pairs[2] = {0, 0};  // pairs the cutoff removed, per matching
@@ -602,28 +627,17 @@ TEST(DifferentialTest, FiniteTokenFrequencyCutoffMatchesOracle) {
     // accepts take part.
     auto joinable = [&](uint32_t a, uint32_t b, TokenMatching matching,
                         const auto& survives) {
-      const auto ta = corpus.tokens(a);
-      const auto tb = corpus.tokens(b);
-      if ((ta.empty() && corpus.aggregate_length(b) == 0) ||
-          (tb.empty() && corpus.aggregate_length(a) == 0)) {
-        return true;
-      }
-      for (const TokenId x : ta) {
-        if (!survives(x)) continue;
-        for (const TokenId y : tb) {
-          if (!survives(y)) continue;
-          if (x == y) return true;
-          if (matching == TokenMatching::kFuzzy &&
-              NormalizedLevenshtein(corpus.token_text(x),
-                                    corpus.token_text(y)) <= t) {
-            return true;
-          }
-        }
-      }
-      return false;
+      return testutil::JoinableUnderCutoff(
+          corpus.Materialize(a), corpus.Materialize(b), matching, t, survives);
     };
-    const auto below_cutoff = [&](TokenId x) { return frequency[x] <= m; };
-    const auto every_token = [](TokenId) { return true; };
+    std::map<std::string, uint32_t> frequency_of;
+    for (TokenId token = 0; token < corpus.num_distinct_tokens(); ++token) {
+      frequency_of[corpus.token_text(token)] = frequency[token];
+    }
+    const auto below_cutoff = [&](const std::string& text) {
+      return frequency_of.at(text) <= m;
+    };
+    const auto every_token = [](const std::string&) { return true; };
     const std::vector<TsjPair> oracle = BruteForceNsldSelfJoin(corpus, t);
 
     for (TokenMatching matching :

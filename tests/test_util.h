@@ -12,6 +12,7 @@
 
 #include "common/fault.h"
 #include "common/random.h"
+#include "distance/normalized_levenshtein.h"
 #include "tokenized/corpus.h"
 #include "tokenized/sld.h"
 #include "tokenized/tokenized_string.h"
@@ -140,6 +141,34 @@ inline std::vector<TsjPair> BruteForceRP(const Corpus& r, const Corpus& p,
     }
   }
   return pairs;
+}
+
+/// The high-frequency cutoff's rule (Sec. III-G.2) for a pair the oracle
+/// joins: TSJ finds it iff a token of x and a token of y that `survives`
+/// accepts (by text) are equal (either matching) or, under fuzzy matching,
+/// within NLD t of each other; or iff one string has no tokens and the
+/// other has no tokens or only empty ones (TSJ joins those directly,
+/// whatever M).
+template <typename Survives>
+bool JoinableUnderCutoff(const TokenizedString& x, const TokenizedString& y,
+                         TokenMatching matching, double t,
+                         const Survives& survives) {
+  if ((x.empty() && AggregateLength(y) == 0) ||
+      (y.empty() && AggregateLength(x) == 0)) {
+    return true;
+  }
+  for (const std::string& tx : x) {
+    if (!survives(tx)) continue;
+    for (const std::string& ty : y) {
+      if (!survives(ty)) continue;
+      if (tx == ty) return true;
+      if (matching == TokenMatching::kFuzzy &&
+          NormalizedLevenshtein(tx, ty) <= t) {
+        return true;
+      }
+    }
+  }
+  return false;
 }
 
 /// Re-arms the fault injector from CC_FAULT_SPEC when it goes out of scope,

@@ -2,7 +2,10 @@
 // force, orientation, approximation containment, and parity with SelfJoin
 // semantics.
 
+#include <map>
 #include <set>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -22,6 +25,15 @@ PairSet ToSet(const std::vector<TsjPair>& pairs) {
   PairSet s;
   for (const auto& p : pairs) s.emplace(p.a, p.b);
   return s;
+}
+
+// (pair, NSLD) as an order-free set, NSLD compared bit for bit.
+using PairNsldSet = std::set<std::tuple<uint32_t, uint32_t, double>>;
+
+PairNsldSet ToPairNsldSet(const std::vector<TsjPair>& pairs) {
+  PairNsldSet set;
+  for (const TsjPair& p : pairs) set.emplace(p.a, p.b, p.nsld);
+  return set;
 }
 
 Corpus MakeCorpus(Rng* rng, size_t n) {
@@ -148,6 +160,93 @@ TEST(TsjRpJoinTest, CrossCollectionFrequencyCutoff) {
   const auto full = TokenizedStringJoiner(uncapped).Join(r, p);
   ASSERT_TRUE(full.ok());
   EXPECT_FALSE(full->empty());
+}
+
+TEST(TsjRpJoinTest, CopiesWithinAndAcrossSidesMatchBruteForce) {
+  // Copy classes lie within one side: {barak, obama} has copies in R and
+  // in P, so it is one class on each side, and its R x P pairs come from
+  // verifying the two representatives. {smith} and {smith, kowalski} put
+  // "smith" in 8 strings of R and P together, so M = 7 drops it. Blank
+  // and token-free copies sit on both sides. Every run must return brute
+  // force's pairs under the cutoff's rule, each once.
+  Corpus r, p;
+  auto add = [](Corpus* corpus, const TokenizedString& name, int copies) {
+    for (int c = 0; c < copies; ++c) corpus->AddString(name);
+  };
+  add(&r, {"barak", "obama"}, 2);
+  add(&p, {"anna", "lea"}, 1);
+  add(&r, {"obama", "barak"}, 1);
+  add(&p, {"barak", "obama"}, 3);
+  add(&r, {"anna", "lee"}, 3);
+  add(&p, {"smith"}, 3);
+  add(&r, {"smith"}, 3);
+  add(&p, {"anna", "lea"}, 1);
+  add(&r, {"abcdefghij"}, 2);
+  add(&p, {"abcdefghik"}, 2);
+  add(&p, {"smith", "kowalski"}, 2);
+  add(&r, {""}, 2);
+  add(&p, {"", ""}, 1);
+  add(&r, {}, 2);
+  add(&p, {}, 1);
+  add(&r, {"barak", "obama"}, 1);
+  auto duplicates = [](const Corpus& corpus) {
+    std::set<std::vector<TokenId>> distinct;
+    for (uint32_t s = 0; s < corpus.size(); ++s) {
+      distinct.insert(corpus.tokens(s));
+    }
+    return corpus.size() - distinct.size();
+  };
+  std::map<std::string, uint32_t> frequency_of;  // over R and P together
+  for (const Corpus* corpus : {&r, &p}) {
+    for (uint32_t s = 0; s < corpus->size(); ++s) {
+      const TokenizedString name = corpus->Materialize(s);
+      for (const std::string& text :
+           std::set<std::string>(name.begin(), name.end())) {
+        ++frequency_of[text];
+      }
+    }
+  }
+  ASSERT_EQ(frequency_of.at("smith"), 8u);
+  const double t = 0.15;
+  const std::vector<TsjPair> oracle = testutil::BruteForceRP(r, p, t);
+  for (const uint32_t m : {7u, 8u}) {
+    const auto survives = [&](const std::string& text) {
+      return frequency_of.at(text) <= m;
+    };
+    for (const TokenMatching matching :
+         {TokenMatching::kFuzzy, TokenMatching::kExact}) {
+      PairNsldSet expected;
+      for (const TsjPair& pair : oracle) {
+        if (testutil::JoinableUnderCutoff(r.Materialize(pair.a),
+                                          p.Materialize(pair.b), matching, t,
+                                          survives)) {
+          expected.emplace(pair.a, pair.b, pair.nsld);
+        }
+      }
+      for (const DedupStrategy dedup : {DedupStrategy::kGroupOnOneString,
+                                        DedupStrategy::kGroupOnBothStrings}) {
+        for (const size_t workers : {size_t{1}, size_t{4}}) {
+          TsjOptions options = Lossless(t);
+          options.max_token_frequency = m;
+          options.matching = matching;
+          options.dedup = dedup;
+          options.mapreduce.num_workers = workers;
+          TsjRunInfo info;
+          const auto result = TokenizedStringJoiner(options).Join(r, p, &info);
+          ASSERT_TRUE(result.ok());
+          const std::string context =
+              "M=" + std::to_string(m) +
+              " matching=" + std::to_string(static_cast<int>(matching)) +
+              " dedup=" + std::to_string(static_cast<int>(dedup)) +
+              " workers=" + std::to_string(workers);
+          EXPECT_EQ(ToPairNsldSet(*result), expected) << context;
+          EXPECT_EQ(result->size(), expected.size()) << context;
+          EXPECT_EQ(info.duplicate_strings, duplicates(r) + duplicates(p))
+              << context;
+        }
+      }
+    }
+  }
 }
 
 TEST(TsjRpJoinTest, EmptyCorpora) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <set>
 #include <string>
 #include <tuple>
@@ -550,6 +551,157 @@ TEST(TsjTest, BlankStringsPairWithTokenFreeOnes) {
     ASSERT_TRUE(rp.ok());
     EXPECT_EQ(rp->size(), 4u);
     EXPECT_EQ(ToSet(*rp), (PairSet{{0u, 0u}, {0u, 1u}, {1u, 0u}, {1u, 1u}}));
+  }
+}
+
+TEST(TsjTest, CopiesOfANameJoinLikeBruteForce) {
+  // TSJ generates and verifies one representative per identical token
+  // sequence and expands its results by class. These classes sit at its
+  // edges: names with 2-6 exact copies, near-copies joined only through a
+  // similar token, a reorder (two classes), six copies of a one-token name
+  // whose token is dropped at M = 8, a class with one dropped and one
+  // surviving token, blank copies and token-free copies. The ids
+  // interleave, so a member pair can run against its representatives'
+  // order. Every run must return brute force's pairs under the cutoff's
+  // rule, each once.
+  const std::vector<std::pair<TokenizedString, int>> names = {
+      {{"anna", "lee"}, 2},
+      {{"anna", "lea"}, 3},
+      {{"maria", "garcia", "lopez"}, 4},
+      {{"maria", "garcia", "lopes"}, 2},
+      {{"wei", "zhang"}, 5},
+      {{"wei", "zhan"}, 1},
+      {{"abcdefghij"}, 2},
+      {{"abcdefghik"}, 3},
+      {{"barak", "obama"}, 2},
+      {{"obama", "barak"}, 2},
+      {{"smith"}, 6},
+      {{"smith", "kowalski"}, 3},
+      {{""}, 3},
+      {{"", ""}, 2},
+      {{}, 3},
+  };
+  std::vector<TokenizedString> order;
+  for (const auto& [name, copies] : names) {
+    for (int c = 0; c < copies; ++c) order.push_back(name);
+  }
+  Rng rng(2718);
+  rng.Shuffle(&order);
+  Corpus corpus;
+  std::vector<StringId> smiths;
+  for (const TokenizedString& name : order) {
+    const StringId id = corpus.AddString(name);
+    if (name == TokenizedString{"smith"}) smiths.push_back(id);
+  }
+  std::set<std::vector<TokenId>> sequences;
+  for (uint32_t s = 0; s < corpus.size(); ++s) {
+    sequences.insert(corpus.tokens(s));
+  }
+  std::map<std::string, uint32_t> frequency_of;
+  const std::vector<uint32_t> frequency =
+      corpus.ComputeTokenStringFrequencies();
+  for (TokenId token = 0; token < corpus.num_distinct_tokens(); ++token) {
+    frequency_of[corpus.token_text(token)] = frequency[token];
+  }
+  ASSERT_EQ(frequency_of.at("smith"), 9u);
+  const double t = 0.15;
+  const std::vector<TsjPair> oracle = BruteForceNsldSelfJoin(corpus, t);
+  for (const uint32_t m : {8u, 9u}) {
+    const auto survives = [&](const std::string& text) {
+      return frequency_of.at(text) <= m;
+    };
+    for (const TokenMatching matching :
+         {TokenMatching::kFuzzy, TokenMatching::kExact}) {
+      PairNsldSet expected;
+      for (const TsjPair& p : oracle) {
+        if (testutil::JoinableUnderCutoff(corpus.Materialize(p.a),
+                                          corpus.Materialize(p.b), matching,
+                                          t, survives)) {
+          expected.emplace(p.a, p.b, p.nsld);
+        }
+      }
+      for (const DedupStrategy dedup : {DedupStrategy::kGroupOnOneString,
+                                        DedupStrategy::kGroupOnBothStrings}) {
+        for (const size_t workers : {size_t{1}, size_t{4}}) {
+          TsjOptions options = Lossless(t);
+          options.max_token_frequency = m;
+          options.matching = matching;
+          options.dedup = dedup;
+          options.mapreduce.num_workers = workers;
+          TsjRunInfo info;
+          const auto result =
+              TokenizedStringJoiner(options).SelfJoin(corpus, &info);
+          ASSERT_TRUE(result.ok());
+          const std::string context =
+              "M=" + std::to_string(m) +
+              " matching=" + std::to_string(static_cast<int>(matching)) +
+              " dedup=" + std::to_string(static_cast<int>(dedup)) +
+              " workers=" + std::to_string(workers);
+          EXPECT_EQ(ToPairNsldSet(*result), expected) << context;
+          EXPECT_EQ(result->size(), expected.size()) << context;
+          EXPECT_EQ(info.result_pairs, result->size()) << context;
+          EXPECT_EQ(info.duplicate_strings, corpus.size() - sequences.size())
+              << context;
+          // The six copies of {smith} share only "smith" (in 9 strings).
+          size_t smith_pairs = 0;
+          for (const TsjPair& p : *result) {
+            smith_pairs += std::count(smiths.begin(), smiths.end(), p.a) *
+                           std::count(smiths.begin(), smiths.end(), p.b);
+          }
+          EXPECT_EQ(smith_pairs, m == 8 ? 0u : 15u) << context;
+        }
+      }
+    }
+  }
+}
+
+TEST(TsjTest, GreedyAligningKeepsTokenOrder) {
+  // x and x' hold one token multiset in two orders. Greedy aligning's cost
+  // depends on the order: it aligns x' with y at SLD 3 (NSLD 0.375) but x
+  // with y at SLD 5 (NSLD 10/18). So copies are classed by the ordered
+  // sequence, and a copy of each must get its own original's value; exact
+  // aligning joins both with y at 0.375.
+  const TokenizedString x = {"aba", "a", "b"};
+  const TokenizedString x_reordered = {"b", "a", "aba"};
+  const TokenizedString y = {"ba", "aa", "baba"};
+  ASSERT_EQ(Sld(x_reordered, y, TokenAligning::kGreedy), 3);
+  ASSERT_EQ(Sld(x, y, TokenAligning::kGreedy), 5);
+  ASSERT_EQ(Sld(x, y, TokenAligning::kExact), 3);
+  Corpus corpus;
+  const std::vector<TokenizedString> strings = {x, x_reordered, y, x,
+                                                x_reordered};
+  for (const TokenizedString& s : strings) corpus.AddString(s);
+  const double t = 0.4;
+  for (const TokenAligning aligning :
+       {TokenAligning::kExact, TokenAligning::kGreedy}) {
+    const bool greedy = aligning == TokenAligning::kGreedy;
+    PairNsldSet oracle;
+    for (uint32_t i = 0; i < strings.size(); ++i) {
+      for (uint32_t j = i + 1; j < strings.size(); ++j) {
+        const double nsld =
+            NsldFromSld(Sld(strings[i], strings[j], aligning),
+                        AggregateLength(strings[i]),
+                        AggregateLength(strings[j]));
+        if (nsld <= t) oracle.emplace(i, j, nsld);
+      }
+    }
+    // y (id 2) joins x' (ids 1, 4) at 0.375, and x (ids 0, 3) only when
+    // aligning is exact.
+    EXPECT_EQ(oracle.count({1u, 2u, 0.375}), 1u);
+    EXPECT_EQ(oracle.count({2u, 4u, 0.375}), 1u);
+    EXPECT_EQ(oracle.count({0u, 2u, 0.375}), greedy ? 0u : 1u);
+    EXPECT_EQ(oracle.count({2u, 3u, 0.375}), greedy ? 0u : 1u);
+    for (const DedupStrategy dedup : {DedupStrategy::kGroupOnOneString,
+                                      DedupStrategy::kGroupOnBothStrings}) {
+      TsjOptions options = Lossless(t);
+      options.aligning = aligning;
+      options.dedup = dedup;
+      const auto result = TokenizedStringJoiner(options).SelfJoin(corpus);
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(ToPairNsldSet(*result), oracle)
+          << "greedy=" << greedy << " dedup=" << static_cast<int>(dedup);
+      EXPECT_EQ(result->size(), oracle.size());
+    }
   }
 }
 

@@ -10,12 +10,15 @@
 //            [--aligning exact|greedy] [--matching fuzzy|exact]
 //            [--dedup one|both] [--stats]
 //
-// --stats prints the run's counters to stderr: among them the pairs the
-// length window and the bag filter skipped during generation (before
-// dedup), and the distinct candidates the histogram filter pruned. Its
-// "wall seconds" time the whole join call; the "in jobs" line under it is
-// the part spent inside the MapReduce jobs, so the serial work between
-// them is the difference.
+// --stats prints the run's counters to stderr: among them the duplicate
+// strings (lines whose token sequence an earlier line already holds; the
+// join generates and verifies each sequence once), the pairs the length
+// window and the bag filter skipped during generation (before dedup), and
+// the distinct candidates the histogram filter pruned. The candidate and
+// filter lines count pairs of distinct sequences, and "pairs" every joined
+// pair of lines. The "wall seconds" line times the whole join call; the
+// "in jobs" line under it is the part spent inside the MapReduce jobs, so
+// the serial work between them is the difference.
 //
 // Exit status: 0 on success; 1 when the input cannot be read, the join
 // fails, or the pairs cannot be written; 2 on bad arguments.
@@ -169,6 +172,7 @@ int main(int argc, char** argv) {
     std::cerr << "strings:              " << loaded->corpus.size() << "\n"
               << "distinct tokens:      "
               << loaded->corpus.num_distinct_tokens() << "\n"
+              << "duplicate strings:    " << info.duplicate_strings << "\n"
               << "dropped tokens (>M):  " << info.dropped_tokens << "\n"
               << "length-skipped:       " << info.length_filtered << "\n"
               << "bag-skipped:          " << info.bag_filtered << "\n"
