@@ -1,17 +1,16 @@
 // Ablation study of TSJ's design choices (not a paper figure): measures,
-// on one workload, what the dedup strategy, the two approximations and the
-// token-pair cache (with its per-worker L1 tier) contribute in
-// candidate/verification counts, per-tier cache hit rates, peak
-// shuffle-resident records and measured wall time: every row runs
-// kRowRuns joins and prints their median with the min-max range, since a
-// single join of tens of milliseconds swings by tens of percent between
-// runs. Complements Figs. 1-5, which report the paper's own parameter
-// sweeps. The filters (the Lemma 6 length window, the bag and the
-// histogram filters) and the budgeted token-id verification have no
-// switch, so they run in every row.
+// on one workload, what the dedup strategy and the two approximations
+// contribute in candidate/verification counts, peak shuffle-resident
+// records and measured wall time: every row runs kRowRuns joins and
+// prints their median with the min-max range, since a single join of tens
+// of milliseconds swings by tens of percent between runs. Complements
+// Figs. 1-5, which report the paper's own parameter sweeps. The filters
+// (the Lemma 6 length window, the bag and the histogram filters) and the
+// budgeted token-id verification have no switch, so they run in every
+// row.
 //
 // A workers sweep table runs the full configuration at workers=1 and
-// workers=hw, with the L1/shared hit split and flush-batch counts.
+// workers=hw.
 //
 // The out-of-core spill row runs the full configuration under a memory
 // budget of a quarter of its own in-memory shuffle peak
@@ -132,12 +131,6 @@ void ExitIfInconsistent(const std::string& name,
   }
 }
 
-std::string PercentOrDash(uint64_t part, uint64_t whole) {
-  if (whole == 0) return "-";
-  return TablePrinter::Fmt(
-      100.0 * static_cast<double>(part) / static_cast<double>(whole), 1);
-}
-
 void Run() {
   bench::PrintHeader("Ablation", "contribution of each TSJ design choice");
   const auto workload =
@@ -166,31 +159,16 @@ void Run() {
     o.matching = TokenMatching::kExact;
     rows.push_back({"exact-token-matching", o, /*lossless=*/false});
   }
-  {
-    // Cache-only ablation: cross-candidate token-pair memoization dropped.
-    TsjOptions o = base;
-    o.enable_token_pair_cache = false;
-    rows.push_back({"- token pair cache", o});
-  }
 
   TablePrinter table({"configuration", "pairs", "distinct cands", "verified",
-                      "verify work", "L1 hit%", "shared hit%", "flushes",
-                      "peak shuffle", "wall ms, median (min-max)"});
+                      "verify work", "peak shuffle",
+                      "wall ms, median (min-max)"});
   auto add_row = [&table](const std::string& name, const RowRun& run) {
     const TsjRunInfo& info = run.info;
-    const uint64_t l1_probes =
-        info.token_pair_cache_l1_hits + info.token_pair_cache_l1_misses;
-    const uint64_t shared_probes =
-        info.token_pair_cache_hits + info.token_pair_cache_misses;
     table.AddRow({name, TablePrinter::Fmt(uint64_t{run.pairs.size()}),
                   TablePrinter::Fmt(info.distinct_candidates),
                   TablePrinter::Fmt(info.verified_candidates),
                   TablePrinter::Fmt(info.verify_work_units),
-                  PercentOrDash(info.token_pair_cache_l1_hits, l1_probes),
-                  PercentOrDash(info.token_pair_cache_hits, shared_probes),
-                  info.token_pair_cache_flush_batches == 0
-                      ? std::string("-")
-                      : TablePrinter::Fmt(info.token_pair_cache_flush_batches),
                   TablePrinter::Fmt(info.peak_shuffle_records),
                   WallCell(run)});
   };
@@ -284,13 +262,12 @@ void Run() {
   std::cout << "\nexpectations: every row but the two approximations joins "
                "the full row's pairs with the same NSLD values, and the "
                "approximations only shrink the result (checked: the "
-               "harness exits 1 otherwise); disabling the token-pair "
-               "cache changes only the work/traffic/wall columns.\n";
+               "harness exits 1 otherwise).\n";
 
   // ---- Workers sweep: the full configuration at 1 and hw workers. -------
   std::cout << "\n";
-  TablePrinter sweep_table({"workers", "L1 hit%", "shared hit%", "flushes",
-                            "peak shuffle", "wall ms, median (min-max)"});
+  TablePrinter sweep_table(
+      {"workers", "peak shuffle", "wall ms, median (min-max)"});
   std::vector<size_t> worker_counts = {1};
   if (hw > 1) worker_counts.push_back(hw);
   for (const size_t workers : worker_counts) {
@@ -302,19 +279,9 @@ void Run() {
         TimedRow(o, workload.corpus, [&](const std::vector<TsjPair>& pairs) {
           ExitIfInconsistent(name, pairs, full_set, /*lossless=*/true);
         });
-    const TsjRunInfo& info = run.info;
-    const uint64_t l1_probes =
-        info.token_pair_cache_l1_hits + info.token_pair_cache_l1_misses;
-    const uint64_t shared_probes =
-        info.token_pair_cache_hits + info.token_pair_cache_misses;
-    sweep_table.AddRow(
-        {TablePrinter::Fmt(uint64_t{workers}),
-         PercentOrDash(info.token_pair_cache_l1_hits, l1_probes),
-         PercentOrDash(info.token_pair_cache_hits, shared_probes),
-         info.token_pair_cache_flush_batches == 0
-             ? std::string("-")
-             : TablePrinter::Fmt(info.token_pair_cache_flush_batches),
-         TablePrinter::Fmt(info.peak_shuffle_records), WallCell(run)});
+    sweep_table.AddRow({TablePrinter::Fmt(uint64_t{workers}),
+                        TablePrinter::Fmt(run.info.peak_shuffle_records),
+                        WallCell(run)});
   }
   std::cout << "workers sweep (full configuration):\n";
   sweep_table.Print(std::cout);

@@ -132,9 +132,7 @@ inline double SavingPercent(double reference, double value) {
 /// and the savings of the two approximations over fuzzy matching on both.
 /// The work units are a count, so the Hungarian-vs-greedy cost gap stays
 /// visible when it is smaller than the timing noise. They repeat exactly
-/// at one worker; at more, a token pair's later verifications hit the
-/// token-pair cache or not depending on which worker computed it first,
-/// which moves the count by a few percent between runs.
+/// at any worker count.
 class MatchingSweep {
  public:
   explicit MatchingSweep(const std::string& sweep_label)

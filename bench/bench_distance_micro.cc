@@ -17,7 +17,6 @@
 #include "tokenized/bounds.h"
 #include "tokenized/corpus.h"
 #include "tokenized/sld.h"
-#include "tokenized/token_pair_cache.h"
 #include "workload/name_generator.h"
 
 namespace tsj {
@@ -200,8 +199,7 @@ BENCHMARK(BM_HungarianBounded)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
 // join runs: BM_SldExact above is the unbounded byte-level baseline. The
 // reject rows bound a dissimilar pair at the NSLD-threshold budget (early
 // abort, the common case); the accept rows verify identical multisets
-// (SLD 0) cold, and warm through a corpus-wide TokenPairCache primed by
-// the first iteration.
+// (SLD 0).
 void BM_BoundedSldReject(benchmark::State& state) {
   Rng rng(10);
   const size_t tokens = static_cast<size_t>(state.range(0));
@@ -227,7 +225,6 @@ BENCHMARK(BM_BoundedSldReject)->Arg(2)->Arg(4)->Arg(8);
 void BM_BoundedSldAccept(benchmark::State& state) {
   Rng rng(11);
   const size_t num_tokens = static_cast<size_t>(state.range(0));
-  const bool cached = state.range(1) != 0;
   TokenizedString x, y;
   for (size_t i = 0; i < num_tokens; ++i) {
     x.push_back(MakeString(&rng, 6));
@@ -239,20 +236,13 @@ void BM_BoundedSldAccept(benchmark::State& state) {
   const int64_t budget = SldBudgetFromThreshold(0.1, AggregateLength(x),
                                                 AggregateLength(y));
   SldVerifyScratch scratch;
-  TokenPairCache cache;
   for (auto _ : state) {
     benchmark::DoNotOptimize(BoundedSld(corpus, corpus.tokens(xid),
                                         corpus.tokens(yid), budget,
-                                        TokenAligning::kExact, &scratch,
-                                        cached ? &cache : nullptr));
+                                        TokenAligning::kExact, &scratch));
   }
 }
-BENCHMARK(BM_BoundedSldAccept)
-    ->Args({2, 0})
-    ->Args({4, 0})
-    ->Args({8, 0})
-    ->Args({2, 1})
-    ->Args({8, 1});
+BENCHMARK(BM_BoundedSldAccept)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_SldGreedy(benchmark::State& state) {
   Rng rng(8);

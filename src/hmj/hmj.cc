@@ -173,11 +173,9 @@ class HmjRunner {
   // values, so Distance above runs at a budget that never binds, but the
   // final join check only needs a verdict against the threshold, so the
   // NSLD threshold converts to an integer SLD budget and the bounded
-  // engine skips the work a doomed pair would waste. Runs without a
-  // token-pair cache: on the Fig. 7 workload one cost more time and memory
-  // than it saved. Returns true iff NSLD(a, b) <= threshold, with *nsld
-  // then holding the exact NSLD — identical to the Distance-based decision
-  // and value.
+  // engine skips the work a doomed pair would waste. Returns true iff
+  // NSLD(a, b) <= threshold, with *nsld then holding the exact NSLD —
+  // identical to the Distance-based decision and value.
   bool DistanceWithin(HmjCounts* counts, uint32_t a, uint32_t b,
                       double* nsld) {
     ++counts->distance_computations;

@@ -109,7 +109,7 @@ struct HmjRunInfo {
   /// partition is repartitioned.
   uint64_t assignments = 0;
   /// Always 0; read by perfbench/; delete at the next benchmark change
-  /// (ROADMAP item 6).
+  /// (ROADMAP item 5).
   uint64_t batched_verify_calls = 0;
   uint64_t batched_verify_lanes_filled = 0;
   uint64_t batched_verify_lane_slots = 0;

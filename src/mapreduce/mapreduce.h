@@ -159,16 +159,6 @@ struct MapReduceOptions {
   /// pipeline can observe one peak across all of its jobs plus whatever
   /// intermediate vectors it adds manually (tsj/tsj.cc does).
   ShuffleGauge* shuffle_gauge = nullptr;
-  /// Optional hook invoked on the worker thread right after it finishes
-  /// reducing one partition (in the fused runner, after each stage-1 and
-  /// each stage-2 partition). Lets reduce
-  /// functions that batch per-thread side state across groups drain it at
-  /// a guaranteed coarser boundary — tsj uses it to flush each verify
-  /// worker's deferred token-pair-cache upserts (tokenized/sld.h), so
-  /// everything a job computed reaches the shared tier by job end even
-  /// when no group-level batch ever filled. Must be thread-safe across
-  /// concurrent partitions.
-  std::function<void()> reduce_partition_epilogue;
 
   /// External-memory spill budget (see the "Spill / merge contract"
   /// section of the file comment): the maximum number of shuffle records
@@ -1265,9 +1255,6 @@ void RunReduceStage(SortedJob& job,
         }
         done(p);
         job.gauge.Sub(released);
-        if (job.options.reduce_partition_epilogue) {
-          job.options.reduce_partition_epilogue();
-        }
       });
   for (uint64_t groups : num_groups) stats->num_groups += groups;
   stats->reduce_wall_seconds = watch.ElapsedSeconds();

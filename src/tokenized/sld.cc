@@ -12,7 +12,6 @@
 #include "distance/levenshtein.h"
 #include "distance/myers.h"
 #include "tokenized/corpus.h"
-#include "tokenized/token_pair_cache.h"
 
 namespace tsj {
 
@@ -91,20 +90,6 @@ void ComputeDuplicateReps(std::span<const TokenId> ids, size_t k,
   }
 }
 
-// Cost-model gates for the two cache tiers, in banded-DP-cell units
-// (calibrated against bench_distance_micro: MyersBounded on ~tiny tokens
-// runs in a few tens of nanoseconds). The shared-shard round-trip costs a
-// spinlock acquisition plus one or two remote cache lines — the original
-// gate of 32 units; the L1 probe is two private, lock-free slots, so its
-// gate sits far lower: only edges whose modeled kernel cost is below even
-// that recompute outright. Edges between the gates probe the L1 only — an
-// L1 miss recomputes rather than paying the shard round-trip, and the
-// value stays worker-local (publishing it would cost more than its
-// kernel; see token_pair_cache.h). Lossless: gating changes only *where*
-// an edge's value is found, never the value itself.
-constexpr uint64_t kMinKernelUnitsToProbeCache = 16;
-constexpr uint64_t kMinKernelUnitsToProbeSharedShards = 32;
-
 // An edge's work in the cost model of SldWorkUnits: the cells a banded
 // Levenshtein DP with bound `cap` would fill, never more than the
 // len_x*len_y term. The Myers kernel computes the edge; the count keeps
@@ -170,14 +155,11 @@ int64_t SldBudgetFromThreshold(double threshold, size_t len_x, size_t len_y) {
   return budget;
 }
 
-// `cache` is consulted at the edge kernel's effective bound — min(row cap,
-// longer token length) — so a served value is bit-identical to what the
-// Myers kernel would have computed.
 BoundedSldResult BoundedSld(const Corpus& corpus,
                             std::span<const TokenId> x_ids,
                             std::span<const TokenId> y_ids, int64_t budget,
                             TokenAligning aligning, SldVerifyScratch* scratch,
-                            TokenPairCache* cache) {
+                            std::nullptr_t) {
   const TokenSide x{&corpus, x_ids};
   const TokenSide y{&corpus, y_ids};
   BoundedSldResult result;
@@ -208,12 +190,6 @@ BoundedSldResult BoundedSld(const Corpus& corpus,
   // lose to every unclamped edge exactly as their true costs would), which
   // the tighter per-row caps would not.
   const bool tighten = (aligning == TokenAligning::kExact);
-
-  // Two-tier cache probing: bind the scratch's L1 tier to the run's
-  // shared cache once per call — a cheap identity check after the first —
-  // so every gated edge below probes lock-free first.
-  TokenPairL1Cache& l1 = scratch->l1;
-  if (cache != nullptr) l1.BindTo(cache);
 
   ComputeDuplicateReps(x_ids, k, &scratch->rep_x);
   ComputeDuplicateReps(y_ids, k, &scratch->rep_y);
@@ -251,7 +227,7 @@ BoundedSldResult BoundedSld(const Corpus& corpus,
               result.work_units += 1;
             } else if (cap == 0) {
               // Non-identical tokens have LD >= 1 > cap: clamp without
-              // touching the kernel or the cache.
+              // touching the kernel.
               cost = 1;
               result.work_units += 1;
             } else {
@@ -263,35 +239,13 @@ BoundedSldResult BoundedSld(const Corpus& corpus,
                   std::max(x.length(i), y.length(j)));
               const uint32_t bound =
                   static_cast<uint32_t>(std::min(cap, longer));
-              const uint64_t kernel_units =
-                  BandedLdWorkUnits(x.length(i), y.length(j), bound);
-              uint32_t ld = 0;
-              bool cached = false;
-              // Cost-model gating: tiny edges recompute instead of probing
-              // either tier (see the gate constants above). A probed edge
-              // reads the L1 always and the shared shards only when it
-              // clears the pricier shared gate; a fresh value installs
-              // into the L1 with the shared upsert deferred into the
-              // batched flush.
-              if (cache != nullptr &&
-                  kernel_units >= kMinKernelUnitsToProbeCache) {
-                const bool consult_shared =
-                    kernel_units >= kMinKernelUnitsToProbeSharedShards;
-                cached = l1.Lookup(cache, x_ids[i], y_ids[j], bound, &ld,
-                                   consult_shared);
-                if (!cached) {
-                  ld = MyersBoundedLevenshtein(x.view(i), y.view(j), bound);
-                  l1.Insert(cache, x_ids[i], y_ids[j], bound, ld,
-                            /*defer_shared=*/consult_shared);
-                }
-              } else {
-                ld = MyersBoundedLevenshtein(x.view(i), y.view(j), bound);
-              }
+              const uint32_t ld =
+                  MyersBoundedLevenshtein(x.view(i), y.view(j), bound);
               cost = (ld > bound) ? cap + 1 : static_cast<int64_t>(ld);
               // Work accounting stays in banded-DP cell units (the
-              // calibrated cost model of SldWorkUnits); a cache hit skips
-              // the kernel entirely and costs one unit.
-              result.work_units += cached ? 1 : kernel_units;
+              // calibrated cost model of SldWorkUnits).
+              result.work_units +=
+                  BandedLdWorkUnits(x.length(i), y.length(j), bound);
             }
           } else if (xi_real) {
             cost = std::min(static_cast<int64_t>(x.length(i)), cap + 1);

@@ -58,37 +58,20 @@
 // through string_views, identical tokens short-circuit on id equality,
 // and duplicate detection is integer comparison instead of string
 // comparison. Callers holding byte strings intern them into a Corpus
-// first. An optional corpus-wide TokenPairCache memoizes edge LDs across
-// *candidates*: entries record the cap they were computed at, so a cached
-// value is only served when it is exact or its certificate is at least as
-// strong as the current row cap (see token_pair_cache.h); served values
-// equal what the kernel would have computed, keeping the path lossless.
-//
-// Two-tier probe contract. When a cache is supplied, the engine probes
-// through the scratch's private TokenPairL1Cache: L1 first (no locks, no
-// atomics), shared shards only on an L1 miss, and freshly computed edges
-// install into the L1 with the shared upsert deferred into a batch that
-// flushes at most once per kPendingCapacity edges — callers running a
-// verify loop should additionally flush at reduce-group boundaries
-// (scratch->l1.Flush(cache), as tsj/tsj.cc does) so late entries and the
-// L1 statistics reach the shared tier. The probes are cost-model gated
-// per tier: edges whose modeled kernel cost is below the price of even
-// the lock-free L1 probe recompute outright, and edges below the
-// (pricier) shared-shard round-trip probe only the L1. Gating
-// and tiering change only *where* a value is found, never the value —
-// the path stays lossless, pinned by tests/differential_test.cc with the
-// cache on and off.
+// first. Every edge that needs an LD runs the Myers kernel and is charged
+// its banded-DP units, so BoundedSldResult::work_units depends only on the
+// two id spans, the budget and the aligning.
 
 #ifndef TSJ_TOKENIZED_SLD_H_
 #define TSJ_TOKENIZED_SLD_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "assignment/greedy_matching.h"
 #include "assignment/hungarian.h"
-#include "tokenized/token_pair_cache.h"
 #include "tokenized/tokenized_string.h"
 
 namespace tsj {
@@ -129,20 +112,13 @@ double Nsld(const TokenizedString& x, const TokenizedString& y,
 int64_t SldBudgetFromThreshold(double threshold, size_t len_x, size_t len_y);
 
 /// Reusable workspace for BoundedSld: the bigraph cost matrix, the
-/// duplicate-token memoization tables, the Hungarian solver scratch and
-/// the worker-private L1 cache tier fronting the shared TokenPairCache
-/// (see the file comment's two-tier probe contract) — so the whole verify
-/// loop is allocation-free and, on cache probes, lock-free after
-/// per-thread warm-up.
+/// duplicate-token memoization tables and the assignment solvers' scratch,
+/// so the whole verify loop is allocation-free after warm-up.
 struct SldVerifyScratch {
   std::vector<int64_t> costs;
   std::vector<uint32_t> rep_x, rep_y;
   HungarianScratch hungarian;
   GreedyScratch greedy;
-  /// Per-worker L1 tier (token_pair_cache.h). Auto-binds to whichever
-  /// shared cache BoundedSld is called with; flush it at reduce-group
-  /// boundaries.
-  TokenPairL1Cache l1;
 };
 
 /// Result of one budget-bounded SLD evaluation.
@@ -159,16 +135,17 @@ struct BoundedSldResult {
 
 /// Budget-bounded SLD of two of `corpus`'s token-id multisets (see the file
 /// comment for the derivation and the invariants). Both spans must hold
-/// ids interned by the same `corpus`, and `cache` (optional) must only
-/// ever be shared between calls using that corpus. `scratch` may be
-/// nullptr (a thread-local workspace is used). A negative budget fails
-/// immediately.
+/// ids interned by the same `corpus`. `scratch` may be nullptr (a
+/// thread-local workspace is used). A negative budget fails immediately.
+/// The trailing parameter does nothing. It only keeps perfbench/'s
+/// seven-argument call compiling; delete it at the next benchmark change
+/// (ROADMAP item 5).
 BoundedSldResult BoundedSld(const Corpus& corpus,
                             std::span<const TokenId> x_ids,
                             std::span<const TokenId> y_ids, int64_t budget,
                             TokenAligning aligning = TokenAligning::kExact,
                             SldVerifyScratch* scratch = nullptr,
-                            TokenPairCache* cache = nullptr);
+                            std::nullptr_t = nullptr);
 
 /// Deterministic operation count of one *unbounded* SLD evaluation, the
 /// unit of TsjRunInfo::verify_work_units: the L(x)*L(y) DP cells of the

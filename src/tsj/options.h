@@ -34,7 +34,8 @@ enum class DedupStrategy {
 /// Tunables of a TSJ run. Defaults follow the paper's evaluation defaults
 /// (T = 0.1, M = 1,000; Sec. V). The lossless filters (Sec. III-E) and the
 /// budgeted token-id verification (Sec. III-F) have no switch: every run
-/// applies them (tsj/tsj.h).
+/// applies them, verifying each candidate's token bigraph on its own
+/// (tsj/tsj.h). enable_shuffle_spill is the one on/off switch.
 struct TsjOptions {
   /// NSLD threshold T: pairs with NSLD <= threshold are joined.
   double threshold = 0.1;
@@ -54,17 +55,6 @@ struct TsjOptions {
 
   /// Dedup strategy for candidate pairs.
   DedupStrategy dedup = DedupStrategy::kGroupOnOneString;
-
-  /// Corpus-wide memoization of token-pair edge distances
-  /// (tokenized/token_pair_cache.h): duplicate token pairs across
-  /// *candidates* skip the LD kernel entirely. SelfJoin only: each
-  /// SelfJoin builds its own cache and drops it when it returns, and Join
-  /// runs without one. Verification probes it through a per-worker L1
-  /// tier first (the two-tier probe contract in tokenized/sld.h), so a
-  /// probe touches the shared shards only on an L1 miss. Lossless: a
-  /// served entry equals what the kernel would have computed. Disable
-  /// only to measure the uncached baseline (bench_ablation does).
-  bool enable_token_pair_cache = true;
 
   /// External-memory shuffle spill (mapreduce/spill.h): when enabled AND
   /// mapreduce.memory_budget_records is set, the fused pipeline's jobs

@@ -48,8 +48,9 @@ struct Sides {
 // at NSLD 0. Classes key on the ordered sequence, not the multiset, because
 // greedy aligning's cost depends on token order. It does not depend on
 // which string comes first (at each cost level the greedy pick is the
-// unique stable matching of two index-ranked sides), so a member pair
-// whose ids run the other way round gets its representatives' value too.
+// unique stable matching of two index-ranked sides;
+// SldTest.GreedyAligningIsSymmetric pins it), so a member pair whose ids
+// run the other way round gets its representatives' value too.
 struct CopyClasses {
   static constexpr uint32_t kNoCopy = std::numeric_limits<uint32_t>::max();
 
@@ -142,24 +143,6 @@ inline uint32_t PickGroupKey(uint32_t a, uint32_t b) {
   return (lt == ((ha + hb) & 1u)) ? a : b;
 }
 
-// The verify thread's workspace, shared by FilterAndVerify and the
-// reduce-group boundaries that flush its L1 cache tier: the deferred
-// shared-shard upserts and the locally counted L1 statistics must drain
-// once per group (tokenized/sld.h, two-tier probe contract), so the
-// scratch cannot stay private to FilterAndVerify.
-SldVerifyScratch& VerifyScratch() {
-  thread_local SldVerifyScratch scratch;
-  return scratch;
-}
-
-// Reduce-group boundary: publishes the thread's L1 hit/miss counts and —
-// once enough deferred upserts accumulated — drains them into the shared
-// tier in one shard-grouped batch (tiny groups batch across groups).
-// Harmless when the cache is disabled.
-void FlushVerifyCache(TokenPairCache* cache) {
-  if (cache != nullptr) VerifyScratch().l1.FlushIfBatchReady(cache);
-}
-
 // The counts one worker adds up (common/worker_slots.h): one slot per
 // worker of the fused job's pool, which every map and reduce function of
 // the job runs on. A function takes its worker's slot once per call.
@@ -192,13 +175,11 @@ struct CounterSlot {
 // length and bag filters already ran where the pair was generated
 // (LengthWindow, BagFilter). Both the histogram bound and verification
 // compare an integer SLD against the run's budget for L(a) + L(b), read
-// from `tables`. `cache` (may be null) is the run's corpus-wide
-// token-pair cache; `counts` is the calling worker's slot.
+// from `tables`. `counts` is the calling worker's slot.
 void FilterAndVerify(const Corpus& corpus, const TsjOptions& options,
                      const ThresholdTables& tables,
                      const CopyClasses& classes, CounterSlot* counts,
-                     TokenPairCache* cache, uint32_t a, uint32_t b,
-                     std::vector<TsjPair>* out) {
+                     uint32_t a, uint32_t b, std::vector<TsjPair>* out) {
   const size_t la = corpus.aggregate_length(a);
   const size_t lb = corpus.aggregate_length(b);
   const int64_t budget = tables.sld_budget(la + lb);
@@ -212,11 +193,9 @@ void FilterAndVerify(const Corpus& corpus, const TsjOptions& options,
   // the NSLD threshold is an integer SLD budget (tokenized/sld.h), and
   // the bounded path only ever skips work, never changes the decision or
   // the reported NSLD. Both strings live in one interned id space, so the
-  // engine reads token texts in place and the corpus-wide cache can
-  // short-circuit repeated edges.
-  const BoundedSldResult verdict =
-      BoundedSld(corpus, corpus.tokens(a), corpus.tokens(b), budget,
-                 options.aligning, &VerifyScratch(), cache);
+  // engine reads token texts in place.
+  const BoundedSldResult verdict = BoundedSld(
+      corpus, corpus.tokens(a), corpus.tokens(b), budget, options.aligning);
   counts->verify_work_units += verdict.work_units;
   if (verdict.within_budget) {
     classes.AppendPairs(a, b, NsldFromSld(verdict.sld, la, lb), out);
@@ -226,8 +205,8 @@ void FilterAndVerify(const Corpus& corpus, const TsjOptions& options,
 // Sorts string ids by (aggregate length, id), the order the length window
 // walks. It also batches verification: one reduce group verifies its
 // candidates in this order, so consecutive bigraphs have similar
-// dimensions and the verify scratch, DP rows and cache lines stay
-// resident instead of being resized around by a random length sequence.
+// dimensions and the verify scratch and DP rows stay resident instead of
+// being resized around by a random length sequence.
 template <typename LengthOf>
 void SortByAggregateLength(std::span<uint32_t> ids,
                            const LengthOf& length_of) {
@@ -342,12 +321,11 @@ std::span<uint32_t> DedupRun(std::span<uint32_t> others) {
 }
 
 // The TSJ pipeline of both join forms over one corpus; `sides` says which
-// pairs of a token's strings are candidates. Verification probes
-// `pair_cache` (may be null). `options` must already be validated.
+// pairs of a token's strings are candidates. `options` must already be
+// validated.
 StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
                                            const Sides& sides,
                                            const TsjOptions& options,
-                                           TokenPairCache* pair_cache,
                                            TsjRunInfo* info) {
   TsjRunInfo local_info;
   const double t = options.threshold;
@@ -588,17 +566,6 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
     counts.bag_filtered += bag_skipped;
   };
 
-  // Partition-task boundary: fully drain the verify worker's deferred
-  // cache upserts, so everything this run computed reaches the shared
-  // tier by job end even when no group-level batch ever filled. Set here
-  // — after massjoin captured its own copy of mr_options — so only the
-  // dedup/verify jobs run it.
-  if (pair_cache != nullptr) {
-    mr_options.reduce_partition_epilogue = [pair_cache] {
-      VerifyScratch().l1.Flush(pair_cache);
-    };
-  }
-
   // ---- Fused pipeline: candidate generation streams into the dedup/
   // verify shuffle; the pre-dedup candidate universe is never
   // materialized. The similar-token pairs ride along as side inputs.
@@ -685,15 +652,13 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
       });
     };
     // Grouping-on-both-strings: one distinct pair per group.
-    auto reduce_verify = [&corpus, &options, &tables, &classes, &counters,
-                          pair_cache](const PairKey& key,
-                                      std::span<char> /*duplicates*/,
-                                      std::vector<TsjPair>* out) {
+    auto reduce_verify = [&corpus, &options, &tables, &classes, &counters](
+                             const PairKey& key, std::span<char> /*duplicates*/,
+                             std::vector<TsjPair>* out) {
       CounterSlot& counts = counters.Local();
       ++counts.distinct_candidates;
-      FilterAndVerify(corpus, options, tables, classes, &counts, pair_cache,
-                      key.first, key.second, out);
-      FlushVerifyCache(pair_cache);  // reduce-group boundary
+      FilterAndVerify(corpus, options, tables, classes, &counts, key.first,
+                      key.second, out);
     };
     streamed = RunFusedMapReduceSorted<uint32_t, uint32_t, uint32_t,
                                        SimilarTokenPair, PairKey, char,
@@ -720,10 +685,9 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
     };
     // Grouping-on-one-string: the reducer dedups and verifies all of the
     // key string's candidates.
-    auto reduce_verify = [&corpus, &options, &tables, &classes, &counters,
-                          pair_cache](const uint32_t& key,
-                                      std::span<uint32_t> others,
-                                      std::vector<TsjPair>* out) {
+    auto reduce_verify = [&corpus, &options, &tables, &classes, &counters](
+                             const uint32_t& key, std::span<uint32_t> others,
+                             std::vector<TsjPair>* out) {
       const std::span<uint32_t> distinct = DedupRun(others);
       CounterSlot& counts = counters.Local();
       counts.distinct_candidates += distinct.size();
@@ -732,10 +696,8 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
       });
       for (uint32_t other : distinct) {
         FilterAndVerify(corpus, options, tables, classes, &counts,
-                        pair_cache, std::min(key, other), std::max(key, other),
-                        out);
+                        std::min(key, other), std::max(key, other), out);
       }
-      FlushVerifyCache(pair_cache);  // reduce-group boundary
     };
     streamed = RunFusedMapReduceSorted<uint32_t, uint32_t, uint32_t,
                                        SimilarTokenPair, uint32_t, uint32_t,
@@ -759,16 +721,6 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
   local_info.histogram_filtered = total.histogram_filtered;
   local_info.verified_candidates = total.verified_candidates;
   local_info.verify_work_units = total.verify_work_units;
-  if (pair_cache != nullptr) {
-    // The cache lives for this run only, so its totals are the run's.
-    local_info.token_pair_cache_hits = pair_cache->hits();
-    local_info.token_pair_cache_misses = pair_cache->misses();
-    local_info.token_pair_cache_l1_hits = pair_cache->l1_hits();
-    local_info.token_pair_cache_l1_misses = pair_cache->l1_misses();
-    local_info.token_pair_cache_flush_batches = pair_cache->flush_batches();
-    local_info.token_pair_cache_flushed_records =
-        pair_cache->flushed_records();
-  }
   local_info.result_pairs = results.size();
   local_info.peak_shuffle_records = gauge.peak();
   // Fail the join on a lossy spill fault or a fatal task error
@@ -784,11 +736,7 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
 StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::SelfJoin(
     const Corpus& corpus, TsjRunInfo* info) const {
   if (Status s = options_.Validate(); !s.ok()) return s;
-  // The run's own token-pair cache; a null cache turns every lookup off.
-  TokenPairCache cache;
-  return RunPipeline(corpus, Sides{}, options_,
-                     options_.enable_token_pair_cache ? &cache : nullptr,
-                     info);
+  return RunPipeline(corpus, Sides{}, options_, info);
 }
 
 StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
@@ -804,8 +752,7 @@ StatusOr<std::vector<TsjPair>> TokenizedStringJoiner::Join(
   }
   const uint32_t num_r = static_cast<uint32_t>(r_corpus.size());
   StatusOr<std::vector<TsjPair>> pairs =
-      RunPipeline(joint, Sides{/*cross=*/true, num_r}, options_,
-                  /*pair_cache=*/nullptr, info);
+      RunPipeline(joint, Sides{/*cross=*/true, num_r}, options_, info);
   if (pairs.ok()) {
     for (TsjPair& pair : *pairs) pair.b -= num_r;
   }

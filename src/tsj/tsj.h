@@ -41,14 +41,13 @@
 //             doomed pair would waste (Sec. III-F; exact Hungarian or
 //             greedy-token-aligning per Sec. III-G.5). The engine runs
 //             directly on interned token-id spans — Myers bit-parallel
-//             edge kernel, no per-candidate materialization — and a
-//             self-join adds a corpus-wide TokenPairCache across
-//             candidates, always probed through a per-worker L1 tier
-//             first. Candidates of one reduce group verify in
-//             aggregate-length order so DP scratch and cache lines stay
-//             resident. The filters and the budgeted token-id verify
-//             have no switch: the brute-force differentials pin them
-//             against the unfiltered, unbounded oracle.
+//             edge kernel, no per-candidate materialization — and
+//             verifies each candidate's bigraph on its own, as HMJ does.
+//             Candidates of one reduce group verify in aggregate-length
+//             order so the DP scratch stays resident. The filters and the
+//             budgeted token-id verify have no switch: the brute-force
+//             differentials pin them against the unfiltered, unbounded
+//             oracle.
 //
 // Both join forms run this one pipeline over one Corpus. The general
 // R x P join (Sec. II-B) copies R's strings and then P's into one corpus
@@ -91,10 +90,9 @@ struct TsjPair {
 /// and the copies within a class included. The candidate and filter
 /// counters are kept in one slot per worker of the fused job and summed
 /// once the job ends: no candidate touches a counter another worker
-/// writes. They count the same at every worker and partition count, except
-/// verify_work_units with the token-pair cache on. At 1 worker every
-/// counter of the run repeats from run to run, peak_shuffle_records
-/// included.
+/// writes. They count the same at every worker and partition count. At 1
+/// worker every counter of the run repeats from run to run,
+/// peak_shuffle_records included.
 struct TsjRunInfo {
   /// Per-job MapReduce statistics, in execution order. The run's spill and
   /// task counters are its totals (PipelineStats::total_spilled_records(),
@@ -138,28 +136,15 @@ struct TsjRunInfo {
   /// Candidates that reached full SLD verification.
   uint64_t verified_candidates = 0;
   /// Work units BoundedSld spent verifying (the sum of
-  /// BoundedSldResult::work_units, in the units of SldWorkUnits). A
-  /// token-pair-cache hit counts 1 unit, so with the cache on and more
-  /// than one worker the total can differ between runs.
+  /// BoundedSldResult::work_units, in the units of SldWorkUnits).
   uint64_t verify_work_units = 0;
-  /// Token-pair-cache probes answered by the per-worker L1 tier (no
-  /// shared-shard traffic at all; tokenized/token_pair_cache.h).
-  uint64_t token_pair_cache_l1_hits = 0;
-  /// L1-tier probes that missed the L1 (and either fell through to the
-  /// shared shards or recomputed below the shared-probe cost gate).
-  uint64_t token_pair_cache_l1_misses = 0;
-  /// Token-pair-cache lookups answered from the shared shards.
-  uint64_t token_pair_cache_hits = 0;
-  /// Shared-shard lookups that fell through to the LD kernel.
-  uint64_t token_pair_cache_misses = 0;
-  /// Deferred-upsert batches flushed from L1 tiers into the shared shards
-  /// (each batch takes every touched shard's spinlock once).
-  uint64_t token_pair_cache_flush_batches = 0;
-  /// Deferred upserts flushed (records; the per-edge shared-shard inserts
-  /// these batches replaced).
-  uint64_t token_pair_cache_flushed_records = 0;
   /// Always 0; read by perfbench/; delete at the next benchmark change
-  /// (ROADMAP item 6).
+  /// (ROADMAP item 5).
+  uint64_t token_pair_cache_l1_hits = 0;
+  uint64_t token_pair_cache_l1_misses = 0;
+  uint64_t token_pair_cache_hits = 0;
+  uint64_t token_pair_cache_misses = 0;
+  uint64_t token_pair_cache_flush_batches = 0;
   uint64_t batched_verify_calls = 0;
   uint64_t batched_verify_lanes_filled = 0;
   uint64_t batched_verify_lane_slots = 0;
@@ -204,8 +189,7 @@ class TokenizedStringJoiner {
   ///
   /// Runs SelfJoin's pipeline over one Corpus that holds r_corpus's
   /// strings and then p_corpus's (copied in one serial pass), pairing a
-  /// token's strings only across that boundary. It uses no token-pair
-  /// cache, so the run reports zero token_pair_cache_* counters.
+  /// token's strings only across that boundary.
   StatusOr<std::vector<TsjPair>> Join(const Corpus& r_corpus,
                                       const Corpus& p_corpus,
                                       TsjRunInfo* info = nullptr) const;

@@ -10,22 +10,21 @@
 //     cap family (0, 1, small, huge), == naive full-matrix DP, and so is
 //     the reference DP Levenshtein(), for every input family (ASCII, raw
 //     bytes, UTF-8-ish sequences, long common affixes, all-equal, empty);
-//   * BoundedSld on interned token-id spans (with and without the
-//     TokenPairCache, exact and greedy aligning) == the byte-level Sld()
-//     on the materialized multisets, on random corpora (some with tokens
-//     longer than 64 characters) and budgets;
-//   * the fused TSJ pipeline (with the token-pair cache and its
-//     per-worker L1 tier, the default) == the brute-force NSLD oracle
-//     (exact Hungarian, no filters, no cache: BruteForceNsldSelfJoin,
+//   * BoundedSld on interned token-id spans (exact and greedy aligning)
+//     == the byte-level Sld() on the materialized multisets, on random
+//     corpora (some with tokens longer than 64 characters) and budgets;
+//   * the fused TSJ pipeline == the brute-force NSLD oracle (exact
+//     Hungarian, no filters: BruteForceNsldSelfJoin,
 //     testutil::BruteForceRP) on the sorted (pair, NSLD) set — a subset
 //     of it for exact-token matching — and == one serial in-memory run
-//     (1 worker, 1 partition) on the candidate/filter counters, across
-//     dedup strategies, matchings, worker and partition counts, for both
-//     SelfJoin and the two-collection Join, on corpora where some strings
-//     carry tokens longer than 64 characters. The serial runs' shared-token,
-//     length-window and bag-filter counts, for both join forms, are
-//     checked against a brute-force count of the same predicates over one
-//     representative per distinct token sequence;
+//     (1 worker, 1 partition) on the candidate, filter and verify-work
+//     counters, across dedup strategies, matchings, worker and partition
+//     counts, for both SelfJoin and the two-collection Join, on corpora
+//     where some strings carry tokens longer than 64 characters. The
+//     serial runs' shared-token, length-window and bag-filter counts, for
+//     both join forms, are checked against a brute-force count of the
+//     same predicates over one representative per distinct token
+//     sequence;
 //   * a finite high-frequency cutoff M, with one token at exactly M
 //     strings and another at M + 1, == the oracle's pairs that still
 //     share a surviving token (or, fuzzy, a surviving similar token pair);
@@ -56,7 +55,6 @@
 #include "tokenized/bounds.h"
 #include "tokenized/corpus.h"
 #include "tokenized/sld.h"
-#include "tokenized/token_pair_cache.h"
 #include "tsj/tsj.h"
 #include "workload/ring_workload.h"
 
@@ -207,7 +205,6 @@ TEST(DifferentialTest, BoundedSldOnTokenIdsMatchesBytes) {
   constexpr int kPairsPerRound = 450;  // > 10k pairs in total
   for (int round = 0; round < kRounds; ++round) {
     const Corpus corpus = RandomCorpus(&rng, 30);
-    TokenPairCache cache;  // shared across the round: warms up quickly
     for (int trial = 0; trial < kPairsPerRound; ++trial) {
       const uint32_t a = static_cast<uint32_t>(rng.Uniform(corpus.size()));
       const uint32_t b = static_cast<uint32_t>(rng.Uniform(corpus.size()));
@@ -231,25 +228,17 @@ TEST(DifferentialTest, BoundedSldOnTokenIdsMatchesBytes) {
                                          : TokenAligning::kGreedy;
       const int64_t exact =
           Sld(corpus.Materialize(a), corpus.Materialize(b), aligning);
-      const BoundedSldResult id_plain =
-          BoundedSld(corpus, corpus.tokens(a), corpus.tokens(b), budget,
-                     aligning, /*scratch=*/nullptr, /*cache=*/nullptr);
-      const BoundedSldResult id_cached =
-          BoundedSld(corpus, corpus.tokens(a), corpus.tokens(b), budget,
-                     aligning, /*scratch=*/nullptr, &cache);
-      for (const BoundedSldResult* id_result : {&id_plain, &id_cached}) {
-        ASSERT_EQ(id_result->within_budget, exact <= budget)
+      const BoundedSldResult id_result = BoundedSld(
+          corpus, corpus.tokens(a), corpus.tokens(b), budget, aligning);
+      ASSERT_EQ(id_result.within_budget, exact <= budget)
+          << "round=" << round << " trial=" << trial << " a=" << a
+          << " b=" << b << " budget=" << budget
+          << " exact=" << (aligning == TokenAligning::kExact);
+      if (id_result.within_budget) {
+        ASSERT_EQ(id_result.sld, exact)
             << "round=" << round << " trial=" << trial << " a=" << a
             << " b=" << b << " budget=" << budget
-            << " exact=" << (aligning == TokenAligning::kExact)
-            << " cached=" << (id_result == &id_cached);
-        if (id_result->within_budget) {
-          ASSERT_EQ(id_result->sld, exact)
-              << "round=" << round << " trial=" << trial << " a=" << a
-              << " b=" << b << " budget=" << budget
-              << " exact=" << (aligning == TokenAligning::kExact)
-              << " cached=" << (id_result == &id_cached);
-        }
+            << " exact=" << (aligning == TokenAligning::kExact);
       }
     }
   }
@@ -326,9 +315,11 @@ void ExpectMatchesOracle(const PairNsldSet& actual, const PairNsldSet& oracle,
   }
 }
 
-// Asserts that a run agrees with a reference run on the dedup/filter
-// counters — the dedup is a sorted-run scan, so a grouping bug shows up
-// as a counter drift even when the result set happens to survive.
+// Asserts that a run agrees with a reference run on the dedup, filter and
+// verify-work counters — the dedup is a sorted-run scan, so a grouping bug
+// shows up as a counter drift even when the result set happens to
+// survive. Each verified pair's work units depend only on the pair, so
+// their sum repeats at every worker and partition count.
 void ExpectSameCounters(const TsjRunInfo& run, const TsjRunInfo& reference,
                         const std::string& context) {
   EXPECT_EQ(run.shared_token_candidates, reference.shared_token_candidates)
@@ -345,6 +336,7 @@ void ExpectSameCounters(const TsjRunInfo& run, const TsjRunInfo& reference,
       << context;
   EXPECT_EQ(run.verified_candidates, reference.verified_candidates)
       << context;
+  EXPECT_EQ(run.verify_work_units, reference.verify_work_units) << context;
   EXPECT_EQ(run.result_pairs, reference.result_pairs) << context;
 }
 

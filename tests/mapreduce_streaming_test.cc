@@ -779,7 +779,9 @@ TEST(SpillBudgetBoundaryTest, ResidentGaugeHonorsTheBudget) {
   const bool env_forced = SpillBudgetFromEnv() > 0;
   JobStats unbudgeted;
   SortedWordCount(docs, {}, &unbudgeted);
-  if (!env_forced) ASSERT_GT(unbudgeted.peak_resident_records, 200u);
+  if (!env_forced) {
+    ASSERT_GT(unbudgeted.peak_resident_records, 200u);
+  }
 
   MapReduceOptions options;
   options.num_workers = 1;

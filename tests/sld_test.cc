@@ -132,6 +132,43 @@ TEST(SldTest, GreedyExactOnSingleTokens) {
   }
 }
 
+TEST(SldTest, GreedyAligningIsSymmetric) {
+  // TSJ verifies one pair of class representatives and reports its value
+  // for member pairs whose ids run either way (tsj/tsj.cc), which is exact
+  // under greedy aligning only if greedy SLD(x, y) == SLD(y, x). Small
+  // alphabets and short tokens make many edges cost the same, so the
+  // picker's tie-break decides most rounds.
+  Rng rng(26);
+  for (int trial = 0; trial < 20000; ++trial) {
+    const int alphabet = static_cast<int>(2 + rng.Uniform(3));
+    const auto x = testutil::RandomTokenizedString(&rng, 1, 6, 0, 5, alphabet);
+    const auto y = testutil::RandomTokenizedString(&rng, 1, 6, 0, 5, alphabet);
+    const int64_t sld = Sld(x, y, TokenAligning::kGreedy);
+    ASSERT_EQ(Sld(y, x, TokenAligning::kGreedy), sld) << "trial=" << trial;
+    Corpus corpus;
+    const StringId a = corpus.AddString(x);
+    const StringId b = corpus.AddString(y);
+    const int64_t ceiling =
+        static_cast<int64_t>(AggregateLength(x) + AggregateLength(y));
+    for (int64_t budget : {sld - 1, sld, ceiling}) {
+      const BoundedSldResult xy =
+          BoundedSld(corpus, corpus.tokens(a), corpus.tokens(b), budget,
+                     TokenAligning::kGreedy);
+      const BoundedSldResult yx =
+          BoundedSld(corpus, corpus.tokens(b), corpus.tokens(a), budget,
+                     TokenAligning::kGreedy);
+      ASSERT_EQ(xy.within_budget, sld <= budget)
+          << "trial=" << trial << " budget=" << budget;
+      ASSERT_EQ(yx.within_budget, xy.within_budget)
+          << "trial=" << trial << " budget=" << budget;
+      if (xy.within_budget) {
+        ASSERT_EQ(xy.sld, sld) << "trial=" << trial << " budget=" << budget;
+        ASSERT_EQ(yx.sld, sld) << "trial=" << trial << " budget=" << budget;
+      }
+    }
+  }
+}
+
 TEST(SldTest, Theorem3TokenThresholdCarriesOver) {
   // If NSLD(x, y) <= T then some token pair has NLD <= T. This is the
   // insight enabling TSJ's similar-token candidate generation.
@@ -210,7 +247,9 @@ TEST(SldBudgetFromThresholdTest, ExactThresholdBoundary) {
       ASSERT_GE(budget, 0);
       ASSERT_LE(budget, total);
       EXPECT_LE(NsldFromSld(budget, lx, ly), t);
-      if (budget < total) EXPECT_GT(NsldFromSld(budget + 1, lx, ly), t);
+      if (budget < total) {
+        EXPECT_GT(NsldFromSld(budget + 1, lx, ly), t);
+      }
     }
   }
   EXPECT_EQ(SldBudgetFromThreshold(-0.1, 10, 10), -1);
@@ -236,7 +275,9 @@ TEST(BoundedSldTest, MatchesExactAcrossBudgets) {
         EXPECT_EQ(bounded.within_budget, exact <= budget)
             << "aligning=" << (aligning == TokenAligning::kExact ? "ex" : "gr")
             << " budget=" << budget << " exact=" << exact;
-        if (bounded.within_budget) EXPECT_EQ(bounded.sld, exact);
+        if (bounded.within_budget) {
+          EXPECT_EQ(bounded.sld, exact);
+        }
       }
     }
   }
@@ -274,7 +315,9 @@ TEST(BoundedSldTest, DuplicateTokensStayExact) {
     for (int64_t budget : {exact - 1, exact, exact + 2}) {
       const BoundedSldResult bounded = BoundedSldOf(a, b, budget);
       EXPECT_EQ(bounded.within_budget, exact <= budget);
-      if (bounded.within_budget) EXPECT_EQ(bounded.sld, exact);
+      if (bounded.within_budget) {
+        EXPECT_EQ(bounded.sld, exact);
+      }
     }
   }
 }

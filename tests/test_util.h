@@ -125,8 +125,8 @@ inline std::string RandomEdit(Rng* rng, std::string s, int alphabet_size = 4) {
 }
 
 /// Brute-force R x P NSLD join: every (r, p) with NSLD <= t, with `a` the
-/// id in r and `b` the id in p, by exact Hungarian SLD with no filters and
-/// no cache — the two-collection counterpart of BruteForceNsldSelfJoin
+/// id in r and `b` the id in p, by exact Hungarian SLD with no filters —
+/// the two-collection counterpart of BruteForceNsldSelfJoin
 /// (eval/join_metrics.h), computing NSLD the same way.
 inline std::vector<TsjPair> BruteForceRP(const Corpus& r, const Corpus& p,
                                          double t) {

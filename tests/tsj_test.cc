@@ -383,8 +383,12 @@ TEST(TsjTest, MassJoinSeesOnlyTokensWithAPartnerInReach) {
     ASSERT_NE(generate, info.pipeline.jobs.end()) << context;
     EXPECT_EQ(generate->input_records, kept) << context;
     EXPECT_EQ(info.pipeline.jobs.size(), 4u) << context;
-    if (t == 0.0) EXPECT_EQ(kept, 0u);
-    if (t == 0.1) EXPECT_LT(kept, surviving.size());
+    if (t == 0.0) {
+      EXPECT_EQ(kept, 0u);
+    }
+    if (t == 0.1) {
+      EXPECT_LT(kept, surviving.size());
+    }
     EXPECT_EQ(ToPairNsldSet(*joined),
               ToPairNsldSet(BruteForceNsldSelfJoin(corpus, t)))
         << context;
@@ -722,8 +726,8 @@ TEST(TsjTest, ResultIndependentOfWorkerCount) {
 }
 
 TEST(TsjTest, RunInfoCountersAreConsistent) {
-  // Multi-worker, so the sanitizer jobs drive the token-pair cache's L1
-  // tier and its batched flush concurrently.
+  // Multi-worker, so the sanitizer jobs fill the per-worker counter slots
+  // concurrently.
   Rng rng(4444);
   Corpus corpus = MakeCorpus(&rng, 70);
   TsjOptions options = Lossless(0.15);
@@ -733,9 +737,6 @@ TEST(TsjTest, RunInfoCountersAreConsistent) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(info.result_pairs, result->size());
   EXPECT_EQ(info.shuffle_partitions, options.mapreduce.num_partitions);
-  // The default run verifies through the cache's per-worker L1 tier.
-  EXPECT_GT(info.token_pair_cache_l1_hits + info.token_pair_cache_l1_misses,
-            0u);
   // The length filter runs where pairs are generated, so every distinct
   // candidate meets the histogram filter or verification.
   EXPECT_EQ(info.distinct_candidates,
