@@ -1,8 +1,8 @@
 // Micro-benchmarks of the join kernels: MassJoin vs. brute force on the
-// token space, and the TSJ and HMJ end-to-end pipelines at small scales.
-// Not a paper figure; quantifies the candidate-pruning power of the
-// signature scheme. A failed join is reported as the benchmark's error,
-// not timed.
+// token space, the TSJ and HMJ end-to-end pipelines at small scales, and
+// the corpus interning every join's input goes through. Not a paper
+// figure; quantifies the candidate-pruning power of the signature scheme.
+// A failed join is reported as the benchmark's error, not timed.
 
 #include <string>
 #include <vector>
@@ -13,6 +13,7 @@
 #include "distance/normalized_levenshtein.h"
 #include "hmj/hmj.h"
 #include "massjoin/mass_join.h"
+#include "tokenized/corpus.h"
 #include "tsj/tsj.h"
 #include "workload/ring_workload.h"
 
@@ -110,6 +111,25 @@ void BM_HmjEndToEnd(benchmark::State& state) {
                           static_cast<int64_t>(options.num_accounts));
 }
 BENCHMARK(BM_HmjEndToEnd)->Arg(1000)->Unit(benchmark::kMillisecond);
+
+// Interning alone: each iteration adds the default workload's names to a
+// fresh Corpus (tokenized/corpus.h) and frees it. The names are generated
+// once, outside the timed loop.
+void BM_CorpusBuild(benchmark::State& state) {
+  const std::vector<TokenizedString> names =
+      GenerateRingWorkload(
+          bench::DefaultWorkload(static_cast<size_t>(state.range(0))))
+          .names;
+  for (auto _ : state) {
+    Corpus corpus;
+    for (const TokenizedString& name : names) corpus.AddString(name);
+    benchmark::DoNotOptimize(corpus);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(names.size()));
+}
+BENCHMARK(BM_CorpusBuild)->Arg(20000)->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace tsj

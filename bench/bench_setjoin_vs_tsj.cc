@@ -10,7 +10,9 @@
 
 #include <iostream>
 #include <set>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "bench_common.h"
 #include "eval/table_printer.h"
@@ -60,7 +62,8 @@ void Run() {
   std::vector<std::vector<uint32_t>> sets;
   sets.reserve(workload.corpus.size());
   for (uint32_t s = 0; s < workload.corpus.size(); ++s) {
-    sets.push_back(workload.corpus.tokens(s));
+    const std::span<const TokenId> tokens = workload.corpus.tokens(s);
+    sets.emplace_back(tokens.begin(), tokens.end());
   }
 
   auto ring_recall = [&ground_truth](

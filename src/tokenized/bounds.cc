@@ -20,23 +20,23 @@ double NsldUpperBoundFromAggregateLengths(size_t len_x, size_t len_y) {
   return 2.0 / (ratio + 2.0);
 }
 
-int64_t SldLowerBoundFromHistograms(const std::vector<uint32_t>& lengths_x,
-                                    const std::vector<uint32_t>& lengths_y) {
+int64_t SldLowerBoundFromHistograms(std::span<const uint32_t> lengths_x,
+                                    std::span<const uint32_t> lengths_y) {
   // Both inputs are sorted ascending. Conceptually pad the shorter list
   // with zero-length entries; since the lists are sorted, the optimal
   // sorted pairing aligns the padded zeros with the *smallest* entries of
   // the longer list. Implemented without materializing the padding: the
   // first (larger - smaller) entries of the longer list pair with zeros
   // (costing their full length), and the tails pair elementwise.
-  const std::vector<uint32_t>* shorter = &lengths_x;
-  const std::vector<uint32_t>* longer = &lengths_y;
-  if (shorter->size() > longer->size()) std::swap(shorter, longer);
-  const size_t pad = longer->size() - shorter->size();
+  std::span<const uint32_t> shorter = lengths_x;
+  std::span<const uint32_t> longer = lengths_y;
+  if (shorter.size() > longer.size()) std::swap(shorter, longer);
+  const size_t pad = longer.size() - shorter.size();
   int64_t bound = 0;
-  for (size_t i = 0; i < pad; ++i) bound += (*longer)[i];
-  for (size_t i = 0; i < shorter->size(); ++i) {
-    const int64_t a = (*shorter)[i];
-    const int64_t b = (*longer)[pad + i];
+  for (size_t i = 0; i < pad; ++i) bound += longer[i];
+  for (size_t i = 0; i < shorter.size(); ++i) {
+    const int64_t a = shorter[i];
+    const int64_t b = longer[pad + i];
     bound += std::abs(a - b);
   }
   return bound;

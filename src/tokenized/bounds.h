@@ -48,6 +48,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <span>
 #include <vector>
 
 #include "tokenized/tokenized_string.h"
@@ -75,8 +76,8 @@ double NsldUpperBoundFromAggregateLengths(size_t len_x, size_t len_y);
 /// Lower bound on SLD(x, y) from the sorted token-length histograms of the
 /// two strings (as produced by SortedTokenLengths). Never exceeds the true
 /// SLD.
-int64_t SldLowerBoundFromHistograms(const std::vector<uint32_t>& lengths_x,
-                                    const std::vector<uint32_t>& lengths_y);
+int64_t SldLowerBoundFromHistograms(std::span<const uint32_t> lengths_x,
+                                    std::span<const uint32_t> lengths_y);
 
 /// The number of characters a bag counts, the sum of its buckets: L(x)
 /// unless a bucket saturated.

@@ -105,7 +105,7 @@ CopyClasses BuildCopyClasses(const Corpus& corpus, const Sides& sides) {
   };
   std::vector<Slot> table(capacity);
   for (uint32_t s = 0; s < n; ++s) {
-    const std::vector<TokenId>& tokens = corpus.tokens(s);
+    const std::span<const TokenId> tokens = corpus.tokens(s);
     const bool is_r = sides.IsR(s);
     uint64_t h = is_r ? 0x51ed27066cd3a4b1ull : 0;
     for (const TokenId token : tokens) {
@@ -122,7 +122,7 @@ CopyClasses BuildCopyClasses(const Corpus& corpus, const Sides& sides) {
       }
       const uint32_t r = slot.representative;
       if (slot.tag == tag && sides.IsR(r) == is_r &&
-          corpus.tokens(r) == tokens) {
+          std::ranges::equal(corpus.tokens(r), tokens)) {
         classes.next_copy[s] = classes.next_copy[r];
         classes.next_copy[r] = s;
         break;
@@ -511,7 +511,7 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
   if (!sides.cross) {
     for (const uint32_t r : representatives) {
       if (!classes.HasCopies(r)) continue;
-      const std::vector<TokenId>& tokens = corpus.tokens(r);
+      const std::span<const TokenId> tokens = corpus.tokens(r);
       if (std::any_of(tokens.begin(), tokens.end(), [&](TokenId token) {
             return surviving[token] != 0;
           })) {

@@ -75,16 +75,24 @@ TEST(HistogramBoundTest, IdenticalHistogramsGiveZero) {
 
 TEST(HistogramBoundTest, PaddingChargesFullTokenLength) {
   // {5} vs {} — the lone token must be deleted entirely.
-  EXPECT_EQ(SldLowerBoundFromHistograms({5}, {}), 5);
-  EXPECT_EQ(SldLowerBoundFromHistograms({}, {5}), 5);
+  EXPECT_EQ(SldLowerBoundFromHistograms(std::vector<uint32_t>{5},
+                                        std::vector<uint32_t>{}),
+            5);
+  EXPECT_EQ(SldLowerBoundFromHistograms(std::vector<uint32_t>{},
+                                        std::vector<uint32_t>{5}),
+            5);
   // {2, 3} vs {3}: zero pads against the smaller entry (2), and 3 pairs
   // with 3 -> bound 2.
-  EXPECT_EQ(SldLowerBoundFromHistograms({2, 3}, {3}), 2);
+  EXPECT_EQ(SldLowerBoundFromHistograms(std::vector<uint32_t>{2, 3},
+                                        std::vector<uint32_t>{3}),
+            2);
 }
 
 TEST(HistogramBoundTest, SortedPairingOfLengths) {
   // {1, 9} vs {2, 8}: |1-2| + |9-8| = 2 (not |1-8| + |9-2| = 14).
-  EXPECT_EQ(SldLowerBoundFromHistograms({1, 9}, {2, 8}), 2);
+  EXPECT_EQ(SldLowerBoundFromHistograms(std::vector<uint32_t>{1, 9},
+                                        std::vector<uint32_t>{2, 8}),
+            2);
 }
 
 TEST(HistogramBoundTest, NeverExceedsTrueSldOnRandomSamples) {

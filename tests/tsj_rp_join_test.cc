@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -192,7 +193,8 @@ TEST(TsjRpJoinTest, CopiesWithinAndAcrossSidesMatchBruteForce) {
   auto duplicates = [](const Corpus& corpus) {
     std::set<std::vector<TokenId>> distinct;
     for (uint32_t s = 0; s < corpus.size(); ++s) {
-      distinct.insert(corpus.tokens(s));
+      const std::span<const TokenId> tokens = corpus.tokens(s);
+      distinct.insert(std::vector<TokenId>(tokens.begin(), tokens.end()));
     }
     return corpus.size() - distinct.size();
   };

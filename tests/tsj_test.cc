@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -599,7 +600,8 @@ TEST(TsjTest, CopiesOfANameJoinLikeBruteForce) {
   }
   std::set<std::vector<TokenId>> sequences;
   for (uint32_t s = 0; s < corpus.size(); ++s) {
-    sequences.insert(corpus.tokens(s));
+    const std::span<const TokenId> tokens = corpus.tokens(s);
+    sequences.insert(std::vector<TokenId>(tokens.begin(), tokens.end()));
   }
   std::map<std::string, uint32_t> frequency_of;
   const std::vector<uint32_t> frequency =
