@@ -287,20 +287,17 @@ StatusOr<std::vector<TsjPair>> HybridMetricJoiner::SelfJoin(
                       PartitionedEmitter<PairKey, double>* out) {
     out->Emit(PairKey{pair.a, pair.b}, pair.nsld);
   };
+  // Every discovery of a pair reaches the reducer, and every copy carries
+  // the same deterministic NSLD, so the reducer keeps the first.
   auto reduce_dedup = [](const PairKey& key, std::span<double> values,
                          std::vector<TsjPair>* out) {
     out->push_back(TsjPair{key.first, key.second, values.front()});
   };
-  // Duplicate discoveries of one pair collapse map-side (every copy
-  // carries the same deterministic NSLD, so keeping the first is exactly
-  // what the reducer does with the full run).
-  const CombinerFn<PairKey, double> combine_dup =
-      KeepFirstCombiner<PairKey, double>();
   JobStats dedup_stats;
   std::vector<TsjPair> results =
       RunMapReduceSorted<TsjPair, PairKey, double, TsjPair>(
           "hmj-dedup", raw_pairs, map_pairs, reduce_dedup, options_.mapreduce,
-          &dedup_stats, combine_dup);
+          &dedup_stats);
   local_info.pipeline.Add(dedup_stats);
 
   const HmjCounts total = runner.TotalCounts();

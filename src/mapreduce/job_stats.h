@@ -58,21 +58,11 @@ struct JobStats {
   double reduce_wall_seconds = 0;
 
   /// Records that entered this job's shuffle (scattered into partition
-  /// buckets). Equals map_output_records for plain jobs; for the second
-  /// stage of a fused job it additionally counts the records the first
-  /// stage's reduce emitted directly into the shuffle. When a combiner
-  /// ran, this counts the post-combine records (the ones that actually
-  /// crossed the stage boundary); the pre-combine volume is
-  /// combiner_input_records.
+  /// buckets), every emitted record: the engine pre-aggregates nothing.
+  /// Equals map_output_records for plain jobs; for the second stage of a
+  /// fused job it additionally counts the records the first stage's
+  /// reduce emitted directly into the shuffle.
   uint64_t shuffle_records = 0;
-  /// Records scanned by the combiner (run-scan pre-aggregation in the
-  /// emitter buckets; see mapreduce.h). Zero when
-  /// no combiner ran. combiner_input_records - combiner_output_records
-  /// is the shuffle volume the combiner removed before the records
-  /// crossed the stage boundary.
-  uint64_t combiner_input_records = 0;
-  /// Records the combiner kept (what actually entered the shuffle).
-  uint64_t combiner_output_records = 0;
   /// High-water mark of records resident in this job's shuffle buffers
   /// (ShuffleGauge), tracked at task granularity. The two stages of a
   /// fused job share one gauge and report the same peak.
@@ -81,8 +71,7 @@ struct JobStats {
   // External-memory spill (mapreduce/spill.h; active when the job ran
   // under a MapReduceOptions::memory_budget_records policy or the
   // CC_SHUFFLE_SPILL_BUDGET test override).
-  /// Records written to disk as sorted runs (counted post-flush-combine:
-  /// what actually hit disk).
+  /// Records written to disk as sorted runs.
   uint64_t spilled_records = 0;
   /// Run files written (flush runs plus hierarchical pre-merge outputs).
   uint64_t spill_files = 0;
@@ -123,9 +112,6 @@ struct JobStats {
   /// surfaces as a lossy fault in spill_data_loss — this counter exists
   /// so observability can tell payload corruption from torn frames).
   uint64_t checksum_failures = 0;
-  /// Always 0; read by perfbench/; delete at the next benchmark change
-  /// (ROADMAP item 5).
-  uint64_t prefetch_hits = 0;
 
   // Task-level fault tolerance (see the fault-tolerance contract in
   // mapreduce.h).
@@ -178,18 +164,6 @@ struct PipelineStats {
     return total;
   }
 
-  uint64_t total_combiner_input_records() const {
-    uint64_t total = 0;
-    for (const auto& j : jobs) total += j.combiner_input_records;
-    return total;
-  }
-
-  uint64_t total_combiner_output_records() const {
-    uint64_t total = 0;
-    for (const auto& j : jobs) total += j.combiner_output_records;
-    return total;
-  }
-
   /// Largest per-job shuffle high-water mark. A pipeline that threads one
   /// ShuffleGauge through all of its jobs (e.g. TsjRunInfo) reports a
   /// pipeline-wide peak instead, which additionally covers the record
@@ -235,13 +209,6 @@ struct PipelineStats {
   uint64_t total_checksum_failures() const {
     uint64_t total = 0;
     for (const auto& j : jobs) total += j.checksum_failures;
-    return total;
-  }
-
-  /// Always 0, like JobStats::prefetch_hits; read by perfbench/.
-  uint64_t total_prefetch_hits() const {
-    uint64_t total = 0;
-    for (const auto& j : jobs) total += j.prefetch_hits;
     return total;
   }
 
@@ -313,6 +280,12 @@ struct PipelineStats {
     for (const auto& j : jobs) total += j.tasks_cancelled;
     return total;
   }
+
+  /// Always 0; read by perfbench/; delete at the next benchmark change
+  /// (ROADMAP item 5).
+  uint64_t total_combiner_input_records() const { return 0; }
+  uint64_t total_combiner_output_records() const { return 0; }
+  uint64_t total_prefetch_hits() const { return 0; }
 };
 
 }  // namespace tsj

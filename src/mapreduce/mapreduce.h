@@ -13,16 +13,11 @@
 // less-than-comparable and hashable by StableHash; within one run, values
 // keep (map task, emission) order.
 //
-// RunMapReduceSorted runs one such job. The optional combiner
-// (CombinerFn) runs as *combine-at-sort*: after a producer stops
-// emitting, each of its emitter buckets is stable-sorted by key and the
-// combiner shrinks every contiguous key run in place
-// (PartitionedEmitter::Combine) — per-producer pre-aggregation with no
-// grouping hash map, executed before the records are concatenated into
-// shuffle partitions (and, in the fused runner, before they cross the
-// stage boundary). The reduce function must be insensitive to the
-// pre-aggregation; JobStats reports the pre/post volumes as
-// combiner_{input,output}_records.
+// RunMapReduceSorted runs one such job. Every emitted record reaches its
+// reducer, in memory and spilled alike: the engine pre-aggregates
+// nothing, so a reducer that needs one record per key drops the
+// duplicates itself (MassJoin's verify reducer and HMJ's dedup reducer
+// read only the key of their run).
 //
 // RunFusedMapReduceSorted chains two stages without materializing the
 // intermediate record vector between them: stage 1's reduce emits
@@ -30,11 +25,9 @@
 // shuffle (plus an optional stage-2 side input mapped into the same
 // shuffle), so the peak number of shuffle-resident records is bounded by
 // one stage's records instead of the sum of both. TSJ's candidate-
-// generation → dedup/verify pipeline runs on it (tsj/tsj.cc) without a
-// combiner: its dedup reducers drop duplicate candidates themselves.
-// MassJoin's generate → verify pipeline (massjoin/mass_join.cc) runs on
-// it with a stage-2 combiner that keeps one copy of each candidate token
-// pair inside the producing task.
+// generation → dedup/verify pipeline (tsj/tsj.cc) and MassJoin's
+// generate → verify pipeline (massjoin/mass_join.cc) run on it; both
+// drop duplicate candidates in their stage-2 reducers.
 //
 // Spill / merge contract (external memory; mapreduce/spill.h). A job
 // optionally runs under MapReduceOptions::memory_budget_records — a bound
@@ -45,24 +38,16 @@
 //    (budget / producers; the fused runner first halves the budget
 //    between its two stages, whose producers are live simultaneously).
 //    Whenever a producer's resident records exceed its share, it flushes
-//    to disk: one flush stable-sorts EVERY non-empty bucket,
-//    pre-aggregates each with the job's combiner (the runs are combined
-//    *before* they hit disk), and writes them all as one segment file —
-//    one sorted run per bucket, each kept in memory as its byte extent
-//    (SpillRunRef) — so the file count is bounded by the flush count, not
-//    bucket x flush.
-//  * Combiner re-arm semantics: the self-tuning combine sample
-//    (PartitionedEmitter::Combine) persists across a producer's flushes,
-//    but every spill flush re-arms it — a bucket's lifetime ends at the
-//    flush, so a duplicate-free verdict latched before a spill never
-//    suppresses combining of post-spill duplicates.
+//    to disk: one flush stable-sorts EVERY non-empty bucket and writes
+//    them all as one segment file — one sorted run per bucket, each kept
+//    in memory as its byte extent (SpillRunRef) — so the file count is
+//    bounded by the flush count, not bucket x flush.
 //  * Merge: at reduce time each partition streams through a k-way
 //    sort-merge of every producer's runs (flush order) and in-memory
 //    residue (one hierarchical pre-merge pass collapses a producer's
 //    excess runs first; passes are counted in JobStats::merge_passes).
 //    Ties break toward the earlier source, so values keep exactly the
-//    (producer, emission) order of the in-memory shuffle. Each merged key
-//    run is re-combined once more before the reducer sees it.
+//    (producer, emission) order of the in-memory shuffle.
 //  * Span stability: the reducer still receives each key's values as ONE
 //    contiguous mutable std::span — even when the run was split across
 //    several spill files — backed by a buffer that is reused across runs
@@ -167,10 +152,9 @@ struct MapReduceOptions {
   /// test-tier override that lets CI force the spill path through every
   /// job in the process. When active, each
   /// producer flushes its over-budget partition buckets to `spill_dir` as
-  /// sorted (and combined, when a combiner is configured) runs, and
-  /// reducers are driven from a k-way sort-merge of runs instead of a
-  /// materialized partition. Lossless: identical outputs, keys still
-  /// arrive as one contiguous value span each.
+  /// sorted runs, and reducers are driven from a k-way sort-merge of runs
+  /// instead of a materialized partition. Lossless: identical outputs,
+  /// keys still arrive as one contiguous value span each.
   size_t memory_budget_records = 0;
   /// Directory for spill run files. Empty = a job-owned unique temp
   /// directory (created at job start, removed with its files at job end).
@@ -190,33 +174,6 @@ struct MapReduceOptions {
   }
 };
 
-/// Optional combiner: merges the values of one key *within one producer*
-/// before the shuffle, cutting shuffle volume for associative reductions
-/// (the standard MapReduce optimization). Receives the values collected
-/// so far and replaces them with a combined list that must not be longer
-/// (shrinking is the point; in-place compaction relies on it). It runs as
-/// a run-scan over each sorted emitter bucket (PartitionedEmitter::
-/// Combine), over every spill flush, and over every merged key run. The
-/// reduce function must be insensitive to the pre-aggregation (it still
-/// sees every key, with combined value lists concatenated across
-/// producers).
-template <typename Key, typename Value>
-using CombinerFn =
-    std::function<void(const Key&, std::vector<Value>*)>;
-
-/// The engine's ready-made combiner, for dedup-shaped reductions where
-/// every record of one key is interchangeable: keep the first, drop the
-/// rest (HMJ's duplicate pair discoveries and MassJoin's duplicate
-/// candidate pairs combine this way).
-template <typename Key, typename Value>
-CombinerFn<Key, Value> KeepFirstCombiner() {
-  return [](const Key&, std::vector<Value>* values) {
-    // erase, not resize(1): the call only shrinks, and resize draws a
-    // false -Warray-bounds warning from g++ 12.
-    if (values->size() > 1) values->erase(values->begin() + 1, values->end());
-  };
-}
-
 /// Scatters emitted (key, value) records into per-partition buckets at
 /// emit time — the streaming shuffle's map-side sink. One producer task
 /// owns one PartitionedEmitter; buckets are later concatenated per
@@ -233,14 +190,10 @@ class PartitionedEmitter {
   /// Arms the spill policy (engine-internal; see the file comment's spill
   /// contract). `share` is this producer's slice of the job budget: Emit
   /// flushes every bucket to disk once more than `share` records are
-  /// resident. `combiner`, when non-null, pre-aggregates every flushed
-  /// run before it hits disk (spill-aware combine; counted separately so
-  /// the engine can fold it into the job's combiner statistics).
-  void EnableSpill(SpillContext* context, size_t share,
-                   CombinerFn<Key, Value> combiner) {
+  /// resident.
+  void EnableSpill(SpillContext* context, size_t share) {
     spill_ = context;
     spill_share_ = std::max<size_t>(1, share);
-    spill_combiner_ = std::move(combiner);
     spill_runs_.assign(buckets_.size(), {});
   }
 
@@ -256,63 +209,7 @@ class PartitionedEmitter {
       if (++spill_unpublished_ >= kSpillResidentPublishBatch) {
         PublishResident();
       }
-      while (size_ > spill_share_ && !spill_failed_) {
-        if (!SpillAllBuckets()) break;
-      }
-    }
-  }
-
-  /// Run-scan pre-aggregation (the combiner, applied by the engine after
-  /// this producer stops emitting): stable-sorts each bucket
-  /// by key — the sort the shuffle would do anyway happens early, on this
-  /// producer's slice — hands each contiguous key run's values to
-  /// `combiner`, and compacts the bucket in place to the combined
-  /// records. Within a run, values keep emission order going in and
-  /// combiner-output order coming out. Adds the records scanned/kept to
-  /// the two counters.
-  ///
-  /// Self-tuning: combining is only worth its sort when the producer's
-  /// stream actually repeats keys, so once at least kCombineSampleRecords
-  /// records have been scanned with a reduction below ~3%
-  /// (1/kCombineMinReductionShift-th), the remaining buckets ship
-  /// uncombined (and uncounted) — duplicate-free streams pay one bounded
-  /// sample, duplicate-heavy streams keep the full reduction. Lossless
-  /// either way: an uncombined bucket just shuffles its duplicates.
-  ///
-  /// The sample state persists across Combine calls and spill flushes of
-  /// one emitter — but a spill flush *re-arms* it (resets the counters):
-  /// the flushed bucket starts a new lifetime, and a stream that was
-  /// duplicate-free before the flush may well repeat keys after it, so an
-  /// abort verdict latched pre-spill must not suppress post-spill
-  /// combining (tests/mapreduce_streaming_test.cc pins the re-arm).
-  static constexpr size_t kCombineSampleRecords = 4096;
-  static constexpr uint64_t kCombineMinReductionShift = 5;  // 1/32 ≈ 3%
-
-  void Combine(const CombinerFn<Key, Value>& combiner,
-               uint64_t* records_in, uint64_t* records_out) {
-    size_t pre_total = 0;
-    for (const auto& bucket : buckets_) pre_total += bucket.size();
-    for (size_t p = 0; p < buckets_.size(); ++p) {
-      if (CombineSampleAborted()) {
-        break;  // sampled stream is duplicate-free: stop paying the sort
-      }
-      auto& bucket = buckets_[p];
-      combine_scanned_ += bucket.size();
-      *records_in += bucket.size();
-      if (bucket.size() >= 2) {
-        SortBucket(p);
-        CombineSortedRuns(p, combiner);
-      }
-      combine_kept_ += bucket.size();
-      *records_out += bucket.size();
-    }
-    size_ = 0;
-    for (const auto& bucket : buckets_) size_ += bucket.size();
-    // Combined-away records leave residency too — without this the
-    // budget gauge counts phantom residents for the rest of the job.
-    if (spill_ != nullptr && size_ < pre_total) {
-      PublishResident();
-      spill_->resident().Sub(pre_total - size_);
+      if (size_ > spill_share_ && !spill_failed_) SpillAllBuckets();
     }
   }
 
@@ -331,10 +228,9 @@ class PartitionedEmitter {
   /// the fault-tolerance contract in the file comment): drops every
   /// buffered record, returns this emitter's residency to the spill
   /// gauge, releases every spill run the abandoned attempt wrote (their
-  /// files are deleted once unreferenced), clears the spill-failed latch,
-  /// and re-arms the combine sample. The spill context's byte/file meters
-  /// keep counting abandoned runs — they are I/O meters, not result
-  /// accounting.
+  /// files are deleted once unreferenced) and clears the spill-failed
+  /// latch. The spill context's byte/file meters keep counting abandoned
+  /// runs — they are I/O meters, not result accounting.
   void Abandon() {
     if (spill_ != nullptr) {
       PublishResident();
@@ -351,21 +247,17 @@ class PartitionedEmitter {
     }
     size_ = 0;
     spilled_records_ = 0;
-    spill_combiner_in_ = 0;
-    spill_combiner_out_ = 0;
-    combine_scanned_ = 0;
-    combine_kept_ = 0;
   }
 
-  /// Total records currently held in memory (post-combine, if Combine
-  /// ran; spilled records are not counted — see spilled_records()).
+  /// Total records currently held in memory (spilled records are not
+  /// counted — see spilled_records()).
   size_t size() const { return size_; }
   size_t num_partitions() const { return buckets_.size(); }
   std::vector<std::pair<Key, Value>>& bucket(size_t p) {
     return buckets_[p];
   }
 
-  /// Records written to disk (post-flush-combine).
+  /// Records written to disk.
   uint64_t spilled_records() const { return spilled_records_; }
   /// Runs this producer wrote for partition p, in flush order — which is
   /// emission order: a flush takes a whole bucket, so every record in an
@@ -376,10 +268,6 @@ class PartitionedEmitter {
     static const std::vector<SpillRunRef> kNone;
     return spill_runs_.empty() ? kNone : spill_runs_[p];
   }
-  /// Records scanned/kept by the spill-time (flush) combine, to be folded
-  /// into the job's combiner statistics alongside Combine's counts.
-  uint64_t spill_combiner_input() const { return spill_combiner_in_; }
-  uint64_t spill_combiner_output() const { return spill_combiner_out_; }
 
  private:
   void SortBucket(size_t p) {
@@ -392,73 +280,14 @@ class PartitionedEmitter {
         });
   }
 
-  // Run-scan pre-aggregation over the (already sorted) bucket p,
-  // compacting it in place. See Combine for the contract.
-  void CombineSortedRuns(size_t p, const CombinerFn<Key, Value>& combiner) {
-    auto& bucket = buckets_[p];
-    std::vector<Value> run_values;
-    size_t write = 0;
-    size_t i = 0;
-    while (i < bucket.size()) {
-      size_t j = i + 1;
-      while (j < bucket.size() && bucket[j].first == bucket[i].first) {
-        ++j;
-      }
-      const Key key = std::move(bucket[i].first);
-      run_values.clear();
-      for (size_t r = i; r < j; ++r) {
-        run_values.push_back(std::move(bucket[r].second));
-      }
-      combiner(key, &run_values);
-      // The combiner must not grow the list (see CombinerFn): the
-      // compaction writes over slots already consumed above.
-      for (auto& value : run_values) {
-        bucket[write].first = key;
-        bucket[write].second = std::move(value);
-        ++write;
-      }
-      i = j;
-    }
-    bucket.resize(write);
-  }
-
-  bool CombineSampleAborted() const {
-    return combine_scanned_ >= kCombineSampleRecords &&
-           combine_scanned_ - combine_kept_ <
-               (combine_scanned_ >> kCombineMinReductionShift);
-  }
-
-  // Spill flush: sort + flush-combine EVERY non-empty bucket (spill-aware
-  // combine: runs are pre-aggregated *before* they hit disk) and write
-  // them all, one sorted run each, into ONE segment file — so the file
-  // count tracks the flush count, not bucket × flush.
-  // Returns false when there was nothing to flush or the flush failed. A
-  // failed flush is degraded, not lossy: every surviving record stays in
-  // memory, the error is recorded on the context, flushing stops, and the
-  // flush-combine scan is rolled back out of the reported counters — the
-  // engine's later Combine() counts the surviving records, and the
-  // counters mean "every record scanned once". The flush combine may still
-  // have shrunk the buckets, hence the residency reconciliation.
-  bool SpillAllBuckets() {
-    size_t pre_total = 0;
-    for (const auto& bucket : buckets_) pre_total += bucket.size();
-    if (pre_total == 0) return false;
+  // Spill flush: sort EVERY non-empty bucket and write them all, one
+  // sorted run each, into ONE segment file — so the file count tracks the
+  // flush count, not bucket × flush.
+  // A failed flush is degraded, not lossy: every record stays in memory,
+  // the error is recorded on the context, and flushing stops.
+  void SpillAllBuckets() {
     PublishResident();
-    uint64_t combine_in = 0, combine_out = 0;
-    size_t post_total = 0;
-    for (size_t p = 0; p < buckets_.size(); ++p) {
-      auto& bucket = buckets_[p];
-      if (bucket.empty()) continue;
-      SortBucket(p);
-      if (spill_combiner_ != nullptr && !CombineSampleAborted()) {
-        combine_in += bucket.size();
-        combine_scanned_ += bucket.size();
-        if (bucket.size() >= 2) CombineSortedRuns(p, spill_combiner_);
-        combine_kept_ += bucket.size();
-        combine_out += bucket.size();
-      }
-      post_total += bucket.size();
-    }
+    for (size_t p = 0; p < buckets_.size(); ++p) SortBucket(p);
     const std::string path = spill_->NewRunPath();
     SpillRunWriter<Key, Value> writer(spill_->NewIo());
     Status s = writer.Open(path);
@@ -479,37 +308,23 @@ class PartitionedEmitter {
       spill_->RecordError(s);
       spill_failed_ = true;
       RemoveSpillFile(path);
-      spill_->resident().Sub(pre_total - post_total);
-      size_ -= pre_total - post_total;
-      return false;
+      return;
     }
-    spill_combiner_in_ += combine_in;
-    spill_combiner_out_ += combine_out;
     for (auto& [p, ref] : refs) spill_runs_[p].push_back(std::move(ref));
     spill_->RegisterRuns(path, refs.size());
-    spill_->AddRunFile(post_total, writer.bytes_written(),
-                       writer.raw_bytes());
-    spilled_records_ += post_total;
-    spill_->resident().Sub(pre_total);
+    spill_->AddRunFile(size_, writer.bytes_written(), writer.raw_bytes());
+    spilled_records_ += size_;
+    spill_->resident().Sub(size_);
     size_ = 0;
     for (auto& bucket : buckets_) {
       bucket.clear();
       bucket.shrink_to_fit();
     }
-    // Re-arm the self-tuning combine sample: the flushed buckets'
-    // lifetime ended, post-spill records get a fresh verdict.
-    combine_scanned_ = 0;
-    combine_kept_ = 0;
-    return true;
   }
 
   StableHash hasher_;
   std::vector<std::vector<std::pair<Key, Value>>> buckets_;
   size_t size_ = 0;
-
-  // Self-tuning combine sample (persistent across flushes until re-armed).
-  uint64_t combine_scanned_ = 0;
-  uint64_t combine_kept_ = 0;
 
   // Drains the emitter-local residency delta into the shared gauge.
   void PublishResident() {
@@ -523,11 +338,8 @@ class PartitionedEmitter {
   SpillContext* spill_ = nullptr;
   size_t spill_share_ = 0;
   size_t spill_unpublished_ = 0;
-  CombinerFn<Key, Value> spill_combiner_;
   std::vector<std::vector<SpillRunRef>> spill_runs_;
   uint64_t spilled_records_ = 0;
-  uint64_t spill_combiner_in_ = 0;
-  uint64_t spill_combiner_out_ = 0;
   bool spill_failed_ = false;
 };
 
@@ -858,17 +670,13 @@ inline constexpr size_t kSpillMergeFanIn = 16;
 inline constexpr size_t kSpillRunsPerProducerTarget = 4;
 
 // Streams `runs` (consecutive runs of one producer and partition, in run
-// order) through a k-way merge into one new single-run file, re-combining
-// each contiguous key run when a combiner is configured — the "combined
-// again at merge time" half of the spill-aware-combine contract. Consumed
-// input runs are released on success (a segment file is deleted once the
-// last run it backs is released). Not counted into the job's combiner
-// statistics: the map-side counters keep their exact "every record
-// scanned once" meaning (the existing combiner tests pin it).
+// order) through a k-way merge into one new single-run file. Each record
+// goes straight from its cursor to the writer, so the merge holds no
+// window of records. Consumed input runs are released on success (a
+// segment file is deleted once the last run it backs is released).
 template <typename Key, typename Value>
 Status MergeRunBatchToFile(SpillContext* context,
                            const std::vector<SpillRunRef>& runs,
-                           const CombinerFn<Key, Value>& combiner,
                            SpillRunRef* out_run) {
   std::vector<RunCursor<Key, Value>> cursors(runs.size());
   for (size_t i = 0; i < runs.size(); ++i) {
@@ -882,53 +690,13 @@ Status MergeRunBatchToFile(SpillContext* context,
   if (Status s = writer.Open(out_path); !s.ok()) return s;
 
   RunCursorHeap<Key, Value> heap(&cursors);
-  std::vector<std::pair<Key, Value>> run;  // the active key's records
-  // Window residency is published in batches (one shared-gauge RMW per
-  // kSpillResidentPublishBatch records, drained before every Sub so the
-  // unsigned gauge never underflows), like the emit side.
-  size_t window_unpublished = 0;
-  auto publish_window = [&]() {
-    if (window_unpublished > 0) {
-      context->resident().Add(window_unpublished);
-      window_unpublished = 0;
-    }
-  };
-  auto flush_run = [&]() -> Status {
-    if (run.empty()) return Status::OK();
-    const size_t window = run.size();  // residency added pre-combine
-    if (combiner != nullptr && run.size() > 1) {
-      std::vector<Value> values;
-      values.reserve(run.size());
-      for (auto& record : run) values.push_back(std::move(record.second));
-      combiner(run.front().first, &values);
-      const Key key = std::move(run.front().first);
-      run.clear();
-      for (auto& value : values) run.emplace_back(key, std::move(value));
-    }
-    for (auto& record : run) {
-      if (Status s = writer.Append(record); !s.ok()) return s;
-    }
-    publish_window();
-    context->resident().Sub(window);
-    run.clear();
-    return Status::OK();
-  };
-
   while (!heap.empty()) {
     const size_t index = heap.Pop();
     auto& cursor = cursors[index];
-    if (!run.empty() && run.front().first < cursor.head.first) {
-      if (Status s = flush_run(); !s.ok()) return s;
-    }
-    run.push_back(std::move(cursor.head));
-    // The merge window's only residency.
-    if (++window_unpublished >= kSpillResidentPublishBatch) {
-      publish_window();
-    }
+    if (Status s = writer.Append(cursor.head); !s.ok()) return s;
     if (Status s = cursor.Advance(); !s.ok()) return s;
     if (cursor.has_head) heap.Reinsert(index);
   }
-  if (Status s = flush_run(); !s.ok()) return s;
   if (Status s = writer.EndRun(out_run); !s.ok()) return s;
   if (Status s = writer.Finish(); !s.ok()) return s;
   context->RegisterRuns(out_path, 1);
@@ -945,7 +713,6 @@ Status MergeRunBatchToFile(SpillContext* context,
 // merge pass (JobStats::merge_passes).
 template <typename Key, typename Value>
 Status PreMergeProducerRuns(SpillContext* context,
-                            const CombinerFn<Key, Value>& combiner,
                             std::vector<SpillRunRef>* runs) {
   while (runs->size() > kSpillRunsPerProducerTarget) {
     context->AddMergePass();
@@ -960,8 +727,8 @@ Status PreMergeProducerRuns(SpillContext* context,
       const std::vector<SpillRunRef> batch(runs->begin() + begin,
                                            runs->begin() + end);
       SpillRunRef out_run;
-      if (Status s = MergeRunBatchToFile<Key, Value>(context, batch,
-                                                     combiner, &out_run);
+      if (Status s =
+              MergeRunBatchToFile<Key, Value>(context, batch, &out_run);
           !s.ok()) {
         return s;
       }
@@ -995,8 +762,7 @@ size_t ReleasePartitionResidue(Producers* producers, size_t p) {
 // in-memory shuffle produces — as ONE contiguous span, even when the run
 // was split across several spill files. The span points into a buffer
 // reused across runs, stable for the duration of one reduce_run call
-// (the same contract as the in-memory shuffle). A configured combiner
-// re-combines each merged run before the reducer sees it.
+// (the same contract as the in-memory shuffle).
 //
 // Only the active run's values are memory-resident (context->resident()
 // tracks the window). In-memory buckets are consumed by moving; the
@@ -1006,9 +772,8 @@ size_t ReleasePartitionResidue(Producers* producers, size_t p) {
 template <typename Key, typename Value, typename Producers,
           typename ReduceRun>
 Status ReduceMergedRuns(Producers* producers, size_t p,
-                        SpillContext* context,
-                        const CombinerFn<Key, Value>& combiner,
-                        uint64_t* num_groups, const ReduceRun& reduce_run) {
+                        SpillContext* context, uint64_t* num_groups,
+                        const ReduceRun& reduce_run) {
   // Hierarchical pre-merge per producer, then one cursor per remaining
   // run plus one per in-memory residue.
   std::vector<std::vector<SpillRunRef>> producer_runs;
@@ -1016,8 +781,7 @@ Status ReduceMergedRuns(Producers* producers, size_t p,
   for (auto& producer : *producers) {
     std::vector<SpillRunRef> runs = producer.spill_runs(p);
     if (!runs.empty()) any_disk = true;
-    if (Status s =
-            PreMergeProducerRuns<Key, Value>(context, combiner, &runs);
+    if (Status s = PreMergeProducerRuns<Key, Value>(context, &runs);
         !s.ok()) {
       return s;
     }
@@ -1049,8 +813,10 @@ Status ReduceMergedRuns(Producers* producers, size_t p,
                                   // shuffle: no per-key heap node
   Key current_key{};
   bool have_run = false;
-  // Disk-record window residency, published in batches and drained
-  // before every Sub (see MergeRunBatchToFile).
+  // Disk-record window residency is published in batches (one
+  // shared-gauge RMW per kSpillResidentPublishBatch records, drained
+  // before every Sub so the unsigned gauge never underflows), like the
+  // emit side.
   size_t window_unpublished = 0;
   auto publish_window = [&]() {
     if (window_unpublished > 0) {
@@ -1059,13 +825,9 @@ Status ReduceMergedRuns(Producers* producers, size_t p,
     }
   };
   auto emit_run = [&]() {
-    const size_t window = run_values.size();  // residency added pre-combine
-    if (combiner != nullptr && run_values.size() > 1) {
-      combiner(current_key, &run_values);  // merge-time re-combine
-    }
     ReduceGroup(current_key, &run_values, num_groups, reduce_run);
     publish_window();
-    context->resident().Sub(window);
+    context->resident().Sub(run_values.size());
     run_values.clear();
     have_run = false;
   };
@@ -1133,15 +895,15 @@ inline size_t ProducerShare(const SortedJob& job, size_t stages,
 // `count` fresh producers, each spill-armed with `share` when the job
 // spills.
 template <typename Key, typename Value>
-std::vector<PartitionedEmitter<Key, Value>> NewProducers(
-    const SortedJob& job, size_t count, size_t share,
-    const CombinerFn<Key, Value>& combiner) {
+std::vector<PartitionedEmitter<Key, Value>> NewProducers(const SortedJob& job,
+                                                         size_t count,
+                                                         size_t share) {
   std::vector<PartitionedEmitter<Key, Value>> producers;
   producers.reserve(count);
   for (size_t i = 0; i < count; ++i) {
     producers.emplace_back(job.num_partitions);
     if (job.spill != nullptr) {
-      producers.back().EnableSpill(job.spill.get(), share, combiner);
+      producers.back().EnableSpill(job.spill.get(), share);
     }
   }
   return producers;
@@ -1150,24 +912,20 @@ std::vector<PartitionedEmitter<Key, Value>> NewProducers(
 // Runs one map phase: task t of `n` = producers->size() - first maps an
 // even slice of `inputs` into (*producers)[first + t], under the retry
 // contract of the file comment. One attempt maps its slice, polling the
-// job token between records, then combines and sorts its buckets and
-// publishes its residency. Folds the phase's map-side counters into
-// *stats.
+// job token between records, then sorts its buckets and publishes its
+// residency. Folds the phase's map output count into *stats.
 template <typename Input, typename Key, typename Value, typename MapFn>
 void RunMapStage(SortedJob& job, const std::vector<Input>& inputs,
-                 const MapFn& map_fn, const CombinerFn<Key, Value>& combiner,
+                 const MapFn& map_fn,
                  std::vector<PartitionedEmitter<Key, Value>>* producers,
                  size_t first, TaskCounters* counters, JobStats* stats) {
   Stopwatch watch;
   const size_t n = producers->size() - first;
-  std::vector<uint64_t> combine_in(n, 0), combine_out(n, 0);
   RunTasksWithRetry(
       &job.pool, n, job.options.max_task_retries, job.cancel, "task.map",
       counters,
       [&](size_t task) {  // reset: rebuild the producer from scratch
         (*producers)[first + task].Abandon();
-        combine_in[task] = 0;
-        combine_out[task] = 0;
       },
       [&](size_t task) {
         auto& em = (*producers)[first + task];
@@ -1177,19 +935,12 @@ void RunMapStage(SortedJob& job, const std::vector<Input>& inputs,
           if (job.cancel.cancelled()) return;  // job abort
           map_fn(inputs[i], &em);
         }
-        if (combiner != nullptr) {
-          em.Combine(combiner, &combine_in[task], &combine_out[task]);
-        }
         em.FinishSpill();  // sort the residue for the merge
         job.gauge.Add(em.size());
       });
   for (size_t t = 0; t < n; ++t) {
     const auto& producer = (*producers)[first + t];
     stats->map_output_records += producer.size() + producer.spilled_records();
-    stats->combiner_input_records +=
-        combine_in[t] + producer.spill_combiner_input();
-    stats->combiner_output_records +=
-        combine_out[t] + producer.spill_combiner_output();
   }
   stats->map_wall_seconds = watch.ElapsedSeconds();
 }
@@ -1228,7 +979,6 @@ template <typename Key, typename Value, typename ReduceRun, typename Done>
 void RunReduceStage(SortedJob& job,
                     std::vector<PartitionedEmitter<Key, Value>>* producers,
                     std::vector<std::vector<std::pair<Key, Value>>>* partitions,
-                    const CombinerFn<Key, Value>& combiner,
                     TaskCounters* counters, JobStats* stats,
                     const ReduceRun& reduce_run, const Done& done) {
   Stopwatch watch;
@@ -1242,8 +992,7 @@ void RunReduceStage(SortedJob& job,
         size_t released = 0;
         if (job.spill != nullptr) {
           Status s = ReduceMergedRuns<Key, Value>(
-              producers, p, job.spill.get(), combiner, &num_groups[p],
-              reduce_key);
+              producers, p, job.spill.get(), &num_groups[p], reduce_key);
           if (!s.ok()) job.spill->RecordDataLoss(s);
           released = ReleasePartitionResidue(producers, p);
         } else {
@@ -1309,12 +1058,8 @@ inline void FinishJobStats(SortedJob& job, const TaskCounters& counters,
 /// Both functions must be thread-safe with respect to their own captured
 /// state (they run concurrently on different records/groups).
 ///
-/// The optional combiner runs as a run-scan over each map task's emitter
-/// buckets after the task finishes emitting (PartitionedEmitter::Combine —
-/// combine-at-sort, before the records cross into the shuffle);
-/// pre/post-combine volumes are reported through
-/// JobStats::combiner_{input,output}_records, and
-/// map_output_records/shuffle_records count the post-combine records.
+/// Every emitted record reaches the reducer: map_output_records and
+/// shuffle_records both count the emitted records.
 ///
 /// Returns all reduce outputs (unspecified but deterministic order for a
 /// fixed number of partitions); an aborted job returns none and reports
@@ -1327,8 +1072,7 @@ std::vector<Output> RunMapReduceSorted(
         map_fn,
     const std::function<void(const Key&, std::span<Value>,
                              std::vector<Output>*)>& reduce_fn,
-    const MapReduceOptions& options = {}, JobStats* stats = nullptr,
-    const CombinerFn<Key, Value>& combiner = nullptr) {
+    const MapReduceOptions& options = {}, JobStats* stats = nullptr) {
   namespace mri = mapreduce_internal;
   JobStats local_stats;
   local_stats.name = job_name;
@@ -1338,15 +1082,15 @@ std::vector<Output> RunMapReduceSorted(
 
   const size_t num_map_tasks = mri::NumMapTasks(inputs.size(), job.num_workers);
   auto producers = mri::NewProducers<Key, Value>(
-      job, num_map_tasks, mri::ProducerShare(job, 1, num_map_tasks), combiner);
-  mri::RunMapStage<Input, Key, Value>(job, inputs, map_fn, combiner,
-                                      &producers, 0, &counters, &local_stats);
+      job, num_map_tasks, mri::ProducerShare(job, 1, num_map_tasks));
+  mri::RunMapStage<Input, Key, Value>(job, inputs, map_fn, &producers, 0,
+                                      &counters, &local_stats);
   local_stats.shuffle_records = local_stats.map_output_records;
   auto partitions = mri::RunShuffleStage<Key, Value>(job, &producers,
                                                      &counters, &local_stats);
   std::vector<std::vector<Output>> outputs(job.num_partitions);
   mri::RunReduceStage<Key, Value>(
-      job, &producers, &partitions, combiner, &counters, &local_stats,
+      job, &producers, &partitions, &counters, &local_stats,
       [&](size_t p, const Key& key, std::span<Value> values) {
         reduce_fn(key, values, &outputs[p]);
       },
@@ -1375,18 +1119,8 @@ std::vector<Output> RunMapReduceSorted(
 /// for fixed worker/partition counts; the order of values within a
 /// stage-2 run follows producer order (stage-1 partitions first, then
 /// side-input map tasks), so reducers that must be invariant across
-/// partition counts should be value-order-insensitive.
-///
-/// Combiners: `combiner1` pre-aggregates each stage-1 map task's emitter
-/// buckets; `combiner2` pre-aggregates every stage-2 producer — both the
-/// buckets stage 1's reduce emitted into and the side-input map tasks' —
-/// right where they are filled (combine-at-sort, inside the producing
-/// task, before the records cross the stage boundary). With `combiner2`
-/// a stage-2 key that stage 1 emitted k times from one partition crosses
-/// into the stage-2 shuffle as the combined records only; MassJoin's
-/// verify stage combines its duplicate candidate token pairs this way.
-/// Reduction volumes land in the respective stage's
-/// combiner_{input,output} JobStats counters.
+/// partition counts should be value-order-insensitive. A stage-2 key that
+/// stage 1 emitted k times reaches reduce2_fn as one run of k values.
 template <typename Input1, typename Key1, typename Value1, typename Input2,
           typename Key2, typename Value2, typename Output>
 std::vector<Output> RunFusedMapReduceSorted(
@@ -1402,9 +1136,7 @@ std::vector<Output> RunFusedMapReduceSorted(
     const std::function<void(const Key2&, std::span<Value2>,
                              std::vector<Output>*)>& reduce2_fn,
     const MapReduceOptions& options = {}, JobStats* stage1_stats = nullptr,
-    JobStats* stage2_stats = nullptr,
-    const CombinerFn<Key1, Value1>& combiner1 = nullptr,
-    const CombinerFn<Key2, Value2>& combiner2 = nullptr) {
+    JobStats* stage2_stats = nullptr) {
   namespace mri = mapreduce_internal;
   JobStats s1, s2;
   s1.name = stage1_name;
@@ -1423,11 +1155,9 @@ std::vector<Output> RunFusedMapReduceSorted(
   const size_t num_map1_tasks =
       mri::NumMapTasks(stage1_inputs.size(), job.num_workers);
   auto producers1 = mri::NewProducers<Key1, Value1>(
-      job, num_map1_tasks, mri::ProducerShare(job, 2, num_map1_tasks),
-      combiner1);
+      job, num_map1_tasks, mri::ProducerShare(job, 2, num_map1_tasks));
   mri::RunMapStage<Input1, Key1, Value1>(job, stage1_inputs, map1_fn,
-                                         combiner1, &producers1, 0,
-                                         &counters1, &s1);
+                                         &producers1, 0, &counters1, &s1);
   s1.shuffle_records = s1.map_output_records;
   auto partitions1 =
       mri::RunShuffleStage<Key1, Value1>(job, &producers1, &counters1, &s1);
@@ -1441,28 +1171,19 @@ std::vector<Output> RunFusedMapReduceSorted(
           : mri::NumMapTasks(stage2_side_inputs.size(), job.num_workers);
   const size_t num_producers2 = job.num_partitions + num_map2_tasks;
   auto producers2 = mri::NewProducers<Key2, Value2>(
-      job, num_producers2, mri::ProducerShare(job, 2, num_producers2),
-      combiner2);
-  mri::RunMapStage<Input2, Key2, Value2>(
-      job, stage2_side_inputs, map2_fn, combiner2, &producers2,
-      job.num_partitions, &counters2, &s2);
+      job, num_producers2, mri::ProducerShare(job, 2, num_producers2));
+  mri::RunMapStage<Input2, Key2, Value2>(job, stage2_side_inputs, map2_fn,
+                                         &producers2, job.num_partitions,
+                                         &counters2, &s2);
 
   // ---- Stage 1 reduce, emitting into stage 2's shuffle.
-  std::vector<uint64_t> combine2_in(job.num_partitions, 0);
-  std::vector<uint64_t> combine2_out(job.num_partitions, 0);
   mri::RunReduceStage<Key1, Value1>(
-      job, &producers1, &partitions1, combiner1, &counters1, &s1,
+      job, &producers1, &partitions1, &counters1, &s1,
       [&](size_t p, const Key1& key, std::span<Value1> values) {
         reduce1_fn(key, values, &producers2[p]);
       },
       [&](size_t p) {
-        // Combine-at-sort on the stage boundary: this partition's
-        // emissions shrink before they are ever counted as stage-2
-        // shuffle residents.
         auto& out = producers2[p];
-        if (combiner2 != nullptr) {
-          out.Combine(combiner2, &combine2_in[p], &combine2_out[p]);
-        }
         out.FinishSpill();
         job.gauge.Add(out.size());  // records now live in stage 2's buckets
       });
@@ -1470,9 +1191,6 @@ std::vector<Output> RunFusedMapReduceSorted(
     const auto& out = producers2[p];
     s1.reduce_output_records += out.size() + out.spilled_records();
     s2.map_output_records += out.size() + out.spilled_records();
-    s2.combiner_input_records += combine2_in[p] + out.spill_combiner_input();
-    s2.combiner_output_records +=
-        combine2_out[p] + out.spill_combiner_output();
   }
   s2.shuffle_records = s2.map_output_records;
 
@@ -1481,7 +1199,7 @@ std::vector<Output> RunFusedMapReduceSorted(
       mri::RunShuffleStage<Key2, Value2>(job, &producers2, &counters2, &s2);
   std::vector<std::vector<Output>> outputs(job.num_partitions);
   mri::RunReduceStage<Key2, Value2>(
-      job, &producers2, &partitions2, combiner2, &counters2, &s2,
+      job, &producers2, &partitions2, &counters2, &s2,
       [&](size_t p, const Key2& key, std::span<Value2> values) {
         reduce2_fn(key, values, &outputs[p]);
       },

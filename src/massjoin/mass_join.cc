@@ -119,8 +119,10 @@ StatusOr<std::vector<NldPair>> RunMassJoinSelfNld(
   };
 
   // ---- Stage 2: dedup + verify (one contiguous run per distinct pair). --
-  // No side input: the fused call gets an empty input list and an
-  // explicit no-op mapper (never invoked).
+  // Every discovery of a token pair reaches the reducer as one value of
+  // the pair's run; the reducer reads only the key, so each pair is
+  // verified once. No side input: the fused call gets an empty input list
+  // and an explicit no-op mapper (never invoked).
   auto map_side = [](const CandidatePair&,
                      PartitionedEmitter<CandidatePair, char>*) {};
   auto reduce_verify = [&tokens, threshold](const CandidatePair& pair,
@@ -143,11 +145,7 @@ StatusOr<std::vector<NldPair>> RunMassJoinSelfNld(
                               CandidatePair, CandidatePair, char, NldPair>(
           "massjoin-generate", "massjoin-verify", ids, map_signatures,
           reduce_candidates, /*stage2_side_inputs=*/{}, map_side,
-          reduce_verify, options.mapreduce, &generate_stats, &verify_stats,
-          /*combiner1=*/nullptr,
-          // Duplicate candidate discoveries of one token pair collapse at
-          // the stage boundary (the verify reducer only needs the key).
-          KeepFirstCombiner<CandidatePair, char>());
+          reduce_verify, options.mapreduce, &generate_stats, &verify_stats);
   PipelineStats local_stats;
   local_stats.Add(std::move(generate_stats));
   local_stats.Add(std::move(verify_stats));

@@ -27,6 +27,12 @@ PairSet ToSet(const std::vector<TsjPair>& pairs) {
   return s;
 }
 
+// A pair found in several partitions must still be returned once: the
+// hmj-dedup reducer drops the repeats, and ToSet would hide one.
+void ExpectNoRepeatedPair(const std::vector<TsjPair>& pairs) {
+  EXPECT_EQ(ToSet(pairs).size(), pairs.size()) << "a pair returned twice";
+}
+
 Corpus MakeCorpus(Rng* rng, size_t n) {
   Corpus corpus;
   size_t added = 0;
@@ -61,6 +67,7 @@ TEST_P(HmjExactnessTest, MatchesBruteForce) {
     const auto actual = joiner.SelfJoin(corpus);
     ASSERT_TRUE(actual.ok());
     EXPECT_EQ(ToSet(*actual), ToSet(expected)) << "T=" << t;
+    ExpectNoRepeatedPair(*actual);
   }
 }
 
@@ -81,6 +88,7 @@ TEST(HmjTest, RecursiveRepartitioningPreservesCorrectness) {
   const auto actual = HybridMetricJoiner(options).SelfJoin(corpus);
   ASSERT_TRUE(actual.ok());
   EXPECT_EQ(ToSet(*actual), ToSet(expected));
+  ExpectNoRepeatedPair(*actual);
 }
 
 TEST(HmjTest, ExactAndCountedAlikeAtAnyWorkerCount) {

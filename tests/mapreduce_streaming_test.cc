@@ -194,103 +194,6 @@ TEST(MapReduceSortedTest, StatsCountRecordsAndGroups) {
   EXPECT_GE(stats.peak_shuffle_records, 6u);
 }
 
-// ---- Sorted-mode combiner ------------------------------------------------
-
-// Summing word-count combiner: values for one key collapse to their sum —
-// the canonical associative pre-aggregation.
-CombinerFn<std::string, int> SumCombiner() {
-  return [](const std::string&, std::vector<int>* values) {
-    int total = 0;
-    for (int v : *values) total += v;
-    values->assign(1, total);
-  };
-}
-
-TEST(SortedCombinerTest, BucketCombineShrinksRunsInPlace) {
-  PartitionedEmitter<std::string, int> emitter(2);
-  for (int i = 0; i < 10; ++i) emitter.Emit("hot", 1);
-  emitter.Emit("cold", 1);
-  uint64_t in = 0, out = 0;
-  emitter.Combine(SumCombiner(), &in, &out);
-  EXPECT_EQ(in, 11u);
-  EXPECT_EQ(out, 2u);
-  EXPECT_EQ(emitter.size(), 2u);
-  // The combined records carry the aggregated values.
-  int hot_total = 0, cold_total = 0;
-  for (size_t p = 0; p < emitter.num_partitions(); ++p) {
-    for (const auto& [key, value] : emitter.bucket(p)) {
-      (key == "hot" ? hot_total : cold_total) += value;
-    }
-  }
-  EXPECT_EQ(hot_total, 10);
-  EXPECT_EQ(cold_total, 1);
-}
-
-TEST(SortedCombinerTest, SortedWithCombinerMatchesWithout) {
-  std::vector<std::string> docs;
-  for (int i = 0; i < 300; ++i) {
-    docs.push_back("w" + std::to_string(i % 23) + " w" +
-                   std::to_string(i % 5) + " w" + std::to_string(i % 5));
-  }
-  const auto reference = SortedWordCount(docs, {});
-  JobStats stats;
-  auto combined = RunMapReduceSorted<std::string, std::string, int,
-                                     std::pair<std::string, int>>(
-      "wordcount-combined", docs,
-      [](const std::string& doc, PartitionedEmitter<std::string, int>* out) {
-        CountWords(doc, [&](const std::string& word) { out->Emit(word, 1); });
-      },
-      [](const std::string& word, std::span<int> values,
-         std::vector<std::pair<std::string, int>>* out) {
-        int total = 0;
-        for (int v : values) total += v;
-        out->emplace_back(word, total);
-      },
-      {}, &stats, SumCombiner());
-  std::sort(combined.begin(), combined.end());
-  EXPECT_EQ(combined, reference);
-  // The combiner saw every emitted record and kept fewer.
-  EXPECT_GT(stats.combiner_input_records, stats.combiner_output_records);
-  EXPECT_EQ(stats.combiner_input_records, 900u);
-  // Post-combine records are what entered the shuffle.
-  EXPECT_EQ(stats.map_output_records, stats.combiner_output_records);
-  EXPECT_EQ(stats.shuffle_records, stats.combiner_output_records);
-}
-
-TEST(SortedCombinerTest, ResultInvariantAcrossWorkersAndPartitions) {
-  std::vector<std::string> docs;
-  for (int i = 0; i < 200; ++i) {
-    docs.push_back("a" + std::to_string(i % 13) + " b" +
-                   std::to_string(i % 3) + " b" + std::to_string(i % 3));
-  }
-  const auto reference = SortedWordCount(docs, {});
-  for (size_t workers : {1u, 4u}) {
-    for (size_t partitions : {1u, 7u, 64u}) {
-      MapReduceOptions options;
-      options.num_workers = workers;
-      options.num_partitions = partitions;
-      auto combined = RunMapReduceSorted<std::string, std::string, int,
-                                         std::pair<std::string, int>>(
-          "wordcount-combined", docs,
-          [](const std::string& doc,
-             PartitionedEmitter<std::string, int>* out) {
-            CountWords(doc,
-                       [&](const std::string& word) { out->Emit(word, 1); });
-          },
-          [](const std::string& word, std::span<int> values,
-             std::vector<std::pair<std::string, int>>* out) {
-            int total = 0;
-            for (int v : values) total += v;
-            out->emplace_back(word, total);
-          },
-          options, nullptr, SumCombiner());
-      std::sort(combined.begin(), combined.end());
-      EXPECT_EQ(combined, reference)
-          << "workers=" << workers << " partitions=" << partitions;
-    }
-  }
-}
-
 TEST(ShuffleGaugeTest, TracksCurrentAndPeak) {
   ShuffleGauge gauge;
   EXPECT_EQ(gauge.current(), 0u);
@@ -456,107 +359,6 @@ TEST(FusedMapReduceTest, RecordsPerStageStats) {
   EXPECT_GE(s1.peak_shuffle_records, 5u);
 }
 
-// Fused letter totals with a stage-2 combiner: counts headed for one
-// letter collapse to their sum inside the producing task, before they
-// cross the stage boundary.
-std::vector<std::pair<char, int>> LetterTotalsFusedCombined(
-    const std::vector<std::string>& docs,
-    const std::vector<std::string>& extra_words,
-    const MapReduceOptions& options, JobStats* s1 = nullptr,
-    JobStats* s2 = nullptr) {
-  auto result = RunFusedMapReduceSorted<std::string, std::string, int,
-                                        std::string, char, int,
-                                        std::pair<char, int>>(
-      "stage1", "stage2", docs,
-      [](const std::string& doc, PartitionedEmitter<std::string, int>* out) {
-        CountWords(doc, [&](const std::string& word) { out->Emit(word, 1); });
-      },
-      [](const std::string& word, std::span<int> values,
-         PartitionedEmitter<char, int>* out) {
-        int total = 0;
-        for (int v : values) total += v;
-        out->Emit(word[0], total);
-      },
-      extra_words,
-      [](const std::string& word, PartitionedEmitter<char, int>* out) {
-        out->Emit(word[0], 1);
-      },
-      [](const char& letter, std::span<int> values,
-         std::vector<std::pair<char, int>>* out) {
-        int total = 0;
-        for (int v : values) total += v;
-        out->emplace_back(letter, total);
-      },
-      options, s1, s2, /*combiner1=*/nullptr,
-      [](const char&, std::vector<int>* values) {
-        int total = 0;
-        for (int v : *values) total += v;
-        values->assign(1, total);
-      });
-  std::sort(result.begin(), result.end());
-  return result;
-}
-
-TEST(FusedCombinerTest, MatchesUncombinedFusedPipeline) {
-  std::vector<std::string> docs;
-  for (int i = 0; i < 250; ++i) {
-    docs.push_back("alpha" + std::to_string(i % 19) + " beta" +
-                   std::to_string(i % 4) + " alpha" + std::to_string(i % 7));
-  }
-  const std::vector<std::string> extra = {"delta", "alpha0", "delta"};
-  EXPECT_EQ(LetterTotalsFusedCombined(docs, extra, {}),
-            LetterTotalsFused(docs, extra, {}));
-}
-
-TEST(FusedCombinerTest, ShrinksStage2ShuffleAndRecordsStats) {
-  std::vector<std::string> docs;
-  for (int i = 0; i < 300; ++i) {
-    docs.push_back("aa" + std::to_string(i % 31) + " ab" +
-                   std::to_string(i % 11) + " ba" + std::to_string(i % 5));
-  }
-  const std::vector<std::string> extra = {"az", "bz", "az", "az"};
-  // Few partitions, so each stage-1 reduce partition emits several
-  // same-letter records for the combiner to collapse.
-  MapReduceOptions options;
-  options.num_partitions = 4;
-  JobStats plain1, plain2, comb1, comb2;
-  const auto plain = LetterTotalsFused(docs, extra, options, &plain1,
-                                       &plain2);
-  const auto combined =
-      LetterTotalsFusedCombined(docs, extra, options, &comb1, &comb2);
-  EXPECT_EQ(combined, plain);
-  // Stage 2's shuffle carried fewer records with the combiner...
-  EXPECT_LT(comb2.shuffle_records, plain2.shuffle_records);
-  // ...and the reduction is exactly what the combiner counters report:
-  // everything stage 1's reduce and the side map emitted went through it.
-  EXPECT_EQ(comb2.combiner_input_records, plain2.shuffle_records);
-  EXPECT_EQ(comb2.combiner_output_records, comb2.shuffle_records);
-  EXPECT_GT(comb2.combiner_input_records, comb2.combiner_output_records);
-  // Stage 1 ran without a combiner.
-  EXPECT_EQ(comb1.combiner_input_records, 0u);
-  // Same final groups either way.
-  EXPECT_EQ(comb2.num_groups, plain2.num_groups);
-}
-
-TEST(FusedCombinerTest, ResultInvariantAcrossWorkersAndPartitions) {
-  std::vector<std::string> docs;
-  for (int i = 0; i < 150; ++i) {
-    docs.push_back("a" + std::to_string(i % 13) + " b" +
-                   std::to_string(i % 7));
-  }
-  const std::vector<std::string> extra = {"c1", "c2", "c1"};
-  const auto reference = LetterTotalsFusedCombined(docs, extra, {});
-  for (size_t workers : {1u, 4u}) {
-    for (size_t partitions : {1u, 7u, 64u}) {
-      MapReduceOptions options;
-      options.num_workers = workers;
-      options.num_partitions = partitions;
-      EXPECT_EQ(LetterTotalsFusedCombined(docs, extra, options), reference)
-          << "workers=" << workers << " partitions=" << partitions;
-    }
-  }
-}
-
 TEST(FusedMapReduceTest, PeakStaysBelowSumOfStagesOnExpansion) {
   // Stage 1 expands each record 16x. Run the same computation unfused
   // (materializing the intermediate) and fused; the fused peak must stay
@@ -623,19 +425,11 @@ TEST(FusedMapReduceTest, PeakStaysBelowSumOfStagesOnExpansion) {
 
 // ---- External-memory spill: budget boundaries (mapreduce/spill.h) --------
 
-CombinerFn<int, int> SumIntCombiner() {
-  return [](const int&, std::vector<int>* values) {
-    int total = 0;
-    for (int v : *values) total += v;
-    values->assign(1, total);
-  };
-}
-
 TEST(SpillBudgetBoundaryTest, BudgetExactlyEqualToBucketSizeDoesNotSpill) {
   SpillContext context(/*budget=*/10, /*dir=*/"", /*factory=*/nullptr);
   ASSERT_TRUE(context.Init().ok());
   PartitionedEmitter<int, int> emitter(4);
-  emitter.EnableSpill(&context, /*share=*/10, nullptr);
+  emitter.EnableSpill(&context, /*share=*/10);
   // Exactly as many records as the share: the trigger is strictly
   // greater-than, so the bucket must stay in memory.
   for (int i = 0; i < 10; ++i) emitter.Emit(0, i);
@@ -739,8 +533,6 @@ TEST(SpillBudgetBoundaryTest, FusedSpillMatchesInMemoryAcrossBudgets) {
   }
   const std::vector<std::string> extra = {"delta", "alpha0", "zeta"};
   const auto reference = LetterTotalsFused(docs, extra, {});
-  const auto combined_reference = LetterTotalsFusedCombined(docs, extra, {});
-  EXPECT_EQ(combined_reference, reference);
   for (const size_t budget : {size_t{1}, size_t{7}, size_t{64}}) {
     MapReduceOptions options;
     options.num_workers = 2;
@@ -751,13 +543,6 @@ TEST(SpillBudgetBoundaryTest, FusedSpillMatchesInMemoryAcrossBudgets) {
         << "budget=" << budget;
     EXPECT_GT(s2.spilled_records, 0u) << "budget=" << budget;
     EXPECT_TRUE(s2.spill_status.ok()) << s2.spill_status.ToString();
-    // With the stage-2 combiner and the same budget: spill-aware combine
-    // (runs combined before disk and at merge time) stays lossless.
-    JobStats c1, c2;
-    EXPECT_EQ(LetterTotalsFusedCombined(docs, extra, options, &c1, &c2),
-              reference)
-        << "budget=" << budget;
-    EXPECT_TRUE(c2.spill_status.ok()) << c2.spill_status.ToString();
   }
 }
 
@@ -801,38 +586,6 @@ TEST(SpillBudgetBoundaryTest, ResidentGaugeHonorsTheBudget) {
     EXPECT_LT(stats.peak_resident_records,
               unbudgeted.peak_resident_records);
   }
-}
-
-// ---- Spill-aware combiner: sample re-arm (the PR's latent-gap fix) -------
-
-TEST(SpillCombinerTest, CombineSampleRearmsAfterSpillFlush) {
-  SpillContext context(/*budget=*/1u << 20, /*dir=*/"", /*factory=*/nullptr);
-  ASSERT_TRUE(context.Init().ok());
-  PartitionedEmitter<int, int> emitter(1);
-  // Phase 1: a duplicate-free stream well past the self-tuning sample
-  // size latches the combine abort (reduction < ~3%).
-  emitter.EnableSpill(&context, /*share=*/1u << 20, SumIntCombiner());
-  for (int i = 0; i < 5000; ++i) emitter.Emit(i, 1);
-  uint64_t in1 = 0, out1 = 0;
-  emitter.Combine(SumIntCombiner(), &in1, &out1);
-  EXPECT_EQ(in1, 5000u);
-  EXPECT_EQ(out1, 5000u);  // nothing combined: the abort is now latched
-
-  // A spill flush ends the bucket's lifetime; it must RE-ARM the sample.
-  emitter.EnableSpill(&context, /*share=*/1, SumIntCombiner());
-  emitter.Emit(123456, 1);  // over-share -> the whole bucket spills
-  EXPECT_GT(emitter.spilled_records(), 0u);
-  EXPECT_EQ(emitter.size(), 0u);
-
-  // Phase 2: post-spill duplicates. Without the re-arm, the latched
-  // verdict would make Combine return without scanning anything.
-  emitter.EnableSpill(&context, /*share=*/1u << 20, SumIntCombiner());
-  for (int i = 0; i < 200; ++i) emitter.Emit(7, 1);
-  uint64_t in2 = 0, out2 = 0;
-  emitter.Combine(SumIntCombiner(), &in2, &out2);
-  EXPECT_EQ(in2, 200u);  // re-combine fired on the post-spill stream
-  EXPECT_EQ(out2, 1u);   // ...and actually collapsed the duplicates
-  EXPECT_TRUE(context.status().ok()) << context.status().ToString();
 }
 
 }  // namespace

@@ -140,62 +140,6 @@ TEST(MapReduceTest, WallTimesAreRecorded) {
   EXPECT_GE(stats.total_wall_seconds(), 0.0);
 }
 
-TEST(MapReduceTest, CombinerPreAggregatesWithoutChangingResult) {
-  std::vector<std::string> docs(50, "w w w");
-  MapReduceOptions options;
-  options.num_workers = 2;  // few tasks so per-task combining is visible
-
-  // Reference without combiner.
-  JobStats plain_stats;
-  auto count = [](const std::string& doc,
-                  PartitionedEmitter<std::string, int>* out) {
-    std::string word;
-    for (char c : doc) {
-      if (c == ' ') {
-        if (!word.empty()) out->Emit(word, 1);
-        word.clear();
-      } else {
-        word.push_back(c);
-      }
-    }
-    if (!word.empty()) out->Emit(word, 1);
-  };
-  auto sum = [](const std::string& word, std::span<int> values,
-                std::vector<std::pair<std::string, int>>* out) {
-    int total = 0;
-    for (int v : values) total += v;
-    out->emplace_back(word, total);
-  };
-  auto plain =
-      RunMapReduceSorted<std::string, std::string, int,
-                         std::pair<std::string, int>>("plain", docs, count,
-                                                      sum, options,
-                                                      &plain_stats);
-
-  JobStats combined_stats;
-  CombinerFn<std::string, int> combiner = [](const std::string&,
-                                             std::vector<int>* values) {
-    int total = 0;
-    for (int v : *values) total += v;
-    values->assign(1, total);
-  };
-  auto combined =
-      RunMapReduceSorted<std::string, std::string, int,
-                         std::pair<std::string, int>>("combined", docs, count,
-                                                      sum, options,
-                                                      &combined_stats,
-                                                      combiner);
-
-  std::sort(plain.begin(), plain.end());
-  std::sort(combined.begin(), combined.end());
-  EXPECT_EQ(plain, combined);
-  EXPECT_EQ(plain[0], (std::pair<std::string, int>{"w", 150}));
-  // The combiner shrank the shuffle: one record per (task, key) instead of
-  // one per occurrence.
-  EXPECT_LT(combined_stats.map_output_records,
-            plain_stats.map_output_records);
-}
-
 TEST(MapReduceTest, SinglePartitionStillGroupsCorrectly) {
   MapReduceOptions options;
   options.num_partitions = 1;
