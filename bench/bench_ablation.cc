@@ -15,7 +15,9 @@
 // The out-of-core spill row runs the full configuration under a memory
 // budget of a quarter of its own in-memory shuffle peak
 // (enable_shuffle_spill, mapreduce/spill.h) and prints the spill
-// counters plus the peak-resident gauge that proves the budget held.
+// counters, the peak-resident gauge that proves the budget held, the
+// bytes on disk per record and per file, and its joins' median user and
+// system CPU seconds next to their median wall time.
 //
 // The fault row runs the full configuration armed with two absorbable
 // task-start faults, re-armed before each of the row's joins, and prints
@@ -26,6 +28,8 @@
 // stderr), when one of a lossless row's joins differs from the full row's
 // (pair, NSLD) set, or when one of an approximation row's joins has a pair
 // outside the full row's; 2 on a malformed TSJ_BENCH_SCALE.
+
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <cstdlib>
@@ -58,15 +62,34 @@ struct AblationRow {
 // Joins per row; a row reports their median wall time and min-max range.
 constexpr int kRowRuns = 5;
 
-// One row's kRowRuns timed joins: the last join's pairs and counters and
-// the wall-time median and range.
+// One row's kRowRuns timed joins: the last join's pairs and counters,
+// the wall-time median and range, and the median user and system CPU
+// seconds of a join.
 struct RowRun {
   std::vector<TsjPair> pairs;
   TsjRunInfo info;
   double ms = 0;
   double min_ms = 0;
   double max_ms = 0;
+  double user_s = 0;
+  double system_s = 0;
 };
+
+// User and system CPU seconds this process has used so far.
+std::pair<double, double> CpuSeconds() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  auto seconds = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) +
+           static_cast<double>(tv.tv_usec) * 1e-6;
+  };
+  return {seconds(usage.ru_utime), seconds(usage.ru_stime)};
+}
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
 
 // Runs kRowRuns joins of `options`. `arm` (may be empty) runs before each
 // join, outside the timed span; `check` sees each join's pairs. A failed
@@ -75,20 +98,25 @@ RowRun TimedRow(const TsjOptions& options, const Corpus& corpus,
                 const std::function<void(const std::vector<TsjPair>&)>& check,
                 const std::function<void()>& arm = {}) {
   RowRun run;
-  std::vector<double> ms;
+  std::vector<double> ms, user_s, system_s;
   for (int i = 0; i < kRowRuns; ++i) {
     if (arm) arm();
+    const auto [user_before, system_before] = CpuSeconds();
     Stopwatch watch;
     auto result = TokenizedStringJoiner(options).SelfJoin(corpus, &run.info);
     ms.push_back(watch.ElapsedMillis());
+    const auto [user_after, system_after] = CpuSeconds();
+    user_s.push_back(user_after - user_before);
+    system_s.push_back(system_after - system_before);
     bench::ExitIfFailed(result.status());
     check(*result);
     run.pairs = std::move(*result);
   }
-  std::sort(ms.begin(), ms.end());
-  run.ms = ms[ms.size() / 2];
-  run.min_ms = ms.front();
-  run.max_ms = ms.back();
+  run.ms = Median(ms);
+  run.min_ms = *std::min_element(ms.begin(), ms.end());
+  run.max_ms = *std::max_element(ms.begin(), ms.end());
+  run.user_s = Median(user_s);
+  run.system_s = Median(system_s);
   return run;
 }
 
@@ -248,15 +276,21 @@ void Run() {
               << " records (budget honored: "
               << (budget_honored ? "yes" : "NO") << ")\n";
     if (spill.total_spill_bytes() > 0) {
-      std::cout << "spill v2 format: "
-                << spill.total_spill_raw_bytes() << " raw record bytes -> "
-                << spill.total_spill_bytes() << " bytes on disk ("
-                << static_cast<double>(spill.total_spill_raw_bytes()) /
-                       static_cast<double>(spill.total_spill_bytes())
-                << "x compression), "
+      const double bytes = static_cast<double>(spill.total_spill_bytes());
+      std::cout << "spill v3 format: " << spill.total_spill_bytes()
+                << " bytes on disk ("
+                << TablePrinter::Fmt(
+                       bytes / static_cast<double>(
+                                   spill.total_spilled_records()),
+                       1)
+                << " per record, "
                 << spill.total_spill_bytes() / spill.total_spill_files()
-                << " bytes per file, " << spill.total_checksum_failures()
-                << " checksum failures\n";
+                << " per file), " << spill.total_checksum_failures()
+                << " checksum failures; per join, median "
+                << TablePrinter::Fmt(spill_run.ms, 0) << " ms wall, "
+                << TablePrinter::Fmt(spill_run.user_s, 3) << " s user, "
+                << TablePrinter::Fmt(spill_run.system_s, 3)
+                << " s system\n";
     }
   }
   std::cout << "\nexpectations: every row but the two approximations joins "

@@ -165,7 +165,7 @@ class HmjRunner {
     const size_t lb = corpus_.aggregate_length(b);
     const BoundedSldResult sld =
         BoundedSld(corpus_, corpus_.tokens(a), corpus_.tokens(b),
-                   static_cast<int64_t>(la + lb), options_.aligning);
+                   static_cast<int64_t>(la + lb), TokenAligning::kExact);
     return NsldFromSld(sld.sld, la, lb);
   }
 
@@ -185,7 +185,7 @@ class HmjRunner {
         SldBudgetFromThreshold(options_.threshold, la, lb);
     const BoundedSldResult verdict =
         BoundedSld(corpus_, corpus_.tokens(a), corpus_.tokens(b), budget,
-                   options_.aligning);
+                   TokenAligning::kExact);
     if (!verdict.within_budget) return false;
     *nsld = NsldFromSld(verdict.sld, la, lb);
     return true;

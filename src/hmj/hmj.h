@@ -22,7 +22,10 @@
 // BoundedSld of tokenized/sld.h), with no materialized strings: a
 // partitioning distance at budget L(a) + L(b), which never binds and so
 // yields the exact NSLD, and a leaf verification at the threshold's SLD
-// budget.
+// budget. Both align tokens exactly (TokenAligning::kExact): the window
+// and pivot filters rely on the triangle inequality, and NSLD is a metric
+// only under exact aligning (Theorem 2, tokenized/sld.h), so greedy
+// aligning could drop pairs that join.
 //
 // The paper reports HMJ "did not finish on 100 machines in a reasonable
 // amount of time"; HmjOptions::work_limit reproduces that behaviour: a run
@@ -64,8 +67,6 @@ struct HmjOptions {
   /// evaluations between two polls; `completed` compares the exact total
   /// with the limit.
   uint64_t work_limit = 0;
-  /// Verification alignment mode (kept exact to match the NSLD metric).
-  TokenAligning aligning = TokenAligning::kExact;
   /// MapReduce engine configuration. Both jobs shuffle into
   /// mapreduce.num_partitions partitions, whatever the pivot count above.
   /// A set mapreduce.memory_budget_records bounds both jobs' resident

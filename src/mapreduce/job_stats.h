@@ -14,11 +14,10 @@
 
 namespace tsj {
 
-/// High-water-mark gauge of records resident in shuffle buffers (map-side
-/// emitter buckets, merged partitions, grouping buffers, and — when a
-/// pipeline threads one gauge through several jobs — the intermediate
-/// record vectors between jobs). The engines Add/Sub at task granularity,
-/// so `peak()` is accurate to within one task's output. Thread-safe.
+/// High-water-mark gauge of records resident in one job's shuffle buffers
+/// (map-side emitter buckets, merged partitions and grouping buffers). The
+/// engine Adds/Subs at task granularity, so `peak()` is accurate to within
+/// one task's output. Thread-safe.
 class ShuffleGauge {
  public:
   void Add(uint64_t n) {
@@ -75,13 +74,10 @@ struct JobStats {
   uint64_t spilled_records = 0;
   /// Run files written (flush runs plus hierarchical pre-merge outputs).
   uint64_t spill_files = 0;
-  /// Bytes written to spill files (post block compression, headers and
-  /// framing included — the bytes that actually hit disk).
+  /// Bytes written to spill files: the encoded records plus each file's
+  /// 8-byte header and each frame's 8-byte framing — the bytes that
+  /// actually hit disk.
   uint64_t spill_bytes = 0;
-  /// Serialized record bytes before block compression — the compression
-  /// baseline: spill_raw_bytes / spill_bytes is the spill compression
-  /// ratio.
-  uint64_t spill_raw_bytes = 0;
   /// Sort-merge passes: one per spilled partition's final streamed merge,
   /// plus one per hierarchical pre-merge pass a partition needed because
   /// it had more runs than the merge fan-in.
@@ -108,7 +104,7 @@ struct JobStats {
   /// deliberately do not fail results that are still complete and
   /// correct.
   Status spill_data_loss;
-  /// v2 spill frames whose checksum did not match on read (each also
+  /// Spill frames whose checksum did not match on read (each also
   /// surfaces as a lossy fault in spill_data_loss — this counter exists
   /// so observability can tell payload corruption from torn frames).
   uint64_t checksum_failures = 0;
@@ -164,10 +160,9 @@ struct PipelineStats {
     return total;
   }
 
-  /// Largest per-job shuffle high-water mark. A pipeline that threads one
-  /// ShuffleGauge through all of its jobs (e.g. TsjRunInfo) reports a
-  /// pipeline-wide peak instead, which additionally covers the record
-  /// vectors living *between* jobs.
+  /// Largest per-job shuffle high-water mark. It does not cover record
+  /// vectors a pipeline holds between or beside its jobs; TsjRunInfo's
+  /// peak_shuffle_records adds TSJ's side input to it.
   uint64_t max_peak_shuffle_records() const {
     uint64_t peak = 0;
     for (const auto& j : jobs) {
@@ -194,11 +189,9 @@ struct PipelineStats {
     return total;
   }
 
-  uint64_t total_spill_raw_bytes() const {
-    uint64_t total = 0;
-    for (const auto& j : jobs) total += j.spill_raw_bytes;
-    return total;
-  }
+  /// The bytes on disk, since spill records are stored as encoded; read
+  /// by perfbench/; delete at the next benchmark change (ROADMAP item 5).
+  uint64_t total_spill_raw_bytes() const { return total_spill_bytes(); }
 
   uint64_t total_merge_passes() const {
     uint64_t total = 0;

@@ -139,11 +139,6 @@ struct MapReduceOptions {
   size_t num_workers = 0;
   /// Number of shuffle partitions (each is reduced as one unit of work).
   size_t num_partitions = 64;
-  /// Optional pipeline-wide gauge (not owned): every Add/Sub the engine
-  /// performs on its job-local gauge is mirrored here, so a multi-job
-  /// pipeline can observe one peak across all of its jobs plus whatever
-  /// intermediate vectors it adds manually (tsj/tsj.cc does).
-  ShuffleGauge* shuffle_gauge = nullptr;
 
   /// External-memory spill budget (see the "Spill / merge contract"
   /// section of the file comment): the maximum number of shuffle records
@@ -312,7 +307,7 @@ class PartitionedEmitter {
     }
     for (auto& [p, ref] : refs) spill_runs_[p].push_back(std::move(ref));
     spill_->RegisterRuns(path, refs.size());
-    spill_->AddRunFile(size_, writer.bytes_written(), writer.raw_bytes());
+    spill_->AddRunFile(size_, writer.bytes_written());
     spilled_records_ += size_;
     spill_->resident().Sub(size_);
     size_ = 0;
@@ -344,20 +339,6 @@ class PartitionedEmitter {
 };
 
 namespace mapreduce_internal {
-
-// Job-local gauge plus the optional pipeline-wide mirror.
-struct GaugePair {
-  ShuffleGauge* local;
-  ShuffleGauge* shared;
-  void Add(uint64_t n) const {
-    local->Add(n);
-    if (shared != nullptr) shared->Add(n);
-  }
-  void Sub(uint64_t n) const {
-    local->Sub(n);
-    if (shared != nullptr) shared->Sub(n);
-  }
-};
 
 // Number of logical map tasks for `num_inputs` records: more tasks than
 // workers so stragglers even out, as in real MapReduce.
@@ -495,19 +476,19 @@ inline void FinishTaskStats(ThreadPool* pool, const CancellationToken& token,
 // keep (producer, emission) order.
 template <typename Key, typename Value, typename Producers>
 std::vector<std::pair<Key, Value>> MergeSortPartition(
-    Producers* producers, size_t p, const GaugePair& gauge) {
+    Producers* producers, size_t p, ShuffleGauge* gauge) {
   size_t total = 0;
   for (auto& producer : *producers) total += producer.bucket(p).size();
   std::vector<std::pair<Key, Value>> partition;
   partition.reserve(total);
-  gauge.Add(total);
+  gauge->Add(total);
   for (auto& producer : *producers) {
     auto& bucket = producer.bucket(p);
     std::move(bucket.begin(), bucket.end(), std::back_inserter(partition));
     bucket.clear();
     bucket.shrink_to_fit();
   }
-  gauge.Sub(total);  // the source buckets are gone; the partition remains
+  gauge->Sub(total);  // the source buckets are gone; the partition remains
   std::stable_sort(
       partition.begin(), partition.end(),
       [](const std::pair<Key, Value>& a, const std::pair<Key, Value>& b) {
@@ -700,8 +681,7 @@ Status MergeRunBatchToFile(SpillContext* context,
   if (Status s = writer.EndRun(out_run); !s.ok()) return s;
   if (Status s = writer.Finish(); !s.ok()) return s;
   context->RegisterRuns(out_path, 1);
-  context->AddRunFile(writer.records_written(), writer.bytes_written(),
-                      writer.raw_bytes());
+  context->AddRunFile(writer.records_written(), writer.bytes_written());
   for (const SpillRunRef& run : runs) context->ReleaseRun(run.path);
   return Status::OK();
 }
@@ -866,7 +846,6 @@ struct SortedJob {
         num_workers(job_options.effective_workers()),
         num_partitions(std::max<size_t>(1, job_options.num_partitions)),
         pool(num_workers),
-        gauge{&local_gauge, job_options.shuffle_gauge},
         spill(MakeSpillContext(job_options, spill_stats)) {}
   SortedJob(const SortedJob&) = delete;
   SortedJob& operator=(const SortedJob&) = delete;
@@ -875,8 +854,7 @@ struct SortedJob {
   const size_t num_workers;
   const size_t num_partitions;
   ThreadPool pool;
-  ShuffleGauge local_gauge;
-  const GaugePair gauge;
+  ShuffleGauge gauge;
   const std::unique_ptr<SpillContext> spill;  // null = in-memory shuffle
   CancellationToken cancel;
 };
@@ -961,7 +939,7 @@ std::vector<std::vector<std::pair<Key, Value>>> RunShuffleStage(
         &job.pool, job.num_partitions, job.options.max_task_retries,
         job.cancel, "alloc.shuffle", counters, nullptr, [&](size_t p) {
           partitions[p] =
-              MergeSortPartition<Key, Value>(producers, p, job.gauge);
+              MergeSortPartition<Key, Value>(producers, p, &job.gauge);
         });
   }
   stats->shuffle_wall_seconds = watch.ElapsedSeconds();
@@ -1027,20 +1005,19 @@ std::vector<Output> ConcatOutputs(std::vector<std::vector<Output>>* parts) {
 // accounting, and the job status.
 inline void FinishJobStats(SortedJob& job, const TaskCounters& counters,
                            JobStats* stats) {
-  stats->peak_shuffle_records = job.local_gauge.peak();
+  stats->peak_shuffle_records = job.gauge.peak();
   SpillContext* spill = job.spill.get();
   if (spill != nullptr) {
     stats->spilled_records = spill->spilled_records();
     stats->spill_files = spill->spill_files();
     stats->spill_bytes = spill->spill_bytes();
-    stats->spill_raw_bytes = spill->spill_raw_bytes();
     stats->merge_passes = spill->merge_passes();
     stats->checksum_failures = spill->checksum_failures();
     stats->peak_resident_records = spill->resident().peak();
     stats->spill_status = spill->status();
     stats->spill_data_loss = spill->data_loss();
   } else {
-    stats->peak_resident_records = job.local_gauge.peak();
+    stats->peak_resident_records = job.gauge.peak();
   }
   counters.AddTo(stats);
   FinishTaskStats(&job.pool, job.cancel, stats);

@@ -190,8 +190,7 @@ Status SpillFrameWriter::Open(const std::string& path) {
   open_ = s.ok();
   if (!open_) return s;
   AppendU32(kSpillMagic, &buffer_);
-  const char tail[4] = {static_cast<char>(kSpillFormatVersion),
-                        static_cast<char>(kSpillFlags), 0, 0};
+  const char tail[4] = {static_cast<char>(kSpillFormatVersion), 0, 0, 0};
   buffer_.append(tail, sizeof(tail));
   appended_ = kSpillHeaderBytes;
   return Status::OK();
@@ -202,11 +201,10 @@ Status SpillFrameWriter::WriteFrame(const char* payload, size_t size) {
   if (size > kMaxSpillFrameBytes) {
     return Status::InvalidArgument("spill frame larger than the format cap");
   }
-  const size_t before = buffer_.size();
-  spill_internal::AppendVarint(size, &buffer_);
+  AppendU32(static_cast<uint32_t>(size), &buffer_);
   AppendU32(FrameChecksum(payload, size), &buffer_);
   buffer_.append(payload, size);
-  appended_ += buffer_.size() - before;
+  appended_ += kSpillFrameHeaderBytes + size;
   if (buffer_.size() >= kSpillWriteBufferBytes) return FlushBuffer();
   return Status::OK();
 }
@@ -268,8 +266,7 @@ Status SpillFrameReader::Open(const SpillRunRef& ref) {
   if (static_cast<uint8_t>(header[4]) != kSpillFormatVersion) {
     return Status::Internal("unsupported spill format version");
   }
-  if (static_cast<uint8_t>(header[5]) != kSpillFlags || header[6] != 0 ||
-      header[7] != 0) {
+  if (header[5] != 0 || header[6] != 0 || header[7] != 0) {
     return Status::Internal("corrupt spill segment header");
   }
   // A run's frames sit past the header; an extent that starts inside it
@@ -317,49 +314,30 @@ Status SpillFrameReader::ReadBytes(char* data, size_t size, size_t* read) {
 Status SpillFrameReader::ReadFrame(std::string* payload, bool* eof) {
   if (!open_) return Status::FailedPrecondition("spill reader not open");
   *eof = false;
-  // Frame: [varint body_size][u32 checksum][body].
-  uint64_t body_size = 0;
-  {
-    uint64_t result = 0;
-    int shift = 0;
-    while (true) {
-      char byte = 0;
-      size_t got = 0;
-      if (Status s = ReadBytes(&byte, 1, &got); !s.ok()) return s;
-      if (got == 0) {
-        if (shift > 0) return Status::Internal("truncated spill frame header");
-        if (limit_ > 0) {
-          return Status::Internal(
-              "torn spill run: the file ends inside the run's extent");
-        }
-        *eof = true;  // the extent ends between frames
-        return Status::OK();
-      }
-      const uint8_t b = static_cast<uint8_t>(byte);
-      result |= static_cast<uint64_t>(b & 0x7f) << shift;
-      if ((b & 0x80) == 0) break;
-      shift += 7;
-      if (shift >= 64) {
-        return Status::Internal("corrupt spill frame length prefix");
-      }
-    }
-    body_size = result;
-  }
-  if (body_size > kMaxSpillFrameBytes) {
-    return Status::Internal("corrupt spill frame length prefix");
-  }
-  uint32_t stored_checksum = 0;
+  // Frame: [u32 body_size][u32 checksum][body].
+  char header[kSpillFrameHeaderBytes];
   size_t got = 0;
-  if (Status s = ReadBytes(reinterpret_cast<char*>(&stored_checksum),
-                           sizeof(stored_checksum), &got);
-      !s.ok()) {
-    return s;
+  if (Status s = ReadBytes(header, sizeof(header), &got); !s.ok()) return s;
+  if (got == 0) {
+    if (limit_ > 0) {
+      return Status::Internal(
+          "torn spill run: the file ends inside the run's extent");
+    }
+    *eof = true;  // the extent ends between frames
+    return Status::OK();
   }
-  if (got < sizeof(stored_checksum)) {
+  if (got < sizeof(header)) {
     return Status::Internal("truncated spill frame header");
   }
+  const uint32_t body_size = LoadU32(header);
+  const uint32_t stored_checksum = LoadU32(header + sizeof(uint32_t));
+  // A body cannot outrun its run's extent: refuse the size before the
+  // payload buffer grows to it.
+  const uint64_t extent_left = limit_ + (chunk_.size() - chunk_pos_);
+  if (body_size > kMaxSpillFrameBytes || body_size > extent_left) {
+    return Status::Internal("corrupt spill frame length prefix");
+  }
   payload->resize(body_size);
-  got = 0;
   if (Status s = ReadBytes(payload->data(), body_size, &got); !s.ok()) {
     return s;
   }

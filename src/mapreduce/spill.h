@@ -14,10 +14,10 @@
 //    must surface as clean Status errors — never a crash, never silent
 //    record loss, never a silently wrong record.
 //  * SpillCodec<T> — the record serializer: trivially copyable types are
-//    memcpy'd; std::string, std::pair, std::tuple and std::vector compose
-//    recursively. This covers every Key/Value shape the engines shuffle
-//    (the same shapes StableHash supports). Callers with exotic types can
-//    pass their own serializer to the run writer/reader.
+//    memcpy'd; std::string, std::pair and std::tuple compose recursively.
+//    This covers every Key/Value shape the engines shuffle (the same
+//    shapes StableHash supports). Callers with exotic types can pass their
+//    own serializer to the run writer/reader.
 //  * SpillRunWriter / SpillRunReader — sorted runs inside a spill file.
 //  * SpillContext — per-job shared state: the budget, the spill directory
 //    (owned temp dir unless the caller provided one), run-file naming and
@@ -25,41 +25,29 @@
 //    peak-resident-records gauge that proves the budget is honored, and
 //    the first I/O error (sticky).
 //
-// ---- On-disk format (v2) ----------------------------------------------------
+// ---- On-disk format (v3) ----------------------------------------------------
 //
 // A spill file is a *segment*: one or more sorted runs back to back,
-// framed. All integers little-endian; varints are LEB128.
+// framed. All integers little-endian.
 //
 //   segment := header run*
-//   header  := [u32 magic "2LPS"][u8 version = 2][u8 flags][u16 zero]
+//   header  := [u32 magic "2LPS"][u8 version = 3][3 zero bytes]
 //   run     := frame*                     (one frame = one record block)
-//   frame   := [varint body_size][u32 checksum][body]
+//   frame   := [u32 body_size][u32 checksum][body]
+//   body    := record*                    (whole records, back to back)
+//   record  := Key then Value, as DefaultSpillSerializer encodes them
 //
-// The header's flags are always checksummed | compressed; a reader
-// refuses any other magic, version or flags byte as a clean Status.
+// A reader refuses any other magic, version or padding byte as a clean
+// Status. A frame body holds ~kSpillBlockTargetBytes of records, and a
+// record never spans two frames, so every frame decodes on its own.
 //
 // The checksum (common/hash.h Fingerprint64, folded to 32 bits) covers the
-// frame body as stored, so a payload bit-flip surfaces as the same clean
-// Status contract a torn frame gets (JobStats::spill_data_loss), instead
-// of decoding into a silently wrong record. A frame body is a *block* of
-// records (~kSpillBlockTargetBytes) encoded with a byte-level delta
-// against the previous record: sorted runs put records with equal or
-// adjacent keys next to each other, so consecutive serialized records
-// share long prefixes (and, for fixed-width tails, suffixes):
-//
-//   block record := [token u8 != 0xFF][middle bytes]
-//                   (prefix = token >> 4, suffix = token & 0xF, raw size
-//                    = prev's raw size, middle implied — the compact form
-//                    fixed-width records almost always take)
-//                 | [0xFF][varint shared_prefix][varint shared_suffix]
-//                   [varint middle_size][middle bytes]
-//                   (escape form: a changed record size, or a shared
-//                    prefix/suffix longer than a nibble holds)
-//   raw record   := prev[0:prefix] + middle + prev[end-suffix:end]
-//
-// The delta chain resets at each block (the first record of a block deltas
-// against the empty string, i.e. is stored whole via the escape form), so
-// every frame is independently decodable.
+// frame body, so a payload bit-flip surfaces as the same clean Status
+// contract a torn frame gets (JobStats::spill_data_loss), instead of
+// decoding into a silently wrong record. A body size past the frame cap
+// or past the bytes left in the run's extent is refused before anything
+// is allocated for it; a body whose last record does not end inside it is
+// a corrupt payload.
 //
 // The file holds no index. The writer hands each run back as a
 // SpillRunRef, its (offset, length) extent; the engine keeps the refs in
@@ -153,50 +141,18 @@ struct IsTuple : std::false_type {};
 template <typename... Ts>
 struct IsTuple<std::tuple<Ts...>> : std::true_type {};
 
-template <typename T>
-struct IsVector : std::false_type {};
-template <typename E>
-struct IsVector<std::vector<E>> : std::true_type {};
-
-/// The codec stores string/vector sizes as u32. A size that does not fit
+/// The codec stores string sizes as u32. A size that does not fit
 /// must FAIL the encode — truncating it would produce a well-formed but
 /// corrupt frame that round-trips as a silently wrong record.
 inline bool FitsSpillSize(size_t size) {
   return size <= std::numeric_limits<uint32_t>::max();
 }
 
-/// LEB128 append (7 bits per byte, high bit = continuation).
-inline void AppendVarint(uint64_t value, std::string* out) {
-  while (value >= 0x80) {
-    out->push_back(static_cast<char>((value & 0x7f) | 0x80));
-    value >>= 7;
-  }
-  out->push_back(static_cast<char>(value));
-}
-
-/// LEB128 decode from [*p, end); advances *p. False on truncation or a
-/// varint longer than 10 bytes (corrupt).
-inline bool DecodeVarint(const char** p, const char* end, uint64_t* value) {
-  uint64_t result = 0;
-  int shift = 0;
-  while (*p < end && shift < 64) {
-    const uint8_t byte = static_cast<uint8_t>(**p);
-    ++*p;
-    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) {
-      *value = result;
-      return true;
-    }
-    shift += 7;
-  }
-  return false;
-}
-
 }  // namespace spill_internal
 
 /// Byte serializer for spillable values: structural types (string, pair,
-/// tuple, vector) compose recursively, everything else must be trivially
-/// copyable and is memcpy'd. Encode appends to `out` and returns false
+/// tuple) compose recursively, everything else must be trivially copyable
+/// and is memcpy'd. Encode appends to `out` and returns false
 /// when a size does not fit the format (an element over 4 GiB) — the
 /// output is then unusable and the caller must fail the record, never
 /// write it. Decode consumes from [*p, end), advancing *p, and returns
@@ -221,21 +177,11 @@ struct SpillCodec {
                     ...);
           },
           value);
-    } else if constexpr (spill_internal::IsVector<T>::value) {
-      if (!spill_internal::FitsSpillSize(value.size())) return false;
-      const uint32_t count = static_cast<uint32_t>(value.size());
-      out->append(reinterpret_cast<const char*>(&count), sizeof(count));
-      for (const auto& element : value) {
-        if (!SpillCodec<typename T::value_type>::Encode(element, out)) {
-          return false;
-        }
-      }
-      return true;
     } else {
       static_assert(std::is_trivially_copyable_v<T>,
                     "SpillCodec: type is neither structural (string, pair, "
-                    "tuple, vector) nor trivially copyable; provide a "
-                    "custom serializer");
+                    "tuple) nor trivially copyable; provide a custom "
+                    "serializer");
       out->append(reinterpret_cast<const char*>(&value), sizeof(T));
       return true;
     }
@@ -264,26 +210,6 @@ struct SpillCodec {
                     ...);
           },
           *value);
-    } else if constexpr (spill_internal::IsVector<T>::value) {
-      uint32_t count = 0;
-      if (static_cast<size_t>(end - *p) < sizeof(count)) return false;
-      std::memcpy(&count, *p, sizeof(count));
-      *p += sizeof(count);
-      // Every element encodes at least one byte, so a count beyond the
-      // remaining payload is a corrupt frame — reject it BEFORE reserve,
-      // or a bit-flipped count turns into a multi-GiB allocation
-      // (std::bad_alloc aborts; the contract is a clean decode failure).
-      if (count > static_cast<size_t>(end - *p)) return false;
-      value->clear();
-      value->reserve(count);
-      for (uint32_t i = 0; i < count; ++i) {
-        typename T::value_type element;
-        if (!SpillCodec<typename T::value_type>::Decode(p, end, &element)) {
-          return false;
-        }
-        value->push_back(std::move(element));
-      }
-      return true;
     } else {
       if (static_cast<size_t>(end - *p) < sizeof(T)) return false;
       std::memcpy(value, *p, sizeof(T));
@@ -294,9 +220,11 @@ struct SpillCodec {
 };
 
 /// The serializer the engines use for a shuffle record: Key then Value,
-/// both through SpillCodec. The encode returns false on an un-encodable
-/// record (an element over the format's 4 GiB size field); Parse fails
-/// (corrupt frame) when the payload is short or carries trailing bytes.
+/// both through SpillCodec. The encode appends to `out` and returns false
+/// on an un-encodable record (an element over the format's 4 GiB size
+/// field). Parse decodes the record at *p, advancing *p past it, and
+/// returns false when the record does not end by `end` (a corrupt frame
+/// body).
 template <typename Key, typename Value>
 struct DefaultSpillSerializer {
   [[nodiscard]] bool operator()(const std::pair<Key, Value>& record,
@@ -304,12 +232,10 @@ struct DefaultSpillSerializer {
     return SpillCodec<Key>::Encode(record.first, out) &&
            SpillCodec<Value>::Encode(record.second, out);
   }
-  bool Parse(const char* data, size_t size,
+  bool Parse(const char** p, const char* end,
              std::pair<Key, Value>* record) const {
-    const char* p = data;
-    const char* end = data + size;
-    return SpillCodec<Key>::Decode(&p, end, &record->first) &&
-           SpillCodec<Value>::Decode(&p, end, &record->second) && p == end;
+    return SpillCodec<Key>::Decode(p, end, &record->first) &&
+           SpillCodec<Value>::Decode(p, end, &record->second);
   }
 };
 
@@ -319,19 +245,15 @@ struct DefaultSpillSerializer {
 /// corrupt frame, not an allocation request.
 inline constexpr uint32_t kMaxSpillFrameBytes = 1u << 30;
 
-/// v2 file header: [magic u32]["2" version u8][flags u8][u16 zero].
+/// v3 file header: [magic u32][version u8 = 3][3 zero bytes].
 inline constexpr uint32_t kSpillMagic = 0x53504C32;  // bytes "2LPS"
-inline constexpr uint8_t kSpillFormatVersion = 2;
-inline constexpr uint8_t kSpillFlagChecksummed = 0x01;
-inline constexpr uint8_t kSpillFlagCompressed = 0x02;
-/// The one flags byte the format has: every frame is checksummed and every
-/// block delta-compressed.
-inline constexpr uint8_t kSpillFlags =
-    kSpillFlagChecksummed | kSpillFlagCompressed;
+inline constexpr uint8_t kSpillFormatVersion = 3;
 inline constexpr size_t kSpillHeaderBytes = 8;
+/// Frame header: [u32 body size][u32 checksum].
+inline constexpr size_t kSpillFrameHeaderBytes = 8;
 
 /// Target encoded size of one record block (= one checksummed frame).
-/// Large enough to amortize the frame overhead (varint length + u32
+/// Large enough to amortize the 8-byte framing (u32 body size + u32
 /// checksum) over hundreds of records, small enough that a corrupt frame
 /// only voids one block.
 inline constexpr size_t kSpillBlockTargetBytes = 16 * 1024;
@@ -381,8 +303,8 @@ class SpillFrameWriter {
 /// Byte/frame-level reader of one run (SpillRunRef), read synchronously
 /// in chunks. The end of the extent between frames sets *eof; anything
 /// else (bad header, an extent outside the frames, a file that ends
-/// inside the extent, torn frame, absurd length, checksum mismatch) is a
-/// Status error.
+/// inside the extent, torn frame, a body size past the frame cap or the
+/// extent, checksum mismatch) is a Status error.
 class SpillFrameReader {
  public:
   explicit SpillFrameReader(std::unique_ptr<SpillIo> io);
@@ -415,7 +337,7 @@ class SpillFrameReader {
 /// Writes sorted spill runs of (Key, Value) records through a serializer
 /// (DefaultSpillSerializer unless the caller brings its own). One writer
 /// produces one segment file: Open, then Append... and EndRun per run,
-/// then Finish. Records are packed into delta-encoded checksummed blocks.
+/// then Finish. Records are encoded straight into checksummed blocks.
 template <typename Key, typename Value,
           typename Serializer = DefaultSpillSerializer<Key, Value>>
 class SpillRunWriter {
@@ -432,22 +354,24 @@ class SpillRunWriter {
   }
 
   Status Append(const std::pair<Key, Value>& record) {
-    scratch_.clear();
-    if (!serializer_(record, &scratch_)) {
+    const size_t start = block_.size();
+    if (!serializer_(record, &block_)) {
+      block_.resize(start);
       return Status::InvalidArgument(
           "spill record not encodable: an element exceeds the format's "
           "4 GiB size field");
     }
     // A record the frame layer could never carry fails here, up front,
-    // instead of poisoning the block it would have joined.
-    if (scratch_.size() > kMaxSpillFrameBytes - kBlockSlackBytes) {
+    // instead of poisoning the block it joined. The block held less than
+    // kSpillBlockTargetBytes before it, so the block stays within the cap.
+    if (block_.size() - start > kMaxSpillFrameBytes - kSpillBlockTargetBytes) {
+      block_.resize(start);
       return Status::InvalidArgument(
           "spill record larger than the frame cap");
     }
-    raw_bytes_ += scratch_.size();
-    Status s = AppendToBlock();
-    if (s.ok()) ++records_written_;
-    return s;
+    ++records_written_;
+    if (block_.size() >= kSpillBlockTargetBytes) return FlushBlock();
+    return Status::OK();
   }
 
   /// Closes the records appended since Open or the previous EndRun into
@@ -465,78 +389,30 @@ class SpillRunWriter {
   Status Finish() { return frames_.Finish(); }
 
   uint64_t bytes_written() const { return frames_.bytes_written(); }
-  /// Serialized record bytes before block encoding (the compression
-  /// baseline: spill_raw_bytes vs spill_bytes).
-  uint64_t raw_bytes() const { return raw_bytes_; }
   uint64_t records_written() const { return records_written_; }
 
  private:
-  // Room a block-encoded record may add on top of its raw bytes (the
-  // escape token plus three 10-byte varints), kept clear of the frame cap.
-  static constexpr size_t kBlockSlackBytes = 32;
-
-  Status AppendToBlock() {
-    if (!block_.empty() &&
-        block_.size() + scratch_.size() + kBlockSlackBytes >
-            kMaxSpillFrameBytes) {
-      if (Status s = FlushBlock(); !s.ok()) return s;
-    }
-    const std::string& prev = prev_record_;
-    const size_t max_shared = std::min(prev.size(), scratch_.size());
-    size_t prefix = 0;
-    while (prefix < max_shared && prev[prefix] == scratch_[prefix]) {
-      ++prefix;
-    }
-    size_t suffix = 0;
-    const size_t max_suffix = max_shared - prefix;
-    while (suffix < max_suffix &&
-           prev[prev.size() - 1 - suffix] ==
-               scratch_[scratch_.size() - 1 - suffix]) {
-      ++suffix;
-    }
-    const size_t middle = scratch_.size() - prefix - suffix;
-    if (scratch_.size() == prev.size() && prefix <= 0xF && suffix <= 0xF &&
-        !(prefix == 0xF && suffix == 0xF)) {
-      // Compact form: same raw size as the previous record and both
-      // shares fit a nibble, so one token byte replaces three varints
-      // (middle size is implied). 0xFF cannot occur here and marks the
-      // escape form.
-      block_.push_back(static_cast<char>((prefix << 4) | suffix));
-    } else {
-      block_.push_back(static_cast<char>(0xFF));
-      spill_internal::AppendVarint(prefix, &block_);
-      spill_internal::AppendVarint(suffix, &block_);
-      spill_internal::AppendVarint(middle, &block_);
-    }
-    block_.append(scratch_.data() + prefix, middle);
-    std::swap(prev_record_, scratch_);
-    if (block_.size() >= kSpillBlockTargetBytes) return FlushBlock();
-    return Status::OK();
-  }
-
+  // The frame takes the block whatever the io reports: a failed flush
+  // keeps the frame buffered for the next one (SpillFrameWriter).
   Status FlushBlock() {
     if (block_.empty()) return Status::OK();
     Status s = frames_.WriteFrame(block_.data(), block_.size());
     block_.clear();
-    prev_record_.clear();  // the delta chain resets at each block
     return s;
   }
 
   SpillFrameWriter frames_;
   Serializer serializer_;
   std::string path_;
-  std::string scratch_;
-  std::string block_;
-  std::string prev_record_;
+  std::string block_;  // the open block: whole encoded records
   uint64_t run_start_ = 0;
-  uint64_t raw_bytes_ = 0;
   uint64_t records_written_ = 0;
 };
 
 /// Reads one spill run back by its extent (SpillRunRef). Next sets *done
 /// at the end of the extent; a torn run, corrupt frames, checksum
-/// mismatches and malformed block encodings come back as error Status
-/// (never a partial or silently wrong record).
+/// mismatches and a record that does not end inside its frame come back
+/// as error Status (never a partial or silently wrong record).
 template <typename Key, typename Value,
           typename Serializer = DefaultSpillSerializer<Key, Value>>
 class SpillRunReader {
@@ -552,22 +428,20 @@ class SpillRunReader {
   Status Open(const SpillRunRef& ref) { return frames_.Open(ref); }
 
   Status Next(std::pair<Key, Value>* record, bool* done) {
-    while (block_pos_ >= block_.size()) {
+    while (block_pos_ == block_.size()) {
       bool eof = false;
-      Status s = frames_.ReadFrame(&block_, &eof);
-      if (!s.ok()) return s;
+      if (Status s = frames_.ReadFrame(&block_, &eof); !s.ok()) return s;
       if (eof) {
         *done = true;
         return Status::OK();
       }
       block_pos_ = 0;
-      prev_record_.clear();  // the delta chain resets at each block
     }
-    if (Status s = DecodeBlockRecord(); !s.ok()) return s;
-    if (!serializer_.Parse(prev_record_.data(), prev_record_.size(),
-                           record)) {
+    const char* p = block_.data() + block_pos_;
+    if (!serializer_.Parse(&p, block_.data() + block_.size(), record)) {
       return Status::Internal("corrupt spill frame payload");
     }
+    block_pos_ = static_cast<size_t>(p - block_.data());
     *done = false;
     return Status::OK();
   }
@@ -575,50 +449,10 @@ class SpillRunReader {
   Status Close() { return frames_.Close(); }
 
  private:
-  // Decodes the next record's raw bytes into prev_record_ (which then
-  // seeds the next record's delta).
-  Status DecodeBlockRecord() {
-    const char* p = block_.data() + block_pos_;
-    const char* end = block_.data() + block_.size();
-    uint64_t prefix = 0, suffix = 0, middle = 0;
-    if (p >= end) return Status::Internal("corrupt spill block encoding");
-    const uint8_t token = static_cast<uint8_t>(*p++);
-    if (token == 0xFF) {
-      if (!spill_internal::DecodeVarint(&p, end, &prefix) ||
-          !spill_internal::DecodeVarint(&p, end, &suffix) ||
-          !spill_internal::DecodeVarint(&p, end, &middle)) {
-        return Status::Internal("corrupt spill block encoding");
-      }
-    } else {
-      // Compact token: the record is prev-sized, so the middle length is
-      // whatever the nibble-coded shares leave uncovered.
-      prefix = token >> 4;
-      suffix = token & 0xF;
-      if (prefix + suffix > prev_record_.size()) {
-        return Status::Internal("corrupt spill block encoding");
-      }
-      middle = prev_record_.size() - prefix - suffix;
-    }
-    if (prefix + suffix > prev_record_.size() ||
-        middle > static_cast<uint64_t>(end - p)) {
-      return Status::Internal("corrupt spill block encoding");
-    }
-    scratch_.clear();
-    scratch_.append(prev_record_.data(), prefix);
-    scratch_.append(p, middle);
-    scratch_.append(prev_record_.data() + (prev_record_.size() - suffix),
-                    suffix);
-    std::swap(prev_record_, scratch_);
-    block_pos_ = static_cast<size_t>(p - block_.data()) + middle;
-    return Status::OK();
-  }
-
   SpillFrameReader frames_;
   Serializer serializer_;
-  std::string block_;         // the current decoded-from block
+  std::string block_;  // the current frame's body
   size_t block_pos_ = 0;
-  std::string prev_record_;   // raw bytes of the last decoded record
-  std::string scratch_;
 };
 
 // ---- Per-job spill state ---------------------------------------------------
@@ -666,11 +500,10 @@ class SpillContext {
 
   ShuffleGauge& resident() { return resident_; }
 
-  void AddRunFile(uint64_t records, uint64_t bytes, uint64_t raw_bytes) {
+  void AddRunFile(uint64_t records, uint64_t bytes) {
     spilled_records_.fetch_add(records, std::memory_order_relaxed);
     spill_files_.fetch_add(1, std::memory_order_relaxed);
     spill_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    spill_raw_bytes_.fetch_add(raw_bytes, std::memory_order_relaxed);
   }
   /// One hierarchical pre-merge pass over a partition's runs (the final
   /// streamed merge into the reducer is not counted: it is always exactly
@@ -711,9 +544,6 @@ class SpillContext {
   uint64_t spill_bytes() const {
     return spill_bytes_.load(std::memory_order_relaxed);
   }
-  uint64_t spill_raw_bytes() const {
-    return spill_raw_bytes_.load(std::memory_order_relaxed);
-  }
   uint64_t merge_passes() const {
     return merge_passes_.load(std::memory_order_relaxed);
   }
@@ -735,7 +565,6 @@ class SpillContext {
   std::atomic<uint64_t> spilled_records_{0};
   std::atomic<uint64_t> spill_files_{0};
   std::atomic<uint64_t> spill_bytes_{0};
-  std::atomic<uint64_t> spill_raw_bytes_{0};
   std::atomic<uint64_t> merge_passes_{0};
   std::atomic<uint64_t> checksum_failures_{0};
 

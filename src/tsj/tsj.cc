@@ -329,12 +329,7 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
                                            TsjRunInfo* info) {
   TsjRunInfo local_info;
   const double t = options.threshold;
-  // One gauge threads through every job of the run (and the candidate
-  // vectors between jobs), so TsjRunInfo reports the pipeline-wide peak of
-  // shuffle-resident records.
-  ShuffleGauge gauge;
   MapReduceOptions mr_options = options.mapreduce;
-  mr_options.shuffle_gauge = &gauge;
   // Spill gating: the engine-level budget applies only when the
   // join-level switch is on (the CC_SHUFFLE_SPILL_BUDGET test override
   // is engine-level and bypasses this gate by design).
@@ -634,7 +629,6 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
   };
 
   JobStats stage1_stats, stage2_stats;
-  gauge.Add(token_pair_candidates.size());  // side-input vector
   std::vector<TsjPair> streamed;
   if (options.dedup == DedupStrategy::kGroupOnBothStrings) {
     using PairKey = std::pair<uint32_t, uint32_t>;
@@ -706,7 +700,11 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
         map_tokens, reduce_shared, token_pair_candidates, map_expand,
         reduce_verify, mr_options, &stage1_stats, &stage2_stats);
   }
-  gauge.Sub(token_pair_candidates.size());
+  // MassJoin's jobs end before the fused job starts, which holds the
+  // similar-token side input from its first task to its last.
+  local_info.peak_shuffle_records = std::max<uint64_t>(
+      mass_stats.max_peak_shuffle_records(),
+      stage2_stats.peak_shuffle_records + token_pair_candidates.size());
   results.insert(results.end(), streamed.begin(), streamed.end());
   local_info.pipeline.Add(std::move(stage1_stats));
   local_info.pipeline.Append(mass_stats);
@@ -722,7 +720,6 @@ StatusOr<std::vector<TsjPair>> RunPipeline(const Corpus& corpus,
   local_info.verified_candidates = total.verified_candidates;
   local_info.verify_work_units = total.verify_work_units;
   local_info.result_pairs = results.size();
-  local_info.peak_shuffle_records = gauge.peak();
   // Fail the join on a lossy spill fault or a fatal task error
   // (PipelineStats::failure).
   const Status failure = local_info.pipeline.failure();

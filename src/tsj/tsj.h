@@ -155,12 +155,12 @@ struct TsjRunInfo {
   /// pairs verified representatives expand to, the copies within a class,
   /// and the token-free strings' pairs.
   uint64_t result_pairs = 0;
-  /// Pipeline-wide high-water mark of shuffle-resident records: one
-  /// ShuffleGauge threads through every MapReduce job of the run
-  /// (including the MassJoin sub-pipeline) plus the similar-token side
-  /// input held between jobs. The gauge samples what the running tasks
-  /// hold at once, so above 1 worker its peak follows task scheduling
-  /// and moves from run to run; at 1 worker it repeats.
+  /// Pipeline-wide high-water mark of shuffle-resident records: the
+  /// larger of MassJoin's job peak and the fused job's peak plus the
+  /// similar-token side input it holds throughout. Each job's gauge
+  /// samples what its running tasks hold at once, so above 1 worker the
+  /// peak follows task scheduling and moves from run to run; at 1 worker
+  /// it repeats.
   uint64_t peak_shuffle_records = 0;
 };
 

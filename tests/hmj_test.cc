@@ -101,47 +101,42 @@ TEST(HmjTest, ExactAndCountedAlikeAtAnyWorkerCount) {
   ASSERT_TRUE(FaultInjector::Global().Configure("").ok());
   Rng rng(87);
   const Corpus corpus = MakeCorpus(&rng, 120);
-  for (const TokenAligning aligning :
-       {TokenAligning::kExact, TokenAligning::kGreedy}) {
-    SCOPED_TRACE(aligning == TokenAligning::kExact ? "exact" : "greedy");
-    HmjOptions options;
-    options.threshold = 0.15;
-    options.num_partitions = 4;
-    options.max_partition_size = 10;  // force recursion
-    options.num_subpartitions = 3;
-    options.max_recursion_depth = 5;
-    options.aligning = aligning;
-    HmjRunInfo first_info;
-    std::set<std::tuple<uint32_t, uint32_t, uint64_t>> first_pairs;
-    for (const size_t workers : {1, 2, 4}) {
-      SCOPED_TRACE("workers=" + std::to_string(workers));
-      options.mapreduce.num_workers = workers;
-      HmjRunInfo info;
-      const auto result = HybridMetricJoiner(options).SelfJoin(corpus, &info);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      ASSERT_TRUE(info.completed);
-      std::set<std::tuple<uint32_t, uint32_t, uint64_t>> pairs;
-      for (const TsjPair& pair : *result) {
-        const double oracle = Nsld(corpus.Materialize(pair.a),
-                                   corpus.Materialize(pair.b), aligning);
-        EXPECT_EQ(std::bit_cast<uint64_t>(pair.nsld),
-                  std::bit_cast<uint64_t>(oracle))
-            << pair.a << " " << pair.b;
-        pairs.emplace(pair.a, pair.b, std::bit_cast<uint64_t>(pair.nsld));
-      }
-      if (workers == 1) {
-        EXPECT_FALSE(pairs.empty());
-        EXPECT_GT(info.distance_computations, 0u);
-        EXPECT_GT(info.pivot_filtered, 0u);
-        first_info = info;
-        first_pairs = std::move(pairs);
-        continue;
-      }
-      EXPECT_EQ(info.distance_computations, first_info.distance_computations);
-      EXPECT_EQ(info.pivot_filtered, first_info.pivot_filtered);
-      EXPECT_EQ(info.assignments, first_info.assignments);
-      EXPECT_EQ(pairs, first_pairs);
+  HmjOptions options;
+  options.threshold = 0.15;
+  options.num_partitions = 4;
+  options.max_partition_size = 10;  // force recursion
+  options.num_subpartitions = 3;
+  options.max_recursion_depth = 5;
+  HmjRunInfo first_info;
+  std::set<std::tuple<uint32_t, uint32_t, uint64_t>> first_pairs;
+  for (const size_t workers : {1, 2, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    options.mapreduce.num_workers = workers;
+    HmjRunInfo info;
+    const auto result = HybridMetricJoiner(options).SelfJoin(corpus, &info);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_TRUE(info.completed);
+    std::set<std::tuple<uint32_t, uint32_t, uint64_t>> pairs;
+    for (const TsjPair& pair : *result) {
+      const double oracle =
+          Nsld(corpus.Materialize(pair.a), corpus.Materialize(pair.b));
+      EXPECT_EQ(std::bit_cast<uint64_t>(pair.nsld),
+                std::bit_cast<uint64_t>(oracle))
+          << pair.a << " " << pair.b;
+      pairs.emplace(pair.a, pair.b, std::bit_cast<uint64_t>(pair.nsld));
     }
+    if (workers == 1) {
+      EXPECT_FALSE(pairs.empty());
+      EXPECT_GT(info.distance_computations, 0u);
+      EXPECT_GT(info.pivot_filtered, 0u);
+      first_info = info;
+      first_pairs = std::move(pairs);
+      continue;
+    }
+    EXPECT_EQ(info.distance_computations, first_info.distance_computations);
+    EXPECT_EQ(info.pivot_filtered, first_info.pivot_filtered);
+    EXPECT_EQ(info.assignments, first_info.assignments);
+    EXPECT_EQ(pairs, first_pairs);
   }
 }
 
@@ -261,25 +256,6 @@ TEST(HmjTest, ZeroSubpartitionsAreRejected) {
   EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
   const auto result = HybridMetricJoiner(options).SelfJoin(corpus);
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(HmjTest, GreedyAligningNeverAddsPairs) {
-  // Greedy SLD over-estimates distances, so greedy HMJ returns a subset of
-  // the exact join (same one-sided guarantee as TSJ's approximation).
-  Rng rng(83);
-  Corpus corpus = MakeCorpus(&rng, 80);
-  HmjOptions exact, greedy;
-  exact.threshold = greedy.threshold = 0.2;
-  exact.num_partitions = greedy.num_partitions = 8;
-  greedy.aligning = TokenAligning::kGreedy;
-  const auto exact_result = HybridMetricJoiner(exact).SelfJoin(corpus);
-  const auto greedy_result = HybridMetricJoiner(greedy).SelfJoin(corpus);
-  ASSERT_TRUE(exact_result.ok());
-  ASSERT_TRUE(greedy_result.ok());
-  const PairSet exact_set = ToSet(*exact_result);
-  for (const auto& pair : ToSet(*greedy_result)) {
-    EXPECT_TRUE(exact_set.count(pair));
-  }
 }
 
 TEST(HmjTest, MemoryBudgetSpillsAndStaysExact) {

@@ -209,21 +209,6 @@ TEST(ShuffleGaugeTest, TracksCurrentAndPeak) {
   EXPECT_EQ(gauge.peak(), 15u);  // 7 < 15: peak unchanged
 }
 
-TEST(ShuffleGaugeTest, PipelineGaugeMirrorsJobGauges) {
-  // One shared gauge across two jobs observes a pipeline-wide peak at
-  // least as high as either job's own, and drains back to zero.
-  ShuffleGauge shared;
-  MapReduceOptions options;
-  options.shuffle_gauge = &shared;
-  std::vector<std::string> docs(50, "x y z x");
-  JobStats first, second;
-  SortedWordCount(docs, options, &first);
-  SortedWordCount(docs, options, &second);
-  EXPECT_EQ(shared.current(), 0u);
-  EXPECT_GE(shared.peak(), first.peak_shuffle_records);
-  EXPECT_GE(shared.peak(), second.peak_shuffle_records);
-}
-
 // ---- Fused two-stage execution -------------------------------------------
 
 // Reference for the fused pipeline: word count whose reduce re-keys each
@@ -369,9 +354,7 @@ TEST(FusedMapReduceTest, PeakStaysBelowSumOfStagesOnExpansion) {
   MapReduceOptions options;
   options.num_workers = 2;
 
-  ShuffleGauge unfused_gauge;
-  MapReduceOptions unfused_options = options;
-  unfused_options.shuffle_gauge = &unfused_gauge;
+  JobStats expand_stats, sum_stats;
   auto intermediate = RunMapReduceSorted<int, int, int, std::pair<int, int>>(
       "expand", inputs,
       [](const int& v, PartitionedEmitter<int, int>* out) {
@@ -381,8 +364,7 @@ TEST(FusedMapReduceTest, PeakStaysBelowSumOfStagesOnExpansion) {
          std::vector<std::pair<int, int>>* out) {
         for (int v : values) out->emplace_back(key % 100, v);
       },
-      unfused_options);
-  unfused_gauge.Add(intermediate.size());  // the materialized intermediate
+      options, &expand_stats);
   auto unfused = RunMapReduceSorted<std::pair<int, int>, int, int, int>(
       "sum", intermediate,
       [](const std::pair<int, int>& kv, PartitionedEmitter<int, int>* out) {
@@ -393,12 +375,14 @@ TEST(FusedMapReduceTest, PeakStaysBelowSumOfStagesOnExpansion) {
         for (int v : values) total += v;
         out->push_back(total);
       },
-      unfused_options);
-  unfused_gauge.Sub(intermediate.size());
+      options, &sum_stats);
+  // The unfused pipeline peaks in the expand job, or in the sum job with
+  // the materialized intermediate held beside it.
+  const uint64_t unfused_peak = std::max<uint64_t>(
+      expand_stats.peak_shuffle_records,
+      sum_stats.peak_shuffle_records + intermediate.size());
 
-  ShuffleGauge fused_gauge;
-  MapReduceOptions fused_options = options;
-  fused_options.shuffle_gauge = &fused_gauge;
+  JobStats fused_stage1, fused_stage2;
   auto fused = RunFusedMapReduceSorted<int, int, int, int, int, int, int>(
       "expand", "sum", inputs,
       [](const int& v, PartitionedEmitter<int, int>* out) {
@@ -415,12 +399,12 @@ TEST(FusedMapReduceTest, PeakStaysBelowSumOfStagesOnExpansion) {
         for (int v : values) total += v;
         out->push_back(total);
       },
-      fused_options);
+      options, &fused_stage1, &fused_stage2);
 
   std::sort(unfused.begin(), unfused.end());
   std::sort(fused.begin(), fused.end());
   EXPECT_EQ(fused, unfused);
-  EXPECT_LT(fused_gauge.peak(), unfused_gauge.peak());
+  EXPECT_LT(fused_stage2.peak_shuffle_records, unfused_peak);
 }
 
 // ---- External-memory spill: budget boundaries (mapreduce/spill.h) --------
